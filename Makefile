@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci vet build test race bench bench-smoke campaign-check report-smoke report-golden trace-smoke trace-golden discipline-smoke discipline-golden shard-smoke shard-golden serve-smoke serve-golden telemetry-smoke telemetry-golden byzantine-smoke byzantine-golden
+.PHONY: ci vet build test race bench bench-smoke campaign-check report-smoke report-golden discipline-smoke discipline-golden shard-smoke shard-golden serve-smoke serve-golden telemetry-smoke telemetry-golden byzantine-smoke byzantine-golden
 
 # ci is the gate run by .github/workflows/ci.yml: vet, build, and the
 # full test suite under the race detector (the harness worker pool is
@@ -43,17 +43,6 @@ report-smoke:
 	$(GO) run ./cmd/nticampaign -preset smoke -seeds 3 -q -out build/report-smoke >/dev/null
 	$(GO) run ./cmd/ntireport -in build/report-smoke -out build/report-smoke/report.md
 	diff -u cmd/ntireport/testdata/smoke.report.golden.md build/report-smoke/report.md
-
-# trace-smoke walks one CSP through the full Fig. 3 data path on a
-# 2-node system with tracing on (DMA words included) and byte-diffs the
-# JSONL trace export against the committed golden. Any diff means the
-# cross-layer event stream — ordering, timing, payloads or formatting —
-# changed. Regenerate after an intentional change with `make
-# trace-golden`.
-trace-smoke:
-	mkdir -p build
-	$(GO) run ./cmd/ntitrace -json > build/trace-smoke.jsonl
-	diff -u cmd/ntitrace/testdata/smoke.trace.golden.jsonl build/trace-smoke.jsonl
 
 # discipline-smoke runs the clock-discipline shootout (every discipline
 # × ensemble + GPS fault matrix) and byte-diffs its comparison report —
@@ -144,10 +133,6 @@ byzantine-golden:
 # discipline-golden refreshes the committed discipline shootout golden.
 discipline-golden:
 	$(GO) run ./cmd/nticampaign -preset disciplines -q -report cmd/nticampaign/testdata/disciplines.report.golden.md >/dev/null
-
-# trace-golden refreshes the committed smoke trace golden.
-trace-golden:
-	$(GO) run ./cmd/ntitrace -json > cmd/ntitrace/testdata/smoke.trace.golden.jsonl
 
 # report-golden refreshes the committed smoke report golden.
 report-golden:

@@ -164,11 +164,10 @@ func BenchmarkE13HardwareMeasured(b *testing.B) {
 // seconds of a synchronized n-node system per wall-clock second.
 //
 // The nodes-128/nodes-512 sub-benchmarks run the footnote-2
-// WANs-of-LANs topology under three engines on the same commit:
+// WANs-of-LANs topology, against a flat LAN at 128 nodes:
 //
-//   - flat / wolNN-single: the classic single-kernel paths (one flat
-//     LAN, and the legacy direct-attach multi-segment builder);
-//   - wolNN-shards01: the segment-sharded engine executed sequentially
+//   - flat: one LAN segment (nodes-128 only);
+//   - wolNN-shards01: the segments executed sequentially
 //     (byte-identical to any other shard count);
 //   - wolNN-shardsNN: one worker goroutine per segment.
 //
@@ -184,7 +183,7 @@ func BenchmarkClusterScaling(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				c := cluster.New(cluster.Defaults(n, benchSeed))
 				c.Start(1)
-				c.Sim.RunUntil(30)
+				c.RunUntil(30)
 			}
 			b.ReportMetric(30*float64(b.N)/b.Elapsed().Seconds(), "sim-s/s")
 		})
@@ -205,7 +204,6 @@ func BenchmarkClusterScaling(b *testing.B) {
 		tc := tc
 		base := cluster.Defaults(tc.nodes, benchSeed)
 		base.Sync.F = 1 // keep gateways per link at F+1 = 2 as n grows
-		per := tc.nodes / tc.segments
 		if tc.nodes == 128 {
 			// The flat-LAN shape of the classic scaling series, at a size
 			// it was never built for: every CSP fans out to 127 receivers.
@@ -213,9 +211,6 @@ func BenchmarkClusterScaling(b *testing.B) {
 				return cluster.New(cluster.Defaults(tc.nodes, benchSeed))
 			})
 		}
-		runWol(fmt.Sprintf("nodes-%03d-wol%02d-single", tc.nodes, tc.segments), func() *cluster.Cluster {
-			return cluster.NewWANOfLANsGW(base, tc.segments, per, 2)
-		})
 		for _, shards := range []int{1, tc.segments} {
 			shards := shards
 			runWol(fmt.Sprintf("nodes-%03d-wol%02d-shards%02d", tc.nodes, tc.segments, shards), func() *cluster.Cluster {
@@ -254,7 +249,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 				}
 				c := cluster.New(cfg)
 				c.Start(1)
-				c.Sim.RunUntil(30)
+				c.RunUntil(30)
 			}
 			b.ReportMetric(30*float64(b.N)/b.Elapsed().Seconds(), "sim-s/s")
 		})
@@ -323,7 +318,7 @@ func BenchmarkServing(b *testing.B) {
 func BenchmarkSnapshot(b *testing.B) {
 	c := cluster.New(cluster.Defaults(16, benchSeed))
 	c.Start(1)
-	c.Sim.RunUntil(20)
+	c.RunUntil(20)
 	b.ResetTimer()
 	var cs metrics.ClusterSample
 	for i := 0; i < b.N; i++ {

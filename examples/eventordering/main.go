@@ -37,8 +37,8 @@ func main() {
 	for _, m := range c.Members {
 		m.Sync.SetDelayBounds(b)
 	}
-	c.Start(c.Sim.Now() + 1)
-	c.Sim.RunUntil(c.Sim.Now() + 40) // converge (incl. rate sync) first
+	c.Start(c.Now() + 1)
+	c.RunUntil(c.Now() + 40) // converge (incl. rate sync) first
 
 	fmt.Println("distributed event ordering with APU hardware timestamps")
 	fmt.Printf("cluster precision right now: %.3f µs\n\n", c.Snapshot().Precision*1e6)
@@ -48,18 +48,21 @@ func main() {
 	}
 	results := map[float64]*outcome{}
 	deltas := []float64{100e-6, 20e-6, 5e-6, 2e-6, 1e-6, 0.5e-6}
-	rng := c.Sim.RNG("events")
+	// Event A at node 1, event B at node 3; the experiment schedules its
+	// events on their simulator.
+	a, bNode := c.Members[1], c.Members[3]
+	s := a.Node.Sim
+	rng := s.RNG("events")
 
 	trial := func(delta float64, done func(ok, resolvable bool)) {
-		// Event A at node 1, event B at node 3, true separation delta.
-		a, bNode := c.Members[1], c.Members[3]
+		// True separation delta.
 		var stampA, stampB timefmt.Stamp
 		var amA, apA, amB, apB timefmt.Alpha
-		c.Sim.After(0, func() {
+		s.After(0, func() {
 			stampA, _ = a.U.APU(0).Trigger(true)
 			_, amA, apA, _ = a.U.APU(0).Read()
 		})
-		c.Sim.After(delta, func() {
+		s.After(delta, func() {
 			stampB, _ = bNode.U.APU(0).Trigger(true)
 			_, amB, apB, _ = bNode.U.APU(0).Read()
 			ok := stampB > stampA // B truly happened after A
@@ -78,9 +81,9 @@ func main() {
 		res := &outcome{}
 		results[d] = res
 		for k := 0; k < 50; k++ {
-			at := c.Sim.Now() + 0.1 + rng.Float64()*0.3
+			at := c.Now() + 0.1 + rng.Float64()*0.3
 			d := d
-			c.Sim.At(at, func() {
+			s.At(at, func() {
 				trial(d, func(ok, resolvable bool) {
 					res.total++
 					if ok {
@@ -91,7 +94,7 @@ func main() {
 					}
 				})
 			})
-			c.Sim.RunUntil(at + 0.05)
+			c.RunUntil(at + 0.05)
 		}
 	}
 

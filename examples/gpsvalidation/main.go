@@ -40,12 +40,12 @@ func run(trust bool) {
 	for _, m := range c.Members {
 		m.Sync.SetDelayBounds(b)
 	}
-	c.Start(c.Sim.Now() + 1)
+	c.Start(c.Now() + 1)
 
 	tb := metrics.Table{Header: []string{"t [s]", "worst |C-t|", "precision [µs]", "node2 rejected"}}
-	begin := c.Sim.Now()
+	begin := c.Now()
 	for t := begin + 20; t <= begin+160; t += 20 {
-		c.Sim.RunUntil(t)
+		c.RunUntil(t)
 		cs := c.Snapshot()
 		st := c.Members[2].Sync.Stats()
 		acc := fmt.Sprintf("%8.3f µs", cs.MaxAbsOffset*1e6)

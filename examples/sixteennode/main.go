@@ -29,13 +29,13 @@ func main() {
 		m.Sync.SetDelayBounds(b)
 	}
 	fmt.Printf("16-node prototype; measured delay bounds [%v, %v]\n\n", b.Min, b.Max)
-	c.Start(c.Sim.Now() + 1)
+	c.Start(c.Now() + 1)
 
 	tb := metrics.Table{Header: []string{"t [s]", "precision [µs]", "worst |C-t| [µs]", "mean interval ±[µs]", "contained"}}
-	begin := c.Sim.Now()
+	begin := c.Now()
 	var steady metrics.Series
 	for t := begin + 10; t <= begin+180; t += 10 {
-		c.Sim.RunUntil(t)
+		c.RunUntil(t)
 		cs := c.Snapshot()
 		var width metrics.Series
 		for _, m := range c.Members {

@@ -38,11 +38,11 @@ func main() {
 	const n = 2000
 	for i := 0; i < n; i++ {
 		i := i
-		c.Sim.After(0.01+float64(i)*0.002, func() {
+		c.Members[0].Node.Sim.After(0.01+float64(i)*0.002, func() {
 			c.Members[0].Node.SendCSP(csp.Packet{Kind: csp.KindCSP, Round: uint32(i)}, network.Broadcast)
 		})
 	}
-	c.Sim.RunUntil(0.01*float64(n)*0.2 + 5)
+	c.RunUntil(0.01*float64(n)*0.2 + 5)
 
 	fmt.Println("two-node ε measurement (paper §4)")
 	fmt.Printf("CSPs stamped:       %d\n", gaps.N())

@@ -53,12 +53,12 @@ func TestBudgetDominatesMeasured(t *testing.T) {
 	for _, m := range c.Members {
 		m.Sync.SetDelayBounds(b)
 	}
-	c.Start(c.Sim.Now() + 1)
-	c.Sim.RunUntil(c.Sim.Now() + 20)
+	c.Start(c.Now() + 1)
+	c.RunUntil(c.Now() + 20)
 	var prec metrics.Series
-	start := c.Sim.Now()
+	start := c.Now()
 	for x := start; x <= start+60; x += 0.7 {
-		c.Sim.RunUntil(x)
+		c.RunUntil(x)
 		prec.Add(c.Snapshot().Precision)
 	}
 	budget := PrototypeBudget()

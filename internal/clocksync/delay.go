@@ -28,9 +28,15 @@ type DelayBounds struct {
 // spread of oneway_i over the campaign, widened by clock-granularity
 // and drift margins, bounds the true delay.
 //
+// A campaign in which no probe yields a usable sample reports Samples
+// 0 and zero bounds, which must not be applied. The next probe goes out
+// only when a response arrives, so one lost frame stalls the campaign
+// and done is never called; the returned function reports the samples
+// taken so far, for a caller that gives up waiting.
+//
 // MeasureDelay temporarily owns a's CI handler; run it before creating
 // the node's Synchronizer (which installs its own handler).
-func MeasureDelay(a *kernel.Node, b *kernel.Node, rhoPPB int64, n int, done func(DelayBounds)) {
+func MeasureDelay(a *kernel.Node, b *kernel.Node, rhoPPB int64, n int, done func(DelayBounds)) (samples func() int) {
 	if n <= 0 {
 		n = 16
 	}
@@ -70,6 +76,10 @@ func MeasureDelay(a *kernel.Node, b *kernel.Node, rhoPPB int64, n int, done func
 		}
 		if got >= n || sent >= 4*n {
 			a.OnCSP(nil)
+			if got == 0 {
+				done(DelayBounds{})
+				return
+			}
 			// Margins: reading granularity on four stamps plus relative
 			// drift over a generous turnaround bound.
 			margin := timefmt.Duration(4) + interval.DriftDeterioration(hi+1000, rhoPPB)
@@ -79,6 +89,7 @@ func MeasureDelay(a *kernel.Node, b *kernel.Node, rhoPPB int64, n int, done func
 		sendProbe()
 	})
 	sendProbe()
+	return func() int { return got }
 }
 
 func maxDur(a, b timefmt.Duration) timefmt.Duration {

@@ -6,6 +6,8 @@ package cluster
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 
 	"ntisim/internal/adversary"
 	"ntisim/internal/clocksync"
@@ -61,11 +63,11 @@ type Config struct {
 	// BackgroundLoad injects competing KI/NI-style traffic at this
 	// utilization (0..0.9).
 	BackgroundLoad float64
-	// Segments, when >= 2, makes New build the segment-sharded
-	// WANs-of-LANs topology (paper footnote 2) instead of a single
-	// LAN: Nodes is then the total regular-node count, split evenly
-	// across the segments (it must divide), with each segment's
-	// sub-simulator a shard of a conservatively synchronized
+	// Segments is the number of LAN segments: 0 or 1: one LAN; >= 2:
+	// the WANs-of-LANs topology of paper footnote 2, segments chained
+	// by gateway nodes. Nodes is the total regular-node count, split
+	// evenly across the segments (it must divide). Each segment's
+	// simulator is a shard of one conservatively synchronized
 	// sim.Group. See sharded.go and DESIGN.md §8.
 	Segments int
 	// GatewaysPerLink is the number of redundant gateway nodes on each
@@ -95,9 +97,10 @@ type Config struct {
 	Tracer *trace.Tracer
 	// Telemetry, when non-nil, wires the runtime metrics registry
 	// through every layer (kernel counters, bus gauges, sync histograms,
-	// serving counters). Sharded clusters create one private registry
-	// per shard (single-threaded, like per-shard tracers) and treat this
-	// one as the driver-level registry; TelemetrySnapshot merges them.
+	// serving counters). A flat LAN uses it as its one shard's
+	// registry. Several segments get one private registry per shard
+	// (single-threaded, like per-shard tracers) and treat this one as
+	// the driver-level registry; TelemetrySnapshot merges them.
 	// One Registry belongs to exactly one cluster.
 	Telemetry *telemetry.Registry
 }
@@ -159,9 +162,9 @@ type Member struct {
 	// Segment is the LAN segment index in a WANs-of-LANs topology
 	// (-1 for gateway nodes); 0 for single-LAN clusters.
 	Segment int
-	// Shard is the sub-simulator the member executes on in a sharded
-	// topology (gateways are homed on their lower-numbered adjacent
-	// segment's shard); 0 for unsharded clusters.
+	// Shard is the segment simulator the member executes on (gateways
+	// are homed on their lower-numbered adjacent segment's shard); 0 for
+	// a flat LAN.
 	Shard int
 	Osc   *oscillator.Oscillator
 	U     *utcsu.UTCSU
@@ -189,25 +192,20 @@ func (m *Member) OffsetAndBounds() (offset, loEdge, hiEdge float64) {
 
 // Cluster is the assembled system.
 type Cluster struct {
-	// Sim is the simulator of an unsharded cluster (and shard 0 of a
-	// sharded one). Code that advances time or reads the clock should
-	// use the RunUntil/Now/EventCount wrappers, which dispatch to the
-	// Group for sharded clusters.
-	Sim *sim.Simulator
 	// Group is the conservative parallel composition of the per-segment
-	// sub-simulators; nil for unsharded clusters.
+	// simulators (one shard for a flat LAN). Drive it through the
+	// cluster's Start/RunUntil/Now/EventCount; code that schedules its
+	// own events uses the acting member's Node.Sim.
 	Group *sim.Group
-	// Med is the (first) medium; Media lists all segments in a
-	// WANs-of-LANs topology.
-	Med     *network.Medium
+	// Media lists the segments' media, one per shard.
 	Media   []*network.Medium
 	Members []*Member
 	// ServingGens are the per-node client-load generators (one per
 	// regular node, in member order) when cfg.Serving enables a client
 	// population; empty otherwise. See serving.go.
 	ServingGens []*service.Generator
-	tracers     []*trace.Tracer       // per-shard tracers of a sharded cluster
-	telems      []*telemetry.Registry // per-shard registries of a sharded cluster
+	tracers     []*trace.Tracer       // per-shard tracers (nil entries when tracing is off)
+	telems      []*telemetry.Registry // per-shard registries (nil entries without telemetry)
 	adv         *adversary.Layer      // nil without an adversary spec
 	cfg         Config
 }
@@ -224,64 +222,168 @@ func (c *Cluster) TraitorCount() int { return len(c.adv.Traitors()) }
 // telemetry).
 func (c *Cluster) AdversaryLies() uint64 { return c.adv.LiesTold() }
 
-// New builds the cluster. Synchronizers are created but not started;
-// call Start (optionally after MeasureDelay has refined the bounds).
-// A Config with Segments >= 2 builds the sharded WANs-of-LANs
-// topology (sharded.go); otherwise a single shared LAN.
+// New builds the cluster: max(Segments, 1) LAN segments, each with its
+// own simulator, medium, tracer and telemetry registry, run as the
+// shards of one sim.Group (segment topology: sharded.go, DESIGN.md §8).
+// A flat LAN is the one-segment case. It keeps the root seed, the
+// node%d labels that name its RNG streams, and the configured Tracer
+// and Telemetry as the shard's own handles, so it is the classic
+// single-simulator LAN event for event. Synchronizers are created but
+// not started; call Start (optionally after MeasureDelay has refined
+// the bounds).
 func New(cfg Config) *Cluster {
 	if cfg.Nodes <= 0 {
 		panic("cluster: need at least one node")
 	}
-	if cfg.Segments >= 2 {
-		return newSharded(cfg)
+	segs := max(cfg.Segments, 1)
+	if cfg.Nodes%segs != 0 {
+		panic(fmt.Sprintf("cluster: %d nodes do not divide evenly over %d segments", cfg.Nodes, segs))
+	}
+	per := cfg.Nodes / segs
+	gpl := cfg.GatewaysPerLink
+	if gpl <= 0 {
+		gpl = cfg.Sync.F + 1
+	}
+	wan := cfg.WANDelayS
+	if wan <= 0 {
+		wan = DefaultWANDelayS
+	}
+	workers := cfg.Shards
+	if workers <= 0 {
+		workers = min(runtime.GOMAXPROCS(0), segs)
 	}
 	if cfg.OscHz == 0 {
 		cfg.OscHz = 10e6
 	}
-	s := sim.New(cfg.Seed)
-	med := network.NewMedium(s, cfg.Medium)
-	if cfg.Tracer != nil {
-		s.SetTracer(cfg.Tracer)
-		med.SetTracer(cfg.Tracer)
+	label := "node%d"
+	if segs > 1 {
+		label = "wol%d"
 	}
-	if cfg.Telemetry != nil {
-		s.SetTelemetry(cfg.Telemetry)
-		med.SetTelemetry(cfg.Telemetry)
+
+	sims := make([]*sim.Simulator, segs)
+	tracers := make([]*trace.Tracer, segs)
+	telems := make([]*telemetry.Registry, segs)
+	media := make([]*network.Medium, segs)
+	for i := range sims {
+		if segs == 1 {
+			sims[i], tracers[i], telems[i] = sim.New(cfg.Seed), cfg.Tracer, cfg.Telemetry
+		} else {
+			sims[i] = sim.New(sim.DeriveSeed(cfg.Seed, fmt.Sprintf("shard/%d", i)))
+			if cfg.Tracer != nil {
+				tracers[i] = trace.New(cfg.Tracer.Options())
+				tracers[i].SetShard(i)
+			}
+			if cfg.Telemetry != nil {
+				// One private registry per shard, updated only by that
+				// shard's single-threaded simulator — the trace-ring pattern.
+				telems[i] = telemetry.New()
+				telems[i].SetShard(i)
+			}
+		}
+		sims[i].SetTracer(tracers[i])
+		media[i] = network.NewMedium(sims[i], cfg.Medium)
+		media[i].SetTracer(tracers[i])
+		sims[i].SetTelemetry(telems[i])
+		media[i].SetTelemetry(telems[i])
 	}
-	c := &Cluster{Sim: s, Med: med, Media: []*network.Medium{med}, cfg: cfg}
-	c.adv = adversary.NewLayer(cfg.Adversary, cfg.Seed, cfg.Nodes, 1)
-	for i := 0; i < cfg.Nodes; i++ {
+	// The WAN delay is the lookahead between segments. A flat LAN has no
+	// cross-shard link, so nothing bounds its window: each RunUntil is
+	// one window, as on a bare simulator (1 ms windows cost a 2-node LAN
+	// over half its speed).
+	lookahead := math.Inf(1)
+	if segs > 1 {
+		lookahead = wan
+	}
+	group := sim.NewGroup(lookahead, workers, sims)
+	if cfg.Telemetry != nil && segs > 1 {
+		// Driver-level metrics (windows, flush sizes, imbalance) go on
+		// the cluster's own registry — only touched between windows.
+		group.SetTelemetry(cfg.Telemetry)
+		for i := range sims {
+			s := sims[i]
+			// Cumulative per-shard progress and window lag, read at
+			// capture time (barrier): how many events the shard has fired
+			// and how far short of the group clock it went idle.
+			telems[i].GaugeFunc(telemetry.MetricShardEvents, func() float64 { return float64(s.EventCount()) })
+			telems[i].GaugeFunc("group.shard_lag_s", func() float64 { return group.Now() - s.LastFiredAt() })
+		}
+	}
+	c := &Cluster{Group: group, Media: media, tracers: tracers, telems: telems, cfg: cfg}
+	c.adv = adversary.NewLayer(cfg.Adversary, cfg.Seed, cfg.Nodes, segs)
+
+	mkNode := func(shard int, bus network.Bus, segment int) *Member {
+		id := len(c.Members)
+		name := fmt.Sprintf(label, id)
+		s, tr, reg := sims[shard], tracers[shard], telems[shard]
 		oc := oscillator.TCXO(cfg.OscHz)
 		if cfg.OscillatorFor != nil {
-			oc = cfg.OscillatorFor(i)
+			oc = cfg.OscillatorFor(id)
 		}
-		osc := oscillator.New(s, oc, fmt.Sprintf("node%d", i))
+		osc := oscillator.New(s, oc, name)
 		u := utcsu.New(s, utcsu.Config{Osc: osc})
-		// The adversary sits between the medium and the node's COMCO:
-		// WrapBus is the identity when nobody attacks.
-		bus := c.adv.WrapBus(med, i, 0, s, cfg.Tracer, cfg.Telemetry)
-		node := kernel.NewNode(s, uint16(i), u, bus, cfg.Kernel, cfg.COMCO)
-		m := &Member{Index: i, Osc: osc, U: u, Node: node}
+		// The adversary sits between the bus and the node's COMCO (the
+		// identity when nobody attacks): lies are applied at delivery on
+		// the receiver's shard, so the decomposition never changes what
+		// any node hears.
+		bus = c.adv.WrapBus(bus, id, shard, s, tr, reg)
+		node := kernel.NewNode(s, uint16(id), u, bus, cfg.Kernel, cfg.COMCO)
+		m := &Member{Index: id, Segment: segment, Shard: shard, Osc: osc, U: u, Node: node}
 		var clk clocksync.Clock = clocksync.UTCSUClock{UTCSU: u}
 		if cfg.ClockFactory != nil {
 			clk = cfg.ClockFactory(u)
 		}
 		m.Sync = clocksync.New(node, clk, cfg.Sync)
-		if gc, hasGPS := cfg.GPS[i]; hasGPS {
-			attachReferences(s, cfg.Tracer, m, gc, fmt.Sprintf("node%d", i), &cfg)
+		if gc, hasGPS := cfg.GPS[id]; hasGPS {
+			attachReferences(s, tr, m, gc, name, &cfg)
 		}
-		if cfg.Tracer != nil {
-			node.SetTracer(cfg.Tracer)
-			m.Sync.SetTracer(cfg.Tracer)
+		if tr != nil {
+			node.SetTracer(tr)
+			m.Sync.SetTracer(tr)
 			if m.Rx != nil {
-				m.Rx.SetTracer(cfg.Tracer, i)
+				m.Rx.SetTracer(tr, id)
 			}
 		}
-		m.Sync.SetTelemetry(cfg.Telemetry)
+		m.Sync.SetTelemetry(reg)
 		c.Members = append(c.Members, m)
+		return m
 	}
+	for seg := 0; seg < segs; seg++ {
+		for i := 0; i < per; i++ {
+			mkNode(seg, media[seg], seg)
+		}
+	}
+
+	rw := relayRewrite(cfg.Sync.RhoPPB)
+	link := network.LinkConfig{
+		BitRateBps:   cfg.Medium.BitRateBps,
+		PreambleBits: cfg.Medium.PreambleBits,
+		InterframeS:  cfg.Medium.InterframeS,
+	}
+	for home := 0; home+1 < segs; home++ {
+		remote := home + 1
+		for g := 0; g < gpl; g++ {
+			gw := mkNode(home, media[home], -1)
+			var port *network.LinkPort
+			var relay *network.Relay
+			port = network.NewLinkPort(sims[home], link, func(f network.Frame) {
+				group.Post(home, remote, sims[home].Now()+wan, func() { relay.Inject(f) })
+			}, rw)
+			relay = network.NewRelay(media[remote], func(f network.Frame) {
+				group.Post(remote, home, sims[remote].Now()+wan, func() { port.Inject(f) })
+			}, rw)
+			port.SetTelemetry(telems[home])
+			relay.SetTelemetry(telems[remote])
+			// The gateway's WAN-facing channel gets the same adversary
+			// tap as its LAN channel: traitors on the remote segment lie
+			// to the gateway too.
+			gw.Node.AttachSegment(c.adv.WrapBus(port, gw.Index, home, sims[home], tracers[home], telems[home]))
+		}
+	}
+
 	if cfg.BackgroundLoad > 0 {
-		med.StartBackgroundLoad(cfg.BackgroundLoad, 400)
+		for _, med := range media {
+			med.StartBackgroundLoad(cfg.BackgroundLoad, 400)
+		}
 	}
 	c.attachServing()
 	return c
@@ -329,18 +431,9 @@ func attachReferences(s *sim.Simulator, tr *trace.Tracer, m *Member, gc gps.Conf
 	}
 }
 
-// Start launches every synchronizer at the given simulated time. In a
-// sharded cluster each shard gets its own start event covering the
-// members homed on it.
+// Start launches every synchronizer at the given simulated time. Each
+// shard gets its own start event covering the members homed on it.
 func (c *Cluster) Start(at float64) {
-	if c.Group == nil {
-		c.Sim.At(at, func() {
-			for _, m := range c.Members {
-				m.Sync.Start()
-			}
-		})
-		return
-	}
 	for i := 0; i < c.Group.Shards(); i++ {
 		shard := i
 		c.Group.Shard(shard).At(at, func() {
@@ -353,37 +446,21 @@ func (c *Cluster) Start(at float64) {
 	}
 }
 
-// RunUntil advances the simulation (every shard, for sharded
-// clusters) to the horizon and returns the reached time.
-func (c *Cluster) RunUntil(horizon float64) float64 {
-	if c.Group != nil {
-		return c.Group.RunUntil(horizon)
-	}
-	return c.Sim.RunUntil(horizon)
-}
+// RunUntil advances every shard to the horizon and returns the reached
+// time.
+func (c *Cluster) RunUntil(horizon float64) float64 { return c.Group.RunUntil(horizon) }
 
 // Now returns the current simulated time.
-func (c *Cluster) Now() float64 {
-	if c.Group != nil {
-		return c.Group.Now()
-	}
-	return c.Sim.Now()
-}
+func (c *Cluster) Now() float64 { return c.Group.Now() }
 
 // EventCount returns events fired so far, summed over shards.
-func (c *Cluster) EventCount() uint64 {
-	if c.Group != nil {
-		return c.Group.EventCount()
-	}
-	return c.Sim.EventCount()
-}
+func (c *Cluster) EventCount() uint64 { return c.Group.EventCount() }
 
-// Trace returns the cluster's event trace: the configured tracer for
-// unsharded clusters, or the per-shard tracers merged into canonical
-// (time, shard, sequence) order for sharded ones. Nil when tracing is
-// off.
+// Trace returns the cluster's event trace: the configured tracer for a
+// flat LAN, or the per-shard tracers merged into canonical (time,
+// shard, sequence) order for several segments. Nil when tracing is off.
 func (c *Cluster) Trace() *trace.Tracer {
-	if c.Group == nil || c.cfg.Tracer == nil {
+	if c.cfg.Tracer == nil || len(c.tracers) == 1 {
 		return c.cfg.Tracer
 	}
 	return trace.MergeShards(c.tracers)
@@ -399,19 +476,18 @@ func (c *Cluster) Snapshot() metrics.ClusterSample {
 }
 
 // TelemetrySnapshot merges the cluster's registries (the configured one
-// plus, when sharded, the per-shard registries) into one sim-time
-// Snapshot. ok is false when the cluster was built without telemetry.
-// Call only between RunUntil calls — registries are barrier state.
+// plus, for several segments, the per-shard registries) into one
+// sim-time Snapshot. ok is false when the cluster was built without
+// telemetry. Call only between RunUntil calls — registries are barrier
+// state.
 func (c *Cluster) TelemetrySnapshot() (telemetry.Snapshot, bool) {
 	if c.cfg.Telemetry == nil {
 		return telemetry.Snapshot{}, false
 	}
-	if len(c.telems) == 0 {
-		return telemetry.Capture(c.Now(), c.cfg.Telemetry), true
+	regs := c.telems // a flat LAN's one shard registry is the configured one
+	if len(regs) > 1 {
+		regs = append([]*telemetry.Registry{c.cfg.Telemetry}, regs...)
 	}
-	regs := make([]*telemetry.Registry, 0, len(c.telems)+1)
-	regs = append(regs, c.cfg.Telemetry)
-	regs = append(regs, c.telems...)
 	return telemetry.Capture(c.Now(), regs...), true
 }
 
@@ -426,11 +502,29 @@ func (c *Cluster) RunSampled(from, until, every float64) []metrics.ClusterSample
 	return out
 }
 
+// SegmentPrecision computes max|Cp−Cq| over the members of one segment
+// (gateways excluded), from a fresh snapshot.
+func (c *Cluster) SegmentPrecision(segment int) float64 {
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for _, m := range c.Members {
+		if m.Segment == segment {
+			off, _, _ := m.OffsetAndBounds()
+			lo, hi = math.Min(lo, off), math.Max(hi, off)
+		}
+	}
+	if lo > hi {
+		return 0
+	}
+	return hi - lo
+}
+
 // MeasureDelay runs a round-trip campaign between members a and b and
 // returns the bounds (completing the simulation work synchronously).
-// Call before Start.
+// Call before Start. A campaign that stalls on lost frames, or yields
+// no usable sample, returns the a-priori [Sync.DelayMin, Sync.DelayMax]
+// with the samples it did take.
 func (c *Cluster) MeasureDelay(a, b, probes int) clocksync.DelayBounds {
-	if c.Group != nil && c.Members[a].Shard != c.Members[b].Shard {
+	if c.Members[a].Shard != c.Members[b].Shard {
 		panic("cluster: MeasureDelay probes cannot cross shards (RTT unicast is segment-local)")
 	}
 	c.Members[b].Node.EnableRTTResponder()
@@ -440,7 +534,7 @@ func (c *Cluster) MeasureDelay(a, b, probes int) clocksync.DelayBounds {
 	if rho == 0 {
 		rho = 2000
 	}
-	clocksync.MeasureDelay(c.Members[a].Node, c.Members[b].Node, rho, probes, func(b clocksync.DelayBounds) {
+	samples := clocksync.MeasureDelay(c.Members[a].Node, c.Members[b].Node, rho, probes, func(b clocksync.DelayBounds) {
 		res = b
 		done = true
 	})
@@ -451,5 +545,8 @@ func (c *Cluster) MeasureDelay(a, b, probes int) clocksync.DelayBounds {
 	// Re-install the synchronizers' CI handlers that MeasureDelay
 	// displaced on member a.
 	c.Members[a].Sync.ReinstallHandler()
+	if !done || res.Samples == 0 {
+		return clocksync.DelayBounds{Min: c.cfg.Sync.DelayMin, Max: c.cfg.Sync.DelayMax, Samples: samples()}
+	}
 	return res
 }

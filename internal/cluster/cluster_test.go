@@ -15,7 +15,7 @@ func TestFourNodeConvergence(t *testing.T) {
 	c := New(cfg)
 	c.Start(1)
 	// Warm-up: initial steps + a few rounds.
-	c.Sim.RunUntil(15)
+	c.RunUntil(15)
 	var prec metrics.Series
 	for _, cs := range c.RunSampled(15, 60, 1) {
 		prec.Add(cs.Precision)
@@ -45,7 +45,7 @@ func TestPrecisionRequirementHolds(t *testing.T) {
 	// resynchronization.
 	c := New(Defaults(4, 2))
 	c.Start(1)
-	c.Sim.RunUntil(20)
+	c.RunUntil(20)
 	for _, cs := range c.RunSampled(20, 50, 0.37) { // off-grid sampling
 		if cs.Precision > 10e-6 {
 			t.Fatalf("precision %v at t=%v", cs.Precision, cs.TrueTime)
@@ -58,7 +58,7 @@ func TestAccuracyIntervalContainsTruth(t *testing.T) {
 	// This is the core soundness property of interval-based clock sync.
 	c := New(Defaults(4, 3))
 	c.Start(1)
-	c.Sim.RunUntil(12)
+	c.RunUntil(12)
 	bad := 0
 	samples := c.RunSampled(12, 60, 0.5)
 	for _, cs := range samples {
@@ -77,7 +77,7 @@ func TestSixteenNodePrototype(t *testing.T) {
 	}
 	c := New(Defaults(16, 4))
 	c.Start(1)
-	c.Sim.RunUntil(20)
+	c.RunUntil(20)
 	var prec metrics.Series
 	for _, cs := range c.RunSampled(20, 60, 1) {
 		prec.Add(cs.Precision)
@@ -100,6 +100,34 @@ func TestDelayMeasurement(t *testing.T) {
 	}
 }
 
+// TestMeasureDelayLossyFallsBackToAPriori: on a lossy medium one lost
+// probe or response stalls the round-trip campaign. The cluster must
+// then hand back the configured a-priori bounds, never the zero or an
+// inverted pair, together with the samples the campaign did take.
+func TestMeasureDelayLossyFallsBackToAPriori(t *testing.T) {
+	stalled := 0
+	for seed := uint64(1); seed <= 6; seed++ {
+		cfg := Defaults(4, seed)
+		cfg.Medium.CRCErrorProb = 0.3
+		c := New(cfg)
+		b := c.MeasureDelay(0, 1, 12)
+		if b.Min > b.Max {
+			t.Fatalf("seed %d: inverted delay bounds [%v, %v]", seed, b.Min, b.Max)
+		}
+		if b.Samples >= 12 {
+			continue // the campaign finished despite the loss
+		}
+		stalled++
+		if b.Min != cfg.Sync.DelayMin || b.Max != cfg.Sync.DelayMax {
+			t.Errorf("seed %d: stalled campaign (%d samples) returned [%v, %v], want a-priori [%v, %v]",
+				seed, b.Samples, b.Min, b.Max, cfg.Sync.DelayMin, cfg.Sync.DelayMax)
+		}
+	}
+	if stalled == 0 {
+		t.Fatal("no campaign stalled; the lossy medium no longer exercises the fallback")
+	}
+}
+
 func TestMeasuredDelayImprovesSync(t *testing.T) {
 	run := func(measure bool) float64 {
 		cfg := Defaults(4, 6)
@@ -110,8 +138,8 @@ func TestMeasuredDelayImprovesSync(t *testing.T) {
 				m.Sync.SetDelayBounds(b)
 			}
 		}
-		c.Start(c.Sim.Now() + 1)
-		begin := c.Sim.Now() + 15
+		c.Start(c.Now() + 1)
+		begin := c.Now() + 15
 		var prec metrics.Series
 		for _, cs := range c.RunSampled(begin, begin+40, 1) {
 			prec.Add(cs.Precision)
@@ -132,7 +160,7 @@ func TestBackgroundLoadTolerated(t *testing.T) {
 	cfg.BackgroundLoad = 0.4
 	c := New(cfg)
 	c.Start(1)
-	c.Sim.RunUntil(20)
+	c.RunUntil(20)
 	var prec metrics.Series
 	for _, cs := range c.RunSampled(20, 60, 1) {
 		prec.Add(cs.Precision)
@@ -149,7 +177,7 @@ func TestGPSNodeSteersToUTC(t *testing.T) {
 	cfg.GPS = map[int]gps.Config{0: gps.DefaultReceiver()}
 	c := New(cfg)
 	c.Start(1)
-	c.Sim.RunUntil(30)
+	c.RunUntil(30)
 	var acc metrics.Series
 	for _, cs := range c.RunSampled(30, 90, 1) {
 		acc.Add(cs.MaxAbsOffset)
@@ -173,7 +201,7 @@ func TestFaultyGPSRejectedByValidation(t *testing.T) {
 	cfg.GPS = map[int]gps.Config{0: rx}
 	c := New(cfg)
 	c.Start(1)
-	c.Sim.RunUntil(100)
+	c.RunUntil(100)
 	st := c.Members[0].Sync.Stats()
 	if st.ExternalRejected == 0 {
 		t.Error("faulty GPS never rejected by clock validation")
@@ -195,7 +223,7 @@ func TestRateSyncReducesDriftBound(t *testing.T) {
 		cfg.Sync.RhoPPB = 3000
 		c := New(cfg)
 		c.Start(1)
-		c.Sim.RunUntil(60) // let rate measurements settle
+		c.RunUntil(60) // let rate measurements settle
 		var prec, alpha metrics.Series
 		for _, cs := range c.RunSampled(60, 160, 2) {
 			prec.Add(cs.Precision)
@@ -222,13 +250,13 @@ func TestNodeCrashTolerated(t *testing.T) {
 	cfg.Sync.F = 1
 	c := New(cfg)
 	c.Start(1)
-	c.Sim.RunUntil(20)
+	c.RunUntil(20)
 	// Crash node 4: stop its synchronizer (it goes silent).
 	c.Members[4].Sync.Stop()
-	c.Sim.RunUntil(25)
+	c.RunUntil(25)
 	var prec metrics.Series
 	for t := 25.0; t <= 60; t += 1 {
-		c.Sim.RunUntil(t)
+		c.RunUntil(t)
 		cs := c.Snapshot()
 		// Only the surviving nodes matter for precision.
 		lo, hi := math.Inf(1), math.Inf(-1)
@@ -250,7 +278,7 @@ func TestDeterministicCluster(t *testing.T) {
 	run := func() float64 {
 		c := New(Defaults(4, 77))
 		c.Start(1)
-		c.Sim.RunUntil(30)
+		c.RunUntil(30)
 		return c.Snapshot().Precision
 	}
 	if run() != run() {
@@ -266,14 +294,14 @@ func TestNodeRejoinAfterRestart(t *testing.T) {
 	cfg.Sync.F = 1
 	c := New(cfg)
 	c.Start(1)
-	c.Sim.RunUntil(20)
+	c.RunUntil(20)
 	victim := c.Members[4]
 	victim.Sync.Stop()
 	// While down, wreck its clock so rejoin is non-trivial.
 	victim.U.StepTo(victim.U.Now().Add(timefmt.DurationFromSeconds(0.05)))
-	c.Sim.RunUntil(40)
+	c.RunUntil(40)
 	victim.Sync.Start()
-	c.Sim.RunUntil(60)
+	c.RunUntil(60)
 	cs := c.Snapshot()
 	if cs.Precision > 10e-6 {
 		t.Errorf("precision after rejoin: %v", cs.Precision)
@@ -296,12 +324,12 @@ func TestOCXOClusterTighter(t *testing.T) {
 		for _, m := range c.Members {
 			m.Sync.SetDelayBounds(b)
 		}
-		c.Start(c.Sim.Now() + 1)
-		c.Sim.RunUntil(c.Sim.Now() + 20)
+		c.Start(c.Now() + 1)
+		c.RunUntil(c.Now() + 20)
 		var width metrics.Series
-		start := c.Sim.Now()
+		start := c.Now()
 		for x := start; x <= start+60; x += 2 {
-			c.Sim.RunUntil(x)
+			c.RunUntil(x)
 			for _, m := range c.Members {
 				am, ap := m.U.Alpha()
 				width.Add(am.Duration().Seconds() + ap.Duration().Seconds())
@@ -327,17 +355,17 @@ func TestNetworkPartitionSurvived(t *testing.T) {
 	// cable is plugged back in.
 	c := New(Defaults(4, 33))
 	c.Start(1)
-	c.Sim.RunUntil(20)
-	c.Med.SetPartitioned(true)
+	c.RunUntil(20)
+	c.Media[0].SetPartitioned(true)
 	violations := 0
 	for x := 21.0; x <= 35; x += 1 {
-		c.Sim.RunUntil(x)
+		c.RunUntil(x)
 		if !c.Snapshot().Contained {
 			violations++
 		}
 	}
-	c.Med.SetPartitioned(false)
-	c.Sim.RunUntil(50)
+	c.Media[0].SetPartitioned(false)
+	c.RunUntil(50)
 	if violations > 0 {
 		t.Errorf("containment broke during partition: %d samples", violations)
 	}
@@ -355,14 +383,14 @@ func TestPPSAlignmentAcrossCluster(t *testing.T) {
 	// pins of all nodes fire within the ensemble precision.
 	c := New(Defaults(4, 34))
 	c.Start(1)
-	c.Sim.RunUntil(20)
+	c.RunUntil(20)
 	pulses := map[int64][]float64{} // second label -> true times
 	for _, m := range c.Members {
 		m.U.StartPPS(0, func(sec int64) {
-			pulses[sec] = append(pulses[sec], c.Sim.Now())
+			pulses[sec] = append(pulses[sec], m.Node.Sim.Now())
 		})
 	}
-	c.Sim.RunUntil(40)
+	c.RunUntil(40)
 	checked := 0
 	for sec, ts := range pulses {
 		if len(ts) != len(c.Members) {
@@ -422,5 +450,37 @@ func TestConfigClone(t *testing.T) {
 	c2.Sync.F = 99
 	if plain.Sync.F == 99 {
 		t.Errorf("Sync aliased between clone and original")
+	}
+}
+
+func TestClusterLeapSecond(t *testing.T) {
+	// Hardware leap-second support (paper §3.3) across a synchronized
+	// cluster: every node arms its leap timer for the same UTC second;
+	// afterwards the ensemble is still tight and the clocks stepped
+	// together by -1 s relative to true time.
+	c := New(Defaults(4, 24))
+	c.Start(1)
+	c.RunUntil(10)
+	leapAt := timefmt.Stamp(timefmt.DurationFromSeconds(30))
+	for _, m := range c.Members {
+		m.U.LeapAt(leapAt, +1)
+	}
+	c.RunUntil(40)
+	after := c.Snapshot()
+	if after.Precision > 10e-6 {
+		t.Errorf("precision after leap: %v", after.Precision)
+	}
+	// All clocks now read ~1 s behind true time (inserted second).
+	for i, off := range after.Offsets {
+		if off > -0.9 || off < -1.1 {
+			t.Errorf("node %d offset after leap insert: %v", i, off)
+		}
+	}
+}
+
+func TestSegmentPrecisionEmpty(t *testing.T) {
+	c := New(Defaults(2, 25))
+	if p := c.SegmentPrecision(7); p != 0 {
+		t.Errorf("empty segment precision %v", p)
 	}
 }

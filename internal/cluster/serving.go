@@ -25,10 +25,7 @@ func (c *Cluster) attachServing() {
 	if sc.Clients <= 0 {
 		return
 	}
-	segs := c.cfg.Segments
-	if segs < 1 {
-		segs = 1
-	}
+	segs := len(c.Media)
 	skew := sc.RegionalSkew
 	if skew <= 0 {
 		skew = 1
@@ -57,25 +54,13 @@ func (c *Cluster) attachServing() {
 			continue
 		}
 		qps := totalQPS * weights[m.Segment] / wsum / float64(perSeg[m.Segment])
-		s := c.Sim
-		tr := c.cfg.Tracer
-		if c.Group != nil {
-			s = c.Group.Shard(m.Shard)
-			tr = c.tracers[m.Shard]
-		}
 		mem := m
 		seed := sim.DeriveSeed(c.cfg.Seed, fmt.Sprintf("service/node/%d", m.Index))
-		g := service.New(s, sc, m.Index, seed, qps, func() float64 {
+		g := service.New(m.Node.Sim, sc, m.Index, seed, qps, func() float64 {
 			off, _, _ := mem.OffsetAndBounds()
 			return math.Abs(off)
-		}, tr)
-		if c.cfg.Telemetry != nil {
-			reg := c.cfg.Telemetry
-			if c.telems != nil {
-				reg = c.telems[m.Shard]
-			}
-			g.SetTelemetry(reg)
-		}
+		}, c.tracers[m.Shard])
+		g.SetTelemetry(c.telems[m.Shard])
 		c.ServingGens = append(c.ServingGens, g)
 	}
 }

@@ -1,11 +1,12 @@
-// Sharded WANs-of-LANs: the parallel-kernel topology builder.
+// Sharded WANs-of-LANs: how New lays segments out on the parallel kernel.
 //
 // The footnote-2 topology is embarrassingly decomposable: LAN segments
 // interact only through gateway frames that cross a WAN link whose
-// propagation delay is known a priori. newSharded exploits that by
-// giving every segment its own sim.Simulator (its own event queue,
-// RNG universe and tracer) and composing them under a sim.Group whose
+// propagation delay is known a priori. New exploits that by giving
+// every segment its own sim.Simulator (its own event queue, RNG
+// universe and tracer) and composing them under a sim.Group whose
 // conservative lookahead is exactly the WAN delay — see DESIGN.md §8.
+// A flat LAN is the one-segment case: one shard, no gateways.
 //
 // Placement rules:
 //
@@ -26,7 +27,8 @@
 // with, and the gateways' intervals would stop containing true time.
 //
 // Determinism: member construction order, RNG derivation
-// (sim.DeriveSeed(seed, "shard/i")), window boundaries and mailbox
+// (sim.DeriveSeed(seed, "shard/i") for two or more segments; a flat
+// LAN keeps the root seed), window boundaries and mailbox
 // flush order are all pure functions of the Config — never of the
 // worker count — so campaign artifacts are byte-identical for
 // Shards=1 and Shards=N. The 1-worker run IS the single-kernel
@@ -35,21 +37,11 @@ package cluster
 
 import (
 	"encoding/binary"
-	"fmt"
-	"runtime"
 
-	"ntisim/internal/adversary"
-	"ntisim/internal/clocksync"
 	"ntisim/internal/csp"
 	"ntisim/internal/interval"
-	"ntisim/internal/kernel"
 	"ntisim/internal/network"
-	"ntisim/internal/oscillator"
-	"ntisim/internal/sim"
-	"ntisim/internal/telemetry"
 	"ntisim/internal/timefmt"
-	"ntisim/internal/trace"
-	"ntisim/internal/utcsu"
 )
 
 // DefaultWANDelayS is the one-way WAN propagation delay between
@@ -57,175 +49,6 @@ import (
 // metropolitan-scale link, and a comfortable conservative lookahead
 // (hundreds of LAN frames fit in one window).
 const DefaultWANDelayS = 1e-3
-
-// newSharded builds the segment-sharded WANs-of-LANs cluster
-// (dispatched from New when cfg.Segments >= 2).
-func newSharded(cfg Config) *Cluster {
-	segs := cfg.Segments
-	if cfg.Nodes < segs || cfg.Nodes%segs != 0 {
-		panic(fmt.Sprintf("cluster: %d nodes do not divide evenly over %d segments", cfg.Nodes, segs))
-	}
-	per := cfg.Nodes / segs
-	gpl := cfg.GatewaysPerLink
-	if gpl <= 0 {
-		gpl = cfg.Sync.F + 1
-	}
-	wan := cfg.WANDelayS
-	if wan <= 0 {
-		wan = DefaultWANDelayS
-	}
-	workers := cfg.Shards
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-		if workers > segs {
-			workers = segs
-		}
-	}
-	if cfg.OscHz == 0 {
-		cfg.OscHz = 10e6
-	}
-
-	sims := make([]*sim.Simulator, segs)
-	tracers := make([]*trace.Tracer, segs)
-	media := make([]*network.Medium, segs)
-	var telems []*telemetry.Registry
-	if cfg.Telemetry != nil {
-		telems = make([]*telemetry.Registry, segs)
-	}
-	for i := range sims {
-		sims[i] = sim.New(sim.DeriveSeed(cfg.Seed, fmt.Sprintf("shard/%d", i)))
-		if cfg.Tracer != nil {
-			tracers[i] = trace.New(cfg.Tracer.Options())
-			tracers[i].SetShard(i)
-			sims[i].SetTracer(tracers[i])
-		}
-		media[i] = network.NewMedium(sims[i], cfg.Medium)
-		media[i].SetTracer(tracers[i])
-		if telems != nil {
-			// One private registry per shard, updated only by that
-			// shard's single-threaded simulator — the trace-ring pattern.
-			telems[i] = telemetry.New()
-			telems[i].SetShard(i)
-			sims[i].SetTelemetry(telems[i])
-			media[i].SetTelemetry(telems[i])
-		}
-	}
-	group := sim.NewGroup(wan, workers, sims)
-	if cfg.Telemetry != nil {
-		// Driver-level metrics (windows, flush sizes, imbalance) go on
-		// the cluster's own registry — only touched between windows.
-		group.SetTelemetry(cfg.Telemetry)
-		for i := range sims {
-			s := sims[i]
-			// Cumulative per-shard progress and window lag, read at
-			// capture time (barrier): how many events the shard has fired
-			// and how far short of the group clock it went idle.
-			telems[i].GaugeFunc(telemetry.MetricShardEvents, func() float64 { return float64(s.EventCount()) })
-			telems[i].GaugeFunc("group.shard_lag_s", func() float64 { return group.Now() - s.LastFiredAt() })
-		}
-	}
-	c := &Cluster{
-		Sim:     sims[0],
-		Med:     media[0],
-		Media:   media,
-		Group:   group,
-		tracers: tracers,
-		telems:  telems,
-		cfg:     cfg,
-	}
-
-	c.adv = adversary.NewLayer(cfg.Adversary, cfg.Seed, cfg.Nodes, segs)
-
-	id := uint16(0)
-	mkNode := func(shard int, bus network.Bus, segment int) *Member {
-		s := sims[shard]
-		tr := tracers[shard]
-		var reg *telemetry.Registry
-		if telems != nil {
-			reg = telems[shard]
-		}
-		oc := oscillator.TCXO(cfg.OscHz)
-		if cfg.OscillatorFor != nil {
-			oc = cfg.OscillatorFor(int(id))
-		}
-		osc := oscillator.New(s, oc, fmt.Sprintf("wol%d", id))
-		u := utcsu.New(s, utcsu.Config{Osc: osc})
-		// Per-receiver adversary tap (identity when nobody attacks):
-		// lies are applied at delivery on the receiver's shard, so the
-		// decomposition never changes what any node hears.
-		bus = c.adv.WrapBus(bus, int(id), shard, s, tr, reg)
-		node := kernel.NewNode(s, id, u, bus, cfg.Kernel, cfg.COMCO)
-		m := &Member{Index: int(id), Segment: segment, Shard: shard, Osc: osc, U: u, Node: node}
-		var clk clocksync.Clock = clocksync.UTCSUClock{UTCSU: u}
-		if cfg.ClockFactory != nil {
-			clk = cfg.ClockFactory(u)
-		}
-		m.Sync = clocksync.New(node, clk, cfg.Sync)
-		if gc, hasGPS := cfg.GPS[int(id)]; hasGPS {
-			attachReferences(s, tr, m, gc, fmt.Sprintf("wol%d", id), &cfg)
-		}
-		if tr != nil {
-			node.SetTracer(tr)
-			m.Sync.SetTracer(tr)
-			if m.Rx != nil {
-				m.Rx.SetTracer(tr, int(id))
-			}
-		}
-		if telems != nil {
-			m.Sync.SetTelemetry(telems[shard])
-		}
-		id++
-		c.Members = append(c.Members, m)
-		return m
-	}
-
-	for seg := 0; seg < segs; seg++ {
-		for i := 0; i < per; i++ {
-			mkNode(seg, media[seg], seg)
-		}
-	}
-
-	rw := relayRewrite(cfg.Sync.RhoPPB)
-	link := network.LinkConfig{
-		BitRateBps:   cfg.Medium.BitRateBps,
-		PreambleBits: cfg.Medium.PreambleBits,
-		InterframeS:  cfg.Medium.InterframeS,
-	}
-	for seg := 0; seg+1 < segs; seg++ {
-		home, remote := seg, seg+1
-		for g := 0; g < gpl; g++ {
-			gw := mkNode(home, media[home], -1)
-			var port *network.LinkPort
-			var relay *network.Relay
-			port = network.NewLinkPort(sims[home], link, func(f network.Frame) {
-				group.Post(home, remote, sims[home].Now()+wan, func() { relay.Inject(f) })
-			}, rw)
-			relay = network.NewRelay(media[remote], func(f network.Frame) {
-				group.Post(remote, home, sims[remote].Now()+wan, func() { port.Inject(f) })
-			}, rw)
-			if telems != nil {
-				port.SetTelemetry(telems[home])
-				relay.SetTelemetry(telems[remote])
-			}
-			// The gateway's WAN-facing channel gets the same adversary
-			// tap as its LAN channel: traitors on the remote segment lie
-			// to the gateway too.
-			var gwReg *telemetry.Registry
-			if telems != nil {
-				gwReg = telems[home]
-			}
-			gw.Node.AttachSegment(c.adv.WrapBus(port, gw.Index, home, sims[home], tracers[home], gwReg))
-		}
-	}
-
-	if cfg.BackgroundLoad > 0 {
-		for i := range media {
-			media[i].StartBackgroundLoad(cfg.BackgroundLoad, 400)
-		}
-	}
-	c.attachServing()
-	return c
-}
 
 // relayRewrite is the transparent-clock correction applied to relayed
 // CSPs at their final acquisition (see network.RewriteFunc): advance

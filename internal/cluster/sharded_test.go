@@ -66,12 +66,10 @@ func TestShardedNodesMustDivide(t *testing.T) {
 	New(cfg)
 }
 
-// runShardedTrajectory runs the reference topology and returns the
-// per-sample cluster precision and per-node offsets — the full
-// observable state trajectory, compared exactly across shard counts.
-func runShardedTrajectory(seed uint64, shards int) (precision []float64, offsets [][]float64) {
-	cfg := shardedBase(seed)
-	cfg.Shards = shards
+// runShardedTrajectory runs a topology and returns the per-sample
+// cluster precision and per-node offsets — the full observable state
+// trajectory, compared exactly across configurations that must agree.
+func runShardedTrajectory(cfg Config) (precision []float64, offsets [][]float64) {
 	c := New(cfg)
 	c.Start(1)
 	c.RunUntil(20)
@@ -94,26 +92,47 @@ func runShardedTrajectory(seed uint64, shards int) (precision []float64, offsets
 // shards run sequentially (the single-kernel baseline) or on N worker
 // goroutines.
 func TestShardedWorkerCountByteIdentity(t *testing.T) {
-	p1, o1 := runShardedTrajectory(77, 1)
-	p2, o2 := runShardedTrajectory(77, 2)
+	one, two := shardedBase(77), shardedBase(77)
+	one.Shards, two.Shards = 1, 2
+	sameTrajectory(t, "1 worker", one, "2 workers", two)
+}
+
+// TestOneSegmentIsFlatLAN: Segments 0 and 1 both build the flat LAN on
+// a one-shard Group, and their trajectories are bit-identical.
+func TestOneSegmentIsFlatLAN(t *testing.T) {
+	flat, one := Defaults(4, 77), Defaults(4, 77)
+	one.Segments = 1
+	for _, cfg := range []Config{flat, one} {
+		if c := New(cfg); c.Group.Shards() != 1 || len(c.Media) != 1 {
+			t.Fatalf("Segments=%d: %d shards, %d media; want one of each", cfg.Segments, c.Group.Shards(), len(c.Media))
+		}
+	}
+	sameTrajectory(t, "Segments=0", flat, "Segments=1", one)
+}
+
+// sameTrajectory fails the test unless configs a and b produce
+// bit-identical trajectories.
+func sameTrajectory(t *testing.T, na string, a Config, nb string, b Config) {
+	t.Helper()
+	p1, o1 := runShardedTrajectory(a)
+	p2, o2 := runShardedTrajectory(b)
 	if len(p1) == 0 || len(p1) != len(p2) {
 		t.Fatalf("sample counts differ: %d vs %d", len(p1), len(p2))
 	}
 	for i := range p1 {
 		if p1[i] != p2[i] {
-			t.Fatalf("sample %d: precision %v (1 worker) != %v (2 workers)", i, p1[i], p2[i])
+			t.Fatalf("sample %d: precision %v (%s) != %v (%s)", i, p1[i], na, p2[i], nb)
 		}
 		for j := range o1[i] {
 			if o1[i][j] != o2[i][j] {
-				t.Fatalf("sample %d node %d: offset %v != %v", i, j, o1[i][j], o2[i][j])
+				t.Fatalf("sample %d node %d: offset %v (%s) != %v (%s)", i, j, o1[i][j], na, o2[i][j], nb)
 			}
 		}
 	}
 }
 
-// TestShardedCouplesSegments mirrors TestWANOfLANsCouplesSegments on
-// the sharded engine: both segments converge individually and the
-// relayed gateway CSPs keep them coupled globally.
+// TestShardedCouplesSegments: both segments converge individually and
+// the relayed gateway CSPs keep them coupled globally.
 func TestShardedCouplesSegments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long segmented run")

@@ -14,11 +14,11 @@ func measureSteadyMallocs(reg *telemetry.Registry) uint64 {
 	cfg.Telemetry = reg
 	c := New(cfg)
 	c.Start(1)
-	c.Sim.RunUntil(20) // warm-up: registration, scratch growth, pool fill
+	c.RunUntil(20) // warm-up: registration, scratch growth, pool fill
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	c.Sim.RunUntil(50)
+	c.RunUntil(50)
 	runtime.ReadMemStats(&after)
 	return after.Mallocs - before.Mallocs
 }
@@ -49,7 +49,7 @@ func TestTelemetrySteadyStateAllocParity(t *testing.T) {
 func TestTelemetrySnapshotDisabled(t *testing.T) {
 	c := New(Defaults(2, 1))
 	c.Start(1)
-	c.Sim.RunUntil(5)
+	c.RunUntil(5)
 	if _, ok := c.TelemetrySnapshot(); ok {
 		t.Fatal("TelemetrySnapshot reported ok without a registry")
 	}

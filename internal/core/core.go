@@ -151,17 +151,17 @@ func (s *System) Start() {
 			m.Sync.SetDelayBounds(b)
 		}
 	}
-	s.Cluster.Start(s.Cluster.Sim.Now() + 0.5)
+	s.Cluster.Start(s.Cluster.Now() + 0.5)
 }
 
 // Run advances the simulation: warmupS seconds to converge, then
 // measureS seconds sampled every sampleS, and returns the report.
 func (s *System) Run(warmupS, measureS, sampleS float64) Report {
 	s.Start()
-	now := s.Cluster.Sim.Now()
-	s.Cluster.Sim.RunUntil(now + warmupS)
+	now := s.Cluster.Now()
+	s.Cluster.RunUntil(now + warmupS)
 	var rep Report
-	from := s.Cluster.Sim.Now()
+	from := s.Cluster.Now()
 	rep.Samples = s.Cluster.RunSampled(from, from+measureS, sampleS)
 	for _, cs := range rep.Samples {
 		rep.Precision.Add(cs.Precision)
@@ -177,4 +177,4 @@ func (s *System) Run(warmupS, measureS, sampleS float64) Report {
 }
 
 // Now returns the current simulated time.
-func (s *System) Now() float64 { return s.Cluster.Sim.Now() }
+func (s *System) Now() float64 { return s.Cluster.Now() }

@@ -32,11 +32,11 @@ func E12ByzantineNode(seed uint64) Result {
 		cfg.Sync.F = f
 		c := cluster.New(cfg)
 		applyMeasuredDelays(c)
-		c.Start(c.Sim.Now() + 1)
+		c.Start(c.Now() + 1)
 		evil := c.Members[6]
-		rng := c.Sim.RNG("byzantine")
+		rng := evil.Node.Sim.RNG("byzantine")
 		// Yank the faulty node's clock by ±1..3 ms once per round.
-		tick := c.Sim.Every(c.Sim.Now()+5, 1.0, func() {
+		tick := evil.Node.Sim.Every(c.Now()+5, 1.0, func() {
 			jump := timefmt.DurationFromSeconds(rng.Uniform(1e-3, 3e-3))
 			if rng.Bool(0.5) {
 				jump = -jump
@@ -44,11 +44,11 @@ func E12ByzantineNode(seed uint64) Result {
 			evil.U.StepTo(evil.U.Now().Add(jump))
 		})
 		defer tick.Stop()
-		c.Sim.RunUntil(c.Sim.Now() + 20)
+		c.RunUntil(c.Now() + 20)
 		var ps metrics.Series
-		start := c.Sim.Now()
+		start := c.Now()
 		for t := start; t <= start+60; t += 1 {
-			c.Sim.RunUntil(t)
+			c.RunUntil(t)
 			// Precision and containment over the six correct nodes only.
 			lo, hi := 0.0, 0.0
 			first := true
@@ -124,8 +124,8 @@ func E13HardwareMeasuredPrecision(seed uint64) Result {
 			m.Sync.HandleArrival(ar)
 		})
 	}
-	c.Start(c.Sim.Now() + 1)
-	c.Sim.RunUntil(c.Sim.Now() + 20)
+	c.Start(c.Now() + 1)
+	c.RunUntil(c.Now() + 20)
 
 	// Probe sender: an extra station that only emits snapshot probes
 	// (its packets carry the reserved node id 0xBEE and are ignored by
@@ -134,7 +134,7 @@ func E13HardwareMeasuredPrecision(seed uint64) Result {
 	var truth metrics.Series
 	for k := 0; k < 40; k++ {
 		k := k
-		c.Sim.After(float64(k)*0.5+0.13, func() {
+		prober.Node.Sim.After(float64(k)*0.5+0.13, func() {
 			p := csp.Packet{Kind: csp.KindCSP, Round: uint32(1000 + k)}
 			p.Node = 0 // overwritten by SendCSP; Dest marks the probe
 			probe := p
@@ -143,7 +143,7 @@ func E13HardwareMeasuredPrecision(seed uint64) Result {
 			truth.Add(c.Snapshot().Precision)
 		})
 	}
-	c.Sim.RunUntil(c.Sim.Now() + 25)
+	c.RunUntil(c.Now() + 25)
 
 	// Hardware estimate: per probe, spread of rx stamps across nodes
 	// (sender excluded: it has no rx stamp of its own probe).

@@ -30,8 +30,8 @@ func E14ConvergenceShootout(seed uint64) Result {
 		cfg.Sync.Convergence = fn
 		c := cluster.New(cfg)
 		applyMeasuredDelays(c)
-		c.Start(c.Sim.Now() + 1)
-		prec, _, _ := precisionWindow(c, c.Sim.Now()+20, 90, 0.9)
+		c.Start(c.Now() + 1)
+		prec, _, _ := precisionWindow(c, c.Now()+20, 90, 0.9)
 		var fails uint64
 		for _, m := range c.Members {
 			fails += m.Sync.Stats().ConvergenceFailed

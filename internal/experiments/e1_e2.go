@@ -30,11 +30,11 @@ func epsilonRun(seed uint64, mode kernel.TimestampMode, load float64, nCSP int) 
 	})
 	for i := 0; i < nCSP; i++ {
 		i := i
-		c.Sim.After(0.01+float64(i)*0.003, func() {
+		c.Members[0].Node.Sim.After(0.01+float64(i)*0.003, func() {
 			c.Members[0].Node.SendCSP(csp.Packet{Kind: csp.KindCSP, Round: uint32(i)}, network.Broadcast)
 		})
 	}
-	c.Sim.RunUntil(0.02 + float64(nCSP)*0.003 + 1)
+	c.RunUntil(0.02 + float64(nCSP)*0.003 + 1)
 	return gaps
 }
 
@@ -125,7 +125,7 @@ func syncPrecision(seed uint64, mode kernel.TimestampMode) float64 {
 	cfg.Kernel.Mode = mode
 	c := cluster.New(cfg)
 	c.Start(1)
-	c.Sim.RunUntil(15)
+	c.RunUntil(15)
 	var prec metrics.Series
 	for _, cs := range c.RunSampled(15, 45, 1) {
 		prec.Add(cs.Precision)

@@ -37,8 +37,8 @@ func E3GranularitySweep(seed uint64) Result {
 		cfg.OscHz = f
 		c := cluster.New(cfg)
 		applyMeasuredDelays(c)
-		c.Start(c.Sim.Now() + 1)
-		prec, _, _ := precisionWindow(c, c.Sim.Now()+15, 60, 0.9)
+		c.Start(c.Now() + 1)
+		prec, _, _ := precisionWindow(c, c.Now()+15, 60, 0.9)
 		r.Table.AddRow(fmt.Sprintf("%.0f", mhz), fmt.Sprintf("%.0f", u*1e9),
 			metrics.Us(bound), metrics.Us(prec.Max()))
 		r.Numbers[fmt.Sprintf("prec_%0.0fMHz", mhz)] = prec.Max()
@@ -79,8 +79,8 @@ func E4SixteenNode(seed uint64) Result {
 	cfg.GPS = mapGPS(0)
 	c := cluster.New(cfg)
 	applyMeasuredDelays(c)
-	c.Start(c.Sim.Now() + 1)
-	prec, acc, viol := precisionWindow(c, c.Sim.Now()+60, 300, 1)
+	c.Start(c.Now() + 1)
+	prec, acc, viol := precisionWindow(c, c.Now()+60, 300, 1)
 	r.Table.Header = []string{"metric", "mean [µs]", "p99 [µs]", "max [µs]"}
 	r.Table.AddRow("precision max|Cp-Cq|", metrics.Us(prec.Mean()), metrics.Us(prec.Percentile(0.99)), metrics.Us(prec.Max()))
 	r.Table.AddRow("accuracy  max|Cp-t|", metrics.Us(acc.Mean()), metrics.Us(acc.Percentile(0.99)), metrics.Us(acc.Max()))

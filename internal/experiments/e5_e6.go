@@ -32,8 +32,8 @@ func E5GPSValidation(seed uint64) Result {
 		cfg.GPS = map[int]gps.Config{0: healthy, 1: healthy, 2: faulty}
 		c := cluster.New(cfg)
 		applyMeasuredDelays(c)
-		c.Start(c.Sim.Now() + 1)
-		p, a, _ := precisionWindow(c, c.Sim.Now()+90, 120, 1)
+		c.Start(c.Now() + 1)
+		p, a, _ := precisionWindow(c, c.Now()+90, 120, 1)
 		for _, m := range c.Members {
 			rejected += m.Sync.Stats().ExternalRejected
 		}
@@ -86,21 +86,21 @@ func E6RateSync(seed uint64) Result {
 		cfg.Sync.RhoPPB = 3000 // honest a priori bound for the TCXOs
 		c := cluster.New(cfg)
 		applyMeasuredDelays(c)
-		c.Start(c.Sim.Now() + 1)
-		c.Sim.RunUntil(c.Sim.Now() + 120) // let the rate loop settle
+		c.Start(c.Now() + 1)
+		c.RunUntil(c.Now() + 120) // let the rate loop settle
 		var prec_ metrics.Series
 		var det metrics.Series
 		// Measure the ACU's deterioration rate: sample each node's
 		// interval width twice, 0.5 s apart, away from resync instants
 		// (rounds start at whole seconds; sample at +0.30 and +0.80).
-		base := float64(int64(c.Sim.Now())) + 2
+		base := float64(int64(c.Now())) + 2
 		for k := 0; k < 60; k++ {
 			t0 := base + float64(k)
-			c.Sim.RunUntil(t0 + 0.55)
+			c.RunUntil(t0 + 0.55)
 			w0 := meanWidth(c)
 			cs := c.Snapshot()
 			prec_.Add(cs.Precision)
-			c.Sim.RunUntil(t0 + 0.95)
+			c.RunUntil(t0 + 0.95)
 			det.Add((meanWidth(c) - w0) / 0.4)
 		}
 		for _, m := range c.Members {

@@ -58,8 +58,8 @@ func E7WANvsLAN(seed uint64) Result {
 	cfg.GPS = mapGPS(0, 1)
 	c := cluster.New(cfg)
 	applyMeasuredDelays(c)
-	c.Start(c.Sim.Now() + 1)
-	_, acc, _ := precisionWindow(c, c.Sim.Now()+60, 120, 1)
+	c.Start(c.Now() + 1)
+	_, acc, _ := precisionWindow(c, c.Now()+60, 120, 1)
 	r.Table.AddRow("NTI (hardware)", "10 Mb/s shared LAN", metrics.Ms(acc.Max()))
 
 	r.Numbers["ntp_sym"] = sym
@@ -100,8 +100,8 @@ func E8AdderVsCounter(seed uint64) Result {
 		}
 		c := cluster.New(cfg)
 		applyMeasuredDelays(c)
-		c.Start(c.Sim.Now() + 1)
-		p, _, _ := precisionWindow(c, c.Sim.Now()+20, 60, 0.7)
+		c.Start(c.Now() + 1)
+		p, _, _ := precisionWindow(c, c.Now()+20, 60, 0.7)
 		var clk clocksync.Clock = clocksync.UTCSUClock{UTCSU: c.Members[0].U}
 		if counter {
 			clk = baseline.NewCounterClock(c.Members[0].U, baseline.CounterClockConfig{})

@@ -39,10 +39,10 @@ func E9TimestampPath(seed uint64) Result {
 	c := cluster.New(cfg)
 	var got *kernel.Arrival
 	c.Members[1].Node.OnCSP(func(ar kernel.Arrival) { got = &ar })
-	c.Sim.After(0.5, func() {
+	c.Members[0].Node.Sim.After(0.5, func() {
 		c.Members[0].Node.SendCSP(csp.Packet{Kind: csp.KindCSP, Round: 99}, network.Broadcast)
 	})
-	c.Sim.RunUntil(2)
+	c.RunUntil(2)
 
 	r.Table.Header = []string{"checkpoint", "value"}
 	ok := got != nil
@@ -110,13 +110,13 @@ func E10BackToBack(seed uint64) Result {
 		})
 		for i := 0; i < 150; i++ {
 			i := i
-			c.Sim.After(0.01+float64(i)*0.005, func() {
+			c.Members[1].Node.Sim.After(0.01+float64(i)*0.005, func() {
 				// Two CSPs back to back from different senders.
 				c.Members[1].Node.SendCSP(csp.Packet{Kind: csp.KindCSP, Round: uint32(i)}, network.Broadcast)
 				c.Members[2].Node.SendCSP(csp.Packet{Kind: csp.KindCSP, Round: uint32(i)}, network.Broadcast)
 			})
 		}
-		c.Sim.RunUntil(2)
+		c.RunUntil(2)
 		return delivered, stamped, misattributed
 	}
 

@@ -15,7 +15,7 @@ func idealOsc(hz float64) func(int) oscillator.Config {
 // precisionWindow runs a started cluster from warmup to warmup+span,
 // sampling every `every`, and returns precision and accuracy series.
 func precisionWindow(c *cluster.Cluster, warmup, span, every float64) (prec, acc metrics.Series, violations int) {
-	c.Sim.RunUntil(warmup)
+	c.RunUntil(warmup)
 	for _, cs := range c.RunSampled(warmup, warmup+span, every) {
 		prec.Add(cs.Precision)
 		acc.Add(cs.MaxAbsOffset)

@@ -23,8 +23,8 @@ func BenchmarkTraceDisabledOverhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c := cluster.New(cluster.Defaults(2, 1998))
 		c.Start(1)
-		c.Sim.RunUntil(30)
-		events += c.Sim.EventCount()
+		c.RunUntil(30)
+		events += c.EventCount()
 	}
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 	b.ReportMetric(30*float64(b.N)/b.Elapsed().Seconds(), "sim-s/s")
@@ -41,8 +41,8 @@ func BenchmarkTraceEnabledOverhead(b *testing.B) {
 		cfg.Tracer = trace.New(trace.Options{})
 		c := cluster.New(cfg)
 		c.Start(1)
-		c.Sim.RunUntil(30)
-		events += c.Sim.EventCount()
+		c.RunUntil(30)
+		events += c.EventCount()
 	}
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 	b.ReportMetric(30*float64(b.N)/b.Elapsed().Seconds(), "sim-s/s")
