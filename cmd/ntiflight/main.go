@@ -25,11 +25,6 @@ import (
 	"ntisim/internal/trace"
 )
 
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "ntiflight: "+format+"\n", args...)
-	os.Exit(1)
-}
-
 // presentKinds lists the distinct record kinds in the trace, in first-
 // appearance order.
 func presentKinds(recs []trace.Record) []string {
@@ -46,31 +41,46 @@ func presentKinds(recs []trace.Record) []string {
 }
 
 func main() {
-	in := flag.String("in", "", "trace JSONL file ('-' for stdin)")
-	perfetto := flag.String("perfetto", "", "additionally convert the trace to Chrome/Perfetto trace-event JSON at this path")
-	rounds := flag.Int("rounds", 8, "round-timeline entries to print (0 = none, -1 = all)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run executes the command with the given arguments and returns its
+// exit status: 0 on success, 1 when the trace cannot be analyzed, 2 on
+// a bad flag.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ntiflight", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	in := fs.String("in", "", "trace JSONL file ('-' for stdin)")
+	perfetto := fs.String("perfetto", "", "additionally convert the trace to Chrome/Perfetto trace-event JSON at this path")
+	rounds := fs.Int("rounds", 8, "round-timeline entries to print (0 = none, -1 = all)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "ntiflight: "+format+"\n", args...)
+		return 1
+	}
 
 	if *in == "" {
-		fatalf("-in is required (trace JSONL from 'nticampaign -trace' or 'ntitrace -json')")
+		return fail("-in is required (trace JSONL from 'nticampaign -trace' or 'ntitrace -json')")
 	}
 	var r io.Reader = os.Stdin
 	if *in != "-" {
 		f, err := os.Open(*in)
 		if err != nil {
-			fatalf("%v", err)
+			return fail("%v", err)
 		}
 		defer f.Close()
 		r = f
 	}
 	recs, err := trace.ReadJSONL(r)
 	if err != nil {
-		fatalf("%v", err)
+		return fail("%v", err)
 	}
 	if len(recs) == 0 {
-		fatalf("empty trace")
+		return fail("empty trace")
 	}
-	fmt.Printf("%d records, t=%.6f..%.6f\n\n", len(recs), recs[0].T, recs[len(recs)-1].T)
+	fmt.Fprintf(stdout, "%d records, t=%.6f..%.6f\n\n", len(recs), recs[0].T, recs[len(recs)-1].T)
 
 	hops := trace.FlightPath(recs)
 	matched := false
@@ -85,11 +95,11 @@ func main() {
 		// the kinds the trace does carry so the user can see what they
 		// loaded (e.g. a ring that wrapped past the CSP records, or a
 		// tracer configured without the flight-path kinds).
-		fatalf("no flight-path records in %s (need csp-send/tx-trigger/frame-tx/frame-rx/rx-trigger/rx-done/csp-arrival chains; trace carries: %s)",
+		return fail("no flight-path records in %s (need csp-send/tx-trigger/frame-tx/frame-rx/rx-trigger/rx-done/csp-arrival chains; trace carries: %s)",
 			*in, strings.Join(presentKinds(recs), ", "))
 	}
 
-	fmt.Println("flight path (per-hop latency, Fig. 3 stages):")
+	fmt.Fprintln(stdout, "flight path (per-hop latency, Fig. 3 stages):")
 	tb := metrics.Table{Header: []string{"hop", "n", "min [µs]", "median [µs]", "p99 [µs]", "max [µs]"}}
 	for _, h := range hops {
 		if h.N == 0 {
@@ -99,10 +109,10 @@ func main() {
 		tb.AddRow(h.Name, fmt.Sprint(h.N),
 			metrics.Us(h.MinS), metrics.Us(h.MedianS), metrics.Us(h.P99S), metrics.Us(h.MaxS))
 	}
-	tb.Fprint(os.Stdout)
+	tb.Fprint(stdout)
 
 	if faults := trace.FaultTimeline(recs); len(faults) > 0 {
-		fmt.Println("\nfault timeline:")
+		fmt.Fprintln(stdout, "\nfault timeline:")
 		for _, f := range faults {
 			what := "recovered from"
 			mag := ""
@@ -110,7 +120,7 @@ func main() {
 				what = "onset of"
 				mag = fmt.Sprintf(" (magnitude %g)", f.Magnitude)
 			}
-			fmt.Printf("  t=%10.3f  node %d: %s %s%s\n",
+			fmt.Fprintf(stdout, "  t=%10.3f  node %d: %s %s%s\n",
 				f.T, f.Node, what, gps.FaultKind(f.FaultKind), mag)
 		}
 	}
@@ -124,15 +134,15 @@ func main() {
 				ok++
 			}
 		}
-		fmt.Printf("\nrounds: %d updates, %d convergence failures\n", ok, failed)
+		fmt.Fprintf(stdout, "\nrounds: %d updates, %d convergence failures\n", ok, failed)
 		show := evs
 		if *rounds > 0 && len(show) > *rounds {
-			fmt.Printf("last %d:\n", *rounds)
+			fmt.Fprintf(stdout, "last %d:\n", *rounds)
 			show = show[len(show)-*rounds:]
 		}
 		for _, e := range show {
 			if e.Failed {
-				fmt.Printf("  t=%10.6f  node %d round %d: FAILED (%d intervals)\n",
+				fmt.Fprintf(stdout, "  t=%10.6f  node %d round %d: FAILED (%d intervals)\n",
 					e.T, e.Node, e.Round, e.Intervals)
 				continue
 			}
@@ -140,7 +150,7 @@ func main() {
 			if e.DisciplineID >= 0 {
 				via = " via " + discipline.NameOf(e.DisciplineID)
 			}
-			fmt.Printf("  t=%10.6f  node %d round %d: %d intervals, correction %sµs%s\n",
+			fmt.Fprintf(stdout, "  t=%10.6f  node %d round %d: %d intervals, correction %sµs%s\n",
 				e.T, e.Node, e.Round, e.Intervals, metrics.Us(e.CorrectionS), via)
 		}
 	}
@@ -148,15 +158,16 @@ func main() {
 	if *perfetto != "" {
 		f, err := os.Create(*perfetto)
 		if err != nil {
-			fatalf("%v", err)
+			return fail("%v", err)
 		}
 		if err := trace.WritePerfetto(f, recs); err != nil {
 			f.Close()
-			fatalf("%v", err)
+			return fail("%v", err)
 		}
 		if err := f.Close(); err != nil {
-			fatalf("%v", err)
+			return fail("%v", err)
 		}
-		fmt.Printf("\nperfetto trace: %s (load in ui.perfetto.dev or chrome://tracing)\n", *perfetto)
+		fmt.Fprintf(stdout, "\nperfetto trace: %s (load in ui.perfetto.dev or chrome://tracing)\n", *perfetto)
 	}
+	return 0
 }

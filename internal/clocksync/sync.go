@@ -203,41 +203,14 @@ type Synchronizer struct {
 
 	tr *trace.Tracer
 
-	// Telemetry handles (SetTelemetry); nil-receiver no-ops when off.
+	// Telemetry handles from the node's simulator registry;
+	// nil-receiver no-ops when off.
 	tmRounds    *telemetry.Counter
 	tmFailed    *telemetry.Counter
 	tmRateCmds  *telemetry.Counter
 	tmSrcRej    *telemetry.Counter
 	tmWidth     *telemetry.Histogram
 	tmCorrOffst *telemetry.Histogram
-}
-
-// SetTracer attaches an event tracer (nil detaches). The synchronizer
-// emits round-start, round-update, round-fail and rate-adjust records.
-func (sy *Synchronizer) SetTracer(tr *trace.Tracer) { sy.tr = tr }
-
-// SetTelemetry registers the sync-layer metrics on r: round and
-// convergence-failure counters, discipline rate commands, the fused
-// accuracy-interval width histogram (post-validation, the quantity the
-// paper's precision bound is about) and the applied-correction magnitude
-// histogram. A nil r detaches.
-func (sy *Synchronizer) SetTelemetry(r *telemetry.Registry) {
-	if r == nil {
-		sy.tmRounds, sy.tmFailed, sy.tmRateCmds, sy.tmSrcRej = nil, nil, nil, nil
-		sy.tmWidth, sy.tmCorrOffst = nil, nil
-		return
-	}
-	sy.tmRounds = r.Counter("sync.rounds")
-	sy.tmFailed = r.Counter(telemetry.MetricConvergenceFailed)
-	sy.tmRateCmds = r.Counter("sync.rate_commands")
-	if sy.p.SourceF > 0 {
-		// Registered only on multi-source nodes: telemetry snapshots
-		// serialize every registered metric, so an unconditional
-		// registration would change legacy snapshot artifacts.
-		sy.tmSrcRej = r.Counter(MetricSourcesRejected)
-	}
-	sy.tmWidth = r.Histogram("sync.fused_width_s")
-	sy.tmCorrOffst = r.Histogram("sync.correction_s")
 }
 
 type peerEntry struct {
@@ -248,14 +221,32 @@ type peerEntry struct {
 
 // New builds a synchronizer for a node steering clk (normally the
 // node's own UTCSU wrapped in UTCSUClock) and registers itself as the
-// node's CI handler.
+// node's CI handler. It observes through the node's simulator: the
+// tracer gets round-start, round-update, round-fail and rate-adjust
+// records; the registry gets round and convergence-failure counters,
+// discipline rate commands, the fused accuracy-interval width histogram
+// (post-validation, the quantity the paper's precision bound is about)
+// and the applied-correction magnitude histogram.
 func New(node *kernel.Node, clk Clock, p Params) *Synchronizer {
 	userConv, userDisc := p.Convergence, p.Discipline
+	r := node.Sim.Telemetry()
 	sy := &Synchronizer{
-		node:      node,
-		clk:       clk,
-		p:         p.withDefaults(),
-		collected: make(map[uint32]map[uint16]peerEntry),
+		node:        node,
+		clk:         clk,
+		p:           p.withDefaults(),
+		collected:   make(map[uint32]map[uint16]peerEntry),
+		tr:          node.Sim.Tracer(),
+		tmRounds:    r.Counter("sync.rounds"),
+		tmFailed:    r.Counter(telemetry.MetricConvergenceFailed),
+		tmRateCmds:  r.Counter("sync.rate_commands"),
+		tmWidth:     r.Histogram("sync.fused_width_s"),
+		tmCorrOffst: r.Histogram("sync.correction_s"),
+	}
+	if sy.p.SourceF > 0 {
+		// Registered only on multi-source nodes: telemetry snapshots
+		// serialize every registered metric, so an unconditional
+		// registration would change legacy snapshot artifacts.
+		sy.tmSrcRej = r.Counter(MetricSourcesRejected)
 	}
 	switch {
 	case userDisc != nil:

@@ -90,9 +90,11 @@ type Config struct {
 	// byte-identical for every value — the shard decomposition is
 	// fixed by Segments; Shards only chooses execution parallelism.
 	Shards int
-	// Tracer, when non-nil, is wired through every layer of the cluster
-	// (simulation kernel, media, node kernels, synchronizers, GPS
-	// receivers). One Tracer belongs to exactly one cluster — like the
+	// Tracer, when non-nil, traces every layer of the cluster (media,
+	// COMCOs, node kernels, synchronizers, GPS receivers, serving load,
+	// adversary). A flat LAN observes through it directly; several
+	// segments get one tracer per shard with its options, merged by
+	// Trace. One Tracer belongs to exactly one cluster — like the
 	// simulator, it is single-threaded state.
 	Tracer *trace.Tracer
 	// Telemetry, when non-nil, wires the runtime metrics registry
@@ -204,9 +206,7 @@ type Cluster struct {
 	// regular node, in member order) when cfg.Serving enables a client
 	// population; empty otherwise. See serving.go.
 	ServingGens []*service.Generator
-	tracers     []*trace.Tracer       // per-shard tracers (nil entries when tracing is off)
-	telems      []*telemetry.Registry // per-shard registries (nil entries without telemetry)
-	adv         *adversary.Layer      // nil without an adversary spec
+	adv         *adversary.Layer // nil without an adversary spec
 	cfg         Config
 }
 
@@ -223,14 +223,16 @@ func (c *Cluster) TraitorCount() int { return len(c.adv.Traitors()) }
 func (c *Cluster) AdversaryLies() uint64 { return c.adv.LiesTold() }
 
 // New builds the cluster: max(Segments, 1) LAN segments, each with its
-// own simulator, medium, tracer and telemetry registry, run as the
-// shards of one sim.Group (segment topology: sharded.go, DESIGN.md §8).
-// A flat LAN is the one-segment case. It keeps the root seed, the
-// node%d labels that name its RNG streams, and the configured Tracer
-// and Telemetry as the shard's own handles, so it is the classic
-// single-simulator LAN event for event. Synchronizers are created but
-// not started; call Start (optionally after MeasureDelay has refined
-// the bounds).
+// own simulator and medium, run as the shards of one sim.Group (segment
+// topology: sharded.go, DESIGN.md §8). Each shard's simulator observes
+// through its own tracer and telemetry registry, attached before
+// anything is built on it; every component takes its handles from the
+// simulator it runs on. A flat LAN is the one-segment case. It keeps the
+// root seed, the node%d labels that name its RNG streams, and the
+// configured Tracer and Telemetry as the shard's own scope, so it is the
+// classic single-simulator LAN event for event. Synchronizers are
+// created but not started; call Start (optionally after MeasureDelay
+// has refined the bounds).
 func New(cfg Config) *Cluster {
 	if cfg.Nodes <= 0 {
 		panic("cluster: need at least one node")
@@ -261,30 +263,25 @@ func New(cfg Config) *Cluster {
 	}
 
 	sims := make([]*sim.Simulator, segs)
-	tracers := make([]*trace.Tracer, segs)
-	telems := make([]*telemetry.Registry, segs)
 	media := make([]*network.Medium, segs)
 	for i := range sims {
-		if segs == 1 {
-			sims[i], tracers[i], telems[i] = sim.New(cfg.Seed), cfg.Tracer, cfg.Telemetry
-		} else {
-			sims[i] = sim.New(sim.DeriveSeed(cfg.Seed, fmt.Sprintf("shard/%d", i)))
-			if cfg.Tracer != nil {
-				tracers[i] = trace.New(cfg.Tracer.Options())
-				tracers[i].SetShard(i)
+		seed, tr, reg := cfg.Seed, cfg.Tracer, cfg.Telemetry
+		if segs > 1 {
+			seed = sim.DeriveSeed(cfg.Seed, fmt.Sprintf("shard/%d", i))
+			if tr != nil {
+				tr = trace.New(cfg.Tracer.Options())
+				tr.SetShard(i)
 			}
-			if cfg.Telemetry != nil {
+			if reg != nil {
 				// One private registry per shard, updated only by that
 				// shard's single-threaded simulator — the trace-ring pattern.
-				telems[i] = telemetry.New()
-				telems[i].SetShard(i)
+				reg = telemetry.New()
+				reg.SetShard(i)
 			}
 		}
-		sims[i].SetTracer(tracers[i])
+		sims[i] = sim.New(seed)
+		sims[i].Observe(tr, reg)
 		media[i] = network.NewMedium(sims[i], cfg.Medium)
-		media[i].SetTracer(tracers[i])
-		sims[i].SetTelemetry(telems[i])
-		media[i].SetTelemetry(telems[i])
 	}
 	// The WAN delay is the lookahead between segments. A flat LAN has no
 	// cross-shard link, so nothing bounds its window: each RunUntil is
@@ -299,22 +296,14 @@ func New(cfg Config) *Cluster {
 		// Driver-level metrics (windows, flush sizes, imbalance) go on
 		// the cluster's own registry — only touched between windows.
 		group.SetTelemetry(cfg.Telemetry)
-		for i := range sims {
-			s := sims[i]
-			// Cumulative per-shard progress and window lag, read at
-			// capture time (barrier): how many events the shard has fired
-			// and how far short of the group clock it went idle.
-			telems[i].GaugeFunc(telemetry.MetricShardEvents, func() float64 { return float64(s.EventCount()) })
-			telems[i].GaugeFunc("group.shard_lag_s", func() float64 { return group.Now() - s.LastFiredAt() })
-		}
 	}
-	c := &Cluster{Group: group, Media: media, tracers: tracers, telems: telems, cfg: cfg}
+	c := &Cluster{Group: group, Media: media, cfg: cfg}
 	c.adv = adversary.NewLayer(cfg.Adversary, cfg.Seed, cfg.Nodes, segs)
 
 	mkNode := func(shard int, bus network.Bus, segment int) *Member {
 		id := len(c.Members)
 		name := fmt.Sprintf(label, id)
-		s, tr, reg := sims[shard], tracers[shard], telems[shard]
+		s := sims[shard]
 		oc := oscillator.TCXO(cfg.OscHz)
 		if cfg.OscillatorFor != nil {
 			oc = cfg.OscillatorFor(id)
@@ -325,7 +314,7 @@ func New(cfg Config) *Cluster {
 		// identity when nobody attacks): lies are applied at delivery on
 		// the receiver's shard, so the decomposition never changes what
 		// any node hears.
-		bus = c.adv.WrapBus(bus, id, shard, s, tr, reg)
+		bus = c.adv.WrapBus(bus, id, shard, s)
 		node := kernel.NewNode(s, uint16(id), u, bus, cfg.Kernel, cfg.COMCO)
 		m := &Member{Index: id, Segment: segment, Shard: shard, Osc: osc, U: u, Node: node}
 		var clk clocksync.Clock = clocksync.UTCSUClock{UTCSU: u}
@@ -334,16 +323,8 @@ func New(cfg Config) *Cluster {
 		}
 		m.Sync = clocksync.New(node, clk, cfg.Sync)
 		if gc, hasGPS := cfg.GPS[id]; hasGPS {
-			attachReferences(s, tr, m, gc, name, &cfg)
+			attachReferences(m, gc, name, &cfg)
 		}
-		if tr != nil {
-			node.SetTracer(tr)
-			m.Sync.SetTracer(tr)
-			if m.Rx != nil {
-				m.Rx.SetTracer(tr, id)
-			}
-		}
-		m.Sync.SetTelemetry(reg)
 		c.Members = append(c.Members, m)
 		return m
 	}
@@ -371,12 +352,10 @@ func New(cfg Config) *Cluster {
 			relay = network.NewRelay(media[remote], func(f network.Frame) {
 				group.Post(remote, home, sims[remote].Now()+wan, func() { port.Inject(f) })
 			}, rw)
-			port.SetTelemetry(telems[home])
-			relay.SetTelemetry(telems[remote])
 			// The gateway's WAN-facing channel gets the same adversary
 			// tap as its LAN channel: traitors on the remote segment lie
 			// to the gateway too.
-			gw.Node.AttachSegment(c.adv.WrapBus(port, gw.Index, home, sims[home], tracers[home], telems[home]))
+			gw.Node.AttachSegment(c.adv.WrapBus(port, gw.Index, home, sims[home]))
 		}
 	}
 
@@ -396,7 +375,7 @@ func New(cfg Config) *Cluster {
 // attack schedule lowered into its fault list (a no-op without one),
 // and each extra receiver derives its noise stream from its own label,
 // so source streams are mutually independent and shard-invariant.
-func attachReferences(s *sim.Simulator, tr *trace.Tracer, m *Member, gc gps.Config, label string, cfg *Config) {
+func attachReferences(m *Member, gc gps.Config, label string, cfg *Config) {
 	rho := cfg.Sync.RhoPPB
 	if rho == 0 {
 		rho = 2000
@@ -414,18 +393,16 @@ func attachReferences(s *sim.Simulator, tr *trace.Tracer, m *Member, gc gps.Conf
 	}
 	base := gc
 	base.Faults = cfg.Adversary.SourceFaults(0, gc.Faults)
+	s := m.Node.Sim
 	m.GPS = clocksync.AttachGPS(m.Node, 0, acc, rho)
-	m.Rx = gps.New(s, base, label, m.GPS.OnPulse)
+	m.Rx = gps.New(s, base, label, m.Index, m.GPS.OnPulse)
 	m.Sync.AddExternal(m.GPS.Interval)
 	for src := 1; src < sources; src++ {
 		sc := gc
 		sc.Faults = cfg.Adversary.SourceFaults(src, gc.Faults)
 		att := clocksync.AttachGPS(m.Node, src, acc, rho)
-		rx := gps.New(s, sc, fmt.Sprintf("%s/src%d", label, src), att.OnPulse)
+		rx := gps.New(s, sc, fmt.Sprintf("%s/src%d", label, src), m.Index, att.OnPulse)
 		m.Sync.AddExternal(att.Interval)
-		if tr != nil {
-			rx.SetTracer(tr, m.Index)
-		}
 		m.SrcGPS = append(m.SrcGPS, att)
 		m.SrcRx = append(m.SrcRx, rx)
 	}
@@ -457,13 +434,17 @@ func (c *Cluster) Now() float64 { return c.Group.Now() }
 func (c *Cluster) EventCount() uint64 { return c.Group.EventCount() }
 
 // Trace returns the cluster's event trace: the configured tracer for a
-// flat LAN, or the per-shard tracers merged into canonical (time,
-// shard, sequence) order for several segments. Nil when tracing is off.
+// flat LAN, or the shards' tracers merged into canonical (time, shard,
+// sequence) order for several segments. Nil when tracing is off.
 func (c *Cluster) Trace() *trace.Tracer {
-	if c.cfg.Tracer == nil || len(c.tracers) == 1 {
+	if c.cfg.Tracer == nil || c.Group.Shards() == 1 {
 		return c.cfg.Tracer
 	}
-	return trace.MergeShards(c.tracers)
+	ts := make([]*trace.Tracer, c.Group.Shards())
+	for i := range ts {
+		ts[i] = c.Group.Shard(i).Tracer()
+	}
+	return trace.MergeShards(ts)
 }
 
 // Snapshot samples all clocks simultaneously.
@@ -484,9 +465,14 @@ func (c *Cluster) TelemetrySnapshot() (telemetry.Snapshot, bool) {
 	if c.cfg.Telemetry == nil {
 		return telemetry.Snapshot{}, false
 	}
-	regs := c.telems // a flat LAN's one shard registry is the configured one
-	if len(regs) > 1 {
-		regs = append([]*telemetry.Registry{c.cfg.Telemetry}, regs...)
+	var regs []*telemetry.Registry
+	if c.Group.Shards() > 1 {
+		// The driver-level registry; a flat LAN's one shard already
+		// observes through the configured registry.
+		regs = append(regs, c.cfg.Telemetry)
+	}
+	for i := 0; i < c.Group.Shards(); i++ {
+		regs = append(regs, c.Group.Shard(i).Telemetry())
 	}
 	return telemetry.Capture(c.Now(), regs...), true
 }

@@ -59,8 +59,7 @@ func (c *Cluster) attachServing() {
 		g := service.New(m.Node.Sim, sc, m.Index, seed, qps, func() float64 {
 			off, _, _ := mem.OffsetAndBounds()
 			return math.Abs(off)
-		}, c.tracers[m.Shard])
-		g.SetTelemetry(c.telems[m.Shard])
+		})
 		c.ServingGens = append(c.ServingGens, g)
 	}
 }

@@ -20,7 +20,7 @@ func rig(seed uint64) (*sim.Simulator, *network.Medium, *nti.NTI, *COMCO, *nti.N
 		o := oscillator.New(s, oscillator.Ideal(10e6), label)
 		u := utcsu.New(s, utcsu.Config{Osc: o})
 		n := nti.New(u)
-		return n, New(s, n, med, Default82596(), label)
+		return n, NewChannel(s, n, med, Default82596(), label, 0, 0)
 	}
 	na, ca := mk("a")
 	nb, cb := mk("b")
@@ -133,11 +133,11 @@ func TestCorruptFlagPropagates(t *testing.T) {
 	o1 := oscillator.New(s, oscillator.Ideal(10e6), "a")
 	u1 := utcsu.New(s, utcsu.Config{Osc: o1})
 	n1 := nti.New(u1)
-	c1 := New(s, n1, med, Default82596(), "a")
+	c1 := NewChannel(s, n1, med, Default82596(), "a", 0, 0)
 	o2 := oscillator.New(s, oscillator.Ideal(10e6), "b")
 	u2 := utcsu.New(s, utcsu.Config{Osc: o2})
 	n2 := nti.New(u2)
-	c2 := New(s, n2, med, Default82596(), "b")
+	c2 := NewChannel(s, n2, med, Default82596(), "b", 0, 1)
 	_ = c1
 	sawCorrupt := false
 	c2.OnRxStored(func(_ uint64, _ uint32, _ int, corrupt bool) { sawCorrupt = corrupt })

@@ -48,13 +48,13 @@ func E15ReceiverCensus(seed uint64) Result {
 	}
 
 	s := sim.New(seed)
-	for _, c := range receivers {
+	for i, c := range receivers {
 		c := c
 		acc := c.cfg.AccuracyS
 		if acc == 0 {
 			acc = 1e-6
 		}
-		gps.New(s, c.cfg, c.name, func(p gps.Pulse) {
+		gps.New(s, c.cfg, c.name, i, func(p gps.Pulse) {
 			c.pulses++
 			// Judge against simulation truth: the pulse physically marks
 			// the nearest whole second; the label should name it.

@@ -40,18 +40,23 @@ func E5GPSValidation(seed uint64) Result {
 		return a.Max(), p.Max(), rejected
 	}
 
-	faults := map[string]gps.Fault{
-		"offset 20 ms": {Kind: gps.FaultOffset, Start: 60, Magnitude: 20e-3},
-		"wrong-second": {Kind: gps.FaultWrongSec, Start: 60, Magnitude: 1},
-		"ramp 10 µs/s": {Kind: gps.FaultRampDrift, Start: 60, Magnitude: 10e-6},
+	// A slice, not a map: the table rows come out in this fixed order.
+	wrongSec := gps.Fault{Kind: gps.FaultWrongSec, Start: 60, Magnitude: 1}
+	faults := []struct {
+		name  string
+		fault gps.Fault
+	}{
+		{"offset 20 ms", gps.Fault{Kind: gps.FaultOffset, Start: 60, Magnitude: 20e-3}},
+		{"wrong-second", wrongSec},
+		{"ramp 10 µs/s", gps.Fault{Kind: gps.FaultRampDrift, Start: 60, Magnitude: 10e-6}},
 	}
-	for name, f := range faults {
-		accV, precV, rej := run(false, f)
-		r.Table.AddRow("validated", name, metrics.Us(accV), metrics.Us(precV), fmt.Sprint(rej))
-		r.Numbers["validated_acc:"+name] = accV
-		r.Numbers["validated_rej:"+name] = float64(rej)
+	for _, f := range faults {
+		accV, precV, rej := run(false, f.fault)
+		r.Table.AddRow("validated", f.name, metrics.Us(accV), metrics.Us(precV), fmt.Sprint(rej))
+		r.Numbers["validated_acc:"+f.name] = accV
+		r.Numbers["validated_rej:"+f.name] = float64(rej)
 	}
-	accT, precT, _ := run(true, faults["wrong-second"])
+	accT, precT, _ := run(true, wrongSec)
 	r.Table.AddRow("naive trust", "wrong-second", metrics.Us(accT), metrics.Us(precT), "-")
 	r.Numbers["naive_acc"] = accT
 

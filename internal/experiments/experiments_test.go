@@ -59,7 +59,14 @@ func TestE5(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run experiment")
 	}
-	checkResult(t, E5GPSValidation(101))
+	r := E5GPSValidation(101)
+	checkResult(t, r)
+	// The rows follow EXPERIMENTS.md's order on every run.
+	for i, want := range []string{"offset 20 ms", "wrong-second", "ramp 10 µs/s"} {
+		if got := r.Table.Rows[i][1]; got != want {
+			t.Errorf("row %d fault = %q, want %q", i, got, want)
+		}
+	}
 }
 
 func TestE6(t *testing.T) {

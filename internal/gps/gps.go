@@ -102,24 +102,19 @@ type Receiver struct {
 	lastFault FaultKind
 }
 
-// SetTracer attaches an event tracer (nil detaches), attributing this
-// receiver's records to node id `node`. The receiver emits fault-onset
-// and fault-clear records at the pulse-generator granularity (1 s).
-func (r *Receiver) SetTracer(tr *trace.Tracer, node int) {
-	r.tr = tr
-	r.trNode = node
-}
-
 // New creates a receiver whose pulses are delivered to out. Pulses start
-// at the next whole simulated second after start.
-func New(s *sim.Simulator, cfg Config, label string, out func(Pulse)) *Receiver {
+// at the next whole simulated second after start. The receiver traces
+// through the simulator's tracer, attributing fault-onset and
+// fault-clear records to node id `node` at the pulse-generator
+// granularity (1 s).
+func New(s *sim.Simulator, cfg Config, label string, node int, out func(Pulse)) *Receiver {
 	if cfg.SawtoothS <= 0 {
 		cfg.SawtoothS = 200e-9
 	}
 	if cfg.AccuracyS <= 0 {
 		cfg.AccuracyS = 1e-6
 	}
-	r := &Receiver{s: s, cfg: cfg, rng: s.RNG("gps/" + label), out: out}
+	r := &Receiver{s: s, cfg: cfg, rng: s.RNG("gps/" + label), out: out, tr: s.Tracer(), trNode: node}
 	// The generator runs `lead` ahead of each second so pulses with
 	// negative errors can still be delivered at their physical time.
 	start := float64(int64(s.Now())+1) + 1 - pulseLead

@@ -10,7 +10,7 @@ import (
 func collect(seed uint64, cfg Config, until float64) []Pulse {
 	s := sim.New(seed)
 	var out []Pulse
-	New(s, cfg, "t", func(p Pulse) { out = append(out, p) })
+	New(s, cfg, "t", 0, func(p Pulse) { out = append(out, p) })
 	s.RunUntil(until)
 	return out
 }
@@ -133,7 +133,7 @@ func TestFlapping(t *testing.T) {
 func TestStop(t *testing.T) {
 	s := sim.New(9)
 	n := 0
-	r := New(s, DefaultReceiver(), "t", func(Pulse) { n++ })
+	r := New(s, DefaultReceiver(), "t", 0, func(Pulse) { n++ })
 	s.RunUntil(5)
 	r.Stop()
 	before := n
@@ -199,7 +199,7 @@ func TestSerialDeliveryDelayed(t *testing.T) {
 		arrival = append(arrival, s.Now())
 	})
 	var pulseTimes []float64
-	New(s, DefaultReceiver(), "t", func(p Pulse) {
+	New(s, DefaultReceiver(), "t", 0, func(p Pulse) {
 		pulseTimes = append(pulseTimes, s.Now())
 		feed(p)
 	})

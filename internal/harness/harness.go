@@ -84,9 +84,6 @@ type Spec struct {
 	// Tracer, fed by its own single-threaded simulator, so traces are
 	// byte-deterministic regardless of worker count.
 	Trace bool
-	// TraceOpts tunes the per-cell tracers when Trace is set (zero value
-	// = defaults: 16384-record rings, no dispatch/DMA-word records).
-	TraceOpts trace.Options
 
 	// Telemetry attaches a runtime metrics registry to every cell's
 	// cluster (cluster.Config.Telemetry) and captures one
@@ -363,7 +360,7 @@ func runCell(sp *Spec, cell Cell) (res Result) {
 	}
 	cfg.Seed = cell.Seed
 	if sp.Trace {
-		res.Trace = trace.New(sp.TraceOpts)
+		res.Trace = trace.New(trace.Options{})
 		cfg.Tracer = res.Trace
 	}
 	// Each cell gets its own registry and watchdog — like the tracer,

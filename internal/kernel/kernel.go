@@ -134,16 +134,6 @@ type Node struct {
 	tr       *trace.Tracer
 }
 
-// SetTracer attaches an event tracer (nil detaches) and propagates it
-// to every attached channel's COMCO. The node emits csp-send,
-// latch-read and csp-arrival records.
-func (n *Node) SetTracer(tr *trace.Tracer) {
-	n.tr = tr
-	for _, nc := range n.chans {
-		nc.comco.SetTracer(tr, int(n.ID))
-	}
-}
-
 type rxMetaEntry struct {
 	alphaM, alphaP timefmt.Alpha
 	valid          bool
@@ -161,6 +151,8 @@ type nodeChannel struct {
 }
 
 // NewNode wires a node together and installs its interrupt plumbing.
+// The node and its COMCOs trace through the simulator's tracer: the node
+// emits csp-send, latch-read and csp-arrival records.
 func NewNode(s *sim.Simulator, id uint16, u *utcsu.UTCSU, med network.Bus, cfg Config, comcoCfg comco.Config) *Node {
 	n := &Node{
 		ID:        id,
@@ -170,6 +162,7 @@ func NewNode(s *sim.Simulator, id uint16, u *utcsu.UTCSU, med network.Bus, cfg C
 		cfg:       cfg,
 		rxMeta:    make(map[uint32]rxMetaEntry),
 		stationOf: func(node uint16) int { return int(node) },
+		tr:        s.Tracer(),
 	}
 	n.NTI = nti.New(u)
 	n.comcoCfg = comcoCfg
@@ -191,12 +184,9 @@ func (n *Node) AttachSegment(med network.Bus) int {
 		panic("kernel: no free NTI channel for another segment")
 	}
 	nc := &nodeChannel{
-		comco: comco.NewChannel(n.Sim, n.NTI, med, n.comcoCfg, fmt.Sprintf("n%d.%d", n.ID, ch), ch),
+		comco: comco.NewChannel(n.Sim, n.NTI, med, n.comcoCfg, fmt.Sprintf("n%d.%d", n.ID, ch), ch, int(n.ID)),
 	}
 	n.chans = append(n.chans, nc)
-	if n.tr != nil {
-		nc.comco.SetTracer(n.tr, int(n.ID))
-	}
 	nc.comco.OnRxStored(func(fid uint64, base uint32, length int, corrupt bool) {
 		n.frameStored(ch, fid, base, length, corrupt)
 	})

@@ -92,9 +92,9 @@ func TestPartitionTiming(t *testing.T) {
 // produces no frame-rx records.
 func TestPartitionTrace(t *testing.T) {
 	s := sim.New(1)
-	m := NewMedium(s, DefaultLAN())
 	tr := trace.New(trace.Options{})
-	m.SetTracer(tr)
+	s.Observe(tr, nil)
+	m := NewMedium(s, DefaultLAN())
 	m.Attach(&collector{})
 	m.Attach(&collector{})
 

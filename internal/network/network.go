@@ -166,7 +166,8 @@ type Medium struct {
 	freeDeliv   []*delivery
 	bgPayload   []byte
 
-	// Telemetry handles (SetTelemetry); nil-receiver no-ops when off.
+	// Telemetry handles from the simulator's registry; nil-receiver
+	// no-ops when off.
 	tmSent      *telemetry.Counter
 	tmLost      *telemetry.Counter
 	tmCorrupt   *telemetry.Counter
@@ -176,7 +177,14 @@ type Medium struct {
 	tmBusy      *telemetry.Gauge
 }
 
-// NewMedium attaches a broadcast bus to the simulator.
+// NewMedium attaches a broadcast bus to the simulator. The medium
+// reports to the simulator's observability scope: it emits frame-tx /
+// frame-lost / frame-rx records (never consuming RNG or changing timing
+// on the tracer's behalf) and counts frames sent/lost/corrupt,
+// background frames, contended acquisitions (frames that found the bus
+// busy — the shared-Ethernet stand-in for collisions), the tx-ring
+// backlog and the cumulative bus-busy-seconds integral (occupancy =
+// Δbusy/Δt between snapshots).
 func NewMedium(s *sim.Simulator, cfg MediumConfig) *Medium {
 	if cfg.BitRateBps <= 0 {
 		cfg.BitRateBps = 10e6
@@ -190,7 +198,17 @@ func NewMedium(s *sim.Simulator, cfg MediumConfig) *Medium {
 	if cfg.PropDelayS < 0 {
 		panic("network: negative propagation delay")
 	}
-	m := &Medium{s: s, cfg: cfg, rng: s.RNG("medium")}
+	r := s.Telemetry()
+	m := &Medium{
+		s: s, cfg: cfg, rng: s.RNG("medium"), tr: s.Tracer(),
+		tmSent:      r.Counter("net.frames_sent"),
+		tmLost:      r.Counter("net.frames_lost"),
+		tmCorrupt:   r.Counter("net.crc_corrupt"),
+		tmBg:        r.Counter("net.bg_frames"),
+		tmContended: r.Counter("net.contended"),
+		tmBacklog:   r.Gauge("net.tx_backlog"),
+		tmBusy:      r.Gauge("net.bus_busy_s"),
+	}
 	m.transmitFn = m.transmitCur
 	m.startNextFn = m.startNext
 	return m
@@ -212,31 +230,6 @@ func (m *Medium) Bitrate() float64 { return m.cfg.BitRateBps }
 // bytes.
 func (m *Medium) FrameDuration(n int) float64 {
 	return (float64(m.cfg.PreambleBits) + 8*float64(n)) / m.cfg.BitRateBps
-}
-
-// SetTracer attaches an event tracer (nil detaches). The medium emits
-// frame-tx / frame-lost / frame-rx records; it never consumes RNG or
-// changes timing on behalf of the tracer.
-func (m *Medium) SetTracer(tr *trace.Tracer) { m.tr = tr }
-
-// SetTelemetry registers the bus metrics on r: frames sent/lost/corrupt,
-// background frames, contended acquisitions (frames that found the bus
-// busy — the shared-Ethernet stand-in for collisions), the tx-ring
-// backlog gauge and the cumulative bus-busy-seconds integral (occupancy
-// = Δbusy/Δt between snapshots). A nil r detaches.
-func (m *Medium) SetTelemetry(r *telemetry.Registry) {
-	if r == nil {
-		m.tmSent, m.tmLost, m.tmCorrupt, m.tmBg, m.tmContended = nil, nil, nil, nil, nil
-		m.tmBacklog, m.tmBusy = nil, nil
-		return
-	}
-	m.tmSent = r.Counter("net.frames_sent")
-	m.tmLost = r.Counter("net.frames_lost")
-	m.tmCorrupt = r.Counter("net.crc_corrupt")
-	m.tmBg = r.Counter("net.bg_frames")
-	m.tmContended = r.Counter("net.contended")
-	m.tmBacklog = r.Gauge("net.tx_backlog")
-	m.tmBusy = r.Gauge("net.bus_busy_s")
 }
 
 // Send queues a frame for transmission and returns the frame's

@@ -138,11 +138,11 @@ type Generator struct {
 
 	// Mean arrivals per tick in each mmpp state; for plain poisson,
 	// calm carries the homogeneous rate and mmpp is false.
-	calm, burst           float64
+	calm, burst             float64
 	dwellCalmS, dwellBurstS float64
-	mmpp                  bool
-	inBurst               bool
-	nextFlip              float64
+	mmpp                    bool
+	inBurst                 bool
+	nextFlip                float64
 
 	queries uint64
 	ticker  *sim.Ticker
@@ -151,32 +151,25 @@ type Generator struct {
 	tmBurst   *telemetry.Histogram
 }
 
-// SetTelemetry registers the serving metrics on r: a served-query
-// counter and the per-tick arrival burst-size histogram. A nil r
-// detaches.
-func (g *Generator) SetTelemetry(r *telemetry.Registry) {
-	if r == nil {
-		g.tmQueries, g.tmBurst = nil, nil
-		return
-	}
-	g.tmQueries = r.Counter("svc.queries")
-	g.tmBurst = r.Histogram("svc.tick_batch")
-}
-
 // New builds a generator serving qps mean queries per sim-second on s.
 // sample must return the node's current absolute clock error in seconds
-// without allocating (it runs once per tick). tr may be nil.
-func New(s *sim.Simulator, cfg Config, node int, seed uint64, qps float64, sample func() float64, tr *trace.Tracer) *Generator {
+// without allocating (it runs once per tick). The generator observes
+// through s: query-served records for node `node` on its tracer, and a
+// served-query counter plus the per-tick arrival burst-size histogram on
+// its registry.
+func New(s *sim.Simulator, cfg Config, node int, seed uint64, qps float64, sample func() float64) *Generator {
 	cfg = cfg.withDefaults()
 	mustArrival(cfg.Arrival)
 	g := &Generator{
-		s:      s,
-		rng:    sim.NewRNG(seed),
-		sk:     NewSketch(),
-		sample: sample,
-		tr:     tr,
-		node:   node,
-		tickS:  cfg.TickS,
+		s:         s,
+		rng:       sim.NewRNG(seed),
+		sk:        NewSketch(),
+		sample:    sample,
+		tr:        s.Tracer(),
+		node:      node,
+		tickS:     cfg.TickS,
+		tmQueries: s.Telemetry().Counter("svc.queries"),
+		tmBurst:   s.Telemetry().Histogram("svc.tick_batch"),
 	}
 	perTick := qps * cfg.TickS
 	switch cfg.Arrival {

@@ -137,26 +137,28 @@ func (g *Group) EventCount() uint64 {
 	return n
 }
 
-// SetTelemetry registers the group's conservative-sync metrics on r:
-// a window counter, a flushed cross-shard post counter, an
-// events-per-window gauge and a shard-imbalance gauge (busiest shard's
-// window events over the per-shard mean; 1.0 = perfectly balanced, S =
-// one shard did all the work). A nil r detaches.
+// SetTelemetry registers the group's conservative-sync metrics on r,
+// the driver-level registry: a window counter, a flushed cross-shard
+// post counter, an events-per-window gauge and a shard-imbalance gauge
+// (busiest shard's window events over the per-shard mean; 1.0 =
+// perfectly balanced, S = one shard did all the work). On each shard's
+// own registry (its Simulator's Telemetry) it registers that shard's
+// cumulative fired-event count and window lag — how far short of the
+// group clock the shard went idle — both read at capture time.
 //
 // Wall-clock worker utilization is deliberately absent: it would differ
 // run to run, and snapshots must stay a pure function of sim state. The
 // live Monitor owns wall-clock observations.
 func (g *Group) SetTelemetry(r *telemetry.Registry) {
-	if r == nil {
-		g.tmWindows, g.tmPosts, g.tmWinEvents, g.tmImbalance = nil, nil, nil, nil
-		g.tmPrevFired = nil
-		return
-	}
 	g.tmWindows = r.Counter("group.windows")
 	g.tmPosts = r.Counter("group.posts_flushed")
 	g.tmWinEvents = r.Gauge("group.window_events")
 	g.tmImbalance = r.Gauge("group.imbalance")
 	g.tmPrevFired = make([]uint64, len(g.shards))
+	for _, s := range g.shards {
+		s.Telemetry().GaugeFunc(telemetry.MetricShardEvents, func() float64 { return float64(s.EventCount()) })
+		s.Telemetry().GaugeFunc("group.shard_lag_s", func() float64 { return g.now - s.LastFiredAt() })
+	}
 }
 
 // windowTelemetry records one completed window: total events fired in it

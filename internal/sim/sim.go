@@ -82,14 +82,14 @@ type Simulator struct {
 	free       []*Event
 	tombstones int
 
-	// tr is non-nil only when a tracer with dispatch recording is
-	// attached (see SetTracer); the fire loops then emit one
-	// KindEventFire record per dispatched event.
-	tr *trace.Tracer
+	// tr and reg are the shard's observability scope (see Observe):
+	// every component built on this simulator reports to them.
+	tr  *trace.Tracer
+	reg *telemetry.Registry
 
-	// Telemetry handles (see SetTelemetry). All nil when telemetry is
-	// off; their methods are nil-receiver no-ops, so the hot paths pay
-	// one predictable branch each — same contract as tr above.
+	// Kernel telemetry handles. All nil when telemetry is off; their
+	// methods are nil-receiver no-ops, so the hot paths pay one
+	// predictable branch each.
 	tmScheduled *telemetry.Counter
 	tmFired     *telemetry.Counter
 	tmCancelled *telemetry.Counter
@@ -117,37 +117,30 @@ func (s *Simulator) EventCount() uint64 { return s.fired }
 // shard went idle.
 func (s *Simulator) LastFiredAt() float64 { return s.lastFired }
 
-// SetTelemetry registers this simulator's kernel metrics on r and keeps
-// the update handles: events scheduled/fired/cancelled counters and the
-// event-queue depth gauge (with high-water mark), plus snapshot-time
-// pool-occupancy gauges (arena size and free-list length) that cost
-// nothing between captures. A nil r detaches, restoring the all-nil
-// handles of the free disabled path.
-func (s *Simulator) SetTelemetry(r *telemetry.Registry) {
-	if r == nil {
-		s.tmScheduled, s.tmFired, s.tmCancelled, s.tmDepth = nil, nil, nil, nil
-		return
-	}
-	s.tmScheduled = r.Counter("sim.events_scheduled")
-	s.tmFired = r.Counter(telemetry.MetricEventsFired)
-	s.tmCancelled = r.Counter("sim.events_cancelled")
-	s.tmDepth = r.Gauge(telemetry.MetricQueueDepth)
-	r.GaugeFunc("sim.pool_events", func() float64 { return float64(len(s.events)) })
-	r.GaugeFunc("sim.pool_free", func() float64 { return float64(len(s.free)) })
+// Observe attaches the simulator's observability scope: the tracer and
+// telemetry registry that every component built on this simulator
+// reports to (either may be nil — a nil tracer and a nil registry's
+// handles are no-ops). Components resolve their handles once, in their
+// constructors, so call Observe before building anything on s. It also
+// registers the kernel's own metrics on reg: events scheduled, fired and
+// cancelled, the event-queue depth gauge (with high-water mark), and
+// snapshot-time pool-occupancy gauges (arena size and free-list length)
+// that cost nothing between captures.
+func (s *Simulator) Observe(tr *trace.Tracer, reg *telemetry.Registry) {
+	s.tr, s.reg = tr, reg
+	s.tmScheduled = reg.Counter("sim.events_scheduled")
+	s.tmFired = reg.Counter(telemetry.MetricEventsFired)
+	s.tmCancelled = reg.Counter("sim.events_cancelled")
+	s.tmDepth = reg.Gauge(telemetry.MetricQueueDepth)
+	reg.GaugeFunc("sim.pool_events", func() float64 { return float64(len(s.events)) })
+	reg.GaugeFunc("sim.pool_free", func() float64 { return float64(len(s.free)) })
 }
 
-// SetTracer attaches an event tracer. Dispatch records are only kept
-// when the tracer asks for them (trace.Options.Dispatch) — otherwise
-// the field stays nil and the fire loops pay a single never-taken
-// branch, keeping the traced-but-quiet hot path identical to the
-// untraced one.
-func (s *Simulator) SetTracer(tr *trace.Tracer) {
-	if tr != nil && tr.Options().Dispatch {
-		s.tr = tr
-	} else {
-		s.tr = nil
-	}
-}
+// Tracer returns the scope's tracer (nil when tracing is off).
+func (s *Simulator) Tracer() *trace.Tracer { return s.tr }
+
+// Telemetry returns the scope's registry (nil when telemetry is off).
+func (s *Simulator) Telemetry() *telemetry.Registry { return s.reg }
 
 // alloc takes an Event from the free list, growing the arena only when
 // the list is empty (steady state never grows it).
@@ -266,9 +259,6 @@ func (s *Simulator) Run() float64 {
 		s.fired++
 		s.lastFired = n.at
 		s.tmFired.Inc()
-		if s.tr != nil {
-			s.tr.Emit(trace.KindEventFire, s.now, -1, 0, n.seq, 0, 0)
-		}
 		e.state = stateFiring
 		e.fn()
 		if e.state == stateFiring { // not re-armed by its own callback
@@ -295,9 +285,6 @@ func (s *Simulator) RunUntil(horizon float64) float64 {
 		s.fired++
 		s.lastFired = n.at
 		s.tmFired.Inc()
-		if s.tr != nil {
-			s.tr.Emit(trace.KindEventFire, s.now, -1, 0, n.seq, 0, 0)
-		}
 		e.state = stateFiring
 		e.fn()
 		if e.state == stateFiring {

@@ -1,9 +1,8 @@
 // Package trace is the deterministic cross-layer event-tracing
 // subsystem: every layer of the simulated timestamping data path — the
-// simulation kernel, the medium, the COMCO's DMA engine, the kernel
-// software, the synchronization algorithm and the GPS receivers — emits
-// fixed-size records into per-node ring buffers owned by one Tracer per
-// simulation.
+// medium, the COMCO's DMA engine, the kernel software, the
+// synchronization algorithm and the GPS receivers — emits fixed-size
+// records into per-node ring buffers owned by one Tracer per simulation.
 //
 // The hot path is allocation-free: records are plain values written
 // into preallocated rings (the ring for a node is allocated once, on
@@ -32,13 +31,9 @@ import (
 type Kind uint8
 
 const (
-	// KindEventFire is one simulation-kernel event dispatch
-	// (A = scheduling sequence number). Only recorded when
-	// Options.Dispatch is set — the volume drowns everything else.
-	KindEventFire Kind = iota
 	// KindFrameTx: serialization of a frame began on the medium
 	// (node = src station, A = frame, B = payload bytes, V = duration s).
-	KindFrameTx
+	KindFrameTx Kind = iota
 	// KindFrameLost: the frame was serialized into a partitioned
 	// medium — cable fault or switch outage — and reached no station
 	// (node = src station, A = frame, B = payload bytes, V = duration s).
@@ -109,7 +104,6 @@ const (
 // kindNames are the stable wire names used by the JSONL schema and the
 // analyzers. Renaming one is a trace-format change (regenerate goldens).
 var kindNames = [numKinds]string{
-	KindEventFire:   "event-fire",
 	KindFrameTx:     "frame-tx",
 	KindFrameLost:   "frame-lost",
 	KindFrameRx:     "frame-rx",
@@ -134,7 +128,6 @@ var kindNames = [numKinds]string{
 // kindArgs labels the A/B/V payload of each kind for the text
 // formatter; an empty label omits the field.
 var kindArgs = [numKinds][3]string{
-	KindEventFire:   {"seq", "", ""},
 	KindFrameTx:     {"frame", "bytes", "dur"},
 	KindFrameLost:   {"frame", "bytes", "dur"},
 	KindFrameRx:     {"frame", "corrupt", ""},
@@ -233,13 +226,10 @@ type Options struct {
 	// emits more, the oldest records are overwritten (and counted by
 	// Dropped). Default 16384 (~1 MB/node).
 	RingCap int
-	// Dispatch records every simulation-kernel event dispatch
-	// (KindEventFire). Off by default: a campaign cell fires millions
-	// of events and the dispatch stream would evict everything else.
-	Dispatch bool
 	// DMAWords records every 32-bit COMCO DMA transfer (KindDMAWord),
-	// the full logic-analyzer view. Off by default for the same
-	// volume reason; cmd/ntitrace turns it on.
+	// the full logic-analyzer view. Off by default: the word stream
+	// would evict everything else from the rings; cmd/ntitrace turns it
+	// on.
 	DMAWords bool
 }
 

@@ -10,7 +10,7 @@ func TestNilTracerIsNoop(t *testing.T) {
 	if tr.Len() != 0 || tr.Dropped() != 0 || tr.Records() != nil {
 		t.Error("nil tracer not a clean no-op")
 	}
-	if o := tr.Options(); o.Dispatch || o.DMAWords || o.RingCap != 0 {
+	if o := tr.Options(); o.DMAWords || o.RingCap != 0 {
 		t.Errorf("nil tracer options = %+v, want zero", o)
 	}
 }
@@ -19,7 +19,7 @@ func TestEmitOrderAndPayload(t *testing.T) {
 	tr := New(Options{})
 	tr.Emit(KindRoundStart, 1.0, 0, 0, 7, 0, 0)
 	tr.Emit(KindFrameTx, 1.1, 1, 0, 3, 64, 57e-6)
-	tr.Emit(KindEventFire, 1.2, -1, 0, 42, 0, 0)
+	tr.Emit(KindFrameRx, 1.2, -1, 0, 42, 0, 0)
 	tr.Emit(KindFaultOnset, 1.3, 2, 1, 0, 4, 0.02)
 
 	recs := tr.Records()
@@ -46,7 +46,7 @@ func TestEmitOrderAndPayload(t *testing.T) {
 func TestRingWrapKeepsNewest(t *testing.T) {
 	tr := New(Options{RingCap: 8})
 	for i := 0; i < 20; i++ {
-		tr.Emit(KindEventFire, float64(i), 0, 0, uint64(i), 0, 0)
+		tr.Emit(KindFrameTx, float64(i), 0, 0, uint64(i), 0, 0)
 	}
 	if got := tr.Len(); got != 8 {
 		t.Fatalf("Len = %d, want ring cap 8", got)
