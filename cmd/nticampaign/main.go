@@ -2,8 +2,7 @@
 // style matrices of cluster size × round period × background load, or
 // the complete GPS fault × policy grid — through the internal/harness
 // engine: every cell an independent deterministic simulation, fanned
-// across all cores, with JSONL/CSV/manifest artifacts and golden-file
-// regression gating.
+// across all cores, with JSONL/CSV/manifest artifacts.
 //
 // Usage:
 //
@@ -11,8 +10,6 @@
 //	nticampaign -preset matrix -out artifacts/
 //	nticampaign -preset smoke -out artifacts/ -trace  # + per-cell traces
 //	nticampaign -preset smoke -seeds 3 -report report.md
-//	nticampaign -preset smoke -check testdata/smoke.golden.json
-//	nticampaign -preset smoke -write-golden testdata/smoke.golden.json
 //	nticampaign -refine load=2e-6            # bisect load until mean
 //	                                         # precision crosses 2 µs
 //	nticampaign -preset sharded -shards 4    # multi-segment cells on 4
@@ -21,8 +18,10 @@
 //	                                         # snapshots and health flags
 //	nticampaign -preset matrix -monitor :8080  # live status for cmd/ntitop
 //
-// Golden files are regenerated with -write-golden after an intentional
-// behavior change and committed; -check then gates CI against them.
+// Artifacts are byte-deterministic, so regression gating is a byte
+// diff: main_test.go runs the gated presets at -shards 1 and 4 and
+// compares their artifacts with testdata/ (`go test ./cmd/nticampaign
+// -run CampaignGoldens`, add -update after an intentional change).
 // -seeds N runs every preset point under N consecutive seeds (derived
 // from -seed) so reports can attach confidence intervals; -report
 // renders the run through internal/report. -refine axis=target
@@ -37,8 +36,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -257,22 +258,23 @@ func refineChoices() string {
 
 // runRefine executes adaptive bisection of one numeric axis until the
 // mean-precision crossover of target is bracketed, printing every
-// evaluation and the final bracket. With ci set it uses the
+// evaluation and the final bracket to w. With ci set it uses the
 // variance-aware RefineCI: bisection only proceeds while the bootstrap
 // 95% CI of the metric clears the target. It reports whether the
-// crossover was bracketed (to tolerance, for plain refinement).
-func runRefine(spec harness.Spec, arg string, tol float64, ci bool) bool {
+// crossover was bracketed (to tolerance, for plain refinement); a
+// malformed arg is an error.
+func runRefine(w io.Writer, spec harness.Spec, arg string, tol float64, ci bool) (bool, error) {
 	name, targetStr, ok := strings.Cut(arg, "=")
 	if !ok {
-		fatalf("-refine wants axis=target (e.g. load=2e-6), got %q", arg)
+		return false, fmt.Errorf("-refine wants axis=target (e.g. load=2e-6), got %q", arg)
 	}
 	ax, axOK := harness.StandardNumericAxes()[name]
 	if !axOK {
-		fatalf("unknown refine axis %q (choices: %s)", name, refineChoices())
+		return false, fmt.Errorf("unknown refine axis %q (choices: %s)", name, refineChoices())
 	}
 	target, err := strconv.ParseFloat(targetStr, 64)
 	if err != nil {
-		fatalf("bad refine target %q: %v", targetStr, err)
+		return false, fmt.Errorf("bad refine target %q: %v", targetStr, err)
 	}
 	if tol <= 0 {
 		tol = (ax.Hi - ax.Lo) / 64
@@ -299,56 +301,84 @@ func runRefine(spec harness.Spec, arg string, tol float64, ci bool) bool {
 		}
 		tb.AddRow(fmt.Sprintf("%g", e.Value), metrics.Us(e.Metric), fmt.Sprint(len(e.Results)))
 	}
-	tb.Fprint(os.Stdout)
+	tb.Fprint(w)
 	if !r.Bracketed {
-		fmt.Printf("\nno crossover of %sµs inside %s ∈ [%g, %g] (metric %s..%sµs)\n",
+		fmt.Fprintf(w, "\nno crossover of %sµs inside %s ∈ [%g, %g] (metric %s..%sµs)\n",
 			metrics.Us(target), name, ax.Lo, ax.Hi, metrics.Us(r.Lo.Metric), metrics.Us(r.Hi.Metric))
 		if r.NoiseLimited {
-			fmt.Printf("noise-limited: a range end's 95%% CI straddles the target — add seeds (-seeds) to resolve\n")
+			fmt.Fprintf(w, "noise-limited: a range end's 95%% CI straddles the target — add seeds (-seeds) to resolve\n")
 		}
-		return false
+		return false, nil
 	}
-	fmt.Printf("\ncrossover of %sµs bracketed: %s ∈ [%g, %g] (width %g, tol %g), metric %sµs → %sµs, %d evaluations\n",
+	fmt.Fprintf(w, "\ncrossover of %sµs bracketed: %s ∈ [%g, %g] (width %g, tol %g), metric %sµs → %sµs, %d evaluations\n",
 		metrics.Us(target), name, r.Lo.Value, r.Hi.Value, r.Hi.Value-r.Lo.Value, tol,
 		metrics.Us(r.Lo.Metric), metrics.Us(r.Hi.Metric), len(r.Evals))
 	if r.NoiseLimited {
-		fmt.Printf("noise-limited: stopped before tol — a midpoint's 95%% CI straddles the target; add seeds (-seeds) to refine further\n")
+		fmt.Fprintf(w, "noise-limited: stopped before tol — a midpoint's 95%% CI straddles the target; add seeds (-seeds) to refine further\n")
 	}
-	return true
+	return true, nil
 }
 
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "nticampaign: "+format+"\n", args...)
-	os.Exit(1)
+// writeReport renders the campaign's Markdown+SVG report into path.
+func writeReport(path, title string, results []harness.Result) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := report.Generate(f, title, results, stats.Options{}); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run executes the command with the given arguments and returns its
+// exit status: 0 on success (and for -h), 1 on a runtime failure
+// (failed cells, an unbracketed or malformed -refine, an I/O error), 2
+// on bad usage.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("nticampaign", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		presetName  = flag.String("preset", "smoke", "campaign preset: "+presetChoices())
-		list        = flag.Bool("list", false, "list presets and exit")
-		seed        = flag.Uint64("seed", 1998, "base random seed")
-		seedCount   = flag.Int("seeds", 1, "number of consecutive seeds per point")
-		window      = flag.Float64("window", 0, "override measurement window [sim s]")
-		workers     = flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
-		outDir      = flag.String("out", "", "write JSONL/CSV/manifest artifacts into this directory")
-		checkPath   = flag.String("check", "", "gate against this golden file (non-zero exit on deviation)")
-		writeGolden = flag.String("write-golden", "", "write/refresh the golden file from this run")
-		reportPath  = flag.String("report", "", "write a Markdown+SVG report of this run to this file")
-		traceCells  = flag.Bool("trace", false, "capture a cross-layer trace per cell (requires -out; adds one .cell-NNN.trace.jsonl per cell)")
-		discName    = flag.String("discipline", "", "force one clock discipline for every cell: "+disciplineChoices())
-		clients     = flag.Int("clients", 0, "force a simulated client population of this size on every cell (enables serving metrics)")
-		arrival     = flag.String("arrival", "", "force one client arrival process for every cell: "+arrivalChoices()+" (use with -clients or the serving preset)")
-		refine      = flag.String("refine", "", "adaptive refinement instead of the preset grid: axis=target, e.g. load=2e-6 (axes: "+refineChoices()+")")
-		refineTol   = flag.Float64("refine-tol", 0, "axis tolerance for -refine (default: range/64)")
-		refineCI    = flag.Bool("refine-ci", false, "variance-aware -refine: bisect only while the bootstrap 95% CI across seeds clears the target (use with -seeds > 1)")
-		shards      = flag.Int("shards", 0, "worker goroutines per multi-segment (sharded) cell; 0 = auto. Execution-only knob: artifacts are byte-identical for every value")
-		telem       = flag.Bool("telemetry", false, "capture runtime telemetry per cell: per-tick metric snapshots (with -out: one combined .telemetry.jsonl) plus watchdog health flags in artifacts and reports")
-		monitorAddr = flag.String("monitor", "", "serve live campaign status on this host:port (/campaign.json for ntitop, /metrics for Prometheus scrapers); implies -telemetry")
-		quiet       = flag.Bool("q", false, "suppress per-cell progress on stderr")
-		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile  = flag.String("memprofile", "", "write a heap profile to this file")
+		presetName  = fs.String("preset", "smoke", "campaign preset: "+presetChoices())
+		list        = fs.Bool("list", false, "list presets and exit")
+		seed        = fs.Uint64("seed", 1998, "base random seed")
+		seedCount   = fs.Int("seeds", 1, "number of consecutive seeds per point")
+		window      = fs.Float64("window", 0, "override measurement window [sim s]")
+		workers     = fs.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
+		outDir      = fs.String("out", "", "write JSONL/CSV/manifest artifacts into this directory")
+		reportPath  = fs.String("report", "", "write a Markdown+SVG report of this run to this file")
+		traceCells  = fs.Bool("trace", false, "capture a cross-layer trace per cell (requires -out; adds one .cell-NNN.trace.jsonl per cell)")
+		discName    = fs.String("discipline", "", "force one clock discipline for every cell: "+disciplineChoices())
+		clients     = fs.Int("clients", 0, "force a simulated client population of this size on every cell (enables serving metrics)")
+		arrival     = fs.String("arrival", "", "force one client arrival process for every cell: "+arrivalChoices()+" (use with -clients or the serving preset)")
+		refine      = fs.String("refine", "", "adaptive refinement instead of the preset grid: axis=target, e.g. load=2e-6 (axes: "+refineChoices()+")")
+		refineTol   = fs.Float64("refine-tol", 0, "axis tolerance for -refine (default: range/64)")
+		refineCI    = fs.Bool("refine-ci", false, "variance-aware -refine: bisect only while the bootstrap 95% CI across seeds clears the target (use with -seeds > 1)")
+		shards      = fs.Int("shards", 0, "worker goroutines per multi-segment (sharded) cell; 0 = auto. Execution-only knob: artifacts are byte-identical for every value")
+		telem       = fs.Bool("telemetry", false, "capture runtime telemetry per cell: per-tick metric snapshots (with -out: one combined .telemetry.jsonl) plus watchdog health flags in artifacts and reports")
+		monitorAddr = fs.String("monitor", "", "serve live campaign status on this host:port (/campaign.json for ntitop, /metrics for Prometheus scrapers); implies -telemetry")
+		quiet       = fs.Bool("q", false, "suppress per-cell progress on stderr")
+		cpuprofile  = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memprofile  = fs.String("memprofile", "", "write a heap profile to this file")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "nticampaign: "+format+"\n", a...)
+		return 2
+	}
+	fail := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "nticampaign: "+format+"\n", a...)
+		return 1
+	}
 
 	if *list {
 		var names []string
@@ -357,18 +387,16 @@ func main() {
 		}
 		sort.Strings(names)
 		for _, n := range names {
-			fmt.Printf("%-9s %s\n", n, presets[n].desc)
+			fmt.Fprintf(stdout, "%-9s %s\n", n, presets[n].desc)
 		}
-		return
+		return 0
 	}
 	p, ok := presets[*presetName]
 	if !ok {
-		fmt.Fprintf(os.Stderr, "nticampaign: unknown preset %q (choices: %s)\n", *presetName, presetChoices())
-		os.Exit(2)
+		return usage("unknown preset %q (choices: %s)", *presetName, presetChoices())
 	}
 	if *seedCount < 1 {
-		fmt.Fprintln(os.Stderr, "nticampaign: -seeds must be >= 1")
-		os.Exit(2)
+		return usage("-seeds must be >= 1")
 	}
 
 	seeds := make([]uint64, *seedCount)
@@ -391,15 +419,14 @@ func main() {
 	}
 	if *traceCells {
 		if *outDir == "" {
-			fatalf("-trace needs -out (traces are written as per-cell artifacts)")
+			return fail("-trace needs -out (traces are written as per-cell artifacts)")
 		}
 		spec.Trace = true
 	}
 	if *discName != "" {
 		f, ok := discipline.Lookup(*discName)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "nticampaign: unknown discipline %q (choices: %s)\n", *discName, disciplineChoices())
-			os.Exit(2)
+			return usage("unknown discipline %q (choices: %s)", *discName, disciplineChoices())
 		}
 		// Force the discipline after every point mutation so it wins
 		// even over a preset's own discipline axis.
@@ -419,12 +446,10 @@ func main() {
 		}
 	}
 	if *arrival != "" && !service.ValidArrival(*arrival) {
-		fmt.Fprintf(os.Stderr, "nticampaign: unknown arrival process %q (choices: %s)\n", *arrival, arrivalChoices())
-		os.Exit(2)
+		return usage("unknown arrival process %q (choices: %s)", *arrival, arrivalChoices())
 	}
 	if *clients < 0 {
-		fmt.Fprintln(os.Stderr, "nticampaign: -clients must be >= 0")
-		os.Exit(2)
+		return usage("-clients must be >= 0")
 	}
 	if *clients > 0 || *arrival != "" {
 		// Force the population after every point mutation, like
@@ -456,7 +481,7 @@ func main() {
 		}
 	}
 	if !*quiet {
-		spec.Progress = os.Stderr
+		spec.Progress = stderr
 	}
 	if *telem || *monitorAddr != "" {
 		spec.Telemetry = true
@@ -465,33 +490,36 @@ func main() {
 		mon := telemetry.NewMonitor()
 		addr, err := mon.Serve(*monitorAddr)
 		if err != nil {
-			fatalf("monitor: %v", err)
+			return fail("monitor: %v", err)
 		}
 		defer mon.Close()
-		fmt.Fprintf(os.Stderr, "nticampaign: monitor on http://%s/ (campaign.json, metrics)\n", addr)
+		fmt.Fprintf(stderr, "nticampaign: monitor on http://%s/ (campaign.json, metrics)\n", addr)
 		spec.Monitor = mon
 	}
 
 	stopProf, err := prof.Start(*cpuprofile, *memprofile)
 	if err != nil {
-		fatalf("%v", err)
+		return fail("%v", err)
 	}
 
 	if *refine != "" {
-		ok := runRefine(spec, *refine, *refineTol, *refineCI)
-		if err := stopProf(); err != nil {
-			fatalf("%v", err)
+		bracketed, err := runRefine(stdout, spec, *refine, *refineTol, *refineCI)
+		if perr := stopProf(); err == nil {
+			err = perr
 		}
-		if !ok {
-			os.Exit(1)
+		if err != nil {
+			return fail("%v", err)
 		}
-		return
+		if !bracketed {
+			return 1
+		}
+		return 0
 	}
 
 	camp := harness.Run(spec)
 
 	if err := stopProf(); err != nil {
-		fatalf("%v", err)
+		return fail("%v", err)
 	}
 
 	// Rows grouped by point (all seeds of a point adjacent), the same
@@ -528,57 +556,30 @@ func main() {
 			tb.AddRow(row...)
 		}
 	}
-	tb.Fprint(os.Stdout)
-	fmt.Printf("\n%d cells, %.0f sim-s total in %.2fs wall (%.0f sim-s/s, %d workers)\n",
+	tb.Fprint(stdout)
+	fmt.Fprintf(stdout, "\n%d cells, %.0f sim-s total in %.2fs wall (%.0f sim-s/s, %d workers)\n",
 		len(camp.Results), camp.TotalSimS(), camp.WallS, camp.TotalSimS()/camp.WallS, camp.Workers)
 	for _, r := range camp.Results {
 		if len(r.Health) > 0 {
-			fmt.Printf("health: cell %d (%s/seed=%d): %s\n", r.Cell, r.Label, r.Seed, strings.Join(r.Health, ", "))
+			fmt.Fprintf(stdout, "health: cell %d (%s/seed=%d): %s\n", r.Cell, r.Label, r.Seed, strings.Join(r.Health, ", "))
 		}
 	}
 
 	if *outDir != "" {
 		paths, err := camp.WriteArtifacts(*outDir)
 		if err != nil {
-			fatalf("%v", err)
+			return fail("%v", err)
 		}
-		fmt.Printf("artifacts: %s\n", strings.Join(paths, ", "))
+		fmt.Fprintf(stdout, "artifacts: %s\n", strings.Join(paths, ", "))
 	}
 	if *reportPath != "" {
-		f, err := os.Create(*reportPath)
-		if err != nil {
-			fatalf("%v", err)
+		if err := writeReport(*reportPath, spec.Name, camp.Results); err != nil {
+			return fail("%v", err)
 		}
-		if err := report.Generate(f, spec.Name, camp.Results, stats.Options{}); err != nil {
-			f.Close()
-			fatalf("%v", err)
-		}
-		if err := f.Close(); err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Printf("report: %s\n", *reportPath)
-	}
-	if *writeGolden != "" {
-		if err := camp.Golden(harness.DefaultTolerance).Write(*writeGolden); err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Printf("golden written: %s\n", *writeGolden)
-	}
-	if *checkPath != "" {
-		g, err := harness.LoadGolden(*checkPath)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if devs := camp.Check(g); len(devs) > 0 {
-			fmt.Fprintf(os.Stderr, "nticampaign: regression gate FAILED, %d deviation(s) vs %s:\n", len(devs), *checkPath)
-			for _, d := range devs {
-				fmt.Fprintf(os.Stderr, "  %s\n", d)
-			}
-			os.Exit(1)
-		}
-		fmt.Printf("regression gate passed: %d cells match %s\n", len(camp.Results), *checkPath)
+		fmt.Fprintf(stdout, "report: %s\n", *reportPath)
 	}
 	if failed := camp.Failed(); len(failed) > 0 {
-		fatalf("%d of %d cells failed", len(failed), len(camp.Results))
+		return fail("%d of %d cells failed", len(failed), len(camp.Results))
 	}
+	return 0
 }

@@ -1,8 +1,8 @@
 // Package harness is the experiment-campaign engine: it fans a grid of
 // cluster configurations (parameter points × seeds) across a worker
 // pool, runs each cell as an independent deterministic simulation, and
-// aggregates typed results for tables, JSONL/CSV artifacts and
-// regression gating.
+// aggregates typed results for tables, reports and byte-deterministic
+// JSONL/CSV artifacts.
 //
 // The simulation kernel is seed-deterministic and every cell owns its
 // own sim.Simulator, so parallel execution is bit-for-bit reproducible
@@ -49,7 +49,7 @@ type Cell struct {
 }
 
 // Key is the stable identity of the cell across campaign runs with the
-// same grid, used by golden files.
+// same grid, as shown in progress lines and on the live monitor.
 func (c Cell) Key() string { return fmt.Sprintf("%s/seed=%d", c.Point.Label, c.Seed) }
 
 // Spec declares a campaign.
@@ -260,7 +260,7 @@ type Result struct {
 	Telemetry []telemetry.Snapshot `json:"-"`
 }
 
-// Key matches Cell.Key for golden lookups.
+// Key matches Cell.Key.
 func (r *Result) Key() string { return fmt.Sprintf("%s/seed=%d", r.Label, r.Seed) }
 
 // Throughput returns simulated seconds per wall-clock second (0 when

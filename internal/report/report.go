@@ -8,8 +8,8 @@
 //
 // Reports carry no wall-clock, hostname, or build metadata and every
 // number is formatted with fixed precision, so identical inputs yield
-// byte-identical reports — they are golden-gated in CI exactly like
-// campaign artifacts (make report-smoke).
+// byte-identical reports — they are golden-gated exactly like campaign
+// artifacts (`go test ./cmd/ntireport -run ReportGolden`).
 package report
 
 import (
@@ -22,6 +22,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
+	"strings"
 
 	"ntisim/internal/harness"
 	"ntisim/internal/metrics"
@@ -51,14 +52,23 @@ func LoadJSONL(path string) ([]harness.Result, error) {
 	return out, sc.Err()
 }
 
-// FindJSONL lists the *.jsonl artifacts under dir in sorted order.
+// FindJSONL lists the <name>.jsonl result artifacts under dir in sorted
+// order. The auxiliary streams a campaign writes next to them —
+// <name>.telemetry.jsonl, <name>.cell-NNN.trace.jsonl — carry no
+// results and are skipped: a result artifact's name has no other dot.
 func FindJSONL(dir string) ([]string, error) {
 	paths, err := filepath.Glob(filepath.Join(dir, "*.jsonl"))
 	if err != nil {
 		return nil, err
 	}
-	sort.Strings(paths)
-	return paths, nil
+	results := paths[:0]
+	for _, p := range paths {
+		if !strings.Contains(strings.TrimSuffix(filepath.Base(p), ".jsonl"), ".") {
+			results = append(results, p)
+		}
+	}
+	sort.Strings(results)
+	return results, nil
 }
 
 // us formats seconds as µs with 3 decimals (the report's time unit).
