@@ -1,13 +1,17 @@
-// Command nticampaign runs full experiment campaigns — EXPERIMENTS.md
-// style matrices of cluster size × round period × background load, or
-// the complete GPS fault × policy grid — through the internal/harness
-// engine: every cell an independent deterministic simulation, fanned
-// across all cores, with JSONL/CSV/manifest artifacts.
+// Command nticampaign runs experiment campaigns — EXPERIMENTS.md style
+// matrices of cluster size × round period × background load, the
+// complete GPS fault × policy grid, or one-axis design-space sweeps —
+// through the internal/harness engine: every cell an independent
+// deterministic simulation, fanned across all cores, with
+// JSONL/CSV/manifest artifacts.
 //
 // Usage:
 //
 //	nticampaign -list                        # available presets
 //	nticampaign -preset matrix -out artifacts/
+//	nticampaign -preset sweep-nodes          # one axis: 2..32 nodes
+//	nticampaign -preset faults -report faults.md  # fault × policy grid
+//	                                         # with per-cell timelines
 //	nticampaign -preset smoke -out artifacts/ -trace  # + per-cell traces
 //	nticampaign -preset smoke -seeds 3 -report report.md
 //	nticampaign -refine load=2e-6            # bisect load until mean
@@ -85,22 +89,17 @@ var presets = map[string]preset{
 		},
 	},
 	"faults": {
-		desc: "every GPS fault kind under validated and naive-trust policies",
+		desc: "every GPS fault kind under validated and naive-trust policies, with per-sample timelines",
 		points: func() []harness.Point {
-			var scenarios []harness.FaultScenario
-			for _, k := range harness.AllFaultKinds() {
-				for _, trust := range []bool{false, true} {
-					scenarios = append(scenarios, harness.FaultScenario{
-						Kind: k, Magnitude: 20e-3, StartS: 60, Trust: trust,
-					})
-				}
-			}
-			return harness.FaultAxis(3, scenarios...).Points
+			return harness.FaultAxis(3, harness.StandardFaults(60, false, true)...).Points
 		},
 		spec: func(s *harness.Spec) {
 			s.DelayProbes = 16
 			s.WindowS = 180
 			s.SampleEveryS = 5
+			// Timelines show fault onset and recovery: -report renders
+			// precision and cumulative rejections over time per cell.
+			s.Timeline = true
 		},
 	},
 	"scaling": {
@@ -200,13 +199,7 @@ var presets = map[string]preset{
 	"disciplines": {
 		desc: "clock-discipline shootout: every discipline × (ensemble-only + the GPS fault matrix)",
 		points: func() []harness.Point {
-			var scenarios []harness.FaultScenario
-			for _, k := range harness.AllFaultKinds() {
-				scenarios = append(scenarios, harness.FaultScenario{
-					Kind: k, Magnitude: 20e-3, StartS: 40,
-				})
-			}
-			fault := harness.FaultAxis(3, scenarios...)
+			fault := harness.FaultAxis(3, harness.StandardFaults(40, false)...)
 			// Ensemble-only cell first: with no UTC anchor, interval
 			// validation cannot override the reference point, so the
 			// filter dynamics alone set the achievable precision. In the
@@ -226,6 +219,43 @@ var presets = map[string]preset{
 			s.WindowS = 90
 			s.SampleEveryS = 1
 			s.Timeline = true
+		},
+	},
+
+	// One-axis design-space sweeps: the paper's 8-node prototype
+	// configuration with a single parameter varied.
+	"sweep-nodes": {
+		desc:   "one-axis sweep: cluster size 2..32",
+		points: func() []harness.Point { return harness.NodesAxis().Points },
+	},
+	"sweep-period": {
+		desc:   "one-axis sweep: round period 0.25..4 s",
+		points: func() []harness.Point { return harness.PeriodAxis().Points },
+	},
+	"sweep-load": {
+		desc:   "one-axis sweep: background medium load 0..60%",
+		points: func() []harness.Point { return harness.LoadAxis().Points },
+	},
+	"sweep-fosc": {
+		desc:   "one-axis sweep: UTCSU oscillator frequency 1..20 MHz",
+		points: func() []harness.Point { return harness.FoscAxis().Points },
+	},
+	"sweep-f": {
+		desc:   "one-axis sweep: fault-tolerance degree F 0..4 on 10 nodes",
+		points: func() []harness.Point { return harness.FAxis(10).Points },
+	},
+	"sweep-discipline": {
+		desc:   "one-axis sweep: every clock discipline",
+		points: func() []harness.Point { return harness.DisciplineAxis().Points },
+	},
+	"sweep-clients": {
+		desc:   "one-axis sweep: client population 1e4..1e6 on the flat LAN",
+		points: func() []harness.Point { return harness.ClientsAxis(10000, 100000, 1000000).Points },
+	},
+	"sweep-arrival": {
+		desc: "one-axis sweep: every client arrival process at 1e5 clients",
+		points: func() []harness.Point {
+			return harness.Cross(harness.ClientsAxis(100000), harness.ArrivalAxis())
 		},
 	},
 }
@@ -382,12 +412,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if *list {
 		var names []string
+		width := 0
 		for n := range presets {
 			names = append(names, n)
+			width = max(width, len(n))
 		}
 		sort.Strings(names)
 		for _, n := range names {
-			fmt.Fprintf(stdout, "%-9s %s\n", n, presets[n].desc)
+			fmt.Fprintf(stdout, "%-*s %s\n", width, n, presets[n].desc)
 		}
 		return 0
 	}
@@ -523,28 +555,35 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// Rows grouped by point (all seeds of a point adjacent), the same
-	// ordering reports aggregate over. Serving columns appear only when
-	// some cell carried a client population.
-	hasServing := false
+	// ordering reports aggregate over. External-reference columns appear
+	// only when some cell had GPS fixes to accept or reject, serving
+	// columns only when some cell carried a client population.
+	hasExternal, hasServing := false, false
 	for i := range camp.Results {
-		if camp.Results[i].Serving != nil {
-			hasServing = true
-			break
-		}
+		r := &camp.Results[i]
+		hasExternal = hasExternal || r.Sync.ExternalAccepted+r.Sync.ExternalRejected > 0
+		hasServing = hasServing || r.Serving != nil
 	}
-	header := []string{"cell", "seed", "mean prec [µs]", "worst prec [µs]", "worst |C-t| [µs]", "width ±[µs]", "CSP use"}
+	header := []string{"cell", "seed", "mean prec [µs]", "worst prec [µs]", "worst |C-t| [µs]", "width ±[µs]", "CSP use", "contained"}
+	if hasExternal {
+		header = append(header, "ext acc/rej")
+	}
 	if hasServing {
 		header = append(header, "req/s", "p99 err [µs]")
 	}
 	tb := metrics.Table{Header: header}
 	for _, g := range harness.GroupByPoint(camp.Results) {
 		for _, r := range g.Results {
-			row := []string{r.Label, fmt.Sprint(r.Seed), "error", r.Err, "", "", ""}
+			row := []string{r.Label, fmt.Sprint(r.Seed), "error", r.Err, "", "", "", ""}
 			if r.Err == "" {
 				row = []string{r.Label, fmt.Sprint(r.Seed),
 					metrics.Us(r.Precision.Mean), metrics.Us(r.Precision.Max),
 					metrics.Us(r.Accuracy.Max), metrics.Us(r.Width.Mean),
-					fmt.Sprintf("%.1f%%", 100*r.CSPUse)}
+					fmt.Sprintf("%.1f%%", 100*r.CSPUse),
+					fmt.Sprintf("%d/%d", r.Samples-r.ContainmentViolations, r.Samples)}
+			}
+			if hasExternal {
+				row = append(row, fmt.Sprintf("%d/%d", r.Sync.ExternalAccepted, r.Sync.ExternalRejected))
 			}
 			if hasServing {
 				if sv := r.Serving; sv != nil {

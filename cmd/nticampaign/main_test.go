@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"ntisim/internal/cluster"
 	"ntisim/internal/discipline"
 	"ntisim/internal/service"
 )
@@ -37,6 +38,10 @@ func TestCampaignGoldens(t *testing.T) {
 		// statistics (the JSONL adds 580 KB of timelines).
 		{"disciplines", []string{"-preset", "disciplines"},
 			[]string{"campaign-disciplines.csv"}},
+		// Every GPS fault kind under validation and naive trust: pins that
+		// each kind is injected (rejections, or lost containment).
+		{"faults", []string{"-preset", "faults"},
+			[]string{"campaign-faults.csv"}},
 		// Telemetry leaves the result artifact unchanged, so one run
 		// gates both.
 		{"sharded", []string{"-preset", "sharded", "-telemetry"},
@@ -126,6 +131,64 @@ func TestUnknownChoiceExits2(t *testing.T) {
 			if !strings.Contains(stderr, want) {
 				t.Errorf("%s: stderr does not list choice %q: %q", c.flag, want, stderr)
 			}
+		}
+	}
+}
+
+// TestPresetGridsAreWellFormed builds every preset's grid without
+// running it: each must have points with unique labels whose mutations
+// apply to the default configuration, and -list must name it.
+func TestPresetGridsAreWellFormed(t *testing.T) {
+	code, list, _ := runCampaign("-list")
+	if code != 0 {
+		t.Fatalf("-list: exit %d", code)
+	}
+	for name, p := range presets {
+		if !strings.Contains(list, name+" ") {
+			t.Errorf("-list does not name preset %q", name)
+		}
+		pts := p.points()
+		if len(pts) == 0 {
+			t.Errorf("%s: empty grid", name)
+		}
+		seen := map[string]bool{}
+		for _, pt := range pts {
+			if seen[pt.Label] {
+				t.Errorf("%s: duplicate point label %q", name, pt.Label)
+			}
+			seen[pt.Label] = true
+			cfg := cluster.Defaults(8, 1)
+			if pt.Mutate != nil {
+				pt.Mutate(&cfg)
+			}
+		}
+	}
+}
+
+// TestSummaryColumns: every table shows containment; external-reference
+// counts appear only when some cell had GPS fixes.
+func TestSummaryColumns(t *testing.T) {
+	for _, c := range []struct {
+		preset  string
+		wantExt bool
+		row     string
+	}{
+		{"smoke", false, "n=2,load=0%"},
+		{"faults", true, "fault=offset/naive-trust"},
+	} {
+		code, stdout, stderr := runCampaign("-q", "-preset", c.preset, "-window", "2")
+		if code != 0 {
+			t.Fatalf("%s: exit %d\n%s", c.preset, code, stderr)
+		}
+		header := strings.SplitN(stdout, "\n", 2)[0]
+		if !strings.Contains(header, "contained") {
+			t.Errorf("%s: header lacks containment: %q", c.preset, header)
+		}
+		if got := strings.Contains(header, "ext acc/rej"); got != c.wantExt {
+			t.Errorf("%s: ext acc/rej column = %v, want %v: %q", c.preset, got, c.wantExt, header)
+		}
+		if !strings.Contains(stdout, c.row) {
+			t.Errorf("%s: no row for %q", c.preset, c.row)
 		}
 	}
 }

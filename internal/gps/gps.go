@@ -12,6 +12,9 @@
 package gps
 
 import (
+	"fmt"
+	"math"
+
 	"ntisim/internal/sim"
 	"ntisim/internal/trace"
 )
@@ -106,8 +109,15 @@ type Receiver struct {
 // at the next whole simulated second after start. The receiver traces
 // through the simulator's tracer, attributing fault-onset and
 // fault-clear records to node id `node` at the pulse-generator
-// granularity (1 s).
+// granularity (1 s). It panics on a wrong-second fault whose magnitude
+// is not a nonzero whole number of seconds: the label shift truncates
+// to an integer, so such a fault would silently inject nothing.
 func New(s *sim.Simulator, cfg Config, label string, node int, out func(Pulse)) *Receiver {
+	for _, f := range cfg.Faults {
+		if f.Kind == FaultWrongSec && (f.Magnitude == 0 || f.Magnitude != math.Trunc(f.Magnitude)) {
+			panic(fmt.Sprintf("gps: wrong-second fault magnitude %v is not a nonzero whole number of seconds", f.Magnitude))
+		}
+	}
 	if cfg.SawtoothS <= 0 {
 		cfg.SawtoothS = 200e-9
 	}

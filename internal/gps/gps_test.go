@@ -104,6 +104,24 @@ func TestWrongSecond(t *testing.T) {
 	}
 }
 
+// TestWrongSecondFractionalMagnitudePanics: the label shift is whole
+// seconds, so a sub-second magnitude would truncate to a healthy label
+// and inject nothing; the receiver refuses it instead.
+func TestWrongSecondFractionalMagnitudePanics(t *testing.T) {
+	for _, mag := range []float64{0, 20e-3, 1.5} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("magnitude %v: no panic", mag)
+				}
+			}()
+			cfg := DefaultReceiver()
+			cfg.Faults = []Fault{{Kind: FaultWrongSec, Start: 4, Magnitude: mag}}
+			New(sim.New(1), cfg, "t", 0, nil)
+		}()
+	}
+}
+
 func TestRampDrift(t *testing.T) {
 	cfg := DefaultReceiver()
 	cfg.Faults = []Fault{{Kind: FaultRampDrift, Start: 2, Magnitude: 1e-5}}

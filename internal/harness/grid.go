@@ -1,8 +1,8 @@
 // Grid construction: the standard sweep axes of the evaluation
 // (cluster size, round period, background load, oscillator frequency,
 // fault-tolerance degree, GPS fault scenarios) and a cartesian-product
-// combinator. cmd/ntisweep exposes single axes; cmd/nticampaign crosses
-// them into full matrices.
+// combinator. cmd/nticampaign's sweep-<axis> presets expose single
+// axes; its other presets cross them into full matrices.
 
 package harness
 
@@ -222,13 +222,27 @@ func ArrivalAxis(names ...string) Axis {
 	return ax
 }
 
-// AllFaultKinds lists the injectable receiver fault kinds (including
-// FaultNone as the healthy control) in stable order.
-func AllFaultKinds() []gps.FaultKind {
-	return []gps.FaultKind{
-		gps.FaultNone, gps.FaultOutage, gps.FaultOffset,
-		gps.FaultWrongSec, gps.FaultFlapping, gps.FaultRampDrift,
+// StandardFaults is the fault matrix of the fault studies: every
+// injectable receiver fault kind, with FaultNone as the healthy control,
+// in stable order, each starting at startS and run under every listed
+// policy (trust = naive trust). Magnitudes are per kind, in the kind's
+// own unit (gps.Fault.Magnitude): a 20 ms offset step, an off-by-one
+// second label, ±20 ms flapping garbage and a 20 ms/s ramp.
+func StandardFaults(startS float64, trust ...bool) []FaultScenario {
+	kinds := []struct {
+		kind gps.FaultKind
+		mag  float64
+	}{
+		{gps.FaultNone, 20e-3}, {gps.FaultOutage, 20e-3}, {gps.FaultOffset, 20e-3},
+		{gps.FaultWrongSec, 1}, {gps.FaultFlapping, 20e-3}, {gps.FaultRampDrift, 20e-3},
 	}
+	var out []FaultScenario
+	for _, k := range kinds {
+		for _, tr := range trust {
+			out = append(out, FaultScenario{Kind: k.kind, Magnitude: k.mag, StartS: startS, Trust: tr})
+		}
+	}
+	return out
 }
 
 // FaultScenario describes one GPS fault-injection cell.

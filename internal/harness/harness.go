@@ -7,8 +7,8 @@
 // The simulation kernel is seed-deterministic and every cell owns its
 // own sim.Simulator, so parallel execution is bit-for-bit reproducible
 // regardless of worker count or scheduling order: results are keyed by
-// cell index, not completion order. cmd/ntisweep, cmd/ntifault and
-// cmd/nticampaign are thin front-ends over this package.
+// cell index, not completion order. cmd/nticampaign is the thin
+// front-end over this package.
 package harness
 
 import (

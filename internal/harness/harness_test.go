@@ -194,6 +194,50 @@ func TestFaultAxisIsolation(t *testing.T) {
 	}
 }
 
+// TestStandardFaultsInjectEveryKind: every non-control cell of the
+// standard fault matrix must actually perturb its receiver. Under
+// validation the faulty fixes show up as rejected external references
+// (an outage as missing accepted ones); under naive trust the offset,
+// wrong-second and ramp faults drag the cluster off true time.
+func TestStandardFaultsInjectEveryKind(t *testing.T) {
+	sp := Spec{
+		Name:         "faults",
+		Base:         cluster.Defaults(4, 1),
+		Points:       FaultAxis(2, StandardFaults(5, false, true)...).Points,
+		WarmupS:      2,
+		WindowS:      20,
+		SampleEveryS: 1,
+		DelayProbes:  4,
+	}
+	c := Run(sp)
+	byLabel := map[string]*Result{}
+	for i := range c.Results {
+		r := &c.Results[i]
+		if r.Err != "" {
+			t.Fatalf("%s: %s", r.Key(), r.Err)
+		}
+		byLabel[r.Label] = r
+	}
+	healthy := byLabel["fault=none/validated"]
+	if healthy.Sync.ExternalRejected != 0 {
+		t.Fatalf("healthy control rejected %d fixes", healthy.Sync.ExternalRejected)
+	}
+	for _, kind := range []string{"offset", "wrong-second", "flapping", "ramp-drift"} {
+		if r := byLabel["fault="+kind+"/validated"]; r.Sync.ExternalRejected == 0 {
+			t.Errorf("%s: validation rejected nothing (%d accepted) — fault not injected", r.Label, r.Sync.ExternalAccepted)
+		}
+	}
+	if r := byLabel["fault=outage/validated"]; r.Sync.ExternalAccepted >= healthy.Sync.ExternalAccepted {
+		t.Errorf("%s: %d accepted fixes, healthy control %d — outage not injected",
+			r.Label, r.Sync.ExternalAccepted, healthy.Sync.ExternalAccepted)
+	}
+	for _, kind := range []string{"offset", "wrong-second", "ramp-drift"} {
+		if r := byLabel["fault="+kind+"/naive-trust"]; r.ContainmentViolations == 0 {
+			t.Errorf("%s: naive trust kept containment (worst |C-t| %g s) — fault not injected", r.Label, r.Accuracy.Max)
+		}
+	}
+}
+
 // TestTraceDeterminism pins the tracing acceptance bound: with Trace
 // enabled, the same seed produces byte-identical per-cell trace
 // exports whether the campaign runs on 1 worker or many. Tracing is
