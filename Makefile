@@ -25,7 +25,9 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# bench-smoke compiles and runs every benchmark exactly once (no timing
-# loop): a cheap CI guard that benchmark code doesn't rot.
+# bench-smoke compiles and runs every package microbenchmark exactly once
+# (no timing loop): a cheap CI guard that benchmark code doesn't rot.
+# Timings come from ntiperf (`bash bench/run.sh`, see bench/README.md),
+# whose module has its own tests: `cd bench && go test ./...`.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...

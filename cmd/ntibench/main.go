@@ -14,8 +14,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"ntisim/internal/experiments"
@@ -46,23 +48,40 @@ var runners = []struct {
 }
 
 func main() {
-	seed := flag.Uint64("seed", 1998, "base random seed (runs are reproducible per seed)")
-	list := flag.Bool("list", false, "list experiments and exit")
-	asJSON := flag.Bool("json", false, "emit machine-readable JSON instead of tables")
-	workers := flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run executes the command with the given arguments and returns its
+// exit status: 0 when every selected experiment's claims hold (and for
+// -h), 1 on a failed claim or an I/O error, 2 on bad usage.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ntibench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	seed := fs.Uint64("seed", 1998, "base random seed (runs are reproducible per seed)")
+	list := fs.Bool("list", false, "list experiments and exit")
+	asJSON := fs.Bool("json", false, "emit machine-readable JSON instead of tables")
+	workers := fs.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memprofile := fs.String("memprofile", "", "write a heap profile to this file")
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "ntibench: %v\n", err)
+		return 1
+	}
 
 	if *list {
 		for _, r := range runners {
-			fmt.Printf("%-4s %s\n", r.id, r.des)
+			fmt.Fprintf(stdout, "%-4s %s\n", r.id, r.des)
 		}
-		return
+		return 0
 	}
 
 	want := map[string]bool{}
-	for _, a := range flag.Args() {
+	for _, a := range fs.Args() {
 		want[a] = true
 	}
 
@@ -74,14 +93,13 @@ func main() {
 		selected = append(selected, i)
 	}
 	if len(selected) == 0 {
-		fmt.Fprintln(os.Stderr, "ntibench: no matching experiments (use -list)")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "ntibench: no matching experiments (use -list)")
+		return 2
 	}
 
 	stopProf, err := prof.Start(*cpuprofile, *memprofile)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "ntibench: %v\n", err)
-		os.Exit(1)
+		return fail(err)
 	}
 
 	// Fan the suite across the pool; results land index-addressed so the
@@ -92,32 +110,31 @@ func main() {
 	})
 
 	if err := stopProf(); err != nil {
-		fmt.Fprintf(os.Stderr, "ntibench: %v\n", err)
-		os.Exit(1)
+		return fail(err)
 	}
 
 	failed := 0
 	for _, res := range results {
 		if !*asJSON {
-			res.Fprint(os.Stdout)
+			res.Fprint(stdout)
 		}
 		if !res.Passed() {
 			failed++
 		}
 	}
 	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(results); err != nil {
-			fmt.Fprintf(os.Stderr, "ntibench: %v\n", err)
-			os.Exit(1)
+			return fail(err)
 		}
 	}
 	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "ntibench: %d experiment(s) with failed claims\n", failed)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "ntibench: %d experiment(s) with failed claims\n", failed)
+		return 1
 	}
 	if !*asJSON {
-		fmt.Printf("all %d experiments reproduce the paper's claims (seed %d)\n", len(results), *seed)
+		fmt.Fprintf(stdout, "all %d experiments reproduce the paper's claims (seed %d)\n", len(results), *seed)
 	}
+	return 0
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -22,26 +23,39 @@ func servingConfig(seed uint64) Config {
 	return cfg
 }
 
-// runServing builds, syncs and serves for windowS, returning the report.
-func runServing(t *testing.T, cfg Config, windowS float64) (service.Stats, *Cluster) {
+// servingCost is what a serving window cost the kernel.
+type servingCost struct {
+	events  uint64 // events fired over the window
+	mallocs uint64 // heap allocations over the window
+}
+
+// runServing builds, syncs and serves for windowS, returning the report
+// and the window's cost.
+func runServing(t *testing.T, cfg Config, windowS float64) (service.Stats, *Cluster, servingCost) {
 	t.Helper()
 	c := New(cfg)
 	c.Start(c.Now() + 0.5)
 	c.RunUntil(c.Now() + 3) // settle past the initial step transients
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	events := c.EventCount()
 	begin := c.Now()
 	c.StartServing(begin)
 	c.RunUntil(begin + windowS)
-	return c.ServingReport(c.Now() - begin), c
+	runtime.ReadMemStats(&after)
+	cost := servingCost{events: c.EventCount() - events, mallocs: after.Mallocs - before.Mallocs}
+	return c.ServingReport(c.Now() - begin), c, cost
 }
 
 func TestServingShardCountInvariance(t *testing.T) {
 	cfg1 := servingConfig(99)
 	cfg1.Shards = 1
-	st1, _ := runServing(t, cfg1, 5)
+	st1, _, _ := runServing(t, cfg1, 5)
 
 	cfg2 := servingConfig(99)
 	cfg2.Shards = 2
-	st2, _ := runServing(t, cfg2, 5)
+	st2, _, _ := runServing(t, cfg2, 5)
 
 	if st1.Queries == 0 {
 		t.Fatal("no queries served")
@@ -85,7 +99,7 @@ func TestServingRegionalSkew(t *testing.T) {
 	cfg := servingConfig(11)
 	cfg.Serving.Arrival = "poisson"
 	cfg.Serving.RegionalSkew = 3
-	_, c := runServing(t, cfg, 10)
+	_, c, _ := runServing(t, cfg, 10)
 	perSeg := map[int]uint64{}
 	for i, g := range c.ServingGens {
 		perSeg[c.Members[i].Segment] += g.Queries()
@@ -100,7 +114,7 @@ func TestServingRegionalSkew(t *testing.T) {
 func TestServingUnshardedMeanRate(t *testing.T) {
 	cfg := Defaults(2, 5)
 	cfg.Serving = service.Config{Clients: 10000}
-	st, _ := runServing(t, cfg, 10)
+	st, _, _ := runServing(t, cfg, 10)
 	// 10000 clients x 0.1 qps = 1000 qps homogeneous poisson; 10 s
 	// window -> ~10000 queries with sub-percent shot noise.
 	want := float64(st.Clients) * service.DefaultQPSPerClient * st.WindowS
@@ -109,6 +123,49 @@ func TestServingUnshardedMeanRate(t *testing.T) {
 	}
 	if st.ErrMaxS <= 0 || st.ErrMaxS > 1e-3 {
 		t.Errorf("served max error = %g s, want small positive", st.ErrMaxS)
+	}
+}
+
+// TestServingCostIndependentOfPopulation pins the claim that serving
+// cost does not grow with the client population: arrivals are batched
+// into one Poisson draw per node per tick, so 10⁷ clients fire exactly
+// the events and allocations of 10⁵ while serving ~100× the queries.
+func TestServingCostIndependentOfPopulation(t *testing.T) {
+	for _, arrival := range service.Arrivals() {
+		t.Run(arrival, func(t *testing.T) {
+			run := func(clients int) (service.Stats, servingCost) {
+				cfg := servingConfig(3)
+				cfg.Shards = 1 // one goroutine: the malloc count is the simulation's alone
+				cfg.Serving.Clients = clients
+				cfg.Serving.Arrival = arrival
+				st, _, cost := runServing(t, cfg, 5)
+				// The runtime can add a stray allocation to a window but never
+				// removes one, so the least of three runs is the simulation's.
+				for range 2 {
+					_, _, again := runServing(t, cfg, 5)
+					cost.mallocs = min(cost.mallocs, again.mallocs)
+				}
+				return st, cost
+			}
+			small, smallCost := run(1e5)
+			large, largeCost := run(1e7)
+			t.Logf("1e5 clients: %d queries, %+v; 1e7 clients: %d queries, %+v",
+				small.Queries, smallCost, large.Queries, largeCost)
+			if smallCost.events == 0 || smallCost.events != largeCost.events {
+				t.Errorf("events over the window: %d at 1e5 clients, %d at 1e7; want equal and nonzero",
+					smallCost.events, largeCost.events)
+			}
+			if smallCost.mallocs != largeCost.mallocs {
+				t.Errorf("mallocs over the window: %d at 1e5 clients, %d at 1e7; want equal",
+					smallCost.mallocs, largeCost.mallocs)
+			}
+			if small.Queries == 0 {
+				t.Fatal("no queries served")
+			}
+			if r := float64(large.Queries) / float64(small.Queries); r < 90 || r > 110 {
+				t.Errorf("queries scaled %.1fx from 1e5 to 1e7 clients, want ~100x", r)
+			}
+		})
 	}
 }
 
