@@ -37,6 +37,9 @@
 // -shards sets the worker-goroutine count of each multi-segment cell's
 // sharded kernel — a pure execution knob: artifacts are byte-identical
 // for every value (the determinism contract of internal/sim.Group).
+// The default 0, like 1, runs a cell's shards on its own goroutine, so
+// the cores go to the -workers cell pool rather than to per-window
+// hand-offs inside each cell.
 package main
 
 import (
@@ -389,7 +392,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		refine      = fs.String("refine", "", "adaptive refinement instead of the preset grid: axis=target, e.g. load=2e-6 (axes: "+refineChoices()+")")
 		refineTol   = fs.Float64("refine-tol", 0, "axis tolerance for -refine (default: range/64)")
 		refineCI    = fs.Bool("refine-ci", false, "variance-aware -refine: bisect only while the bootstrap 95% CI across seeds clears the target (use with -seeds > 1)")
-		shards      = fs.Int("shards", 0, "worker goroutines per multi-segment (sharded) cell; 0 = auto. Execution-only knob: artifacts are byte-identical for every value")
+		shards      = fs.Int("shards", 0, "worker goroutines per multi-segment (sharded) cell; 0 or 1 = sequential on the cell's goroutine. Execution-only knob: artifacts are byte-identical for every value")
 		telem       = fs.Bool("telemetry", false, "capture runtime telemetry per cell: per-tick metric snapshots (with -out: one combined .telemetry.jsonl) plus watchdog health flags in artifacts and reports")
 		monitorAddr = fs.String("monitor", "", "serve live campaign status on this host:port (/campaign.json for ntitop, /metrics for Prometheus scrapers); implies -telemetry")
 		quiet       = fs.Bool("q", false, "suppress per-cell progress on stderr")

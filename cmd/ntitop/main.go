@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"sort"
@@ -26,11 +27,6 @@ import (
 	"ntisim/internal/metrics"
 	"ntisim/internal/telemetry"
 )
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "ntitop: "+format+"\n", args...)
-	os.Exit(1)
-}
 
 func fetch(client *http.Client, url string) (telemetry.CampaignStatus, error) {
 	var st telemetry.CampaignStatus
@@ -128,10 +124,21 @@ func render(w *strings.Builder, st telemetry.CampaignStatus) {
 }
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:9091", "host:port of the campaign monitor (nticampaign -monitor)")
-	every := flag.Duration("every", time.Second, "refresh period")
-	once := flag.Bool("once", false, "print one status snapshot and exit (no screen control)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run executes the command with the given arguments and returns its
+// exit status: 0 when the campaign finished (or -once printed one
+// status), 1 when -once cannot fetch the status, 2 on a bad flag.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ntitop", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", "127.0.0.1:9091", "host:port of the campaign monitor (nticampaign -monitor)")
+	every := fs.Duration("every", time.Second, "refresh period")
+	once := fs.Bool("once", false, "print one status snapshot and exit (no screen control)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	url := "http://" + *addr + "/campaign.json"
 	client := &http.Client{Timeout: 5 * time.Second}
@@ -140,23 +147,24 @@ func main() {
 		st, err := fetch(client, url)
 		if err != nil {
 			if *once {
-				fatalf("%v", err)
+				fmt.Fprintf(stderr, "ntitop: %v\n", err)
+				return 1
 			}
 			// Keep polling: the campaign may not have bound yet, or just
 			// exited between refreshes.
-			fmt.Printf("\x1b[2J\x1b[Hntitop: waiting for %s (%v)\n", url, err)
+			fmt.Fprintf(stdout, "\x1b[2J\x1b[Hntitop: waiting for %s (%v)\n", url, err)
 			time.Sleep(*every)
 			continue
 		}
 		var b strings.Builder
 		render(&b, st)
 		if *once {
-			fmt.Print(b.String())
-			return
+			fmt.Fprint(stdout, b.String())
+			return 0
 		}
-		fmt.Printf("\x1b[2J\x1b[H%s", b.String())
+		fmt.Fprintf(stdout, "\x1b[2J\x1b[H%s", b.String())
 		if st.Total > 0 && st.Done >= st.Total {
-			return
+			return 0
 		}
 		time.Sleep(*every)
 	}

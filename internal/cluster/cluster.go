@@ -7,7 +7,6 @@ package cluster
 import (
 	"fmt"
 	"math"
-	"runtime"
 
 	"ntisim/internal/adversary"
 	"ntisim/internal/clocksync"
@@ -84,11 +83,14 @@ type Config struct {
 	// value (Clients == 0) disables serving entirely.
 	Serving service.Config
 	// Shards is the worker-goroutine count driving the sharded
-	// topology's sub-simulators: 1 executes the shards sequentially
-	// (the single-kernel baseline), N runs up to N segments
-	// concurrently, 0 picks min(Segments, GOMAXPROCS). Results are
+	// topology's sub-simulators: 0 and 1 execute the shards in turn
+	// on the driving goroutine (the single-kernel baseline), N ≥ 2
+	// runs up to N segments concurrently in each window. Results are
 	// byte-identical for every value — the shard decomposition is
 	// fixed by Segments; Shards only chooses execution parallelism.
+	// The default is sequential: no measured workload runs faster on
+	// two or more workers (DESIGN.md §8), and a campaign already
+	// spends its cores on cells.
 	Shards int
 	// Tracer, when non-nil, traces every layer of the cluster (media,
 	// COMCOs, node kernels, synchronizers, GPS receivers, serving load,
@@ -250,10 +252,6 @@ func New(cfg Config) *Cluster {
 	if wan <= 0 {
 		wan = DefaultWANDelayS
 	}
-	workers := cfg.Shards
-	if workers <= 0 {
-		workers = min(runtime.GOMAXPROCS(0), segs)
-	}
 	if cfg.OscHz == 0 {
 		cfg.OscHz = 10e6
 	}
@@ -291,7 +289,7 @@ func New(cfg Config) *Cluster {
 	if segs > 1 {
 		lookahead = wan
 	}
-	group := sim.NewGroup(lookahead, workers, sims)
+	group := sim.NewGroup(lookahead, cfg.Shards, sims)
 	if cfg.Telemetry != nil && segs > 1 {
 		// Driver-level metrics (windows, flush sizes, imbalance) go on
 		// the cluster's own registry — only touched between windows.

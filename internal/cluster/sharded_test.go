@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"runtime"
 	"testing"
 
 	"ntisim/internal/metrics"
@@ -95,6 +96,18 @@ func TestShardedWorkerCountByteIdentity(t *testing.T) {
 	one, two := shardedBase(77), shardedBase(77)
 	one.Shards, two.Shards = 1, 2
 	sameTrajectory(t, "1 worker", one, "2 workers", two)
+}
+
+// TestShardsZeroIsSequential: the default runs the segments on the
+// driving goroutine alone, however many cores the process may use.
+func TestShardsZeroIsSequential(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	cfg := Defaults(16, 5)
+	cfg.Sync.F = 1
+	cfg.Segments = 4
+	if got := New(cfg).Group.Workers(); got != 1 {
+		t.Fatalf("Shards=0 over 4 segments at GOMAXPROCS=4: %d workers, want 1", got)
+	}
 }
 
 // TestOneSegmentIsFlatLAN: Segments 0 and 1 both build the flat LAN on

@@ -43,7 +43,8 @@ func NodesAxis(ns ...int) Axis {
 // topology (1 = single LAN). The worker count (cluster.Config.Shards)
 // is deliberately not a point parameter: it cannot change results —
 // that's the sharded kernel's determinism contract — so it is set on
-// the Spec's base config, like Spec.Workers.
+// the Spec's base config, like Spec.Workers. Its zero value runs each
+// cell's segments sequentially, leaving the cores to the cell pool.
 func SegmentsAxis(segs ...int) Axis {
 	if len(segs) == 0 {
 		segs = []int{1, 2, 4, 8}

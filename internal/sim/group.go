@@ -12,17 +12,27 @@
 // conservative (Chandy–Misra style) synchronization argument, with
 // the barrier playing the role of the null message (see DESIGN.md §8).
 //
+// Most windows of a sparse model hold no event at all. RunUntil skips
+// them without a barrier: when no shard has an event due by a window's
+// end and no outbox holds a post, the window could neither fire nor
+// post, so the group clock steps over it along the same now+lookahead
+// grid. Window ends, and so every firing and every group.* metric, are
+// exactly those of running each window.
+//
 // Determinism is independent of the worker count: the shard
 // decomposition, the window boundaries, and the mailbox flush order
 // depend only on (lookahead, horizon, posting shard, posting order) —
 // never on goroutine scheduling. Worker goroutines only ever touch
 // disjoint shards inside a window, and all cross-shard state crosses
 // the barrier through channels, so runs are race-free and
-// byte-identical for 1 and N workers.
+// byte-identical for 1 and N workers. One worker runs the shards in
+// turn on the driving goroutine; no measured workload runs faster on
+// more (DESIGN.md §8).
 package sim
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"ntisim/internal/telemetry"
@@ -53,9 +63,9 @@ type crossPost struct {
 // Group composes per-shard Simulators under windowed conservative
 // synchronization. The zero value is not usable; call NewGroup.
 //
-// A Group is driven from a single goroutine (RunUntil); the configured
-// worker goroutines exist only inside a window and never outlive a
-// RunUntil call.
+// A Group is driven from a single goroutine (RunUntil). With one
+// worker it runs every shard there; with more, the worker goroutines
+// live for one RunUntil call and wake once per window that runs.
 type Group struct {
 	shards    []*Simulator
 	lookahead float64
@@ -222,8 +232,9 @@ func (g *Group) flush() {
 }
 
 // RunUntil advances every shard to horizon in conservative windows of
-// width Lookahead, flushing cross-shard posts at each barrier. It
-// returns the group clock (== horizon when horizon > Now).
+// width Lookahead, flushing cross-shard posts at each barrier and
+// skipping windows with nothing due (skipIdle). It returns the group
+// clock (== horizon when horizon > Now).
 func (g *Group) RunUntil(horizon float64) float64 {
 	if horizon <= g.now {
 		return g.now
@@ -234,9 +245,9 @@ func (g *Group) RunUntil(horizon float64) float64 {
 		defer g.stopWorkers()
 	}
 	for g.now < horizon {
-		end := g.now + g.lookahead
-		if end > horizon {
-			end = horizon
+		end := g.windowEnd(horizon)
+		if end < horizon && g.outboxesEmpty() {
+			end = g.skipIdle(end, horizon)
 		}
 		g.winEnd = end
 		if par {
@@ -253,6 +264,54 @@ func (g *Group) RunUntil(horizon float64) float64 {
 		}
 	}
 	return g.now
+}
+
+// windowEnd returns the end of the window that starts at the group
+// clock: one lookahead on, capped at horizon.
+func (g *Group) windowEnd(horizon float64) float64 {
+	return min(g.now+g.lookahead, horizon)
+}
+
+// outboxesEmpty reports whether no cross-shard post awaits a flush
+// (only a Post made between RunUntil calls leaves one).
+func (g *Group) outboxesEmpty() bool {
+	for _, o := range g.outbox {
+		if len(o) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// skipIdle advances the group clock over the windows before horizon
+// in which no shard has an event due, given the end of the next
+// window, and returns the end of the first window that must run. Such
+// a window fires nothing, posts nothing and flushes nothing, so
+// skipping it is exact: the clock walks the same now+lookahead grid
+// the windows would have, and the window telemetry counts it as an
+// empty window. The earliest queue head is read once per stretch
+// (cancelled entries included, so a window that would drain a
+// tombstone still runs) because no queue changes while skipping. The
+// window ending at horizon always runs, so every shard's clock reaches
+// horizon.
+func (g *Group) skipIdle(end, horizon float64) float64 {
+	head := math.Inf(1)
+	for _, s := range g.shards {
+		if len(s.queue) > 0 {
+			head = min(head, s.queue[0].at)
+		}
+	}
+	var skipped uint64
+	for end < horizon && head > end {
+		g.now = end
+		skipped++
+		end = g.windowEnd(horizon)
+	}
+	if skipped > 0 && g.tmWindows != nil {
+		g.tmWindows.Add(skipped)
+		g.tmWinEvents.Set(0)
+	}
+	return end
 }
 
 // startWorkers spawns the per-RunUntil worker pool. Worker w owns the

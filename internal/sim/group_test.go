@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+
+	"ntisim/internal/telemetry"
 )
 
 func TestDeriveSeedMatchesDerive(t *testing.T) {
@@ -124,31 +126,60 @@ func TestGroupPostLookaheadViolationPanics(t *testing.T) {
 	g.RunUntil(2e-3)
 }
 
+// A worker panic reaches RunUntil's caller, in the first window and in
+// the first busy window after a long skipped idle stretch.
 func TestGroupWorkerPanicPropagates(t *testing.T) {
-	sims := []*Simulator{New(1), New(2), New(3), New(4)}
-	g := NewGroup(1e-3, 4, sims)
-	sims[2].At(0.4e-3, func() { panic("shard model exploded") })
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("expected the shard panic to propagate to RunUntil's caller")
-		}
-		if s, ok := r.(string); !ok || s != "shard model exploded" {
-			t.Fatalf("unexpected panic value %v", r)
-		}
-	}()
-	g.RunUntil(2e-3)
+	for _, at := range []float64{0.4e-3, 2.5} {
+		sims := []*Simulator{New(1), New(2), New(3), New(4)}
+		g := NewGroup(1e-3, 4, sims)
+		sims[2].At(at, func() { panic("shard model exploded") })
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatalf("panic at %v: expected it to propagate to RunUntil's caller", at)
+				}
+				if s, ok := r.(string); !ok || s != "shard model exploded" {
+					t.Fatalf("panic at %v: unexpected panic value %v", at, r)
+				}
+			}()
+			g.RunUntil(5)
+		}()
+	}
 }
 
+// After idle windows, all but the last of them skipped, every shard's
+// clock sits at the horizon and every window counts.
 func TestGroupRunUntilReachesHorizon(t *testing.T) {
 	sims := []*Simulator{New(1), New(2)}
 	g := NewGroup(1e-3, 2, sims)
-	if got := g.RunUntil(0.0137); got != 0.0137 {
+	r := telemetry.New()
+	g.SetTelemetry(r)
+	sims[1].At(9, func() {}) // beyond the horizon
+	if got := g.RunUntil(4.0137); got != 4.0137 {
 		t.Fatalf("group clock = %v, want horizon", got)
 	}
 	for i, s := range sims {
-		if s.Now() != 0.0137 {
+		if s.Now() != 4.0137 {
 			t.Fatalf("shard %d clock = %v, want horizon", i, s.Now())
 		}
+	}
+	if n := r.Counter("group.windows").Value(); n != 4014 {
+		t.Fatalf("group.windows = %d, want 4014", n)
+	}
+}
+
+// A post made between RunUntil calls sits in an outbox, so
+// it stops the next idle skip and is delivered at its time.
+func TestGroupPostBetweenRuns(t *testing.T) {
+	sims := []*Simulator{New(1), New(2)}
+	g := NewGroup(1e-3, 1, sims)
+	g.RunUntil(1)
+	var got []float64
+	g.Post(0, 1, 3.0005, func() { got = append(got, sims[1].Now()) })
+	g.Post(1, 0, g.Now()+g.Lookahead(), func() { got = append(got, sims[0].Now()) })
+	g.RunUntil(5)
+	if want := []float64{1 + 1e-3, 3.0005}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("posts fired at %v, want %v", got, want)
 	}
 }
