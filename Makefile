@@ -1,14 +1,20 @@
 GO ?= go
 
-.PHONY: ci vet build test race bench bench-smoke
+.PHONY: ci fmt vet build test race bench bench-smoke
 
-# ci is the gate run by .github/workflows/ci.yml: vet, build, and the
-# full test suite under the race detector (the harness worker pool is
-# the main customer of -race). The suite includes every golden gate:
+# ci is the gate run by .github/workflows/ci.yml: gofmt, vet, build, and
+# the full test suite under the race detector (the harness worker pool
+# is the main customer of -race). The suite includes every golden gate:
 # cmd/nticampaign's TestCampaignGoldens byte-diffs each gated preset's
 # artifacts at -shards 1 and 4 against testdata/ (regenerate with
 # `go test ./cmd/nticampaign -run CampaignGoldens -update`).
-ci: vet build race
+ci: fmt vet build race
+
+# fmt fails when gofmt would change any tracked Go file; listing files
+# through git skips build outputs such as .bench_build/.
+fmt:
+	@out="$$(git ls-files -z '*.go' | xargs -0 gofmt -l)"; \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

@@ -62,8 +62,10 @@ type Budget struct {
 //	2ρ(P+Δ) — relative drift accumulated between resynchronizations,
 //	(dmax−dmin)/2 — unobservable delay asymmetry.
 //
-// Measured precision must not exceed it (experiment E3/E15 check this);
-// typical-case precision is well below.
+// Measured precision must not exceed it; typical-case precision is well
+// below. Only TestBudgetDominatesMeasured checks that, on one 8-node
+// default cluster. No experiment calls it: E3 and E8 inline the 4G+10u
+// term alone.
 func (b Budget) WorstCasePrecision() float64 {
 	return b.EpsS +
 		GranularityImpairment(b.GranuleS, b.RateUncS) +

@@ -29,7 +29,11 @@ import (
 )
 
 // Memory map of the COMCO-visible 256 KB region (Fig. 6). The same
-// physical SRAM appears again at CPUBase for plain accesses.
+// physical SRAM appears again at CPUBase for plain accesses. The model
+// backs the region with 4 KB pages allocated on first write: a node
+// touches its header pages and a few data slots, never the 184 KB of
+// system structures, so untouched pages cost nothing. A page never
+// written reads as zeros, the SRAM's modelled power-on state.
 const (
 	MemSize = 256 * 1024
 
@@ -51,6 +55,14 @@ const (
 	// by a 512 byte segment containing the UTCSU registers").
 	UTCSURegBase = MemSize
 	UTCSURegSize = utcsu.RegWindowSize
+)
+
+// SRAM paging: pageSize-byte pages, indexed by addr>>pageShift.
+const (
+	pageShift = 12
+	pageSize  = 1 << pageShift
+	pageMask  = pageSize - 1
+	numPages  = MemSize / pageSize
 )
 
 // I/O-space register offsets (Fig. 8).
@@ -87,8 +99,10 @@ const (
 
 // NTI is one module instance.
 type NTI struct {
-	u   *utcsu.UTCSU
-	mem [MemSize]byte
+	u *utcsu.UTCSU
+	// mem is the SRAM as a page table: a nil page has never been
+	// written and reads as zeros.
+	mem [numPages]*[pageSize]byte
 
 	ch [NumChannels]channelState
 
@@ -200,14 +214,84 @@ func inRxHeaders(addr uint32) (off uint32, ok bool) {
 // CPU accesses: plain memory, no special functionality (paper §3.1:
 // "CPU-accesses are just plain memory accesses").
 
-// CPURead copies out of the SRAM.
+// CPURead copies out of the SRAM. The copy stops at the end of the
+// SRAM; an addr beyond the end panics.
 func (n *NTI) CPURead(addr uint32, dst []byte) {
-	copy(dst, n.mem[addr:])
+	dst = dst[:min(len(dst), span(addr))]
+	for len(dst) > 0 {
+		var k int
+		if pg := n.mem[addr>>pageShift]; pg != nil {
+			k = copy(dst, pg[addr&pageMask:])
+		} else {
+			k = min(len(dst), pageSize-int(addr&pageMask))
+			clear(dst[:k])
+		}
+		dst = dst[k:]
+		addr += uint32(k)
+	}
 }
 
-// CPUWrite copies into the SRAM.
+// CPUWrite copies into the SRAM, with CPURead's bounds.
 func (n *NTI) CPUWrite(addr uint32, src []byte) {
-	copy(n.mem[addr:], src)
+	src = src[:min(len(src), span(addr))]
+	for len(src) > 0 {
+		k := copy(n.page(addr)[addr&pageMask:], src)
+		src = src[k:]
+		addr += uint32(k)
+	}
+}
+
+// span returns the number of SRAM bytes from addr to the end of the
+// SRAM, panicking when addr lies beyond it.
+func span(addr uint32) int {
+	if addr > MemSize {
+		panic(fmt.Sprintf("nti: SRAM address %#x out of range", addr))
+	}
+	return int(MemSize - addr)
+}
+
+// page returns the page holding addr, allocating it on first write.
+func (n *NTI) page(addr uint32) *[pageSize]byte {
+	pg := n.mem[addr>>pageShift]
+	if pg == nil {
+		pg = new([pageSize]byte)
+		n.mem[addr>>pageShift] = pg
+	}
+	return pg
+}
+
+// load32/store32 are the SRAM's big-endian word accesses. A word inside
+// one page is read or written in place; only an unaligned word across a
+// page boundary falls back to the byte walk.
+func (n *NTI) load32(addr uint32) uint32 {
+	checkWord(addr)
+	if off := addr & pageMask; off <= pageSize-4 {
+		if pg := n.mem[addr>>pageShift]; pg != nil {
+			return binary.BigEndian.Uint32(pg[off:])
+		}
+		return 0
+	}
+	var b [4]byte
+	n.CPURead(addr, b[:])
+	return binary.BigEndian.Uint32(b[:])
+}
+
+func (n *NTI) store32(addr, v uint32) {
+	checkWord(addr)
+	if off := addr & pageMask; off <= pageSize-4 {
+		binary.BigEndian.PutUint32(n.page(addr)[off:], v)
+		return
+	}
+	var b [4]byte
+	binary.BigEndian.PutUint32(b[:], v)
+	n.CPUWrite(addr, b[:])
+}
+
+// checkWord panics unless the four bytes at addr lie inside the SRAM.
+func checkWord(addr uint32) {
+	if addr > MemSize-4 {
+		panic(fmt.Sprintf("nti: SRAM word address %#x out of range", addr))
+	}
 }
 
 // CPURead32/CPUWrite32 are word-access conveniences. Addresses in the
@@ -217,7 +301,7 @@ func (n *NTI) CPURead32(addr uint32) uint32 {
 	if addr >= UTCSURegBase && addr < UTCSURegBase+UTCSURegSize {
 		return n.u.ReadReg32(addr - UTCSURegBase)
 	}
-	return binary.BigEndian.Uint32(n.mem[addr:])
+	return n.load32(addr)
 }
 
 func (n *NTI) CPUWrite32(addr uint32, v uint32) {
@@ -225,7 +309,7 @@ func (n *NTI) CPUWrite32(addr uint32, v uint32) {
 		n.u.WriteReg32(addr-UTCSURegBase, v)
 		return
 	}
-	binary.BigEndian.PutUint32(n.mem[addr:], v)
+	n.store32(addr, v)
 }
 
 // COMCORead32 performs a COMCO (DMA) read with the CPLD's special
@@ -258,7 +342,7 @@ func (n *NTI) COMCORead32(addr uint32) uint32 {
 			}
 		}
 	}
-	return binary.BigEndian.Uint32(n.mem[addr:])
+	return n.load32(addr)
 }
 
 // ssuAlphas reads the alpha registers sampled by the unit's last trigger.
@@ -271,7 +355,7 @@ func ssuAlphas(u *utcsu.UTCSU, i int) (timefmt.Alpha, timefmt.Alpha, timefmt.Sta
 // offset inside a receive header raises RECEIVE and latches the header
 // base address for the ISR.
 func (n *NTI) COMCOWrite32(addr uint32, v uint32) {
-	binary.BigEndian.PutUint32(n.mem[addr:], v)
+	n.store32(addr, v)
 	if off, ok := inRxHeaders(addr); ok && off == csp.RxTrigOffset {
 		ch := channelOfRx((addr - RxHeadersBase) / HeaderSize)
 		n.u.SSU(ssuRx(ch)).Trigger(true)
