@@ -31,9 +31,9 @@
 // renders the run through internal/report. -refine axis=target
 // replaces the preset grid with adaptive bisection of one numeric axis
 // (load|period|fosc|nodes) until the mean-precision crossover of
-// target is bracketed to -refine-tol; -refine-ci additionally demands
-// the bootstrap 95% CI across seeds clear the target before a bracket
-// moves, stopping (noise-limited) when seeds can't resolve it.
+// target is bracketed to -refine-tol. A bracket end moves only when
+// the bootstrap 95% CI across seeds clears the target; the run stops
+// (noise-limited) when the seeds can't resolve it.
 // -shards sets the worker-goroutine count of each multi-segment cell's
 // sharded kernel — a pure execution knob: artifacts are byte-identical
 // for every value (the determinism contract of internal/sim.Group).
@@ -282,7 +282,7 @@ func arrivalChoices() string {
 
 func refineChoices() string {
 	var names []string
-	for n := range harness.StandardNumericAxes() {
+	for n := range stats.StandardNumericAxes() {
 		names = append(names, n)
 	}
 	sort.Strings(names)
@@ -291,17 +291,18 @@ func refineChoices() string {
 
 // runRefine executes adaptive bisection of one numeric axis until the
 // mean-precision crossover of target is bracketed, printing every
-// evaluation and the final bracket to w. With ci set it uses the
-// variance-aware RefineCI: bisection only proceeds while the bootstrap
-// 95% CI of the metric clears the target. It reports whether the
-// crossover was bracketed (to tolerance, for plain refinement); a
-// malformed arg is an error.
-func runRefine(w io.Writer, spec harness.Spec, arg string, tol float64, ci bool) (bool, error) {
+// evaluation with its bootstrap 95% CI across seeds and the final
+// bracket to w. A bracket end only moves when an evaluation's whole CI
+// clears the target, so a straddling CI stops the run as noise-limited
+// (with one seed the CI is the point itself). It reports whether the
+// crossover was bracketed with no errored evaluation; a malformed arg
+// is an error.
+func runRefine(w io.Writer, spec harness.Spec, arg string, tol float64) (bool, error) {
 	name, targetStr, ok := strings.Cut(arg, "=")
 	if !ok {
 		return false, fmt.Errorf("-refine wants axis=target (e.g. load=2e-6), got %q", arg)
 	}
-	ax, axOK := harness.StandardNumericAxes()[name]
+	ax, axOK := stats.StandardNumericAxes()[name]
 	if !axOK {
 		return false, fmt.Errorf("unknown refine axis %q (choices: %s)", name, refineChoices())
 	}
@@ -313,28 +314,22 @@ func runRefine(w io.Writer, spec harness.Spec, arg string, tol float64, ci bool)
 		tol = (ax.Hi - ax.Lo) / 64
 	}
 
-	var r harness.Refinement
-	if ci {
-		r = harness.RefineCI(spec, ax, target, tol, nil, 0)
-	} else {
-		r = harness.Refine(spec, ax, target, tol, nil)
-	}
-
-	header := []string{name, "mean prec [µs]", "cells"}
-	if ci {
-		header = []string{name, "mean prec [µs]", "95% CI [µs]", "cells"}
-	}
-	tb := metrics.Table{Header: header}
+	r := stats.Refine(spec, ax, target, tol)
+	tb := metrics.Table{Header: []string{name, "mean prec [µs]", "95% CI [µs]", "cells"}}
 	for _, e := range r.Evals {
-		if ci {
-			tb.AddRow(fmt.Sprintf("%g", e.Value), metrics.Us(e.Metric),
-				fmt.Sprintf("[%s, %s]", metrics.Us(e.CILo), metrics.Us(e.CIHi)),
-				fmt.Sprint(len(e.Results)))
-			continue
-		}
-		tb.AddRow(fmt.Sprintf("%g", e.Value), metrics.Us(e.Metric), fmt.Sprint(len(e.Results)))
+		tb.AddRow(fmt.Sprintf("%g", e.Value), metrics.Us(e.Metric),
+			fmt.Sprintf("[%s, %s]", metrics.Us(e.CILo), metrics.Us(e.CIHi)),
+			fmt.Sprint(len(e.Results)))
 	}
 	tb.Fprint(w)
+	if e, failed := r.Errored(); failed {
+		fmt.Fprintf(w, "\nstopped: every cell at %s=%g errored, so it has no metric", name, e.Value)
+		if len(e.Results) > 0 {
+			fmt.Fprintf(w, " (%s: %s)", e.Results[0].Key(), e.Results[0].Err)
+		}
+		fmt.Fprintln(w)
+		return false, nil
+	}
 	if !r.Bracketed {
 		fmt.Fprintf(w, "\nno crossover of %sµs inside %s ∈ [%g, %g] (metric %s..%sµs)\n",
 			metrics.Us(target), name, ax.Lo, ax.Hi, metrics.Us(r.Lo.Metric), metrics.Us(r.Hi.Metric))
@@ -391,7 +386,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		arrival     = fs.String("arrival", "", "force one client arrival process for every cell: "+arrivalChoices()+" (use with -clients or the serving preset)")
 		refine      = fs.String("refine", "", "adaptive refinement instead of the preset grid: axis=target, e.g. load=2e-6 (axes: "+refineChoices()+")")
 		refineTol   = fs.Float64("refine-tol", 0, "axis tolerance for -refine (default: range/64)")
-		refineCI    = fs.Bool("refine-ci", false, "variance-aware -refine: bisect only while the bootstrap 95% CI across seeds clears the target (use with -seeds > 1)")
 		shards      = fs.Int("shards", 0, "worker goroutines per multi-segment (sharded) cell; 0 or 1 = sequential on the cell's goroutine. Execution-only knob: artifacts are byte-identical for every value")
 		telem       = fs.Bool("telemetry", false, "capture runtime telemetry per cell: per-tick metric snapshots (with -out: one combined .telemetry.jsonl) plus watchdog health flags in artifacts and reports")
 		monitorAddr = fs.String("monitor", "", "serve live campaign status on this host:port (/campaign.json for ntitop, /metrics for Prometheus scrapers); implies -telemetry")
@@ -538,7 +532,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *refine != "" {
-		bracketed, err := runRefine(stdout, spec, *refine, *refineTol, *refineCI)
+		bracketed, err := runRefine(stdout, spec, *refine, *refineTol)
 		if perr := stopProf(); err == nil {
 			err = perr
 		}

@@ -227,6 +227,31 @@ func TestUnknownRefineAxisExits1(t *testing.T) {
 	}
 }
 
+// TestRefinePrintsCIAndBracket runs a short -refine end to end: one
+// seed bisects to adjacent cluster sizes, every row carries its 95% CI
+// column, and a bracketed run exits 0; with two seeds a straddling CI
+// stops the bisection as noise-limited.
+func TestRefinePrintsCIAndBracket(t *testing.T) {
+	code, stdout, stderr := runCampaign("-refine", "nodes=1.2e-6", "-window", "10", "-q")
+	if code != 0 {
+		t.Fatalf("exit %d, want 0; stderr %q", code, stderr)
+	}
+	for _, want := range []string{
+		"nodes  mean prec [µs]   95% CI [µs]     cells",
+		"2      0.092            [0.092, 0.092]  1",
+		"crossover of 1.200µs bracketed: nodes ∈ [5, 6] (width 1, tol 0.46875)",
+	} {
+		if !strings.Contains(stdout, want) {
+			t.Errorf("stdout lacks %q:\n%s", want, stdout)
+		}
+	}
+
+	code, stdout, _ = runCampaign("-refine", "nodes=1.2e-6", "-window", "4", "-seeds", "2", "-q")
+	if code != 0 || !strings.Contains(stdout, "noise-limited: stopped before tol") {
+		t.Errorf("two seeds: exit %d, want 0 and a noise-limited stop:\n%s", code, stdout)
+	}
+}
+
 func TestBadFlagExits2(t *testing.T) {
 	code, _, stderr := runCampaign("-no-such-flag")
 	if code != 2 {

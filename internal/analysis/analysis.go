@@ -64,8 +64,8 @@ type Budget struct {
 //
 // Measured precision must not exceed it; typical-case precision is well
 // below. Only TestBudgetDominatesMeasured checks that, on one 8-node
-// default cluster. No experiment calls it: E3 and E8 inline the 4G+10u
-// term alone.
+// default cluster. No experiment calls it: E3 and E8 use the 4G+10u
+// term alone, through GranularityImpairment.
 func (b Budget) WorstCasePrecision() float64 {
 	return b.EpsS +
 		GranularityImpairment(b.GranuleS, b.RateUncS) +

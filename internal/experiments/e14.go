@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"strconv"
+
+	"ntisim/internal/clocksync"
 	"ntisim/internal/cluster"
 	"ntisim/internal/interval"
 	"ntisim/internal/metrics"
@@ -25,7 +28,7 @@ func E14ConvergenceShootout(seed uint64) Result {
 	}
 	r.Table.Header = []string{"convergence fn", "worst prec [µs]", "mean prec [µs]", "failures"}
 
-	run := func(name string, fn clocksyncConverge) {
+	run := func(name string, fn clocksync.ConvergeFunc) {
 		cfg := cluster.Defaults(8, seed)
 		cfg.Sync.Convergence = fn
 		c := cluster.New(cfg)
@@ -36,7 +39,7 @@ func E14ConvergenceShootout(seed uint64) Result {
 		for _, m := range c.Members {
 			fails += m.Sync.Stats().ConvergenceFailed
 		}
-		r.Table.AddRow(name, metrics.Us(prec.Max()), metrics.Us(prec.Mean()), itoa64(fails))
+		r.Table.AddRow(name, metrics.Us(prec.Max()), metrics.Us(prec.Mean()), strconv.FormatUint(fails, 10))
 		r.Numbers["prec:"+name] = prec.Max()
 		r.Numbers["fails:"+name] = float64(fails)
 	}
@@ -55,21 +58,4 @@ func E14ConvergenceShootout(seed uint64) Result {
 	r.Notes = append(r.Notes,
 		"with healthy, equal-width intervals all functions behave; the differences the paper's analysis targets are worst-case bounds and behaviour under faults (see E12)")
 	return r
-}
-
-// clocksyncConverge mirrors clocksync.ConvergeFunc without the import.
-type clocksyncConverge = func([]interval.Interval, int) (interval.Interval, bool)
-
-func itoa64(v uint64) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
 }

@@ -125,6 +125,13 @@ func (s *Series) Percentile(p float64) float64 {
 		return 0
 	}
 	s.sortNow()
+	return s.vals[NearestRank(p, n)]
+}
+
+// NearestRank maps quantile p to an index into n sorted values:
+// round(p·(n−1)), clamped to [0, n−1]. It is the one nearest-rank rule
+// behind Percentile, the stats estimates and the trace hop quantiles.
+func NearestRank(p float64, n int) int {
 	i := int(p*float64(n-1) + 0.5)
 	if i < 0 {
 		i = 0
@@ -132,7 +139,7 @@ func (s *Series) Percentile(p float64) float64 {
 	if i >= n {
 		i = n - 1
 	}
-	return s.vals[i]
+	return i
 }
 
 // SeriesStats is a serializable summary of a Series. All values are in

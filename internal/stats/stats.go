@@ -18,6 +18,7 @@ import (
 	"sort"
 
 	"ntisim/internal/harness"
+	"ntisim/internal/metrics"
 	"ntisim/internal/sim"
 )
 
@@ -84,7 +85,7 @@ func Describe(vals []float64, resamples int, rng *sim.RNG) Estimate {
 	sorted := append([]float64(nil), vals...)
 	sort.Float64s(sorted)
 	e.Min, e.Max = sorted[0], sorted[len(sorted)-1]
-	e.Median = sorted[nearestRank(0.5, len(sorted))]
+	e.Median = sorted[metrics.NearestRank(0.5, len(sorted))]
 
 	var sum float64
 	for _, v := range vals {
@@ -126,20 +127,7 @@ func bootstrapCI(vals []float64, resamples int, rng *sim.RNG) (lo, hi float64) {
 		means[b] = sum / float64(n)
 	}
 	sort.Float64s(means)
-	return means[nearestRank(0.025, resamples)], means[nearestRank(0.975, resamples)]
-}
-
-// nearestRank maps quantile p to an index into a sorted slice of n
-// values (the same convention as metrics.Series.Percentile).
-func nearestRank(p float64, n int) int {
-	i := int(p*float64(n-1) + 0.5)
-	if i < 0 {
-		i = 0
-	}
-	if i >= n {
-		i = n - 1
-	}
-	return i
+	return means[metrics.NearestRank(0.025, resamples)], means[metrics.NearestRank(0.975, resamples)]
 }
 
 // tTable95 holds the two-sided 95% Student-t critical values for

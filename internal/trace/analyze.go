@@ -5,7 +5,11 @@
 
 package trace
 
-import "sort"
+import (
+	"sort"
+
+	"ntisim/internal/metrics"
+)
 
 // Hop names, in data-path order. Every hop is a transition between two
 // record kinds matched on the frame id (and receiver node where the
@@ -27,22 +31,6 @@ type HopStats struct {
 	MinS, MedianS, P99S, MaxS float64
 }
 
-// quantile returns the q-quantile of sorted (nearest-rank, matching
-// metrics.Series.Percentile's spirit without importing it).
-func quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(q*float64(len(sorted)-1) + 0.5)
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
-}
-
 func hopStats(name string, vals []float64) HopStats {
 	h := HopStats{Name: name, N: len(vals)}
 	if len(vals) == 0 {
@@ -51,8 +39,8 @@ func hopStats(name string, vals []float64) HopStats {
 	sort.Float64s(vals)
 	h.MinS = vals[0]
 	h.MaxS = vals[len(vals)-1]
-	h.MedianS = quantile(vals, 0.5)
-	h.P99S = quantile(vals, 0.99)
+	h.MedianS = vals[metrics.NearestRank(0.5, len(vals))]
+	h.P99S = vals[metrics.NearestRank(0.99, len(vals))]
 	return h
 }
 
