@@ -427,6 +427,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *seedCount < 1 {
 		return usage("-seeds must be >= 1")
 	}
+	switch { // !(x >= 0) also rejects NaN
+	case !(*window >= 0):
+		return usage("-window must be >= 0")
+	case !(*refineTol >= 0):
+		return usage("-refine-tol must be >= 0")
+	case *shards < 0:
+		return usage("-shards must be >= 0")
+	}
 
 	seeds := make([]uint64, *seedCount)
 	for i := range seeds {

@@ -193,8 +193,14 @@ func TestSummaryColumns(t *testing.T) {
 	}
 }
 
+// TestOutOfRangeCountExits2: an out-of-range count, or a negative (or
+// NaN) window, refinement tolerance or shard count, is a usage error
+// naming the flag, not a silent fallback to the default.
 func TestOutOfRangeCountExits2(t *testing.T) {
-	for _, args := range [][]string{{"-seeds", "0"}, {"-clients", "-1"}} {
+	for _, args := range [][]string{
+		{"-seeds", "0"}, {"-clients", "-1"},
+		{"-window", "-5"}, {"-window", "NaN"}, {"-refine-tol", "-1"}, {"-shards", "-3"},
+	} {
 		code, _, stderr := runCampaign(args...)
 		if code != 2 {
 			t.Errorf("%v: exit %d, want 2", args, code)

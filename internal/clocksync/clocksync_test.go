@@ -30,11 +30,8 @@ func TestParamsDefaults(t *testing.T) {
 	if p.ComputeDelay != p.RoundPeriod/4 {
 		t.Errorf("compute delay %v", p.ComputeDelay)
 	}
-	if p.Convergence == nil || p.RhoPPB == 0 || p.AmortSpeedPPM == 0 {
+	if p.RhoPPB == 0 || p.DelayMax == 0 {
 		t.Error("defaults incomplete")
-	}
-	if p.RateBaselineRounds == 0 || p.RateRhoFloorPPB == 0 {
-		t.Error("rate defaults incomplete")
 	}
 }
 
@@ -105,16 +102,16 @@ func TestSynchronizerLifecycle(t *testing.T) {
 }
 
 func TestRateSyncEpochMath(t *testing.T) {
-	p := Params{RateBaselineRounds: 8, RhoPPB: 3000, RateRhoFloorPPB: 50, F: 0}.withDefaults()
+	p := Params{RhoPPB: 3000, F: 0}.withDefaults()
 	r := newRateSync(p)
 	st := func(s float64) timefmt.Stamp { return timefmt.Stamp(timefmt.DurationFromSeconds(s)) }
-	// Peer 1 runs 1000 ppb fast relative to us: over 8 rounds of 1 s,
-	// its tx stamps gain 8 µs on our rx stamps.
-	for k := uint32(1); k <= 9; k++ {
+	// Peer 1 runs 1000 ppb fast relative to us: over the 16-round
+	// baseline of 1 s rounds, its tx stamps gain 16 µs on our rx stamps.
+	for k := uint32(1); k <= 17; k++ {
 		tSec := float64(k)
 		r.observe(1, k, st(tSec*(1+1000e-9)), st(tSec))
 	}
-	corr, rho, ok := r.apply(9)
+	corr, rho, ok := r.apply(17)
 	if !ok {
 		t.Fatal("no correction at epoch boundary")
 	}
@@ -126,32 +123,34 @@ func TestRateSyncEpochMath(t *testing.T) {
 		t.Errorf("rho %d out of range", rho)
 	}
 	// The window restarted: immediate re-apply yields nothing.
-	if _, _, ok := r.apply(10); ok {
+	if _, _, ok := r.apply(18); ok {
 		t.Error("apply should wait for a fresh epoch")
 	}
 }
 
 func TestRateSyncIgnoresShortBaselines(t *testing.T) {
-	p := Params{RateBaselineRounds: 8}.withDefaults()
+	p := Params{}.withDefaults()
 	r := newRateSync(p)
 	st := func(s float64) timefmt.Stamp { return timefmt.Stamp(timefmt.DurationFromSeconds(s)) }
 	r.observe(1, 1, st(1), st(1))
 	r.observe(1, 2, st(2), st(2))
-	if _, _, ok := r.apply(9); ok {
+	// Round 17 closes the 16-round epoch, so the baseline check (not
+	// the epoch gate) is what refuses the correction.
+	if _, _, ok := r.apply(17); ok {
 		t.Error("two-round baseline must not produce a correction")
 	}
 }
 
 func TestRateSyncClampsInsaneEstimates(t *testing.T) {
-	p := Params{RateBaselineRounds: 4, RhoPPB: 2000, F: 0}.withDefaults()
+	p := Params{RhoPPB: 2000, F: 0}.withDefaults()
 	r := newRateSync(p)
 	st := func(s float64) timefmt.Stamp { return timefmt.Stamp(timefmt.DurationFromSeconds(s)) }
 	// A bogus peer claiming 1% rate offset.
-	for k := uint32(1); k <= 5; k++ {
+	for k := uint32(1); k <= 17; k++ {
 		tSec := float64(k)
 		r.observe(1, k, st(tSec*1.01), st(tSec))
 	}
-	corr, _, ok := r.apply(5)
+	corr, _, ok := r.apply(17)
 	if !ok {
 		t.Fatal("no correction")
 	}

@@ -24,7 +24,7 @@ import (
 // the peer's rate relative to ours. The correction applied is half the
 // fault-tolerant midpoint of {rel_q} ∪ {0} (own rate), which converges
 // geometrically while tolerating F faulty peers.
-// The loop is epoch-based: stamps are collected for RateBaselineRounds
+// The loop is epoch-based: stamps are collected for rateBaselineRounds
 // rounds, one correction is applied at the epoch boundary, and the
 // measurement restarts. Correcting every round against a long baseline
 // would feed back corrections that the measurement window has not yet
@@ -80,13 +80,13 @@ func (r *rateSync) observe(node uint16, round uint32, tx, rx timefmt.Stamp) {
 // apply computes the epoch's rate correction (ppb) and the dynamic
 // drift bound; ok is false except at epoch boundaries.
 func (r *rateSync) apply(round uint32) (corrPPB, rhoPPB int64, ok bool) {
-	if !r.haveEpoch || round < r.epochStart+uint32(r.p.RateBaselineRounds) {
+	if !r.haveEpoch || round < r.epochStart+rateBaselineRounds {
 		return 0, 0, false
 	}
 	rels := []int64{0} // own rate, relative to itself
 	for node, f := range r.first {
 		l, okL := r.last[node]
-		if !okL || l.round-f.round < uint32(r.p.RateBaselineRounds)/2 {
+		if !okL || l.round-f.round < rateBaselineRounds/2 {
 			continue
 		}
 		dTx := l.tx.Sub(f.tx)
@@ -132,8 +132,8 @@ func (r *rateSync) apply(round uint32) (corrPPB, rhoPPB int64, ok bool) {
 	// relative rates are within ~2·peak; never below the floor, never
 	// above the a priori bound.
 	rhoPPB = 4 * peak
-	if rhoPPB < r.p.RateRhoFloorPPB {
-		rhoPPB = r.p.RateRhoFloorPPB
+	if rhoPPB < rateRhoFloorPPB {
+		rhoPPB = rateRhoFloorPPB
 	}
 	if rhoPPB > r.p.RhoPPB {
 		rhoPPB = r.p.RhoPPB

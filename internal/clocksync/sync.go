@@ -11,9 +11,33 @@ import (
 	"ntisim/internal/trace"
 )
 
-// ConvergeFunc fuses the preprocessed accuracy intervals of one round
-// into the node's improved interval, tolerating up to f faulty inputs.
-type ConvergeFunc func(ivs []interval.Interval, f int) (interval.Interval, bool)
+// Fixed tunables of the synchronizer. Every run uses these values; the
+// paper's parameters (P, Δ, F, the delay bounds, ρ) stay in Params.
+const (
+	// amortSpeedPPM is the continuous-amortization speed.
+	amortSpeedPPM = 5000
+	// marginGranules is added to each accuracy on every
+	// resynchronization to cover reading/rounding granularity.
+	marginGranules timefmt.Duration = 2
+	// rateBaselineRounds is the rate-measurement baseline in rounds;
+	// longer baselines average out the ε-induced measurement noise.
+	rateBaselineRounds = 16
+	// rateRhoFloorPPB bounds how far the dynamic drift bound may shrink
+	// once rate synchronization has converged.
+	rateRhoFloorPPB = 50
+)
+
+var (
+	// stepThreshold: corrections beyond it use StepTo instead of
+	// amortization (initial synchronization).
+	stepThreshold = timefmt.DurationFromSeconds(100e-3)
+	// staggerSlot offsets each node's broadcast by node-id·slot within
+	// the round, de-bursting the medium and the receivers' stamp-move
+	// ISRs.
+	staggerSlot = timefmt.DurationFromSeconds(200e-6)
+	// initAlpha is the accuracy loaded at Start.
+	initAlpha = timefmt.DurationFromSeconds(300e-6)
+)
 
 // Params configures a Synchronizer.
 type Params struct {
@@ -24,15 +48,12 @@ type Params struct {
 	ComputeDelay timefmt.Duration
 	// F is the number of faulty nodes to tolerate.
 	F int
-	// Convergence defaults to interval.OrthogonalAccuracy.
-	Convergence ConvergeFunc
 	// Discipline selects the clock-discipline algorithm each node runs
 	// (see internal/discipline): the factory is invoked once per
-	// synchronizer, so one Params value can serve a whole cluster. It
-	// generalizes Convergence — when nil, the synchronizer wraps
-	// Convergence (or, when that is also unset, the allocation-free
-	// orthogonal-accuracy baseline) as the discipline. Factories must
-	// be pure; campaign clones share them.
+	// synchronizer, so one Params value can serve a whole cluster. nil
+	// runs the allocation-free orthogonal-accuracy baseline; a bespoke
+	// convergence function rides as discipline.WrapConverge. Factories
+	// must be pure; campaign clones share them.
 	Discipline discipline.Factory
 	// DelayMin/DelayMax bound the true delay between the peers'
 	// timestamping points, from a priori knowledge or MeasureDelay.
@@ -40,21 +61,6 @@ type Params struct {
 	// RhoPPB is the a priori drift bound used for drift compensation and
 	// ACU deterioration.
 	RhoPPB int64
-	// AmortSpeedPPM is the continuous-amortization speed.
-	AmortSpeedPPM int64
-	// StepThreshold: corrections beyond it use StepTo instead of
-	// amortization (initial synchronization). Default 100 ms.
-	StepThreshold timefmt.Duration
-	// StaggerSlot offsets each node's broadcast by node-id·slot within
-	// the round, de-bursting the medium and the receivers' stamp-move
-	// ISRs. 0 disables (all nodes broadcast at kP, as in the generic
-	// algorithm; the medium then serializes them).
-	StaggerSlot timefmt.Duration
-	// InitAlpha is the accuracy loaded at Start.
-	InitAlpha timefmt.Duration
-	// MarginGranules is added to each accuracy on every resynchronization
-	// to cover reading/rounding granularity. Default 2.
-	MarginGranules timefmt.Duration
 
 	// TrustExternal bypasses interval-based clock validation and adopts
 	// external intervals unconditionally — the "questionable undertaking
@@ -75,12 +81,6 @@ type Params struct {
 
 	// RateSync enables the rate-synchronization layer [Scho97].
 	RateSync bool
-	// RateBaselineRounds is the measurement baseline in rounds; longer
-	// baselines average out the ε-induced measurement noise. Default 16.
-	RateBaselineRounds int
-	// RateRhoFloorPPB bounds how far the dynamic drift bound may shrink
-	// once rate synchronization has converged. Default 50 ppb.
-	RateRhoFloorPPB int64
 }
 
 // withDefaults fills in zero fields.
@@ -91,32 +91,11 @@ func (p Params) withDefaults() Params {
 	if p.ComputeDelay == 0 {
 		p.ComputeDelay = p.RoundPeriod / 4
 	}
-	if p.Convergence == nil {
-		p.Convergence = interval.OrthogonalAccuracy
-	}
 	if p.DelayMax == 0 {
 		p.DelayMax = timefmt.DurationFromSeconds(500e-6)
 	}
 	if p.RhoPPB == 0 {
 		p.RhoPPB = 2000
-	}
-	if p.AmortSpeedPPM == 0 {
-		p.AmortSpeedPPM = 5000
-	}
-	if p.StepThreshold == 0 {
-		p.StepThreshold = timefmt.DurationFromSeconds(100e-3)
-	}
-	if p.InitAlpha == 0 {
-		p.InitAlpha = timefmt.DurationFromSeconds(300e-6)
-	}
-	if p.MarginGranules == 0 {
-		p.MarginGranules = 2
-	}
-	if p.RateBaselineRounds == 0 {
-		p.RateBaselineRounds = 16
-	}
-	if p.RateRhoFloorPPB == 0 {
-		p.RateRhoFloorPPB = 50
 	}
 	return p
 }
@@ -228,7 +207,6 @@ type peerEntry struct {
 // (post-validation, the quantity the paper's precision bound is about)
 // and the applied-correction magnitude histogram.
 func New(node *kernel.Node, clk Clock, p Params) *Synchronizer {
-	userConv, userDisc := p.Convergence, p.Discipline
 	r := node.Sim.Telemetry()
 	sy := &Synchronizer{
 		node:        node,
@@ -248,14 +226,9 @@ func New(node *kernel.Node, clk Clock, p Params) *Synchronizer {
 		// registration would change legacy snapshot artifacts.
 		sy.tmSrcRej = r.Counter(MetricSourcesRejected)
 	}
-	switch {
-	case userDisc != nil:
-		sy.disc = userDisc()
-	case userConv != nil:
-		// A bespoke convergence function (e.g. the E14 ablations) rides
-		// as a wrapped interval discipline.
-		sy.disc = discipline.WrapConverge("", discipline.ConvergeFunc(userConv))
-	default:
+	if p.Discipline != nil {
+		sy.disc = p.Discipline()
+	} else {
 		// The default is the paper's algorithm through the
 		// allocation-free fast path (identical results to
 		// interval.OrthogonalAccuracy).
@@ -309,7 +282,7 @@ func (sy *Synchronizer) Start() {
 	}
 	sy.running = true
 	sy.clk.SetDriftBoundPPB(sy.p.RhoPPB, sy.p.RhoPPB)
-	sy.clk.SetAlpha(sy.p.InitAlpha, sy.p.InitAlpha)
+	sy.clk.SetAlpha(initAlpha, initAlpha)
 	now := sy.clk.Now()
 	k := uint32(now/timefmt.Stamp(sy.p.RoundPeriod)) + 1
 	sy.round = k
@@ -333,7 +306,7 @@ func (sy *Synchronizer) roundStart(k uint32) timefmt.Stamp {
 
 func (sy *Synchronizer) armBroadcast() {
 	k := sy.round
-	at := sy.roundStart(k).Add(sy.p.StaggerSlot * timefmt.Duration(sy.node.ID))
+	at := sy.roundStart(k).Add(staggerSlot * timefmt.Duration(sy.node.ID))
 	sy.bcastTm = sy.clk.DutyAt(at, func() { sy.broadcast(k) })
 }
 
@@ -601,11 +574,11 @@ func (sy *Synchronizer) acuRho(k uint32) int64 {
 func (sy *Synchronizer) enforce(now timefmt.Stamp, out interval.Interval) {
 	cur := sy.clk.Now() // may differ from `now` by the compute time
 	drift := interval.DriftDeterioration(cur.Sub(now), sy.rhoNow)
-	lo := out.Lo().Add(-drift - sy.p.MarginGranules)
-	hi := out.Hi().Add(drift + sy.p.MarginGranules)
+	lo := out.Lo().Add(-drift - marginGranules)
+	hi := out.Hi().Add(drift + marginGranules)
 	delta := out.Ref.Sub(cur)
 	sy.stats.LastCorrection = delta
-	if delta.Abs() >= sy.p.StepThreshold {
+	if delta.Abs() >= stepThreshold {
 		// Initial synchronization: jump, then centre the accuracies.
 		sy.clk.StepTo(out.Ref)
 		sy.clk.SetAlpha(out.Ref.Sub(lo), hi.Sub(out.Ref))
@@ -613,6 +586,6 @@ func (sy *Synchronizer) enforce(now timefmt.Stamp, out interval.Interval) {
 		return
 	}
 	sy.clk.SetAlpha(cur.Sub(lo), hi.Sub(cur))
-	sy.clk.Amortize(delta, sy.p.AmortSpeedPPM)
+	sy.clk.Amortize(delta, amortSpeedPPM)
 	sy.stats.Amortizations++
 }

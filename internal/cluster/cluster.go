@@ -73,10 +73,6 @@ type Config struct {
 	// inter-segment link of a sharded topology; 0 means Sync.F+1 (the
 	// minimum that survives an f-trimming convergence function).
 	GatewaysPerLink int
-	// WANDelayS is the one-way WAN propagation delay between adjacent
-	// segments of a sharded topology — and therefore the conservative
-	// lookahead of the parallel kernel. 0 means DefaultWANDelayS.
-	WANDelayS float64
 	// Serving describes the simulated client population querying the
 	// cluster for time (internal/service): open-loop arrival streams
 	// aggregated per node, feeding served-accuracy sketches. The zero
@@ -128,8 +124,6 @@ func Defaults(n int, seed uint64) Config {
 			// the extreme intervals also de-noises the midpoint under
 			// occasional CSP loss.
 			F: fDefault(n),
-			// De-burst the per-round broadcasts.
-			StaggerSlot: timefmt.DurationFromSeconds(200e-6),
 		},
 	}
 }
@@ -248,10 +242,6 @@ func New(cfg Config) *Cluster {
 	if gpl <= 0 {
 		gpl = cfg.Sync.F + 1
 	}
-	wan := cfg.WANDelayS
-	if wan <= 0 {
-		wan = DefaultWANDelayS
-	}
 	if cfg.OscHz == 0 {
 		cfg.OscHz = 10e6
 	}
@@ -287,7 +277,7 @@ func New(cfg Config) *Cluster {
 	// over half its speed).
 	lookahead := math.Inf(1)
 	if segs > 1 {
-		lookahead = wan
+		lookahead = DefaultWANDelayS
 	}
 	group := sim.NewGroup(lookahead, cfg.Shards, sims)
 	if cfg.Telemetry != nil && segs > 1 {
@@ -345,10 +335,10 @@ func New(cfg Config) *Cluster {
 			var port *network.LinkPort
 			var relay *network.Relay
 			port = network.NewLinkPort(sims[home], link, func(f network.Frame) {
-				group.Post(home, remote, sims[home].Now()+wan, func() { relay.Inject(f) })
+				group.Post(home, remote, sims[home].Now()+DefaultWANDelayS, func() { relay.Inject(f) })
 			}, rw)
 			relay = network.NewRelay(media[remote], func(f network.Frame) {
-				group.Post(remote, home, sims[remote].Now()+wan, func() { port.Inject(f) })
+				group.Post(remote, home, sims[remote].Now()+DefaultWANDelayS, func() { port.Inject(f) })
 			}, rw)
 			// The gateway's WAN-facing channel gets the same adversary
 			// tap as its LAN channel: traitors on the remote segment lie

@@ -44,11 +44,7 @@ func (c *Cluster) attachServing() {
 		}
 		wsum += weights[s]
 	}
-	qpc := sc.QPSPerClient
-	if qpc == 0 {
-		qpc = service.DefaultQPSPerClient
-	}
-	totalQPS := float64(sc.Clients) * qpc
+	totalQPS := float64(sc.Clients) * service.ClientQPS
 	for _, m := range c.Members {
 		if m.Segment < 0 {
 			continue

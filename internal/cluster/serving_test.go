@@ -117,7 +117,7 @@ func TestServingUnshardedMeanRate(t *testing.T) {
 	st, _, _ := runServing(t, cfg, 10)
 	// 10000 clients x 0.1 qps = 1000 qps homogeneous poisson; 10 s
 	// window -> ~10000 queries with sub-percent shot noise.
-	want := float64(st.Clients) * service.DefaultQPSPerClient * st.WindowS
+	want := float64(st.Clients) * service.ClientQPS * st.WindowS
 	if math.Abs(float64(st.Queries)-want) > 0.05*want {
 		t.Errorf("queries = %d, want %.0f +- 5%%", st.Queries, want)
 	}

@@ -45,9 +45,9 @@ import (
 )
 
 // DefaultWANDelayS is the one-way WAN propagation delay between
-// adjacent segments when Config.WANDelayS is zero: 1 ms, a
-// metropolitan-scale link, and a comfortable conservative lookahead
-// (hundreds of LAN frames fit in one window).
+// adjacent segments of a sharded topology, and therefore the
+// conservative lookahead of the parallel kernel: 1 ms, a
+// metropolitan-scale link with hundreds of LAN frames per window.
 const DefaultWANDelayS = 1e-3
 
 // relayRewrite is the transparent-clock correction applied to relayed

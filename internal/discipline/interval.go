@@ -3,9 +3,8 @@ package discipline
 import "ntisim/internal/interval"
 
 // ConvergeFunc fuses one round's accuracy intervals, tolerating up to f
-// faulty inputs. It has the same underlying type as
-// clocksync.ConvergeFunc, so existing convergence functions plug in
-// unchanged.
+// faulty inputs; interval.OrthogonalAccuracy and its variants have this
+// type.
 type ConvergeFunc func(ivs []interval.Interval, f int) (interval.Interval, bool)
 
 // Interval adapts the paper's interval-based convergence functions to

@@ -3,8 +3,8 @@ package experiments
 import (
 	"strconv"
 
-	"ntisim/internal/clocksync"
 	"ntisim/internal/cluster"
+	"ntisim/internal/discipline"
 	"ntisim/internal/interval"
 	"ntisim/internal/metrics"
 )
@@ -28,9 +28,9 @@ func E14ConvergenceShootout(seed uint64) Result {
 	}
 	r.Table.Header = []string{"convergence fn", "worst prec [µs]", "mean prec [µs]", "failures"}
 
-	run := func(name string, fn clocksync.ConvergeFunc) {
+	run := func(name string, fn discipline.ConvergeFunc) {
 		cfg := cluster.Defaults(8, seed)
-		cfg.Sync.Convergence = fn
+		cfg.Sync.Discipline = func() discipline.Discipline { return discipline.WrapConverge("", fn) }
 		c := cluster.New(cfg)
 		applyMeasuredDelays(c)
 		c.Start(c.Now() + 1)

@@ -94,8 +94,9 @@ type Spec struct {
 	// shard-worker count. Watchdog health rules run over the same
 	// snapshots and land in Result.Health.
 	Telemetry bool
-	// Watchdog tunes the health rules when Telemetry is set (zero value
-	// = defaults, see telemetry.WatchdogConfig).
+	// Watchdog opts the cells into the precision-drift trend rule when
+	// Telemetry is set; the other health rules have fixed thresholds
+	// (see telemetry.NewWatchdog).
 	Watchdog telemetry.WatchdogConfig
 	// Monitor, when non-nil, receives live campaign lifecycle events and
 	// per-tick snapshots for the HTTP endpoint (cmd/ntitop). Monitor

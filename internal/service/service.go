@@ -22,13 +22,20 @@ import (
 	"ntisim/internal/trace"
 )
 
+// ClientQPS is the mean query rate per client in queries per
+// sim-second: each client asks for time every ~10 s.
+const ClientQPS = 0.1
+
+// tickS is the aggregation granularity of the arrival stream in
+// sim-seconds. Smaller ticks would track error dynamics more finely at
+// proportionally more events.
+const tickS = 0.01
+
 // Defaults applied by Config.withDefaults for zero-valued fields.
 const (
-	DefaultQPSPerClient = 0.1
-	DefaultBurstFactor  = 8
-	DefaultBurstFrac    = 0.1
-	DefaultBurstDwellS  = 2
-	DefaultTickS        = 0.01
+	DefaultBurstFactor = 8
+	DefaultBurstFrac   = 0.1
+	DefaultBurstDwellS = 2
 )
 
 // Config describes a client population. The zero value disables serving
@@ -39,13 +46,10 @@ type Config struct {
 	// Clients is the simulated client population size. 0 disables the
 	// load subsystem entirely (no events, no RNG streams, no metrics).
 	Clients int
-	// QPSPerClient is the mean query rate per client in queries per
-	// sim-second (default 0.1: each client asks for time every ~10 s).
-	QPSPerClient float64
 	// Arrival names the arrival process: "poisson" (default) for a
 	// homogeneous open-loop stream, or "mmpp" for a two-state
 	// Markov-modulated Poisson process with calm/burst phases whose
-	// time-averaged rate still equals Clients × QPSPerClient.
+	// time-averaged rate still equals Clients × ClientQPS.
 	Arrival string
 	// BurstFactor is the mmpp burst-state rate multiplier relative to
 	// the calm state (default 8).
@@ -61,18 +65,11 @@ type Config struct {
 	// normalization. 1 (or 0, the default) is uniform; 1.5 on four
 	// segments sends the last segment ~3.4× the first's traffic.
 	RegionalSkew float64
-	// TickS is the aggregation granularity of the arrival stream in
-	// sim-seconds (default 0.01). Smaller ticks track error dynamics
-	// more finely at proportionally more events.
-	TickS float64
 }
 
 // withDefaults returns cfg with zero-valued tunables replaced by the
 // package defaults. Clients is left as-is: zero means disabled.
 func (c Config) withDefaults() Config {
-	if c.QPSPerClient == 0 {
-		c.QPSPerClient = DefaultQPSPerClient
-	}
 	if c.Arrival == "" {
 		c.Arrival = "poisson"
 	}
@@ -87,9 +84,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RegionalSkew == 0 {
 		c.RegionalSkew = 1
-	}
-	if c.TickS == 0 {
-		c.TickS = DefaultTickS
 	}
 	return c
 }
@@ -134,7 +128,6 @@ type Generator struct {
 	sample func() float64
 	tr     *trace.Tracer
 	node   int
-	tickS  float64
 
 	// Mean arrivals per tick in each mmpp state; for plain poisson,
 	// calm carries the homogeneous rate and mmpp is false.
@@ -167,11 +160,10 @@ func New(s *sim.Simulator, cfg Config, node int, seed uint64, qps float64, sampl
 		sample:    sample,
 		tr:        s.Tracer(),
 		node:      node,
-		tickS:     cfg.TickS,
 		tmQueries: s.Telemetry().Counter("svc.queries"),
 		tmBurst:   s.Telemetry().Histogram("svc.tick_batch"),
 	}
-	perTick := qps * cfg.TickS
+	perTick := qps * tickS
 	switch cfg.Arrival {
 	case "poisson":
 		g.calm = perTick
@@ -189,13 +181,13 @@ func New(s *sim.Simulator, cfg Config, node int, seed uint64, qps float64, sampl
 }
 
 // Start schedules the tick loop; the first tick fires one tick after at
-// so it aggregates the (at, at+TickS] window.
+// so it aggregates the (at, at+tickS] window.
 func (g *Generator) Start(at float64) {
 	if g.mmpp {
 		g.inBurst = false
 		g.nextFlip = at + g.rng.Exponential(g.dwellCalmS)
 	}
-	g.ticker = g.s.Every(at+g.tickS, g.tickS, g.step)
+	g.ticker = g.s.Every(at+tickS, tickS, g.step)
 }
 
 // Stop cancels the tick loop.
@@ -274,9 +266,10 @@ type Stats struct {
 }
 
 // Collect merges the per-node generators into population-level stats
-// for a window of windowS sim-seconds. Merge order does not affect the
-// result (bin counts add exactly), so per-shard generator layouts
-// cannot perturb the reported figures.
+// for a window of windowS sim-seconds. The percentiles and max do not
+// depend on merge order (bin counts add exactly); ErrMeanS comes from
+// the float sum, which is byte-stable because gens is merged in its
+// given order, the cluster's member order, whatever the shard layout.
 func Collect(gens []*Generator, clients int, windowS float64) Stats {
 	st := Stats{Clients: clients, Nodes: len(gens), WindowS: windowS}
 	merged := NewSketch()

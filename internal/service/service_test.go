@@ -121,7 +121,7 @@ func TestGeneratorSteadyStateAllocFree(t *testing.T) {
 	g.Start(s.Now())
 	s.RunUntil(1) // warm up the ticker and event pool
 	allocs := testing.AllocsPerRun(200, func() {
-		s.RunUntil(s.Now() + DefaultTickS)
+		s.RunUntil(s.Now() + tickS)
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state serving tick allocates %.2f/op, want 0", allocs)

@@ -16,9 +16,11 @@ const (
 
 // Sketch is a log-binned streaming quantile sketch for served-error
 // samples. All bins are allocated up front so the hot path (AddN) never
-// allocates, and two sketches built from the same weighted samples are
-// bit-identical regardless of shard or worker interleaving — merging is
-// elementwise addition, which is exact on uint64 counts.
+// allocates. Merging is elementwise addition, exact on uint64 counts:
+// the bins, count, min, max and every quantile of a merged sketch do
+// not depend on merge order or grouping. The float sum (and so Mean)
+// does; it is deterministic only because Collect merges in member
+// order.
 type Sketch struct {
 	bins    []uint64
 	zero    uint64 // samples below sketchMinS
@@ -78,10 +80,11 @@ func (s *Sketch) AddN(v float64, n uint64) {
 // Count returns the total number of recorded samples.
 func (s *Sketch) Count() uint64 { return s.count }
 
-// Sum returns the exact sum of the recorded samples.
+// Sum returns the float sum of the recorded samples, accumulated in
+// AddN and Merge order.
 func (s *Sketch) Sum() float64 { return s.sum }
 
-// Mean returns the exact mean of the recorded samples (0 when empty).
+// Mean returns Sum / Count (0 when empty).
 func (s *Sketch) Mean() float64 {
 	if s.count == 0 {
 		return 0
@@ -145,9 +148,10 @@ func (s *Sketch) Quantile(q float64) float64 {
 }
 
 // Merge folds o into s. Bin layouts are identical by construction, so
-// the merged sketch equals one built from the union of both sample
-// streams exactly — the property that makes per-node sketches safe to
-// aggregate across shards in any order.
+// the merged bins, count, min and max equal those of one sketch built
+// from the union of both sample streams, in any merge order. The sum is
+// a float addition and only matches to rounding; callers that need it
+// byte-stable merge in a fixed order.
 func (s *Sketch) Merge(o *Sketch) {
 	if o == nil || o.count == 0 {
 		return

@@ -226,8 +226,9 @@ func TestWatchdogContainmentAndConvergence(t *testing.T) {
 	if w.Flags() != nil {
 		t.Fatalf("flagged healthy snapshot: %v", w.Flags())
 	}
+	// One violation and one failed round already flag: the limit is 0.
 	w.Observe(Snapshot{Counters: map[string]uint64{
-		MetricContainment:       2,
+		MetricContainment:       1,
 		MetricConvergenceFailed: 1,
 	}})
 	got := w.Flags()
@@ -240,24 +241,22 @@ func TestWatchdogContainmentAndConvergence(t *testing.T) {
 	if len(w.Flags()) != 2 {
 		t.Fatalf("flags unlatched: %v", w.Flags())
 	}
-	// Limits suppress.
-	w2 := NewWatchdog(WatchdogConfig{ContainmentLimit: 5, ConvergenceFailLimit: 5})
-	w2.Observe(Snapshot{Counters: map[string]uint64{MetricContainment: 5, MetricConvergenceFailed: 3}})
-	if w2.Flags() != nil {
-		t.Fatalf("limit not honored: %v", w2.Flags())
-	}
 }
 
 func TestWatchdogQueueRunaway(t *testing.T) {
-	w := NewWatchdog(WatchdogConfig{QueueDepthLimit: 100})
-	w.Observe(Snapshot{Gauges: map[string]GaugeValue{MetricQueueDepth + "@2": {V: 5, Hi: 101}}})
+	w := NewWatchdog(WatchdogConfig{})
+	w.Observe(Snapshot{Gauges: map[string]GaugeValue{MetricQueueDepth + "@2": {V: 5, Hi: 1 << 20}}})
+	if w.Flags() != nil {
+		t.Fatalf("depth at the limit flagged: %v", w.Flags())
+	}
+	w.Observe(Snapshot{Gauges: map[string]GaugeValue{MetricQueueDepth + "@2": {V: 5, Hi: 1<<20 + 1}}})
 	if f := w.Flags(); len(f) != 1 || f[0] != "queue-depth-runaway" {
 		t.Fatalf("flags = %v", f)
 	}
 }
 
 func TestWatchdogShardStall(t *testing.T) {
-	w := NewWatchdog(WatchdogConfig{StallSnapshots: 2})
+	w := NewWatchdog(WatchdogConfig{})
 	snap := func(fired uint64, s0, s1 float64) Snapshot {
 		return Snapshot{
 			Counters: map[string]uint64{MetricEventsFired: fired},
@@ -269,19 +268,20 @@ func TestWatchdogShardStall(t *testing.T) {
 	}
 	w.Observe(snap(100, 50, 50))
 	w.Observe(snap(200, 100, 50)) // shard 1 frozen while cluster advances
+	w.Observe(snap(300, 150, 50))
 	if w.Flags() != nil {
 		t.Fatalf("stall flagged too early: %v", w.Flags())
 	}
-	w.Observe(snap(300, 150, 50))
+	w.Observe(snap(400, 200, 50)) // third frozen snapshot
 	if f := w.Flags(); len(f) != 1 || f[0] != "shard-stall@1" {
 		t.Fatalf("flags = %v, want [shard-stall@1]", f)
 	}
 	// A healthy cluster where everything pauses (no fired growth) never
 	// counts as a stall.
-	w2 := NewWatchdog(WatchdogConfig{StallSnapshots: 2})
-	w2.Observe(snap(100, 50, 50))
-	w2.Observe(snap(100, 50, 50))
-	w2.Observe(snap(100, 50, 50))
+	w2 := NewWatchdog(WatchdogConfig{})
+	for range 4 {
+		w2.Observe(snap(100, 50, 50))
+	}
 	if w2.Flags() != nil {
 		t.Fatalf("global pause misflagged: %v", w2.Flags())
 	}

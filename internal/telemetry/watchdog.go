@@ -31,37 +31,25 @@ const (
 	MetricHonestContainment = "sync.honest_containment_violations"
 )
 
-// WatchdogConfig sets the health-rule thresholds. The zero value gets
-// sane defaults from NewWatchdog.
-type WatchdogConfig struct {
-	// QueueDepthLimit flags "queue-depth-runaway" when any event-queue
-	// depth high-water exceeds it. Default 1<<20.
-	QueueDepthLimit float64 `json:"queue_depth_limit,omitempty"`
-	// StallSnapshots flags "shard-stall@N" when shard N fires no events
+// Fixed thresholds of the absolute health rules.
+const (
+	// queueDepthLimit flags "queue-depth-runaway" when any event-queue
+	// depth high-water exceeds it.
+	queueDepthLimit = 1 << 20
+	// stallSnapshots flags "shard-stall@N" when shard N fires no events
 	// for this many consecutive snapshots while the rest of the cluster
-	// advances. Default 3.
-	StallSnapshots int `json:"stall_snapshots,omitempty"`
-	// ContainmentLimit flags "containment-violation" when the violation
-	// counter exceeds it. Default 0 (any violation flags).
-	ContainmentLimit uint64 `json:"containment_limit,omitempty"`
-	// ConvergenceFailLimit flags "convergence-failures" when the failed
-	// round counter exceeds it. Default 0.
-	ConvergenceFailLimit uint64 `json:"convergence_fail_limit,omitempty"`
+	// advances.
+	stallSnapshots = 3
+)
+
+// WatchdogConfig opts a cell into the watchdog's trend rule. The zero
+// value runs only the fixed-threshold rules.
+type WatchdogConfig struct {
 	// PrecisionDriftWindow enables the trend rule: precision getting
 	// strictly worse for this many consecutive ObservePrecision calls
 	// latches "precision-drift". 0 (the default) disables the rule, so
 	// cells that never opt in keep their exact legacy flag sets.
 	PrecisionDriftWindow int `json:"precision_drift_window,omitempty"`
-}
-
-func (c WatchdogConfig) withDefaults() WatchdogConfig {
-	if c.QueueDepthLimit == 0 {
-		c.QueueDepthLimit = 1 << 20
-	}
-	if c.StallSnapshots == 0 {
-		c.StallSnapshots = 3
-	}
-	return c
 }
 
 // Watchdog evaluates health rules over the snapshot sequence of one cell.
@@ -81,10 +69,14 @@ type Watchdog struct {
 	precisionSeen bool
 }
 
-// NewWatchdog returns a watchdog with defaults applied to cfg.
+// NewWatchdog returns a watchdog running every rule: any containment
+// violation or failed convergence round, any honest-node containment
+// violation, a queue-depth high-water above 1<<20, a shard that fires
+// nothing for 3 consecutive snapshots while the cluster advances, and,
+// when cfg.PrecisionDriftWindow > 0, the precision-drift trend rule.
 func NewWatchdog(cfg WatchdogConfig) *Watchdog {
 	return &Watchdog{
-		cfg:        cfg.withDefaults(),
+		cfg:        cfg,
 		prevShard:  map[string]float64{},
 		stallCount: map[string]int{},
 		flags:      map[string]bool{},
@@ -96,10 +88,10 @@ func (w *Watchdog) Observe(s Snapshot) {
 	if w == nil {
 		return
 	}
-	if s.Counters[MetricContainment] > w.cfg.ContainmentLimit {
+	if s.Counters[MetricContainment] > 0 {
 		w.flags["containment-violation"] = true
 	}
-	if s.Counters[MetricConvergenceFailed] > w.cfg.ConvergenceFailLimit {
+	if s.Counters[MetricConvergenceFailed] > 0 {
 		w.flags["convergence-failures"] = true
 	}
 	if s.Counters[MetricHonestContainment] > 0 {
@@ -109,7 +101,7 @@ func (w *Watchdog) Observe(s Snapshot) {
 	}
 	for key, g := range s.Gauges {
 		if key == MetricQueueDepth || strings.HasPrefix(key, MetricQueueDepth+"@") {
-			if g.Hi > w.cfg.QueueDepthLimit {
+			if g.Hi > queueDepthLimit {
 				w.flags["queue-depth-runaway"] = true
 			}
 		}
@@ -123,7 +115,7 @@ func (w *Watchdog) Observe(s Snapshot) {
 		prev, seen := w.prevShard[key]
 		if seen && g.V == prev && advancing {
 			w.stallCount[key]++
-			if w.stallCount[key] >= w.cfg.StallSnapshots {
+			if w.stallCount[key] >= stallSnapshots {
 				w.flags["shard-stall@"+key[len(MetricShardEvents)+1:]] = true
 			}
 		} else if g.V != prev {
