@@ -298,7 +298,7 @@ func (g *Group) skipIdle(end, horizon float64) float64 {
 	head := math.Inf(1)
 	for _, s := range g.shards {
 		if len(s.queue) > 0 {
-			head = min(head, s.queue[0].at)
+			head = min(head, s.queue[0].at())
 		}
 	}
 	var skipped uint64

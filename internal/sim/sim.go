@@ -17,6 +17,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"ntisim/internal/telemetry"
 	"ntisim/internal/trace"
@@ -72,7 +73,6 @@ type Simulator struct {
 	seq       uint64
 	queue     []node
 	root      *RNG
-	limit     float64 // horizon; 0 = none
 	fired     uint64
 	lastFired float64 // firing time of the most recent event
 
@@ -167,15 +167,20 @@ func (s *Simulator) release(e *Event) {
 }
 
 // At schedules fn to run at absolute time t (which must not be in the
-// past) and returns a cancellable handle.
+// past, nor NaN) and returns a cancellable handle. −0 schedules at +0.
 func (s *Simulator) At(t float64, fn func()) *Event {
-	if t < s.now {
-		panic(fmt.Sprintf("sim: scheduling into the past: %v < %v", t, s.now))
-	}
+	s.checkTime(t)
 	e := s.alloc(fn)
-	s.pushNode(node{at: t, seq: s.seq, idx: e.idx})
+	s.pushNode(node{key: timeKey(t), seq: s.seq, idx: e.idx})
 	s.seq++
 	return e
+}
+
+// checkTime panics unless t ≥ now, which rejects NaN too.
+func (s *Simulator) checkTime(t float64) {
+	if !(t >= s.now) {
+		panic(fmt.Sprintf("sim: scheduling into the past: %v < %v", t, s.now))
+	}
 }
 
 // After schedules fn to run d seconds from now.
@@ -190,11 +195,9 @@ func (s *Simulator) After(d float64, fn func()) *Event {
 // its storage. Only legal from within the event's own callback (Ticker
 // uses it to reschedule without allocating).
 func (s *Simulator) rearm(e *Event, t float64) {
-	if t < s.now {
-		panic(fmt.Sprintf("sim: scheduling into the past: %v < %v", t, s.now))
-	}
+	s.checkTime(t)
 	e.state = statePending
-	s.pushNode(node{at: t, seq: s.seq, idx: e.idx})
+	s.pushNode(node{key: timeKey(t), seq: s.seq, idx: e.idx})
 	s.seq++
 }
 
@@ -239,10 +242,27 @@ func (t *Ticker) Stop() {
 	}
 }
 
-// Run processes events until the queue is empty or the horizon set by
-// RunUntil is reached. It returns the time of the last fired event.
+// Run processes events until the queue is empty. It returns the time
+// of the last fired event.
 func (s *Simulator) Run() float64 {
-	for len(s.queue) > 0 {
+	s.fireThrough(math.Inf(1))
+	return s.now
+}
+
+// RunUntil processes events with firing times <= horizon, then stops with
+// the clock at horizon. Events beyond the horizon remain queued.
+func (s *Simulator) RunUntil(horizon float64) float64 {
+	s.fireThrough(horizon)
+	if s.now < horizon {
+		s.now = horizon
+	}
+	return s.now
+}
+
+// fireThrough pops and fires every event due at or before horizon,
+// recycling the tombstones it pops on the way.
+func (s *Simulator) fireThrough(horizon float64) {
+	for len(s.queue) > 0 && s.queue[0].at() <= horizon {
 		n := s.popNode()
 		e := s.events[n.idx]
 		if e.state == stateCancelled {
@@ -250,14 +270,10 @@ func (s *Simulator) Run() float64 {
 			s.release(e)
 			continue
 		}
-		if s.limit > 0 && n.at > s.limit {
-			s.now = s.limit
-			s.release(e)
-			return s.now
-		}
-		s.now = n.at
+		at := n.at()
+		s.now = at
 		s.fired++
-		s.lastFired = n.at
+		s.lastFired = at
 		s.tmFired.Inc()
 		e.state = stateFiring
 		e.fn()
@@ -265,34 +281,4 @@ func (s *Simulator) Run() float64 {
 			s.release(e)
 		}
 	}
-	return s.now
-}
-
-// RunUntil processes events with firing times <= horizon, then stops with
-// the clock at horizon. Events beyond the horizon remain queued.
-func (s *Simulator) RunUntil(horizon float64) float64 {
-	s.limit = horizon
-	defer func() { s.limit = 0 }()
-	for len(s.queue) > 0 && s.queue[0].at <= horizon {
-		n := s.popNode()
-		e := s.events[n.idx]
-		if e.state == stateCancelled {
-			s.tombstones--
-			s.release(e)
-			continue
-		}
-		s.now = n.at
-		s.fired++
-		s.lastFired = n.at
-		s.tmFired.Inc()
-		e.state = stateFiring
-		e.fn()
-		if e.state == stateFiring {
-			s.release(e)
-		}
-	}
-	if s.now < horizon {
-		s.now = horizon
-	}
-	return s.now
 }

@@ -101,6 +101,58 @@ func TestSchedulePastPanics(t *testing.T) {
 	s.Run()
 }
 
+// TestSignedZeroAndNaN pins the two times the integer heap key must
+// not take as they are: −0 schedules at +0 and keeps seq order with
+// the +0 events, and NaN panics as a past time in At and in a ticker's
+// re-arm.
+func TestSignedZeroAndNaN(t *testing.T) {
+	s := New(1)
+	var got []int
+	for i, at := range []float64{math.Copysign(0, -1), 0, 0} {
+		s.At(at, func() {
+			got = append(got, i)
+			if math.Signbit(s.Now()) {
+				t.Errorf("event %d: Now = −0, want +0", i)
+			}
+		})
+	}
+	s.At(1e-300, func() { got = append(got, 3) })
+	s.Run()
+	if len(got) != 4 || !sort.IntsAreSorted(got) {
+		t.Errorf("fired %v, want [0 1 2 3]", got)
+	}
+	for name, schedule := range map[string]func(){
+		"At":    func() { s.At(math.NaN(), func() {}) },
+		"After": func() { s.After(math.NaN(), func() {}) },
+		"Every": func() { s.Every(s.Now(), math.NaN(), func() {}); s.Run() },
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil {
+					t.Errorf("%s(NaN) did not panic", name)
+				}
+			}()
+			schedule()
+		}()
+	}
+}
+
+// TestRunInsideRunUntil checks that Run called from a callback during
+// RunUntil fires every queued event, including those past the
+// RunUntil horizon.
+func TestRunInsideRunUntil(t *testing.T) {
+	s := New(1)
+	var got []float64
+	for _, at := range []float64{2, 10} {
+		s.At(at, func() { got = append(got, at) })
+	}
+	s.At(1, func() { s.Run() })
+	s.RunUntil(5)
+	if len(got) != 2 || got[1] != 10 || s.Now() != 10 {
+		t.Errorf("fired %v, Now = %v; want [2 10], Now = 10", got, s.Now())
+	}
+}
+
 func TestRunUntil(t *testing.T) {
 	s := New(1)
 	var got []float64
@@ -303,12 +355,43 @@ func TestQuickEventOrder(t *testing.T) {
 	}
 }
 
-// BenchmarkEventQueue measures the pending-event set under the three
-// steady-state workloads: a pure schedule→fire chain, a ticker re-push
-// loop, and a schedule/cancel mix that exercises the tombstone path.
-// All three must report 0 allocs/op (the pool regression tests in
-// events_test.go pin the same property).
+// BenchmarkEventQueue measures the pending-event set under its
+// steady-state workloads: a pure schedule→fire chain (flat and with 64
+// pending), a ticker re-push loop, a schedule/cancel mix that exercises
+// the tombstone path, and lan-32's DMA burst shape. Every one must
+// report 0 allocs/op (the pool regression tests in events_test.go pin
+// the same property).
 func BenchmarkEventQueue(b *testing.B) {
+	b.Run("burst", func(b *testing.B) {
+		// The queue shape of the lan-32 cluster: about 170 standing far
+		// events (timers, sync rounds) and, per broadcast frame, 31
+		// receivers that each schedule an ascending run of 21 DMA word
+		// events 400 ns apart behind a 100–400 ns uniform arbitration
+		// offset. One op is one fired word.
+		const receivers, words = 31, 21
+		s := New(1)
+		r := s.RNG("bench")
+		nop := func() {}
+		for i := 0; i < 170; i++ {
+			s.At(1e6+r.Float64(), nop)
+		}
+		n := 0
+		var frame func()
+		frame = func() {
+			for rx := 0; rx < receivers; rx++ {
+				start := s.Now() + r.Uniform(100e-9, 400e-9)
+				for w := 0; w < words; w++ {
+					s.At(start+float64(w)*400e-9, nop)
+				}
+			}
+			if n += receivers * words; n < b.N {
+				s.After(10e-6, frame)
+			}
+		}
+		b.ReportAllocs()
+		s.After(0, frame)
+		s.RunUntil(1e5)
+	})
 	b.Run("fire", func(b *testing.B) {
 		s := New(1)
 		r := s.RNG("bench")
