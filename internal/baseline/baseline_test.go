@@ -13,7 +13,7 @@ import (
 
 func mkUTCSU(s *sim.Simulator, label string) *utcsu.UTCSU {
 	o := oscillator.New(s, oscillator.TCXO(10e6), label)
-	return utcsu.New(s, utcsu.Config{Osc: o})
+	return utcsu.New(s, o)
 }
 
 func TestCounterClockGranularity(t *testing.T) {
@@ -113,9 +113,6 @@ func TestNTPConvergesToMsRange(t *testing.T) {
 		s.RunUntil(x)
 		worst = math.Max(worst, math.Abs(c.OffsetSeconds()))
 	}
-	if c.Polls() < 30 {
-		t.Fatalf("only %d polls", c.Polls())
-	}
 	// NTP over a queueing WAN: ms-range, definitely not µs.
 	if worst > 100e-3 {
 		t.Errorf("NTP worst offset %v, want within ~10ms-range", worst)
@@ -151,20 +148,5 @@ func TestNTPAsymmetryBias(t *testing.T) {
 	skew := run(4)
 	if math.Abs(skew) < 2*math.Abs(sym) || math.Abs(skew) < 0.5e-3 {
 		t.Errorf("asymmetry bias not visible: sym mean %v, asym mean %v", sym, skew)
-	}
-}
-
-func TestNTPStopsPolling(t *testing.T) {
-	s := sim.New(9)
-	u := mkUTCSU(s, "ntp")
-	path := network.NewWANPath(s, network.DefaultWAN(), "ntp")
-	c := NewNTPClient(s, u, path, DefaultNTP())
-	c.Start()
-	s.RunUntil(100)
-	n := c.Polls()
-	c.Stop()
-	s.RunUntil(300)
-	if c.Polls() > n+1 { // one in-flight poll may still land
-		t.Errorf("polls after Stop: %d -> %d", n, c.Polls())
 	}
 }

@@ -25,9 +25,7 @@ type NTPClient struct {
 	// shift register of recent (delay, offset) samples; the minimum-
 	// delay sample wins (NTP's clock filter).
 	samples []ntpSample
-	polls   uint64
 	synced  bool
-	ticker  *sim.Ticker
 	rng     *sim.RNG
 }
 
@@ -75,18 +73,8 @@ func NewNTPClient(s *sim.Simulator, u *utcsu.UTCSU, path *network.WANPath, cfg N
 
 // Start begins polling.
 func (c *NTPClient) Start() {
-	c.ticker = c.s.Every(c.s.Now()+1, c.cfg.PollInterval, c.poll)
+	c.s.Every(c.s.Now()+1, c.cfg.PollInterval, c.poll)
 }
-
-// Stop halts polling.
-func (c *NTPClient) Stop() {
-	if c.ticker != nil {
-		c.ticker.Stop()
-	}
-}
-
-// Polls reports completed polls.
-func (c *NTPClient) Polls() uint64 { return c.polls }
 
 // poll performs one NTP exchange: client → server → client.
 func (c *NTPClient) poll() {
@@ -108,7 +96,6 @@ func (c *NTPClient) poll() {
 
 // ingest runs the clock filter and disciplines the clock.
 func (c *NTPClient) ingest(sm ntpSample) {
-	c.polls++
 	c.samples = append(c.samples, sm)
 	if len(c.samples) > c.cfg.FilterDepth {
 		c.samples = c.samples[1:]

@@ -16,7 +16,6 @@ import (
 // Timer is a cancellable alarm armed against a clock.
 type Timer interface {
 	Cancel()
-	Pending() bool
 }
 
 // Clock is the device the algorithm steers. *utcsu.UTCSU satisfies it

@@ -243,14 +243,8 @@ func New(node *kernel.Node, clk Clock, p Params) *Synchronizer {
 	return sy
 }
 
-// Discipline returns the clock discipline this synchronizer runs.
-func (sy *Synchronizer) Discipline() discipline.Discipline { return sy.disc }
-
 // Stats returns a copy of the accumulated statistics.
 func (sy *Synchronizer) Stats() Stats { return sy.stats }
-
-// Params returns the effective (defaulted) parameters.
-func (sy *Synchronizer) Params() Params { return sy.p }
 
 // ReinstallHandler re-registers the synchronizer as the node's CI
 // handler after a MeasureDelay campaign temporarily took it over.

@@ -10,7 +10,6 @@ import (
 
 	"ntisim/internal/adversary"
 	"ntisim/internal/clocksync"
-	"ntisim/internal/comco"
 	"ntisim/internal/cpu"
 	"ntisim/internal/gps"
 	"ntisim/internal/kernel"
@@ -31,7 +30,7 @@ import (
 // slices inside its receiver configs alias their originals on plain
 // struct copy. Parameter sweeps that mutate per-cell configs must go
 // through Clone, which deep-copies those; all other fields (including
-// the nested Medium/Kernel/COMCO/Sync structs) are safe to mutate on a
+// the nested Medium/Kernel/Sync structs) are safe to mutate on a
 // struct copy. The two function fields, OscillatorFor and ClockFactory,
 // remain shared by Clone — they must be pure (no captured mutable
 // state) to keep cloned configs independent.
@@ -46,7 +45,6 @@ type Config struct {
 	OscHz  float64
 	Medium network.MediumConfig
 	Kernel kernel.Config
-	COMCO  comco.Config
 	Sync   clocksync.Params
 	// ClockFactory builds the clock device the synchronizer steers;
 	// default wraps the node's UTCSU directly (clocksync.UTCSUClock).
@@ -113,7 +111,6 @@ func Defaults(n int, seed uint64) Config {
 		OscHz:  10e6,
 		Medium: network.DefaultLAN(),
 		Kernel: kernel.Config{CPU: cpu.DefaultMVME162(), Mode: kernel.ModeNTI, UseRxBaseLatch: true},
-		COMCO:  comco.Default82596(),
 		// A priori delay bounds for a 10 Mb/s LAN with 64-byte CSPs:
 		// serialization ≈ 51 µs + preamble + propagation + DMA terms.
 		// MeasureDelay tightens these further.
@@ -297,13 +294,13 @@ func New(cfg Config) *Cluster {
 			oc = cfg.OscillatorFor(id)
 		}
 		osc := oscillator.New(s, oc, name)
-		u := utcsu.New(s, utcsu.Config{Osc: osc})
+		u := utcsu.New(s, osc)
 		// The adversary sits between the bus and the node's COMCO (the
 		// identity when nobody attacks): lies are applied at delivery on
 		// the receiver's shard, so the decomposition never changes what
 		// any node hears.
 		bus = c.adv.WrapBus(bus, id, shard, s)
-		node := kernel.NewNode(s, uint16(id), u, bus, cfg.Kernel, cfg.COMCO)
+		node := kernel.NewNode(s, uint16(id), u, bus, cfg.Kernel)
 		m := &Member{Index: id, Segment: segment, Shard: shard, Osc: osc, U: u, Node: node}
 		var clk clocksync.Clock = clocksync.UTCSUClock{UTCSU: u}
 		if cfg.ClockFactory != nil {
@@ -323,18 +320,13 @@ func New(cfg Config) *Cluster {
 	}
 
 	rw := relayRewrite(cfg.Sync.RhoPPB)
-	link := network.LinkConfig{
-		BitRateBps:   cfg.Medium.BitRateBps,
-		PreambleBits: cfg.Medium.PreambleBits,
-		InterframeS:  cfg.Medium.InterframeS,
-	}
 	for home := 0; home+1 < segs; home++ {
 		remote := home + 1
 		for g := 0; g < gpl; g++ {
 			gw := mkNode(home, media[home], -1)
 			var port *network.LinkPort
 			var relay *network.Relay
-			port = network.NewLinkPort(sims[home], link, func(f network.Frame) {
+			port = network.NewLinkPort(sims[home], cfg.Medium, func(f network.Frame) {
 				group.Post(home, remote, sims[home].Now()+DefaultWANDelayS, func() { relay.Inject(f) })
 			}, rw)
 			relay = network.NewRelay(media[remote], func(f network.Frame) {

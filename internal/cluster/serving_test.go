@@ -102,7 +102,7 @@ func TestServingRegionalSkew(t *testing.T) {
 	_, c, _ := runServing(t, cfg, 10)
 	perSeg := map[int]uint64{}
 	for i, g := range c.ServingGens {
-		perSeg[c.Members[i].Segment] += g.Queries()
+		perSeg[c.Members[i].Segment] += service.Collect([]*service.Generator{g}, 0, 0).Queries
 	}
 	// Weight of segment 1 is 3x segment 0; the realized ratio should be
 	// comfortably above 2 after 10 s at these rates.

@@ -24,32 +24,20 @@ import (
 	"ntisim/internal/trace"
 )
 
-// Config describes the controller's DMA timing.
-type Config struct {
-	DMAWordTimeS float64 // per 32-bit word bus transfer; default 400 ns
-	TxFIFOBytes  int     // prefetch FIFO depth; default 32
-	// Bus arbitration before a DMA burst: uniform in [Min, Max].
-	ArbMinS float64 // default 200 ns
-	ArbMaxS float64 // default 1.5 µs
-}
-
-// Default82596 returns timings representative of the 82596CA on a VME
-// carrier.
-func Default82596() Config {
-	return Config{
-		DMAWordTimeS: 400e-9,
-		TxFIFOBytes:  32,
-		ArbMinS:      100e-9,
-		ArbMaxS:      400e-9,
-	}
-}
+// DMA timing of the 82596CA on a VME carrier.
+const (
+	dmaWordTimeS = 400e-9 // one 32-bit word bus transfer
+	txFIFOBytes  = 32     // transmit prefetch FIFO depth
+	// Bus arbitration before a DMA burst is uniform in [arbMinS, arbMaxS].
+	arbMinS = 100e-9
+	arbMaxS = 400e-9
+)
 
 // COMCO is one controller instance attached to a medium and an NTI.
 type COMCO struct {
 	s       *sim.Simulator
 	nti     *nti.NTI
 	med     network.Bus
-	cfg     Config
 	rng     *sim.RNG
 	station int
 	channel int
@@ -171,26 +159,14 @@ func (c *COMCO) allocDone() *rxDone {
 // controller traces through the simulator's tracer, attributing its
 // records to node id `node`: tx-trigger, rx-trigger, rx-done and — when
 // the tracer asks for them — every timed DMA word.
-func NewChannel(s *sim.Simulator, module *nti.NTI, med network.Bus, cfg Config, label string, channel, node int) *COMCO {
-	if cfg.DMAWordTimeS <= 0 {
-		cfg.DMAWordTimeS = 400e-9
-	}
-	if cfg.TxFIFOBytes <= 0 {
-		cfg.TxFIFOBytes = 32
-	}
-	if cfg.ArbMaxS < cfg.ArbMinS {
-		cfg.ArbMaxS = cfg.ArbMinS
-	}
+func NewChannel(s *sim.Simulator, module *nti.NTI, med network.Bus, label string, channel, node int) *COMCO {
 	c := &COMCO{
-		s: s, nti: module, med: med, cfg: cfg, rng: s.RNG("comco/" + label), channel: channel,
+		s: s, nti: module, med: med, rng: s.RNG("comco/" + label), channel: channel,
 		tr: s.Tracer(), trNode: node, trWords: s.Tracer().Options().DMAWords,
 	}
 	c.station = med.Attach(c)
 	return c
 }
-
-// Channel returns the NTI channel this controller is wired to.
-func (c *COMCO) Channel() int { return c.channel }
 
 // Station returns the controller's station id on the medium.
 func (c *COMCO) Station() int { return c.station }
@@ -241,15 +217,15 @@ func (c *COMCO) TransmitRaw(payload []byte, dst int) uint64 {
 // initial FIFO prefill (back-to-back at DMA speed) or, once the FIFO is
 // primed, paced by the wire draining it.
 func (c *COMCO) fetchHeader(fid uint64, base uint32, payload []byte, acquiredAt float64) {
-	arb := c.rng.Uniform(c.cfg.ArbMinS, c.cfg.ArbMaxS)
+	arb := c.rng.Uniform(arbMinS, arbMaxS)
 	preamble := 64 / c.med.Bitrate() // preamble bits on the wire
 	for w := 0; w < nti.HeaderSize/4; w++ {
 		off := uint32(4 * w)
 		var t float64
-		if int(off) < c.cfg.TxFIFOBytes {
-			t = acquiredAt + arb + float64(w)*c.cfg.DMAWordTimeS
+		if int(off) < txFIFOBytes {
+			t = acquiredAt + arb + float64(w)*dmaWordTimeS
 		} else {
-			drained := float64(int(off)-c.cfg.TxFIFOBytes) * 8 / c.med.Bitrate()
+			drained := float64(int(off)-txFIFOBytes) * 8 / c.med.Bitrate()
 			t = acquiredAt + arb + preamble + drained
 		}
 		j := c.allocJob()
@@ -274,7 +250,7 @@ func (c *COMCO) FrameArrived(f network.Frame) {
 	slot := c.rxNext
 	c.rxNext = (c.rxNext + 1) % nti.RxHeadersPerCh
 	base := nti.RxHeaderAddrCh(c.channel, slot)
-	arb := c.rng.Uniform(c.cfg.ArbMinS, c.cfg.ArbMaxS)
+	arb := c.rng.Uniform(arbMinS, arbMaxS)
 	words := nti.HeaderSize / 4
 	for w := 0; w < words; w++ {
 		j := c.allocJob()
@@ -283,7 +259,7 @@ func (c *COMCO) FrameArrived(f network.Frame) {
 		j.val = binary.BigEndian.Uint32(f.Payload[4*w:])
 		j.fid = f.ID
 		j.trig = uint32(4*w) == csp.RxTrigOffset
-		c.s.After(arb+float64(w)*c.cfg.DMAWordTimeS, j.run)
+		c.s.After(arb+float64(w)*dmaWordTimeS, j.run)
 	}
 	// Payload beyond the header lands in the paired data-buffer slot
 	// (truncated to the slot size, like a real descriptor chain would
@@ -308,13 +284,13 @@ func (c *COMCO) FrameArrived(f network.Frame) {
 				copy(tail[:], rest)
 				j.val = binary.BigEndian.Uint32(tail[:])
 			}
-			c.s.After(arb+float64(words+w)*c.cfg.DMAWordTimeS, j.run)
+			c.s.After(arb+float64(words+w)*dmaWordTimeS, j.run)
 		}
 		words += nw
 	}
 	d := c.allocDone()
 	d.base, d.length, d.corrupt, d.fid = base, len(f.Payload), f.Corrupt, f.ID
-	c.s.After(arb+float64(words)*c.cfg.DMAWordTimeS, d.run)
+	c.s.After(arb+float64(words)*dmaWordTimeS, d.run)
 }
 
 // Stats reports frames transmitted and stored.

@@ -18,9 +18,9 @@ func rig(seed uint64) (*sim.Simulator, *network.Medium, *nti.NTI, *COMCO, *nti.N
 	med := network.NewMedium(s, network.DefaultLAN())
 	mk := func(label string) (*nti.NTI, *COMCO) {
 		o := oscillator.New(s, oscillator.Ideal(10e6), label)
-		u := utcsu.New(s, utcsu.Config{Osc: o})
+		u := utcsu.New(s, o)
 		n := nti.New(u)
-		return n, NewChannel(s, n, med, Default82596(), label, 0, 0)
+		return n, NewChannel(s, n, med, label, 0, 0)
 	}
 	na, ca := mk("a")
 	nb, cb := mk("b")
@@ -131,13 +131,13 @@ func TestCorruptFlagPropagates(t *testing.T) {
 	mc.CRCErrorProb = 1
 	med := network.NewMedium(s, mc)
 	o1 := oscillator.New(s, oscillator.Ideal(10e6), "a")
-	u1 := utcsu.New(s, utcsu.Config{Osc: o1})
+	u1 := utcsu.New(s, o1)
 	n1 := nti.New(u1)
-	c1 := NewChannel(s, n1, med, Default82596(), "a", 0, 0)
+	c1 := NewChannel(s, n1, med, "a", 0, 0)
 	o2 := oscillator.New(s, oscillator.Ideal(10e6), "b")
-	u2 := utcsu.New(s, utcsu.Config{Osc: o2})
+	u2 := utcsu.New(s, o2)
 	n2 := nti.New(u2)
-	c2 := NewChannel(s, n2, med, Default82596(), "b", 0, 1)
+	c2 := NewChannel(s, n2, med, "b", 0, 1)
 	_ = c1
 	sawCorrupt := false
 	c2.OnRxStored(func(_ uint64, _ uint32, _ int, corrupt bool) { sawCorrupt = corrupt })

@@ -43,25 +43,11 @@ func DefaultMVME162() Config {
 	}
 }
 
-// Fast returns a near-ideal CPU, for tests that want to isolate other
-// effects.
-func Fast() Config {
-	return Config{
-		ISRLatencyMeanS:  1e-6,
-		ISRLatencyMinS:   1e-6,
-		TaskLatencyMeanS: 2e-6,
-		TaskLatencyMinS:  2e-6,
-	}
-}
-
 // CPU is one node's processor.
 type CPU struct {
 	s   *sim.Simulator
 	cfg Config
 	rng *sim.RNG
-
-	isrCount  uint64
-	taskCount uint64
 }
 
 // New creates a CPU bound to the simulator; label individualizes its RNG.
@@ -87,16 +73,11 @@ func (c *CPU) TaskDelay() float64 {
 
 // RunISR schedules fn after a sampled interrupt latency.
 func (c *CPU) RunISR(fn func()) {
-	c.isrCount++
 	c.s.After(c.ISRDelay(), fn)
 }
 
 // RunTask schedules fn after a sampled task-dispatch latency (measured
 // from now, i.e. on top of whatever context invoked it).
 func (c *CPU) RunTask(fn func()) {
-	c.taskCount++
 	c.s.After(c.TaskDelay(), fn)
 }
-
-// Stats reports dispatched ISRs and tasks.
-func (c *CPU) Stats() (isrs, tasks uint64) { return c.isrCount, c.taskCount }

@@ -48,16 +48,6 @@ func TestTaskDelayDistribution(t *testing.T) {
 	}
 }
 
-func TestFastConfigIsFast(t *testing.T) {
-	s := sim.New(3)
-	c := New(s, Fast(), "t")
-	for i := 0; i < 100; i++ {
-		if c.ISRDelay() > 10e-6 || c.TaskDelay() > 20e-6 {
-			t.Fatal("Fast() config is not fast")
-		}
-	}
-}
-
 func TestRunISRAndTask(t *testing.T) {
 	s := sim.New(4)
 	c := New(s, DefaultMVME162(), "t")
@@ -71,10 +61,6 @@ func TestRunISRAndTask(t *testing.T) {
 	// ISR latency < task latency for the defaults, so ISR fires first.
 	if order[0] != "isr" {
 		t.Errorf("order = %v", order)
-	}
-	isrs, tasks := c.Stats()
-	if isrs != 1 || tasks != 1 {
-		t.Errorf("stats = %d/%d", isrs, tasks)
 	}
 }
 

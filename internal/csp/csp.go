@@ -25,7 +25,7 @@ const (
 	OffKind    = 0x00 // packet kind (1 byte) + version (1 byte)
 	OffNode    = 0x02 // sending node id (2 bytes)
 	OffRound   = 0x04 // synchronization round number (4 bytes)
-	OffDest    = 0x08 // destination node id, 0xFFFF = broadcast (2 bytes)
+	OffDest    = 0x08 // destination node id (2 bytes)
 	OffSeq     = 0x0A // per-sender sequence number (2 bytes)
 	OffRate    = 0x0C // sender's rate adjustment in ppb (4 bytes, signed)
 	OffFlags   = 0x10 // flag bits (1 byte) + 3 reserved
@@ -45,9 +45,6 @@ const (
 // In this model the receive header holds the same CSP image, so the
 // trigger fires while the stamp words land in memory.
 const RxTrigOffset = 0x1C
-
-// BroadcastNode addresses all nodes.
-const BroadcastNode = 0xFFFF
 
 // Flag bits (OffFlags).
 const (
@@ -93,7 +90,7 @@ const version = 1
 type Packet struct {
 	Kind  Kind
 	Node  uint16 // sender
-	Dest  uint16 // receiver or BroadcastNode
+	Dest  uint16 // addressed node; broadcasts leave it 0
 	Round uint32
 	Seq   uint16
 

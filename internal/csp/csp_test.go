@@ -12,7 +12,7 @@ func samplePacket() Packet {
 	p := Packet{
 		Kind:     KindCSP,
 		Node:     7,
-		Dest:     BroadcastNode,
+		Dest:     0xFFFF,
 		Round:    42,
 		Seq:      1001,
 		RatePPB:  -12345,

@@ -81,15 +81,20 @@ const IDCustom = 63
 // only, never reorder.
 var builtins = []struct {
 	name    string
-	desc    string
 	factory Factory
 }{
-	{"interval", "orthogonal-accuracy interval baseline (the paper's CSA)", func() Discipline { return NewInterval() }},
-	{"kalman", "steady-state Kalman offset/rate filter over the FT-midpoint measurement", func() Discipline { return NewKalman() }},
-	{"lucky", "ntimed-style lucky-sample pick with exponentially-weighted smoothing", func() Discipline { return NewLucky() }},
-	{"theilsen", "Theil-Sen robust trend regression over a sample window", func() Discipline { return NewTheilSen() }},
-	{"pi-kalman", "PI/PLL rate controller wrapping the Kalman offset filter", func() Discipline { return NewPIPLL(NewKalman()) }},
-	{"pi-theilsen", "PI/PLL rate controller wrapping the Theil-Sen estimator", func() Discipline { return NewPIPLL(NewTheilSen()) }},
+	// orthogonal-accuracy interval baseline (the paper's CSA)
+	{"interval", func() Discipline { return NewInterval() }},
+	// steady-state Kalman offset/rate filter over the FT-midpoint measurement
+	{"kalman", func() Discipline { return NewKalman() }},
+	// ntimed-style lucky-sample pick with exponentially-weighted smoothing
+	{"lucky", func() Discipline { return NewLucky() }},
+	// Theil-Sen robust trend regression over a sample window
+	{"theilsen", func() Discipline { return NewTheilSen() }},
+	// PI/PLL rate controller wrapping the Kalman offset filter
+	{"pi-kalman", func() Discipline { return NewPIPLL(NewKalman()) }},
+	// PI/PLL rate controller wrapping the Theil-Sen estimator
+	{"pi-theilsen", func() Discipline { return NewPIPLL(NewTheilSen()) }},
 }
 
 // Names lists the registered discipline names in sorted order.
@@ -102,17 +107,6 @@ func Names() []string {
 	return out
 }
 
-// Describe returns the one-line description of a registered discipline
-// ("" when unknown).
-func Describe(name string) string {
-	for _, b := range builtins {
-		if b.name == name {
-			return b.desc
-		}
-	}
-	return ""
-}
-
 // Lookup resolves a discipline name to its factory.
 func Lookup(name string) (Factory, bool) {
 	for _, b := range builtins {
@@ -121,15 +115,6 @@ func Lookup(name string) (Factory, bool) {
 		}
 	}
 	return nil, false
-}
-
-// New builds a fresh instance of a registered discipline.
-func New(name string) (Discipline, bool) {
-	f, ok := Lookup(name)
-	if !ok {
-		return nil, false
-	}
-	return f(), true
 }
 
 // ID returns the stable wire ID of a registered discipline name

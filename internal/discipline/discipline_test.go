@@ -58,10 +58,11 @@ func TestDisciplinesConvergeOnDriftingClock(t *testing.T) {
 	for _, name := range Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			d, ok := New(name)
+			f, ok := Lookup(name)
 			if !ok {
-				t.Fatalf("New(%q) failed", name)
+				t.Fatalf("Lookup(%q) failed", name)
 			}
+			d := f()
 			errs, _ := oracle(t, d, 500e-6, 500, 80)
 			worst := 0.0
 			for _, e := range errs[len(errs)-10:] {
@@ -104,7 +105,8 @@ func TestStepNoQuorum(t *testing.T) {
 		interval.New(st(20), dur(1e-6), dur(1e-6)),
 	}
 	for _, name := range Names() {
-		d, _ := New(name)
+		f, _ := Lookup(name)
+		d := f()
 		if _, ok := d.Step(Sample{Round: 0, Now: st(1), Intervals: disjoint, F: 0}); ok {
 			t.Errorf("%s: disjoint round converged", name)
 		}
@@ -123,7 +125,8 @@ func TestStepNoQuorum(t *testing.T) {
 // can be re-synchronized after a clock step.
 func TestResetRecovers(t *testing.T) {
 	for _, name := range Names() {
-		d, _ := New(name)
+		f, _ := Lookup(name)
+		d := f()
 		oracle(t, d, 500e-6, 500, 20)
 		d.Reset()
 		errs, _ := oracle(t, d, 500e-6, 500, 40)
@@ -146,15 +149,12 @@ func TestRegistryRoundTrip(t *testing.T) {
 		}
 	}
 	for _, n := range names {
-		d, ok := New(n)
+		f, ok := Lookup(n)
 		if !ok {
-			t.Fatalf("New(%q) failed", n)
+			t.Fatalf("Lookup(%q) failed", n)
 		}
-		if d.Name() != n {
-			t.Errorf("New(%q).Name() = %q", n, d.Name())
-		}
-		if Describe(n) == "" {
-			t.Errorf("Describe(%q) empty", n)
+		if d := f(); d.Name() != n {
+			t.Errorf("Lookup(%q)().Name() = %q", n, d.Name())
 		}
 		id := ID(n)
 		if id == IDCustom {

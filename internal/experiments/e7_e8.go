@@ -31,7 +31,7 @@ func E7WANvsLAN(seed uint64) Result {
 	ntpRun := func(asym float64, label string) (worst, bias float64) {
 		s := sim.New(seed)
 		o := oscillator.New(s, oscillator.TCXO(10e6), "ntp"+label)
-		u := utcsu.New(s, utcsu.Config{Osc: o})
+		u := utcsu.New(s, o)
 		wcfg := network.DefaultWAN()
 		wcfg.Asymmetry = asym
 		path := network.NewWANPath(s, wcfg, "ntp"+label)

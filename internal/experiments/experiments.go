@@ -64,24 +64,3 @@ func (r *Result) Fprint(w io.Writer) {
 	}
 	fmt.Fprintln(w)
 }
-
-// All runs every experiment with a common base seed.
-func All(seed uint64) []Result {
-	return []Result{
-		E1Epsilon(seed),
-		E2TimestampClasses(seed),
-		E3GranularitySweep(seed),
-		E4SixteenNode(seed),
-		E5GPSValidation(seed),
-		E6RateSync(seed),
-		E7WANvsLAN(seed),
-		E8AdderVsCounter(seed),
-		E9TimestampPath(seed),
-		E10BackToBack(seed),
-		E11WANOfLANs(seed),
-		E12ByzantineNode(seed),
-		E13HardwareMeasuredPrecision(seed),
-		E14ConvergenceShootout(seed),
-		E15ReceiverCensus(seed),
-	}
-}

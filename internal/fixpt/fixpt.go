@@ -31,10 +31,6 @@ const (
 	// Augend values are multiples of 2^-51 s (paper §3.3: "a proper augend
 	// value (in multiples of 2^-51 s ≈ 0.44 fs)"). 2^-51 s = 2^13 units.
 	AugendUnit uint64 = 1 << 13
-
-	// StampUnit is the visible clock granularity 2^-24 s (paper §3.3:
-	// resolution 2^-24 ≈ 60 ns): 2^40 fraction units.
-	StampUnit uint64 = 1 << 40
 )
 
 // FromSeconds converts a float64 number of seconds to a Time, rounding to
@@ -55,15 +51,6 @@ func FromSeconds(s float64) Time {
 // Seconds converts t to float64 seconds (lossy beyond 53 bits).
 func (t Time) Seconds() float64 {
 	return float64(t.Sec) + float64(t.Frac)/unitsPerSecondF
-}
-
-// FromUnits builds a Time from a signed count of 2^-64 s units that fits
-// in an int64 (covers ±0.5 s; used for small corrections).
-func FromUnits(u int64) Time {
-	if u >= 0 {
-		return Time{Sec: 0, Frac: uint64(u)}
-	}
-	return Time{Sec: -1, Frac: uint64(u)} // two's complement wrap
 }
 
 // FromSecFrac builds a Time from explicit parts.
@@ -125,13 +112,6 @@ func (t Time) SubScaled(augend uint64, n uint64) Time {
 	return Time{Sec: t.Sec - int64(hi) - int64(borrow), Frac: frac}
 }
 
-// TruncStamp rounds t down to the visible 2^-24 s clock granularity,
-// reproducing the quantization a reader of the UTCSU timestamp register
-// observes.
-func (t Time) TruncStamp() Time {
-	return Time{Sec: t.Sec, Frac: t.Frac &^ (StampUnit - 1)}
-}
-
 // TruncAugend rounds a raw per-tick increment in 2^-64 s units down to the
 // 2^-51 s augend granularity of the UTCSU STEP register.
 func TruncAugend(units uint64) uint64 { return units &^ (AugendUnit - 1) }
@@ -142,13 +122,6 @@ func (t Time) String() string {
 	return fmt.Sprintf("%.9fs", s)
 }
 
-// DivFloat returns the float64 ratio t/u; u must be nonzero.
-// Used only for diagnostics, never in register arithmetic.
-func (t Time) DivFloat(u Time) float64 { return t.Seconds() / u.Seconds() }
-
-// ScaleFloat returns t*k rounded to the nearest unit, for diagnostic use.
-func (t Time) ScaleFloat(k float64) Time { return FromSeconds(t.Seconds() * k) }
-
 // AugendForRate returns the augend (in 2^-64 s units, truncated to the
 // 2^-51 s STEP granularity) that makes a clock driven at freqHz advance at
 // `rate` seconds of clock time per second of oscillator-counted time.
@@ -157,10 +130,4 @@ func AugendForRate(freqHz float64, rate float64) uint64 {
 	perTick := rate / freqHz // seconds of clock advance per tick
 	u := perTick * unitsPerSecondF
 	return TruncAugend(uint64(u))
-}
-
-// RateForAugend is the inverse of AugendForRate: the clock rate (seconds
-// of clock time per oscillator second) produced by an augend at freqHz.
-func RateForAugend(freqHz float64, augend uint64) float64 {
-	return float64(augend) / unitsPerSecondF * freqHz
 }

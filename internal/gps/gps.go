@@ -3,12 +3,14 @@
 // A receiver emits a one-pulse-per-second (1pps) signal marking the
 // exact begin of each UTC second (paper §3.3: the GPU units timestamp
 // it) plus a serial time-of-day message identifying which second the
-// pulse belongs to. Real receivers are accurate to ~100 ns–1 µs but are
-// **not trustworthy**: the authors' own two-month evaluation of six
-// receivers [HS97] "revealed a wide variety of failures", which is why
-// interval-based clock validation exists. The fault injector reproduces
-// the failure classes that study motivates: outages, offset steps,
-// wrong-second (off-by-N) pulses, and flapping.
+// pulse belongs to; the model delivers that label with the pulse
+// (Pulse.LabelSec) instead of encoding serial sentences. Real receivers
+// are accurate to ~100 ns–1 µs but are **not trustworthy**: the
+// authors' own two-month evaluation of six receivers [HS97] "revealed a
+// wide variety of failures", which is why interval-based clock
+// validation exists. The fault injector reproduces the failure classes
+// that study motivates: outages, offset steps, wrong-second (off-by-N)
+// pulses, and flapping.
 package gps
 
 import (
@@ -93,12 +95,10 @@ type Pulse struct {
 
 // Receiver is one simulated GPS timing receiver.
 type Receiver struct {
-	s      *sim.Simulator
-	cfg    Config
-	rng    *sim.RNG
-	out    func(Pulse)
-	ticker *sim.Ticker
-	pulses uint64
+	s   *sim.Simulator
+	cfg Config
+	rng *sim.RNG
+	out func(Pulse)
 
 	tr        *trace.Tracer
 	trNode    int
@@ -128,22 +128,13 @@ func New(s *sim.Simulator, cfg Config, label string, node int, out func(Pulse)) 
 	// The generator runs `lead` ahead of each second so pulses with
 	// negative errors can still be delivered at their physical time.
 	start := float64(int64(s.Now())+1) + 1 - pulseLead
-	r.ticker = s.Every(start, 1.0, r.emit)
+	s.Every(start, 1.0, r.emit)
 	return r
 }
 
 // pulseLead is how far ahead of the nominal second the pulse generator
 // wakes up; it bounds the earliest deliverable pulse error.
 const pulseLead = 0.05
-
-// AccuracyS returns the receiver's claimed accuracy.
-func (r *Receiver) AccuracyS() float64 { return r.cfg.AccuracyS }
-
-// Pulses returns the number of pulses emitted.
-func (r *Receiver) Pulses() uint64 { return r.pulses }
-
-// Stop halts the receiver.
-func (r *Receiver) Stop() { r.ticker.Stop() }
 
 func (r *Receiver) activeFault() *Fault {
 	now := r.s.Now()
@@ -201,7 +192,6 @@ func (r *Receiver) emit() {
 		wait = 0 // error beyond the lead window: clamp to "now"
 	}
 	p := Pulse{TrueTime: float64(sec) + err, LabelSec: label, Valid: valid}
-	r.pulses++
 	r.s.After(wait, func() {
 		if r.out != nil {
 			r.out(p)

@@ -148,22 +148,6 @@ func TestFlapping(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	s := sim.New(9)
-	n := 0
-	r := New(s, DefaultReceiver(), "t", 0, func(Pulse) { n++ })
-	s.RunUntil(5)
-	r.Stop()
-	before := n
-	s.RunUntil(10)
-	if n != before {
-		t.Error("pulses after Stop")
-	}
-	if r.Pulses() == 0 {
-		t.Error("pulse counter dead")
-	}
-}
-
 func TestDeterminism(t *testing.T) {
 	a := collect(42, DefaultReceiver(), 20)
 	b := collect(42, DefaultReceiver(), 20)
@@ -174,109 +158,5 @@ func TestDeterminism(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("pulse %d differs", i)
 		}
-	}
-}
-
-func TestZDARoundTrip(t *testing.T) {
-	for _, sec := range []int64{0, 1, 59, 3600, 123456789} {
-		s := EncodeZDA(sec)
-		got, err := ParseZDA(s)
-		if err != nil {
-			t.Fatalf("ParseZDA(%q): %v", s, err)
-		}
-		if got != sec {
-			t.Errorf("round trip %d -> %d", sec, got)
-		}
-	}
-}
-
-func TestZDARejectsCorruption(t *testing.T) {
-	s := EncodeZDA(42)
-	if _, err := ParseZDA(s[1:]); err != ErrSentenceFraming {
-		t.Errorf("missing $: %v", err)
-	}
-	if _, err := ParseZDA(s[:len(s)-1]); err != ErrSentenceFraming {
-		t.Errorf("truncated checksum: %v", err)
-	}
-	bad := []byte(s)
-	bad[7] ^= 0x01 // flip a digit
-	if _, err := ParseZDA(string(bad)); err != ErrSentenceChecksum {
-		t.Errorf("corrupted body: %v", err)
-	}
-	if _, err := ParseZDA("$GPGGA,1,2*00"); err == nil {
-		t.Error("wrong sentence type accepted")
-	}
-}
-
-func TestSerialDeliveryDelayed(t *testing.T) {
-	s := sim.New(40)
-	var sentences []string
-	var arrival []float64
-	feed := StartSerial(s, SerialConfig{}, "t", func(msg string) {
-		sentences = append(sentences, msg)
-		arrival = append(arrival, s.Now())
-	})
-	var pulseTimes []float64
-	New(s, DefaultReceiver(), "t", 0, func(p Pulse) {
-		pulseTimes = append(pulseTimes, s.Now())
-		feed(p)
-	})
-	s.RunUntil(10.9)
-	if len(sentences) < 9 {
-		t.Fatalf("only %d sentences", len(sentences))
-	}
-	first, err := ParseZDA(sentences[0])
-	if err != nil || first > 2 {
-		t.Fatalf("first sentence: sec=%d err=%v", first, err)
-	}
-	for i, at := range arrival {
-		d := at - pulseTimes[i]
-		if d < 0.05 || d > 0.5 {
-			t.Errorf("sentence %d delayed %v, want 50..500 ms", i, d)
-		}
-		if sec, err := ParseZDA(sentences[i]); err != nil || sec != first+int64(i) {
-			t.Errorf("sentence %d decodes to %d (%v)", i, sec, err)
-		}
-	}
-}
-
-func TestSerialPairerMatchesInOrder(t *testing.T) {
-	var pairs [][2]int64
-	sp := NewSerialPairer(func(label, local int64) { pairs = append(pairs, [2]int64{label, local}) })
-	sp.PulseSampled(1000)
-	sp.PulseSampled(2000)
-	sp.SentenceReceived(EncodeZDA(5))
-	sp.SentenceReceived(EncodeZDA(6))
-	if len(pairs) != 2 || pairs[0] != [2]int64{5, 1000} || pairs[1] != [2]int64{6, 2000} {
-		t.Errorf("pairs = %v", pairs)
-	}
-	if sp.Dropped() != 0 {
-		t.Errorf("dropped = %d", sp.Dropped())
-	}
-}
-
-func TestSerialPairerResyncsAfterLoss(t *testing.T) {
-	var pairs int
-	sp := NewSerialPairer(func(int64, int64) { pairs++ })
-	// Sentences lost: pulses pile up; the pairer must shed backlog.
-	for i := 0; i < 8; i++ {
-		sp.PulseSampled(int64(i))
-	}
-	if len(sp.pending) > 4 {
-		t.Errorf("backlog not shed: %d", len(sp.pending))
-	}
-	if sp.Dropped() == 0 {
-		t.Error("shedding not accounted")
-	}
-	sp.SentenceReceived(EncodeZDA(9))
-	if pairs != 1 {
-		t.Errorf("pairs = %d", pairs)
-	}
-	// Garbage sentence and sentence with no pending pulse.
-	sp.SentenceReceived("garbage")
-	sp.SentenceReceived(EncodeZDA(10))
-	sp.SentenceReceived(EncodeZDA(11)) // nothing pending anymore
-	if pairs != 2 {
-		t.Errorf("pairs after noise = %d", pairs)
 	}
 }

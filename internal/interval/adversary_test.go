@@ -102,9 +102,9 @@ func TestFuserMatchesReferenceOnAdversarialInputs(t *testing.T) {
 				// Degenerate: zero-width point interval, sometimes
 				// duplicated at an existing edge to force sort ties.
 				if len(ivs) > 0 && rng.Intn(2) == 1 {
-					ivs = append(ivs, Point(ivs[len(ivs)-1].Hi()))
+					ivs = append(ivs, New(ivs[len(ivs)-1].Hi(), 0, 0))
 				} else {
-					ivs = append(ivs, Point(T.Add(timefmt.DurationFromSeconds(1e-3*rng.Float64()))))
+					ivs = append(ivs, New(T.Add(timefmt.DurationFromSeconds(1e-3*rng.Float64())), 0, 0))
 				}
 			}
 		}
@@ -113,15 +113,14 @@ func TestFuserMatchesReferenceOnAdversarialInputs(t *testing.T) {
 		if gotOK != wantOK || got != want {
 			t.Fatalf("trial %d: OrthogonalAccuracy mismatch: fuser (%v, %v) vs reference (%v, %v)", trial, got, gotOK, want, wantOK)
 		}
-		got, gotOK = fz.OrthogonalAccuracyFTA(ivs, f)
-		want, wantOK = OrthogonalAccuracyFTA(ivs, f)
-		if gotOK != wantOK || got != want {
-			t.Fatalf("trial %d: OrthogonalAccuracyFTA mismatch: fuser (%v, %v) vs reference (%v, %v)", trial, got, gotOK, want, wantOK)
+		// The variants E14 runs are the degraded-f Marzullo interval,
+		// re-referenced (FTA) or as is (Marzullo midpoint).
+		mz, mzOK := fz.Marzullo(ivs, degradeF(ivs, f))
+		if got, ok := MarzulloMidpoint(ivs, f); ok != mzOK || got != mz {
+			t.Fatalf("trial %d: MarzulloMidpoint (%v, %v), degraded Marzullo (%v, %v)", trial, got, ok, mz, mzOK)
 		}
-		got, gotOK = fz.MarzulloMidpoint(ivs, f)
-		want, wantOK = MarzulloMidpoint(ivs, f)
-		if gotOK != wantOK || got != want {
-			t.Fatalf("trial %d: MarzulloMidpoint mismatch: fuser (%v, %v) vs reference (%v, %v)", trial, got, gotOK, want, wantOK)
+		if got, ok := OrthogonalAccuracyFTA(ivs, f); ok != mzOK || (ok && got != mz.Rereference(got.Ref)) {
+			t.Fatalf("trial %d: OrthogonalAccuracyFTA (%v, %v) is not the degraded Marzullo interval (%v, %v) re-referenced", trial, got, ok, mz, mzOK)
 		}
 	}
 }

@@ -1,7 +1,7 @@
 // Scratch-based convergence: a Fuser owns reusable buffers so the
 // per-round hot path of a long-running synchronizer computes Marzullo
 // intersections and fault-tolerant midpoints without allocating. The
-// package-level functions (Marzullo, FTMidpoint, OrthogonalAccuracy, …)
+// package-level functions Marzullo, FTMidpoint and OrthogonalAccuracy
 // stay as the allocation-per-call reference implementations; a Fuser
 // produces bit-identical results (same edge ordering, same tie rules)
 // and is what internal/discipline uses on the steady-state path.
@@ -105,24 +105,6 @@ func (fz *Fuser) FTMidpoint(ivs []Interval, f int) timefmt.Stamp {
 	return lo.Add(hi.Sub(lo) / 2)
 }
 
-// FTAverage computes the fault-tolerant average of the intervals'
-// reference points without allocating. It panics if 2f >= len(ivs).
-func (fz *Fuser) FTAverage(ivs []Interval, f int) timefmt.Stamp {
-	n := len(ivs)
-	if 2*f >= n {
-		panic("interval: FTAverage needs n > 2f")
-	}
-	fz.loadRefs(ivs)
-	sort.Sort(&fz.refs)
-	kept := fz.refs[f : n-f]
-	base := kept[0]
-	var acc int64
-	for _, v := range kept {
-		acc += int64(v.Sub(base))
-	}
-	return base.Add(timefmt.Duration(acc / int64(len(kept))))
-}
-
 // degradeF mirrors the graceful degradation of the package convergence
 // functions: with fewer than 2f+1 inputs fall back to the largest
 // tolerable f.
@@ -142,21 +124,4 @@ func (fz *Fuser) OrthogonalAccuracy(ivs []Interval, f int) (Interval, bool) {
 		return Interval{}, false
 	}
 	return mz.Rereference(fz.FTMidpoint(ivs, f)), true
-}
-
-// OrthogonalAccuracyFTA is the scratch-buffer equivalent of the package
-// function: Marzullo edges, fault-tolerant-average reference.
-func (fz *Fuser) OrthogonalAccuracyFTA(ivs []Interval, f int) (Interval, bool) {
-	f = degradeF(ivs, f)
-	mz, ok := fz.Marzullo(ivs, f)
-	if !ok {
-		return Interval{}, false
-	}
-	return mz.Rereference(fz.FTAverage(ivs, f)), true
-}
-
-// MarzulloMidpoint is the scratch-buffer equivalent of the package
-// function: pure Marzullo dynamics with graceful f degradation.
-func (fz *Fuser) MarzulloMidpoint(ivs []Interval, f int) (Interval, bool) {
-	return fz.Marzullo(ivs, degradeF(ivs, f))
 }

@@ -106,27 +106,10 @@ func TestFuserMatchesPackageFunctions(t *testing.T) {
 				trial, n, f, wantOA, wantOK, gotOA, gotOK)
 		}
 
-		wantFTA, wantOK := OrthogonalAccuracyFTA(ivs, f)
-		gotFTA, gotOK := fz.OrthogonalAccuracyFTA(ivs, f)
-		if wantOK != gotOK || wantFTA != gotFTA {
-			t.Fatalf("trial %d: OrthogonalAccuracyFTA(n=%d,f=%d) = %v,%v; Fuser = %v,%v",
-				trial, n, f, wantFTA, wantOK, gotFTA, gotOK)
-		}
-
-		wantMM, wantOK := MarzulloMidpoint(ivs, f)
-		gotMM, gotOK := fz.MarzulloMidpoint(ivs, f)
-		if wantOK != gotOK || wantMM != gotMM {
-			t.Fatalf("trial %d: MarzulloMidpoint(n=%d,f=%d) = %v,%v; Fuser = %v,%v",
-				trial, n, f, wantMM, wantOK, gotMM, gotOK)
-		}
-
 		if 2*f < n {
 			refs := refsOf(ivs)
 			if want, got := FTMidpoint(refs, f), fz.FTMidpoint(ivs, f); want != got {
 				t.Fatalf("trial %d: FTMidpoint(n=%d,f=%d) = %v; Fuser = %v", trial, n, f, want, got)
-			}
-			if want, got := FTAverage(refs, f), fz.FTAverage(ivs, f); want != got {
-				t.Fatalf("trial %d: FTAverage(n=%d,f=%d) = %v; Fuser = %v", trial, n, f, want, got)
 			}
 		}
 	}
@@ -153,7 +136,6 @@ func TestFuserZeroAlloc(t *testing.T) {
 		if _, ok := fz.OrthogonalAccuracy(ivs, 2); !ok {
 			t.Fatal("convergence failed")
 		}
-		fz.FTAverage(ivs, 2)
 	})
 	if allocs != 0 {
 		t.Errorf("Fuser allocates %v per round, want 0", allocs)

@@ -50,15 +50,10 @@ func FuzzFuser(f *testing.F) {
 		}
 		check("Marzullo", Marzullo, fz.Marzullo)
 		check("OrthogonalAccuracy", OrthogonalAccuracy, fz.OrthogonalAccuracy)
-		check("OrthogonalAccuracyFTA", OrthogonalAccuracyFTA, fz.OrthogonalAccuracyFTA)
-		check("MarzulloMidpoint", MarzulloMidpoint, fz.MarzulloMidpoint)
 		if f >= 0 && 2*f < len(ivs) {
 			refs := refsOf(ivs)
 			if want, got := FTMidpoint(refs, f), fz.FTMidpoint(ivs, f); want != got {
 				t.Fatalf("FTMidpoint(n=%d, f=%d): reference %v, Fuser %v", len(ivs), f, want, got)
-			}
-			if want, got := FTAverage(refs, f), fz.FTAverage(ivs, f); want != got {
-				t.Fatalf("FTAverage(n=%d, f=%d): reference %v, Fuser %v", len(ivs), f, want, got)
 			}
 		}
 	})

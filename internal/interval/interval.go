@@ -52,9 +52,6 @@ func FromEdges(lo, hi timefmt.Stamp, ref timefmt.Stamp) Interval {
 	return Interval{Ref: ref, Minus: ref.Sub(lo), Plus: hi.Sub(ref)}
 }
 
-// Point returns a zero-width interval at ref.
-func Point(ref timefmt.Stamp) Interval { return Interval{Ref: ref} }
-
 // Lo returns the lower edge C−α⁻.
 func (iv Interval) Lo() timefmt.Stamp { return iv.Ref.Add(-iv.Minus) }
 
@@ -72,11 +69,6 @@ func (iv Interval) Contains(t timefmt.Stamp) bool {
 // ContainsInterval reports whether iv fully covers other.
 func (iv Interval) ContainsInterval(other Interval) bool {
 	return iv.Lo() <= other.Lo() && other.Hi() <= iv.Hi()
-}
-
-// Midpoint returns the centre of the interval.
-func (iv Interval) Midpoint() timefmt.Stamp {
-	return iv.Lo().Add(iv.Length() / 2)
 }
 
 // Shift translates the whole interval by d (reference and edges alike).
@@ -119,19 +111,6 @@ func (iv Interval) Intersect(other Interval) (Interval, bool) {
 		return Interval{}, false
 	}
 	return FromEdges(lo, hi, iv.Ref), true
-}
-
-// Union returns the smallest interval covering both inputs, referenced at
-// iv.Ref.
-func (iv Interval) Union(other Interval) Interval {
-	lo, hi := iv.Lo(), iv.Hi()
-	if o := other.Lo(); o < lo {
-		lo = o
-	}
-	if o := other.Hi(); o > hi {
-		hi = o
-	}
-	return FromEdges(lo, hi, iv.Ref)
 }
 
 // DelayCompensate adapts an interval received in a CSP to the receiving
@@ -325,23 +304,6 @@ func MarzulloMidpoint(ivs []Interval, f int) (Interval, bool) {
 		f = (len(ivs) - 1) / 2
 	}
 	return Marzullo(ivs, f)
-}
-
-// Envelope returns the union of all intervals (the "no fault excluded"
-// fallback), referenced at the FTMidpoint with f=0.
-func Envelope(ivs []Interval) (Interval, bool) {
-	if len(ivs) == 0 {
-		return Interval{}, false
-	}
-	out := ivs[0]
-	for _, iv := range ivs[1:] {
-		out = out.Union(iv)
-	}
-	refs := make([]timefmt.Stamp, len(ivs))
-	for i, iv := range ivs {
-		refs[i] = iv.Ref
-	}
-	return out.Rereference(FTMidpoint(refs, 0)), true
 }
 
 // Validate implements interval-based clock validation [Sch94] (paper §2):

@@ -96,13 +96,6 @@ func TestIntersect(t *testing.T) {
 	}
 }
 
-func TestUnion(t *testing.T) {
-	u := edges(1, 3).Union(edges(7, 9))
-	if !approx(u.Lo(), st(1)) || !approx(u.Hi(), st(9)) {
-		t.Errorf("union = %+v", u)
-	}
-}
-
 func TestDelayCompensatePreservesContainment(t *testing.T) {
 	// Sender's interval contains true send time 10.0; true delay anywhere
 	// in [dmin, dmax] must leave true receive time inside the compensated
@@ -235,17 +228,6 @@ func TestOrthogonalAccuracy(t *testing.T) {
 	}
 }
 
-func TestEnvelope(t *testing.T) {
-	ivs := []Interval{edges(1, 3), edges(2, 8)}
-	env, ok := Envelope(ivs)
-	if !ok || !approx(env.Lo(), st(1)) || !approx(env.Hi(), st(8)) {
-		t.Errorf("envelope = %+v ok=%v", env, ok)
-	}
-	if _, ok := Envelope(nil); ok {
-		t.Error("empty envelope should fail")
-	}
-}
-
 func TestValidateAccepts(t *testing.T) {
 	validation := ivl(10, 0.01, 0.01) // ±10 ms reliable interval
 	gps := ivl(10.001, 0.0001, 0.0001)
@@ -285,8 +267,11 @@ func TestQuickMarzulloSandwich(t *testing.T) {
 		if !ok {
 			return true // nothing to check
 		}
-		env, _ := Envelope(ivs)
-		if !env.ContainsInterval(mz) {
+		lo, hi := ivs[0].Lo(), ivs[0].Hi()
+		for _, iv := range ivs[1:] {
+			lo, hi = min(lo, iv.Lo()), max(hi, iv.Hi())
+		}
+		if env := FromEdges(lo, hi, lo); !env.ContainsInterval(mz) {
 			return false
 		}
 		// Full intersection (f=0), if it exists, must lie inside the f=1 result.

@@ -1,12 +1,12 @@
 // Package kernel models the node software stack of paper §4 / Fig. 9:
-// a pSOS⁺ᵐ-style real-time kernel add-on whose COMCO driver multiplexes
-// three interfaces onto the controller — the Kernel Interface (KI) for
-// remote kernel objects, the Network Interface (NI) for TCP/IP-style
-// traffic, and the Clock Interface (CI) for the synchronization
-// algorithm. CSPs sent and received via the CI are timestamped by the
-// NTI hardware; KI/NI traffic passes through untouched, sharing the
-// medium (and thereby creating exactly the load that software-only
-// timestamping suffers from).
+// a pSOS⁺ᵐ-style real-time kernel add-on whose COMCO driver serves the
+// Clock Interface (CI) of the synchronization algorithm. CSPs sent and
+// received via the CI are timestamped by the NTI hardware. The paper's
+// other two interfaces, the Kernel Interface (KI) for remote kernel
+// objects and the Network Interface (NI) for TCP/IP-style traffic, are
+// not modelled: frames of their wire kinds are recognised on reception
+// and never reach the CI. The medium's background load stands in for the
+// traffic they would add.
 //
 // The reception path reproduces the two-stage ISR structure the NTI's
 // Receive Header Base register exists for (paper §3.4 + footnote 4):
@@ -104,8 +104,6 @@ type Node struct {
 	seq uint16
 
 	ciHandler func(Arrival)
-	kiHandler func(from uint16, payload []byte)
-	niHandler func(from uint16, payload []byte)
 
 	// rxMeta holds the per-header sampled accuracies and validity, the
 	// kernel-private part of the stamp-move bookkeeping (conceptually in
@@ -115,10 +113,6 @@ type Node struct {
 	overruns     uint64
 	ciDelivered  uint64
 	rttResponder bool
-
-	// stationOf maps a node id to its medium station; nodes are attached
-	// in id order by the cluster builder, so the default is identity.
-	stationOf func(uint16) int
 
 	// stampMoveFn caches the stampMoveISR method value: moduleISR runs
 	// once per received frame, and a fresh bound-method closure per
@@ -130,8 +124,7 @@ type Node struct {
 	// task closures.
 	freeJobs *rxJob
 
-	comcoCfg comco.Config
-	tr       *trace.Tracer
+	tr *trace.Tracer
 }
 
 type rxMetaEntry struct {
@@ -153,19 +146,17 @@ type nodeChannel struct {
 // NewNode wires a node together and installs its interrupt plumbing.
 // The node and its COMCOs trace through the simulator's tracer: the node
 // emits csp-send, latch-read and csp-arrival records.
-func NewNode(s *sim.Simulator, id uint16, u *utcsu.UTCSU, med network.Bus, cfg Config, comcoCfg comco.Config) *Node {
+func NewNode(s *sim.Simulator, id uint16, u *utcsu.UTCSU, med network.Bus, cfg Config) *Node {
 	n := &Node{
-		ID:        id,
-		Sim:       s,
-		CPU:       cpu.New(s, cfg.CPU, fmt.Sprintf("n%d", id)),
-		U:         u,
-		cfg:       cfg,
-		rxMeta:    make(map[uint32]rxMetaEntry),
-		stationOf: func(node uint16) int { return int(node) },
-		tr:        s.Tracer(),
+		ID:     id,
+		Sim:    s,
+		CPU:    cpu.New(s, cfg.CPU, fmt.Sprintf("n%d", id)),
+		U:      u,
+		cfg:    cfg,
+		rxMeta: make(map[uint32]rxMetaEntry),
+		tr:     s.Tracer(),
 	}
 	n.NTI = nti.New(u)
-	n.comcoCfg = comcoCfg
 	n.stampMoveFn = n.stampMoveISR
 	n.NTI.OnInterrupt(n.moduleISR)
 	n.NTI.EnableInts()
@@ -184,11 +175,11 @@ func (n *Node) AttachSegment(med network.Bus) int {
 		panic("kernel: no free NTI channel for another segment")
 	}
 	nc := &nodeChannel{
-		comco: comco.NewChannel(n.Sim, n.NTI, med, n.comcoCfg, fmt.Sprintf("n%d.%d", n.ID, ch), ch, int(n.ID)),
+		comco: comco.NewChannel(n.Sim, n.NTI, med, fmt.Sprintf("n%d.%d", n.ID, ch), ch, int(n.ID)),
 	}
 	n.chans = append(n.chans, nc)
-	nc.comco.OnRxStored(func(fid uint64, base uint32, length int, corrupt bool) {
-		n.frameStored(ch, fid, base, length, corrupt)
+	nc.comco.OnRxStored(func(fid uint64, base uint32, _ int, corrupt bool) {
+		n.frameStored(ch, fid, base, corrupt)
 	})
 	if n.cfg.Mode == ModeNTI {
 		// Arm the RECEIVE transition interrupt that drives the
@@ -206,12 +197,6 @@ func (n *Node) Station() int { return n.COMCO.Station() }
 
 // OnCSP installs the CI handler.
 func (n *Node) OnCSP(fn func(Arrival)) { n.ciHandler = fn }
-
-// OnKernelMsg installs the KI handler.
-func (n *Node) OnKernelMsg(fn func(from uint16, payload []byte)) { n.kiHandler = fn }
-
-// OnNetMsg installs the NI handler.
-func (n *Node) OnNetMsg(fn func(from uint16, payload []byte)) { n.niHandler = fn }
 
 // EnableRTTResponder makes the node echo KindRTTReq probes at ISR level.
 func (n *Node) EnableRTTResponder() { n.rttResponder = true }
@@ -239,9 +224,6 @@ func (n *Node) SendCSP(p csp.Packet, dst int) {
 	n.sendCSPOn(0, p, dst)
 }
 
-// SendCSPOn transmits on one specific channel (segment).
-func (n *Node) SendCSPOn(ch int, p csp.Packet, dst int) { n.sendCSPOn(ch, p, dst) }
-
 func (n *Node) sendCSPOn(ch int, p csp.Packet, dst int) {
 	p.Node = n.ID
 	n.seq++
@@ -264,23 +246,6 @@ func (n *Node) sendCSPOn(ch int, p csp.Packet, dst int) {
 	if n.tr != nil {
 		n.tr.Emit(trace.KindCSPSend, n.Sim.Now(), int(n.ID), ch, fid, uint64(p.Round), 0)
 	}
-}
-
-// SendKernelMsg ships a KI message (shares the medium with CSPs).
-func (n *Node) SendKernelMsg(dst int, payload []byte) { n.sendData(csp.KindKernel, dst, payload) }
-
-// SendNetMsg ships an NI message.
-func (n *Node) SendNetMsg(dst int, payload []byte) { n.sendData(csp.KindNet, dst, payload) }
-
-func (n *Node) sendData(kind csp.Kind, dst int, payload []byte) {
-	p := csp.Packet{Kind: kind, Node: n.ID, Dest: uint16(dst)}
-	n.seq++
-	p.Seq = n.seq
-	buf := append(p.Encode(), payload...)
-	// KI/NI traffic does not need timestamping; it travels the raw path
-	// on channel 0 (paper Fig. 9: the COMCO driver multiplexes all three
-	// interfaces onto the same controller).
-	n.chans[0].comco.TransmitRaw(buf, dst)
 }
 
 // moduleISR is the first-level handler for the NTI's vectorized
@@ -354,7 +319,7 @@ func (n *Node) rxSaveRead(base uint32) (timefmt.Stamp, timefmt.Alpha, timefmt.Al
 // task hundreds of µs later, and every peer broadcasts each round), so
 // jobs live on a per-node free list with their ISR and task entry
 // points bound once at allocation: after warm-up, frame reception
-// allocates nothing but the payload copy of data-bearing frames. The
+// allocates nothing. The
 // per-frame delivery closures this replaces were the top remaining
 // allocation site after the stamp-move ISR was cached.
 type rxJob struct {
@@ -364,10 +329,8 @@ type rxJob struct {
 	attempt    int
 	fid        uint64
 	headerBase uint32
-	length     int
 	corrupt    bool
 	pkt        csp.Packet
-	payload    []byte
 	isrStamp   timefmt.Stamp
 	isrAM      timefmt.Alpha
 	isrAP      timefmt.Alpha
@@ -390,7 +353,6 @@ func (n *Node) getJob() *rxJob {
 }
 
 func (n *Node) putJob(j *rxJob) {
-	j.payload = nil
 	j.pkt = csp.Packet{}
 	j.next = n.freeJobs
 	n.freeJobs = j
@@ -398,14 +360,14 @@ func (n *Node) putJob(j *rxJob) {
 
 // frameStored is the COMCO's reception-complete callback: it runs the
 // frame ISR on the CPU, then hands CSPs to the CI at task level.
-func (n *Node) frameStored(ch int, fid uint64, headerBase uint32, length int, corrupt bool) {
+func (n *Node) frameStored(ch int, fid uint64, headerBase uint32, corrupt bool) {
 	slot := int(headerBase-nti.RxHeaderAddrCh(ch, 0)) / nti.HeaderSize
 	// The kernel's software ring pointer: the *next* trigger should
 	// belong to the slot after this one (the no-latch guess).
 	n.chans[ch].rxGuessSlot = (slot + 1) % nti.RxHeadersPerCh
 	j := n.getJob()
 	j.ch, j.slot, j.attempt = ch, slot, 0
-	j.fid, j.headerBase, j.length, j.corrupt = fid, headerBase, length, corrupt
+	j.fid, j.headerBase, j.corrupt = fid, headerBase, corrupt
 	n.CPU.RunISR(j.isrFn)
 }
 
@@ -417,13 +379,6 @@ func (j *rxJob) runISR() {
 	j.isrAM, j.isrAP = n.U.Alpha()
 	var hdr [nti.HeaderSize]byte
 	n.NTI.CPURead(j.headerBase, hdr[:])
-	if extra := j.length - nti.HeaderSize; extra > 0 {
-		if extra > nti.DataSlotSize {
-			extra = nti.DataSlotSize
-		}
-		j.payload = make([]byte, extra)
-		n.NTI.CPURead(nti.DataSlotAddr(j.ch, j.slot), j.payload)
-	}
 	if j.corrupt {
 		// CRC failure: discard. In ModeNTI the RECEIVE trigger fired
 		// anyway; the stamp-move ISR already consumed the sample, so
@@ -457,7 +412,7 @@ func (j *rxJob) runTask() {
 // alone cannot be trusted once further CSPs may have arrived). It
 // reports whether the job is finished (false = retry queued).
 func (n *Node) dispatch(j *rxJob) bool {
-	pkt, payload := j.pkt, j.payload
+	pkt := j.pkt
 	var hwStamp timefmt.Stamp
 	var hwAM, hwAP timefmt.Alpha
 	hwOK := false
@@ -475,17 +430,8 @@ func (n *Node) dispatch(j *rxJob) bool {
 		}
 		return true
 	}
-	switch pkt.Kind {
-	case csp.KindKernel:
-		if n.kiHandler != nil {
-			n.kiHandler(pkt.Node, payload)
-		}
-		return true
-	case csp.KindNet:
-		if n.niHandler != nil {
-			n.niHandler(pkt.Node, payload)
-		}
-		return true
+	if pkt.Kind == csp.KindKernel || pkt.Kind == csp.KindNet {
+		return true // KI/NI traffic is not the CI's
 	}
 	if n.ciHandler == nil {
 		return true
@@ -529,9 +475,6 @@ func (n *Node) respondRTT(req csp.Packet, rxStamp timefmt.Stamp) {
 		EchoReqTx: reqTx,
 		EchoReqRx: rxStamp,
 	}
-	n.SendCSP(resp, n.stationOf(req.Node))
+	// Nodes attach in id order, so a node's id is its station.
+	n.SendCSP(resp, int(req.Node))
 }
-
-// SetDirectory overrides the node-id → medium-station mapping (the
-// default is identity, matching the cluster builder's attach order).
-func (n *Node) SetDirectory(fn func(uint16) int) { n.stationOf = fn }

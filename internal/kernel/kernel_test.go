@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"ntisim/internal/comco"
 	"ntisim/internal/cpu"
 	"ntisim/internal/csp"
 	"ntisim/internal/network"
@@ -22,8 +21,8 @@ func pair(t testing.TB, seed uint64, cfg Config) (*sim.Simulator, *network.Mediu
 	med := network.NewMedium(s, network.DefaultLAN())
 	mk := func(id uint16) *Node {
 		o := oscillator.New(s, oscillator.Ideal(10e6), string(rune('a'+id)))
-		u := utcsu.New(s, utcsu.Config{Osc: o})
-		return NewNode(s, id, u, med, cfg, comco.Default82596())
+		u := utcsu.New(s, o)
+		return NewNode(s, id, u, med, cfg)
 	}
 	a := mk(0)
 	b := mk(1)
@@ -150,21 +149,29 @@ func TestModeTaskStampsAtTaskLevel(t *testing.T) {
 }
 
 func TestKIAndNIRouting(t *testing.T) {
+	// KI and NI frames share the medium and the receive path, but only
+	// CSP traffic may reach the Clock Interface.
 	s, _, a, b := pair(t, 5, ntiCfg())
-	var ki, ni []uint16
-	b.OnKernelMsg(func(from uint16, _ []byte) { ki = append(ki, from) })
-	b.OnNetMsg(func(from uint16, _ []byte) { ni = append(ni, from) })
-	b.OnCSP(func(Arrival) { t.Error("KI/NI traffic leaked into CI") })
+	var got []csp.Kind
+	b.OnCSP(func(ar Arrival) { got = append(got, ar.Pkt.Kind) })
 	s.After(0.1, func() {
-		a.SendKernelMsg(b.Station(), []byte("rpc"))
-		a.SendNetMsg(b.Station(), []byte("tcp"))
+		for _, k := range []csp.Kind{csp.KindKernel, csp.KindNet} {
+			p := csp.Packet{Kind: k, Node: a.ID, Dest: uint16(b.Station())}
+			hdr := p.Encode()
+			a.COMCO.TransmitRaw(hdr, b.Station())
+			a.COMCO.TransmitRaw(append(hdr, make([]byte, 300)...), b.Station())
+		}
 	})
+	s.After(0.5, func() { a.SendCSP(csp.Packet{Kind: csp.KindCSP}, b.Station()) })
 	s.RunUntil(1)
-	if len(ki) != 1 || ki[0] != 0 {
-		t.Errorf("KI deliveries: %v", ki)
+	if len(got) != 1 || got[0] != csp.KindCSP {
+		t.Errorf("CI deliveries: %v, want only the CSP", got)
 	}
-	if len(ni) != 1 || ni[0] != 0 {
-		t.Errorf("NI deliveries: %v", ni)
+	if n := b.CIDelivered(); n != 1 {
+		t.Errorf("CIDelivered = %d, want 1", n)
+	}
+	if _, rx := b.COMCO.Stats(); rx != 5 {
+		t.Errorf("frames stored = %d, want 5", rx)
 	}
 }
 
@@ -210,8 +217,8 @@ func TestCorruptFramesDiscardedButStampConsumed(t *testing.T) {
 	med := network.NewMedium(s, mc)
 	mko := func(id uint16) *Node {
 		o := oscillator.New(s, oscillator.Ideal(10e6), string(rune('a'+id)))
-		u := utcsu.New(s, utcsu.Config{Osc: o})
-		return NewNode(s, id, u, med, ntiCfg(), comco.Default82596())
+		u := utcsu.New(s, o)
+		return NewNode(s, id, u, med, ntiCfg())
 	}
 	a, b := mko(0), mko(1)
 	b.OnCSP(func(Arrival) { t.Error("corrupt CSP delivered to CI") })
@@ -237,8 +244,8 @@ func TestBackToBackLatchVsGuess(t *testing.T) {
 		cfg := Config{CPU: cpu.DefaultMVME162(), Mode: ModeNTI, UseRxBaseLatch: useLatch}
 		mk := func(id uint16) *Node {
 			o := oscillator.New(s, oscillator.Ideal(10e6), string(rune('a'+id)))
-			u := utcsu.New(s, utcsu.Config{Osc: o})
-			return NewNode(s, id, u, med, cfg, comco.Default82596())
+			u := utcsu.New(s, o)
+			return NewNode(s, id, u, med, cfg)
 		}
 		recv := mk(0)
 		s1, s2 := mk(1), mk(2)
@@ -312,8 +319,8 @@ func TestGatewayAttachSegment(t *testing.T) {
 	medB := network.NewMedium(s, network.DefaultLAN())
 	mk := func(id uint16, med *network.Medium) *Node {
 		o := oscillator.New(s, oscillator.Ideal(10e6), string(rune('g'+id)))
-		u := utcsu.New(s, utcsu.Config{Osc: o})
-		return NewNode(s, id, u, med, ntiCfg(), comco.Default82596())
+		u := utcsu.New(s, o)
+		return NewNode(s, id, u, med, ntiCfg())
 	}
 	a := mk(0, medA)  // segment A node
 	b := mk(1, medB)  // segment B node
@@ -392,31 +399,6 @@ func TestAttachSegmentLimit(t *testing.T) {
 	_ = s
 }
 
-func TestSendCSPOnSpecificChannel(t *testing.T) {
-	s := sim.New(22)
-	medA := network.NewMedium(s, network.DefaultLAN())
-	medB := network.NewMedium(s, network.DefaultLAN())
-	mk := func(id uint16, med *network.Medium) *Node {
-		o := oscillator.New(s, oscillator.Ideal(10e6), string(rune('s'+id)))
-		u := utcsu.New(s, utcsu.Config{Osc: o})
-		return NewNode(s, id, u, med, ntiCfg(), comco.Default82596())
-	}
-	gw := mk(0, medA)
-	gw.AttachSegment(medB)
-	onA := mk(1, medA)
-	onB := mk(2, medB)
-	var gotA, gotB int
-	onA.OnCSP(func(Arrival) { gotA++ })
-	onB.OnCSP(func(Arrival) { gotB++ })
-	s.After(0.1, func() {
-		gw.SendCSPOn(1, csp.Packet{Kind: csp.KindCSP}, network.Broadcast)
-	})
-	s.RunUntil(1)
-	if gotA != 0 || gotB != 1 {
-		t.Errorf("channel-targeted send reached A=%d B=%d", gotA, gotB)
-	}
-}
-
 func TestModeISRStampsBetweenTaskAndHardware(t *testing.T) {
 	// The kernel-level class: receive stamps taken in the frame ISR land
 	// between the task-level and hardware classes in spread.
@@ -450,92 +432,5 @@ func TestModeISRStampsBetweenTaskAndHardware(t *testing.T) {
 	nti := spread(ModeNTI)
 	if !(nti < isr && isr < task) {
 		t.Errorf("spread ordering violated: nti=%v isr=%v task=%v", nti, isr, task)
-	}
-}
-
-func TestServicesLocalQueue(t *testing.T) {
-	s, _, a, _ := pair(t, 60, ntiCfg())
-	sv := UseServices(a)
-	var got []string
-	sv.CreateQueue("log", func(from uint16, msg []byte) { got = append(got, string(msg)) })
-	sv.Send("log", []byte("hello"))
-	s.RunUntil(0.1)
-	if len(got) != 1 || got[0] != "hello" {
-		t.Errorf("local queue got %v", got)
-	}
-}
-
-func TestServicesRemoteQueue(t *testing.T) {
-	// The paper's Fig. 9 story end to end: node B owns a queue; node A
-	// resolves it by ident broadcast over the KI and sends to it, all of
-	// it sharing the medium with (hypothetical) CSP traffic.
-	s, _, a, b := pair(t, 61, ntiCfg())
-	svA := UseServices(a)
-	svB := UseServices(b)
-	var got []string
-	var senders []uint16
-	svB.CreateQueue("sensor", func(from uint16, msg []byte) {
-		got = append(got, string(msg))
-		senders = append(senders, from)
-	})
-	s.After(0.1, func() { svA.Send("sensor", []byte("r=42")) })
-	s.After(0.2, func() { svA.Send("sensor", []byte("r=43")) }) // ident now cached
-	s.RunUntil(2)
-	if len(got) != 2 || got[0] != "r=42" || got[1] != "r=43" {
-		t.Fatalf("remote queue got %v", got)
-	}
-	if senders[0] != 0 {
-		t.Errorf("sender id %d", senders[0])
-	}
-}
-
-func TestServicesIdentCaching(t *testing.T) {
-	s, _, a, b := pair(t, 62, ntiCfg())
-	svA := UseServices(a)
-	svB := UseServices(b)
-	svB.CreateQueue("q", func(uint16, []byte) {})
-	resolved := 0
-	s.After(0.1, func() {
-		svA.Ident("q", func(station int) {
-			resolved++
-			if station != b.Station() {
-				t.Errorf("resolved to %d", station)
-			}
-			// Second resolve must hit the cache (synchronously).
-			svA.Ident("q", func(int) { resolved++ })
-		})
-	})
-	s.RunUntil(2)
-	if resolved != 2 {
-		t.Errorf("resolved = %d", resolved)
-	}
-}
-
-func TestServicesUnknownQueueSilent(t *testing.T) {
-	s, _, a, b := pair(t, 63, ntiCfg())
-	svA := UseServices(a)
-	UseServices(b)
-	svA.Send("nonexistent", []byte("x")) // ident never resolves; no crash
-	s.RunUntil(1)
-}
-
-func TestKIPayloadIntegrity(t *testing.T) {
-	// Larger-than-trivial payloads must survive the data-buffer DMA path.
-	s, _, a, b := pair(t, 64, ntiCfg())
-	want := make([]byte, 300)
-	for i := range want {
-		want[i] = byte(i * 7)
-	}
-	var got []byte
-	b.OnKernelMsg(func(_ uint16, payload []byte) { got = append([]byte(nil), payload...) })
-	s.After(0.1, func() { a.SendKernelMsg(b.Station(), want) })
-	s.RunUntil(1)
-	if len(got) != len(want) {
-		t.Fatalf("payload length %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("payload byte %d = %d, want %d", i, got[i], want[i])
-		}
 	}
 }

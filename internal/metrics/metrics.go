@@ -5,7 +5,6 @@
 package metrics
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -170,18 +169,6 @@ func (s *Series) Stats() SeriesStats {
 		Max:    s.Max(),
 		Range:  s.Range(),
 	}
-}
-
-// MarshalJSON serializes the series as its Stats summary, so records
-// embedding a *Series round-trip without lossy string formatting.
-func (s *Series) MarshalJSON() ([]byte, error) {
-	return json.Marshal(s.Stats())
-}
-
-// Summary is a one-line description of the series in µs.
-func (s *Series) Summary() string {
-	return fmt.Sprintf("n=%d min=%.3fµs mean=%.3fµs p99=%.3fµs max=%.3fµs range=%.3fµs",
-		s.N(), s.Min()*1e6, s.Mean()*1e6, s.Percentile(0.99)*1e6, s.Max()*1e6, s.Range()*1e6)
 }
 
 // ClusterSample is one simultaneous observation of every node's clock,

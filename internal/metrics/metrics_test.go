@@ -278,7 +278,7 @@ func TestSeriesStatsAndJSON(t *testing.T) {
 	if st.Mean != s.Mean() || st.P99 != s.Percentile(0.99) {
 		t.Errorf("stats disagree with accessors: %+v", st)
 	}
-	b, err := json.Marshal(&s)
+	b, err := json.Marshal(st)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,26 +37,6 @@ import (
 	"ntisim/internal/telemetry"
 )
 
-// LinkConfig parameterizes one direction-symmetric point-to-point link.
-type LinkConfig struct {
-	BitRateBps   float64 // default 10 Mb/s
-	PreambleBits int     // default 64
-	InterframeS  float64 // minimum gap between frames; default 9.6 µs
-}
-
-func (c LinkConfig) withDefaults() LinkConfig {
-	if c.BitRateBps <= 0 {
-		c.BitRateBps = 10e6
-	}
-	if c.PreambleBits <= 0 {
-		c.PreambleBits = 64
-	}
-	if c.InterframeS <= 0 {
-		c.InterframeS = 9.6e-6
-	}
-	return c
-}
-
 // RewriteFunc edits a relayed frame's payload in place at its final
 // acquisition, elapsedS true seconds after the frame's original
 // medium acquisition. The payload is a private copy owned by the
@@ -71,7 +51,7 @@ type RewriteFunc func(payload []byte, elapsedS float64)
 // serializes downlink frames FIFO and delivers them to the station.
 type LinkPort struct {
 	s       *sim.Simulator
-	cfg     LinkConfig
+	cfg     MediumConfig
 	st      Station
 	forward func(f Frame)
 	rewrite RewriteFunc
@@ -79,20 +59,21 @@ type LinkPort struct {
 	txBusyUntil float64
 	rxBusyUntil float64
 	nextID      uint64
-	sent        uint64
-	received    uint64
 
 	tmTx *telemetry.Counter
 	tmRx *telemetry.Counter
 }
 
 // NewLinkPort creates the home end of a link on the home shard's
-// simulator. forward receives each uplink frame (payload already a
-// private copy, AcquiredAt set to the uplink serialization start) at
-// serialization end; the cluster posts it across the shard boundary.
+// simulator. The link runs at the bit rate, preamble and interframe
+// gap of cfg, with NewMedium's defaults; the other fields of cfg do not
+// apply to a dedicated line. forward receives each uplink frame
+// (payload already a private copy, AcquiredAt set to the uplink
+// serialization start) at serialization end; the cluster posts it
+// across the shard boundary.
 // The port counts uplink frames forwarded and downlink frames delivered
 // on the simulator's registry.
-func NewLinkPort(s *sim.Simulator, cfg LinkConfig, forward func(f Frame), rewrite RewriteFunc) *LinkPort {
+func NewLinkPort(s *sim.Simulator, cfg MediumConfig, forward func(f Frame), rewrite RewriteFunc) *LinkPort {
 	if forward == nil {
 		panic("network: LinkPort needs a forward callback")
 	}
@@ -118,12 +99,7 @@ func (p *LinkPort) Attach(st Station) int {
 func (p *LinkPort) Bitrate() float64 { return p.cfg.BitRateBps }
 
 // FrameDuration returns the serialization time of n payload bytes.
-func (p *LinkPort) FrameDuration(n int) float64 {
-	return (float64(p.cfg.PreambleBits) + 8*float64(n)) / p.cfg.BitRateBps
-}
-
-// Stats returns frames sent uplink and delivered downlink.
-func (p *LinkPort) Stats() (sent, received uint64) { return p.sent, p.received }
+func (p *LinkPort) FrameDuration(n int) float64 { return p.cfg.frameDuration(n) }
 
 // Send queues an uplink frame (Bus interface). Acquisition is
 // deterministic: the line is dedicated, so the frame starts after the
@@ -151,7 +127,6 @@ func (p *LinkPort) Send(f Frame, onAcquired func(at float64)) uint64 {
 		// finished stamping the header by then, and the copy unshares
 		// the payload from the sender before it crosses shards.
 		f.Payload = append([]byte(nil), f.Payload...)
-		p.sent++
 		p.tmTx.Inc()
 		p.forward(f)
 	})
@@ -180,7 +155,6 @@ func (p *LinkPort) Inject(f Frame) {
 		}
 		f.AcquiredAt = start
 		f.DeliveredAt = end
-		p.received++
 		p.tmRx.Inc()
 		p.st.FrameArrived(f)
 	})
@@ -214,9 +188,6 @@ func NewRelay(med *Medium, forward func(f Frame), rewrite RewriteFunc) *Relay {
 	r.id = med.Attach(r)
 	return r
 }
-
-// StationID returns the relay's attach id on the remote medium.
-func (r *Relay) StationID() int { return r.id }
 
 // FrameArrived captures one remote-LAN frame for the far gateway
 // (Station interface). The payload is copied here, on the remote

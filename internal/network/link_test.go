@@ -69,7 +69,7 @@ func TestBackgroundLoadDeliversNothing(t *testing.T) {
 func linkEnds(s *sim.Simulator, med *Medium, wanDelay float64, rewrite RewriteFunc) (*LinkPort, *Relay) {
 	var port *LinkPort
 	var relay *Relay
-	port = NewLinkPort(s, LinkConfig{}, func(f Frame) {
+	port = NewLinkPort(s, MediumConfig{}, func(f Frame) {
 		s.At(s.Now()+wanDelay, func() { relay.Inject(f) })
 	}, rewrite)
 	relay = NewRelay(med, func(f Frame) {

@@ -76,7 +76,8 @@ type Station interface {
 	FrameArrived(f Frame)
 }
 
-// MediumConfig parameterizes a shared broadcast bus.
+// MediumConfig parameterizes a shared broadcast bus. A LinkPort takes
+// its bit rate, preamble and interframe gap from one too.
 type MediumConfig struct {
 	BitRateBps   float64 // default 10 Mb/s
 	PreambleBits int     // bits on the wire before the payload; default 64
@@ -155,7 +156,6 @@ type Medium struct {
 	dropped     uint64
 	nextID      uint64
 	tr          *trace.Tracer
-	bgStop      func()
 
 	// cur is the transmission currently waiting out arbitration; the
 	// prebuilt method values let the hot path schedule without
@@ -186,15 +186,7 @@ type Medium struct {
 // backlog and the cumulative bus-busy-seconds integral (occupancy =
 // Δbusy/Δt between snapshots).
 func NewMedium(s *sim.Simulator, cfg MediumConfig) *Medium {
-	if cfg.BitRateBps <= 0 {
-		cfg.BitRateBps = 10e6
-	}
-	if cfg.PreambleBits <= 0 {
-		cfg.PreambleBits = 64
-	}
-	if cfg.InterframeS <= 0 {
-		cfg.InterframeS = 9.6e-6
-	}
+	cfg = cfg.withDefaults()
 	if cfg.PropDelayS < 0 {
 		panic("network: negative propagation delay")
 	}
@@ -214,23 +206,39 @@ func NewMedium(s *sim.Simulator, cfg MediumConfig) *Medium {
 	return m
 }
 
+// withDefaults fills the framing fields left at zero: 10 Mb/s, a 64-bit
+// preamble and a 9.6 µs interframe gap.
+func (c MediumConfig) withDefaults() MediumConfig {
+	if c.BitRateBps <= 0 {
+		c.BitRateBps = 10e6
+	}
+	if c.PreambleBits <= 0 {
+		c.PreambleBits = 64
+	}
+	if c.InterframeS <= 0 {
+		c.InterframeS = 9.6e-6
+	}
+	return c
+}
+
+// frameDuration returns the serialization time of a frame with n
+// payload bytes.
+func (c MediumConfig) frameDuration(n int) float64 {
+	return (float64(c.PreambleBits) + 8*float64(n)) / c.BitRateBps
+}
+
 // Attach registers a station and returns its id.
 func (m *Medium) Attach(st Station) int {
 	m.stations = append(m.stations, st)
 	return len(m.stations) - 1
 }
 
-// Stations returns the number of attached stations.
-func (m *Medium) Stations() int { return len(m.stations) }
-
 // Bitrate returns the configured bit rate in bits per second.
 func (m *Medium) Bitrate() float64 { return m.cfg.BitRateBps }
 
 // FrameDuration returns the serialization time of a frame with n payload
 // bytes.
-func (m *Medium) FrameDuration(n int) float64 {
-	return (float64(m.cfg.PreambleBits) + 8*float64(n)) / m.cfg.BitRateBps
-}
+func (m *Medium) FrameDuration(n int) float64 { return m.cfg.frameDuration(n) }
 
 // Send queues a frame for transmission and returns the frame's
 // medium-assigned trace id (monotone from 1 per medium). onAcquired, if
@@ -390,12 +398,8 @@ func (m *Medium) StartBackgroundLoad(utilization float64, meanBytes int) {
 		// shared scratch buffer instead of allocating a payload.
 		m.bgPayload = make([]byte, 1500)
 	}
-	stopped := false
 	var emit func()
 	emit = func() {
-		if stopped {
-			return
-		}
 		n := int(rng.Exponential(float64(meanBytes)))
 		if n < 64 {
 			n = 64
@@ -404,19 +408,7 @@ func (m *Medium) StartBackgroundLoad(utilization float64, meanBytes int) {
 			n = 1500
 		}
 		m.Send(Frame{Src: BackgroundSrc, Dst: BackgroundDst, Payload: m.bgPayload[:n]}, nil)
-		if stopped {
-			return
-		}
 		m.s.After(rng.Exponential(meanGap), emit)
 	}
 	m.s.After(rng.Exponential(meanGap), emit)
-	m.bgStop = func() { stopped = true }
-}
-
-// StopBackgroundLoad halts the generator.
-func (m *Medium) StopBackgroundLoad() {
-	if m.bgStop != nil {
-		m.bgStop()
-		m.bgStop = nil
-	}
 }

@@ -99,9 +99,3 @@ func (w *WANPath) Deliver(forward bool, fn func(sentAt, arrivedAt float64)) bool
 
 // Stats returns packets delivered and lost.
 func (w *WANPath) Stats() (delivered, lost uint64) { return w.delivered, w.lost }
-
-// MinDelay returns the smallest possible one-way delay, the floor an
-// NTP-style algorithm can calibrate against.
-func (w *WANPath) MinDelay() float64 {
-	return w.cfg.BaseDelayS + float64(w.cfg.Hops)*w.cfg.QueueMinS
-}

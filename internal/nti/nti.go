@@ -49,12 +49,6 @@ const (
 	HeaderSize   = 64
 	NumTxHeaders = TxHeadersSize / HeaderSize
 	NumRxHeaders = RxHeadersSize / HeaderSize
-
-	// UTCSURegBase is the 512-byte UTCSU register window, decoded right
-	// after the SRAM in the CPU-visible memory space (Fig. 6: "followed
-	// by a 512 byte segment containing the UTCSU registers").
-	UTCSURegBase = MemSize
-	UTCSURegSize = utcsu.RegWindowSize
 )
 
 // SRAM paging: pageSize-byte pages, indexed by addr>>pageShift.
@@ -67,10 +61,8 @@ const (
 
 // I/O-space register offsets (Fig. 8).
 const (
-	IORxHeaderBase = 0x00
-	IOVectorBase   = 0x02
-	IOIntEnable    = 0x04
-	IOSPROM        = 0xFE
+	IOVectorBase = 0x02
+	IOIntEnable  = 0x04
 )
 
 // SSU channel assignment: the NTI wires the transmit trigger of network
@@ -78,11 +70,7 @@ const (
 // six SSUs thus support up to three independent channels — "to
 // facilitate fault-tolerant (redundant) communications architectures or
 // gateway nodes" (paper §3.3).
-const (
-	SSUTransmit = 0 // channel 0's transmit unit
-	SSUReceive  = 1 // channel 0's receive unit
-	NumChannels = 3
-)
+const NumChannels = 3
 
 // ssuTx/ssuRx map a channel to its SSU indices.
 func ssuTx(ch int) int { return 2 * ch }
@@ -109,8 +97,6 @@ type NTI struct {
 	vectorBase uint8 // I/O reg 0x02
 	intEnabled bool  // I/O reg 0x04
 
-	sprom [256]byte
-
 	onInterrupt func(vector uint8)
 
 	lostInts uint64
@@ -133,16 +119,12 @@ type channelState struct {
 // interrupt forwarding.
 func New(u *utcsu.UTCSU) *NTI {
 	n := &NTI{u: u}
-	copy(n.sprom[:], "NTI MA-Module rev 1.0 TU Wien 1997\x00")
 	u.OnInterrupt(n.forwardInterrupt)
 	for _, l := range []utcsu.IntLine{utcsu.INTN, utcsu.INTT, utcsu.INTA} {
 		u.EnableInt(l, true)
 	}
 	return n
 }
-
-// UTCSU returns the on-board chip.
-func (n *NTI) UTCSU() *utcsu.UTCSU { return n.u }
 
 // Per-channel header partitions: the CPLD decodes the channel from the
 // header's address range.
@@ -153,9 +135,6 @@ const (
 
 // TxHeaderAddr returns the base address of channel 0's transmit header i.
 func TxHeaderAddr(i int) uint32 { return TxHeaderAddrCh(0, i) }
-
-// RxHeaderAddr returns the base address of channel 0's receive header i.
-func RxHeaderAddr(i int) uint32 { return RxHeaderAddrCh(0, i) }
 
 // TxHeaderAddrCh returns the base address of transmit header i of the
 // given channel's partition.
@@ -294,24 +273,6 @@ func checkWord(addr uint32) {
 	}
 }
 
-// CPURead32/CPUWrite32 are word-access conveniences. Addresses in the
-// UTCSU register window (UTCSURegBase..+512) are decoded to the chip's
-// bus interface; everything below is plain SRAM.
-func (n *NTI) CPURead32(addr uint32) uint32 {
-	if addr >= UTCSURegBase && addr < UTCSURegBase+UTCSURegSize {
-		return n.u.ReadReg32(addr - UTCSURegBase)
-	}
-	return n.load32(addr)
-}
-
-func (n *NTI) CPUWrite32(addr uint32, v uint32) {
-	if addr >= UTCSURegBase && addr < UTCSURegBase+UTCSURegSize {
-		n.u.WriteReg32(addr-UTCSURegBase, v)
-		return
-	}
-	n.store32(addr, v)
-}
-
 // COMCORead32 performs a COMCO (DMA) read with the CPLD's special
 // functionality: reading the trigger word of a transmit header samples
 // the UTCSU into the latch; reading the stamp block returns the latched
@@ -379,24 +340,6 @@ func (n *NTI) ReadRxSampleCh(ch int) (stamp timefmt.Stamp, alphaM, alphaP timefm
 
 // I/O space (Fig. 8).
 
-// ReadIO reads an I/O-space register.
-func (n *NTI) ReadIO(off uint32) uint32 {
-	switch off {
-	case IORxHeaderBase:
-		return n.ch[0].rxHeaderBase
-	case IOVectorBase:
-		return uint32(n.vectorBase)
-	case IOIntEnable:
-		if n.intEnabled {
-			return 1
-		}
-		return 0
-	case IOSPROM:
-		return uint32(n.sprom[0])
-	}
-	return 0
-}
-
 // WriteIO writes an I/O-space register.
 func (n *NTI) WriteIO(off uint32, v uint32) {
 	switch off {
@@ -406,11 +349,6 @@ func (n *NTI) WriteIO(off uint32, v uint32) {
 		n.intEnabled = v != 0
 	}
 }
-
-// SPROM returns the serial PROM's identification record (the M-Module
-// spec's id/revision block, read bit-serially through I/O 0xFE on real
-// hardware).
-func (n *NTI) SPROM() []byte { return n.sprom[:] }
 
 // Interrupt forwarding: the CPLD folds the three UTCSU pins onto the
 // M-Module's single interrupt line, composing the vector from the

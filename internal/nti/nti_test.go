@@ -2,6 +2,7 @@ package nti
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"ntisim/internal/csp"
@@ -14,8 +15,22 @@ import (
 func rig(seed uint64) (*sim.Simulator, *utcsu.UTCSU, *NTI) {
 	s := sim.New(seed)
 	o := oscillator.New(s, oscillator.Ideal(10e6), "nti")
-	u := utcsu.New(s, utcsu.Config{Osc: o})
+	u := utcsu.New(s, o)
 	return s, u, New(u)
+}
+
+// cpuWrite32 stores a big-endian word through plain CPU access.
+func cpuWrite32(n *NTI, addr, v uint32) {
+	var b [4]byte
+	binary.BigEndian.PutUint32(b[:], v)
+	n.CPUWrite(addr, b[:])
+}
+
+// cpuRead32 loads a big-endian word through plain CPU access.
+func cpuRead32(n *NTI, addr uint32) uint32 {
+	var b [4]byte
+	n.CPURead(addr, b[:])
+	return binary.BigEndian.Uint32(b[:])
 }
 
 func TestMemoryMapLayout(t *testing.T) {
@@ -40,12 +55,12 @@ func TestCPUAccessPlain(t *testing.T) {
 	if !bytes.Equal(data, out) {
 		t.Error("CPU read/write mismatch")
 	}
-	n.CPUWrite32(SystemBase, 0xDEADBEEF)
-	if n.CPURead32(SystemBase) != 0xDEADBEEF {
+	cpuWrite32(n, SystemBase, 0xDEADBEEF)
+	if cpuRead32(n, SystemBase) != 0xDEADBEEF {
 		t.Error("CPU word access mismatch")
 	}
 	// CPU access to trigger offsets has no special effect.
-	n.CPUWrite32(RxHeaderAddr(0)+csp.RxTrigOffset, 0x1234)
+	cpuWrite32(n, RxHeaderAddrCh(0, 0)+csp.RxTrigOffset, 0x1234)
 	if _, rx, _ := n.Stats(); rx != 0 {
 		t.Error("CPU write raised RECEIVE trigger")
 	}
@@ -58,9 +73,9 @@ func TestTransmitTriggerAndTransparentMapping(t *testing.T) {
 	// Software wrote arbitrary bytes into the stamp block; the COMCO
 	// read of the trigger offset must latch the UTCSU sample, and reads
 	// of the stamp block must return the registers, not memory.
-	n.CPUWrite32(base+csp.OffTxStamp, 0x11111111)
-	n.CPUWrite32(base+csp.OffTxMacro, 0x22222222)
-	n.CPUWrite32(base+csp.OffTxAlpha, 0x33333333)
+	cpuWrite32(n, base+csp.OffTxStamp, 0x11111111)
+	cpuWrite32(n, base+csp.OffTxMacro, 0x22222222)
+	cpuWrite32(n, base+csp.OffTxAlpha, 0x33333333)
 	u.SetAlpha(timefmt.Duration(5), timefmt.Duration(9))
 	s.RunUntil(1.2501)
 
@@ -82,7 +97,7 @@ func TestTransmitTriggerAndTransparentMapping(t *testing.T) {
 		t.Errorf("tx triggers = %d", tx)
 	}
 	// A COMCO read of a non-trigger offset returns plain memory.
-	n.CPUWrite32(base+0x00, 0xAAAA5555)
+	cpuWrite32(n, base+0x00, 0xAAAA5555)
 	if n.COMCORead32(base+0x00) != 0xAAAA5555 {
 		t.Error("plain COMCO read altered")
 	}
@@ -91,7 +106,7 @@ func TestTransmitTriggerAndTransparentMapping(t *testing.T) {
 func TestTransmitMappingRequiresTrigger(t *testing.T) {
 	_, _, n := rig(3)
 	base := TxHeaderAddr(0)
-	n.CPUWrite32(base+csp.OffTxStamp, 0x77777777)
+	cpuWrite32(n, base+csp.OffTxStamp, 0x77777777)
 	// Without a prior trigger the stamp block reads back memory.
 	if n.COMCORead32(base+csp.OffTxStamp) != 0x77777777 {
 		t.Error("stamp block mapped before any trigger")
@@ -101,9 +116,9 @@ func TestTransmitMappingRequiresTrigger(t *testing.T) {
 func TestReceiveTriggerLatchesHeaderBase(t *testing.T) {
 	s, _, n := rig(4)
 	s.RunUntil(2)
-	base := RxHeaderAddr(5)
+	base := RxHeaderAddrCh(0, 5)
 	n.COMCOWrite32(base+csp.RxTrigOffset, 0xCAFEBABE)
-	if n.CPURead32(base+csp.RxTrigOffset) != 0xCAFEBABE {
+	if cpuRead32(n, base+csp.RxTrigOffset) != 0xCAFEBABE {
 		t.Error("trigger write did not reach memory")
 	}
 	st, _, _, latched, seq := n.ReadRxSample()
@@ -116,9 +131,6 @@ func TestReceiveTriggerLatchesHeaderBase(t *testing.T) {
 	if d := st.Seconds() - 2; d < 0 || d > 1e-6 {
 		t.Errorf("rx stamp offset %v", d)
 	}
-	if n.ReadIO(IORxHeaderBase) != base {
-		t.Error("I/O read of Receive Header Base wrong")
-	}
 	// Writes at other offsets of the header do not trigger.
 	n.COMCOWrite32(base+0x00, 1)
 	if _, rx, _ := n.Stats(); rx != 1 {
@@ -129,11 +141,11 @@ func TestReceiveTriggerLatchesHeaderBase(t *testing.T) {
 func TestBackToBackOverwritesSample(t *testing.T) {
 	s, _, n := rig(5)
 	s.RunUntil(1)
-	n.COMCOWrite32(RxHeaderAddr(0)+csp.RxTrigOffset, 0)
+	n.COMCOWrite32(RxHeaderAddrCh(0, 0)+csp.RxTrigOffset, 0)
 	s.RunUntil(1.00005)
-	n.COMCOWrite32(RxHeaderAddr(1)+csp.RxTrigOffset, 0)
+	n.COMCOWrite32(RxHeaderAddrCh(0, 1)+csp.RxTrigOffset, 0)
 	_, _, _, latched, seq := n.ReadRxSample()
-	if latched != RxHeaderAddr(1) {
+	if latched != RxHeaderAddrCh(0, 1) {
 		t.Error("latch should follow the newest trigger")
 	}
 	if seq != 2 {
@@ -142,32 +154,22 @@ func TestBackToBackOverwritesSample(t *testing.T) {
 }
 
 func TestIORegisters(t *testing.T) {
-	_, _, n := rig(6)
+	_, u, n := rig(6)
+	var vectors []uint8
+	n.OnInterrupt(func(v uint8) { vectors = append(vectors, v) })
+	u.SSU(ssuRx(0)).EnableInterrupt(true)
 	n.WriteIO(IOVectorBase, 0x40)
-	if n.ReadIO(IOVectorBase) != 0x40 {
-		t.Error("vector base readback")
+	n.WriteIO(IOIntEnable, 1)
+	n.WriteIO(IOIntEnable, 0)
+	n.COMCOWrite32(RxHeaderAddrCh(0, 0)+csp.RxTrigOffset, 0)
+	if len(vectors) != 0 {
+		t.Errorf("interrupt delivered after disable: %v", vectors)
 	}
 	n.WriteIO(IOIntEnable, 1)
-	if n.ReadIO(IOIntEnable) != 1 {
-		t.Error("int enable readback")
-	}
-	n.WriteIO(IOIntEnable, 0)
-	if n.ReadIO(IOIntEnable) != 0 {
-		t.Error("int disable readback")
-	}
-	if n.ReadIO(0x80) != 0 {
-		t.Error("unmapped I/O should read zero")
-	}
-}
-
-func TestSPROMIdentification(t *testing.T) {
-	_, _, n := rig(7)
-	id := n.SPROM()
-	if !bytes.Contains(id, []byte("NTI")) {
-		t.Error("S-PROM lacks module identification")
-	}
-	if n.ReadIO(IOSPROM) != uint32(id[0]) {
-		t.Error("I/O S-PROM access byte wrong")
+	n.WriteIO(0x80, 0) // unmapped: must not touch the enable register
+	n.COMCOWrite32(RxHeaderAddrCh(0, 1)+csp.RxTrigOffset, 0)
+	if len(vectors) != 1 || vectors[0] != 0x40|VecINTN {
+		t.Errorf("vectors = %v, want [0x41]", vectors)
 	}
 }
 
@@ -179,13 +181,13 @@ func TestInterruptVectorComposition(t *testing.T) {
 	n.WriteIO(IOVectorBase, 0x40)
 	n.EnableInts()
 	// INTN via a receive trigger with interrupts enabled on the SSU.
-	u.SSU(SSUReceive).EnableInterrupt(true)
-	n.COMCOWrite32(RxHeaderAddr(0)+csp.RxTrigOffset, 0)
+	u.SSU(ssuRx(0)).EnableInterrupt(true)
+	n.COMCOWrite32(RxHeaderAddrCh(0, 0)+csp.RxTrigOffset, 0)
 	if len(vectors) != 1 || vectors[0] != 0x40|VecINTN {
 		t.Fatalf("vectors = %v, want [0x41]", vectors)
 	}
 	// Interrupts auto-disable until software re-enables: second trigger lost.
-	n.COMCOWrite32(RxHeaderAddr(1)+csp.RxTrigOffset, 0)
+	n.COMCOWrite32(RxHeaderAddrCh(0, 1)+csp.RxTrigOffset, 0)
 	if len(vectors) != 1 {
 		t.Error("interrupt delivered while disabled")
 	}
@@ -193,7 +195,7 @@ func TestInterruptVectorComposition(t *testing.T) {
 		t.Errorf("lost interrupts = %d", lost)
 	}
 	n.EnableInts()
-	n.COMCOWrite32(RxHeaderAddr(2)+csp.RxTrigOffset, 0)
+	n.COMCOWrite32(RxHeaderAddrCh(0, 2)+csp.RxTrigOffset, 0)
 	if len(vectors) != 2 {
 		t.Error("interrupt not delivered after re-enable")
 	}
@@ -216,8 +218,8 @@ func TestHeaderAddrBounds(t *testing.T) {
 	for _, fn := range []func(){
 		func() { TxHeaderAddr(-1) },
 		func() { TxHeaderAddr(NumTxHeaders) },
-		func() { RxHeaderAddr(-1) },
-		func() { RxHeaderAddr(NumRxHeaders) },
+		func() { RxHeaderAddrCh(0, -1) },
+		func() { RxHeaderAddrCh(0, NumRxHeaders) },
 	} {
 		func() {
 			defer func() {
@@ -227,31 +229,5 @@ func TestHeaderAddrBounds(t *testing.T) {
 			}()
 			fn()
 		}()
-	}
-}
-
-func TestUTCSURegisterWindowMMIO(t *testing.T) {
-	// Fig. 6: the 512-byte UTCSU register window follows the SRAM in the
-	// CPU-visible space; a driver can run the chip by plain MMIO.
-	s, u, n := rig(10)
-	s.RunUntil(5.25)
-	ts := n.CPURead32(UTCSURegBase + utcsu.RegTimestamp)
-	ms := n.CPURead32(UTCSURegBase + utcsu.RegMacrostamp)
-	got, ok := timefmt.FromWords(ts, ms)
-	if !ok {
-		t.Fatal("MMIO clock read fails checksum")
-	}
-	if got != u.Now() {
-		t.Errorf("MMIO read %v != Now %v", got, u.Now())
-	}
-	// Write side: command a rate through the window.
-	n.CPUWrite32(UTCSURegBase+utcsu.RegStep, 50_000)
-	if u.RatePPB() != 50_000 {
-		t.Errorf("MMIO STEP write lost: %d", u.RatePPB())
-	}
-	// SRAM below the window is unaffected by register traffic.
-	n.CPUWrite32(DataBase, 0x12345678)
-	if n.CPURead32(DataBase) != 0x12345678 {
-		t.Error("SRAM access broken")
 	}
 }

@@ -54,9 +54,9 @@ func catch(fn func()) (panicked bool) {
 // return the same bytes and words, and end with the same contents; the
 // pages allocated must be exactly those a completed write touched.
 //
-// Word accesses to the UTCSU register window are not SRAM and are
-// skipped, as are comparisons of COMCO reads the CPLD answers from its
-// transmit latch instead of memory.
+// The CPU word operations drive the SRAM's own word accessors
+// (load32/store32). Comparisons of COMCO reads the CPLD answers from its
+// transmit latch instead of memory are skipped.
 func FuzzSRAM(f *testing.F) {
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		_, _, n := rig(1)
@@ -72,7 +72,6 @@ func FuzzSRAM(f *testing.F) {
 			addr := (uint32(prog[i+1])<<16 | uint32(prog[i+2])<<8 | uint32(prog[i+3])) % sramAddrMod
 			arg := binary.BigEndian.Uint32(prog[i+4:])
 			where := fmt.Sprintf("op %d (kind %d, addr %#x, arg %#x)", i/sramOpSize, op, addr, arg)
-			inRegs := addr >= UTCSURegBase && addr < UTCSURegBase+UTCSURegSize
 			var got, want uint32
 			var gotPanic, wantPanic bool
 			switch op {
@@ -94,9 +93,6 @@ func FuzzSRAM(f *testing.F) {
 					touch(addr, min(len(src), MemSize-int(addr)))
 				}
 			case opCPURead32, opCOMCORead32:
-				if op == opCPURead32 && inRegs {
-					continue
-				}
 				if op == opCOMCORead32 {
 					if off, ok := inTxHeaders(addr); ok && n.ch[channelOfTx((addr-TxHeadersBase)/HeaderSize)].txLatchValid &&
 						(off == csp.OffTxStamp || off == csp.OffTxMacro || off == csp.OffTxAlpha) {
@@ -104,20 +100,17 @@ func FuzzSRAM(f *testing.F) {
 					}
 					gotPanic = catch(func() { got = n.COMCORead32(addr) })
 				} else {
-					gotPanic = catch(func() { got = n.CPURead32(addr) })
+					gotPanic = catch(func() { got = n.load32(addr) })
 				}
 				wantPanic = catch(func() { want = ref.load32(addr) })
 				if !gotPanic && !wantPanic && got != want {
 					t.Fatalf("%s: word read %#x, flat %#x", where, got, want)
 				}
 			case opCPUWrite32, opCOMCOWrite32:
-				if op == opCPUWrite32 && inRegs {
-					continue
-				}
 				if op == opCOMCOWrite32 {
 					gotPanic = catch(func() { n.COMCOWrite32(addr, arg) })
 				} else {
-					gotPanic = catch(func() { n.CPUWrite32(addr, arg) })
+					gotPanic = catch(func() { n.store32(addr, arg) })
 				}
 				wantPanic = catch(func() { ref.store32(addr, arg) })
 				if !wantPanic {

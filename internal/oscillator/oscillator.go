@@ -1,7 +1,7 @@
 // Package oscillator models the quartz oscillators that pace a UTCSU.
 //
 // The paper drives the UTCSU from an on-board TCXO or OCXO (§3.2) with any
-// frequency in 1..20 MHz (§3.3). What matters to clock synchronization is
+// frequency in 1..20 MHz (§3.3); the model provides the TCXO. What matters to clock synchronization is
 // the frequency trajectory: a systematic calibration offset, a slow random
 // walk (aging, supply), and a temperature-induced component. The model is
 // piecewise constant in frequency — a new segment is appended at every
@@ -55,18 +55,6 @@ func TCXO(nominalHz float64) Config {
 	}
 }
 
-// OCXO returns an ovenized crystal configuration: 10x tighter everywhere.
-func OCXO(nominalHz float64) Config {
-	return Config{
-		NominalHz:          nominalHz,
-		InitOffsetSigmaPPM: 0.1,
-		WalkStepPPM:        0.0002,
-		MaxDriftPPM:        0.5,
-		TempAmpPPM:         0.02,
-		TempPeriodS:        900,
-	}
-}
-
 // Ideal returns a drift-free oscillator, useful in unit tests.
 func Ideal(nominalHz float64) Config { return Config{NominalHz: nominalHz} }
 
@@ -87,7 +75,6 @@ type Oscillator struct {
 	phase    float64 // temperature phase offset (radians)
 	start    float64
 	maxDrift float64
-	ticker   *sim.Ticker
 }
 
 // New creates an oscillator starting its tick 0 at the current simulated
@@ -115,7 +102,7 @@ func New(s *sim.Simulator, cfg Config, label string) *Oscillator {
 	o.phase = rng.Float64() * 2 * math.Pi
 	o.segs = []segment{{t0: o.start, n0: 0, period: o.periodFor(o.start)}}
 	if cfg.WalkStepPPM > 0 || cfg.TempPeriodS > 0 || cfg.AgingPPMPerDy != 0 {
-		o.ticker = s.Every(o.start+cfg.UpdateInterval, cfg.UpdateInterval, o.update)
+		s.Every(o.start+cfg.UpdateInterval, cfg.UpdateInterval, o.update)
 	}
 	return o
 }
@@ -227,17 +214,6 @@ func (o *Oscillator) TimeOfTick(n uint64) float64 {
 	return s.t0 + float64(n-s.n0)*s.period
 }
 
-// NextTickAfter returns the index and true time of the first tick
-// strictly after t. Used to model the UTCSU's input synchronizer stage:
-// an asynchronous event becomes visible at the next oscillator edge.
-func (o *Oscillator) NextTickAfter(t float64) (n uint64, at float64) {
-	if t < o.start {
-		return 0, o.start
-	}
-	n = o.TickIndex(t) + 1
-	return n, o.TimeOfTick(n)
-}
-
 // DriftAt returns the fractional frequency deviation in effect at t,
 // derived from the actual segment period (so it reflects what the clock
 // really experienced, clamps included).
@@ -245,17 +221,3 @@ func (o *Oscillator) DriftAt(t float64) float64 {
 	s := o.segAt(t)
 	return 1/(s.period*o.cfg.NominalHz) - 1
 }
-
-// MaxDrift returns the configured |drift| bound (fractional), the ρ the
-// synchronization algorithms may assume a priori.
-func (o *Oscillator) MaxDrift() float64 { return o.maxDrift }
-
-// Stop halts drift updates (end of scenario).
-func (o *Oscillator) Stop() {
-	if o.ticker != nil {
-		o.ticker.Stop()
-	}
-}
-
-// Segments returns the number of frequency segments so far (diagnostics).
-func (o *Oscillator) Segments() int { return len(o.segs) }

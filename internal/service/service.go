@@ -31,15 +31,18 @@ const ClientQPS = 0.1
 // proportionally more events.
 const tickS = 0.01
 
-// Defaults applied by Config.withDefaults for zero-valued fields.
+// Shape of the mmpp arrival process: a burst draws burstFactor times the
+// calm rate, the chain spends burstFrac of the time bursting, and one
+// burst lasts burstDwellS sim-seconds on average (calm dwells follow
+// from burstFrac).
 const (
-	DefaultBurstFactor = 8
-	DefaultBurstFrac   = 0.1
-	DefaultBurstDwellS = 2
+	burstFactor = 8
+	burstFrac   = 0.1
+	burstDwellS = 2
 )
 
 // Config describes a client population. The zero value disables serving
-// (Clients == 0); all other fields default sensibly when zero, so
+// (Clients == 0); the other fields default sensibly when zero, so
 // enabling a million-client load is just Serving.Clients = 1e6. Config
 // is a pure value type — copying a cluster config copies it fully.
 type Config struct {
@@ -51,15 +54,6 @@ type Config struct {
 	// Markov-modulated Poisson process with calm/burst phases whose
 	// time-averaged rate still equals Clients × ClientQPS.
 	Arrival string
-	// BurstFactor is the mmpp burst-state rate multiplier relative to
-	// the calm state (default 8).
-	BurstFactor float64
-	// BurstFrac is the long-run fraction of time mmpp spends bursting
-	// (default 0.1).
-	BurstFrac float64
-	// BurstDwellS is the mean sojourn time of one mmpp burst in
-	// sim-seconds (default 2); calm dwells follow from BurstFrac.
-	BurstDwellS float64
 	// RegionalSkew shapes how the population is spread across network
 	// segments: segment s receives weight RegionalSkew^s before
 	// normalization. 1 (or 0, the default) is uniform; 1.5 on four
@@ -72,15 +66,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Arrival == "" {
 		c.Arrival = "poisson"
-	}
-	if c.BurstFactor == 0 {
-		c.BurstFactor = DefaultBurstFactor
-	}
-	if c.BurstFrac == 0 {
-		c.BurstFrac = DefaultBurstFrac
-	}
-	if c.BurstDwellS == 0 {
-		c.BurstDwellS = DefaultBurstDwellS
 	}
 	if c.RegionalSkew == 0 {
 		c.RegionalSkew = 1
@@ -138,7 +123,6 @@ type Generator struct {
 	nextFlip                float64
 
 	queries uint64
-	ticker  *sim.Ticker
 
 	tmQueries *telemetry.Counter
 	tmBurst   *telemetry.Histogram
@@ -170,12 +154,16 @@ func New(s *sim.Simulator, cfg Config, node int, seed uint64, qps float64, sampl
 	case "mmpp":
 		g.mmpp = true
 		// Solve the calm rate so the duty-cycle-weighted mean still
-		// equals the nominal rate: (1−f)·λc + f·B·λc = λ.
-		f, b := cfg.BurstFrac, cfg.BurstFactor
+		// equals the nominal rate: (1−f)·λc + f·B·λc = λ. The shape is
+		// held in float64 variables so this arithmetic rounds at run
+		// time; a constant expression would fold at arbitrary precision
+		// and could move the last bit of every rate and dwell, and with
+		// it every mmpp draw.
+		f, b, dwell := float64(burstFrac), float64(burstFactor), float64(burstDwellS)
 		g.calm = perTick / (1 - f + f*b)
 		g.burst = b * g.calm
-		g.dwellBurstS = cfg.BurstDwellS
-		g.dwellCalmS = cfg.BurstDwellS * (1 - f) / f
+		g.dwellBurstS = dwell
+		g.dwellCalmS = dwell * (1 - f) / f
 	}
 	return g
 }
@@ -187,15 +175,7 @@ func (g *Generator) Start(at float64) {
 		g.inBurst = false
 		g.nextFlip = at + g.rng.Exponential(g.dwellCalmS)
 	}
-	g.ticker = g.s.Every(at+tickS, tickS, g.step)
-}
-
-// Stop cancels the tick loop.
-func (g *Generator) Stop() {
-	if g.ticker != nil {
-		g.ticker.Stop()
-		g.ticker = nil
-	}
+	g.s.Every(at+tickS, tickS, g.step)
 }
 
 // step serves one tick's worth of queries: advance the modulating
@@ -233,12 +213,6 @@ func (g *Generator) step() {
 		g.tr.Emit(trace.KindQueryServed, now, g.node, 0, n, 0, err)
 	}
 }
-
-// Queries returns the number of queries served so far.
-func (g *Generator) Queries() uint64 { return g.queries }
-
-// Sketch returns the generator's error sketch (never nil).
-func (g *Generator) Sketch() *Sketch { return g.sk }
 
 // Stats summarizes the served-query population over a measurement
 // window. All error figures are in seconds of absolute clock error as

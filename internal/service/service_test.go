@@ -46,54 +46,73 @@ func runGenerator(cfg Config, qps, spanS float64, sample func() float64) *Genera
 func TestPoissonGeneratorMeanRate(t *testing.T) {
 	g := runGenerator(Config{Clients: 1}, 500, 20, func() float64 { return 1e-6 })
 	want := 500.0 * 20
-	got := float64(g.Queries())
+	got := float64(g.queries)
 	if math.Abs(got-want) > 0.05*want {
 		t.Errorf("queries = %.0f, want %.0f +- 5%%", got, want)
 	}
-	if g.Sketch().Count() != g.Queries() {
-		t.Errorf("sketch count %d != queries %d", g.Sketch().Count(), g.Queries())
+	if g.sk.count != g.queries {
+		t.Errorf("sketch count %d != queries %d", g.sk.count, g.queries)
 	}
-	if p50 := g.Sketch().Quantile(0.5); p50 != 1e-6 {
+	if p50 := g.sk.Quantile(0.5); p50 != 1e-6 {
 		t.Errorf("constant 1µs error sampled as p50 %g", p50)
 	}
 }
 
 func TestMMPPPreservesMeanRate(t *testing.T) {
-	cfg := Config{Clients: 1, Arrival: "mmpp", BurstFactor: 10, BurstFrac: 0.2, BurstDwellS: 0.5}
-	// Long horizon so many burst/calm cycles average out.
-	g := runGenerator(cfg, 200, 300, func() float64 { return 1e-6 })
-	want := 200.0 * 300
-	got := float64(g.Queries())
+	// One burst/calm cycle lasts burstDwellS/burstFrac = 20 s on average,
+	// and over n cycles the time-averaged rate has a relative standard
+	// error of (B−1)·f(1−f)·√(2/n) / (1−f+f·B) ≈ 0.52/√n. 8000 s give
+	// n ≈ 400 cycles, so ±10% is four standard errors.
+	g := runGenerator(Config{Clients: 1, Arrival: "mmpp"}, 200, 8000, func() float64 { return 1e-6 })
+	want := 200.0 * 8000
+	got := float64(g.queries)
 	if math.Abs(got-want) > 0.10*want {
 		t.Errorf("mmpp long-run queries = %.0f, want %.0f +- 10%%", got, want)
 	}
 }
 
+// TestMMPPBurstsAreBursty checks what makes the mmpp stream bursty: the
+// chain spends burstFrac of the time in the burst state, and a burst
+// tick draws burstFactor times the arrivals of a calm tick. Each tick is
+// classified by the state its draw used. The tolerances are four
+// standard errors of what was seen: for the time fraction f over n
+// burst/calm cycles f(1−f)·√(2/n), and for the rate ratio the Poisson
+// error √(1/Nb + 1/Nc) of the burst and calm arrival counts.
 func TestMMPPBurstsAreBursty(t *testing.T) {
-	// With a huge burst factor and rare bursts, per-window counts must
-	// be visibly bimodal: compare windowed maxima against the mean.
-	cfg := Config{Clients: 1, Arrival: "mmpp", BurstFactor: 50, BurstFrac: 0.05, BurstDwellS: 1}
-	s := sim.New(1)
-	g := New(s, cfg, 0, 77, 100, nil)
-	g.sample = func() float64 { return 0 }
-	g.Start(0)
-	var counts []uint64
-	last := uint64(0)
-	for w := 0; w < 100; w++ {
-		s.RunUntil(float64(w + 1))
-		counts = append(counts, g.Queries()-last)
-		last = g.Queries()
-	}
-	var max, sum uint64
-	for _, c := range counts {
-		sum += c
-		if c > max {
-			max = c
+	const ticks = 400_000 // 4000 s, about 200 cycles
+	for _, seed := range []uint64{1, 2, 3, 4, 5, 6, 7, 1998} {
+		s := sim.New(seed)
+		g := New(s, Config{Clients: 1, Arrival: "mmpp"}, 0, seed, 100, func() float64 { return 0 })
+		g.Start(0)
+		var n, arrivals [2]float64 // indexed by state: 0 calm, 1 burst
+		cycles := 0
+		bursting := false
+		last := uint64(0)
+		for k := 1; k <= ticks; k++ {
+			s.RunUntil((float64(k) + 0.5) * tickS)
+			st := 0
+			if g.inBurst {
+				st = 1
+				if !bursting {
+					cycles++
+				}
+			}
+			bursting = g.inBurst
+			n[st]++
+			arrivals[st] += float64(g.queries - last)
+			last = g.queries
 		}
-	}
-	mean := float64(sum) / float64(len(counts))
-	if float64(max) < 5*mean {
-		t.Errorf("windowed max %d vs mean %.1f: bursts not visible", max, mean)
+		if cycles < 50 || arrivals[0] == 0 || arrivals[1] == 0 {
+			t.Fatalf("seed %d: %d cycles, arrivals %v: too little to measure", seed, cycles, arrivals)
+		}
+		frac := n[1] / ticks
+		if tol := 4 * burstFrac * (1 - burstFrac) * math.Sqrt(2/float64(cycles)); math.Abs(frac-burstFrac) > tol {
+			t.Errorf("seed %d: burst time fraction %.4f, want %v ± %.4f (%d cycles)", seed, frac, burstFrac, tol, cycles)
+		}
+		ratio := (arrivals[1] / n[1]) / (arrivals[0] / n[0])
+		if tol := 4 * burstFactor * math.Sqrt(1/arrivals[0]+1/arrivals[1]); math.Abs(ratio-burstFactor) > tol {
+			t.Errorf("seed %d: burst/calm rate per tick %.3f, want %v ± %.3f", seed, ratio, burstFactor, tol)
+		}
 	}
 }
 
@@ -126,7 +145,7 @@ func TestGeneratorSteadyStateAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("steady-state serving tick allocates %.2f/op, want 0", allocs)
 	}
-	if g.Queries() == 0 {
+	if g.queries == 0 {
 		t.Error("allocation-pinned run served no queries")
 	}
 }
@@ -144,7 +163,7 @@ func TestCollectMergesNodes(t *testing.T) {
 	st := Collect(gens, 300, 5)
 	var total uint64
 	for _, g := range gens {
-		total += g.Queries()
+		total += g.queries
 	}
 	if st.Queries != total || st.Nodes != 3 || st.Clients != 300 {
 		t.Errorf("collect mismatch: %+v vs total %d", st, total)

@@ -77,27 +77,13 @@ func (s *Sketch) AddN(v float64, n uint64) {
 	s.bins[i] += n
 }
 
-// Count returns the total number of recorded samples.
-func (s *Sketch) Count() uint64 { return s.count }
-
-// Sum returns the float sum of the recorded samples, accumulated in
-// AddN and Merge order.
-func (s *Sketch) Sum() float64 { return s.sum }
-
-// Mean returns Sum / Count (0 when empty).
+// Mean returns the float sum of the recorded samples, accumulated in
+// AddN and Merge order, over their count (0 when empty).
 func (s *Sketch) Mean() float64 {
 	if s.count == 0 {
 		return 0
 	}
 	return s.sum / float64(s.count)
-}
-
-// Min returns the exact smallest recorded sample (0 when empty).
-func (s *Sketch) Min() float64 {
-	if s.count == 0 {
-		return 0
-	}
-	return s.minSeen
 }
 
 // Max returns the exact largest recorded sample (0 when empty).
@@ -110,7 +96,7 @@ func (s *Sketch) Max() float64 {
 
 // Quantile returns the q-quantile (0 <= q <= 1) by nearest rank over
 // the cumulative bin counts, reporting the geometric midpoint of the
-// selected bin clamped to the exact observed [Min, Max]. Empty sketches
+// selected bin clamped to the exact observed sample range. Empty sketches
 // return 0; q outside [0,1] clamps to the extremes.
 func (s *Sketch) Quantile(q float64) float64 {
 	if s.count == 0 {

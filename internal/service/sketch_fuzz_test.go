@@ -72,8 +72,8 @@ func requireExactEqual(t *testing.T, what string, a, b *Sketch) {
 		t.Fatalf("%s: counts differ: count %d/%d zero %d/%d over %d/%d", what,
 			a.count, b.count, a.zero, b.zero, a.over, b.over)
 	}
-	if math.Float64bits(a.Min()) != math.Float64bits(b.Min()) || math.Float64bits(a.Max()) != math.Float64bits(b.Max()) {
-		t.Fatalf("%s: extremes differ: [%g, %g] vs [%g, %g]", what, a.Min(), a.Max(), b.Min(), b.Max())
+	if math.Float64bits(a.minSeen) != math.Float64bits(b.minSeen) || math.Float64bits(a.Max()) != math.Float64bits(b.Max()) {
+		t.Fatalf("%s: extremes differ: [%g, %g] vs [%g, %g]", what, a.minSeen, a.Max(), b.minSeen, b.Max())
 	}
 	for _, q := range []float64{0, 0.01, 0.25, 0.5, 0.9, 0.99, 0.999, 1} {
 		if x, y := a.Quantile(q), b.Quantile(q); math.Float64bits(x) != math.Float64bits(y) {

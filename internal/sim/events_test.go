@@ -27,7 +27,7 @@ func TestCancelFromWithinCallback(t *testing.T) {
 	if len(fired) != 2 || fired[0] != "canceller" || fired[1] != "survivor" {
 		t.Errorf("fired = %v, want [canceller survivor]", fired)
 	}
-	if victim.Pending() {
+	if victim.state == statePending {
 		t.Error("victim still pending after cancel")
 	}
 }

@@ -63,9 +63,6 @@ func (e *Event) Cancel() {
 	}
 }
 
-// Pending reports whether the event is still scheduled.
-func (e *Event) Pending() bool { return e != nil && e.state == statePending }
-
 // Simulator owns the event queue and the current simulated time.
 // The zero value is not usable; call New.
 type Simulator struct {

@@ -39,11 +39,11 @@ func TestCancel(t *testing.T) {
 	s := New(1)
 	fired := false
 	e := s.At(1, func() { fired = true })
-	if !e.Pending() {
+	if e.state != statePending {
 		t.Error("event should be pending")
 	}
 	e.Cancel()
-	if e.Pending() {
+	if e.state == statePending {
 		t.Error("cancelled event still pending")
 	}
 	e.Cancel() // double-cancel is a no-op

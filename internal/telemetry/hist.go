@@ -54,39 +54,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// ObserveN records the same value n times (one tick-batched arrival burst,
-// say). No-op on a nil receiver.
-func (h *Histogram) ObserveN(v float64, n uint64) {
-	if h == nil || n == 0 {
-		return
-	}
-	h.n += n
-	h.sum += v * float64(n)
-	if v < h.min {
-		h.min = v
-	}
-	if v > h.max {
-		h.max = v
-	}
-	idx := histIndex(v)
-	switch {
-	case idx < 0:
-		h.zero += n
-	case idx >= histBins:
-		h.over += n
-	default:
-		h.bins[idx] += uint32(n)
-	}
-}
-
-// N returns the observation count (0 on a nil receiver).
-func (h *Histogram) N() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.n
-}
-
 // histIndex maps v to its bin, -1 for underflow (including zero and
 // negatives) and >= histBins for overflow.
 func histIndex(v float64) int {

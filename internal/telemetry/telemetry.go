@@ -134,14 +134,6 @@ func (r *Registry) SetShard(shard int) {
 	r.shard = shard
 }
 
-// Shard returns the shard tag (-1 when untagged or nil).
-func (r *Registry) Shard() int {
-	if r == nil {
-		return -1
-	}
-	return r.shard
-}
-
 // Counter returns the named counter, creating it on first use. Returns nil
 // (a valid no-op handle) on a nil registry.
 func (r *Registry) Counter(name string) *Counter {

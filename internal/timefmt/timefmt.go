@@ -159,13 +159,4 @@ func (a Alpha) AddSat(b Alpha) Alpha {
 	return Alpha(s)
 }
 
-// SubFloor returns a-b clamped at zero ("zero-masks potentially negative
-// accuracies", paper §3.3).
-func (a Alpha) SubFloor(b Alpha) Alpha {
-	if b >= a {
-		return 0
-	}
-	return a - b
-}
-
 func (a Alpha) String() string { return Duration(a).String() }

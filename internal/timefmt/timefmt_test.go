@@ -100,12 +100,6 @@ func TestAlphaSaturation(t *testing.T) {
 	if AlphaMax.AddSat(1) != AlphaMax {
 		t.Error("AddSat must saturate")
 	}
-	if Alpha(5).SubFloor(10) != 0 {
-		t.Error("SubFloor must clamp at zero")
-	}
-	if Alpha(10).SubFloor(4) != 6 {
-		t.Error("SubFloor arithmetic wrong")
-	}
 	if AlphaFromDuration(-3) != 0 {
 		t.Error("negative duration must clamp to 0")
 	}

@@ -271,14 +271,6 @@ func New(o Options) *Tracer {
 // event executed on.
 func (t *Tracer) SetShard(shard int) { t.shard = int16(shard) }
 
-// Shard returns the tracer's shard tag (-1 when unsharded).
-func (t *Tracer) Shard() int {
-	if t == nil {
-		return -1
-	}
-	return int(t.shard)
-}
-
 // Options returns the tracer's effective options (zero value when the
 // tracer is nil, i.e. everything disabled).
 func (t *Tracer) Options() Options {

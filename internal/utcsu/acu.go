@@ -63,22 +63,6 @@ func (u *UTCSU) SetAlpha(minus, plus timefmt.Duration) {
 	a.place(&a.plus, acuSeg{startTick: n, base: clampUnits(int64(clampDur(plus)) << 40), rate: a.ratePlus()})
 }
 
-// EnlargeAlpha grows the accuracies (e.g. after adding a delay
-// compensation term); negative arguments are ignored side-wise.
-func (u *UTCSU) EnlargeAlpha(dMinus, dPlus timefmt.Duration) {
-	a := &u.acu
-	n := u.tick() + 1
-	am, ap := a.unitsAt(n)
-	if dMinus > 0 {
-		am += int64(clampDur(dMinus)) << 40
-	}
-	if dPlus > 0 {
-		ap += int64(clampDur(dPlus)) << 40
-	}
-	a.place(&a.minus, acuSeg{startTick: n, base: clampUnits(am), rate: a.rateMinus()})
-	a.place(&a.plus, acuSeg{startTick: n, base: clampUnits(ap), rate: a.ratePlus()})
-}
-
 // Alpha returns the current saturated register values.
 func (u *UTCSU) Alpha() (minus, plus timefmt.Alpha) {
 	return u.acu.at(u.tick())

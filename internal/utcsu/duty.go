@@ -9,8 +9,8 @@ import (
 
 // DutyTimer is one of the UTCSU's 48-bit programmable duty timers: when
 // local time reaches the programmed value an interrupt is raised (paper
-// §3.3). Duty timers pace the CSP exchange protocol, continuous
-// amortization, leap seconds and application events.
+// §3.3). Duty timers pace the CSP exchange protocol and application
+// events.
 //
 // Because the model's clock is piecewise affine in the tick index, the
 // firing moment is computed by inverting the current segment; rate
@@ -54,12 +54,6 @@ func (dt *DutyTimer) Cancel() {
 	}
 	dt.u.removeTimer(dt)
 }
-
-// Pending reports whether the timer is still armed.
-func (dt *DutyTimer) Pending() bool { return !dt.done }
-
-// Target returns the programmed compare value.
-func (dt *DutyTimer) Target() timefmt.Stamp { return dt.target }
 
 // arm (re)schedules the underlying simulation event.
 func (dt *DutyTimer) arm() {
@@ -147,6 +141,3 @@ func (u *UTCSU) removeTimer(dt *DutyTimer) {
 		}
 	}
 }
-
-// PendingTimers reports the number of armed duty timers (diagnostics).
-func (u *UTCSU) PendingTimers() int { return len(u.timers) }

@@ -10,7 +10,6 @@ type interruptUnit struct {
 	pending [numIntLines]bool
 	lastSrc [numIntLines]string
 	handler func(line IntLine, source string)
-	raised  [numIntLines]uint64
 }
 
 // OnInterrupt installs the pin-change handler (the NTI's CPLD, or a test).
@@ -31,17 +30,7 @@ func (u *UTCSU) EnableInt(line IntLine, on bool) {
 	}
 }
 
-// IntEnabled reports the mask state of a line.
-func (u *UTCSU) IntEnabled(line IntLine) bool { return u.intr.enabled[line] }
-
-// PendingInt reports whether a masked interrupt is latched on the line.
-func (u *UTCSU) PendingInt(line IntLine) bool { return u.intr.pending[line] }
-
-// RaisedCount returns how many interrupts were asserted on a line.
-func (u *UTCSU) RaisedCount(line IntLine) uint64 { return u.intr.raised[line] }
-
 func (iu *interruptUnit) raise(u *UTCSU, line IntLine, source string) {
-	iu.raised[line]++
 	iu.lastSrc[line] = source
 	if !iu.enabled[line] {
 		iu.pending[line] = true

@@ -15,8 +15,8 @@ import (
 // model represents the clock as piecewise-affine segments over the tick
 // index: within a segment the clock value at tick n is exactly
 // base + augend·(n−startTick), computed with 128-bit integer arithmetic.
-// New segments are appended on rate adjustment, amortization start/end,
-// state loads and leap seconds, so every read is bit-identical to what
+// New segments are appended on rate adjustment, amortization start/end
+// and state loads, so every read is bit-identical to what
 // the register would hold.
 type ltu struct {
 	u          *UTCSU
@@ -114,8 +114,8 @@ func (u *UTCSU) RateStepPPB() float64 {
 }
 
 // StepTo loads the clock state register directly: from the next tick the
-// clock reads value. Used for initialization and hardware leap seconds;
-// during normal operation state changes go through Amortize.
+// clock reads value. Used for initialization and clock steps; during
+// normal operation state changes go through Amortize.
 func (u *UTCSU) StepTo(value timefmt.Stamp) {
 	l := &u.ltu
 	l.cancelAmortization()
@@ -209,23 +209,3 @@ func (l *ltu) cancelAmortization() {
 		l.appendSeg(l.effectiveAugend())
 	}
 }
-
-// LeapAt programs the hardware leap-second logic: when the clock reaches
-// at, one second is inserted (delta=+1: clock jumps back, UTC repeats a
-// second) or deleted (delta=-1: clock jumps forward). Returns the armed
-// duty timer.
-func (u *UTCSU) LeapAt(at timefmt.Stamp, delta int) *DutyTimer {
-	if delta != 1 && delta != -1 {
-		panic("utcsu: leap delta must be ±1")
-	}
-	var dt *DutyTimer
-	dt = u.DutyAt(at, func() {
-		step := timefmt.DurationFromSeconds(float64(-delta))
-		u.StepTo(u.Now().Add(step))
-		u.intr.raise(u, INTT, "LEAP")
-	})
-	return dt
-}
-
-// ClockSegments reports the number of clock segments (diagnostics).
-func (u *UTCSU) ClockSegments() int { return len(u.ltu.segs) }

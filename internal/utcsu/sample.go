@@ -8,10 +8,10 @@ import "ntisim/internal/timefmt"
 // atomically into dedicated registers and optionally raises an interrupt
 // (paper §3.3).
 //
-// Asynchronous inputs pass through a one- or two-stage synchronizer, so
-// the sample reflects the clock at the next (or next-but-one) oscillator
-// tick after the physical event — a timing uncertainty of at most
-// 1/fosc (resp. 2/fosc), exactly as in the chip.
+// Asynchronous inputs pass through a one-stage synchronizer, so the
+// sample reflects the clock at the next oscillator tick after the
+// physical event — a timing uncertainty of at most 1/fosc, exactly as in
+// the chip.
 type SampleUnit struct {
 	owner *UTCSU
 	line  IntLine
@@ -21,27 +21,22 @@ type SampleUnit struct {
 	alphaPlus  timefmt.Alpha
 	seq        uint64
 	intrOn     bool
-	invert     bool // programmable input polarity
 }
 
 // EnableInterrupt selects whether a trigger raises the unit's interrupt.
 func (su *SampleUnit) EnableInterrupt(on bool) { su.intrOn = on }
 
-// SetPolarity programs the trigger polarity (falling edge when invert is
-// true). In the simulation Trigger carries the edge explicitly.
-func (su *SampleUnit) SetPolarity(invert bool) { su.invert = invert }
-
 // Trigger registers an input transition occurring now. rising tells the
-// edge direction; a unit programmed for the opposite polarity ignores it.
+// edge direction; a unit samples rising edges and ignores falling ones.
 // It returns the sampled stamp for convenience (the simulation caller is
 // the signal source, e.g. the NTI decode logic).
 func (su *SampleUnit) Trigger(rising bool) (timefmt.Stamp, bool) {
-	if rising == su.invert {
+	if !rising {
 		return 0, false
 	}
 	u := su.owner
 	// Synchronizer: the sample is latched at the next oscillator edge(s).
-	n := u.osc.TickIndex(u.sim.Now()) + u.syncDelayTicks()
+	n := u.osc.TickIndex(u.sim.Now()) + syncDelayTicks
 	su.stamp = timefmt.StampFromTime(u.ltu.valueAt(n))
 	su.alphaMinus, su.alphaPlus = u.acu.at(n)
 	su.seq++
@@ -57,6 +52,3 @@ func (su *SampleUnit) Trigger(rising bool) (timefmt.Stamp, bool) {
 func (su *SampleUnit) Read() (stamp timefmt.Stamp, alphaMinus, alphaPlus timefmt.Alpha, seq uint64) {
 	return su.stamp, su.alphaMinus, su.alphaPlus, su.seq
 }
-
-// Seq returns the number of triggers accepted so far.
-func (su *SampleUnit) Seq() uint64 { return su.seq }

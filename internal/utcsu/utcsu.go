@@ -16,6 +16,12 @@
 //   - an interrupt unit mapping all sources onto the INTN/INTT/INTA pins;
 //   - SNU/BTU: snapshot and built-in-test support.
 //
+// The model covers what the NTI's data path and the clock
+// synchronization drive: the LTU, ACU, SSUs, GPUs, duty timers,
+// interrupt unit, SNU and the BTU self-test, all as Go methods. The
+// chip's memory-mapped register file, its 1PPS output pins, the
+// leap-second logic and the NTPA bus are not modelled.
+//
 // The model keeps the clock as piecewise-affine functions of the
 // oscillator tick index, so reading it is O(1) and its granularity
 // (2⁻²⁴ s) and rate-adjustment step (2⁻⁵¹ s per tick) are bit-exact.
@@ -24,7 +30,6 @@ package utcsu
 import (
 	"fmt"
 
-	"ntisim/internal/fixpt"
 	"ntisim/internal/oscillator"
 	"ntisim/internal/sim"
 	"ntisim/internal/timefmt"
@@ -59,21 +64,16 @@ const (
 	NumAPU = 9 // application stamp units
 )
 
-// Config configures a UTCSU instance.
-type Config struct {
-	// Osc paces the chip. The UTCSU accepts 1..20 MHz (paper §3.3).
-	Osc *oscillator.Oscillator
-	// TwoStageSync selects the two-stage input synchronizer (reliable
-	// pin high): recovery time 2/fosc instead of 1/fosc.
-	TwoStageSync bool
-}
+// syncDelayTicks is the depth of the one-stage input synchronizer for
+// asynchronous inputs: a sample reflects the clock one tick after the
+// event.
+const syncDelayTicks = 1
 
 // UTCSU is one chip instance. It is not safe for concurrent use; the
 // simulation is single-threaded by construction.
 type UTCSU struct {
 	sim *sim.Simulator
 	osc *oscillator.Oscillator
-	cfg Config
 
 	ltu ltu
 	acu acu
@@ -82,23 +82,22 @@ type UTCSU struct {
 	gpu [NumGPU]SampleUnit
 	apu [NumAPU]SampleUnit
 
-	timers    []*DutyTimer
-	intr      interruptUnit
-	regs      regFile
-	snapshots uint64
+	timers []*DutyTimer
+	intr   interruptUnit
 }
 
-// New builds a UTCSU paced by cfg.Osc, with the clock and accuracies at
-// zero and the nominal-rate augend loaded.
-func New(s *sim.Simulator, cfg Config) *UTCSU {
-	if cfg.Osc == nil {
+// New builds a UTCSU paced by osc, with the clock and accuracies at
+// zero and the nominal-rate augend loaded. The UTCSU accepts 1..20 MHz
+// (paper §3.3).
+func New(s *sim.Simulator, osc *oscillator.Oscillator) *UTCSU {
+	if osc == nil {
 		panic("utcsu: nil oscillator")
 	}
-	f := cfg.Osc.NominalHz()
+	f := osc.NominalHz()
 	if f < 1e6 || f > 20e6 {
 		panic(fmt.Sprintf("utcsu: oscillator frequency %v Hz outside 1..20 MHz", f))
 	}
-	u := &UTCSU{sim: s, osc: cfg.Osc, cfg: cfg}
+	u := &UTCSU{sim: s, osc: osc}
 	u.ltu.init(u)
 	u.acu.init(u)
 	for i := range u.ssu {
@@ -113,34 +112,13 @@ func New(s *sim.Simulator, cfg Config) *UTCSU {
 	return u
 }
 
-// Osc returns the pacing oscillator.
-func (u *UTCSU) Osc() *oscillator.Oscillator { return u.osc }
-
 // tick returns the current oscillator tick index.
 func (u *UTCSU) tick() uint64 { return u.osc.TickIndex(u.sim.Now()) }
-
-// syncDelayTicks is the synchronizer depth for asynchronous inputs.
-func (u *UTCSU) syncDelayTicks() uint64 {
-	if u.cfg.TwoStageSync {
-		return 2
-	}
-	return 1
-}
 
 // Now returns the current clock reading quantized to the 2⁻²⁴ s register
 // granularity, exactly what software sees in the timestamp registers.
 func (u *UTCSU) Now() timefmt.Stamp {
 	return timefmt.StampFromTime(u.ltu.valueAt(u.tick()))
-}
-
-// NowFine returns the full-resolution internal clock value (only the
-// simulation and the NTPA bus can see this; software cannot).
-func (u *UTCSU) NowFine() fixpt.Time { return u.ltu.valueAt(u.tick()) }
-
-// ReadWords performs the atomic two-word register read of the clock:
-// timestamp and macrostamp including the BTU checksum.
-func (u *UTCSU) ReadWords() (timestamp, macrostamp uint32) {
-	return u.Now().Words()
 }
 
 // SSU, GPU and APU accessors.
@@ -167,7 +145,6 @@ type Snapshot struct {
 
 // Snapshot triggers the SNU.
 func (u *UTCSU) Snapshot() Snapshot {
-	u.snapshots++
 	n := u.tick()
 	am, ap := u.acu.at(n)
 	return Snapshot{
@@ -176,40 +153,6 @@ func (u *UTCSU) Snapshot() Snapshot {
 		AlphaMinus: am,
 		AlphaPlus:  ap,
 	}
-}
-
-// SnapshotCount reports how many snapshots were taken (diagnostics).
-func (u *UTCSU) SnapshotCount() uint64 { return u.snapshots }
-
-// Interval returns the current accuracy interval A(t) = [C−α⁻, C+α⁺]
-// as maintained by the LTU and ACU together.
-func (u *UTCSU) Interval() intervalReading {
-	n := u.tick()
-	am, ap := u.acu.at(n)
-	return intervalReading{
-		Ref:   timefmt.StampFromTime(u.ltu.valueAt(n)),
-		Minus: am.Duration(),
-		Plus:  ap.Duration(),
-	}
-}
-
-// intervalReading mirrors interval.Interval without importing it, keeping
-// the hardware model free of algorithm-layer dependencies.
-type intervalReading struct {
-	Ref   timefmt.Stamp
-	Minus timefmt.Duration
-	Plus  timefmt.Duration
-}
-
-// NTPABus reads the multiplexed NTPA-bus: the 48-bit-wide export of the
-// entire local time and accuracy information "at full speed" (paper
-// §3.3), intended for extension modules on the M-Modules' intermodule
-// port. Unlike the software-visible registers it carries the full
-// internal resolution.
-func (u *UTCSU) NTPABus() (t fixpt.Time, alphaMinus, alphaPlus timefmt.Alpha) {
-	n := u.tick()
-	am, ap := u.acu.at(n)
-	return u.ltu.valueAt(n), am, ap
 }
 
 // SelfTest is the BTU: it exercises the adder path against a recomputed

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"ntisim/internal/fixpt"
 	"ntisim/internal/oscillator"
 	"ntisim/internal/sim"
 	"ntisim/internal/timefmt"
@@ -16,7 +15,7 @@ func rig(t testing.TB, seed uint64, cfg oscillator.Config) (*sim.Simulator, *UTC
 	t.Helper()
 	s := sim.New(seed)
 	o := oscillator.New(s, cfg, "dut")
-	return s, New(s, Config{Osc: o})
+	return s, New(s, o)
 }
 
 func TestNominalRate(t *testing.T) {
@@ -48,7 +47,7 @@ func TestFrequencyRangeEnforced(t *testing.T) {
 					t.Errorf("frequency %v accepted", f)
 				}
 			}()
-			New(s, Config{Osc: o})
+			New(s, o)
 		}()
 	}
 }
@@ -100,6 +99,13 @@ func TestStepTo(t *testing.T) {
 func TestAmortizeForward(t *testing.T) {
 	s, u := rig(t, 1, oscillator.Ideal(10e6))
 	s.RunUntil(1)
+	intt := 0
+	u.OnInterrupt(func(l IntLine, src string) {
+		if l == INTT && src == "AMORT" {
+			intt++
+		}
+	})
+	u.EnableInt(INTT, true)
 	before := u.Now()
 	delta := timefmt.DurationFromSeconds(100e-6) // +100 µs
 	u.Amortize(delta, 5000)                      // 0.5% speedup -> ~20 ms long
@@ -115,7 +121,7 @@ func TestAmortizeForward(t *testing.T) {
 	if math.Abs(got-want) > 2e-6 {
 		t.Errorf("advance over 100ms = %v, want %v", got, want)
 	}
-	if u.RaisedCount(INTT) == 0 {
+	if intt != 1 {
 		t.Error("no INTT at amortization end")
 	}
 }
@@ -176,19 +182,13 @@ func TestAlphaDeterioration(t *testing.T) {
 	}
 }
 
-func TestAlphaSetAndEnlarge(t *testing.T) {
+func TestAlphaSet(t *testing.T) {
 	s, u := rig(t, 1, oscillator.Ideal(10e6))
 	u.SetAlpha(timefmt.DurationFromSeconds(10e-6), timefmt.DurationFromSeconds(20e-6))
 	s.RunUntil(0.001)
 	am, ap := u.Alpha()
 	if math.Abs(am.Duration().Seconds()-10e-6) > 1e-6 || math.Abs(ap.Duration().Seconds()-20e-6) > 1e-6 {
 		t.Errorf("SetAlpha -> %v/%v", am, ap)
-	}
-	u.EnlargeAlpha(timefmt.DurationFromSeconds(5e-6), 0)
-	s.RunUntil(0.002)
-	am2, _ := u.Alpha()
-	if d := am2.Duration().Seconds() - am.Duration().Seconds(); math.Abs(d-5e-6) > 1e-6 {
-		t.Errorf("EnlargeAlpha minus grew by %v", d)
 	}
 }
 
@@ -257,11 +257,11 @@ func TestContainmentInvariant(t *testing.T) {
 	s := sim.New(7)
 	cfg := oscillator.TCXO(10e6)
 	o := oscillator.New(s, cfg, "dut")
-	u := New(s, Config{Osc: o})
+	u := New(s, o)
 	// Initialize the clock to true time with a small initial alpha.
-	u.StepTo(timefmt.StampFromTime(fixptFromFloat(s.Now())))
+	u.StepTo(timefmt.Stamp(timefmt.DurationFromSeconds(s.Now())))
 	u.SetAlpha(timefmt.DurationFromSeconds(2e-6), timefmt.DurationFromSeconds(2e-6))
-	rho := int64(o.MaxDrift()*1e9) + 1
+	rho := int64(cfg.MaxDriftPPM*1e3) + 1
 	u.SetDriftBoundPPB(rho, rho)
 	for x := 1.0; x <= 120; x += 1 {
 		s.RunUntil(x)
@@ -289,21 +289,8 @@ func TestSampleUnitQuantization(t *testing.T) {
 	if d < 0 || d > 2.1e-6 {
 		t.Errorf("sample offset from event = %v", d)
 	}
-	if su.Seq() != 1 {
-		t.Errorf("seq = %d", su.Seq())
-	}
-}
-
-func TestSampleUnitTwoStage(t *testing.T) {
-	s := sim.New(1)
-	o := oscillator.New(s, oscillator.Ideal(1e6), "dut")
-	u := New(s, Config{Osc: o, TwoStageSync: true})
-	s.RunUntil(0.5)
-	st, _ := u.APU(0).Trigger(true)
-	one := New(s, Config{Osc: o})
-	st1, _ := one.APU(0).Trigger(true)
-	if st <= st1 {
-		t.Errorf("two-stage sample %v should lag one-stage %v", st, st1)
+	if _, _, _, seq := su.Read(); seq != 1 {
+		t.Errorf("seq = %d", seq)
 	}
 }
 
@@ -311,12 +298,14 @@ func TestSampleUnitPolarity(t *testing.T) {
 	s, u := rig(t, 1, oscillator.Ideal(10e6))
 	s.RunUntil(0.1)
 	su := u.APU(1)
-	su.SetPolarity(true) // falling edges only
-	if _, ok := su.Trigger(true); ok {
-		t.Error("rising edge accepted by falling-polarity unit")
+	if _, ok := su.Trigger(false); ok {
+		t.Error("falling edge accepted")
 	}
-	if _, ok := su.Trigger(false); !ok {
-		t.Error("falling edge rejected")
+	if _, _, _, seq := su.Read(); seq != 0 {
+		t.Errorf("falling edge counted: seq = %d", seq)
+	}
+	if _, ok := su.Trigger(true); !ok {
+		t.Error("rising edge rejected")
 	}
 }
 
@@ -337,17 +326,21 @@ func TestSampleUnitInterrupt(t *testing.T) {
 	if len(got) != 1 {
 		t.Error("masked INTA delivered early")
 	}
-	if !u.PendingInt(INTA) {
-		t.Error("INTA not latched")
-	}
 	u.EnableInt(INTA, true)
 	if len(got) != 2 || got[1] != INTA {
 		t.Errorf("latched INTA not delivered: %v", got)
+	}
+	// A GPS pulse unit shares INTA with the APUs.
+	u.GPU(0).EnableInterrupt(true)
+	u.GPU(0).Trigger(true)
+	if len(got) != 3 || got[2] != INTA {
+		t.Errorf("GPU interrupt: %v", got)
 	}
 }
 
 func TestDutyTimerFires(t *testing.T) {
 	s, u := rig(t, 1, oscillator.Ideal(10e6))
+	s.RunUntil(0.5) // arm inside the clock segment, not at its start
 	fired := -1.0
 	u.DutyAt(timefmt.Stamp(timefmt.DurationFromSeconds(2)), func() { fired = s.Now() })
 	s.RunUntil(3)
@@ -375,15 +368,15 @@ func TestDutyTimerCancel(t *testing.T) {
 	fired := false
 	dt := u.DutyAt(timefmt.Stamp(timefmt.DurationFromSeconds(1)), func() { fired = true })
 	dt.Cancel()
-	if dt.Pending() {
+	if !dt.done {
 		t.Error("cancelled timer pending")
 	}
 	s.RunUntil(2)
 	if fired {
 		t.Error("cancelled timer fired")
 	}
-	if u.PendingTimers() != 0 {
-		t.Errorf("timer list not cleaned: %d", u.PendingTimers())
+	if len(u.timers) != 0 {
+		t.Errorf("timer list not cleaned: %d", len(u.timers))
 	}
 }
 
@@ -407,7 +400,7 @@ func TestDutyTimerSurvivesRateChange(t *testing.T) {
 func TestDutyTimerWithDriftingOscillator(t *testing.T) {
 	s := sim.New(3)
 	o := oscillator.New(s, oscillator.TCXO(10e6), "dut")
-	u := New(s, Config{Osc: o})
+	u := New(s, o)
 	fired := -1.0
 	u.DutyAt(timefmt.Stamp(timefmt.DurationFromSeconds(30)), func() { fired = s.Now() })
 	s.RunUntil(40)
@@ -420,31 +413,10 @@ func TestDutyTimerWithDriftingOscillator(t *testing.T) {
 	}
 }
 
-func TestLeapInsert(t *testing.T) {
-	s, u := rig(t, 1, oscillator.Ideal(10e6))
-	u.LeapAt(timefmt.Stamp(timefmt.DurationFromSeconds(5)), +1)
-	s.RunUntil(6)
-	// Insertion: clock repeated one second, so it now lags true time by 1 s.
-	got := u.Now().Seconds()
-	if math.Abs(got-5) > 1e-4 {
-		t.Errorf("after leap insert: clock=%v, want ~5", got)
-	}
-}
-
-func TestLeapDelete(t *testing.T) {
-	s, u := rig(t, 1, oscillator.Ideal(10e6))
-	u.LeapAt(timefmt.Stamp(timefmt.DurationFromSeconds(5)), -1)
-	s.RunUntil(6)
-	got := u.Now().Seconds()
-	if math.Abs(got-7) > 1e-4 {
-		t.Errorf("after leap delete: clock=%v, want ~7", got)
-	}
-}
-
 func TestReadWordsChecksum(t *testing.T) {
 	s, u := rig(t, 1, oscillator.Ideal(10e6))
 	s.RunUntil(123.456)
-	ts, ms := u.ReadWords()
+	ts, ms := u.Now().Words()
 	got, ok := timefmt.FromWords(ts, ms)
 	if !ok {
 		t.Fatal("checksum failed on valid read")
@@ -462,19 +434,6 @@ func TestSelfTest(t *testing.T) {
 	}
 }
 
-func TestIntervalReading(t *testing.T) {
-	s, u := rig(t, 1, oscillator.Ideal(10e6))
-	u.SetAlpha(timefmt.DurationFromSeconds(3e-6), timefmt.DurationFromSeconds(4e-6))
-	s.RunUntil(1)
-	iv := u.Interval()
-	if iv.Ref != u.Now() {
-		t.Error("interval ref != Now")
-	}
-	if iv.Minus.Seconds() < 2e-6 || iv.Plus.Seconds() < 3e-6 {
-		t.Errorf("interval accuracies lost: %v/%v", iv.Minus, iv.Plus)
-	}
-}
-
 func TestSnapshotTruth(t *testing.T) {
 	s, u := rig(t, 1, oscillator.Ideal(10e6))
 	s.RunUntil(2.5)
@@ -484,85 +443,6 @@ func TestSnapshotTruth(t *testing.T) {
 	}
 	if math.Abs(snap.Clock.Seconds()-2.5) > 1e-5 {
 		t.Errorf("snapshot clock = %v", snap.Clock)
-	}
-	if u.SnapshotCount() != 1 {
-		t.Errorf("snapshot count = %d", u.SnapshotCount())
-	}
-}
-
-func fixptFromFloat(s float64) fixpt.Time { return fixpt.FromSeconds(s) }
-
-func TestPPSOutputPulsesOnClockSeconds(t *testing.T) {
-	s, u := rig(t, 30, oscillator.Ideal(10e6))
-	var labels []int64
-	var times []float64
-	pps := u.StartPPS(0, func(sec int64) {
-		labels = append(labels, sec)
-		times = append(times, s.Now())
-	})
-	s.RunUntil(5.5)
-	if len(labels) != 5 {
-		t.Fatalf("pulses = %d, want 5", len(labels))
-	}
-	for i, l := range labels {
-		if l != int64(i+1) {
-			t.Errorf("pulse %d labelled %d", i, l)
-		}
-		if math.Abs(times[i]-float64(i+1)) > 1e-5 {
-			t.Errorf("pulse %d at %v", i, times[i])
-		}
-	}
-	if pps.Pulses() != 5 {
-		t.Errorf("counter = %d", pps.Pulses())
-	}
-	pps.Stop()
-	s.RunUntil(10)
-	if pps.Pulses() != 5 {
-		t.Error("pulses after Stop")
-	}
-}
-
-func TestPPSFollowsClockNotTrueTime(t *testing.T) {
-	// The pin marks *clock* seconds: a rate-adjusted clock pulses at its
-	// own second boundaries, not at true seconds.
-	s, u := rig(t, 31, oscillator.Ideal(10e6))
-	u.SetRatePPB(100_000_000) // clock runs 10% fast
-	var times []float64
-	u.StartPPS(1, func(int64) { times = append(times, s.Now()) })
-	s.RunUntil(2)
-	if len(times) < 2 {
-		t.Fatal("too few pulses")
-	}
-	gap := times[1] - times[0]
-	want := 1 / 1.1 // one clock second takes ~0.909 true seconds
-	if math.Abs(gap-want) > 1e-3 {
-		t.Errorf("pulse gap %v, want ~%v", gap, want)
-	}
-}
-
-func TestPPSLineRange(t *testing.T) {
-	_, u := rig(t, 32, oscillator.Ideal(10e6))
-	defer func() {
-		if recover() == nil {
-			t.Error("out-of-range PPS line accepted")
-		}
-	}()
-	u.StartPPS(NumPPSOut, nil)
-}
-
-func TestNTPABusFullResolution(t *testing.T) {
-	s, u := rig(t, 33, oscillator.Ideal(10e6))
-	u.SetAlpha(timefmt.DurationFromSeconds(5e-6), timefmt.DurationFromSeconds(7e-6))
-	s.RunUntil(1.23456789)
-	ft, am, ap := u.NTPABus()
-	// Full internal resolution: finer than the 2^-24 register granule.
-	reg := u.Now()
-	d := ft.Sub(reg.Time())
-	if d.IsNegative() || d.Seconds() >= timefmt.Granule {
-		t.Errorf("NTPA time %v inconsistent with register %v", ft, reg)
-	}
-	if am.Duration().Seconds() < 4e-6 || ap.Duration().Seconds() < 6e-6 {
-		t.Errorf("NTPA alphas %v/%v", am, ap)
 	}
 }
 
@@ -575,13 +455,13 @@ func TestQuickOperationSequences(t *testing.T) {
 	f := func(ops []uint8, seedRaw uint16) bool {
 		s := sim.New(uint64(seedRaw) + 1)
 		o := oscillator.New(s, oscillator.TCXO(10e6), "fuzz")
-		u := New(s, Config{Osc: o})
+		u := New(s, o)
 		rng := s.RNG("fuzz-ops")
 		prev := u.Now()
 		steppedBack := false
 		for _, op := range ops {
 			s.RunUntil(s.Now() + 0.01 + rng.Float64()*0.05)
-			switch op % 6 {
+			switch op % 5 {
 			case 0:
 				u.SetRatePPB(int64(rng.Intn(400_001)) - 200_000)
 			case 1:
@@ -590,10 +470,8 @@ func TestQuickOperationSequences(t *testing.T) {
 			case 2:
 				u.SetAlpha(timefmt.Duration(rng.Intn(70000)), timefmt.Duration(rng.Intn(70000)))
 			case 3:
-				u.EnlargeAlpha(timefmt.Duration(rng.Intn(100)), timefmt.Duration(rng.Intn(100)))
-			case 4:
 				u.SetDriftBoundPPB(int64(rng.Intn(5000)), int64(rng.Intn(5000)))
-			case 5:
+			case 4:
 				// Forward-only state load (backward loads legitimately
 				// rewind the clock; exclude them from the monotonicity
 				// check).
@@ -602,7 +480,7 @@ func TestQuickOperationSequences(t *testing.T) {
 			}
 			now := u.Now()
 			if !steppedBack && now < prev {
-				t.Logf("clock went backwards: %v -> %v after op %d", prev, now, op%6)
+				t.Logf("clock went backwards: %v -> %v after op %d", prev, now, op%5)
 				return false
 			}
 			prev = now
