@@ -8,7 +8,10 @@ GO ?= go
 # the ntiperf module's own vet and tests. The suite includes every
 # golden gate: cmd/nticampaign's TestCampaignGoldens byte-diffs each
 # gated preset's artifacts at -shards 1 and 4 against testdata/
-# (regenerate with `go test ./cmd/nticampaign -run CampaignGoldens -update`).
+# (regenerate with `go test ./cmd/nticampaign -run CampaignGoldens -update`),
+# and cmd/ntibench's TestSuiteClaimsAtSeed1998 byte-diffs the seed-1998
+# experiment tables against testdata/seed1998.golden.txt (regenerate with
+# `go test ./cmd/ntibench -run SuiteClaimsAtSeed1998 -update`).
 ci: fmt vet build deadcode race bench-smoke bench-module
 
 # fmt fails when gofmt would change any tracked Go file; listing files

@@ -21,6 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -51,6 +52,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *in == "" {
 		fmt.Fprintln(stderr, "ntireport: -in is required (artifact file or directory)")
 		fs.Usage()
+		return 2
+	}
+	if c := *converged; !(c > 0) || math.IsInf(c, 1) { // !(c > 0) also rejects NaN
+		fmt.Fprintln(stderr, "ntireport: -converged-below must be a finite number of seconds > 0")
 		return 2
 	}
 	fail := func(err error) int {

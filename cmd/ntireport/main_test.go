@@ -102,6 +102,21 @@ func TestEmptyDirExits1(t *testing.T) {
 	}
 }
 
+// TestBadConvergedBelowExits2: a threshold that is not a positive
+// finite number of seconds would silently drop or misdefine the
+// convergence-time section, so it is a usage error naming the flag.
+func TestBadConvergedBelowExits2(t *testing.T) {
+	for _, v := range []string{"0", "-1", "NaN", "+Inf", "-Inf"} {
+		code, stdout, stderr := runReport("-in", smokeJSONL, "-converged-below", v)
+		if code != 2 {
+			t.Errorf("-converged-below %s: exit %d, want 2", v, code)
+		}
+		if !strings.Contains(stderr, "-converged-below") || stdout != "" {
+			t.Errorf("-converged-below %s: stderr = %q, stdout %d bytes", v, stderr, len(stdout))
+		}
+	}
+}
+
 func TestBadFlagExits2(t *testing.T) {
 	code, _, stderr := runReport("-no-such-flag")
 	if code != 2 {

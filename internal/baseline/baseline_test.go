@@ -18,7 +18,7 @@ func mkUTCSU(s *sim.Simulator, label string) *utcsu.UTCSU {
 
 func TestCounterClockGranularity(t *testing.T) {
 	s := sim.New(1)
-	c := NewCounterClock(mkUTCSU(s, "a"), CounterClockConfig{})
+	c := NewCounterClock(mkUTCSU(s, "a"))
 	s.RunUntil(1.2345)
 	v := c.Now()
 	if v%17 != 0 {
@@ -36,7 +36,7 @@ func TestCounterClockGranularity(t *testing.T) {
 
 func TestCounterClockRateQuantization(t *testing.T) {
 	s := sim.New(2)
-	c := NewCounterClock(mkUTCSU(s, "a"), CounterClockConfig{})
+	c := NewCounterClock(mkUTCSU(s, "a"))
 	c.SetRatePPB(1499)
 	if c.RatePPB() != 1000 {
 		t.Errorf("rate %v, want quantized to 1000", c.RatePPB())
@@ -55,7 +55,7 @@ func TestCounterClockRateStepVsUTCSU(t *testing.T) {
 	// The whole point of E8: the adder-based UTCSU adjusts ~100x finer.
 	s := sim.New(3)
 	u := mkUTCSU(s, "a")
-	c := NewCounterClock(u, CounterClockConfig{})
+	c := NewCounterClock(u)
 	if c.RateStepPPB() < 50*u.RateStepPPB() {
 		t.Errorf("counter step %v should dwarf adder step %v", c.RateStepPPB(), u.RateStepPPB())
 	}
@@ -63,7 +63,7 @@ func TestCounterClockRateStepVsUTCSU(t *testing.T) {
 
 func TestCounterClockAmortizeIsStep(t *testing.T) {
 	s := sim.New(4)
-	c := NewCounterClock(mkUTCSU(s, "a"), CounterClockConfig{})
+	c := NewCounterClock(mkUTCSU(s, "a"))
 	s.RunUntil(1)
 	before := c.u.Now()
 	c.Amortize(timefmt.DurationFromSeconds(50e-6), 5000)
@@ -80,7 +80,7 @@ func TestCounterClockAmortizeIsStep(t *testing.T) {
 
 func TestCounterClockAlphaPassThrough(t *testing.T) {
 	s := sim.New(5)
-	c := NewCounterClock(mkUTCSU(s, "a"), CounterClockConfig{})
+	c := NewCounterClock(mkUTCSU(s, "a"))
 	c.SetAlpha(timefmt.DurationFromSeconds(10e-6), timefmt.DurationFromSeconds(10e-6))
 	s.RunUntil(0.01)
 	am, ap := c.Alpha()
@@ -92,7 +92,7 @@ func TestCounterClockAlphaPassThrough(t *testing.T) {
 
 func TestCounterClockDutyTimer(t *testing.T) {
 	s := sim.New(6)
-	c := NewCounterClock(mkUTCSU(s, "a"), CounterClockConfig{})
+	c := NewCounterClock(mkUTCSU(s, "a"))
 	fired := false
 	c.DutyAt(timefmt.Stamp(timefmt.DurationFromSeconds(1)), func() { fired = true })
 	s.RunUntil(2)
@@ -104,8 +104,8 @@ func TestCounterClockDutyTimer(t *testing.T) {
 func TestNTPConvergesToMsRange(t *testing.T) {
 	s := sim.New(7)
 	u := mkUTCSU(s, "ntp")
-	path := network.NewWANPath(s, network.DefaultWAN(), "ntp")
-	c := NewNTPClient(s, u, path, DefaultNTP())
+	path := network.NewWANPath(s, 1, "ntp")
+	c := NewNTPClient(s, u, path)
 	c.Start()
 	s.RunUntil(600)
 	var worst float64
@@ -129,10 +129,8 @@ func TestNTPAsymmetryBias(t *testing.T) {
 	run := func(asym float64) float64 {
 		s := sim.New(8)
 		u := mkUTCSU(s, "ntp")
-		cfg := network.DefaultWAN()
-		cfg.Asymmetry = asym
-		path := network.NewWANPath(s, cfg, "ntp")
-		c := NewNTPClient(s, u, path, DefaultNTP())
+		path := network.NewWANPath(s, asym, "ntp")
+		c := NewNTPClient(s, u, path)
 		c.Start()
 		s.RunUntil(300)
 		var sum float64

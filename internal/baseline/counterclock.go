@@ -22,8 +22,8 @@ import (
 // CounterClock wraps a UTCSU to behave like the earlier counter-based
 // clock synchronization units (paper §5):
 //
-//   - readings are quantized to a coarse granularity G (default ~1 µs,
-//     the CSU's and [KKMS95]'s clock granularity);
+//   - readings are quantized to a coarse granularity G (~1 µs, the
+//     CSU's and [KKMS95]'s clock granularity);
 //   - rate adjustments are quantized to steps of u ≈ G per second
 //     (paper §5: "they utilize a clock with granularity G = 1 µs" and
 //     the achievable precision is impaired by 4G + 10u);
@@ -31,58 +31,40 @@ import (
 //     instantaneous steps (the UTCSU feature "not found in alternative
 //     approaches").
 type CounterClock struct {
-	u *utcsu.UTCSU
-	// granule is the visible granularity in 2⁻²⁴ s units.
-	granule timefmt.Stamp
-	// rateStepPPB is the coarse rate quantum.
-	rateStepPPB int64
-	ratePPB     int64
+	u       *utcsu.UTCSU
+	ratePPB int64
 }
 
-// CounterClockConfig tunes the emulated device.
-type CounterClockConfig struct {
-	// GranuleUnits is the read granularity in 2⁻²⁴ s units (default 17
-	// ≈ 1.01 µs).
-	GranuleUnits int
-	// RateStepPPB is the rate-adjustment quantum (default 1000 ppb,
-	// i.e. u ≈ 1 µs/s).
-	RateStepPPB int64
-}
+const (
+	// counterGranule is the visible granularity in 2⁻²⁴ s units
+	// (≈ 1.01 µs).
+	counterGranule timefmt.Stamp = 17
+	// counterRateStepPPB is the coarse rate quantum (u ≈ 1 µs/s).
+	counterRateStepPPB = 1000
+)
 
 // NewCounterClock wraps the UTCSU.
-func NewCounterClock(u *utcsu.UTCSU, cfg CounterClockConfig) *CounterClock {
-	if cfg.GranuleUnits <= 0 {
-		cfg.GranuleUnits = 17
-	}
-	if cfg.RateStepPPB <= 0 {
-		cfg.RateStepPPB = 1000
-	}
-	return &CounterClock{
-		u:           u,
-		granule:     timefmt.Stamp(cfg.GranuleUnits),
-		rateStepPPB: cfg.RateStepPPB,
-	}
-}
+func NewCounterClock(u *utcsu.UTCSU) *CounterClock { return &CounterClock{u: u} }
 
 var _ clocksync.Clock = (*CounterClock)(nil)
 
 // Now returns the reading truncated to the coarse granularity.
 func (c *CounterClock) Now() timefmt.Stamp {
 	v := c.u.Now()
-	return v - v%c.granule
+	return v - v%counterGranule
 }
 
 // Alpha passes the accuracy registers through (quantized up to the
 // coarse granule so containment still holds under coarser reads).
 func (c *CounterClock) Alpha() (timefmt.Alpha, timefmt.Alpha) {
 	am, ap := c.u.Alpha()
-	g := timefmt.Alpha(c.granule)
+	g := timefmt.Alpha(counterGranule)
 	return am.AddSat(g), ap.AddSat(g)
 }
 
 // SetRatePPB quantizes to the device's coarse rate steps.
 func (c *CounterClock) SetRatePPB(ppb int64) {
-	q := ppb / c.rateStepPPB * c.rateStepPPB
+	q := ppb / counterRateStepPPB * counterRateStepPPB
 	c.ratePPB = q
 	c.u.SetRatePPB(q)
 }
@@ -91,7 +73,7 @@ func (c *CounterClock) SetRatePPB(ppb int64) {
 func (c *CounterClock) RatePPB() int64 { return c.ratePPB }
 
 // RateStepPPB reports the coarse quantum — the u in 4G+10u.
-func (c *CounterClock) RateStepPPB() float64 { return float64(c.rateStepPPB) }
+func (c *CounterClock) RateStepPPB() float64 { return float64(counterRateStepPPB) }
 
 // Amortize is not available in counter-based designs: the correction is
 // applied as an instantaneous step.
@@ -119,10 +101,10 @@ func (c *CounterClock) DutyAt(target timefmt.Stamp, fn func()) clocksync.Timer {
 // QuantizeStamp coarsens hardware stamps to the counter granule: a
 // CSU-class device timestamps packets with its own µs-level clock.
 func (c *CounterClock) QuantizeStamp(s timefmt.Stamp) timefmt.Stamp {
-	return s - s%c.granule
+	return s - s%counterGranule
 }
 
 // GranuleSeconds reports the coarse G.
 func (c *CounterClock) GranuleSeconds() float64 {
-	return float64(c.granule) * timefmt.Granule
+	return float64(counterGranule) * timefmt.Granule
 }

@@ -20,7 +20,6 @@ type NTPClient struct {
 	s    *sim.Simulator
 	u    *utcsu.UTCSU
 	path *network.WANPath
-	cfg  NTPConfig
 
 	// shift register of recent (delay, offset) samples; the minimum-
 	// delay sample wins (NTP's clock filter).
@@ -34,46 +33,27 @@ type ntpSample struct {
 	offset float64 // seconds to ADD to local clock
 }
 
-// NTPConfig tunes the client.
-type NTPConfig struct {
-	PollInterval float64 // default 16 s
-	FilterDepth  int     // clock-filter shift register size; default 8
-	// ServerErrS is the server's own clock error bound (drawn uniformly
-	// per response); default 1 ms.
-	ServerErrS float64
-	// StepThresholdS: larger offsets step the clock; smaller ones slew.
-	StepThresholdS float64
-}
-
-// DefaultNTP returns a mid-90s configuration.
-func DefaultNTP() NTPConfig {
-	return NTPConfig{
-		PollInterval:   16,
-		FilterDepth:    8,
-		ServerErrS:     1e-3,
-		StepThresholdS: 128e-3,
-	}
-}
+// The mid-90s client: it polls every ntpPollS seconds, keeps the last
+// ntpFilterDepth samples in its clock filter, and steps the clock for
+// offsets of ntpStepThresholdS or more (smaller ones slew). The server
+// stamps with an error drawn uniformly in ±ntpServerErrS.
+const (
+	ntpPollS          = 16
+	ntpFilterDepth    = 8
+	ntpServerErrS     = 1e-3
+	ntpStepThresholdS = 128e-3
+)
 
 // NewNTPClient binds a client to a local UTCSU (used purely as a
 // software-read clock — no NTI support on this path) and a WAN path to
 // the server.
-func NewNTPClient(s *sim.Simulator, u *utcsu.UTCSU, path *network.WANPath, cfg NTPConfig) *NTPClient {
-	if cfg.PollInterval <= 0 {
-		cfg.PollInterval = 16
-	}
-	if cfg.FilterDepth <= 0 {
-		cfg.FilterDepth = 8
-	}
-	if cfg.StepThresholdS <= 0 {
-		cfg.StepThresholdS = 128e-3
-	}
-	return &NTPClient{s: s, u: u, path: path, cfg: cfg, rng: s.RNG("ntp-server")}
+func NewNTPClient(s *sim.Simulator, u *utcsu.UTCSU, path *network.WANPath) *NTPClient {
+	return &NTPClient{s: s, u: u, path: path, rng: s.RNG("ntp-server")}
 }
 
 // Start begins polling.
 func (c *NTPClient) Start() {
-	c.s.Every(c.s.Now()+1, c.cfg.PollInterval, c.poll)
+	c.s.Every(c.s.Now()+1, ntpPollS, c.poll)
 }
 
 // poll performs one NTP exchange: client → server → client.
@@ -81,7 +61,7 @@ func (c *NTPClient) poll() {
 	t1 := c.u.Now().Seconds() // software read of the local clock
 	c.path.Deliver(true, func(_, reqArrive float64) {
 		// Server timestamps with its own (bounded) error.
-		srvErr := c.rng.Uniform(-c.cfg.ServerErrS, c.cfg.ServerErrS)
+		srvErr := c.rng.Uniform(-ntpServerErrS, ntpServerErrS)
 		t2 := reqArrive + srvErr
 		t3 := t2 // negligible server turnaround
 		c.path.Deliver(false, func(_, respArrive float64) {
@@ -97,7 +77,7 @@ func (c *NTPClient) poll() {
 // ingest runs the clock filter and disciplines the clock.
 func (c *NTPClient) ingest(sm ntpSample) {
 	c.samples = append(c.samples, sm)
-	if len(c.samples) > c.cfg.FilterDepth {
+	if len(c.samples) > ntpFilterDepth {
 		c.samples = c.samples[1:]
 	}
 	best := c.samples[0]
@@ -107,7 +87,7 @@ func (c *NTPClient) ingest(sm ntpSample) {
 		}
 	}
 	off := best.offset
-	if math.Abs(off) >= c.cfg.StepThresholdS {
+	if math.Abs(off) >= ntpStepThresholdS {
 		c.u.StepTo(c.u.Now().Add(timefmt.DurationFromSeconds(off)))
 		c.synced = true
 		return

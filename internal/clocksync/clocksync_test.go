@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"ntisim/internal/cpu"
 	"ntisim/internal/gps"
 	"ntisim/internal/kernel"
 	"ntisim/internal/network"
@@ -17,7 +16,7 @@ import (
 func mkNode(s *sim.Simulator, med *network.Medium, id uint16) (*kernel.Node, *utcsu.UTCSU) {
 	o := oscillator.New(s, oscillator.TCXO(10e6), string(rune('A'+id)))
 	u := utcsu.New(s, o)
-	cfg := kernel.Config{CPU: cpu.DefaultMVME162(), Mode: kernel.ModeNTI, UseRxBaseLatch: true}
+	cfg := kernel.Config{Mode: kernel.ModeNTI, UseRxBaseLatch: true}
 	return kernel.NewNode(s, id, u, med, cfg), u
 }
 
@@ -26,10 +25,7 @@ func TestParamsDefaults(t *testing.T) {
 	if p.RoundPeriod != timefmt.DurationFromSeconds(1) {
 		t.Errorf("round period %v", p.RoundPeriod)
 	}
-	if p.ComputeDelay != p.RoundPeriod/4 {
-		t.Errorf("compute delay %v", p.ComputeDelay)
-	}
-	if p.RhoPPB == 0 || p.DelayMax == 0 {
+	if p.RhoPPB != DefaultRhoPPB || p.DelayMax == 0 {
 		t.Error("defaults incomplete")
 	}
 }

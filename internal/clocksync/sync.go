@@ -39,13 +39,15 @@ var (
 	initAlpha = timefmt.DurationFromSeconds(300e-6)
 )
 
+// DefaultRhoPPB is the a priori drift bound when Params.RhoPPB is 0.
+const DefaultRhoPPB = 2000
+
 // Params configures a Synchronizer.
 type Params struct {
-	// RoundPeriod is P: CSPs are broadcast when C(t) = kP.
+	// RoundPeriod is P: CSPs are broadcast when C(t) = kP, and the
+	// convergence function is applied at kP+Δ with Δ = P/4, which must
+	// exceed the worst-case CSP end-to-end latency.
 	RoundPeriod timefmt.Duration
-	// ComputeDelay is Δ: the convergence function is applied at kP+Δ.
-	// It must exceed the worst-case CSP end-to-end latency.
-	ComputeDelay timefmt.Duration
 	// F is the number of faulty nodes to tolerate.
 	F int
 	// Discipline selects the clock-discipline algorithm each node runs
@@ -59,7 +61,7 @@ type Params struct {
 	// timestamping points, from a priori knowledge or MeasureDelay.
 	DelayMin, DelayMax timefmt.Duration
 	// RhoPPB is the a priori drift bound used for drift compensation and
-	// ACU deterioration.
+	// ACU deterioration (default DefaultRhoPPB).
 	RhoPPB int64
 
 	// TrustExternal bypasses interval-based clock validation and adopts
@@ -88,14 +90,11 @@ func (p Params) withDefaults() Params {
 	if p.RoundPeriod == 0 {
 		p.RoundPeriod = timefmt.DurationFromSeconds(1)
 	}
-	if p.ComputeDelay == 0 {
-		p.ComputeDelay = p.RoundPeriod / 4
-	}
 	if p.DelayMax == 0 {
 		p.DelayMax = timefmt.DurationFromSeconds(500e-6)
 	}
 	if p.RhoPPB == 0 {
-		p.RhoPPB = 2000
+		p.RhoPPB = DefaultRhoPPB
 	}
 	return p
 }
@@ -320,7 +319,7 @@ func (sy *Synchronizer) broadcast(k uint32) {
 	}
 	sy.node.SendCSP(p, network.Broadcast)
 	sy.stats.CSPsSent++
-	sy.compTm = sy.clk.DutyAt(sy.roundStart(k).Add(sy.p.ComputeDelay), func() { sy.converge(k) })
+	sy.compTm = sy.clk.DutyAt(sy.roundStart(k).Add(sy.p.RoundPeriod/4), func() { sy.converge(k) })
 	sy.round = k + 1
 	sy.armBroadcast()
 }

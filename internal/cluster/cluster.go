@@ -10,7 +10,6 @@ import (
 
 	"ntisim/internal/adversary"
 	"ntisim/internal/clocksync"
-	"ntisim/internal/cpu"
 	"ntisim/internal/gps"
 	"ntisim/internal/kernel"
 	"ntisim/internal/metrics"
@@ -31,17 +30,18 @@ import (
 // struct copy. Parameter sweeps that mutate per-cell configs must go
 // through Clone, which deep-copies those; all other fields (including
 // the nested Medium/Kernel/Sync structs) are safe to mutate on a
-// struct copy. The two function fields, OscillatorFor and ClockFactory,
-// remain shared by Clone — they must be pure (no captured mutable
-// state) to keep cloned configs independent.
+// struct copy. The function field ClockFactory remains shared by Clone
+// — it must be pure (no captured mutable state) to keep cloned configs
+// independent.
 type Config struct {
 	Nodes int
 	Seed  uint64
-	// OscillatorFor returns the oscillator config of node i; default
-	// TCXO at OscHz.
-	OscillatorFor func(i int) oscillator.Config
-	// OscHz is the pacing frequency when OscillatorFor is nil (default
-	// 10 MHz; the paper's UTCSU accepts 1..20 MHz).
+	// IdealOscillators paces every node from a drift-free oscillator
+	// instead of the TCXO, for experiments that isolate data-path
+	// effects from clock drift.
+	IdealOscillators bool
+	// OscHz is the pacing frequency (default 10 MHz; the paper's UTCSU
+	// accepts 1..20 MHz).
 	OscHz  float64
 	Medium network.MediumConfig
 	Kernel kernel.Config
@@ -110,7 +110,7 @@ func Defaults(n int, seed uint64) Config {
 		Seed:   seed,
 		OscHz:  10e6,
 		Medium: network.DefaultLAN(),
-		Kernel: kernel.Config{CPU: cpu.DefaultMVME162(), Mode: kernel.ModeNTI, UseRxBaseLatch: true},
+		Kernel: kernel.Config{Mode: kernel.ModeNTI, UseRxBaseLatch: true},
 		// A priori delay bounds for a 10 Mb/s LAN with 64-byte CSPs:
 		// serialization ≈ 51 µs + preamble + propagation + DMA terms.
 		// MeasureDelay tightens these further.
@@ -242,6 +242,9 @@ func New(cfg Config) *Cluster {
 	if cfg.OscHz == 0 {
 		cfg.OscHz = 10e6
 	}
+	if cfg.Sync.RhoPPB == 0 {
+		cfg.Sync.RhoPPB = clocksync.DefaultRhoPPB
+	}
 	label := "node%d"
 	if segs > 1 {
 		label = "wol%d"
@@ -290,8 +293,8 @@ func New(cfg Config) *Cluster {
 		name := fmt.Sprintf(label, id)
 		s := sims[shard]
 		oc := oscillator.TCXO(cfg.OscHz)
-		if cfg.OscillatorFor != nil {
-			oc = cfg.OscillatorFor(id)
+		if cfg.IdealOscillators {
+			oc = oscillator.Ideal(cfg.OscHz)
 		}
 		osc := oscillator.New(s, oc, name)
 		u := utcsu.New(s, osc)
@@ -357,13 +360,7 @@ func New(cfg Config) *Cluster {
 // so source streams are mutually independent and shard-invariant.
 func attachReferences(m *Member, gc gps.Config, label string, cfg *Config) {
 	rho := cfg.Sync.RhoPPB
-	if rho == 0 {
-		rho = 2000
-	}
-	acc := timefmt.DurationFromSeconds(gc.AccuracyS)
-	if acc == 0 {
-		acc = timefmt.DurationFromSeconds(1e-6)
-	}
+	acc := timefmt.DurationFromSeconds(gps.ClaimedAccuracyS)
 	sources := cfg.Adversary.Sources
 	if sources < 1 {
 		sources = 1
@@ -496,11 +493,7 @@ func (c *Cluster) MeasureDelay(a, b, probes int) clocksync.DelayBounds {
 	c.Members[b].Node.EnableRTTResponder()
 	var res clocksync.DelayBounds
 	done := false
-	rho := c.cfg.Sync.RhoPPB
-	if rho == 0 {
-		rho = 2000
-	}
-	samples := clocksync.MeasureDelay(c.Members[a].Node, c.Members[b].Node, rho, probes, func(b clocksync.DelayBounds) {
+	samples := clocksync.MeasureDelay(c.Members[a].Node, c.Members[b].Node, c.cfg.Sync.RhoPPB, probes, func(b clocksync.DelayBounds) {
 		res = b
 		done = true
 	})

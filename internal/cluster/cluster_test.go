@@ -348,7 +348,7 @@ func TestConfigClone(t *testing.T) {
 	base := Defaults(8, 1)
 	base.GPS = map[int]gps.Config{
 		0: gps.DefaultReceiver(),
-		1: {AccuracyS: 1e-6, Faults: []gps.Fault{{Kind: gps.FaultOutage, Start: 10}}},
+		1: {Faults: []gps.Fault{{Kind: gps.FaultOutage, Start: 10}}},
 	}
 
 	c := base.Clone()

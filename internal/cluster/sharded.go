@@ -68,9 +68,6 @@ const DefaultWANDelayS = 1e-3
 // BTU checksum inside the macrostamp word is recomputed by
 // Stamp.Words.
 func relayRewrite(rhoPPB int64) network.RewriteFunc {
-	if rhoPPB == 0 {
-		rhoPPB = 2000
-	}
 	return func(payload []byte, elapsedS float64) {
 		if len(payload) < csp.HeaderSize || csp.Kind(payload[csp.OffKind]) != csp.KindCSP {
 			return

@@ -11,64 +11,43 @@ package cpu
 
 import "ntisim/internal/sim"
 
-// Config describes the latency distributions.
-type Config struct {
-	// ISR dispatch latency: normal(mean, jitter) clamped at Min.
-	ISRLatencyMeanS   float64
-	ISRLatencyJitterS float64
-	ISRLatencyMinS    float64
-	// With IntDisableProb an ISR additionally waits for the end of an
-	// interrupt-disabled section, uniform in (0, IntDisableMaxS].
-	IntDisableProb float64
-	IntDisableMaxS float64
+// Latency distributions of a 25 MHz M68040 running a multitasking
+// real-time kernel. They are typed variables, not untyped constants, so
+// the clamp sums below round in float64 step by step.
+var (
+	// ISR dispatch latency: normal(mean, jitter) clamped at min.
+	isrMeanS, isrJitterS, isrMinS float64 = 12e-6, 4e-6, 3e-6
+	// With intDisableProb an ISR additionally waits for the end of an
+	// interrupt-disabled section, uniform in (0, intDisableMaxS].
+	intDisableProb, intDisableMaxS float64 = 0.08, 150e-6
 	// Task-level dispatch latency (scheduler + queueing): normal(mean,
-	// jitter) clamped at Min, on top of the ISR that woke the task.
-	TaskLatencyMeanS   float64
-	TaskLatencyJitterS float64
-	TaskLatencyMinS    float64
-}
-
-// DefaultMVME162 returns timings representative of a 25 MHz M68040
-// running a multitasking real-time kernel.
-func DefaultMVME162() Config {
-	return Config{
-		ISRLatencyMeanS:    12e-6,
-		ISRLatencyJitterS:  4e-6,
-		ISRLatencyMinS:     3e-6,
-		IntDisableProb:     0.08,
-		IntDisableMaxS:     150e-6,
-		TaskLatencyMeanS:   300e-6,
-		TaskLatencyJitterS: 150e-6,
-		TaskLatencyMinS:    50e-6,
-	}
-}
+	// jitter) clamped at min, on top of the ISR that woke the task.
+	taskMeanS, taskJitterS, taskMinS float64 = 300e-6, 150e-6, 50e-6
+)
 
 // CPU is one node's processor.
 type CPU struct {
 	s   *sim.Simulator
-	cfg Config
 	rng *sim.RNG
 }
 
 // New creates a CPU bound to the simulator; label individualizes its RNG.
-func New(s *sim.Simulator, cfg Config, label string) *CPU {
-	return &CPU{s: s, cfg: cfg, rng: s.RNG("cpu/" + label)}
+func New(s *sim.Simulator, label string) *CPU {
+	return &CPU{s: s, rng: s.RNG("cpu/" + label)}
 }
 
 // ISRDelay samples one interrupt-dispatch latency.
 func (c *CPU) ISRDelay() float64 {
-	d := c.rng.TruncNormal(c.cfg.ISRLatencyMeanS, c.cfg.ISRLatencyJitterS,
-		c.cfg.ISRLatencyMinS, c.cfg.ISRLatencyMeanS+6*c.cfg.ISRLatencyJitterS+c.cfg.ISRLatencyMinS)
-	if c.cfg.IntDisableProb > 0 && c.rng.Bool(c.cfg.IntDisableProb) {
-		d += c.rng.Uniform(0, c.cfg.IntDisableMaxS)
+	d := c.rng.TruncNormal(isrMeanS, isrJitterS, isrMinS, isrMeanS+6*isrJitterS+isrMinS)
+	if c.rng.Bool(intDisableProb) {
+		d += c.rng.Uniform(0, intDisableMaxS)
 	}
 	return d
 }
 
 // TaskDelay samples one task-dispatch latency.
 func (c *CPU) TaskDelay() float64 {
-	return c.rng.TruncNormal(c.cfg.TaskLatencyMeanS, c.cfg.TaskLatencyJitterS,
-		c.cfg.TaskLatencyMinS, c.cfg.TaskLatencyMeanS+6*c.cfg.TaskLatencyJitterS+c.cfg.TaskLatencyMinS)
+	return c.rng.TruncNormal(taskMeanS, taskJitterS, taskMinS, taskMeanS+6*taskJitterS+taskMinS)
 }
 
 // RunISR schedules fn after a sampled interrupt latency.

@@ -9,12 +9,12 @@ import (
 
 func TestISRDelayDistribution(t *testing.T) {
 	s := sim.New(1)
-	c := New(s, DefaultMVME162(), "t")
+	c := New(s, "t")
 	var lo, hi, sum float64 = math.Inf(1), 0, 0
 	n := 20000
 	for i := 0; i < n; i++ {
 		d := c.ISRDelay()
-		if d < DefaultMVME162().ISRLatencyMinS {
+		if d < isrMinS {
 			t.Fatalf("ISR delay %v below floor", d)
 		}
 		lo = math.Min(lo, d)
@@ -36,10 +36,10 @@ func TestISRDelayDistribution(t *testing.T) {
 
 func TestTaskDelayDistribution(t *testing.T) {
 	s := sim.New(2)
-	c := New(s, DefaultMVME162(), "t")
+	c := New(s, "t")
 	for i := 0; i < 1000; i++ {
 		d := c.TaskDelay()
-		if d < DefaultMVME162().TaskLatencyMinS {
+		if d < taskMinS {
 			t.Fatalf("task delay %v below floor", d)
 		}
 		if d > 2e-3 {
@@ -50,7 +50,7 @@ func TestTaskDelayDistribution(t *testing.T) {
 
 func TestRunISRAndTask(t *testing.T) {
 	s := sim.New(4)
-	c := New(s, DefaultMVME162(), "t")
+	c := New(s, "t")
 	var order []string
 	c.RunISR(func() { order = append(order, "isr") })
 	c.RunTask(func() { order = append(order, "task") })
@@ -67,7 +67,7 @@ func TestRunISRAndTask(t *testing.T) {
 func TestDeterministicPerLabel(t *testing.T) {
 	mk := func(label string) float64 {
 		s := sim.New(7)
-		return New(s, DefaultMVME162(), label).ISRDelay()
+		return New(s, label).ISRDelay()
 	}
 	if mk("a") != mk("a") {
 		t.Error("same label differs across runs")

@@ -48,12 +48,11 @@ func E15ReceiverCensus(seed uint64) Result {
 	}
 
 	s := sim.New(seed)
+	// A float64 variable: 10*acc rounds at run time, where the untyped
+	// constant product would be exactly 1e-5.
+	acc := gps.ClaimedAccuracyS
 	for i, c := range receivers {
 		c := c
-		acc := c.cfg.AccuracyS
-		if acc == 0 {
-			acc = 1e-6
-		}
 		gps.New(s, c.cfg, c.name, i, func(p gps.Pulse) {
 			c.pulses++
 			// Judge against simulation truth: the pulse physically marks
@@ -103,8 +102,4 @@ func E15ReceiverCensus(seed uint64) Result {
 	return r
 }
 
-func withFaults(fs ...gps.Fault) gps.Config {
-	c := gps.DefaultReceiver()
-	c.Faults = fs
-	return c
-}
+func withFaults(fs ...gps.Fault) gps.Config { return gps.Config{Faults: fs} }

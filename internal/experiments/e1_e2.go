@@ -17,7 +17,7 @@ import (
 func epsilonRun(seed uint64, mode kernel.TimestampMode, load float64, nCSP int) metrics.Series {
 	cfg := cluster.Defaults(2, seed)
 	cfg.Kernel.Mode = mode
-	cfg.OscillatorFor = idealOsc(cfg.OscHz)
+	cfg.IdealOscillators = true
 	cfg.BackgroundLoad = load
 	c := cluster.New(cfg)
 	var gaps metrics.Series

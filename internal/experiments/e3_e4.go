@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"ntisim/internal/analysis"
 	"ntisim/internal/cluster"
 	"ntisim/internal/metrics"
 	"ntisim/internal/timefmt"
@@ -30,7 +29,7 @@ func E3GranularitySweep(seed uint64) Result {
 	for _, mhz := range []float64{1, 2, 4, 8, 14, 20} {
 		f := mhz * 1e6
 		u := 1 / f
-		bound := analysis.GranularityImpairment(G, u)
+		bound := granularityImpairment(G, u)
 		// Real TCXOs: nodes tick dephased and drifting, so the ±1/fosc
 		// input-synchronizer quantization actually shows up as relative
 		// noise (ideal, phase-locked oscillators would mask it).

@@ -3,7 +3,6 @@ package experiments
 import (
 	"math"
 
-	"ntisim/internal/analysis"
 	"ntisim/internal/baseline"
 	"ntisim/internal/clocksync"
 	"ntisim/internal/cluster"
@@ -32,10 +31,8 @@ func E7WANvsLAN(seed uint64) Result {
 		s := sim.New(seed)
 		o := oscillator.New(s, oscillator.TCXO(10e6), "ntp"+label)
 		u := utcsu.New(s, o)
-		wcfg := network.DefaultWAN()
-		wcfg.Asymmetry = asym
-		path := network.NewWANPath(s, wcfg, "ntp"+label)
-		c := baseline.NewNTPClient(s, u, path, baseline.DefaultNTP())
+		path := network.NewWANPath(s, asym, "ntp"+label)
+		c := baseline.NewNTPClient(s, u, path)
 		c.Start()
 		s.RunUntil(600)
 		var sum float64
@@ -96,7 +93,7 @@ func E8AdderVsCounter(seed uint64) Result {
 		cfg.Sync.RateSync = true // exercise the rate-step quantum u
 		if counter {
 			cfg.ClockFactory = func(uu *utcsu.UTCSU) clocksync.Clock {
-				return baseline.NewCounterClock(uu, baseline.CounterClockConfig{})
+				return baseline.NewCounterClock(uu)
 			}
 		}
 		c := cluster.New(cfg)
@@ -105,15 +102,15 @@ func E8AdderVsCounter(seed uint64) Result {
 		p, _, _ := precisionWindow(c, c.Now()+20, 60, 0.7)
 		var clk clocksync.Clock = clocksync.UTCSUClock{UTCSU: c.Members[0].U}
 		if counter {
-			clk = baseline.NewCounterClock(c.Members[0].U, baseline.CounterClockConfig{})
+			clk = baseline.NewCounterClock(c.Members[0].U)
 		}
 		return p.Max(), clk.GranuleSeconds(), clk.RateStepPPB() * 1e-9
 	}
 	pAdder, gA, uA := run(false)
 	pCounter, gC, uC := run(true)
 	// u is per second, over the 1 s round: the §5 worst-case impairment.
-	boundAdder := analysis.GranularityImpairment(gA, uA)
-	boundCounter := analysis.GranularityImpairment(gC, uC)
+	boundAdder := granularityImpairment(gA, uA)
+	boundCounter := granularityImpairment(gC, uC)
 	r.Table.AddRow("adder (UTCSU)", metrics.Us(gA), metrics.Us(uA), metrics.Us(boundAdder), metrics.Us(pAdder))
 	r.Table.AddRow("counter (CSU-class)", metrics.Us(gC), metrics.Us(uC), metrics.Us(boundCounter), metrics.Us(pCounter))
 	r.Numbers["prec_adder"] = pAdder

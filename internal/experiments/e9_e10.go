@@ -35,7 +35,7 @@ func E9TimestampPath(seed uint64) Result {
 		Numbers:    map[string]float64{},
 	}
 	cfg := cluster.Defaults(2, seed)
-	cfg.OscillatorFor = idealOsc(cfg.OscHz)
+	cfg.IdealOscillators = true
 	c := cluster.New(cfg)
 	var got *kernel.Arrival
 	c.Members[1].Node.OnCSP(func(ar kernel.Arrival) { got = &ar })
@@ -89,7 +89,7 @@ func E10BackToBack(seed uint64) Result {
 	run := func(useLatch bool) (delivered, stamped, misattributed int) {
 		cfg := cluster.Defaults(3, seed)
 		cfg.Kernel.UseRxBaseLatch = useLatch
-		cfg.OscillatorFor = idealOsc(cfg.OscHz)
+		cfg.IdealOscillators = true
 		c := cluster.New(cfg)
 		c.Members[0].Node.OnCSP(func(ar kernel.Arrival) {
 			delivered++

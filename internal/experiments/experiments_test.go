@@ -1,9 +1,25 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
+
+func TestGranularityImpairment(t *testing.T) {
+	// The paper's §5 numbers: G = u < 70 ns gives a bound below ~1 µs.
+	g := 1.0 / (1 << 24)
+	if b := granularityImpairment(g, 1/14.5e6); b >= 1e-6 {
+		t.Errorf("bound at 14.5 MHz = %v, paper says <1 µs above 14 MHz", b)
+	}
+	if b := granularityImpairment(g, 1/10e6); b <= 1e-6 {
+		t.Errorf("bound at 10 MHz = %v, should still exceed 1 µs", b)
+	}
+	// CSU-class: G = u = 1 µs → 14 µs.
+	if b := granularityImpairment(1e-6, 1e-6); math.Abs(b-14e-6) > 1e-12 {
+		t.Errorf("CSU bound = %v, want 14 µs", b)
+	}
+}
 
 // Each experiment's Claims encode the paper's qualitative findings; a
 // failing claim means the reproduction lost the paper's shape. These are

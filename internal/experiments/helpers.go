@@ -3,14 +3,13 @@ package experiments
 import (
 	"ntisim/internal/cluster"
 	"ntisim/internal/metrics"
-	"ntisim/internal/oscillator"
 )
 
-// idealOsc builds drift-free oscillators, for experiments that isolate
-// data-path effects from clock drift.
-func idealOsc(hz float64) func(int) oscillator.Config {
-	return func(int) oscillator.Config { return oscillator.Ideal(hz) }
-}
+// granularityImpairment returns the 4G+10u worst-case precision cost of
+// the orthogonal accuracy convergence function [Sch97b] (§5) for a clock
+// with reading granularity gS and rate-adjustment uncertainty uS; u =
+// 1/fosc for the UTCSU's adder-based clock.
+func granularityImpairment(gS, uS float64) float64 { return 4*gS + 10*uS }
 
 // precisionWindow runs a started cluster from warmup to warmup+span,
 // sampling every `every`, and returns precision and accuracy series.

@@ -61,25 +61,23 @@ type Fault struct {
 	Magnitude float64
 }
 
-// Config parameterizes a receiver.
+// Config parameterizes a receiver: the failure episodes injected into
+// it. The zero value is a healthy receiver.
 type Config struct {
-	// SawtoothS is the amplitude of the classic receiver sawtooth error
-	// (oscillator granularity of the receiver itself); pulses carry a
-	// uniform error in ±SawtoothS. Default 200 ns.
-	SawtoothS float64
-	// BiasS is a constant antenna/cable delay miscalibration. Default 0.
-	BiasS float64
-	// AccuracyS is the receiver's *claimed* 1-sigma accuracy, what the
-	// clock-sync layer uses as the external interval half-width.
-	// Default 1 µs.
-	AccuracyS float64
-	Faults    []Fault
+	Faults []Fault
 }
 
 // DefaultReceiver returns a healthy mid-90s timing receiver.
-func DefaultReceiver() Config {
-	return Config{SawtoothS: 200e-9, AccuracyS: 1e-6}
-}
+func DefaultReceiver() Config { return Config{} }
+
+// ClaimedAccuracyS is a receiver's claimed 1-sigma accuracy, what the
+// clock-sync layer uses as the external interval half-width.
+const ClaimedAccuracyS = 1e-6
+
+// sawtoothS is the amplitude of the classic receiver sawtooth error
+// (oscillator granularity of the receiver itself): pulses carry a
+// uniform error in ±sawtoothS.
+const sawtoothS = 200e-9
 
 // Pulse is one 1pps event as delivered to a node.
 type Pulse struct {
@@ -118,12 +116,6 @@ func New(s *sim.Simulator, cfg Config, label string, node int, out func(Pulse)) 
 			panic(fmt.Sprintf("gps: wrong-second fault magnitude %v is not a nonzero whole number of seconds", f.Magnitude))
 		}
 	}
-	if cfg.SawtoothS <= 0 {
-		cfg.SawtoothS = 200e-9
-	}
-	if cfg.AccuracyS <= 0 {
-		cfg.AccuracyS = 1e-6
-	}
 	r := &Receiver{s: s, cfg: cfg, rng: s.RNG("gps/" + label), out: out, tr: s.Tracer(), trNode: node}
 	// The generator runs `lead` ahead of each second so pulses with
 	// negative errors can still be delivered at their physical time.
@@ -149,7 +141,7 @@ func (r *Receiver) activeFault() *Fault {
 
 func (r *Receiver) emit() {
 	sec := int64(r.s.Now() + pulseLead + 0.5) // the second this pulse marks
-	err := r.cfg.BiasS + r.rng.Uniform(-r.cfg.SawtoothS, r.cfg.SawtoothS)
+	err := r.rng.Uniform(-sawtoothS, sawtoothS)
 	label := sec
 	valid := true
 	f := r.activeFault()

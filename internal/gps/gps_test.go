@@ -40,20 +40,6 @@ func TestPulseLabelsConsecutive(t *testing.T) {
 	}
 }
 
-func TestBias(t *testing.T) {
-	cfg := DefaultReceiver()
-	cfg.BiasS = 5e-6
-	ps := collect(3, cfg, 20)
-	var sum float64
-	for _, p := range ps {
-		sum += p.TrueTime - float64(p.LabelSec)
-	}
-	mean := sum / float64(len(ps))
-	if math.Abs(mean-5e-6) > 1e-6 {
-		t.Errorf("mean pulse error %v, want ~5µs bias", mean)
-	}
-}
-
 func TestOutage(t *testing.T) {
 	cfg := DefaultReceiver()
 	cfg.Faults = []Fault{{Kind: FaultOutage, Start: 3, End: 7}}

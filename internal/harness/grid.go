@@ -61,8 +61,8 @@ func SegmentsAxis(segs ...int) Axis {
 	return ax
 }
 
-// PeriodAxis sweeps the resynchronization round period in seconds,
-// scaling the convergence compute delay with it.
+// PeriodAxis sweeps the resynchronization round period in seconds (the
+// convergence compute delay Δ = P/4 scales with it).
 func PeriodAxis(ps ...float64) Axis {
 	if len(ps) == 0 {
 		ps = []float64{0.25, 0.5, 1, 2, 4}
@@ -75,7 +75,6 @@ func PeriodAxis(ps ...float64) Axis {
 			Params: map[string]string{"period_s": fmt.Sprint(p)},
 			Mutate: func(c *cluster.Config) {
 				c.Sync.RoundPeriod = timefmt.DurationFromSeconds(p)
-				c.Sync.ComputeDelay = timefmt.DurationFromSeconds(p / 4)
 			},
 		})
 	}

@@ -60,9 +60,9 @@ func (m TimestampMode) String() string {
 	return fmt.Sprintf("TimestampMode(%d)", int(m))
 }
 
-// Config assembles a node's software stack.
+// Config assembles a node's software stack. The node's CPU is the
+// MVME-162 model of internal/cpu.
 type Config struct {
-	CPU  cpu.Config
 	Mode TimestampMode
 	// UseRxBaseLatch selects whether the stamp-move ISR uses the NTI's
 	// Receive Header Base register (true, the paper's design) or guesses
@@ -150,7 +150,7 @@ func NewNode(s *sim.Simulator, id uint16, u *utcsu.UTCSU, med network.Bus, cfg C
 	n := &Node{
 		ID:     id,
 		Sim:    s,
-		CPU:    cpu.New(s, cfg.CPU, fmt.Sprintf("n%d", id)),
+		CPU:    cpu.New(s, fmt.Sprintf("n%d", id)),
 		U:      u,
 		cfg:    cfg,
 		rxMeta: make(map[uint32]rxMetaEntry),

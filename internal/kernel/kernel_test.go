@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"ntisim/internal/cpu"
 	"ntisim/internal/csp"
 	"ntisim/internal/network"
 	"ntisim/internal/oscillator"
@@ -30,7 +29,7 @@ func pair(t testing.TB, seed uint64, cfg Config) (*sim.Simulator, *network.Mediu
 }
 
 func ntiCfg() Config {
-	return Config{CPU: cpu.DefaultMVME162(), Mode: ModeNTI, UseRxBaseLatch: true}
+	return Config{Mode: ModeNTI, UseRxBaseLatch: true}
 }
 
 func TestCSPDeliveryModeNTI(t *testing.T) {
@@ -120,7 +119,7 @@ func TestEpsilonHardwareSmall(t *testing.T) {
 }
 
 func TestModeTaskStampsAtTaskLevel(t *testing.T) {
-	cfg := Config{CPU: cpu.DefaultMVME162(), Mode: ModeTask}
+	cfg := Config{Mode: ModeTask}
 	s, _, a, b := pair(t, 4, cfg)
 	var gaps []float64
 	b.OnCSP(func(ar Arrival) {
@@ -241,7 +240,7 @@ func TestBackToBackLatchVsGuess(t *testing.T) {
 	run := func(useLatch bool) (valid, total int) {
 		s := sim.New(99)
 		med := network.NewMedium(s, network.DefaultLAN())
-		cfg := Config{CPU: cpu.DefaultMVME162(), Mode: ModeNTI, UseRxBaseLatch: useLatch}
+		cfg := Config{Mode: ModeNTI, UseRxBaseLatch: useLatch}
 		mk := func(id uint16) *Node {
 			o := oscillator.New(s, oscillator.Ideal(10e6), string(rune('a'+id)))
 			u := utcsu.New(s, o)
@@ -403,7 +402,7 @@ func TestModeISRStampsBetweenTaskAndHardware(t *testing.T) {
 	// The kernel-level class: receive stamps taken in the frame ISR land
 	// between the task-level and hardware classes in spread.
 	spread := func(mode TimestampMode) float64 {
-		cfg := Config{CPU: cpu.DefaultMVME162(), Mode: mode, UseRxBaseLatch: true}
+		cfg := Config{Mode: mode, UseRxBaseLatch: true}
 		s, _, a, b := pair(t, 41, cfg)
 		var gaps []float64
 		b.OnCSP(func(ar Arrival) {

@@ -216,7 +216,7 @@ func TestDeterministicMedium(t *testing.T) {
 
 func TestWANDelayDistribution(t *testing.T) {
 	s := sim.New(5)
-	w := NewWANPath(s, DefaultWAN(), "p")
+	w := NewWANPath(s, 1, "p")
 	lo, hi, sum := math.Inf(1), 0.0, 0.0
 	n := 5000
 	for i := 0; i < n; i++ {
@@ -225,7 +225,7 @@ func TestWANDelayDistribution(t *testing.T) {
 		hi = math.Max(hi, d)
 		sum += d
 	}
-	if floor := w.cfg.BaseDelayS + float64(w.cfg.Hops)*w.cfg.QueueMinS; lo < floor-1e-9 {
+	if floor := wanBaseDelayS + wanHops*wanQueueMinS; lo < floor-1e-9 {
 		t.Errorf("delay %v below floor %v", lo, floor)
 	}
 	if hi < 10*lo {
@@ -239,9 +239,7 @@ func TestWANDelayDistribution(t *testing.T) {
 
 func TestWANAsymmetry(t *testing.T) {
 	s := sim.New(6)
-	cfg := DefaultWAN()
-	cfg.Asymmetry = 3
-	w := NewWANPath(s, cfg, "p")
+	w := NewWANPath(s, 3, "p")
 	var fwd, rev float64
 	n := 3000
 	for i := 0; i < n; i++ {
@@ -253,11 +251,9 @@ func TestWANAsymmetry(t *testing.T) {
 	}
 }
 
-func TestWANDeliverAndLoss(t *testing.T) {
+func TestWANDeliver(t *testing.T) {
 	s := sim.New(7)
-	cfg := DefaultWAN()
-	cfg.LossProb = 0.5
-	w := NewWANPath(s, cfg, "p")
+	w := NewWANPath(s, 1, "p")
 	got := 0
 	tried := 400
 	for i := 0; i < tried; i++ {
@@ -269,15 +265,8 @@ func TestWANDeliverAndLoss(t *testing.T) {
 		})
 	}
 	s.Run()
-	delivered, lost := w.Stats()
-	if int(delivered) != got {
-		t.Errorf("stats delivered=%d, callbacks=%d", delivered, got)
-	}
-	if lost == 0 || got == 0 {
-		t.Errorf("loss model degenerate: delivered=%d lost=%d", delivered, lost)
-	}
-	if ratio := float64(lost) / float64(tried); math.Abs(ratio-0.5) > 0.1 {
-		t.Errorf("loss ratio %v, want ~0.5", ratio)
+	if got != tried {
+		t.Errorf("delivered %d of %d packets", got, tried)
 	}
 }
 

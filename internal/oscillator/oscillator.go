@@ -21,41 +21,37 @@ import (
 	"ntisim/internal/sim"
 )
 
-// Config describes one oscillator. Zero values give an ideal oscillator.
+// Config describes one oscillator: an ideal one (the zero value, and
+// Ideal) or the TCXO.
 type Config struct {
 	NominalHz float64 // required, e.g. 10e6
-
-	// Systematic calibration offset, drawn once at construction from
-	// N(InitOffsetPPM, InitOffsetSigmaPPM).
-	InitOffsetPPM      float64
-	InitOffsetSigmaPPM float64
-
-	// Random-walk drift: at every UpdateInterval the drift moves by
-	// N(0, WalkStepPPM) and is clamped to ±MaxDriftPPM.
-	WalkStepPPM   float64
-	MaxDriftPPM   float64 // 0 means 100 ppm
-	TempAmpPPM    float64 // sinusoidal temperature component amplitude
-	TempPeriodS   float64 // its period; 0 disables
-	AgingPPMPerDy float64 // linear aging in ppm per day
-
-	UpdateInterval float64 // drift-update period; 0 means 1 s
+	tcxo      bool
 }
 
-// TCXO returns a typical temperature-compensated crystal configuration
-// (paper §3.2 default): ±2 ppm calibration, slow walk, small temperature
-// residual.
-func TCXO(nominalHz float64) Config {
-	return Config{
-		NominalHz:          nominalHz,
-		InitOffsetSigmaPPM: 1.0,
-		WalkStepPPM:        0.002,
-		MaxDriftPPM:        5,
-		TempAmpPPM:         0.3,
-		TempPeriodS:        900,
-	}
-}
+// TCXOClampPPM bounds the TCXO's drift to ±TCXOClampPPM.
+const TCXOClampPPM = 5
 
-// Ideal returns a drift-free oscillator, useful in unit tests.
+// The TCXO's frequency trajectory: a systematic calibration offset
+// drawn once per oscillator from N(0, calibSigmaPPM), a random walk
+// that moves by N(0, walkStepPPM) every second and reflects at the
+// ±clampPPM rail, and a temperature residual of tempAmpPPM with period
+// tempPeriodS.
+const (
+	calibSigmaPPM = 1.0
+	walkStepPPM   = 0.002
+	tempPeriodS   = 900
+)
+
+// clampPPM and tempAmpPPM are typed so their products with 1e-6 round
+// in float64; an untyped constant product would round once, to a
+// different value.
+var clampPPM, tempAmpPPM float64 = TCXOClampPPM, 0.3
+
+// TCXO returns the temperature-compensated crystal the paper's UTCSU
+// runs from (§3.2).
+func TCXO(nominalHz float64) Config { return Config{NominalHz: nominalHz, tcxo: true} }
+
+// Ideal returns a drift-free oscillator.
 func Ideal(nominalHz float64) Config { return Config{NominalHz: nominalHz} }
 
 type segment struct {
@@ -66,15 +62,14 @@ type segment struct {
 
 // Oscillator is a single oscillator instance bound to a simulator.
 type Oscillator struct {
-	cfg      Config
-	rng      *sim.RNG
-	s        *sim.Simulator
-	segs     []segment
-	baseOff  float64 // systematic offset (fractional, not ppm)
-	walk     float64 // current random-walk value (fractional)
-	phase    float64 // temperature phase offset (radians)
-	start    float64
-	maxDrift float64
+	cfg     Config
+	rng     *sim.RNG
+	s       *sim.Simulator
+	segs    []segment
+	baseOff float64 // systematic offset (fractional, not ppm)
+	walk    float64 // current random-walk value (fractional)
+	phase   float64 // temperature phase offset (radians)
+	start   float64
 }
 
 // New creates an oscillator starting its tick 0 at the current simulated
@@ -84,26 +79,14 @@ func New(s *sim.Simulator, cfg Config, label string) *Oscillator {
 	if cfg.NominalHz <= 0 {
 		panic("oscillator: NominalHz must be positive")
 	}
-	if cfg.UpdateInterval <= 0 {
-		cfg.UpdateInterval = 1
+	o := &Oscillator{cfg: cfg, s: s, start: s.Now()}
+	if cfg.tcxo {
+		o.rng = s.RNG("osc/" + label)
+		o.baseOff = calibSigmaPPM * o.rng.Normal(0, 1) * 1e-6
+		o.phase = o.rng.Float64() * 2 * math.Pi
+		s.Every(o.start+1, 1, o.update)
 	}
-	if cfg.MaxDriftPPM <= 0 {
-		cfg.MaxDriftPPM = 100
-	}
-	rng := s.RNG("osc/" + label)
-	o := &Oscillator{
-		cfg:      cfg,
-		rng:      rng,
-		s:        s,
-		start:    s.Now(),
-		maxDrift: cfg.MaxDriftPPM * 1e-6,
-	}
-	o.baseOff = (cfg.InitOffsetPPM + cfg.InitOffsetSigmaPPM*rng.Normal(0, 1)) * 1e-6
-	o.phase = rng.Float64() * 2 * math.Pi
 	o.segs = []segment{{t0: o.start, n0: 0, period: o.periodFor(o.start)}}
-	if cfg.WalkStepPPM > 0 || cfg.TempPeriodS > 0 || cfg.AgingPPMPerDy != 0 {
-		s.Every(o.start+cfg.UpdateInterval, cfg.UpdateInterval, o.update)
-	}
 	return o
 }
 
@@ -120,32 +103,26 @@ func (o *Oscillator) periodFor(t float64) float64 {
 }
 
 func (o *Oscillator) driftFor(t float64) float64 {
-	d := o.baseOff + o.walk
-	if o.cfg.TempPeriodS > 0 {
-		d += o.cfg.TempAmpPPM * 1e-6 * math.Sin(2*math.Pi*(t-o.start)/o.cfg.TempPeriodS+o.phase)
+	if !o.cfg.tcxo {
+		return 0
 	}
-	if o.cfg.AgingPPMPerDy != 0 {
-		d += o.cfg.AgingPPMPerDy * 1e-6 * (t - o.start) / 86400
-	}
-	if d > o.maxDrift {
-		d = o.maxDrift
-	} else if d < -o.maxDrift {
-		d = -o.maxDrift
+	d := o.baseOff + o.walk + tempAmpPPM*1e-6*math.Sin(2*math.Pi*(t-o.start)/tempPeriodS+o.phase)
+	if lim := clampPPM * 1e-6; d > lim {
+		d = lim
+	} else if d < -lim {
+		d = -lim
 	}
 	return d
 }
 
 // update appends a new frequency segment, aligned to a tick boundary.
 func (o *Oscillator) update() {
-	if o.cfg.WalkStepPPM > 0 {
-		o.walk += o.rng.Normal(0, o.cfg.WalkStepPPM) * 1e-6
-		// Reflect at the clamp so the walk doesn't stick to the rail.
-		lim := o.maxDrift
-		if o.walk > lim {
-			o.walk = 2*lim - o.walk
-		} else if o.walk < -lim {
-			o.walk = -2*lim - o.walk
-		}
+	o.walk += o.rng.Normal(0, walkStepPPM) * 1e-6
+	// Reflect at the clamp so the walk doesn't stick to the rail.
+	if lim := clampPPM * 1e-6; o.walk > lim {
+		o.walk = 2*lim - o.walk
+	} else if o.walk < -lim {
+		o.walk = -2*lim - o.walk
 	}
 	now := o.s.Now()
 	last := &o.segs[len(o.segs)-1]

@@ -52,11 +52,18 @@ func TestTickInverse(t *testing.T) {
 
 func TestDriftWithinBound(t *testing.T) {
 	s := sim.New(4)
-	cfg := TCXO(10e6)
-	cfg.WalkStepPPM = 10 // aggressive walk to exercise the clamp
-	cfg.MaxDriftPPM = 5
-	o := New(s, cfg, "a")
+	o := New(s, TCXO(10e6), "a")
+	// Push the walk past the rail: the drift clamps at once, and the
+	// first update reflects the walk back inside.
+	lim := clampPPM * 1e-6
+	o.walk = 1.9 * lim
+	if d := o.driftFor(0); d != lim {
+		t.Fatalf("drift %v with the walk past the rail, want clamped to %v", d, lim)
+	}
 	s.RunUntil(300)
+	if math.Abs(o.walk) > lim {
+		t.Errorf("walk %v not reflected inside ±%v", o.walk, lim)
+	}
 	for x := 0.0; x <= 300; x += 7 {
 		if d := math.Abs(o.DriftAt(x)); d > 5.0001e-6 {
 			t.Fatalf("drift %v at t=%v exceeds bound", d, x)
@@ -84,19 +91,6 @@ func TestDriftActuallyVaries(t *testing.T) {
 	}
 }
 
-func TestSystematicOffsetApplied(t *testing.T) {
-	s := sim.New(6)
-	cfg := Ideal(10e6)
-	cfg.InitOffsetPPM = 3
-	o := New(s, cfg, "a")
-	// After 1 true second the oscillator has ticked 10e6*(1+3e-6) times.
-	n := o.TickIndex(1.0)
-	want := uint64(10e6 * (1 + 3e-6))
-	if diff := int64(n) - int64(want); diff < -1 || diff > 1 {
-		t.Errorf("ticks after 1 s = %d, want ≈%d", n, want)
-	}
-}
-
 func TestTwoOscillatorsDiffer(t *testing.T) {
 	s := sim.New(7)
 	a := New(s, TCXO(10e6), "a")
@@ -115,20 +109,6 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	}
 	if mk() != mk() {
 		t.Error("oscillator not deterministic")
-	}
-}
-
-func TestAging(t *testing.T) {
-	s := sim.New(12)
-	cfg := Ideal(10e6)
-	cfg.AgingPPMPerDy = 86.4 // 1e-9 per second, large enough to see
-	cfg.UpdateInterval = 1
-	o := New(s, cfg, "a")
-	s.RunUntil(1000)
-	d := o.DriftAt(999)
-	want := 86.4e-6 * 999.0 / 86400
-	if math.Abs(d-want) > want*0.05 {
-		t.Errorf("aging drift = %v, want ≈%v", d, want)
 	}
 }
 

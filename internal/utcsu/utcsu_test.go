@@ -255,13 +255,12 @@ func TestContainmentInvariant(t *testing.T) {
 	// real time stays inside [C-α⁻, C+α⁺] forever (no resync needed:
 	// deterioration covers the drift).
 	s := sim.New(7)
-	cfg := oscillator.TCXO(10e6)
-	o := oscillator.New(s, cfg, "dut")
+	o := oscillator.New(s, oscillator.TCXO(10e6), "dut")
 	u := New(s, o)
 	// Initialize the clock to true time with a small initial alpha.
 	u.StepTo(timefmt.Stamp(timefmt.DurationFromSeconds(s.Now())))
 	u.SetAlpha(timefmt.DurationFromSeconds(2e-6), timefmt.DurationFromSeconds(2e-6))
-	rho := int64(cfg.MaxDriftPPM*1e3) + 1
+	rho := int64(oscillator.TCXOClampPPM*1e3) + 1
 	u.SetDriftBoundPPB(rho, rho)
 	for x := 1.0; x <= 120; x += 1 {
 		s.RunUntil(x)
