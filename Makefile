@@ -7,7 +7,7 @@ GO ?= go
 # is the main customer of -race), one pass of every microbenchmark, and
 # the ntiperf module's own vet and tests. The suite includes every
 # golden gate: cmd/nticampaign's TestCampaignGoldens byte-diffs each
-# gated preset's artifacts at -shards 1 and 4 against testdata/
+# gated preset's artifacts against testdata/
 # (regenerate with `go test ./cmd/nticampaign -run CampaignGoldens -update`),
 # and cmd/ntibench's TestSuiteClaimsAtSeed1998 byte-diffs the seed-1998
 # experiment tables against testdata/seed1998.golden.txt (regenerate with

@@ -16,15 +16,13 @@
 //	nticampaign -preset smoke -seeds 3 -report report.md
 //	nticampaign -refine load=2e-6            # bisect load until mean
 //	                                         # precision crosses 2 µs
-//	nticampaign -preset sharded -shards 4    # multi-segment cells on 4
-//	                                         # shard workers each
 //	nticampaign -preset smoke -telemetry -out artifacts/  # + runtime metric
 //	                                         # snapshots and health flags
 //	nticampaign -preset matrix -monitor :8080  # live status for cmd/ntitop
 //
 // Artifacts are byte-deterministic, so regression gating is a byte
-// diff: main_test.go runs the gated presets at -shards 1 and 4 and
-// compares their artifacts with testdata/ (`go test ./cmd/nticampaign
+// diff: main_test.go runs the gated presets and compares their
+// artifacts with testdata/ (`go test ./cmd/nticampaign
 // -run CampaignGoldens`, add -update after an intentional change).
 // -seeds N runs every preset point under N consecutive seeds (derived
 // from -seed) so reports can attach confidence intervals; -report
@@ -34,12 +32,8 @@
 // target is bracketed to -refine-tol. A bracket end moves only when
 // the bootstrap 95% CI across seeds clears the target; the run stops
 // (noise-limited) when the seeds can't resolve it.
-// -shards sets the worker-goroutine count of each multi-segment cell's
-// sharded kernel — a pure execution knob: artifacts are byte-identical
-// for every value (the determinism contract of internal/sim.Group).
-// The default 0, like 1, runs a cell's shards on its own goroutine, so
-// the cores go to the -workers cell pool rather than to per-window
-// hand-offs inside each cell.
+// A multi-segment cell runs its segments in turn on its own goroutine,
+// so the cores go to the -workers cell pool.
 package main
 
 import (
@@ -386,7 +380,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		arrival     = fs.String("arrival", "", "force one client arrival process for every cell: "+arrivalChoices()+" (use with -clients or the serving preset)")
 		refine      = fs.String("refine", "", "adaptive refinement instead of the preset grid: axis=target, e.g. load=2e-6 (axes: "+refineChoices()+")")
 		refineTol   = fs.Float64("refine-tol", 0, "axis tolerance for -refine (default: range/64)")
-		shards      = fs.Int("shards", 0, "worker goroutines per multi-segment (sharded) cell; 0 or 1 = sequential on the cell's goroutine. Execution-only knob: artifacts are byte-identical for every value")
 		telem       = fs.Bool("telemetry", false, "capture runtime telemetry per cell: per-tick metric snapshots (with -out: one combined .telemetry.jsonl) plus watchdog health flags in artifacts and reports")
 		monitorAddr = fs.String("monitor", "", "serve live campaign status on this host:port (/campaign.json for ntitop, /metrics for Prometheus scrapers); implies -telemetry")
 		quiet       = fs.Bool("q", false, "suppress per-cell progress on stderr")
@@ -432,8 +425,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return usage("-window must be >= 0")
 	case !(*refineTol >= 0):
 		return usage("-refine-tol must be >= 0")
-	case *shards < 0:
-		return usage("-shards must be >= 0")
 	}
 
 	seeds := make([]uint64, *seedCount)
@@ -447,7 +438,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Seeds:   seeds,
 		Workers: *workers,
 	}
-	spec.Base.Shards = *shards
 	if p.spec != nil {
 		p.spec(&spec)
 	}

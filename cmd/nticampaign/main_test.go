@@ -14,14 +14,13 @@ import (
 	"ntisim/internal/service"
 )
 
-var update = flag.Bool("update", false, "rewrite golden files from the -shards 1 run")
+var update = flag.Bool("update", false, "rewrite golden files from this run")
 
 // TestCampaignGoldens is the regression gate for every campaign preset
-// that pins a result: each row runs its preset at -shards 1 and at
-// -shards 4 and byte-compares the named artifacts with testdata/. The
-// simulator is deterministic, so any diff is a real behaviour change;
-// a diff only at shards=4 breaks the contract that shard-worker count
-// is a pure execution knob. Regenerate intentionally with:
+// that pins a result: each row runs its preset once, in subtest
+// shards=1, and byte-compares the named artifacts with testdata/. The
+// simulator is deterministic, so any diff is a real behaviour change.
+// Regenerate intentionally with:
 //
 //	go test ./cmd/nticampaign -run CampaignGoldens -update
 func TestCampaignGoldens(t *testing.T) {
@@ -54,38 +53,36 @@ func TestCampaignGoldens(t *testing.T) {
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			t.Parallel()
-			// Sequential within a row: with -update the shards=1 run
-			// rewrites the goldens the shards=4 run then compares with.
-			for _, shards := range []string{"1", "4"} {
-				t.Run("shards="+shards, func(t *testing.T) {
-					out := t.TempDir()
-					args := append([]string{"-q", "-shards", shards, "-out", out}, row.args...)
-					var stdout, stderr bytes.Buffer
-					if code := run(args, &stdout, &stderr); code != 0 {
-						t.Fatalf("nticampaign %s: exit %d\n%s", strings.Join(args, " "), code, stderr.String())
+			// One shard worker is the only engine there is; the
+			// subtest keeps the name it had beside the 4-worker leg.
+			t.Run("shards=1", func(t *testing.T) {
+				out := t.TempDir()
+				args := append([]string{"-q", "-out", out}, row.args...)
+				var stdout, stderr bytes.Buffer
+				if code := run(args, &stdout, &stderr); code != 0 {
+					t.Fatalf("nticampaign %s: exit %d\n%s", strings.Join(args, " "), code, stderr.String())
+				}
+				for _, name := range row.artifacts {
+					got, err := os.ReadFile(filepath.Join(out, name))
+					if err != nil {
+						t.Fatal(err)
 					}
-					for _, name := range row.artifacts {
-						got, err := os.ReadFile(filepath.Join(out, name))
-						if err != nil {
+					golden := filepath.Join("testdata", name)
+					if *update {
+						if err := os.WriteFile(golden, got, 0o644); err != nil {
 							t.Fatal(err)
 						}
-						golden := filepath.Join("testdata", name)
-						if *update && shards == "1" {
-							if err := os.WriteFile(golden, got, 0o644); err != nil {
-								t.Fatal(err)
-							}
-						}
-						want, err := os.ReadFile(golden)
-						if err != nil {
-							t.Fatalf("%v (regenerate with -update)", err)
-						}
-						if !bytes.Equal(got, want) {
-							t.Errorf("%s differs from %s at -shards %s: %s (regenerate with -update if intentional)",
-								name, golden, shards, firstDiff(got, want))
-						}
 					}
-				})
-			}
+					want, err := os.ReadFile(golden)
+					if err != nil {
+						t.Fatalf("%v (regenerate with -update)", err)
+					}
+					if !bytes.Equal(got, want) {
+						t.Errorf("%s differs from %s: %s (regenerate with -update if intentional)",
+							name, golden, firstDiff(got, want))
+					}
+				}
+			})
 		})
 	}
 }
@@ -194,12 +191,12 @@ func TestSummaryColumns(t *testing.T) {
 }
 
 // TestOutOfRangeCountExits2: an out-of-range count, or a negative (or
-// NaN) window, refinement tolerance or shard count, is a usage error
-// naming the flag, not a silent fallback to the default.
+// NaN) window or refinement tolerance, is a usage error naming the
+// flag, not a silent fallback to the default.
 func TestOutOfRangeCountExits2(t *testing.T) {
 	for _, args := range [][]string{
 		{"-seeds", "0"}, {"-clients", "-1"},
-		{"-window", "-5"}, {"-window", "NaN"}, {"-refine-tol", "-1"}, {"-shards", "-3"},
+		{"-window", "-5"}, {"-window", "NaN"}, {"-refine-tol", "-1"},
 	} {
 		code, _, stderr := runCampaign(args...)
 		if code != 2 {
@@ -255,6 +252,20 @@ func TestRefinePrintsCIAndBracket(t *testing.T) {
 	code, stdout, _ = runCampaign("-refine", "nodes=1.2e-6", "-window", "4", "-seeds", "2", "-q")
 	if code != 0 || !strings.Contains(stdout, "noise-limited: stopped before tol") {
 		t.Errorf("two seeds: exit %d, want 0 and a noise-limited stop:\n%s", code, stdout)
+	}
+}
+
+// TestShardsFlagRemovedExits2: -shards is not a flag (every cell runs
+// its segments sequentially), so a command line that asks for shard
+// workers is a usage error naming the flag, not a silently ignored
+// request.
+func TestShardsFlagRemovedExits2(t *testing.T) {
+	code, _, stderr := runCampaign("-shards", "4")
+	if code != 2 {
+		t.Fatalf("exit %d, want 2", code)
+	}
+	if !strings.Contains(stderr, "-shards") {
+		t.Errorf("stderr does not name the flag: %q", stderr)
 	}
 }
 

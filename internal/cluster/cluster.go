@@ -76,15 +76,12 @@ type Config struct {
 	// aggregated per node, feeding served-accuracy sketches. The zero
 	// value (Clients == 0) disables serving entirely.
 	Serving service.Config
-	// Shards is the worker-goroutine count driving the sharded
-	// topology's sub-simulators: 0 and 1 execute the shards in turn
-	// on the driving goroutine (the single-kernel baseline), N ≥ 2
-	// runs up to N segments concurrently in each window. Results are
-	// byte-identical for every value — the shard decomposition is
-	// fixed by Segments; Shards only chooses execution parallelism.
-	// The default is sequential: no measured workload runs faster on
-	// two or more workers (DESIGN.md §8), and a campaign already
-	// spends its cores on cells.
+	// Shards once chose how many worker goroutines ran the segments.
+	//
+	// Deprecated: the segments always run in turn on the calling
+	// goroutine (DESIGN.md §8), so the field does nothing. New panics
+	// on any value other than 0 or 1, so a request for parallelism is
+	// never silently ignored.
 	Shards int
 	// Tracer, when non-nil, traces every layer of the cluster (media,
 	// COMCOs, node kernels, synchronizers, GPS receivers, serving load,
@@ -187,7 +184,7 @@ func (m *Member) OffsetAndBounds() (offset, loEdge, hiEdge float64) {
 
 // Cluster is the assembled system.
 type Cluster struct {
-	// Group is the conservative parallel composition of the per-segment
+	// Group is the conservative composition of the per-segment
 	// simulators (one shard for a flat LAN). Drive it through the
 	// cluster's Start/RunUntil/Now/EventCount; code that schedules its
 	// own events uses the acting member's Node.Sim.
@@ -231,6 +228,9 @@ func New(cfg Config) *Cluster {
 		panic("cluster: need at least one node")
 	}
 	segs := max(cfg.Segments, 1)
+	if cfg.Shards != 0 && cfg.Shards != 1 {
+		panic(fmt.Sprintf("cluster: Config.Shards = %d, but Shards is deprecated and must be 0 or 1: segments always run sequentially", cfg.Shards))
+	}
 	if cfg.Nodes%segs != 0 {
 		panic(fmt.Sprintf("cluster: %d nodes do not divide evenly over %d segments", cfg.Nodes, segs))
 	}
@@ -279,7 +279,7 @@ func New(cfg Config) *Cluster {
 	if segs > 1 {
 		lookahead = DefaultWANDelayS
 	}
-	group := sim.NewGroup(lookahead, cfg.Shards, sims)
+	group := sim.NewGroup(lookahead, sims)
 	if cfg.Telemetry != nil && segs > 1 {
 		// Driver-level metrics (windows, flush sizes, imbalance) go on
 		// the cluster's own registry — only touched between windows.

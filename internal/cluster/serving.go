@@ -2,8 +2,8 @@
 // a built cluster. Every regular node (Segment >= 0; gateways carry
 // WAN traffic, not client-facing service) gets one aggregate arrival
 // generator homed on the node's own shard simulator, so a sharded run
-// serves its population fully in parallel with zero cross-shard
-// coordination — the generators only read their own node's UTCSU.
+// serves its population with zero cross-shard coordination — the
+// generators only read their own node's UTCSU.
 package cluster
 
 import (
@@ -18,8 +18,8 @@ import (
 // cfg.Serving. Segment weights follow RegionalSkew (weight of segment s
 // ∝ skew^s, normalized), split evenly over the segment's serving
 // nodes. Generator RNG streams derive from (Seed, node index) only —
-// never from a shard's RNG universe — so arrival counts are identical
-// at any shard or worker count.
+// never from a shard's RNG universe — so arrival counts do not depend
+// on which shard a node is homed on.
 func (c *Cluster) attachServing() {
 	sc := c.cfg.Serving
 	if sc.Clients <= 0 {

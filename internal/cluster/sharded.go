@@ -1,4 +1,4 @@
-// Sharded WANs-of-LANs: how New lays segments out on the parallel kernel.
+// Sharded WANs-of-LANs: how New lays segments out on the sharded kernel.
 //
 // The footnote-2 topology is embarrassingly decomposable: LAN segments
 // interact only through gateway frames that cross a WAN link whose
@@ -28,11 +28,11 @@
 //
 // Determinism: member construction order, RNG derivation
 // (sim.DeriveSeed(seed, "shard/i") for two or more segments; a flat
-// LAN keeps the root seed), window boundaries and mailbox
-// flush order are all pure functions of the Config — never of the
-// worker count — so campaign artifacts are byte-identical for
-// Shards=1 and Shards=N. The 1-worker run IS the single-kernel
-// baseline: the same per-segment simulators executed sequentially.
+// LAN keeps the root seed), window boundaries and mailbox flush order
+// are all pure functions of the Config. The shards run in turn on one
+// goroutine, one conservative window at a time; the speed of a large
+// topology comes from the per-segment queues and the skipped idle
+// windows (DESIGN.md §8).
 package cluster
 
 import (
@@ -46,7 +46,7 @@ import (
 
 // DefaultWANDelayS is the one-way WAN propagation delay between
 // adjacent segments of a sharded topology, and therefore the
-// conservative lookahead of the parallel kernel: 1 ms, a
+// conservative lookahead of the sharded kernel: 1 ms, a
 // metropolitan-scale link with hundreds of LAN frames per window.
 const DefaultWANDelayS = 1e-3
 

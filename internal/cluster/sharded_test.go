@@ -1,7 +1,7 @@
 package cluster
 
 import (
-	"runtime"
+	"strings"
 	"testing"
 
 	"ntisim/internal/metrics"
@@ -17,9 +17,7 @@ func shardedBase(seed uint64) Config {
 }
 
 func TestShardedTopologyShape(t *testing.T) {
-	cfg := shardedBase(31)
-	cfg.Shards = 1
-	c := New(cfg)
+	c := New(shardedBase(31))
 	if c.Group == nil {
 		t.Fatal("sharded cluster has no Group")
 	}
@@ -88,26 +86,22 @@ func runShardedTrajectory(cfg Config) (precision []float64, offsets [][]float64)
 	return precision, offsets
 }
 
-// TestShardedWorkerCountByteIdentity is the tentpole gate at cluster
-// level: the full state trajectory must be bit-identical whether the
-// shards run sequentially (the single-kernel baseline) or on N worker
-// goroutines.
-func TestShardedWorkerCountByteIdentity(t *testing.T) {
-	one, two := shardedBase(77), shardedBase(77)
-	one.Shards, two.Shards = 1, 2
-	sameTrajectory(t, "1 worker", one, "2 workers", two)
-}
-
-// TestShardsZeroIsSequential: the default runs the segments on the
-// driving goroutine alone, however many cores the process may use.
-func TestShardsZeroIsSequential(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	cfg := Defaults(16, 5)
-	cfg.Sync.F = 1
-	cfg.Segments = 4
-	if got := New(cfg).Group.Workers(); got != 1 {
-		t.Fatalf("Shards=0 over 4 segments at GOMAXPROCS=4: %d workers, want 1", got)
-	}
+// TestShardsAboveOnePanics: the deprecated Shards field accepts only 0
+// and 1, so a setting that asked for parallel workers fails loudly,
+// naming the field, instead of being silently ignored.
+func TestShardsAboveOnePanics(t *testing.T) {
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("New with Shards: 2 did not panic")
+		}
+		if s, ok := r.(string); !ok || !strings.Contains(s, "Shards") {
+			t.Fatalf("panic %v does not name the Shards field", r)
+		}
+	}()
+	cfg := shardedBase(31)
+	cfg.Shards = 2
+	New(cfg)
 }
 
 // TestOneSegmentIsFlatLAN: Segments 0 and 1 both build the flat LAN on
@@ -150,9 +144,7 @@ func TestShardedCouplesSegments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long segmented run")
 	}
-	cfg := shardedBase(22)
-	cfg.Shards = 2
-	c := New(cfg)
+	c := New(shardedBase(22))
 	b := c.MeasureDelay(0, 1, 12)
 	for _, m := range c.Members {
 		m.Sync.SetDelayBounds(b)
@@ -185,9 +177,8 @@ func TestShardedCouplesSegments(t *testing.T) {
 	}
 }
 
-// TestShardedThreeSegmentsParallel runs a 3-segment chain on 3 workers
-// under the race detector (make race runs this package with -race) and
-// checks global convergence — the CI race gate for the sharded engine.
+// TestShardedThreeSegmentsParallel runs a 3-segment chain, two
+// gateways per link, and checks global convergence across both links.
 func TestShardedThreeSegmentsParallel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long segmented run")
@@ -196,7 +187,6 @@ func TestShardedThreeSegmentsParallel(t *testing.T) {
 	cfg.Sync.F = 1
 	cfg.Segments = 3
 	cfg.GatewaysPerLink = 2
-	cfg.Shards = 3
 	c := New(cfg)
 	if len(c.Members) != 9+2*2 {
 		t.Fatalf("members = %d", len(c.Members))

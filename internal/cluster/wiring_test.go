@@ -25,9 +25,8 @@ var update = flag.Bool("update", false, "rewrite golden files from this run")
 // tracing and telemetry on, a two-faced traitor, one GPS receiver whose
 // fault episode begins and ends inside the run, and a small client
 // population.
-func wiringConfig(workers int) Config {
+func wiringConfig() Config {
 	cfg := shardedBase(41)
-	cfg.Shards = workers
 	cfg.Tracer = trace.New(trace.Options{})
 	cfg.Telemetry = telemetry.New()
 	cfg.Adversary = adversary.Spec{TraitorFrac: 0.125, Attack: adversary.AttackTwoFaced}
@@ -41,9 +40,9 @@ func wiringConfig(workers int) Config {
 // wiringReport runs the wiring cluster and renders what its observers
 // saw: per-(shard, kind) record counts, the SHA-256 of the merged-trace
 // JSONL and the final telemetry snapshot.
-func wiringReport(t *testing.T, workers int) (report []byte, kinds map[string]bool, snap telemetry.Snapshot) {
+func wiringReport(t *testing.T) (report []byte, kinds map[string]bool, snap telemetry.Snapshot) {
 	t.Helper()
-	c := New(wiringConfig(workers))
+	c := New(wiringConfig())
 	c.Start(1)
 	c.StartServing(1)
 	c.RunUntil(12)
@@ -96,40 +95,37 @@ func wiringReport(t *testing.T, workers int) (report []byte, kinds map[string]bo
 
 // TestObservabilityWiringGolden pins the multi-shard observability path
 // against a fixed reference: which layer emitted which records on which
-// shard, the merged trace bytes and the merged telemetry snapshot, at 1
-// and 2 shard workers. Any diff means a layer's tracer or registry is
-// wired differently. Regenerate intentionally with:
+// shard, the merged trace bytes and the merged telemetry snapshot. Any
+// diff means a layer's tracer or registry is wired differently. Regenerate intentionally with:
 //
 //	go test ./internal/cluster -run WiringGolden -update
 func TestObservabilityWiringGolden(t *testing.T) {
 	golden := filepath.Join("testdata", "wiring.golden.txt")
-	for _, workers := range []int{1, 2} {
-		got, kinds, snap := wiringReport(t, workers)
-		if *update && workers == 1 {
-			if err := os.WriteFile(golden, got, 0o644); err != nil {
-				t.Fatal(err)
-			}
+	got, kinds, snap := wiringReport(t)
+	if *update {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		want, err := os.ReadFile(golden)
-		if err != nil {
-			t.Fatalf("%v (regenerate with -update)", err)
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("observability report differs from golden (regenerate with -update if intentional)\n--- got ---\n%.3000s", got)
+	}
+	for _, k := range []string{
+		"frame-tx", "frame-rx", "tx-trigger", "rx-trigger", "rx-done", "latch-read",
+		"csp-send", "csp-arrival", "round-start", "round-update",
+		"fault-onset", "fault-clear", "lie", "query-served",
+	} {
+		if !kinds[k] {
+			t.Errorf("no %s record in the trace", k)
 		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("%d workers: observability report differs from golden (regenerate with -update if intentional)\n--- got ---\n%.3000s", workers, got)
-		}
-		for _, k := range []string{
-			"frame-tx", "frame-rx", "tx-trigger", "rx-trigger", "rx-done", "latch-read",
-			"csp-send", "csp-arrival", "round-start", "round-update",
-			"fault-onset", "fault-clear", "lie", "query-served",
-		} {
-			if !kinds[k] {
-				t.Errorf("%d workers: no %s record in the trace", workers, k)
-			}
-		}
-		for _, fam := range []string{"sim.", "net.", "net.wan_", "net.relay_fwd", "sync.", "svc.", "adv.", "group."} {
-			if !hasMetricFamily(snap, fam) {
-				t.Errorf("%d workers: no %s* metric in the snapshot", workers, fam)
-			}
+	}
+	for _, fam := range []string{"sim.", "net.", "net.wan_", "net.relay_fwd", "sync.", "svc.", "adv.", "group."} {
+		if !hasMetricFamily(snap, fam) {
+			t.Errorf("no %s* metric in the snapshot", fam)
 		}
 	}
 }

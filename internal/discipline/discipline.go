@@ -62,10 +62,13 @@ type Discipline interface {
 	// not be fused (too few consistent inputs) and no correction
 	// applies; internal filter state is left untouched in that case.
 	Step(s Sample) (Action, bool)
-	// Reset discards accumulated filter state (e.g. after the
-	// synchronizer stepped the clock across a large offset).
-	Reset()
 }
+
+// maxRatePPB clamps the net frequency adjustment a rate-steering
+// discipline commands: anti-windup at the a priori TCXO drift bound,
+// so repeated commands cannot steer the clock further from nominal
+// than the drift bound the accuracy logic assumes.
+const maxRatePPB = 2000
 
 // Factory builds a fresh Discipline instance. Factories must be pure so
 // one factory can serve every node of a cluster and every cloned cell

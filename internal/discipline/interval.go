@@ -49,6 +49,3 @@ func (d *Interval) Step(s Sample) (Action, bool) {
 	}
 	return Action{Interval: out}, true
 }
-
-// Reset implements Discipline (stateless).
-func (d *Interval) Reset() {}

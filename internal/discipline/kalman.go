@@ -45,36 +45,28 @@ func refAt(now timefmt.Stamp, offS float64) timefmt.Stamp {
 type Kalman struct {
 	fz interval.Fuser
 
-	// QOffset/QRate are process-noise densities: offset random walk
-	// [s²/s] and rate random walk [(s/s)²/s]. R is the measurement
-	// variance [s²].
-	QOffset, QRate, R float64
-
 	x, v          float64 // offset [s], rate [s/s] state
 	pxx, pxv, pvv float64 // covariance
 	init          bool
 	lastNow       timefmt.Stamp
 }
 
-// NewKalman returns a Kalman discipline with defaults sized for the
-// prototype LAN: ~2 µs measurement noise, TCXO-class rate wander.
-func NewKalman() *Kalman {
-	return &Kalman{
-		QOffset: 1e-16,   // 10 ns²/s offset random walk
-		QRate:   2.5e-15, // (50 ppb)²/s rate random walk
-		R:       4e-12,   // (2 µs)² measurement noise
-	}
-}
+// The Kalman noise model, sized for the prototype LAN: ~2 µs
+// measurement noise, TCXO-class rate wander. kalmanQOffset and
+// kalmanQRate are process-noise densities, kalmanR the measurement
+// variance. Typed variables, so the covariance products round in
+// float64 step by step.
+var (
+	kalmanQOffset float64 = 1e-16   // 10 ns²/s offset random walk [s²/s]
+	kalmanQRate   float64 = 2.5e-15 // (50 ppb)²/s rate random walk [(s/s)²/s]
+	kalmanR       float64 = 4e-12   // (2 µs)² measurement noise [s²]
+)
+
+// NewKalman returns a Kalman discipline.
+func NewKalman() *Kalman { return &Kalman{} }
 
 // Name implements Discipline.
 func (d *Kalman) Name() string { return "kalman" }
-
-// Reset implements Discipline.
-func (d *Kalman) Reset() {
-	d.x, d.v = 0, 0
-	d.pxx, d.pxv, d.pvv = 0, 0, 0
-	d.init = false
-}
 
 // Step implements Discipline.
 func (d *Kalman) Step(s Sample) (Action, bool) {
@@ -87,7 +79,7 @@ func (d *Kalman) Step(s Sample) (Action, bool) {
 		// threshold handles the initial jump), uncertain rate.
 		d.init = true
 		d.x, d.v = z, 0
-		d.pxx, d.pxv, d.pvv = d.R, 0, 1e-12
+		d.pxx, d.pxv, d.pvv = kalmanR, 0, 1e-12
 		d.lastNow = s.Now
 		corr := d.x
 		d.x = 0
@@ -101,12 +93,12 @@ func (d *Kalman) Step(s Sample) (Action, bool) {
 
 	// Predict: x += v·dt under random-walk process noise.
 	d.x += d.v * dt
-	d.pxx += 2*d.pxv*dt + d.pvv*dt*dt + d.QOffset*dt
+	d.pxx += 2*d.pxv*dt + d.pvv*dt*dt + kalmanQOffset*dt
 	d.pxv += d.pvv * dt
-	d.pvv += d.QRate * dt
+	d.pvv += kalmanQRate * dt
 
 	// Update with the scalar measurement z (H = [1 0]).
-	innS := d.pxx + d.R
+	innS := d.pxx + kalmanR
 	kx := d.pxx / innS
 	kv := d.pxv / innS
 	inn := z - d.x

@@ -13,35 +13,28 @@ import "ntisim/internal/interval"
 type Lucky struct {
 	fz interval.Fuser
 
-	// Window is the lucky-selection depth in rounds (default 8).
-	Window int
-	// Gain is the EWMA weight of each round's lucky sample (default
-	// 0.25).
-	Gain float64
-
 	samples []luckySample // ring, oldest first
 	ewma    float64
 	init    bool
 }
+
+// luckyWindow is the lucky-selection depth in rounds.
+const luckyWindow = 8
+
+// luckyGain is the EWMA weight of each round's lucky sample, a typed
+// variable so the smoothing product rounds in float64.
+var luckyGain float64 = 0.25
 
 type luckySample struct {
 	off     float64 // residual offset [s], adjusted for later commands
 	quality float64 // Marzullo intersection width [s]; smaller is better
 }
 
-// NewLucky returns a lucky-sample discipline with default window and
-// gain.
-func NewLucky() *Lucky { return &Lucky{Window: 8, Gain: 0.25} }
+// NewLucky returns a lucky-sample discipline.
+func NewLucky() *Lucky { return &Lucky{} }
 
 // Name implements Discipline.
 func (d *Lucky) Name() string { return "lucky" }
-
-// Reset implements Discipline.
-func (d *Lucky) Reset() {
-	d.samples = d.samples[:0]
-	d.ewma = 0
-	d.init = false
-}
 
 // Step implements Discipline.
 func (d *Lucky) Step(s Sample) (Action, bool) {
@@ -49,7 +42,7 @@ func (d *Lucky) Step(s Sample) (Action, bool) {
 	if !ok {
 		return Action{}, false
 	}
-	if len(d.samples) >= d.Window {
+	if len(d.samples) >= luckyWindow {
 		copy(d.samples, d.samples[1:])
 		d.samples = d.samples[:len(d.samples)-1]
 	}
@@ -67,7 +60,7 @@ func (d *Lucky) Step(s Sample) (Action, bool) {
 		d.init = true
 		d.ewma = lucky
 	} else {
-		d.ewma += d.Gain * (lucky - d.ewma)
+		d.ewma += luckyGain * (lucky - d.ewma)
 	}
 
 	// Command the smoothed estimate, then re-express the stored window

@@ -19,41 +19,29 @@ type PIPLL struct {
 	inner Discipline
 	name  string
 
-	// KP is the proportional phase gain per round (default 0.6).
-	KP float64
-	// KI is the integral frequency gain per round (default 0.08/s: each
-	// round adds KI·offset/period to the rate word).
-	KI float64
-	// MaxRatePPB clamps the total commanded frequency adjustment
-	// (default 2000 ppb, the a priori drift bound).
-	MaxRatePPB int64
-
 	totalPPB int64 // integral state: net rate commanded so far
 	lastNow  timefmt.Stamp
 	haveLast bool
 }
 
+// The PI/PLL gains are typed variables so the branch products round in
+// float64 step by step.
+var (
+	// piKP is the proportional phase gain per round.
+	piKP float64 = 0.6
+	// piKI is the integral frequency gain per round [1/s]: each round
+	// adds piKI·offset/period to the rate word.
+	piKI float64 = 0.08
+)
+
 // NewPIPLL wraps an inner offset-filter discipline in the PI/PLL rate
 // controller.
 func NewPIPLL(inner Discipline) *PIPLL {
-	return &PIPLL{
-		inner:      inner,
-		name:       "pi-" + inner.Name(),
-		KP:         0.6,
-		KI:         0.08,
-		MaxRatePPB: 2000,
-	}
+	return &PIPLL{inner: inner, name: "pi-" + inner.Name()}
 }
 
 // Name implements Discipline.
 func (d *PIPLL) Name() string { return d.name }
-
-// Reset implements Discipline.
-func (d *PIPLL) Reset() {
-	d.inner.Reset()
-	d.totalPPB = 0
-	d.haveLast = false
-}
 
 // Step implements Discipline.
 func (d *PIPLL) Step(s Sample) (Action, bool) {
@@ -72,16 +60,16 @@ func (d *PIPLL) Step(s Sample) (Action, bool) {
 
 	// Integral branch: offset → frequency, anti-windup clamped so the
 	// total stays inside the a priori drift bound.
-	delta := int64(d.KI * offS / dt * 1e9)
-	if tot := d.totalPPB + delta; tot > d.MaxRatePPB {
-		delta = d.MaxRatePPB - d.totalPPB
-	} else if tot < -d.MaxRatePPB {
-		delta = -d.MaxRatePPB - d.totalPPB
+	delta := int64(piKI * offS / dt * 1e9)
+	if tot := d.totalPPB + delta; tot > maxRatePPB {
+		delta = maxRatePPB - d.totalPPB
+	} else if tot < -maxRatePPB {
+		delta = -maxRatePPB - d.totalPPB
 	}
 	d.totalPPB += delta
 
-	// Proportional branch: command only KP of the phase error.
-	ref := s.Now.Add(timefmt.DurationFromSeconds(d.KP * offS))
+	// Proportional branch: command only piKP of the phase error.
+	ref := s.Now.Add(timefmt.DurationFromSeconds(piKP * offS))
 	out := Action{
 		Interval:     act.Interval.Rereference(ref),
 		RateDeltaPPB: act.RateDeltaPPB + delta,

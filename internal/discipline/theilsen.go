@@ -19,35 +19,23 @@ import (
 type TheilSen struct {
 	fz interval.Fuser
 
-	// Window is the regression depth in rounds (default 8, ≥ 3 to fit).
-	Window int
-	// RateGain scales the slope → rate command (default 0.5).
-	RateGain float64
-	// MaxRatePPB clamps the net commanded frequency adjustment
-	// (default 2000 ppb, the a priori TCXO drift bound): anti-windup,
-	// so repeated window commands cannot steer the clock further from
-	// nominal than the drift bound the accuracy logic assumes.
-	MaxRatePPB int64
-
 	totalPPB int64     // net rate commanded so far (anti-windup state)
 	ts, offs []float64 // sample window: local time [s], residual offset [s]
 	scratch  []float64 // pairwise slopes / residuals for the medians
 }
 
-// NewTheilSen returns a Theil-Sen discipline with defaults.
-func NewTheilSen() *TheilSen {
-	return &TheilSen{Window: 8, RateGain: 0.5, MaxRatePPB: 2000}
-}
+// theilSenWindow is the regression depth in rounds (≥ 3 to fit).
+const theilSenWindow = 8
+
+// theilSenRateGain scales the slope → rate command, a typed variable
+// so the command product rounds in float64.
+var theilSenRateGain float64 = 0.5
+
+// NewTheilSen returns a Theil-Sen discipline.
+func NewTheilSen() *TheilSen { return &TheilSen{} }
 
 // Name implements Discipline.
 func (d *TheilSen) Name() string { return "theilsen" }
-
-// Reset implements Discipline.
-func (d *TheilSen) Reset() {
-	d.ts = d.ts[:0]
-	d.offs = d.offs[:0]
-	d.totalPPB = 0
-}
 
 // median sorts vals in place and returns the midpoint (mean of the two
 // central elements for even counts).
@@ -67,7 +55,7 @@ func (d *TheilSen) Step(s Sample) (Action, bool) {
 		return Action{}, false
 	}
 	tNow := s.Now.Seconds()
-	if len(d.ts) >= d.Window {
+	if len(d.ts) >= theilSenWindow {
 		copy(d.ts, d.ts[1:])
 		copy(d.offs, d.offs[1:])
 		d.ts = d.ts[:len(d.ts)-1]
@@ -110,15 +98,15 @@ func (d *TheilSen) Step(s Sample) (Action, bool) {
 	corr := median(resid) // fit evaluated at tNow
 
 	act := Action{}
-	if len(d.ts) >= d.Window {
+	if len(d.ts) >= theilSenWindow {
 		// Window full: command the fitted residual drift as a rate
 		// adjustment and restart the window (its samples describe the
 		// pre-adjustment rate).
-		ppb := int64(-m * d.RateGain * 1e9)
-		if tot := d.totalPPB + ppb; tot > d.MaxRatePPB {
-			ppb = d.MaxRatePPB - d.totalPPB
-		} else if tot < -d.MaxRatePPB {
-			ppb = -d.MaxRatePPB - d.totalPPB
+		ppb := int64(-m * theilSenRateGain * 1e9)
+		if tot := d.totalPPB + ppb; tot > maxRatePPB {
+			ppb = maxRatePPB - d.totalPPB
+		} else if tot < -maxRatePPB {
+			ppb = -maxRatePPB - d.totalPPB
 		}
 		if ppb != 0 {
 			act.RateDeltaPPB = ppb

@@ -90,9 +90,9 @@ type Spec struct {
 	// telemetry.Snapshot per sampling tick into Result.Telemetry;
 	// WriteArtifacts then adds one combined <name>.telemetry.jsonl. Each
 	// cell owns its own registry, captured at shard barriers, so the
-	// snapshot stream is byte-deterministic regardless of worker or
-	// shard-worker count. Watchdog health rules run over the same
-	// snapshots and land in Result.Health.
+	// snapshot stream is byte-deterministic regardless of worker count.
+	// Watchdog health rules run over the same snapshots and land in
+	// Result.Health.
 	Telemetry bool
 	// Watchdog opts the cells into the precision-drift trend rule when
 	// Telemetry is set; the other health rules have fixed thresholds

@@ -305,16 +305,14 @@ func TestDisciplineAxisDeterminism(t *testing.T) {
 }
 
 // shardedSpec is a WANs-of-LANs campaign whose cells run the
-// segment-sharded parallel kernel: the base topology is 4 nodes over 2
-// segments (plus F+1 = 2 gateways) and `shards` sets the worker
-// goroutine count of each cell's sim.Group. The segments axis also
-// covers seg=1, so every run exercises the classic single-kernel path
-// next to the sharded one.
-func shardedSpec(shards int) Spec {
+// segment-sharded kernel on a pool of `workers` cell goroutines: the
+// base topology is 4 nodes over 2 segments (plus F+1 = 2 gateways).
+// The segments axis also covers seg=1, so every run exercises the
+// classic single-kernel path next to the sharded one.
+func shardedSpec(workers int) Spec {
 	base := cluster.Defaults(4, 1)
 	base.Sync.F = 1
 	base.Segments = 2
-	base.Shards = shards
 	return Spec{
 		Name:         "sharded-test",
 		Base:         base,
@@ -325,16 +323,14 @@ func shardedSpec(shards int) Spec {
 		SampleEveryS: 1,
 		DelayProbes:  4,
 		Trace:        true,
-		Workers:      2,
+		Workers:      workers,
 	}
 }
 
-// TestShardedByteIdentityOverDisciplineGrid is the tentpole acceptance
-// gate at campaign level: over the full discipline grid, a sharded
-// campaign produces byte-identical JSONL and per-cell merged-trace
-// artifacts whether each cluster's segment shards run on 1 worker
-// goroutine (the single-kernel baseline) or N. Worker count is a pure
-// execution knob — it must never leak into results.
+// TestShardedByteIdentityOverDisciplineGrid: over the full discipline
+// grid, a sharded campaign produces byte-identical JSONL and per-cell
+// merged-trace artifacts on 1 and 2 cell workers. The worker count is
+// a pure execution knob — it must never leak into results.
 func TestShardedByteIdentityOverDisciplineGrid(t *testing.T) {
 	serial := Run(shardedSpec(1))
 	parallel := Run(shardedSpec(2))
@@ -349,7 +345,7 @@ func TestShardedByteIdentityOverDisciplineGrid(t *testing.T) {
 	}
 	a, b := jsonl(t, serial), jsonl(t, parallel)
 	if !bytes.Equal(a, b) {
-		t.Fatalf("JSONL differs between 1-worker and 2-worker shard execution")
+		t.Fatalf("JSONL differs between 1 and 2 cell workers")
 	}
 	for i, r := range serial.Results {
 		var x, y bytes.Buffer
@@ -360,18 +356,17 @@ func TestShardedByteIdentityOverDisciplineGrid(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(x.Bytes(), y.Bytes()) {
-			t.Fatalf("cell %s: merged trace bytes differ between 1 and 2 shard workers", r.Key())
+			t.Fatalf("cell %s: merged trace bytes differ between 1 and 2 cell workers", r.Key())
 		}
 	}
 }
 
-// TestShardedCampaignRace layers every concurrency mechanism at once —
-// the harness worker pool outside, each cell's sim.Group shard workers
-// inside, up to a 3-segment gateway chain — and just demands clean
-// completion. Its real assertions come from the race detector: make ci
-// runs this package under -race.
+// TestShardedCampaignRace runs sharded cells, up to a 3-segment gateway
+// chain, on the harness worker pool and just demands clean completion.
+// Its real assertions come from the race detector: make ci runs this
+// package under -race.
 func TestShardedCampaignRace(t *testing.T) {
-	sp := shardedSpec(3)
+	sp := shardedSpec(2)
 	sp.Trace = false
 	sp.Points = Cross(SegmentsAxis(2, 3), NodesAxis(6))
 	c := Run(sp)

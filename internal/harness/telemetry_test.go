@@ -9,7 +9,6 @@ import (
 
 	"ntisim/internal/cluster"
 	"ntisim/internal/gps"
-	"ntisim/internal/telemetry"
 )
 
 func telemetryJSONL(t *testing.T, c *Campaign) []byte {
@@ -50,49 +49,6 @@ func TestTelemetryByteIdentityAcrossWorkers(t *testing.T) {
 	// The campaign JSONL (now carrying health) must stay identical too.
 	if !bytes.Equal(jsonl(t, serial), jsonl(t, parallel)) {
 		t.Fatalf("campaign JSONL differs between 1 and 4 workers")
-	}
-}
-
-// TestTelemetryByteIdentityAcrossShards is the same guarantee against
-// the other execution knob: a multi-segment cell's snapshot stream must
-// not depend on how many worker goroutines drive its sharded kernel.
-// Counters and histograms merge by name across the per-shard
-// registries; gauges stay shard-tagged — either way the decomposition
-// is fixed by Segments, never by Shards.
-func TestTelemetryByteIdentityAcrossShards(t *testing.T) {
-	mk := func(shards int) *Campaign {
-		base := cluster.Defaults(8, 1)
-		base.Segments = 2
-		base.Sync.F = 1
-		base.Shards = shards
-		sp := Spec{
-			Name:         "shard-telemetry",
-			Base:         base,
-			Points:       NodesAxis(8).Points,
-			Seeds:        []uint64{7},
-			WarmupS:      2,
-			WindowS:      8,
-			SampleEveryS: 1,
-			DelayProbes:  4,
-			Workers:      1,
-			Telemetry:    true,
-		}
-		return Run(sp)
-	}
-	one, many := mk(1), mk(2)
-	for _, r := range one.Results {
-		if r.Err != "" {
-			t.Fatalf("cell %s errored: %s", r.Key(), r.Err)
-		}
-	}
-	a, b := telemetryJSONL(t, one), telemetryJSONL(t, many)
-	if !bytes.Equal(a, b) {
-		t.Fatalf("telemetry JSONL differs between shards=1 and shards=2")
-	}
-	// Sharded cells must actually carry shard-tagged gauges.
-	if !bytes.Contains(a, []byte(telemetry.MetricShardEvents+"@0")) ||
-		!bytes.Contains(a, []byte(telemetry.MetricShardEvents+"@1")) {
-		t.Fatalf("snapshots missing per-shard gauges:\n%s", a)
 	}
 }
 

@@ -132,8 +132,8 @@ func Generate(w io.Writer, title string, results []harness.Result, opt stats.Opt
 	writeServing(bw, agg)
 	writeDisciplineRanking(bw, agg)
 	writeComparison(bw, agg)
-	writePlots(bw, agg)
-	writeServingPlots(bw, agg)
+	writeAxisPlots(bw, agg, precisionPlot)
+	writeAxisPlots(bw, agg, servedP99Plot)
 	writeTimelines(bw, results)
 
 	return bw.Flush()
@@ -260,63 +260,6 @@ func writeServing(w io.Writer, agg []stats.PointStats) {
 			us(p.ServedP999.Mean), us(p.ServedMax.Max))
 	}
 	fmt.Fprintf(w, "\n")
-}
-
-// writeServingPlots charts the served p99 error against each numeric
-// sweep axis, mirroring the precision plots. Skipped entirely without
-// serving data.
-func writeServingPlots(w io.Writer, agg []stats.PointStats) {
-	for i := range agg {
-		if agg[i].HasServing() {
-			goto plot
-		}
-	}
-	return
-plot:
-	for _, axis := range numericAxes(agg) {
-		names := []string{}
-		series := map[string]*plotSeries{}
-		for _, p := range agg {
-			if !p.HasServing() {
-				continue
-			}
-			x, _ := strconv.ParseFloat(p.Params[axis], 64)
-			name := otherSig(p.Params, axis)
-			if name == "" {
-				name = "all points"
-			}
-			s, ok := series[name]
-			if !ok {
-				s = &plotSeries{Name: name}
-				series[name] = s
-				names = append(names, name)
-			}
-			e := p.ServedP99
-			s.Points = append(s.Points, plotPoint{X: x, Y: e.Mean * 1e6, Lo: e.Lo * 1e6, Hi: e.Hi * 1e6})
-			for _, v := range e.Values {
-				s.Scatter = append(s.Scatter, xy{X: x, Y: v * 1e6})
-			}
-		}
-		if len(names) == 0 {
-			continue
-		}
-		sort.Strings(names)
-		var ss []plotSeries
-		for _, n := range names {
-			s := series[n]
-			sort.Slice(s.Points, func(i, j int) bool { return s.Points[i].X < s.Points[j].X })
-			sort.Slice(s.Scatter, func(i, j int) bool {
-				if s.Scatter[i].X != s.Scatter[j].X {
-					return s.Scatter[i].X < s.Scatter[j].X
-				}
-				return s.Scatter[i].Y < s.Scatter[j].Y
-			})
-			ss = append(ss, *s)
-		}
-		fmt.Fprintf(w, "## Served p99 error vs %s\n\n", axis)
-		fmt.Fprintf(w, "Line: mean across seeds of the per-seed served p99 client error.\nBand: Student-t 95%% CI. Dots: per-seed values.\n\n")
-		fmt.Fprintf(w, "%s\n\n", renderSVG("served p99 vs "+axis, axis, "served p99 error [µs]", ss))
-	}
 }
 
 // writeDisciplineRanking ranks clock disciplines head-to-head when the
@@ -485,12 +428,45 @@ func otherSig(params map[string]string, axis string) string {
 	return sig
 }
 
-func writePlots(w io.Writer, agg []stats.PointStats) {
+// axisPlot names one per-point estimate charted against every numeric
+// sweep axis, and the text around its charts.
+type axisPlot struct {
+	estimate func(*stats.PointStats) stats.Estimate
+	heading  string // section "## <heading> vs <axis>"
+	caption  string
+	title    string // chart "<title> vs <axis>"
+	yLabel   string
+}
+
+var (
+	precisionPlot = axisPlot{
+		estimate: func(p *stats.PointStats) stats.Estimate { return p.Precision },
+		heading:  "Precision",
+		caption:  "Line: mean across seeds. Band: Student-t 95% CI. Dots: per-seed\nwindow means.",
+		title:    "precision",
+		yLabel:   "precision [µs]",
+	}
+	servedP99Plot = axisPlot{
+		estimate: func(p *stats.PointStats) stats.Estimate { return p.ServedP99 },
+		heading:  "Served p99 error",
+		caption:  "Line: mean across seeds of the per-seed served p99 client error.\nBand: Student-t 95% CI. Dots: per-seed values.",
+		title:    "served p99",
+		yLabel:   "served p99 error [µs]",
+	}
+)
+
+// writeAxisPlots charts pl's estimate against each numeric sweep axis:
+// one line (mean), band (Student-t CI) and scatter (per-seed values)
+// series per combination of the other params, in µs, over the points
+// whose estimate has data. An axis with no such point gets no chart.
+func writeAxisPlots(w io.Writer, agg []stats.PointStats, pl axisPlot) {
 	for _, axis := range numericAxes(agg) {
 		names := []string{}
 		series := map[string]*plotSeries{}
-		for _, p := range agg {
-			if p.Precision.N == 0 {
+		for i := range agg {
+			p := &agg[i]
+			e := pl.estimate(p)
+			if e.N == 0 {
 				continue
 			}
 			x, _ := strconv.ParseFloat(p.Params[axis], 64)
@@ -504,11 +480,13 @@ func writePlots(w io.Writer, agg []stats.PointStats) {
 				series[name] = s
 				names = append(names, name)
 			}
-			e := p.Precision
 			s.Points = append(s.Points, plotPoint{X: x, Y: e.Mean * 1e6, Lo: e.Lo * 1e6, Hi: e.Hi * 1e6})
 			for _, v := range e.Values {
 				s.Scatter = append(s.Scatter, xy{X: x, Y: v * 1e6})
 			}
+		}
+		if len(names) == 0 {
+			continue
 		}
 		sort.Strings(names)
 		var ss []plotSeries
@@ -523,8 +501,7 @@ func writePlots(w io.Writer, agg []stats.PointStats) {
 			})
 			ss = append(ss, *s)
 		}
-		fmt.Fprintf(w, "## Precision vs %s\n\n", axis)
-		fmt.Fprintf(w, "Line: mean across seeds. Band: Student-t 95%% CI. Dots: per-seed\nwindow means.\n\n")
-		fmt.Fprintf(w, "%s\n\n", renderSVG("precision vs "+axis, axis, "precision [µs]", ss))
+		fmt.Fprintf(w, "## %s vs %s\n\n%s\n\n", pl.heading, axis, pl.caption)
+		fmt.Fprintf(w, "%s\n\n", renderSVG(pl.title+" vs "+axis, axis, pl.yLabel, ss))
 	}
 }

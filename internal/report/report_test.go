@@ -133,6 +133,19 @@ func TestGenerateWithErrors(t *testing.T) {
 	if !strings.Contains(buf.String(), "**1 errored**") || !strings.Contains(buf.String(), "(1 errored)") {
 		t.Errorf("errored cell not surfaced:\n%.400s", buf.String())
 	}
+
+	// With every cell errored no point has a precision estimate, so no
+	// axis gets a precision chart, empty or not.
+	for i := range rs {
+		rs[i].Err = "panic: boom"
+	}
+	buf.Reset()
+	if err := Generate(&buf, "e", rs, stats.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if out := buf.String(); !strings.Contains(out, "**8 errored**") || strings.Contains(out, "## Precision vs") {
+		t.Errorf("all-errored campaign: want 8 errored cells and no precision chart:\n%.600s", out)
+	}
 }
 
 // TestJSONLRoundTrip: a report generated from the JSONL artifact must

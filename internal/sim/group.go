@@ -1,16 +1,17 @@
-// Conservative parallel composition of Simulators.
+// Conservative composition of Simulators.
 //
 // A Group runs S independent sub-simulators ("shards") in lock-step
 // windows of width equal to the lookahead: within a window every shard
-// processes its own events freely, and anything one shard wants to
-// happen on another is routed through Post, which requires the target
-// time to lie at or beyond the window end. Because cross-shard
-// causality in this repository is carried by WAN links whose
-// propagation delay is at least the lookahead, a post made at
-// simulated time τ inside the window (t, t+W] targets τ+D ≥ t+W, so
-// no shard can ever receive an event in its past — the classical
-// conservative (Chandy–Misra style) synchronization argument, with
-// the barrier playing the role of the null message (see DESIGN.md §8).
+// processes its own events freely, one shard after the other, and
+// anything one shard wants to happen on another is routed through
+// Post, which requires the target time to lie at or beyond the window
+// end. Because cross-shard causality in this repository is carried by
+// WAN links whose propagation delay is at least the lookahead, a post
+// made at simulated time τ inside the window (t, t+W] targets
+// τ+D ≥ t+W, so no shard can ever receive an event in its past — the
+// classical conservative (Chandy–Misra style) synchronization
+// argument, with the barrier playing the role of the null message
+// (see DESIGN.md §8).
 //
 // Most windows of a sparse model hold no event at all. RunUntil skips
 // them without a barrier: when no shard has an event due by a window's
@@ -19,15 +20,13 @@
 // grid. Window ends, and so every firing and every group.* metric, are
 // exactly those of running each window.
 //
-// Determinism is independent of the worker count: the shard
-// decomposition, the window boundaries, and the mailbox flush order
-// depend only on (lookahead, horizon, posting shard, posting order) —
-// never on goroutine scheduling. Worker goroutines only ever touch
-// disjoint shards inside a window, and all cross-shard state crosses
-// the barrier through channels, so runs are race-free and
-// byte-identical for 1 and N workers. One worker runs the shards in
-// turn on the driving goroutine; no measured workload runs faster on
-// more (DESIGN.md §8).
+// The shard decomposition, the window boundaries and the mailbox flush
+// order depend only on (lookahead, horizon, posting shard, posting
+// order), so a run is a pure function of its inputs. The shards run in
+// turn on the calling goroutine: the speed of the sharded topology
+// comes from the per-segment queues and the skipped idle windows, and
+// no measured workload ran faster with a worker goroutine per shard
+// (DESIGN.md §8).
 package sim
 
 import (
@@ -63,13 +62,11 @@ type crossPost struct {
 // Group composes per-shard Simulators under windowed conservative
 // synchronization. The zero value is not usable; call NewGroup.
 //
-// A Group is driven from a single goroutine (RunUntil). With one
-// worker it runs every shard there; with more, the worker goroutines
-// live for one RunUntil call and wake once per window that runs.
+// A Group is single-goroutine state, like its shards: RunUntil runs
+// every shard on the calling goroutine.
 type Group struct {
 	shards    []*Simulator
 	lookahead float64
-	workers   int
 
 	now    float64
 	winEnd float64 // end of the window currently executing (read-only inside it)
@@ -77,20 +74,10 @@ type Group struct {
 	outbox [][]crossPost // one append-only outbox per source shard
 	merged []crossPost   // flush scratch, reused across windows
 
-	// Per-window worker rendezvous. wstart[w] carries the window end to
-	// worker w (per-worker channels so a fast worker cannot steal a
-	// slower worker's wake-up and skip that worker's shards); wdone
-	// collects one token per worker per window. wpanic holds the first
-	// panic recovered on each worker, re-raised on the driving
-	// goroutine so a panicking model behaves as in the serial engine.
-	wstart []chan float64
-	wdone  chan struct{}
-	wpanic []any
-
 	// Telemetry handles (SetTelemetry): window count, flushed cross-shard
 	// posts, events per window and the per-window shard imbalance ratio.
-	// All updates happen on the driving goroutine strictly between
-	// windows, so they are as deterministic as the window boundaries.
+	// All updates happen strictly between windows, so they are as
+	// deterministic as the window boundaries.
 	tmWindows   *telemetry.Counter
 	tmPosts     *telemetry.Counter
 	tmWinEvents *telemetry.Gauge
@@ -99,25 +86,17 @@ type Group struct {
 }
 
 // NewGroup builds a Group over the given shards. lookahead is the
-// minimum cross-shard latency in simulated seconds and must be > 0;
-// workers is clamped to [1, len(shards)].
-func NewGroup(lookahead float64, workers int, shards []*Simulator) *Group {
+// minimum cross-shard latency in simulated seconds and must be > 0.
+func NewGroup(lookahead float64, shards []*Simulator) *Group {
 	if len(shards) == 0 {
 		panic("sim: NewGroup with no shards")
 	}
 	if !(lookahead > 0) {
 		panic(fmt.Sprintf("sim: NewGroup lookahead %v must be > 0", lookahead))
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(shards) {
-		workers = len(shards)
-	}
 	return &Group{
 		shards:    shards,
 		lookahead: lookahead,
-		workers:   workers,
 		outbox:    make([][]crossPost, len(shards)),
 	}
 }
@@ -128,15 +107,9 @@ func (g *Group) Shards() int { return len(g.shards) }
 // Shard returns sub-simulator i.
 func (g *Group) Shard(i int) *Simulator { return g.shards[i] }
 
-// Workers returns the configured worker-goroutine count.
-func (g *Group) Workers() int { return g.workers }
-
 // Now returns the group clock: the end of the last completed window.
 // Individual shards sit exactly at this time between windows.
 func (g *Group) Now() float64 { return g.now }
-
-// Lookahead returns the window width.
-func (g *Group) Lookahead() float64 { return g.lookahead }
 
 // EventCount sums fired events across shards.
 func (g *Group) EventCount() uint64 {
@@ -156,7 +129,7 @@ func (g *Group) EventCount() uint64 {
 // cumulative fired-event count and window lag — how far short of the
 // group clock the shard went idle — both read at capture time.
 //
-// Wall-clock worker utilization is deliberately absent: it would differ
+// Wall-clock observations are deliberately absent: they would differ
 // run to run, and snapshots must stay a pure function of sim state. The
 // live Monitor owns wall-clock observations.
 func (g *Group) SetTelemetry(r *telemetry.Registry) {
@@ -192,8 +165,8 @@ func (g *Group) windowTelemetry() {
 }
 
 // Post schedules fn to run on shard dst at absolute time at. It may be
-// called from shard src's event callbacks while a window executes (and
-// from the driving goroutine between windows). The target time must
+// called from shard src's event callbacks while a window executes, and
+// between windows. The target time must
 // not precede the end of the current window — the conservative-sync
 // contract; violating it means the claimed lookahead was wrong, which
 // would silently break determinism, so it panics loudly instead.
@@ -201,7 +174,8 @@ func (g *Group) windowTelemetry() {
 // Posts are buffered per source shard and flushed at the barrier in a
 // canonical order (by target time, ties broken by source shard then
 // posting order), so the destination shard's (at, seq) tie-break is a
-// pure function of simulation state, not goroutine timing.
+// pure function of simulation state, not of the order the shards ran
+// in.
 func (g *Group) Post(src, dst int, at float64, fn func()) {
 	if at < g.winEnd {
 		panic(fmt.Sprintf("sim: cross-shard post at %v before window end %v (lookahead %v violated)",
@@ -211,7 +185,7 @@ func (g *Group) Post(src, dst int, at float64, fn func()) {
 }
 
 // flush drains every outbox into the destination shards in canonical
-// order. Runs on the driving goroutine, strictly between windows.
+// order, strictly between windows.
 func (g *Group) flush() {
 	m := g.merged[:0]
 	for src := range g.outbox {
@@ -232,17 +206,12 @@ func (g *Group) flush() {
 }
 
 // RunUntil advances every shard to horizon in conservative windows of
-// width Lookahead, flushing cross-shard posts at each barrier and
+// width lookahead, flushing cross-shard posts at each barrier and
 // skipping windows with nothing due (skipIdle). It returns the group
 // clock (== horizon when horizon > Now).
 func (g *Group) RunUntil(horizon float64) float64 {
 	if horizon <= g.now {
 		return g.now
-	}
-	par := g.workers > 1 && len(g.shards) > 1
-	if par {
-		g.startWorkers()
-		defer g.stopWorkers()
 	}
 	for g.now < horizon {
 		end := g.windowEnd(horizon)
@@ -250,12 +219,8 @@ func (g *Group) RunUntil(horizon float64) float64 {
 			end = g.skipIdle(end, horizon)
 		}
 		g.winEnd = end
-		if par {
-			g.runWindowParallel(end)
-		} else {
-			for _, s := range g.shards {
-				s.RunUntil(end)
-			}
+		for _, s := range g.shards {
+			s.RunUntil(end)
 		}
 		g.flush()
 		g.now = end
@@ -312,60 +277,4 @@ func (g *Group) skipIdle(end, horizon float64) float64 {
 		g.tmWinEvents.Set(0)
 	}
 	return end
-}
-
-// startWorkers spawns the per-RunUntil worker pool. Worker w owns the
-// shard stride w, w+P, w+2P, … — a static partition, so two workers
-// never touch the same shard and the assignment is scheduling-free.
-func (g *Group) startWorkers() {
-	p := g.workers
-	g.wstart = make([]chan float64, p)
-	g.wdone = make(chan struct{}, p)
-	g.wpanic = make([]any, p)
-	for w := 0; w < p; w++ {
-		g.wstart[w] = make(chan float64, 1)
-		go func(w int) {
-			for end := range g.wstart[w] {
-				func() {
-					defer func() {
-						if r := recover(); r != nil && g.wpanic[w] == nil {
-							g.wpanic[w] = r
-						}
-					}()
-					for i := w; i < len(g.shards); i += p {
-						g.shards[i].RunUntil(end)
-					}
-				}()
-				g.wdone <- struct{}{}
-			}
-		}(w)
-	}
-}
-
-// runWindowParallel executes one window on the worker pool and
-// re-raises the lowest-indexed worker panic, if any, on the caller.
-func (g *Group) runWindowParallel(end float64) {
-	for _, ch := range g.wstart {
-		ch <- end
-	}
-	for range g.wstart {
-		<-g.wdone
-	}
-	for w := range g.wpanic {
-		if r := g.wpanic[w]; r != nil {
-			g.wpanic[w] = nil
-			panic(r)
-		}
-	}
-}
-
-// stopWorkers shuts the pool down (workers exit when their start
-// channel closes). Safe during panic unwinding via defer.
-func (g *Group) stopWorkers() {
-	for _, ch := range g.wstart {
-		close(ch)
-	}
-	g.wstart = nil
-	g.wdone = nil
-	g.wpanic = nil
 }

@@ -56,11 +56,11 @@ type firing struct {
 	Draw  uint64
 }
 
-// run builds the scenario on a fresh Group with the given worker count
-// and drives it to the horizon, in one RunUntil or one window per call.
+// run builds the scenario on a fresh Group and drives it to the
+// horizon, in one RunUntil or one window per call.
 // It returns the firing log (shard-major) and the telemetry of the
 // group and every shard.
-func (sc windowScenario) run(workers int, stepped bool) ([]firing, telemetry.Snapshot) {
+func (sc windowScenario) run(stepped bool) ([]firing, telemetry.Snapshot) {
 	sims := make([]*Simulator, sc.shards)
 	regs := []*telemetry.Registry{telemetry.New()}
 	for i := range sims {
@@ -70,10 +70,8 @@ func (sc windowScenario) run(workers int, stepped bool) ([]firing, telemetry.Sna
 		sims[i].Observe(nil, r)
 		regs = append(regs, r)
 	}
-	g := NewGroup(scenarioLookahead, workers, sims)
+	g := NewGroup(scenarioLookahead, sims)
 	g.SetTelemetry(regs[0])
-	// Per-shard state only: callbacks on different shards run
-	// concurrently when workers > 1.
 	logs := make([][]firing, sc.shards)
 	grids := make([]windowGrid, sc.shards)
 	rngs := make([]*RNG, sc.shards)
@@ -130,7 +128,7 @@ func (sc windowScenario) run(workers int, stepped bool) ([]firing, telemetry.Sna
 	}
 	if stepped {
 		for g.Now() < h {
-			g.RunUntil(min(g.Now()+g.Lookahead(), h))
+			g.RunUntil(min(g.Now()+g.lookahead, h))
 		}
 	} else {
 		g.RunUntil(h)
@@ -143,10 +141,9 @@ func (sc windowScenario) run(workers int, stepped bool) ([]firing, telemetry.Sna
 }
 
 // FuzzGroupWindows checks that skipping idle windows is invisible: one
-// RunUntil to the horizon (which skips), stepping one window per call
-// (which never skips), and three workers instead of one all fire the
-// same callbacks at the same times with the same draws, and leave the
-// same group and shard telemetry.
+// RunUntil to the horizon (which skips) and stepping one window per
+// call (which never skips) fire the same callbacks at the same times
+// with the same draws, and leave the same group and shard telemetry.
 func FuzzGroupWindows(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, shards, windows, idle uint16, offGrid bool) {
 		sc := windowScenario{
@@ -156,19 +153,13 @@ func FuzzGroupWindows(f *testing.F) {
 			offGrid: offGrid,
 			idle:    1 + int(idle%3000),
 		}
-		log, tm := sc.run(1, false)
-		for _, v := range []struct {
-			name    string
-			workers int
-			stepped bool
-		}{{"stepped", 1, true}, {"workers=3", 3, false}} {
-			l, m := sc.run(v.workers, v.stepped)
-			if !reflect.DeepEqual(log, l) {
-				t.Errorf("%+v %s: firing log differs (%d vs %d firings)", sc, v.name, len(l), len(log))
-			}
-			if !reflect.DeepEqual(tm, m) {
-				t.Errorf("%+v %s: telemetry differs\n got %+v\nwant %+v", sc, v.name, m, tm)
-			}
+		log, tm := sc.run(false)
+		l, m := sc.run(true)
+		if !reflect.DeepEqual(log, l) {
+			t.Errorf("%+v stepped: firing log differs (%d vs %d firings)", sc, len(l), len(log))
+		}
+		if !reflect.DeepEqual(tm, m) {
+			t.Errorf("%+v stepped: telemetry differs\n got %+v\nwant %+v", sc, m, tm)
 		}
 	})
 }

@@ -20,7 +20,7 @@ type HistValue struct {
 // Snapshot is the merged state of one or more registries at a sim time.
 // Everything in it is a pure function of (config, seed, sim time), so
 // marshaling one (encoding/json sorts map keys) yields identical bytes on
-// every run regardless of worker or shard-worker counts.
+// every run regardless of the campaign worker count.
 type Snapshot struct {
 	T        float64               `json:"t"`
 	Counters map[string]uint64     `json:"counters,omitempty"`

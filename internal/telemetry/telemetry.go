@@ -19,7 +19,7 @@
 //
 //   - Snapshots are sim-domain only. Everything that enters a Snapshot is a
 //     pure function of (config, seed, sim time), so snapshot artifacts are
-//     byte-identical across worker and shard-worker counts. Wall-clock
+//     byte-identical across campaign worker counts. Wall-clock
 //     observations (worker utilization, throughput, ETA) live in Monitor,
 //     which serves them over HTTP and never writes artifacts.
 package telemetry

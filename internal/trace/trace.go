@@ -222,10 +222,6 @@ func (r Record) String() string {
 
 // Options tunes a Tracer.
 type Options struct {
-	// RingCap is the per-node ring capacity in records; when a node
-	// emits more, the oldest records are overwritten (and counted by
-	// Dropped). Default 16384 (~1 MB/node).
-	RingCap int
 	// DMAWords records every 32-bit COMCO DMA transfer (KindDMAWord),
 	// the full logic-analyzer view. Off by default: the word stream
 	// would evict everything else from the rings; cmd/ntitrace turns it
@@ -233,9 +229,10 @@ type Options struct {
 	DMAWords bool
 }
 
-// DefaultRingCap is the per-node ring capacity when Options.RingCap is
-// zero.
-const DefaultRingCap = 16384
+// defaultRingCap is the per-node ring capacity in records (~1 MB per
+// node); when a node emits more, the oldest records are overwritten
+// (and counted by Dropped).
+const defaultRingCap = 16384
 
 // ring is one node's record buffer: a fixed-capacity circular array.
 // buf is allocated once, at the node's first record.
@@ -250,18 +247,16 @@ type ring struct {
 // goroutine-safe — like the simulator that feeds it, it belongs to
 // exactly one cell.
 type Tracer struct {
-	opts  Options
-	seq   uint64
-	shard int16
-	rings []ring // indexed by node+2 (-2 = background, -1 = kernel/medium)
+	opts    Options
+	ringCap int // per-node ring capacity in records
+	seq     uint64
+	shard   int16
+	rings   []ring // indexed by node+2 (-2 = background, -1 = kernel/medium)
 }
 
 // New creates a Tracer.
 func New(o Options) *Tracer {
-	if o.RingCap <= 0 {
-		o.RingCap = DefaultRingCap
-	}
-	return &Tracer{opts: o, shard: -1}
+	return &Tracer{opts: o, ringCap: defaultRingCap, shard: -1}
 }
 
 // SetShard tags every subsequently emitted record with the given shard
@@ -295,7 +290,7 @@ func (t *Tracer) Emit(k Kind, now float64, node, ch int, a, b uint64, v float64)
 	}
 	r := &t.rings[idx]
 	if r.buf == nil {
-		r.buf = make([]Record, t.opts.RingCap)
+		r.buf = make([]Record, t.ringCap)
 	}
 	r.buf[r.n%uint64(len(r.buf))] = Record{
 		T: now, Seq: t.seq, A: a, B: b, V: v,
@@ -317,7 +312,7 @@ func (t *Tracer) emitRecord(rec Record) {
 	}
 	r := &t.rings[idx]
 	if r.buf == nil {
-		r.buf = make([]Record, t.opts.RingCap)
+		r.buf = make([]Record, t.ringCap)
 	}
 	rec.Seq = t.seq
 	r.buf[r.n%uint64(len(r.buf))] = rec
@@ -355,11 +350,8 @@ func MergeShards(ts []*Tracer) *Tracer {
 		}
 		return a.Seq < b.Seq
 	})
-	opts.RingCap = total
-	if opts.RingCap == 0 {
-		opts.RingCap = 1
-	}
 	out := New(opts)
+	out.ringCap = max(total, 1)
 	for i := range all {
 		out.emitRecord(all[i])
 	}

@@ -10,9 +10,16 @@ func TestNilTracerIsNoop(t *testing.T) {
 	if tr.Len() != 0 || tr.Dropped() != 0 || tr.Records() != nil {
 		t.Error("nil tracer not a clean no-op")
 	}
-	if o := tr.Options(); o.DMAWords || o.RingCap != 0 {
+	if o := tr.Options(); o.DMAWords {
 		t.Errorf("nil tracer options = %+v, want zero", o)
 	}
+}
+
+// newWithCap returns a Tracer whose per-node rings hold cap records.
+func newWithCap(cap int) *Tracer {
+	tr := New(Options{})
+	tr.ringCap = cap
+	return tr
 }
 
 func TestEmitOrderAndPayload(t *testing.T) {
@@ -44,7 +51,7 @@ func TestEmitOrderAndPayload(t *testing.T) {
 }
 
 func TestRingWrapKeepsNewest(t *testing.T) {
-	tr := New(Options{RingCap: 8})
+	tr := newWithCap(8)
 	for i := 0; i < 20; i++ {
 		tr.Emit(KindFrameTx, float64(i), 0, 0, uint64(i), 0, 0)
 	}
@@ -63,7 +70,7 @@ func TestRingWrapKeepsNewest(t *testing.T) {
 }
 
 func TestPerNodeRingsMergeBySeq(t *testing.T) {
-	tr := New(Options{RingCap: 4})
+	tr := newWithCap(4)
 	// Interleave two nodes; each ring holds only its node's records.
 	for i := 0; i < 6; i++ {
 		tr.Emit(KindFrameTx, float64(i), i%2, 0, uint64(i), 0, 0)
@@ -89,7 +96,7 @@ func TestEmitZeroAlloc(t *testing.T) {
 		t.Errorf("nil tracer Emit: %v allocs/op, want 0", n)
 	}
 
-	tr := New(Options{RingCap: 64})
+	tr := newWithCap(64)
 	tr.Emit(KindFrameTx, 0, 0, 0, 0, 0, 0) // warm the node-0 ring
 	if n := testing.AllocsPerRun(100, func() {
 		tr.Emit(KindFrameTx, 1, 0, 0, 1, 64, 57e-6)
