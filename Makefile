@@ -1,18 +1,20 @@
 GO ?= go
 
-.PHONY: ci fmt vet build deadcode test race bench bench-smoke bench-module
+.PHONY: ci fmt vet build deadcode golden-flag test race bench bench-smoke bench-module
 
 # ci is the whole gate .github/workflows/ci.yml runs: gofmt, vet, build,
 # the full test suite under the race detector (the harness worker pool
 # is the main customer of -race), one pass of every microbenchmark, and
 # the ntiperf module's own vet and tests. The suite includes every
-# golden gate: cmd/nticampaign's TestCampaignGoldens byte-diffs each
-# gated preset's artifacts against testdata/
-# (regenerate with `go test ./cmd/nticampaign -run CampaignGoldens -update`),
-# and cmd/ntibench's TestSuiteClaimsAtSeed1998 byte-diffs the seed-1998
-# experiment tables against testdata/seed1998.golden.txt (regenerate with
-# `go test ./cmd/ntibench -run SuiteClaimsAtSeed1998 -update`).
-ci: fmt vet build deadcode race bench-smoke bench-module
+# golden gate; all six golden tests go through internal/golden.Check,
+# which byte-diffs each artifact against its testdata/ file. Regenerate
+# them all with
+#   go test -v ./cmd/nticampaign ./cmd/ntibench ./cmd/ntireport ./cmd/ntitrace ./internal/cluster ./internal/report -update
+# and read the log: each rewritten golden names its changed fields, each
+# marked engine (events, seq, sim.*, group.*) or model, and says
+# "engine-only" when no model field changed; an unchanged one logs
+# "unchanged" and is not rewritten.
+ci: fmt vet build deadcode golden-flag race bench-smoke bench-module
 
 # fmt fails when gofmt would change any tracked Go file; listing files
 # through git skips build outputs such as .bench_build/.
@@ -46,6 +48,12 @@ deadcode:
 		[ -z "$$new" ] || printf 'linked by no binary and not in deadcode.allow:\n%s\n' "$$new"; \
 		[ -z "$$stale" ] || printf 'deadcode.allow entries that are linked or gone:\n%s\n' "$$stale"; \
 		exit 1; fi
+
+# golden-flag fails when a Go file outside internal/golden declares its
+# own -update flag, so the golden mechanism stays one (git grep exits 1
+# only when nothing matches; a match is 0, an error 128).
+golden-flag:
+	@git grep -n 'flag.Bool("update"' -- '*.go' ':!internal/golden'; test $$? -eq 1
 
 test:
 	$(GO) test ./...

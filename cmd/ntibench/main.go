@@ -80,8 +80,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
+	known := map[string]bool{}
+	for _, r := range runners {
+		known[r.id] = true
+	}
+	// A typo is a usage error, not a shorter suite.
 	want := map[string]bool{}
 	for _, a := range fs.Args() {
+		if !known[a] {
+			fmt.Fprintf(stderr, "ntibench: unknown experiment %q (use -list)\n", a)
+			return 2
+		}
 		want[a] = true
 	}
 
@@ -91,10 +100,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			continue
 		}
 		selected = append(selected, i)
-	}
-	if len(selected) == 0 {
-		fmt.Fprintln(stderr, "ntibench: no matching experiments (use -list)")
-		return 2
 	}
 
 	stopProf, err := prof.Start(*cpuprofile, *memprofile)

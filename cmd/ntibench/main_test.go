@@ -2,15 +2,12 @@ package main
 
 import (
 	"bytes"
-	"flag"
-	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-)
 
-var update = flag.Bool("update", false, "rewrite testdata/seed1998.golden.txt from this run")
+	"ntisim/internal/golden"
+)
 
 // TestSuiteClaimsAtSeed1998 runs E1…E15 at the seed EXPERIMENTS.md
 // quotes and requires every claim to hold. The experiments package's
@@ -36,33 +33,7 @@ func TestSuiteClaimsAtSeed1998(t *testing.T) {
 	if want := "all 15 experiments reproduce the paper's claims (seed 1998)"; !strings.Contains(stdout.String(), want) {
 		t.Errorf("missing summary line %q", want)
 	}
-	golden := filepath.Join("testdata", "seed1998.golden.txt")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, stdout.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (regenerate with -update)", err)
-	}
-	if got := stdout.Bytes(); !bytes.Equal(got, want) {
-		t.Errorf("output differs from %s: %s (regenerate with -update if intentional)", golden, firstDiff(got, want))
-	}
-}
-
-// firstDiff describes where two outputs first differ.
-func firstDiff(got, want []byte) string {
-	g, w := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
-	for i := 0; i < len(g) && i < len(w); i++ {
-		if !bytes.Equal(g[i], w[i]) {
-			return fmt.Sprintf("line %d\n--- got ---\n%.300s\n--- want ---\n%.300s", i+1, g[i], w[i])
-		}
-	}
-	return fmt.Sprintf("%d bytes, want %d", len(got), len(want))
+	golden.Check(t, filepath.Join("testdata", "seed1998.golden.txt"), stdout.Bytes())
 }
 
 func TestListPrintsEveryExperiment(t *testing.T) {
@@ -81,13 +52,20 @@ func TestListPrintsEveryExperiment(t *testing.T) {
 	}
 }
 
+// TestUnknownExperimentExits2: an argument that names no experiment is
+// a usage error even beside valid ones, so a typo cannot shrink the run.
 func TestUnknownExperimentExits2(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"E99"}, &stdout, &stderr); code != 2 {
-		t.Fatalf("exit %d, want 2", code)
-	}
-	if !strings.Contains(stderr.String(), "use -list") {
-		t.Errorf("stderr = %q, want the -list hint", stderr.String())
+	for _, args := range [][]string{{"E99"}, {"E1", "E99"}} {
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 2 {
+			t.Errorf("%v: exit %d, want 2", args, code)
+		}
+		if !strings.Contains(stderr.String(), `"E99"`) || !strings.Contains(stderr.String(), "use -list") {
+			t.Errorf("%v: stderr = %q, want E99 named and the -list hint", args, stderr.String())
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: ran experiments:\n%s", args, stdout.String())
+		}
 	}
 }
 

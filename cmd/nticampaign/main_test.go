@@ -2,8 +2,6 @@ package main
 
 import (
 	"bytes"
-	"flag"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,10 +9,9 @@ import (
 
 	"ntisim/internal/cluster"
 	"ntisim/internal/discipline"
+	"ntisim/internal/golden"
 	"ntisim/internal/service"
 )
-
-var update = flag.Bool("update", false, "rewrite golden files from this run")
 
 // TestCampaignGoldens is the regression gate for every campaign preset
 // that pins a result: each row runs its preset once, in subtest
@@ -67,35 +64,11 @@ func TestCampaignGoldens(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					golden := filepath.Join("testdata", name)
-					if *update {
-						if err := os.WriteFile(golden, got, 0o644); err != nil {
-							t.Fatal(err)
-						}
-					}
-					want, err := os.ReadFile(golden)
-					if err != nil {
-						t.Fatalf("%v (regenerate with -update)", err)
-					}
-					if !bytes.Equal(got, want) {
-						t.Errorf("%s differs from %s: %s (regenerate with -update if intentional)",
-							name, golden, firstDiff(got, want))
-					}
+					golden.Check(t, filepath.Join("testdata", name), got)
 				}
 			})
 		})
 	}
-}
-
-// firstDiff describes where two artifacts first differ.
-func firstDiff(got, want []byte) string {
-	g, w := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
-	for i := 0; i < len(g) && i < len(w); i++ {
-		if !bytes.Equal(g[i], w[i]) {
-			return fmt.Sprintf("line %d\n--- got ---\n%.300s\n--- want ---\n%.300s", i+1, g[i], w[i])
-		}
-	}
-	return fmt.Sprintf("%d bytes, want %d", len(got), len(want))
 }
 
 func runCampaign(args ...string) (code int, stdout, stderr string) {

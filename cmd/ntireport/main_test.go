@@ -2,14 +2,13 @@ package main
 
 import (
 	"bytes"
-	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-)
 
-var update = flag.Bool("update", false, "rewrite golden files from this run")
+	"ntisim/internal/golden"
+)
 
 // smokeJSONL is the committed 3-seed smoke campaign artifact that
 // nticampaign's TestCampaignGoldens pins.
@@ -33,18 +32,7 @@ func TestReportGolden(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, stderr)
 	}
-	if *update {
-		if err := os.WriteFile(smokeReport, []byte(stdout), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(smokeReport)
-	if err != nil {
-		t.Fatalf("%v (regenerate with -update)", err)
-	}
-	if stdout != string(want) {
-		t.Fatalf("report differs from %s (regenerate with -update if intentional)\n--- got ---\n%.2000s", smokeReport, stdout)
-	}
+	golden.Check(t, smokeReport, []byte(stdout))
 }
 
 // TestDirSkipsAuxiliaryArtifacts: a campaign directory also holds the

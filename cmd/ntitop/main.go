@@ -139,6 +139,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if *every <= 0 {
+		// time.Sleep returns at once: the loop would hammer the
+		// endpoint and clear the screen without pause.
+		fmt.Fprintf(stderr, "ntitop: -every must be > 0, got %v\n", *every)
+		return 2
+	}
 
 	url := "http://" + *addr + "/campaign.json"
 	client := &http.Client{Timeout: 5 * time.Second}

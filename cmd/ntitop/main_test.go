@@ -24,14 +24,34 @@ func TestBadFlagExits2(t *testing.T) {
 	}
 }
 
-func TestOnceUnreachableExits1(t *testing.T) {
-	// A port that was just bound and released refuses connections.
+// TestNonPositiveEveryExits2: a zero or negative refresh period would
+// poll without pause, so it is rejected before any fetch.
+func TestNonPositiveEveryExits2(t *testing.T) {
+	for _, every := range []string{"0", "-1s"} {
+		code, stdout, stderr := runTop("-addr", closedAddr(t), "-once", "-every", every)
+		if code != 2 {
+			t.Errorf("-every %s: exit %d, want 2", every, code)
+		}
+		if !strings.Contains(stderr, "-every") || stdout != "" {
+			t.Errorf("-every %s: stderr = %q, stdout = %q", every, stderr, stdout)
+		}
+	}
+}
+
+// closedAddr returns a port that was just bound and released, so it
+// refuses connections.
+func closedAddr(t *testing.T) string {
+	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := l.Addr().String()
-	l.Close()
+	defer l.Close()
+	return l.Addr().String()
+}
+
+func TestOnceUnreachableExits1(t *testing.T) {
+	addr := closedAddr(t)
 	code, _, stderr := runTop("-addr", addr, "-once")
 	if code != 1 {
 		t.Fatalf("exit %d, want 1", code)

@@ -2,13 +2,11 @@ package main
 
 import (
 	"bytes"
-	"flag"
-	"os"
 	"path/filepath"
 	"testing"
-)
 
-var update = flag.Bool("update", false, "rewrite golden files from this run")
+	"ntisim/internal/golden"
+)
 
 // TestJSONGolden pins the -json trace of one CSP's flight through the
 // Fig. 3 data path on a two-node system, DMA words included. Any diff
@@ -21,19 +19,7 @@ func TestJSONGolden(t *testing.T) {
 	if code := run([]string{"-json"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit %d: %s", code, stderr.String())
 	}
-	golden := filepath.Join("testdata", "smoke.trace.golden.jsonl")
-	if *update {
-		if err := os.WriteFile(golden, stdout.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (regenerate with -update)", err)
-	}
-	if !bytes.Equal(stdout.Bytes(), want) {
-		t.Fatalf("trace differs from golden (regenerate with -update if intentional)\n--- got ---\n%.2000s", stdout.String())
-	}
+	golden.Check(t, filepath.Join("testdata", "smoke.trace.golden.jsonl"), stdout.Bytes())
 }
 
 // TestProse: the default output walks the flight and ends with the CI

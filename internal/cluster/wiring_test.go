@@ -4,22 +4,19 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/json"
-	"flag"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 
 	"ntisim/internal/adversary"
+	"ntisim/internal/golden"
 	"ntisim/internal/gps"
 	"ntisim/internal/service"
 	"ntisim/internal/telemetry"
 	"ntisim/internal/trace"
 )
-
-var update = flag.Bool("update", false, "rewrite golden files from this run")
 
 // wiringConfig is a 2-segment cluster with every observed layer active:
 // tracing and telemetry on, a two-faced traitor, one GPS receiver whose
@@ -100,20 +97,8 @@ func wiringReport(t *testing.T) (report []byte, kinds map[string]bool, snap tele
 //
 //	go test ./internal/cluster -run WiringGolden -update
 func TestObservabilityWiringGolden(t *testing.T) {
-	golden := filepath.Join("testdata", "wiring.golden.txt")
 	got, kinds, snap := wiringReport(t)
-	if *update {
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (regenerate with -update)", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("observability report differs from golden (regenerate with -update if intentional)\n--- got ---\n%.3000s", got)
-	}
+	golden.Check(t, filepath.Join("testdata", "wiring.golden.txt"), got)
 	for _, k := range []string{
 		"frame-tx", "frame-rx", "tx-trigger", "rx-trigger", "rx-done", "latch-read",
 		"csp-send", "csp-arrival", "round-start", "round-update",

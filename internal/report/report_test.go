@@ -2,18 +2,15 @@ package report
 
 import (
 	"bytes"
-	"flag"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"ntisim/internal/cluster"
+	"ntisim/internal/golden"
 	"ntisim/internal/harness"
 	"ntisim/internal/stats"
 )
-
-var update = flag.Bool("update", false, "rewrite golden files from this run")
 
 // fixtureResults is a hand-built 2-axis, 2-seed campaign (4 points ×
 // 2 seeds) with known values, grid (seed-major) order.
@@ -60,22 +57,7 @@ func TestGenerateGolden(t *testing.T) {
 	if err := Generate(&buf, "fixture", fixtureResults(), stats.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	golden := filepath.Join("testdata", "fixture.report.golden.md")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (regenerate with -update)", err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("report differs from golden (regenerate with -update if intentional)\n--- got ---\n%.2000s", buf.String())
-	}
+	golden.Check(t, filepath.Join("testdata", "fixture.report.golden.md"), buf.Bytes())
 }
 
 // The same inputs must always produce the same bytes (bootstrap RNG is
