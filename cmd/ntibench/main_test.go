@@ -36,6 +36,24 @@ func TestSuiteClaimsAtSeed1998(t *testing.T) {
 	golden.Check(t, filepath.Join("testdata", "seed1998.golden.txt"), stdout.Bytes())
 }
 
+// TestOutputIndependentOfWorkers: the suite prints the same bytes from
+// one worker as from four, for the experiments that measure through
+// harness cells as well as around them.
+func TestOutputIndependentOfWorkers(t *testing.T) {
+	ids := []string{"E2", "E3", "E5", "E8", "E14"}
+	var outs [2]string
+	for i, w := range []string{"1", "4"} {
+		var stdout, stderr bytes.Buffer
+		if code := run(append([]string{"-workers", w}, ids...), &stdout, &stderr); code != 0 {
+			t.Fatalf("-workers %s: exit %d: %s", w, code, stderr.String())
+		}
+		outs[i] = stdout.String()
+	}
+	if outs[0] != outs[1] {
+		t.Fatalf("-workers 1 and -workers 4 print different output:\n--- 1 ---\n%s\n--- 4 ---\n%s", outs[0], outs[1])
+	}
+}
+
 func TestListPrintsEveryExperiment(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {

@@ -347,7 +347,7 @@ func writeReport(path, title string, results []harness.Result) error {
 	if err != nil {
 		return err
 	}
-	if err := report.Generate(f, title, results, stats.Options{}); err != nil {
+	if err := report.Generate(f, title, results); err != nil {
 		f.Close()
 		return err
 	}

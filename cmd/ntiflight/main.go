@@ -56,6 +56,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if *rounds < -1 {
+		fmt.Fprintf(stderr, "ntiflight: -rounds %d: want -1 (all), 0 (none) or a positive count\n", *rounds)
+		return 2
+	}
 	fail := func(format string, args ...any) int {
 		fmt.Fprintf(stderr, "ntiflight: "+format+"\n", args...)
 		return 1

@@ -73,6 +73,20 @@ func TestTraceWithoutFlightPathNamesItsKinds(t *testing.T) {
 	}
 }
 
+// TestBadRoundsExits2: a -rounds value below -1 is a usage error that
+// names the flag, not a silent "all".
+func TestBadRoundsExits2(t *testing.T) {
+	for _, v := range []string{"-2", "-100"} {
+		code, stdout, stderr := runFlight("-in", smokeTrace, "-rounds", v)
+		if code != 2 {
+			t.Errorf("-rounds %s: exit %d, want 2", v, code)
+		}
+		if !strings.Contains(stderr, "-rounds") || stdout != "" {
+			t.Errorf("-rounds %s: stderr = %q, stdout %d bytes", v, stderr, len(stdout))
+		}
+	}
+}
+
 func TestBadFlagExits2(t *testing.T) {
 	code, _, stderr := runFlight("-no-such-flag")
 	if code != 2 {

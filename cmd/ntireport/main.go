@@ -21,13 +21,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
 
 	"ntisim/internal/report"
-	"ntisim/internal/stats"
 )
 
 func main() {
@@ -42,8 +40,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	in := fs.String("in", "", "JSONL artifact file, or a directory of <name>.jsonl result artifacts (required)")
 	out := fs.String("out", "", "output Markdown file (default stdout)")
-	bootstrap := fs.Int("bootstrap", 1000, "bootstrap resamples for CIs (negative disables)")
-	converged := fs.Float64("converged-below", 5e-6, "precision threshold [s] defining convergence time on timeline artifacts")
 	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
 		return 0
 	} else if err != nil {
@@ -52,10 +48,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *in == "" {
 		fmt.Fprintln(stderr, "ntireport: -in is required (artifact file or directory)")
 		fs.Usage()
-		return 2
-	}
-	if c := *converged; !(c > 0) || math.IsInf(c, 1) { // !(c > 0) also rejects NaN
-		fmt.Fprintln(stderr, "ntireport: -converged-below must be a finite number of seconds > 0")
 		return 2
 	}
 	fail := func(err error) int {
@@ -85,7 +77,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer f.Close()
 		w = f
 	}
-	opt := stats.Options{Bootstrap: *bootstrap, ConvergedBelowS: *converged}
 	for i, p := range paths {
 		results, err := report.LoadJSONL(p)
 		if err != nil {
@@ -95,7 +86,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(w, "\n---\n\n")
 		}
 		title := strings.TrimSuffix(filepath.Base(p), ".jsonl")
-		if err := report.Generate(w, title, results, opt); err != nil {
+		if err := report.Generate(w, title, results); err != nil {
 			return fail(err)
 		}
 	}

@@ -29,7 +29,9 @@ func main() {
 	from := c.Now()
 	var precision, accuracy metrics.Series
 	violations := 0
-	for _, cs := range c.RunSampled(from, from+60, 1) {
+	for t := from; t <= from+60; t++ {
+		c.RunUntil(t)
+		cs := c.Snapshot()
 		precision.Add(cs.Precision)
 		accuracy.Add(cs.MaxAbsOffset)
 		if !cs.Contained {

@@ -454,17 +454,6 @@ func (c *Cluster) TelemetrySnapshot() (telemetry.Snapshot, bool) {
 	return telemetry.Capture(c.Now(), regs...), true
 }
 
-// RunSampled advances the simulation to `until`, sampling the cluster
-// every `every` seconds starting at from, and returns the samples.
-func (c *Cluster) RunSampled(from, until, every float64) []metrics.ClusterSample {
-	var out []metrics.ClusterSample
-	for t := from; t <= until; t += every {
-		c.RunUntil(t)
-		out = append(out, c.Snapshot())
-	}
-	return out
-}
-
 // SegmentPrecision computes max|Cp−Cq| over the members of one segment
 // (gateways excluded), from a fresh snapshot.
 func (c *Cluster) SegmentPrecision(segment int) float64 {

@@ -9,6 +9,17 @@ import (
 	"ntisim/internal/timefmt"
 )
 
+// runSampled advances c to until, sampling the cluster every `every`
+// seconds starting at from, and returns the samples.
+func runSampled(c *Cluster, from, until, every float64) []metrics.ClusterSample {
+	var out []metrics.ClusterSample
+	for t := from; t <= until; t += every {
+		c.RunUntil(t)
+		out = append(out, c.Snapshot())
+	}
+	return out
+}
+
 func TestFourNodeConvergence(t *testing.T) {
 	cfg := Defaults(4, 1)
 	c := New(cfg)
@@ -16,7 +27,7 @@ func TestFourNodeConvergence(t *testing.T) {
 	// Warm-up: initial steps + a few rounds.
 	c.RunUntil(15)
 	var prec metrics.Series
-	for _, cs := range c.RunSampled(15, 60, 1) {
+	for _, cs := range runSampled(c, 15, 60, 1) {
 		prec.Add(cs.Precision)
 	}
 	if prec.N() == 0 {
@@ -45,7 +56,7 @@ func TestPrecisionRequirementHolds(t *testing.T) {
 	c := New(Defaults(4, 2))
 	c.Start(1)
 	c.RunUntil(20)
-	for _, cs := range c.RunSampled(20, 50, 0.37) { // off-grid sampling
+	for _, cs := range runSampled(c, 20, 50, 0.37) { // off-grid sampling
 		if cs.Precision > 10e-6 {
 			t.Fatalf("precision %v at t=%v", cs.Precision, cs.TrueTime)
 		}
@@ -59,7 +70,7 @@ func TestAccuracyIntervalContainsTruth(t *testing.T) {
 	c.Start(1)
 	c.RunUntil(12)
 	bad := 0
-	samples := c.RunSampled(12, 60, 0.5)
+	samples := runSampled(c, 12, 60, 0.5)
 	for _, cs := range samples {
 		if !cs.Contained {
 			bad++
@@ -78,7 +89,7 @@ func TestSixteenNodePrototype(t *testing.T) {
 	c.Start(1)
 	c.RunUntil(20)
 	var prec metrics.Series
-	for _, cs := range c.RunSampled(20, 60, 1) {
+	for _, cs := range runSampled(c, 20, 60, 1) {
 		prec.Add(cs.Precision)
 	}
 	if prec.Max() > 10e-6 {
@@ -140,7 +151,7 @@ func TestMeasuredDelayImprovesSync(t *testing.T) {
 		c.Start(c.Now() + 1)
 		begin := c.Now() + 15
 		var prec metrics.Series
-		for _, cs := range c.RunSampled(begin, begin+40, 1) {
+		for _, cs := range runSampled(c, begin, begin+40, 1) {
 			prec.Add(cs.Precision)
 		}
 		return prec.Max()
@@ -161,7 +172,7 @@ func TestBackgroundLoadTolerated(t *testing.T) {
 	c.Start(1)
 	c.RunUntil(20)
 	var prec metrics.Series
-	for _, cs := range c.RunSampled(20, 60, 1) {
+	for _, cs := range runSampled(c, 20, 60, 1) {
 		prec.Add(cs.Precision)
 	}
 	// Hardware timestamping is after medium access: load may widen the
@@ -178,7 +189,7 @@ func TestGPSNodeSteersToUTC(t *testing.T) {
 	c.Start(1)
 	c.RunUntil(30)
 	var acc metrics.Series
-	for _, cs := range c.RunSampled(30, 90, 1) {
+	for _, cs := range runSampled(c, 30, 90, 1) {
 		acc.Add(cs.MaxAbsOffset)
 	}
 	// External sync: all nodes' absolute offset from (simulated) UTC
@@ -224,7 +235,7 @@ func TestRateSyncReducesDriftBound(t *testing.T) {
 		c.Start(1)
 		c.RunUntil(60) // let rate measurements settle
 		var prec, alpha metrics.Series
-		for _, cs := range c.RunSampled(60, 160, 2) {
+		for _, cs := range runSampled(c, 60, 160, 2) {
 			prec.Add(cs.Precision)
 		}
 		for _, m := range c.Members {

@@ -36,10 +36,7 @@ func E11WANOfLANs(seed uint64) Result {
 	c := cluster.New(cfg)
 	// Calibrate delay bounds within segment 0 and share them (symmetric
 	// segments).
-	b := c.MeasureDelay(0, 1, 16)
-	for _, m := range c.Members {
-		m.Sync.SetDelayBounds(b)
-	}
+	applyMeasuredDelays(c)
 	c.Start(c.Now() + 1)
 	c.RunUntil(c.Now() + 30)
 

@@ -5,6 +5,7 @@ import (
 
 	"ntisim/internal/cluster"
 	"ntisim/internal/discipline"
+	"ntisim/internal/harness"
 	"ntisim/internal/interval"
 	"ntisim/internal/metrics"
 )
@@ -28,24 +29,27 @@ func E14ConvergenceShootout(seed uint64) Result {
 	}
 	r.Table.Header = []string{"convergence fn", "worst prec [µs]", "mean prec [µs]", "failures"}
 
-	run := func(name string, fn discipline.ConvergeFunc) {
-		cfg := cluster.Defaults(8, seed)
-		cfg.Sync.Discipline = func() discipline.Discipline { return discipline.WrapConverge("", fn) }
-		c := cluster.New(cfg)
-		applyMeasuredDelays(c)
-		c.Start(c.Now() + 1)
-		prec, _, _ := precisionWindow(c, c.Now()+20, 90, 0.9)
-		var fails uint64
-		for _, m := range c.Members {
-			fails += m.Sync.Stats().ConvergenceFailed
-		}
-		r.Table.AddRow(name, metrics.Us(prec.Max()), metrics.Us(prec.Mean()), strconv.FormatUint(fails, 10))
-		r.Numbers["prec:"+name] = prec.Max()
-		r.Numbers["fails:"+name] = float64(fails)
+	fns := []struct {
+		name string
+		fn   discipline.ConvergeFunc
+	}{
+		{"OA (midpoint)", interval.OrthogonalAccuracy},
+		{"OA (average)", interval.OrthogonalAccuracyFTA},
+		{"Marzullo midpoint", interval.MarzulloMidpoint},
 	}
-	run("OA (midpoint)", interval.OrthogonalAccuracy)
-	run("OA (average)", interval.OrthogonalAccuracyFTA)
-	run("Marzullo midpoint", interval.MarzulloMidpoint)
+	spec := harness.Spec{Name: "E14", Base: cluster.Defaults(8, seed),
+		DelayProbes: delayProbes, WarmupS: 20, WindowS: 90, SampleEveryS: 0.9}
+	for _, f := range fns {
+		spec.Points = append(spec.Points, harness.Point{Label: f.name, Mutate: func(c *cluster.Config) {
+			c.Sync.Discipline = func() discipline.Discipline { return discipline.WrapConverge("", f.fn) }
+		}})
+	}
+	for _, c := range runCells(spec) {
+		fails := c.Sync.ConvergenceFailed
+		r.Table.AddRow(c.Label, metrics.Us(c.Precision.Max), metrics.Us(c.Precision.Mean), strconv.FormatUint(fails, 10))
+		r.Numbers["prec:"+c.Label] = c.Precision.Max
+		r.Numbers["fails:"+c.Label] = float64(fails)
+	}
 
 	r.Claims["all three keep µs-range precision on a healthy LAN"] =
 		r.Numbers["prec:OA (midpoint)"] < 6e-6 &&

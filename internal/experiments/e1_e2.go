@@ -5,6 +5,7 @@ import (
 
 	"ntisim/internal/cluster"
 	"ntisim/internal/csp"
+	"ntisim/internal/harness"
 	"ntisim/internal/kernel"
 	"ntisim/internal/metrics"
 	"ntisim/internal/network"
@@ -80,21 +81,27 @@ func E2TimestampClasses(seed uint64) Result {
 		Numbers:    map[string]float64{},
 	}
 	r.Table.Header = []string{"class", "eps [µs]", "worst precision [µs]"}
-	type row struct {
+	rows := []struct {
 		name string
 		mode kernel.TimestampMode
-	}
-	var epsByMode, precByMode = map[string]float64{}, map[string]float64{}
-	for _, rw := range []row{
+	}{
 		{"task (software-only)", kernel.ModeTask},
 		{"ISR (kernel-level)", kernel.ModeISR},
 		{"NTI (hardware)", kernel.ModeNTI},
-	} {
+	}
+	// Sync precision: a 4-node synchronization per class, sampled
+	// once per second over 15..45 s with the a priori delay bounds.
+	spec := harness.Spec{Name: "E2", Base: cluster.Defaults(4, seed+2),
+		DelayProbes: -1, WarmupS: 15, WindowS: 30, SampleEveryS: 1}
+	for _, rw := range rows {
+		spec.Points = append(spec.Points, harness.Point{Label: rw.name,
+			Mutate: func(c *cluster.Config) { c.Kernel.Mode = rw.mode }})
+	}
+	cells := runCells(spec)
+	for i, rw := range rows {
 		g := epsilonRun(seed+1, rw.mode, 0.2, 600)
 		eps := g.Range()
-		prec := syncPrecision(seed+2, rw.mode)
-		epsByMode[rw.name] = eps
-		precByMode[rw.name] = prec
+		prec := cells[i].Precision.Max
 		r.Table.AddRow(rw.name, metrics.Us(eps), metrics.Us(prec))
 		r.Numbers["eps:"+rw.name] = eps
 		r.Numbers["prec:"+rw.name] = prec
@@ -103,32 +110,17 @@ func E2TimestampClasses(seed uint64) Result {
 	// transmit side (their stamp is taken in step 1/2, before access),
 	// so they cluster in the ms range; only the NTI escapes it.
 	r.Claims["software eps in ms range, NTI in sub-µs"] =
-		epsByMode["task (software-only)"] >= epsByMode["ISR (kernel-level)"] &&
-			epsByMode["ISR (kernel-level)"] > 100*epsByMode["NTI (hardware)"]
+		r.Numbers["eps:task (software-only)"] >= r.Numbers["eps:ISR (kernel-level)"] &&
+			r.Numbers["eps:ISR (kernel-level)"] > 100*r.Numbers["eps:NTI (hardware)"]
 	// Precision separates all three classes: the convergence function
 	// can exploit the ISR class's tighter receive stamps.
 	r.Claims["task >> ISR >> NTI in precision"] =
-		precByMode["task (software-only)"] > 3*precByMode["ISR (kernel-level)"] &&
-			precByMode["ISR (kernel-level)"] > 3*precByMode["NTI (hardware)"]
-	r.Claims["NTI precision in µs range"] = precByMode["NTI (hardware)"] < 10e-6
+		r.Numbers["prec:task (software-only)"] > 3*r.Numbers["prec:ISR (kernel-level)"] &&
+			r.Numbers["prec:ISR (kernel-level)"] > 3*r.Numbers["prec:NTI (hardware)"]
+	r.Claims["NTI precision in µs range"] = r.Numbers["prec:NTI (hardware)"] < 10e-6
 	r.Claims["task precision ≥ 100x NTI"] =
-		precByMode["task (software-only)"] > 100*precByMode["NTI (hardware)"]
+		r.Numbers["prec:task (software-only)"] > 100*r.Numbers["prec:NTI (hardware)"]
 	r.Notes = append(r.Notes,
 		"software transmit stamps are taken before medium access (paper §3.1 step 1), so both software classes inherit the access uncertainty in ε; receive-side differences then drive the precision gap")
 	return r
-}
-
-// syncPrecision runs a 4-node synchronization with the given
-// timestamping class and returns the worst observed precision.
-func syncPrecision(seed uint64, mode kernel.TimestampMode) float64 {
-	cfg := cluster.Defaults(4, seed)
-	cfg.Kernel.Mode = mode
-	c := cluster.New(cfg)
-	c.Start(1)
-	c.RunUntil(15)
-	var prec metrics.Series
-	for _, cs := range c.RunSampled(15, 45, 1) {
-		prec.Add(cs.Precision)
-	}
-	return prec.Max()
 }

@@ -2,9 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
 	"ntisim/internal/cluster"
+	"ntisim/internal/harness"
 	"ntisim/internal/metrics"
 	"ntisim/internal/timefmt"
 )
@@ -24,29 +24,27 @@ func E3GranularitySweep(seed uint64) Result {
 	}
 	r.Table.Header = []string{"fosc [MHz]", "u=1/f [ns]", "4G+10u [µs]", "measured prec [µs]"}
 	G := timefmt.Granule
+	// Real TCXOs: nodes tick dephased and drifting, so the ±1/fosc
+	// input-synchronizer quantization actually shows up as relative
+	// noise (ideal, phase-locked oscillators would mask it).
+	foscs := []float64{1e6, 2e6, 4e6, 8e6, 14e6, 20e6}
+	cells := runCells(harness.Spec{Name: "E3", Base: cluster.Defaults(4, seed),
+		Points:      harness.FoscAxis(foscs...).Points,
+		DelayProbes: delayProbes, WarmupS: 15, WindowS: 60, SampleEveryS: 0.9})
 	var prev float64
 	monotone := true
-	for _, mhz := range []float64{1, 2, 4, 8, 14, 20} {
-		f := mhz * 1e6
-		u := 1 / f
+	for i, f := range foscs {
+		mhz, u := f/1e6, 1/f
 		bound := granularityImpairment(G, u)
-		// Real TCXOs: nodes tick dephased and drifting, so the ±1/fosc
-		// input-synchronizer quantization actually shows up as relative
-		// noise (ideal, phase-locked oscillators would mask it).
-		cfg := cluster.Defaults(4, seed)
-		cfg.OscHz = f
-		c := cluster.New(cfg)
-		applyMeasuredDelays(c)
-		c.Start(c.Now() + 1)
-		prec, _, _ := precisionWindow(c, c.Now()+15, 60, 0.9)
+		prec := cells[i].Precision.Max
 		r.Table.AddRow(fmt.Sprintf("%.0f", mhz), fmt.Sprintf("%.0f", u*1e9),
-			metrics.Us(bound), metrics.Us(prec.Max()))
-		r.Numbers[fmt.Sprintf("prec_%0.0fMHz", mhz)] = prec.Max()
+			metrics.Us(bound), metrics.Us(prec))
+		r.Numbers[fmt.Sprintf("prec_%0.0fMHz", mhz)] = prec
 		r.Numbers[fmt.Sprintf("bound_%0.0fMHz", mhz)] = bound
-		if prev != 0 && prec.Max() > prev*1.8 {
+		if prev != 0 && prec > prev*1.8 {
 			monotone = false // allow noise, forbid clear regressions
 		}
-		prev = prec.Max()
+		prev = prec
 	}
 	r.Claims["impairment bound crosses 1 µs near 14 MHz"] =
 		r.Numbers["bound_8MHz"] > 1e-6 && r.Numbers["bound_14MHz"] <= 1.1e-6
@@ -77,26 +75,19 @@ func E4SixteenNode(seed uint64) Result {
 	// cannot pin the common mode, which random-walks at the mean
 	// oscillator drift).
 	cfg.GPS = mapGPS(0)
-	c := cluster.New(cfg)
-	applyMeasuredDelays(c)
-	c.Start(c.Now() + 1)
-	prec, acc, viol := precisionWindow(c, c.Now()+60, 300, 1)
+	cell := runCells(harness.Spec{Name: "E4", Base: cfg,
+		DelayProbes: delayProbes, WarmupS: 60, WindowS: 300, SampleEveryS: 1})[0]
+	prec, acc := cell.Precision, cell.Accuracy
 	r.Table.Header = []string{"metric", "mean [µs]", "p99 [µs]", "max [µs]"}
-	r.Table.AddRow("precision max|Cp-Cq|", metrics.Us(prec.Mean()), metrics.Us(prec.Percentile(0.99)), metrics.Us(prec.Max()))
-	r.Table.AddRow("accuracy  max|Cp-t|", metrics.Us(acc.Mean()), metrics.Us(acc.Percentile(0.99)), metrics.Us(acc.Max()))
-	r.Numbers["precision_max"] = prec.Max()
-	r.Numbers["accuracy_max"] = acc.Max()
-	r.Numbers["containment_violations"] = float64(viol)
-	r.Claims["worst precision in low-µs range"] = prec.Max() < 5e-6
-	r.Claims["worst UTC accuracy in low-µs range"] = acc.Max() < 20e-6
-	r.Claims["accuracy intervals always contain real time"] = viol == 0
-	used, sent := 0.0, 0.0
-	for _, m := range c.Members {
-		st := m.Sync.Stats()
-		used += float64(st.CSPsUsed)
-		sent += float64(st.CSPsSent)
-	}
-	r.Numbers["csp_use_ratio"] = used / math.Max(sent*15, 1)
+	r.Table.AddRow("precision max|Cp-Cq|", metrics.Us(prec.Mean), metrics.Us(prec.P99), metrics.Us(prec.Max))
+	r.Table.AddRow("accuracy  max|Cp-t|", metrics.Us(acc.Mean), metrics.Us(acc.P99), metrics.Us(acc.Max))
+	r.Numbers["precision_max"] = prec.Max
+	r.Numbers["accuracy_max"] = acc.Max
+	r.Numbers["containment_violations"] = float64(cell.ContainmentViolations)
+	r.Claims["worst precision in low-µs range"] = prec.Max < 5e-6
+	r.Claims["worst UTC accuracy in low-µs range"] = acc.Max < 20e-6
+	r.Claims["accuracy intervals always contain real time"] = cell.ContainmentViolations == 0
+	r.Numbers["csp_use_ratio"] = cell.CSPUse
 	r.Notes = append(r.Notes,
 		fmt.Sprintf("CSP utilization %.1f%% of the ideal n·(n−1) deliveries", 100*r.Numbers["csp_use_ratio"]))
 	return r

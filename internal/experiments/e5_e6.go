@@ -5,6 +5,7 @@ import (
 
 	"ntisim/internal/cluster"
 	"ntisim/internal/gps"
+	"ntisim/internal/harness"
 	"ntisim/internal/metrics"
 )
 
@@ -23,40 +24,29 @@ func E5GPSValidation(seed uint64) Result {
 	}
 	r.Table.Header = []string{"policy", "fault", "worst acc [µs]", "worst prec [µs]", "rejected"}
 
-	run := func(trust bool, fault gps.Fault) (acc, prec float64, rejected uint64) {
-		cfg := cluster.Defaults(8, seed)
-		cfg.Sync.TrustExternal = trust
-		healthy := gps.DefaultReceiver()
-		faulty := gps.DefaultReceiver()
-		faulty.Faults = []gps.Fault{fault}
-		cfg.GPS = map[int]gps.Config{0: healthy, 1: healthy, 2: faulty}
-		c := cluster.New(cfg)
-		applyMeasuredDelays(c)
-		c.Start(c.Now() + 1)
-		p, a, _ := precisionWindow(c, c.Now()+90, 120, 1)
-		for _, m := range c.Members {
-			rejected += m.Sync.Stats().ExternalRejected
-		}
-		return a.Max(), p.Max(), rejected
+	// Receivers 0 and 1 are healthy, receiver 2 carries the fault; the
+	// three validated rows come out in names order, naive trust last.
+	names := []string{"offset 20 ms", "wrong-second", "ramp 10 µs/s"}
+	wrongSec := harness.FaultScenario{Kind: gps.FaultWrongSec, Magnitude: 1, StartS: 60}
+	naive := wrongSec
+	naive.Trust = true
+	scenarios := []harness.FaultScenario{
+		{Kind: gps.FaultOffset, Magnitude: 20e-3, StartS: 60},
+		wrongSec,
+		{Kind: gps.FaultRampDrift, Magnitude: 10e-6, StartS: 60},
+		naive,
 	}
-
-	// A slice, not a map: the table rows come out in this fixed order.
-	wrongSec := gps.Fault{Kind: gps.FaultWrongSec, Start: 60, Magnitude: 1}
-	faults := []struct {
-		name  string
-		fault gps.Fault
-	}{
-		{"offset 20 ms", gps.Fault{Kind: gps.FaultOffset, Start: 60, Magnitude: 20e-3}},
-		{"wrong-second", wrongSec},
-		{"ramp 10 µs/s", gps.Fault{Kind: gps.FaultRampDrift, Start: 60, Magnitude: 10e-6}},
+	cells := runCells(harness.Spec{Name: "E5", Base: cluster.Defaults(8, seed),
+		Points:      harness.FaultAxis(3, scenarios...).Points,
+		DelayProbes: delayProbes, WarmupS: 90, WindowS: 120, SampleEveryS: 1})
+	for i, name := range names {
+		c := cells[i]
+		r.Table.AddRow("validated", name, metrics.Us(c.Accuracy.Max), metrics.Us(c.Precision.Max),
+			fmt.Sprint(c.Sync.ExternalRejected))
+		r.Numbers["validated_acc:"+name] = c.Accuracy.Max
+		r.Numbers["validated_rej:"+name] = float64(c.Sync.ExternalRejected)
 	}
-	for _, f := range faults {
-		accV, precV, rej := run(false, f.fault)
-		r.Table.AddRow("validated", f.name, metrics.Us(accV), metrics.Us(precV), fmt.Sprint(rej))
-		r.Numbers["validated_acc:"+f.name] = accV
-		r.Numbers["validated_rej:"+f.name] = float64(rej)
-	}
-	accT, precT, _ := run(true, wrongSec)
+	accT, precT := cells[3].Accuracy.Max, cells[3].Precision.Max
 	r.Table.AddRow("naive trust", "wrong-second", metrics.Us(accT), metrics.Us(precT), "-")
 	r.Numbers["naive_acc"] = accT
 

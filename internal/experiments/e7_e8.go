@@ -6,6 +6,7 @@ import (
 	"ntisim/internal/baseline"
 	"ntisim/internal/clocksync"
 	"ntisim/internal/cluster"
+	"ntisim/internal/harness"
 	"ntisim/internal/metrics"
 	"ntisim/internal/network"
 	"ntisim/internal/oscillator"
@@ -54,23 +55,21 @@ func E7WANvsLAN(seed uint64) Result {
 	// LAN with NTI + GPS anchor: the class-II target system.
 	cfg := cluster.Defaults(8, seed)
 	cfg.GPS = mapGPS(0, 1)
-	c := cluster.New(cfg)
-	applyMeasuredDelays(c)
-	c.Start(c.Now() + 1)
-	_, acc, _ := precisionWindow(c, c.Now()+60, 120, 1)
-	r.Table.AddRow("NTI (hardware)", "10 Mb/s shared LAN", metrics.Ms(acc.Max()))
+	acc := runCells(harness.Spec{Name: "E7", Base: cfg,
+		DelayProbes: delayProbes, WarmupS: 60, WindowS: 120, SampleEveryS: 1})[0].Accuracy.Max
+	r.Table.AddRow("NTI (hardware)", "10 Mb/s shared LAN", metrics.Ms(acc))
 
 	r.Numbers["ntp_sym"] = sym
 	r.Numbers["ntp_asym"] = asym
 	r.Numbers["ntp_sym_bias"] = symBias
 	r.Numbers["ntp_asym_bias"] = asymBias
-	r.Numbers["nti_lan"] = acc.Max()
+	r.Numbers["nti_lan"] = acc
 	r.Claims["NTP lands in the ms..10ms regime"] = sym > 100e-6 && sym < 100e-3
 	// Asymmetric queueing biases NTP's offset estimator systematically
 	// (half the one-way delay difference) — visible in the signed mean,
 	// which a deterministic LAN with hardware stamping cannot exhibit.
 	r.Claims["asymmetry biases NTP by ≥ 0.4 ms"] = asymBias-symBias > 0.4e-3
-	r.Claims["NTI ≥ 100x better than NTP"] = sym > 100*acc.Max()
+	r.Claims["NTI ≥ 100x better than NTP"] = sym > 100*acc
 	return r
 }
 
@@ -88,26 +87,21 @@ func E8AdderVsCounter(seed uint64) Result {
 		Numbers:    map[string]float64{},
 	}
 	r.Table.Header = []string{"clock device", "G [µs]", "u [µs/s]", "4G+10u [µs]", "worst prec [µs]"}
-	run := func(counter bool) (prec float64, g, u float64) {
-		cfg := cluster.Defaults(4, seed)
-		cfg.Sync.RateSync = true // exercise the rate-step quantum u
-		if counter {
-			cfg.ClockFactory = func(uu *utcsu.UTCSU) clocksync.Clock {
-				return baseline.NewCounterClock(uu)
-			}
-		}
-		c := cluster.New(cfg)
-		applyMeasuredDelays(c)
-		c.Start(c.Now() + 1)
-		p, _, _ := precisionWindow(c, c.Now()+20, 60, 0.7)
-		var clk clocksync.Clock = clocksync.UTCSUClock{UTCSU: c.Members[0].U}
-		if counter {
-			clk = baseline.NewCounterClock(c.Members[0].U)
-		}
-		return p.Max(), clk.GranuleSeconds(), clk.RateStepPPB() * 1e-9
-	}
-	pAdder, gA, uA := run(false)
-	pCounter, gC, uC := run(true)
+	cfg := cluster.Defaults(4, seed)
+	cfg.Sync.RateSync = true // exercise the rate-step quantum u
+	cells := runCells(harness.Spec{Name: "E8", Base: cfg,
+		Points: []harness.Point{{Label: "adder"}, {Label: "counter", Mutate: func(c *cluster.Config) {
+			c.ClockFactory = func(uu *utcsu.UTCSU) clocksync.Clock { return baseline.NewCounterClock(uu) }
+		}}},
+		DelayProbes: delayProbes, WarmupS: 20, WindowS: 60, SampleEveryS: 0.7})
+	pAdder, pCounter := cells[0].Precision.Max, cells[1].Precision.Max
+	// G and u are device constants, read from a UTCSU at the cluster's
+	// pacing frequency.
+	s := sim.New(seed)
+	u := utcsu.New(s, oscillator.New(s, oscillator.TCXO(cfg.OscHz), "e8"))
+	adder, counter := clocksync.UTCSUClock{UTCSU: u}, baseline.NewCounterClock(u)
+	gA, uA := adder.GranuleSeconds(), adder.RateStepPPB()*1e-9
+	gC, uC := counter.GranuleSeconds(), counter.RateStepPPB()*1e-9
 	// u is per second, over the 1 s round: the §5 worst-case impairment.
 	boundAdder := granularityImpairment(gA, uA)
 	boundCounter := granularityImpairment(gC, uC)

@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"fmt"
+
 	"ntisim/internal/cluster"
-	"ntisim/internal/metrics"
+	"ntisim/internal/harness"
 )
 
 // granularityImpairment returns the 4G+10u worst-case precision cost of
@@ -11,24 +13,29 @@ import (
 // 1/fosc for the UTCSU's adder-based clock.
 func granularityImpairment(gS, uS float64) float64 { return 4*gS + 10*uS }
 
-// precisionWindow runs a started cluster from warmup to warmup+span,
-// sampling every `every`, and returns precision and accuracy series.
-func precisionWindow(c *cluster.Cluster, warmup, span, every float64) (prec, acc metrics.Series, violations int) {
-	c.RunUntil(warmup)
-	for _, cs := range c.RunSampled(warmup, warmup+span, every) {
-		prec.Add(cs.Precision)
-		acc.Add(cs.MaxAbsOffset)
-		if !cs.Contained {
-			violations++
+// runCells measures the spec's cells through the campaign harness, one
+// after another on the calling goroutine (ntibench's -workers pool is
+// the only one), and returns their results in grid order. A failed cell
+// panics with its key, as a failed experiment always has.
+func runCells(spec harness.Spec) []harness.Result {
+	spec.Workers = 1
+	results := harness.Run(spec).Results
+	for _, r := range results {
+		if r.Err != "" {
+			panic(fmt.Sprintf("%s %s: %s", spec.Name, r.Key(), r.Err))
 		}
 	}
-	return prec, acc, violations
+	return results
 }
 
+// delayProbes is the RTT probe count of every experiment's delay
+// calibration.
+const delayProbes = 16
+
 // applyMeasuredDelays runs a delay campaign and loads the bounds into
-// every member.
+// every member (what a harness cell does with Spec.DelayProbes).
 func applyMeasuredDelays(c *cluster.Cluster) {
-	b := c.MeasureDelay(0, 1, 16)
+	b := c.MeasureDelay(0, 1, delayProbes)
 	for _, m := range c.Members {
 		m.Sync.SetDelayBounds(b)
 	}

@@ -60,7 +60,8 @@ type Spec struct {
 	// cell; see cluster.Config.Clone). Base.Seed is overridden by the
 	// cell's seed.
 	Base cluster.Config
-	// Points is the parameter grid (see Cross and the *Axis helpers).
+	// Points is the parameter grid (see Cross and the *Axis helpers);
+	// default one unlabeled point that runs Base unchanged.
 	Points []Point
 	// Seeds lists the seeds each point runs under; default {Base.Seed}.
 	Seeds []uint64
@@ -125,6 +126,9 @@ func (s *Spec) withDefaults() Spec {
 	}
 	if out.Workers <= 0 {
 		out.Workers = runtime.GOMAXPROCS(0)
+	}
+	if len(out.Points) == 0 {
+		out.Points = []Point{{}}
 	}
 	if len(out.Seeds) == 0 {
 		out.Seeds = []uint64{out.Base.Seed}

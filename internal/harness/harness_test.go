@@ -76,6 +76,22 @@ func TestCellsStableOrder(t *testing.T) {
 	}
 }
 
+// TestNoPointsRunsBase: a spec without Points runs one cell of Base,
+// the same cell an explicit empty point gives (as Seeds defaults to
+// {Base.Seed}), not an empty campaign that reports success.
+func TestNoPointsRunsBase(t *testing.T) {
+	sp := testSpec(1)
+	sp.Points, sp.Seeds = nil, nil
+	bare := Run(sp)
+	if len(bare.Results) != 1 || bare.Results[0].Err != "" || bare.Results[0].Samples == 0 {
+		t.Fatalf("no Points: %d cells %+v, want one cell of Base", len(bare.Results), bare.Results)
+	}
+	sp.Points = []Point{{}}
+	if a, b := jsonl(t, bare), jsonl(t, Run(sp)); !bytes.Equal(a, b) {
+		t.Fatalf("no Points differs from Points: []Point{{}}:\n%s\n%s", a, b)
+	}
+}
+
 func TestResultSanity(t *testing.T) {
 	c := Run(testSpec(4))
 	for _, r := range c.Results {

@@ -90,8 +90,8 @@ func ft(v float64) string {
 }
 
 // Generate writes the Markdown report for one campaign's results.
-func Generate(w io.Writer, title string, results []harness.Result, opt stats.Options) error {
-	agg := stats.Aggregate(results, opt)
+func Generate(w io.Writer, title string, results []harness.Result) error {
+	agg := stats.Aggregate(results)
 	bw := bufio.NewWriter(w)
 
 	seedSet := map[uint64]bool{}
@@ -128,7 +128,7 @@ func Generate(w io.Writer, title string, results []harness.Result, opt stats.Opt
 	writeAggregateTable(bw, agg)
 	writeHealth(bw, results)
 	writeTraitorTolerance(bw, results)
-	writeConvergence(bw, agg, opt)
+	writeConvergence(bw, agg)
 	writeServing(bw, agg)
 	writeDisciplineRanking(bw, agg)
 	writeComparison(bw, agg)
@@ -198,7 +198,7 @@ func writeHealth(w io.Writer, results []harness.Result) {
 	fmt.Fprintf(w, "\n")
 }
 
-func writeConvergence(w io.Writer, agg []stats.PointStats, opt stats.Options) {
+func writeConvergence(w io.Writer, agg []stats.PointStats) {
 	any := false
 	for _, p := range agg {
 		if p.Convergence.N > 0 {
@@ -208,11 +208,7 @@ func writeConvergence(w io.Writer, agg []stats.PointStats, opt stats.Options) {
 	if !any {
 		return
 	}
-	thr := opt.ConvergedBelowS
-	if thr == 0 {
-		thr = 5e-6
-	}
-	fmt.Fprintf(w, "## Convergence time (precision ≤ %s µs)\n\n", us(thr))
+	fmt.Fprintf(w, "## Convergence time (precision ≤ %s µs)\n\n", us(stats.ConvergedBelowS))
 	fmt.Fprintf(w, "| point | n | mean [s] | t95 CI [s] | min [s] | max [s] |\n")
 	fmt.Fprintf(w, "|---|---|---|---|---|---|\n")
 	fs := func(v float64) string { return strconv.FormatFloat(v, 'f', 2, 64) }

@@ -54,7 +54,7 @@ func fixtureResults() []harness.Result {
 //	go test ./internal/report -run Golden -update
 func TestGenerateGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Generate(&buf, "fixture", fixtureResults(), stats.Options{}); err != nil {
+	if err := Generate(&buf, "fixture", fixtureResults()); err != nil {
 		t.Fatal(err)
 	}
 	golden.Check(t, filepath.Join("testdata", "fixture.report.golden.md"), buf.Bytes())
@@ -64,10 +64,10 @@ func TestGenerateGolden(t *testing.T) {
 // seeded from the cells, not the clock).
 func TestGenerateDeterministic(t *testing.T) {
 	var a, b bytes.Buffer
-	if err := Generate(&a, "x", fixtureResults(), stats.Options{}); err != nil {
+	if err := Generate(&a, "x", fixtureResults()); err != nil {
 		t.Fatal(err)
 	}
-	if err := Generate(&b, "x", fixtureResults(), stats.Options{}); err != nil {
+	if err := Generate(&b, "x", fixtureResults()); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -77,7 +77,7 @@ func TestGenerateDeterministic(t *testing.T) {
 
 func TestGenerateContent(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Generate(&buf, "fixture", fixtureResults(), stats.Options{}); err != nil {
+	if err := Generate(&buf, "fixture", fixtureResults()); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -109,7 +109,7 @@ func TestGenerateWithErrors(t *testing.T) {
 	rs := fixtureResults()
 	rs[0].Err = "panic: boom"
 	var buf bytes.Buffer
-	if err := Generate(&buf, "e", rs, stats.Options{}); err != nil {
+	if err := Generate(&buf, "e", rs); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "**1 errored**") || !strings.Contains(buf.String(), "(1 errored)") {
@@ -122,7 +122,7 @@ func TestGenerateWithErrors(t *testing.T) {
 		rs[i].Err = "panic: boom"
 	}
 	buf.Reset()
-	if err := Generate(&buf, "e", rs, stats.Options{}); err != nil {
+	if err := Generate(&buf, "e", rs); err != nil {
 		t.Fatal(err)
 	}
 	if out := buf.String(); !strings.Contains(out, "**8 errored**") || strings.Contains(out, "## Precision vs") {
@@ -161,10 +161,10 @@ func TestJSONLRoundTrip(t *testing.T) {
 		t.Fatalf("loaded %d results, want %d", len(loaded), len(camp.Results))
 	}
 	var fromMem, fromDisk bytes.Buffer
-	if err := Generate(&fromMem, "rt", camp.Results, stats.Options{}); err != nil {
+	if err := Generate(&fromMem, "rt", camp.Results); err != nil {
 		t.Fatal(err)
 	}
-	if err := Generate(&fromDisk, "rt", loaded, stats.Options{}); err != nil {
+	if err := Generate(&fromDisk, "rt", loaded); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(fromMem.Bytes(), fromDisk.Bytes()) {
@@ -188,7 +188,7 @@ func TestWorkerCountDeterminism(t *testing.T) {
 			Workers:      workers,
 		}
 		var buf bytes.Buffer
-		if err := Generate(&buf, "wd", harness.Run(spec).Results, stats.Options{}); err != nil {
+		if err := Generate(&buf, "wd", harness.Run(spec).Results); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -214,7 +214,7 @@ func TestNiceTicks(t *testing.T) {
 }
 
 func TestNumericAxes(t *testing.T) {
-	agg := stats.Aggregate(fixtureResults(), stats.Options{Bootstrap: -1})
+	agg := stats.Aggregate(fixtureResults())
 	axes := numericAxes(agg)
 	if len(axes) != 2 || axes[0] != "load" || axes[1] != "nodes" {
 		t.Errorf("axes = %v, want [load nodes]", axes)
@@ -229,7 +229,7 @@ func TestNumericAxes(t *testing.T) {
 func TestTimelineSection(t *testing.T) {
 	rs := fixtureResults()
 	var plain bytes.Buffer
-	if err := Generate(&plain, "tl", rs, stats.Options{}); err != nil {
+	if err := Generate(&plain, "tl", rs); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(plain.String(), "## Timelines") {
@@ -258,7 +258,7 @@ func TestTimelineSection(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := Generate(&buf, "tl", rs, stats.Options{}); err != nil {
+	if err := Generate(&buf, "tl", rs); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -280,7 +280,7 @@ func TestTimelineSection(t *testing.T) {
 	}
 	// The section is deterministic like everything else.
 	var again bytes.Buffer
-	if err := Generate(&again, "tl", rs, stats.Options{}); err != nil {
+	if err := Generate(&again, "tl", rs); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
@@ -325,7 +325,7 @@ func disciplineResults() []harness.Result {
 // head-to-head ranking section, ordered by pooled mean precision.
 func TestDisciplineRanking(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Generate(&buf, "d", disciplineResults(), stats.Options{}); err != nil {
+	if err := Generate(&buf, "d", disciplineResults()); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -344,7 +344,7 @@ func TestDisciplineRanking(t *testing.T) {
 // the smoke golden depends on it.
 func TestDisciplineRankingSkipped(t *testing.T) {
 	var plain bytes.Buffer
-	if err := Generate(&plain, "p", fixtureResults(), stats.Options{}); err != nil {
+	if err := Generate(&plain, "p", fixtureResults()); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(plain.String(), "Discipline ranking") {
@@ -352,7 +352,7 @@ func TestDisciplineRankingSkipped(t *testing.T) {
 	}
 	single := disciplineResults()[:2] // interval only
 	var buf bytes.Buffer
-	if err := Generate(&buf, "s", single, stats.Options{}); err != nil {
+	if err := Generate(&buf, "s", single); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(buf.String(), "Discipline ranking") {

@@ -22,27 +22,14 @@ import (
 	"ntisim/internal/sim"
 )
 
-// Options tunes aggregation.
-type Options struct {
-	// Bootstrap is the resample count for bootstrap CIs (default 1000;
-	// negative disables bootstrap entirely).
-	Bootstrap int
-	// ConvergedBelowS is the precision threshold (seconds) defining
-	// convergence time on timeline-bearing results: the first timeline
-	// sample at or below it. Default 5e-6 (5 µs, comfortably inside
-	// the paper's pre-convergence transient, above its steady state).
-	ConvergedBelowS float64
-}
+// bootstrapResamples is the resample count of every bootstrap CI.
+const bootstrapResamples = 1000
 
-func (o Options) withDefaults() Options {
-	if o.Bootstrap == 0 {
-		o.Bootstrap = 1000
-	}
-	if o.ConvergedBelowS == 0 {
-		o.ConvergedBelowS = 5e-6
-	}
-	return o
-}
+// ConvergedBelowS is the precision threshold (seconds) defining
+// convergence time on timeline-bearing results: the first timeline
+// sample at or below it. 5 µs sits comfortably inside the paper's
+// pre-convergence transient, above its steady state.
+const ConvergedBelowS = 5e-6
 
 // Estimate summarizes one scalar metric observed once per seed.
 //
@@ -219,7 +206,7 @@ type PointStats struct {
 	Width          Estimate
 	// Convergence estimates the per-seed convergence time (seconds
 	// into the measurement window until precision first reaches
-	// Options.ConvergedBelowS). N = 0 unless the campaign kept
+	// ConvergedBelowS). N = 0 unless the campaign kept
 	// timelines (Spec.Timeline) and the threshold was reached.
 	Convergence Estimate
 
@@ -241,8 +228,7 @@ func (ps *PointStats) HasServing() bool { return ps.ServedP99.N > 0 }
 // Aggregate groups results by point (harness.GroupByPoint order, i.e.
 // grid order) and estimates each metric across seeds. Errored cells
 // are excluded from estimates and counted in Errors.
-func Aggregate(results []harness.Result, opt Options) []PointStats {
-	opt = opt.withDefaults()
+func Aggregate(results []harness.Result) []PointStats {
 	groups := harness.GroupByPoint(results)
 	out := make([]PointStats, 0, len(groups))
 	for _, g := range groups {
@@ -262,7 +248,7 @@ func Aggregate(results []harness.Result, opt Options) []PointStats {
 			worst = append(worst, r.Precision.Max)
 			acc = append(acc, r.Accuracy.Max)
 			width = append(width, r.Width.Mean)
-			if t, ok := ConvergenceTime(r, opt.ConvergedBelowS); ok {
+			if t, ok := ConvergenceTime(r, ConvergedBelowS); ok {
 				conv = append(conv, t)
 			}
 			if sv := r.Serving; sv != nil {
@@ -277,16 +263,16 @@ func Aggregate(results []harness.Result, opt Options) []PointStats {
 		// the label, then one stream per metric: reports stay
 		// deterministic and adding a metric never perturbs the others.
 		root := sim.NewRNG(seed0).Derive("stats/bootstrap/" + g.Label)
-		ps.Precision = Describe(prec, opt.Bootstrap, root.Derive("precision"))
-		ps.PrecisionWorst = Describe(worst, opt.Bootstrap, root.Derive("precision-worst"))
-		ps.Accuracy = Describe(acc, opt.Bootstrap, root.Derive("accuracy"))
-		ps.Width = Describe(width, opt.Bootstrap, root.Derive("width"))
-		ps.Convergence = Describe(conv, opt.Bootstrap, root.Derive("convergence"))
-		ps.ServedP50 = Describe(sp50, opt.Bootstrap, root.Derive("served-p50"))
-		ps.ServedP99 = Describe(sp99, opt.Bootstrap, root.Derive("served-p99"))
-		ps.ServedP999 = Describe(sp999, opt.Bootstrap, root.Derive("served-p999"))
-		ps.ServedMax = Describe(smax, opt.Bootstrap, root.Derive("served-max"))
-		ps.ServedQPS = Describe(sqps, opt.Bootstrap, root.Derive("served-qps"))
+		ps.Precision = Describe(prec, bootstrapResamples, root.Derive("precision"))
+		ps.PrecisionWorst = Describe(worst, bootstrapResamples, root.Derive("precision-worst"))
+		ps.Accuracy = Describe(acc, bootstrapResamples, root.Derive("accuracy"))
+		ps.Width = Describe(width, bootstrapResamples, root.Derive("width"))
+		ps.Convergence = Describe(conv, bootstrapResamples, root.Derive("convergence"))
+		ps.ServedP50 = Describe(sp50, bootstrapResamples, root.Derive("served-p50"))
+		ps.ServedP99 = Describe(sp99, bootstrapResamples, root.Derive("served-p99"))
+		ps.ServedP999 = Describe(sp999, bootstrapResamples, root.Derive("served-p999"))
+		ps.ServedMax = Describe(smax, bootstrapResamples, root.Derive("served-max"))
+		ps.ServedQPS = Describe(sqps, bootstrapResamples, root.Derive("served-qps"))
 		out = append(out, ps)
 	}
 	return out

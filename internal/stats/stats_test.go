@@ -151,7 +151,7 @@ func fakeResults() []harness.Result {
 }
 
 func TestAggregate(t *testing.T) {
-	agg := Aggregate(fakeResults(), Options{})
+	agg := Aggregate(fakeResults())
 	if len(agg) != 2 {
 		t.Fatalf("points = %d, want 2", len(agg))
 	}
@@ -177,7 +177,7 @@ func TestAggregate(t *testing.T) {
 	}
 
 	// Aggregation must itself be deterministic (bootstrap included).
-	again := Aggregate(fakeResults(), Options{})
+	again := Aggregate(fakeResults())
 	x, y := agg[0].Precision, again[0].Precision
 	if x.Mean != y.Mean || x.Lo != y.Lo || x.Hi != y.Hi || x.BootLo != y.BootLo || x.BootHi != y.BootHi {
 		t.Errorf("aggregate not deterministic: %+v vs %+v", x, y)
@@ -187,7 +187,7 @@ func TestAggregate(t *testing.T) {
 func TestAggregateSkipsErroredCells(t *testing.T) {
 	rs := fakeResults()
 	rs[0].Err = "boom"
-	agg := Aggregate(rs, Options{Bootstrap: -1})
+	agg := Aggregate(rs)
 	if agg[0].Errors != 1 || agg[0].Precision.N != 2 {
 		t.Errorf("errored cell not excluded: %+v", agg[0])
 	}
@@ -210,12 +210,13 @@ func TestConvergenceTime(t *testing.T) {
 		t.Error("no timeline, yet ok")
 	}
 
-	// Timeline-bearing results feed the Convergence estimate.
+	// Timeline-bearing results feed the Convergence estimate at the
+	// ConvergedBelowS = 5 µs threshold (4 µs counts as converged).
 	rs := fakeResults()
 	for i := range rs {
-		rs[i].Timeline = []harness.TimelinePoint{{T: 0, PrecisionS: 9e-6}, {T: float64(i + 1), PrecisionS: 1e-9}}
+		rs[i].Timeline = []harness.TimelinePoint{{T: 0, PrecisionS: 9e-6}, {T: float64(i + 1), PrecisionS: 4e-6}}
 	}
-	agg := Aggregate(rs, Options{ConvergedBelowS: 1e-6, Bootstrap: -1})
+	agg := Aggregate(rs)
 	if agg[0].Convergence.N != 3 {
 		t.Fatalf("convergence N = %d, want 3", agg[0].Convergence.N)
 	}
