@@ -34,3 +34,38 @@ func TestBuildBytesPerNode(t *testing.T) {
 		t.Errorf("cluster.New allocates %d bytes per node, want <= %d", got, bound)
 	}
 }
+
+// TestLiveHeapFlatInSimTime pins the live heap of a running cluster as
+// flat in simulated time. The UTCSU's LTU and ACU and each oscillator
+// keep only their previous and current segment, so 300 more simulated
+// seconds of an 8-node cluster leave the heap where it was; keeping
+// every segment grew it by about 0.5 MB over the same span.
+func TestLiveHeapFlatInSimTime(t *testing.T) {
+	liveHeap := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	growth := func() int64 {
+		c := New(Defaults(8, 7))
+		c.Start(1)
+		c.RunUntil(60)
+		at60 := liveHeap()
+		c.RunUntil(360)
+		at360 := liveHeap()
+		runtime.KeepAlive(c)
+		return at360 - at60
+	}
+	// Stray runtime allocations only add to one run's figure, so the
+	// least of three is the cluster's own.
+	got := growth()
+	for range 2 {
+		got = min(got, growth())
+	}
+	t.Logf("live heap growth of Defaults(8) from 60 to 360 sim-s: %d bytes", got)
+	const bound = 32 << 10
+	if got > bound {
+		t.Errorf("live heap grew %d bytes from 60 to 360 sim-s, want <= %d", got, bound)
+	}
+}

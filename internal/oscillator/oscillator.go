@@ -4,9 +4,12 @@
 // frequency in 1..20 MHz (§3.3); the model provides the TCXO. What matters to clock synchronization is
 // the frequency trajectory: a systematic calibration offset, a slow random
 // walk (aging, supply), and a temperature-induced component. The model is
-// piecewise constant in frequency — a new segment is appended at every
-// drift update — so tick index and true time convert exactly in O(log n),
-// with no per-tick simulation.
+// piecewise constant in frequency — a new segment starts at every drift
+// update — so tick index and true time convert exactly in O(1), with no
+// per-tick simulation. Only the previous and the current segment are
+// kept: every query is at the present or later, and a new segment starts
+// at the first tick at or after its update, so the present lies at worst
+// in the previous one. A query older than that panics.
 //
 // Tick 0 occurs at the oscillator's start time; tick n at start +
 // n·period, with the period changing only at segment boundaries aligned to
@@ -15,8 +18,8 @@
 package oscillator
 
 import (
+	"fmt"
 	"math"
-	"sort"
 
 	"ntisim/internal/sim"
 )
@@ -65,7 +68,8 @@ type Oscillator struct {
 	cfg     Config
 	rng     *sim.RNG
 	s       *sim.Simulator
-	segs    []segment
+	prev    segment // the segment cur replaced; prev == cur until the first update
+	cur     segment
 	baseOff float64 // systematic offset (fractional, not ppm)
 	walk    float64 // current random-walk value (fractional)
 	phase   float64 // temperature phase offset (radians)
@@ -86,7 +90,8 @@ func New(s *sim.Simulator, cfg Config, label string) *Oscillator {
 		o.phase = o.rng.Float64() * 2 * math.Pi
 		s.Every(o.start+1, 1, o.update)
 	}
-	o.segs = []segment{{t0: o.start, n0: 0, period: o.periodFor(o.start)}}
+	o.cur = segment{t0: o.start, n0: 0, period: o.periodFor(o.start)}
+	o.prev = o.cur
 	return o
 }
 
@@ -115,7 +120,7 @@ func (o *Oscillator) driftFor(t float64) float64 {
 	return d
 }
 
-// update appends a new frequency segment, aligned to a tick boundary.
+// update starts a new frequency segment, aligned to a tick boundary.
 func (o *Oscillator) update() {
 	o.walk += o.rng.Normal(0, walkStepPPM) * 1e-6
 	// Reflect at the clamp so the walk doesn't stick to the rail.
@@ -125,7 +130,7 @@ func (o *Oscillator) update() {
 		o.walk = -2*lim - o.walk
 	}
 	now := o.s.Now()
-	last := &o.segs[len(o.segs)-1]
+	last := &o.cur
 	// Frequency change takes effect at the first tick at/after now.
 	n := last.n0 + uint64(math.Ceil((now-last.t0)/last.period-1e-12))
 	if n < last.n0 {
@@ -138,32 +143,29 @@ func (o *Oscillator) update() {
 		last.period = p
 		return
 	}
-	o.segs = append(o.segs, segment{t0: tn, n0: n, period: p})
+	o.prev, o.cur = o.cur, segment{t0: tn, n0: n, period: p}
 }
 
 // segAt returns the segment governing true time t.
 func (o *Oscillator) segAt(t float64) *segment {
-	// Fast path: most queries are in the latest segment.
-	if last := &o.segs[len(o.segs)-1]; t >= last.t0 {
-		return last
+	if t >= o.cur.t0 {
+		return &o.cur
 	}
-	i := sort.Search(len(o.segs), func(i int) bool { return o.segs[i].t0 > t })
-	if i == 0 {
-		return &o.segs[0]
+	if t >= o.prev.t0 {
+		return &o.prev
 	}
-	return &o.segs[i-1]
+	panic(fmt.Sprintf("oscillator: time %v precedes the retained segments (from %v)", t, o.prev.t0))
 }
 
 // segOfTick returns the segment containing tick n.
 func (o *Oscillator) segOfTick(n uint64) *segment {
-	if last := &o.segs[len(o.segs)-1]; n >= last.n0 {
-		return last
+	if n >= o.cur.n0 {
+		return &o.cur
 	}
-	i := sort.Search(len(o.segs), func(i int) bool { return o.segs[i].n0 > n })
-	if i == 0 {
-		return &o.segs[0]
+	if n >= o.prev.n0 {
+		return &o.prev
 	}
-	return &o.segs[i-1]
+	panic(fmt.Sprintf("oscillator: tick %d precedes the retained segments (from tick %d)", n, o.prev.n0))
 }
 
 // TickIndex returns the number of full ticks elapsed at true time t
@@ -189,12 +191,4 @@ func (o *Oscillator) TickIndex(t float64) uint64 {
 func (o *Oscillator) TimeOfTick(n uint64) float64 {
 	s := o.segOfTick(n)
 	return s.t0 + float64(n-s.n0)*s.period
-}
-
-// DriftAt returns the fractional frequency deviation in effect at t,
-// derived from the actual segment period (so it reflects what the clock
-// really experienced, clamps included).
-func (o *Oscillator) DriftAt(t float64) float64 {
-	s := o.segAt(t)
-	return 1/(s.period*o.cfg.NominalHz) - 1
 }

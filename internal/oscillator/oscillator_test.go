@@ -8,6 +8,15 @@ import (
 	"ntisim/internal/sim"
 )
 
+// DriftAt returns the fractional frequency deviation in effect at t,
+// derived from the actual segment period (so it reflects what the clock
+// really experienced, clamps included). Like every query, t must not
+// precede the present's segment.
+func (o *Oscillator) DriftAt(t float64) float64 {
+	s := o.segAt(t)
+	return 1/(s.period*o.cfg.NominalHz) - 1
+}
+
 func TestIdealTickMapping(t *testing.T) {
 	s := sim.New(1)
 	o := New(s, Ideal(10e6), "a")
@@ -23,12 +32,16 @@ func TestIdealTickMapping(t *testing.T) {
 	}
 }
 
+// The oscillator keeps only the previous and current segment, so the
+// tests below step the run and query the present (or a future tick),
+// never a time the run has left behind.
+
 func TestTickIndexMonotonic(t *testing.T) {
 	s := sim.New(2)
 	o := New(s, TCXO(10e6), "a")
-	s.RunUntil(30) // let drift updates run
 	prev := uint64(0)
 	for x := 0.0; x < 30; x += 0.37 {
+		s.RunUntil(x) // drift updates run in between
 		n := o.TickIndex(x)
 		if n < prev {
 			t.Fatalf("TickIndex not monotonic at %v: %d < %d", x, n, prev)
@@ -37,11 +50,17 @@ func TestTickIndexMonotonic(t *testing.T) {
 	}
 }
 
+// justBefore returns a time shortly before tick n of a TCXO at nominal
+// freqHz: the drift is within ±5 ppm, so tick n is still ahead.
+func justBefore(n uint64, freqHz float64) float64 {
+	return float64(n) / freqHz * (1 - 1e-5)
+}
+
 func TestTickInverse(t *testing.T) {
 	s := sim.New(3)
 	o := New(s, TCXO(16e6), "a")
-	s.RunUntil(20)
 	for _, n := range []uint64{0, 1, 999, 16_000_000, 200_000_000} {
+		s.RunUntil(justBefore(n, 16e6))
 		at := o.TimeOfTick(n)
 		got := o.TickIndex(at + 1e-12)
 		if got != n {
@@ -60,34 +79,42 @@ func TestDriftWithinBound(t *testing.T) {
 	if d := o.driftFor(0); d != lim {
 		t.Fatalf("drift %v with the walk past the rail, want clamped to %v", d, lim)
 	}
-	s.RunUntil(300)
-	if math.Abs(o.walk) > lim {
-		t.Errorf("walk %v not reflected inside ±%v", o.walk, lim)
-	}
 	for x := 0.0; x <= 300; x += 7 {
+		s.RunUntil(x)
 		if d := math.Abs(o.DriftAt(x)); d > 5.0001e-6 {
 			t.Fatalf("drift %v at t=%v exceeds bound", d, x)
 		}
+	}
+	s.RunUntil(300)
+	if math.Abs(o.walk) > lim {
+		t.Errorf("walk %v not reflected inside ±%v", o.walk, lim)
 	}
 }
 
 func TestDriftActuallyVaries(t *testing.T) {
 	s := sim.New(5)
 	o := New(s, TCXO(10e6), "a")
-	s.RunUntil(600)
-	d0 := o.DriftAt(1)
+	// One drift reading per simulated second; the 1 s updates should
+	// make most of them distinct.
+	distinct := map[float64]bool{}
+	var d0 float64
 	varied := false
-	for x := 2.0; x < 600; x += 10 {
-		if math.Abs(o.DriftAt(x)-d0) > 1e-9 {
+	for x := 1; x < 600; x++ {
+		s.RunUntil(float64(x))
+		d := o.DriftAt(float64(x))
+		distinct[d] = true
+		switch {
+		case x == 1:
+			d0 = d
+		case (x-2)%10 == 0 && math.Abs(d-d0) > 1e-9:
 			varied = true
-			break
 		}
 	}
 	if !varied {
 		t.Error("TCXO drift never changed over 600 s")
 	}
-	if len(o.segs) < 100 {
-		t.Errorf("expected many segments, got %d", len(o.segs))
+	if len(distinct) < 100 {
+		t.Errorf("expected many distinct drift readings, got %d", len(distinct))
 	}
 }
 
@@ -101,24 +128,29 @@ func TestTwoOscillatorsDiffer(t *testing.T) {
 }
 
 func TestDeterministicAcrossRuns(t *testing.T) {
-	mk := func() float64 {
+	mk := func() (float64, uint64) {
 		s := sim.New(99)
 		o := New(s, TCXO(10e6), "x")
+		s.RunUntil(justBefore(123456789, 10e6))
+		at := o.TimeOfTick(123456789)
 		s.RunUntil(50)
-		return o.TimeOfTick(123456789)
+		return at, o.TickIndex(50)
 	}
-	if mk() != mk() {
+	at1, n1 := mk()
+	at2, n2 := mk()
+	if at1 != at2 || n1 != n2 {
 		t.Error("oscillator not deterministic")
 	}
 }
 
 // Property: tick times are strictly increasing and inverse-consistent.
+// Each case runs a fresh oscillator up to just before its tick.
 func TestQuickTickConsistency(t *testing.T) {
-	s := sim.New(21)
-	o := New(s, TCXO(10e6), "q")
-	s.RunUntil(60)
 	f := func(raw uint32) bool {
 		n := uint64(raw) % 600_000_000 // within the simulated minute
+		s := sim.New(21)
+		o := New(s, TCXO(10e6), "q")
+		s.RunUntil(justBefore(n, 10e6))
 		at := o.TimeOfTick(n)
 		atNext := o.TimeOfTick(n + 1)
 		return atNext > at && o.TickIndex(at+1e-12) == n
@@ -128,12 +160,13 @@ func TestQuickTickConsistency(t *testing.T) {
 	}
 }
 
+// BenchmarkTickIndex queries the millisecond ahead of a run 100 s in.
 func BenchmarkTickIndex(b *testing.B) {
 	s := sim.New(1)
 	o := New(s, TCXO(10e6), "a")
 	s.RunUntil(100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = o.TickIndex(float64(i%100) + 0.5)
+		_ = o.TickIndex(100 + float64(i%1000)*1e-6)
 	}
 }

@@ -44,7 +44,6 @@ func Capture(t float64, regs ...*Registry) Snapshot {
 		Gauges:   map[string]GaugeValue{},
 		Hists:    map[string]HistValue{},
 	}
-	merged := map[string]*Histogram{}
 	for _, r := range regs {
 		if r == nil {
 			continue
@@ -60,17 +59,21 @@ func Capture(t float64, regs ...*Registry) Snapshot {
 			v := r.fns[name]()
 			s.Gauges[r.gaugeKey(name)] = GaugeValue{V: v, Hi: v}
 		}
-		for _, name := range sortedKeys(r.hists) {
-			m := merged[name]
-			if m == nil {
-				m = newHistogram()
-				merged[name] = m
-			}
-			m.merge(r.hists[name])
+		for name := range r.hists {
+			s.Hists[name] = HistValue{}
 		}
 	}
-	for name, h := range merged {
-		s.Hists[name] = h.stats()
+	// Each name merges into one reused histogram, in registry order, so
+	// the float sums add up in the same order on every run.
+	var m Histogram
+	for name := range s.Hists {
+		m = *newHistogram()
+		for _, r := range regs {
+			if r != nil {
+				m.merge(r.hists[name])
+			}
+		}
+		s.Hists[name] = m.stats()
 	}
 	if len(s.Counters) == 0 {
 		s.Counters = nil

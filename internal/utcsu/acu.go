@@ -1,7 +1,7 @@
 package utcsu
 
 import (
-	"sort"
+	"fmt"
 
 	"ntisim/internal/fixpt"
 	"ntisim/internal/timefmt"
@@ -23,8 +23,15 @@ type acu struct {
 	// Deterioration rates in 2⁻⁶⁴ s units per tick.
 	detMinus uint64
 	detPlus  uint64
-	minus    []acuSeg
-	plus     []acuSeg
+	minus    acuSide
+	plus     acuSide
+}
+
+// acuSide is one accumulator: its current segment and the one it
+// replaced, which still governs the current tick when the new one starts
+// at the next (the LTU keeps the same pair).
+type acuSide struct {
+	prev, cur acuSeg
 }
 
 type acuSeg struct {
@@ -39,8 +46,6 @@ const satUnits = (int64(timefmt.AlphaMax) + 1) << 40
 
 func (a *acu) init(u *UTCSU) {
 	a.u = u
-	a.minus = []acuSeg{{}}
-	a.plus = []acuSeg{{}}
 }
 
 // SetDriftBoundPPB programs the deterioration rates: the accuracy grows
@@ -106,34 +111,34 @@ func (a *acu) reseg() {
 	a.place(&a.plus, acuSeg{startTick: n, base: clampUnits(ap), rate: a.ratePlus()})
 }
 
-func (a *acu) place(side *[]acuSeg, s acuSeg) {
-	segs := *side
-	if last := &segs[len(segs)-1]; last.startTick == s.startTick {
-		*last = s
-	} else if last.startTick > s.startTick {
-		// Can only happen for startTick regressions caused by tick()+1
-		// racing a same-tick placement; overwrite conservatively.
-		*last = s
-	} else {
-		*side = append(segs, s)
+func (a *acu) place(side *acuSide, s acuSeg) {
+	switch {
+	case side.cur.startTick == s.startTick:
+		side.cur = s
+	case side.cur.startTick > s.startTick:
+		// Every placement starts at tick()+1 and tick() never decreases.
+		panic(fmt.Sprintf("utcsu: ACU segment at tick %d placed before the current one at tick %d", s.startTick, side.cur.startTick))
+	default:
+		side.prev, side.cur = side.cur, s
 	}
 }
 
-func segAtTick(segs []acuSeg, n uint64) *acuSeg {
-	if last := &segs[len(segs)-1]; n >= last.startTick {
-		return last
+// segAt returns the segment governing tick n. Reads are at the current
+// tick or later; one older than the retained pair panics.
+func (side *acuSide) segAt(n uint64) *acuSeg {
+	if n >= side.cur.startTick {
+		return &side.cur
 	}
-	i := sort.Search(len(segs), func(i int) bool { return segs[i].startTick > n })
-	if i == 0 {
-		return &segs[0]
+	if n >= side.prev.startTick {
+		return &side.prev
 	}
-	return &segs[i-1]
+	panic(fmt.Sprintf("utcsu: ACU read at tick %d precedes the retained segments (from tick %d)", n, side.prev.startTick))
 }
 
 // unitsAt evaluates both accumulators at tick n with zero-masking.
 func (a *acu) unitsAt(n uint64) (am, ap int64) {
-	evalSide := func(segs []acuSeg) int64 {
-		s := segAtTick(segs, n)
+	evalSide := func(side *acuSide) int64 {
+		s := side.segAt(n)
 		dn := int64(n - s.startTick)
 		// Saturate before the multiply can overflow.
 		if s.rate > 0 && dn > (satUnits-s.base)/s.rate {
@@ -144,7 +149,7 @@ func (a *acu) unitsAt(n uint64) (am, ap int64) {
 		}
 		return clampUnits(s.base + s.rate*dn)
 	}
-	return evalSide(a.minus), evalSide(a.plus)
+	return evalSide(&a.minus), evalSide(&a.plus)
 }
 
 // at returns the saturated 16-bit register values at tick n.

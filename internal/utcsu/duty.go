@@ -102,7 +102,7 @@ func (u *UTCSU) fireTickFor(target timefmt.Stamp) uint64 {
 	if timefmt.StampFromTime(l.valueAt(now)) >= target {
 		return now + 1 // already past: fire on the next edge
 	}
-	seg := l.segs[len(l.segs)-1]
+	seg := l.cur
 	start := seg.startTick
 	if now > start {
 		start = now

@@ -1,7 +1,7 @@
 package utcsu
 
 import (
-	"sort"
+	"fmt"
 
 	"ntisim/internal/fixpt"
 	"ntisim/internal/sim"
@@ -15,14 +15,16 @@ import (
 // model represents the clock as piecewise-affine segments over the tick
 // index: within a segment the clock value at tick n is exactly
 // base + augend·(n−startTick), computed with 128-bit integer arithmetic.
-// New segments are appended on rate adjustment, amortization start/end
-// and state loads, so every read is bit-identical to what
-// the register would hold.
+// A new segment starts at the next tick on rate adjustment, amortization
+// start/end and state loads, so every read is bit-identical to what the
+// register would hold. Like the register, the model keeps only the
+// present: the current segment and the one it replaced, which still
+// governs the current tick when the new one starts at the next.
 type ltu struct {
 	u          *UTCSU
-	segs       []clockSeg
-	baseAugend uint64 // rate-adjusted augend, without amortization
-	ratePPB    int64  // last commanded rate offset
+	prev, cur  clockSeg // prev == cur until the first new segment
+	baseAugend uint64   // rate-adjusted augend, without amortization
+	ratePPB    int64    // last commanded rate offset
 
 	amortDelta   int64 // signed extra augend while amortizing, else 0
 	amortEnd     *sim.Event
@@ -38,19 +40,20 @@ type clockSeg struct {
 func (l *ltu) init(u *UTCSU) {
 	l.u = u
 	l.baseAugend = fixpt.AugendForRate(u.osc.NominalHz(), 1.0)
-	l.segs = []clockSeg{{startTick: 0, base: fixpt.Time{}, augend: l.baseAugend}}
+	l.cur = clockSeg{startTick: 0, base: fixpt.Time{}, augend: l.baseAugend}
+	l.prev = l.cur
 }
 
-// segOf returns the segment governing tick n.
+// segOf returns the segment governing tick n. Reads are at the current
+// tick or later; one older than the retained pair panics.
 func (l *ltu) segOf(n uint64) *clockSeg {
-	if last := &l.segs[len(l.segs)-1]; n >= last.startTick {
-		return last
+	if n >= l.cur.startTick {
+		return &l.cur
 	}
-	i := sort.Search(len(l.segs), func(i int) bool { return l.segs[i].startTick > n })
-	if i == 0 {
-		return &l.segs[0]
+	if n >= l.prev.startTick {
+		return &l.prev
 	}
-	return &l.segs[i-1]
+	panic(fmt.Sprintf("utcsu: LTU read at tick %d precedes the retained segments (from tick %d)", n, l.prev.startTick))
 }
 
 // valueAt returns the exact register content at tick n.
@@ -82,10 +85,10 @@ func (l *ltu) appendSeg(augend uint64) {
 }
 
 func (l *ltu) placeSeg(s clockSeg) {
-	if last := &l.segs[len(l.segs)-1]; last.startTick == s.startTick {
-		*last = s
+	if l.cur.startTick == s.startTick {
+		l.cur = s
 	} else {
-		l.segs = append(l.segs, s)
+		l.prev, l.cur = l.cur, s
 	}
 	l.u.acu.onClockSegChange()
 	l.u.rearmTimers()
@@ -177,8 +180,7 @@ func (u *UTCSU) Amortize(delta timefmt.Duration, speedPPM int64) {
 	}
 	l.amortPending = delta
 	l.appendSeg(l.effectiveAugend())
-	startTick := l.segs[len(l.segs)-1].startTick
-	endTick := startTick + nTicks
+	endTick := l.cur.startTick + nTicks
 	l.amortEnd = u.sim.At(u.osc.TimeOfTick(endTick), func() {
 		l.amortEnd = nil
 		l.amortDelta = 0
