@@ -106,7 +106,7 @@ var presets = map[string]preset{
 		},
 	},
 	"sharded": {
-		desc: "WANs-of-LANs segments × nodes grid on the segment-sharded kernel (shard-count byte-identity gate)",
+		desc: "WANs-of-LANs segments × nodes grid on the segment-sharded kernel (one simulator per segment)",
 		points: func() []harness.Point {
 			return harness.Cross(harness.SegmentsAxis(1, 2, 4), harness.NodesAxis(8, 16))
 		},

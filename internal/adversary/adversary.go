@@ -161,9 +161,8 @@ func (s *Spec) SourceFaults(source int, base []gps.Fault) []gps.Fault {
 // with their attack roles, and the per-shard lie accounting. One Layer
 // belongs to exactly one cluster.
 type Layer struct {
-	spec  Spec
-	seed  uint64
-	nodes int
+	spec Spec
+	seed uint64
 	// roles[i] is the attack model of regular node i ("" = honest).
 	roles []string
 	// traitors lists the traitor node ids in ascending order.
@@ -188,7 +187,6 @@ func NewLayer(spec Spec, seed uint64, nodes, shards int) *Layer {
 	l := &Layer{
 		spec:        spec,
 		seed:        seed,
-		nodes:       nodes,
 		roles:       make([]string, nodes),
 		mag:         timefmt.DurationFromSeconds(spec.MagnitudeS),
 		liesByShard: make([]uint64, shards),

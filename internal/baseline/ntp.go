@@ -24,7 +24,6 @@ type NTPClient struct {
 	// shift register of recent (delay, offset) samples; the minimum-
 	// delay sample wins (NTP's clock filter).
 	samples []ntpSample
-	synced  bool
 	rng     *sim.RNG
 }
 
@@ -89,13 +88,11 @@ func (c *NTPClient) ingest(sm ntpSample) {
 	off := best.offset
 	if math.Abs(off) >= ntpStepThresholdS {
 		c.u.StepTo(c.u.Now().Add(timefmt.DurationFromSeconds(off)))
-		c.synced = true
 		return
 	}
 	// Slew: amortize a fraction of the filtered offset each poll (a
 	// crude PLL, matching SNTP-class implementations).
 	c.u.Amortize(timefmt.DurationFromSeconds(off/2), 500)
-	c.synced = true
 }
 
 // OffsetSeconds returns the client clock's current error versus true

@@ -111,11 +111,8 @@ type Stats struct {
 	CSPsSent          uint64
 	CSPsUsed          uint64
 	ConvergenceFailed uint64
-	Steps             uint64
 	Amortizations     uint64
 	ExternalAccepted  uint64
-	PrimaryAccepted   uint64
-	PrimaryRejected   uint64
 	ExternalRejected  uint64
 	// SourcesRejected counts quarantine entries under multi-source
 	// trust: a reference source whose intervals kept disagreeing with
@@ -144,15 +141,17 @@ type Synchronizer struct {
 	rate      *rateSync
 	externals []ExternalFunc
 	// Multi-source trust state (Params.SourceF > 0): per-source
-	// quarantine tracking, the scratch interval set handed to the
-	// fault-tolerant source combiner, and its zero-alloc fuser.
+	// quarantine tracking and the scratch interval set handed to the
+	// fault-tolerant source combiner.
 	srcStates   []sourceState
 	scratchSrcs []interval.Interval
-	srcFuser    interval.Fuser
-	stats       Stats
-	running     bool
-	bcastTm     Timer
-	compTm      Timer
+	// fz fuses the remote primaries and the multi-source intervals on
+	// reusable scratch buffers.
+	fz      interval.Fuser
+	stats   Stats
+	running bool
+	bcastTm Timer
+	compTm  Timer
 
 	// Per-round scratch, reused across converge calls so the steady
 	// state allocates nothing: the interval set handed to the
@@ -228,9 +227,7 @@ func New(node *kernel.Node, clk Clock, p Params) *Synchronizer {
 	if p.Discipline != nil {
 		sy.disc = p.Discipline()
 	} else {
-		// The default is the paper's algorithm through the
-		// allocation-free fast path (identical results to
-		// interval.OrthogonalAccuracy).
+		// The default is the paper's algorithm, orthogonal accuracy.
 		sy.disc = discipline.NewInterval()
 	}
 	sy.discID = discipline.ID(sy.disc.Name())
@@ -435,7 +432,7 @@ func (sy *Synchronizer) converge(k uint32) {
 	sy.scratchIvs = ivs
 	sy.scratchPrims = prims
 
-	act, ok := sy.disc.Step(discipline.Sample{Round: k, Now: now, Intervals: ivs, F: sy.p.F})
+	act, ok := sy.disc.Step(discipline.Sample{Now: now, Intervals: ivs, F: sy.p.F})
 	if !ok {
 		sy.stats.ConvergenceFailed++
 		sy.tmFailed.Inc()
@@ -467,13 +464,9 @@ func (sy *Synchronizer) converge(k uint32) {
 		if fp >= len(prims) {
 			fp = len(prims) - 1
 		}
-		if pm, okP := interval.Marzullo(prims, fp); okP {
-			validated, accepted := interval.Validate(pm, out)
-			if accepted {
-				sy.stats.PrimaryAccepted++
+		if pm, okP := sy.fz.Marzullo(prims, fp); okP {
+			if validated, accepted := interval.Validate(pm, out); accepted {
 				out = validated
-			} else {
-				sy.stats.PrimaryRejected++
 			}
 		}
 	}
@@ -575,7 +568,6 @@ func (sy *Synchronizer) enforce(now timefmt.Stamp, out interval.Interval) {
 		// Initial synchronization: jump, then centre the accuracies.
 		sy.clk.StepTo(out.Ref)
 		sy.clk.SetAlpha(out.Ref.Sub(lo), hi.Sub(out.Ref))
-		sy.stats.Steps++
 		return
 	}
 	sy.clk.SetAlpha(cur.Sub(lo), hi.Sub(cur))

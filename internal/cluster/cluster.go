@@ -158,17 +158,9 @@ type Member struct {
 	// are homed on their lower-numbered adjacent segment's shard); 0 for
 	// a flat LAN.
 	Shard int
-	Osc   *oscillator.Oscillator
 	U     *utcsu.UTCSU
 	Node  *kernel.Node
 	Sync  *clocksync.Synchronizer
-	GPS   *clocksync.GPSAttachment
-	Rx    *gps.Receiver
-	// SrcGPS/SrcRx are the additional reference sources (GPU 1..) of a
-	// multi-source node (Adversary.Sources >= 2); the classic single
-	// receiver stays in GPS/Rx.
-	SrcGPS []*clocksync.GPSAttachment
-	SrcRx  []*gps.Receiver
 }
 
 // OffsetAndBounds implements metrics.Snapshotter through an SNU
@@ -304,7 +296,7 @@ func New(cfg Config) *Cluster {
 		// any node hears.
 		bus = c.adv.WrapBus(bus, id, shard, s)
 		node := kernel.NewNode(s, uint16(id), u, bus, cfg.Kernel)
-		m := &Member{Index: id, Segment: segment, Shard: shard, Osc: osc, U: u, Node: node}
+		m := &Member{Index: id, Segment: segment, Shard: shard, U: u, Node: node}
 		var clk clocksync.Clock = clocksync.UTCSUClock{UTCSU: u}
 		if cfg.ClockFactory != nil {
 			clk = cfg.ClockFactory(u)
@@ -368,20 +360,16 @@ func attachReferences(m *Member, gc gps.Config, label string, cfg *Config) {
 	if sources > utcsu.NumGPU {
 		sources = utcsu.NumGPU
 	}
-	base := gc
-	base.Faults = cfg.Adversary.SourceFaults(0, gc.Faults)
-	s := m.Node.Sim
-	m.GPS = clocksync.AttachGPS(m.Node, 0, acc, rho)
-	m.Rx = gps.New(s, base, label, m.Index, m.GPS.OnPulse)
-	m.Sync.AddExternal(m.GPS.Interval)
-	for src := 1; src < sources; src++ {
+	for src := 0; src < sources; src++ {
 		sc := gc
 		sc.Faults = cfg.Adversary.SourceFaults(src, gc.Faults)
+		name := label
+		if src > 0 {
+			name = fmt.Sprintf("%s/src%d", label, src)
+		}
 		att := clocksync.AttachGPS(m.Node, src, acc, rho)
-		rx := gps.New(s, sc, fmt.Sprintf("%s/src%d", label, src), m.Index, att.OnPulse)
+		gps.New(m.Node.Sim, sc, name, m.Index, att.OnPulse)
 		m.Sync.AddExternal(att.Interval)
-		m.SrcGPS = append(m.SrcGPS, att)
-		m.SrcRx = append(m.SrcRx, rx)
 	}
 }
 

@@ -2,12 +2,12 @@
 // consumers of one resynchronization round's preprocessed accuracy
 // intervals that produce a state correction (and optionally a rate
 // adjustment) for the local clock. The paper's interval-based
-// convergence functions (interval.OrthogonalAccuracy and friends) are
-// one Discipline among peers here, next to the filter/estimator
-// families modern time-sync stacks use: a steady-state Kalman offset
-// filter, an ntimed-style lucky-sample filter, a Theil-Sen robust
-// trend estimator, and a PI/PLL rate controller that can wrap any of
-// them.
+// convergence functions (interval.Fuser's OrthogonalAccuracy and
+// friends) are one Discipline among peers here, next to the
+// filter/estimator families modern time-sync stacks use: a
+// steady-state Kalman offset filter, an ntimed-style lucky-sample
+// filter, a Theil-Sen robust trend estimator, and a PI/PLL rate
+// controller that can wrap any of them.
 //
 // Every discipline preserves requirement (A) of the paper (§2): the
 // returned interval's edges always cover the Marzullo fault-tolerant
@@ -26,8 +26,6 @@ import (
 
 // Sample is one resynchronization round's preprocessed input.
 type Sample struct {
-	// Round is the round number k.
-	Round uint32
 	// Now is the local clock reading at the convergence instant kP+Δ.
 	Now timefmt.Stamp
 	// Intervals holds the round's accuracy intervals: element 0 is the

@@ -33,7 +33,7 @@ func oracle(t *testing.T, d Discipline, offS, driftPPB float64, rounds int) (err
 			ref := st(tTrue + rng.NormFloat64()*2e-6)
 			ivs = append(ivs, interval.New(ref, dur(20e-6), dur(20e-6)))
 		}
-		act, ok := d.Step(Sample{Round: uint32(k), Now: now, Intervals: ivs, F: 1})
+		act, ok := d.Step(Sample{Now: now, Intervals: ivs, F: 1})
 		if !ok {
 			t.Fatalf("round %d: %s did not converge", k, d.Name())
 		}
@@ -107,7 +107,7 @@ func TestStepNoQuorum(t *testing.T) {
 	for _, name := range Names() {
 		f, _ := Lookup(name)
 		d := f()
-		if _, ok := d.Step(Sample{Round: 0, Now: st(1), Intervals: disjoint, F: 0}); ok {
+		if _, ok := d.Step(Sample{Now: st(1), Intervals: disjoint, F: 0}); ok {
 			t.Errorf("%s: disjoint round converged", name)
 		}
 		good := []interval.Interval{
@@ -115,7 +115,7 @@ func TestStepNoQuorum(t *testing.T) {
 			interval.New(st(2.00001), dur(20e-6), dur(20e-6)),
 			interval.New(st(2.00001), dur(20e-6), dur(20e-6)),
 		}
-		if _, ok := d.Step(Sample{Round: 1, Now: st(2), Intervals: good, F: 0}); !ok {
+		if _, ok := d.Step(Sample{Now: st(2), Intervals: good, F: 0}); !ok {
 			t.Errorf("%s: good round after bad round did not converge", name)
 		}
 	}
@@ -163,7 +163,7 @@ func TestRegistryRoundTrip(t *testing.T) {
 // TestWrapConverge: an arbitrary convergence function plugs in as a
 // stateless discipline; the empty name reads back as "custom".
 func TestWrapConverge(t *testing.T) {
-	d := WrapConverge("", ConvergeFunc(interval.MarzulloMidpoint))
+	d := WrapConverge("", (*interval.Fuser).MarzulloMidpoint)
 	if d.Name() != "custom" {
 		t.Errorf("Name() = %q, want custom", d.Name())
 	}
@@ -175,7 +175,8 @@ func TestWrapConverge(t *testing.T) {
 	if !ok {
 		t.Fatal("Step failed")
 	}
-	want, _ := interval.MarzulloMidpoint(ivs, 0)
+	var fz interval.Fuser
+	want, _ := fz.MarzulloMidpoint(ivs, 0)
 	if act.Interval != want {
 		t.Errorf("wrapped result %v, want %v", act.Interval, want)
 	}

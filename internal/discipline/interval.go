@@ -2,10 +2,11 @@ package discipline
 
 import "ntisim/internal/interval"
 
-// ConvergeFunc fuses one round's accuracy intervals, tolerating up to f
-// faulty inputs; interval.OrthogonalAccuracy and its variants have this
-// type.
-type ConvergeFunc func(ivs []interval.Interval, f int) (interval.Interval, bool)
+// ConvergeFunc fuses one round's accuracy intervals on the given Fuser's
+// scratch buffers, tolerating up to f faulty inputs; the method
+// expressions (*interval.Fuser).OrthogonalAccuracy and its variants have
+// this type.
+type ConvergeFunc func(fz *interval.Fuser, ivs []interval.Interval, f int) (interval.Interval, bool)
 
 // Interval adapts the paper's interval-based convergence functions to
 // the Discipline interface: the whole correction is the fused
@@ -13,18 +14,20 @@ type ConvergeFunc func(ivs []interval.Interval, f int) (interval.Interval, bool)
 // every other discipline is campaigned against.
 type Interval struct {
 	name string
-	fn   ConvergeFunc // nil: the allocation-free Fuser OA fast path
+	fn   ConvergeFunc
 	fz   interval.Fuser
 }
 
-// NewInterval returns the orthogonal-accuracy baseline discipline. It
-// computes exactly interval.OrthogonalAccuracy, through scratch buffers
-// that make the steady-state round allocation-free.
-func NewInterval() *Interval { return &Interval{name: "interval"} }
+// NewInterval returns the orthogonal-accuracy baseline discipline:
+// interval.Fuser's OrthogonalAccuracy, whose scratch buffers make the
+// steady-state round allocation-free.
+func NewInterval() *Interval {
+	return &Interval{name: "interval", fn: (*interval.Fuser).OrthogonalAccuracy}
+}
 
 // WrapConverge adapts an arbitrary convergence function (e.g. the E14
-// ablations interval.OrthogonalAccuracyFTA or interval.MarzulloMidpoint)
-// as a Discipline.
+// ablations (*interval.Fuser).OrthogonalAccuracyFTA or
+// (*interval.Fuser).MarzulloMidpoint) as a Discipline.
 func WrapConverge(name string, fn ConvergeFunc) *Interval {
 	if name == "" {
 		name = "custom"
@@ -37,13 +40,7 @@ func (d *Interval) Name() string { return d.name }
 
 // Step implements Discipline.
 func (d *Interval) Step(s Sample) (Action, bool) {
-	var out interval.Interval
-	var ok bool
-	if d.fn != nil {
-		out, ok = d.fn(s.Intervals, s.F)
-	} else {
-		out, ok = d.fz.OrthogonalAccuracy(s.Intervals, s.F)
-	}
+	out, ok := d.fn(&d.fz, s.Intervals, s.F)
 	if !ok {
 		return Action{}, false
 	}

@@ -33,9 +33,9 @@ func E14ConvergenceShootout(seed uint64) Result {
 		name string
 		fn   discipline.ConvergeFunc
 	}{
-		{"OA (midpoint)", interval.OrthogonalAccuracy},
-		{"OA (average)", interval.OrthogonalAccuracyFTA},
-		{"Marzullo midpoint", interval.MarzulloMidpoint},
+		{"OA (midpoint)", (*interval.Fuser).OrthogonalAccuracy},
+		{"OA (average)", (*interval.Fuser).OrthogonalAccuracyFTA},
+		{"Marzullo midpoint", (*interval.Fuser).MarzulloMidpoint},
 	}
 	spec := harness.Spec{Name: "E14", Base: cluster.Defaults(8, seed),
 		DelayProbes: delayProbes, WarmupS: 20, WindowS: 90, SampleEveryS: 0.9}

@@ -16,9 +16,8 @@ import (
 	"ntisim/internal/timefmt"
 )
 
-// Axis is a named list of points along one parameter.
+// Axis is the list of points along one parameter.
 type Axis struct {
-	Name   string
 	Points []Point
 }
 
@@ -27,7 +26,7 @@ func NodesAxis(ns ...int) Axis {
 	if len(ns) == 0 {
 		ns = []int{2, 4, 8, 16, 24, 32}
 	}
-	ax := Axis{Name: "nodes"}
+	var ax Axis
 	for _, n := range ns {
 		n := n
 		ax.Points = append(ax.Points, Point{
@@ -47,7 +46,7 @@ func SegmentsAxis(segs ...int) Axis {
 	if len(segs) == 0 {
 		segs = []int{1, 2, 4, 8}
 	}
-	ax := Axis{Name: "segments"}
+	var ax Axis
 	for _, s := range segs {
 		s := s
 		ax.Points = append(ax.Points, Point{
@@ -65,7 +64,7 @@ func PeriodAxis(ps ...float64) Axis {
 	if len(ps) == 0 {
 		ps = []float64{0.25, 0.5, 1, 2, 4}
 	}
-	ax := Axis{Name: "period"}
+	var ax Axis
 	for _, p := range ps {
 		p := p
 		ax.Points = append(ax.Points, Point{
@@ -84,7 +83,7 @@ func LoadAxis(ls ...float64) Axis {
 	if len(ls) == 0 {
 		ls = []float64{0, 0.15, 0.3, 0.45, 0.6}
 	}
-	ax := Axis{Name: "load"}
+	var ax Axis
 	for _, l := range ls {
 		l := l
 		ax.Points = append(ax.Points, Point{
@@ -101,7 +100,7 @@ func FoscAxis(fs ...float64) Axis {
 	if len(fs) == 0 {
 		fs = []float64{1e6, 4e6, 10e6, 14e6, 20e6}
 	}
-	ax := Axis{Name: "fosc"}
+	var ax Axis
 	for _, f := range fs {
 		f := f
 		ax.Points = append(ax.Points, Point{
@@ -121,7 +120,7 @@ func FAxis(nodes int, fs ...int) Axis {
 	if len(fs) == 0 {
 		fs = []int{0, 1, 2, 3, 4}
 	}
-	ax := Axis{Name: "f"}
+	var ax Axis
 	for _, fv := range fs {
 		fv := fv
 		ax.Points = append(ax.Points, Point{
@@ -144,7 +143,7 @@ func DisciplineAxis(names ...string) Axis {
 	if len(names) == 0 {
 		names = discipline.Names()
 	}
-	ax := Axis{Name: "discipline"}
+	var ax Axis
 	for _, n := range names {
 		f, ok := discipline.Lookup(n)
 		if !ok {
@@ -168,7 +167,7 @@ func TraitorsAxis(fracs ...float64) Axis {
 	if len(fracs) == 0 {
 		fracs = []float64{0, 0.125, 0.25, 0.375}
 	}
-	ax := Axis{Name: "traitors"}
+	var ax Axis
 	for _, fr := range fracs {
 		fr := fr
 		ax.Points = append(ax.Points, Point{
@@ -186,7 +185,7 @@ func ClientsAxis(ns ...int) Axis {
 	if len(ns) == 0 {
 		ns = []int{100000, 1000000}
 	}
-	ax := Axis{Name: "clients"}
+	var ax Axis
 	for _, n := range ns {
 		n := n
 		ax.Points = append(ax.Points, Point{
@@ -205,7 +204,7 @@ func ArrivalAxis(names ...string) Axis {
 	if len(names) == 0 {
 		names = service.Arrivals()
 	}
-	ax := Axis{Name: "arrival"}
+	var ax Axis
 	for _, n := range names {
 		if !service.ValidArrival(n) {
 			panic(fmt.Sprintf("harness: unknown arrival process %q", n))
@@ -256,7 +255,7 @@ type FaultScenario struct {
 // FaultAxis builds fault-injection points: gpsNodes receivers on the
 // first nodes, with the last GPS node carrying the scenario's fault.
 func FaultAxis(gpsNodes int, scenarios ...FaultScenario) Axis {
-	ax := Axis{Name: "fault"}
+	var ax Axis
 	for _, sc := range scenarios {
 		sc := sc
 		label := fmt.Sprintf("fault=%s", sc.Kind)

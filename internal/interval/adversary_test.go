@@ -14,7 +14,8 @@ import (
 // receiver view), or barely-overlapping — and the properties under test
 // are (a) the fused interval still contains true time whenever at least
 // n−f inputs do, and (b) the zero-alloc Fuser stays bit-identical to
-// the reference package functions on exactly these hostile inputs.
+// the brute-force oracle (fuser_test.go) on exactly these hostile
+// inputs.
 
 // mkHonest builds an interval containing T with randomized asymmetric
 // bounds and a randomized reference point inside them.
@@ -80,10 +81,11 @@ func TestFusionContainsTrueTimeUnderByzantineInputs(t *testing.T) {
 	}
 }
 
-// TestFuserMatchesReferenceOnAdversarialInputs pins the Fuser to the
-// allocation-per-call package functions bit-for-bit on hostile inputs —
-// edge ties, barely-touching intervals, and lies engineered near the
-// capture band, where a comparator or tie-rule divergence would show.
+// TestFuserMatchesReferenceOnAdversarialInputs pins every convergence
+// function of the Fuser to the brute-force oracle bit for bit on hostile
+// inputs — edge ties, barely-touching intervals, and lies engineered
+// near the capture band, where a comparator or tie-rule divergence
+// would show.
 func TestFuserMatchesReferenceOnAdversarialInputs(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xbad))
 	T := timefmt.Stamp(0).Add(timefmt.DurationFromSeconds(42))
@@ -108,19 +110,6 @@ func TestFuserMatchesReferenceOnAdversarialInputs(t *testing.T) {
 				}
 			}
 		}
-		got, gotOK := fz.OrthogonalAccuracy(ivs, f)
-		want, wantOK := OrthogonalAccuracy(ivs, f)
-		if gotOK != wantOK || got != want {
-			t.Fatalf("trial %d: OrthogonalAccuracy mismatch: fuser (%v, %v) vs reference (%v, %v)", trial, got, gotOK, want, wantOK)
-		}
-		// The variants E14 runs are the degraded-f Marzullo interval,
-		// re-referenced (FTA) or as is (Marzullo midpoint).
-		mz, mzOK := fz.Marzullo(ivs, degradeF(ivs, f))
-		if got, ok := MarzulloMidpoint(ivs, f); ok != mzOK || got != mz {
-			t.Fatalf("trial %d: MarzulloMidpoint (%v, %v), degraded Marzullo (%v, %v)", trial, got, ok, mz, mzOK)
-		}
-		if got, ok := OrthogonalAccuracyFTA(ivs, f); ok != mzOK || (ok && got != mz.Rereference(got.Ref)) {
-			t.Fatalf("trial %d: OrthogonalAccuracyFTA (%v, %v) is not the degraded Marzullo interval (%v, %v) re-referenced", trial, got, ok, mz, mzOK)
-		}
+		checkOracle(t, &fz, ivs, f)
 	}
 }

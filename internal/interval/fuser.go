@@ -1,10 +1,10 @@
-// Scratch-based convergence: a Fuser owns reusable buffers so the
+// Convergence functions. A Fuser owns reusable scratch buffers, so the
 // per-round hot path of a long-running synchronizer computes Marzullo
-// intersections and fault-tolerant midpoints without allocating. The
-// package-level functions Marzullo, FTMidpoint and OrthogonalAccuracy
-// stay as the allocation-per-call reference implementations; a Fuser
-// produces bit-identical results (same edge ordering, same tie rules)
-// and is what internal/discipline uses on the steady-state path.
+// intersections, fault-tolerant midpoints and averages without
+// allocating after warm-up. It is the package's only implementation of
+// the convergence functions; the method expressions
+// (*Fuser).OrthogonalAccuracy, (*Fuser).OrthogonalAccuracyFTA and
+// (*Fuser).MarzulloMidpoint are what internal/discipline runs.
 
 package interval
 
@@ -14,14 +14,14 @@ import (
 	"ntisim/internal/timefmt"
 )
 
-// fuserEdge mirrors the sweep edge of Marzullo.
+// fuserEdge is one end of an input interval in the Marzullo sweep.
 type fuserEdge struct {
 	at    timefmt.Stamp
 	delta int8 // +1 = interval opens, -1 = closes
 }
 
 // edgeSlice sorts edges by position, opens before closes at the same
-// point (closed intervals touch) — exactly Marzullo's comparator.
+// point: closed intervals touch.
 type edgeSlice []fuserEdge
 
 func (e edgeSlice) Len() int      { return len(e) }
@@ -40,15 +40,19 @@ func (s stampSlice) Len() int           { return len(s) }
 func (s stampSlice) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
 func (s stampSlice) Less(i, j int) bool { return s[i] < s[j] }
 
-// Fuser computes the convergence functions of this package with
-// reusable scratch buffers: after warm-up no call allocates. A Fuser is
-// single-goroutine state (one per synchronizer/discipline instance).
+// Fuser computes the convergence functions with reusable scratch
+// buffers: after warm-up no call allocates. A Fuser is single-goroutine
+// state (one per synchronizer/discipline instance).
 type Fuser struct {
 	edges edgeSlice
 	refs  stampSlice
 }
 
-// Marzullo is the scratch-buffer equivalent of the package function.
+// Marzullo computes the fault-tolerant intersection of the given
+// intervals assuming at most f of them are faulty [Mar84]: the smallest
+// interval containing every point that lies in at least n−f inputs. If
+// fewer than n−f inputs overlap anywhere, ok is false. The result is
+// referenced at its midpoint.
 func (fz *Fuser) Marzullo(ivs []Interval, f int) (Interval, bool) {
 	n := len(ivs)
 	need := n - f
@@ -69,8 +73,11 @@ func (fz *Fuser) Marzullo(ivs []Interval, f int) (Interval, bool) {
 		if e.delta > 0 && depth >= need && !foundLo {
 			lo, foundLo = e.at, true
 		}
-		// Last close below need, not the first: the hull over all
-		// depth-(n−f) regions (see the package function).
+		// Keep advancing hi to the LAST close that drops below need:
+		// Byzantine inputs can split the depth-(n−f) coverage into
+		// disjoint regions, and true time is only guaranteed to lie in
+		// one of them — the hull over all of them is what the contract
+		// (and the containment theorem) requires, not the leftmost.
 		if e.delta < 0 && depth == need-1 && foundLo {
 			hi, foundHi = e.at, true
 		}
@@ -82,32 +89,52 @@ func (fz *Fuser) Marzullo(ivs []Interval, f int) (Interval, bool) {
 	return FromEdges(lo, hi, mid), true
 }
 
-// loadRefs fills the scratch reference-point buffer from ivs.
-func (fz *Fuser) loadRefs(ivs []Interval) {
+// sortedRefs fills the scratch reference-point buffer from ivs and
+// sorts it, panicking unless n > 2f.
+func (fz *Fuser) sortedRefs(ivs []Interval, f int, name string) stampSlice {
+	if 2*f >= len(ivs) {
+		panic("interval: " + name + " needs n > 2f")
+	}
 	refs := fz.refs[:0]
 	for _, iv := range ivs {
 		refs = append(refs, iv.Ref)
 	}
 	fz.refs = refs
+	sort.Sort(&fz.refs)
+	return fz.refs
 }
 
 // FTMidpoint computes the fault-tolerant midpoint of the intervals'
-// reference points without allocating. It panics if 2f >= len(ivs),
-// like the package function.
+// reference points [LL84]/[KO87]: discard the f smallest and f largest
+// values and return the midpoint of the extremes of the rest. It panics
+// if 2f >= len(ivs).
 func (fz *Fuser) FTMidpoint(ivs []Interval, f int) timefmt.Stamp {
-	n := len(ivs)
-	if 2*f >= n {
-		panic("interval: FTMidpoint needs n > 2f")
-	}
-	fz.loadRefs(ivs)
-	sort.Sort(&fz.refs)
-	lo, hi := fz.refs[f], fz.refs[n-1-f]
+	refs := fz.sortedRefs(ivs, f, "FTMidpoint")
+	lo, hi := refs[f], refs[len(refs)-1-f]
 	return lo.Add(hi.Sub(lo) / 2)
 }
 
-// degradeF mirrors the graceful degradation of the package convergence
-// functions: with fewer than 2f+1 inputs fall back to the largest
-// tolerable f.
+// FTAverage computes the fault-tolerant average of the intervals'
+// reference points (the convergence function of [LL84]'s averaging
+// variant and [KO87]'s CSU firmware): discard the f smallest and f
+// largest values, return the arithmetic mean of the rest. Compared to
+// the midpoint it weights every surviving input, trading worst-case
+// contraction for noise averaging. It panics if 2f >= len(ivs).
+func (fz *Fuser) FTAverage(ivs []Interval, f int) timefmt.Stamp {
+	refs := fz.sortedRefs(ivs, f, "FTAverage")
+	kept := refs[f : len(refs)-f]
+	base := kept[0]
+	var acc int64
+	for _, v := range kept {
+		acc += int64(v.Sub(base))
+	}
+	return base.Add(timefmt.Duration(acc / int64(len(kept))))
+}
+
+// degradeF is the graceful degradation every convergence function
+// shares: with fewer than 2f+1 inputs the full fault tolerance is not
+// attainable this round (e.g. peers went silent), so fall back to the
+// largest tolerable f rather than refusing to resynchronize.
 func degradeF(ivs []Interval, f int) int {
 	if 2*f >= len(ivs) && len(ivs) > 0 {
 		f = (len(ivs) - 1) / 2
@@ -115,13 +142,45 @@ func degradeF(ivs []Interval, f int) int {
 	return f
 }
 
-// OrthogonalAccuracy is the scratch-buffer equivalent of the package
-// function: Marzullo edges, fault-tolerant-midpoint reference.
+// OrthogonalAccuracy is the OA convergence function of [Sch97b] as
+// reconstructed from the paper's description (§5): precision is driven
+// by a fault-tolerant-midpoint choice of the new reference point, while
+// accuracy is maintained "orthogonally" by the Marzullo intersection of
+// the input intervals. The returned interval always contains the
+// Marzullo interval (hence real time, if at most f inputs are faulty).
 func (fz *Fuser) OrthogonalAccuracy(ivs []Interval, f int) (Interval, bool) {
 	f = degradeF(ivs, f)
 	mz, ok := fz.Marzullo(ivs, f)
 	if !ok {
 		return Interval{}, false
 	}
+	// Orthogonality: the reference point follows pure fault-tolerant-
+	// midpoint dynamics (that is what guarantees precision, [LL84]), and
+	// is NOT clamped into the Marzullo interval — when it falls outside,
+	// Rereference extends the interval instead, so real-time containment
+	// (accuracy) is preserved at the cost of a wider interval. Clamping
+	// would couple the reference to the node's own interval edge and can
+	// stall precision convergence entirely.
 	return mz.Rereference(fz.FTMidpoint(ivs, f)), true
+}
+
+// OrthogonalAccuracyFTA is OrthogonalAccuracy with the reference point
+// chosen by the fault-tolerant average instead of the midpoint — the
+// ablation used by the convergence-function comparison (experiment E14).
+func (fz *Fuser) OrthogonalAccuracyFTA(ivs []Interval, f int) (Interval, bool) {
+	f = degradeF(ivs, f)
+	mz, ok := fz.Marzullo(ivs, f)
+	if !ok {
+		return Interval{}, false
+	}
+	return mz.Rereference(fz.FTAverage(ivs, f)), true
+}
+
+// MarzulloMidpoint is the convergence function that sets the new
+// reference to the midpoint of the fault-tolerant intersection — pure
+// Marzullo dynamics as used by NTP's clock selection. Accuracy-optimal,
+// but its reference point is dominated by whichever inputs bound the
+// intersection, which couples precision to interval widths.
+func (fz *Fuser) MarzulloMidpoint(ivs []Interval, f int) (Interval, bool) {
+	return fz.Marzullo(ivs, degradeF(ivs, f))
 }

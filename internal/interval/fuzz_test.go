@@ -33,34 +33,20 @@ var hullSplit = []Interval{
 	{Ref: 85, Minus: 5, Plus: 5}, {Ref: 85, Minus: 5, Plus: 5}, // [80, 90]
 }
 
-// FuzzFuser: on any interval set and any f, the zero-alloc Fuser is
-// bit-identical to the package reference functions. Seed inputs live in
-// testdata/fuzz/FuzzFuser and run as ordinary tests; hullSplit is
-// disjoint-depth-regions there.
+// FuzzFuser: on any interval set and any f, every convergence function
+// of the zero-alloc Fuser is bit-identical to the brute-force oracle
+// (fuser_test.go). Seed inputs live in testdata/fuzz/FuzzFuser and run
+// as ordinary tests; hullSplit is disjoint-depth-regions there.
 func FuzzFuser(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, f8 int8) {
-		ivs, f := fuzzIvs(data), int(f8)
 		var fz Fuser
-		check := func(name string, ref func([]Interval, int) (Interval, bool), got func([]Interval, int) (Interval, bool)) {
-			want, wantOK := ref(ivs, f)
-			have, haveOK := got(ivs, f)
-			if want != have || wantOK != haveOK {
-				t.Fatalf("%s(n=%d, f=%d): reference (%v, %v), Fuser (%v, %v)", name, len(ivs), f, want, wantOK, have, haveOK)
-			}
-		}
-		check("Marzullo", Marzullo, fz.Marzullo)
-		check("OrthogonalAccuracy", OrthogonalAccuracy, fz.OrthogonalAccuracy)
-		if f >= 0 && 2*f < len(ivs) {
-			refs := refsOf(ivs)
-			if want, got := FTMidpoint(refs, f), fz.FTMidpoint(ivs, f); want != got {
-				t.Fatalf("FTMidpoint(n=%d, f=%d): reference %v, Fuser %v", len(ivs), f, want, got)
-			}
-		}
+		checkOracle(t, &fz, fuzzIvs(data), int(f8))
 	})
 }
 
 func TestMarzulloHullSpansDisjointRegions(t *testing.T) {
-	got, ok := Marzullo(hullSplit, 2)
+	var fz Fuser
+	got, ok := fz.Marzullo(hullSplit, 2)
 	if !ok || got.Lo() != 10 || got.Hi() != 90 {
 		t.Fatalf("Marzullo = %v, %v; want the hull [10, 90]", got, ok)
 	}

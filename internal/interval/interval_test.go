@@ -1,7 +1,6 @@
 package interval
 
 import (
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -14,6 +13,16 @@ func ivl(ref, m, p float64) Interval     { return New(st(ref), dur(m), dur(p)) }
 func edges(lo, hi float64) Interval      { return FromEdges(st(lo), st(hi), st((lo+hi)/2)) }
 func approx(a, b timefmt.Stamp) bool     { d := a.Sub(b); return d.Abs() <= 1 }
 func approxD(a, b timefmt.Duration) bool { return (a - b).Abs() <= 1 }
+
+// points builds zero-width intervals at the given times: inputs whose
+// reference points are all that FTMidpoint and FTAverage read.
+func points(refs ...float64) []Interval {
+	ivs := make([]Interval, len(refs))
+	for i, r := range refs {
+		ivs[i] = ivl(r, 0, 0)
+	}
+	return ivs
+}
 
 func TestNewClampsNegative(t *testing.T) {
 	iv := New(st(1), -5, -7)
@@ -145,7 +154,8 @@ func TestDriftDeteriorationRoundsUp(t *testing.T) {
 func TestMarzulloBasic(t *testing.T) {
 	// Three overlapping, one clearly off; f=1 must ignore the outlier.
 	ivs := []Interval{edges(9, 11), edges(9.5, 11.5), edges(10, 12), edges(100, 101)}
-	mz, ok := Marzullo(ivs, 1)
+	var fz Fuser
+	mz, ok := fz.Marzullo(ivs, 1)
 	if !ok {
 		t.Fatal("Marzullo failed")
 	}
@@ -156,7 +166,8 @@ func TestMarzulloBasic(t *testing.T) {
 
 func TestMarzulloAllAgree(t *testing.T) {
 	ivs := []Interval{edges(9, 11), edges(10, 12), edges(8, 10.5)}
-	mz, ok := Marzullo(ivs, 0)
+	var fz Fuser
+	mz, ok := fz.Marzullo(ivs, 0)
 	if !ok || !approx(mz.Lo(), st(10)) || !approx(mz.Hi(), st(10.5)) {
 		t.Errorf("marzullo f=0 = %+v ok=%v", mz, ok)
 	}
@@ -164,13 +175,14 @@ func TestMarzulloAllAgree(t *testing.T) {
 
 func TestMarzulloNoQuorum(t *testing.T) {
 	ivs := []Interval{edges(1, 2), edges(5, 6), edges(9, 10)}
-	if _, ok := Marzullo(ivs, 0); ok {
+	var fz Fuser
+	if _, ok := fz.Marzullo(ivs, 0); ok {
 		t.Error("disjoint intervals should fail with f=0")
 	}
-	if _, ok := Marzullo(nil, 0); ok {
+	if _, ok := fz.Marzullo(nil, 0); ok {
 		t.Error("empty input should fail")
 	}
-	if _, ok := Marzullo([]Interval{edges(1, 2)}, 1); ok {
+	if _, ok := fz.Marzullo([]Interval{edges(1, 2)}, 1); ok {
 		t.Error("f >= n should fail")
 	}
 }
@@ -179,21 +191,23 @@ func TestMarzulloContainsTruthUnderFaults(t *testing.T) {
 	// Truth at 10; n=4, f=1; correct intervals contain truth.
 	truth := st(10)
 	ivs := []Interval{edges(9.9, 10.1), edges(9.95, 10.2), edges(9.8, 10.05), edges(3, 4)}
-	mz, ok := Marzullo(ivs, 1)
+	var fz Fuser
+	mz, ok := fz.Marzullo(ivs, 1)
 	if !ok || !mz.Contains(truth) {
 		t.Errorf("marzullo lost the truth: %+v ok=%v", mz, ok)
 	}
 }
 
 func TestFTMidpoint(t *testing.T) {
-	refs := []timefmt.Stamp{st(1), st(2), st(3), st(100)}
+	ivs := points(1, 2, 3, 100)
+	var fz Fuser
 	// f=1: drop 1 and 100, midpoint of [2,3] = 2.5.
-	got := FTMidpoint(refs, 1)
+	got := fz.FTMidpoint(ivs, 1)
 	if !approx(got, st(2.5)) {
 		t.Errorf("FTMidpoint = %v, want 2.5", got)
 	}
 	// f=0: midpoint of [1,100].
-	if got := FTMidpoint(refs, 0); !approx(got, st(50.5)) {
+	if got := fz.FTMidpoint(ivs, 0); !approx(got, st(50.5)) {
 		t.Errorf("FTMidpoint f=0 = %v", got)
 	}
 }
@@ -204,16 +218,18 @@ func TestFTMidpointPanicsOnBadF(t *testing.T) {
 			t.Error("expected panic for 2f >= n")
 		}
 	}()
-	FTMidpoint([]timefmt.Stamp{st(1), st(2)}, 1)
+	var fz Fuser
+	fz.FTMidpoint(points(1, 2), 1)
 }
 
 func TestOrthogonalAccuracy(t *testing.T) {
 	ivs := []Interval{ivl(10, 0.5, 0.5), ivl(10.2, 0.5, 0.5), ivl(9.9, 0.5, 0.5), ivl(50, 0.1, 0.1)}
-	oa, ok := OrthogonalAccuracy(ivs, 1)
+	var fz Fuser
+	oa, ok := fz.OrthogonalAccuracy(ivs, 1)
 	if !ok {
 		t.Fatal("OA failed")
 	}
-	mz, _ := Marzullo(ivs, 1)
+	mz, _ := fz.Marzullo(ivs, 1)
 	if !oa.ContainsInterval(mz) && !mz.ContainsInterval(oa) {
 		// OA is the Marzullo interval re-referenced, so edges must match.
 		t.Errorf("OA %+v inconsistent with Marzullo %+v", oa, mz)
@@ -263,7 +279,8 @@ func TestQuickMarzulloSandwich(t *testing.T) {
 		for i, r := range raw {
 			ivs[i] = New(timefmt.Stamp(r.Ref), timefmt.Duration(r.M), timefmt.Duration(r.P))
 		}
-		mz, ok := Marzullo(ivs, 1)
+		var fz Fuser
+		mz, ok := fz.Marzullo(ivs, 1)
 		if !ok {
 			return true // nothing to check
 		}
@@ -275,7 +292,7 @@ func TestQuickMarzulloSandwich(t *testing.T) {
 			return false
 		}
 		// Full intersection (f=0), if it exists, must lie inside the f=1 result.
-		full, okFull := Marzullo(ivs, 0)
+		full, okFull := fz.Marzullo(ivs, 0)
 		if okFull && !mz.ContainsInterval(full) {
 			return false
 		}
@@ -329,19 +346,23 @@ func BenchmarkMarzullo16(b *testing.B) {
 	for i := range ivs {
 		ivs[i] = ivl(10+float64(i)*0.01, 0.5, 0.5)
 	}
+	var fz Fuser
+	fz.Marzullo(ivs, 5) // warm the scratch buffers
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Marzullo(ivs, 5)
+		fz.Marzullo(ivs, 5)
 	}
 }
 
 func TestFTAverage(t *testing.T) {
-	refs := []timefmt.Stamp{st(1), st(2), st(3), st(100)}
+	ivs := points(1, 2, 3, 100)
+	var fz Fuser
 	// f=1: drop 1 and 100, mean of {2,3} = 2.5.
-	if got := FTAverage(refs, 1); !approx(got, st(2.5)) {
+	if got := fz.FTAverage(ivs, 1); !approx(got, st(2.5)) {
 		t.Errorf("FTAverage = %v, want 2.5", got)
 	}
 	// f=0: mean of all = 26.5.
-	if got := FTAverage(refs, 0); !approx(got, st(26.5)) {
+	if got := fz.FTAverage(ivs, 0); !approx(got, st(26.5)) {
 		t.Errorf("FTAverage f=0 = %v, want 26.5", got)
 	}
 }
@@ -352,12 +373,14 @@ func TestFTAveragePanicsOnBadF(t *testing.T) {
 			t.Error("expected panic for 2f >= n")
 		}
 	}()
-	FTAverage([]timefmt.Stamp{st(1)}, 1)
+	var fz Fuser
+	fz.FTAverage(points(1), 1)
 }
 
 func TestOrthogonalAccuracyFTA(t *testing.T) {
 	ivs := []Interval{ivl(10, 0.5, 0.5), ivl(10.2, 0.5, 0.5), ivl(9.9, 0.5, 0.5), ivl(50, 0.1, 0.1)}
-	oa, ok := OrthogonalAccuracyFTA(ivs, 1)
+	var fz Fuser
+	oa, ok := fz.OrthogonalAccuracyFTA(ivs, 1)
 	if !ok {
 		t.Fatal("OA-FTA failed")
 	}
@@ -372,7 +395,8 @@ func TestOrthogonalAccuracyFTA(t *testing.T) {
 
 func TestMarzulloMidpointFunction(t *testing.T) {
 	ivs := []Interval{edges(9, 11), edges(9.5, 11.5), edges(10, 12)}
-	out, ok := MarzulloMidpoint(ivs, 0)
+	var fz Fuser
+	out, ok := fz.MarzulloMidpoint(ivs, 0)
 	if !ok {
 		t.Fatal("MarzulloMidpoint failed")
 	}
@@ -381,7 +405,7 @@ func TestMarzulloMidpointFunction(t *testing.T) {
 		t.Errorf("ref = %v, want 10.5", out.Ref)
 	}
 	// Degenerate f is clamped instead of panicking.
-	if _, ok := MarzulloMidpoint(ivs[:1], 3); !ok {
+	if _, ok := fz.MarzulloMidpoint(ivs[:1], 3); !ok {
 		t.Error("single interval with oversized f should still fuse")
 	}
 }
@@ -393,15 +417,14 @@ func TestQuickFTAverageBounds(t *testing.T) {
 		if len(raw) < 3 {
 			return true
 		}
-		refs := make([]timefmt.Stamp, len(raw))
+		ivs := make([]Interval, len(raw))
 		for i, v := range raw {
-			refs[i] = timefmt.Stamp(v)
+			ivs[i] = Interval{Ref: timefmt.Stamp(v)}
 		}
-		fTol := (len(refs) - 1) / 3
-		avg := FTAverage(refs, fTol)
-		sorted := make([]timefmt.Stamp, len(refs))
-		copy(sorted, refs)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+		fTol := (len(ivs) - 1) / 3
+		var fz Fuser
+		avg := fz.FTAverage(ivs, fTol)
+		sorted := sortedRefs(ivs)
 		lo, hi := sorted[fTol], sorted[len(sorted)-1-fTol]
 		return avg >= lo && avg <= hi
 	}

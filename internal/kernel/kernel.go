@@ -325,7 +325,6 @@ func (n *Node) rxSaveRead(base uint32) (timefmt.Stamp, timefmt.Alpha, timefmt.Al
 type rxJob struct {
 	n          *Node
 	ch         int
-	slot       int
 	attempt    int
 	fid        uint64
 	headerBase uint32
@@ -366,7 +365,7 @@ func (n *Node) frameStored(ch int, fid uint64, headerBase uint32, corrupt bool) 
 	// belong to the slot after this one (the no-latch guess).
 	n.chans[ch].rxGuessSlot = (slot + 1) % nti.RxHeadersPerCh
 	j := n.getJob()
-	j.ch, j.slot, j.attempt = ch, slot, 0
+	j.ch, j.attempt = ch, 0
 	j.fid, j.headerBase, j.corrupt = fid, headerBase, corrupt
 	n.CPU.RunISR(j.isrFn)
 }

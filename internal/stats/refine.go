@@ -78,15 +78,12 @@ func (e Evaluation) errored() bool { return math.IsNaN(e.Metric) }
 
 // Refinement is the outcome of an adaptive-refinement run.
 type Refinement struct {
-	Axis   string
-	Target float64
-	Tol    float64
 	// Evals lists every evaluated value in evaluation order (the two
 	// range ends first, then midpoints).
 	Evals []Evaluation
 	// Lo and Hi are the final bracket, Lo.Value < Hi.Value. When
-	// Bracketed, their CIs lie on opposite sides of Target; unless
-	// NoiseLimited or Errored, Hi.Value−Lo.Value ≤ Tol (or no untried
+	// Bracketed, their CIs lie on opposite sides of the target; unless
+	// NoiseLimited or Errored, Hi.Value−Lo.Value ≤ tol (or no untried
 	// integer remains for an Integer axis).
 	Lo, Hi    Evaluation
 	Bracketed bool
@@ -159,7 +156,7 @@ func Refine(spec harness.Spec, ax NumericAxis, target, tol float64) Refinement {
 		}
 		rng := sim.NewRNG(sim.DeriveSeed(sp.Base.Seed,
 			fmt.Sprintf("refine-ci/%s/%x", ax.Name, math.Float64bits(v))))
-		if est := Describe(obs, 1000, rng); est.N > 0 {
+		if est := Describe(obs, bootstrapResamples, rng); est.N > 0 {
 			e.CILo, e.CIHi = est.BootLo, est.BootHi
 		}
 		return e
@@ -172,7 +169,7 @@ func Refine(spec harness.Spec, ax NumericAxis, target, tol float64) Refinement {
 // range (either direction); a non-monotone metric still terminates but
 // may bracket an arbitrary crossover.
 func refineLoop(ax NumericAxis, target, tol float64, eval func(v float64) Evaluation) Refinement {
-	r := Refinement{Axis: ax.Name, Target: target, Tol: tol}
+	var r Refinement
 	lo, hi := eval(ax.Lo), eval(ax.Hi)
 	r.Evals = append(r.Evals, lo, hi)
 	r.Lo, r.Hi = lo, hi

@@ -281,28 +281,16 @@ func (t *Tracer) Emit(k Kind, now float64, node, ch int, a, b uint64, v float64)
 	if t == nil {
 		return
 	}
-	idx := node + 2
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(t.rings) {
-		t.rings = append(t.rings, make([]ring, idx+1-len(t.rings))...)
-	}
-	r := &t.rings[idx]
-	if r.buf == nil {
-		r.buf = make([]Record, t.ringCap)
-	}
-	r.buf[r.n%uint64(len(r.buf))] = Record{
-		T: now, Seq: t.seq, A: a, B: b, V: v,
+	t.store(Record{
+		T: now, A: a, B: b, V: v,
 		Node: int32(node), Shard: t.shard, Ch: int8(ch), Kind: k,
-	}
-	r.n++
-	t.seq++
+	})
 }
 
-// emitRecord appends a prebuilt record, reassigning only its sequence
-// number — the merge path of MergeShards.
-func (t *Tracer) emitRecord(rec Record) {
+// store puts rec in its node's ring (allocated on the node's first
+// record) under the next sequence number. MergeShards re-sequences
+// through it too.
+func (t *Tracer) store(rec Record) {
 	idx := int(rec.Node) + 2
 	if idx < 0 {
 		idx = 0
@@ -353,7 +341,7 @@ func MergeShards(ts []*Tracer) *Tracer {
 	out := New(opts)
 	out.ringCap = max(total, 1)
 	for i := range all {
-		out.emitRecord(all[i])
+		out.store(all[i])
 	}
 	return out
 }
