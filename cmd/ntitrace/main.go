@@ -57,9 +57,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// the before/after of the stamp block.
 	p := csp.Packet{Kind: csp.KindCSP, Node: 0, Round: 1}
 	img := p.Encode()
-	before := append([]byte(nil), img...)
 	sender.Node.Sim.At(*at, func() {
-		sender.Node.NTI.CPUWrite(nti.TxHeaderAddr(0), img)
+		sender.Node.NTI.CPUWrite(nti.TxHeaderAddr(0), img[:])
 		sender.Node.COMCO.Transmit(0, nil, network.Broadcast)
 	})
 	c.RunUntil(*at + 1)
@@ -82,7 +81,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	fmt.Fprintf(stdout, "\nCPU wrote CSP image into tx header 0 at t=%.6f (stamp block zero)\n", *at)
-	dumpStampBlock(stdout, "  before", before)
+	dumpStampBlock(stdout, "  before", img[:])
 
 	var after [nti.HeaderSize]byte
 	sender.Node.NTI.CPURead(nti.TxHeaderAddr(0), after[:])

@@ -94,7 +94,8 @@ func TestCounterClockDutyTimer(t *testing.T) {
 	s := sim.New(6)
 	c := NewCounterClock(mkUTCSU(s, "a"))
 	fired := false
-	c.DutyAt(timefmt.Stamp(timefmt.DurationFromSeconds(1)), func() { fired = true })
+	c.u.Duty(0).OnFire(func() { fired = true })
+	c.u.Duty(0).Set(timefmt.Stamp(timefmt.DurationFromSeconds(1)))
 	s.RunUntil(2)
 	if !fired {
 		t.Error("duty timer dead")

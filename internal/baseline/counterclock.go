@@ -93,11 +93,6 @@ func (c *CounterClock) SetAlpha(minus, plus timefmt.Duration) { c.u.SetAlpha(min
 // SetDriftBoundPPB programs deterioration.
 func (c *CounterClock) SetDriftBoundPPB(minus, plus int64) { c.u.SetDriftBoundPPB(minus, plus) }
 
-// DutyAt arms a timer; the coarse device fires on its coarse grid.
-func (c *CounterClock) DutyAt(target timefmt.Stamp, fn func()) clocksync.Timer {
-	return c.u.DutyAt(target, fn)
-}
-
 // QuantizeStamp coarsens hardware stamps to the counter granule: a
 // CSU-class device timestamps packets with its own µs-level clock.
 func (c *CounterClock) QuantizeStamp(s timefmt.Stamp) timefmt.Stamp {

@@ -49,10 +49,10 @@ func TestSteadyStateAllocationsPerRound(t *testing.T) {
 	perRound := float64(after.Mallocs-before.Mallocs) / float64(windowRounds)
 	t.Logf("%d mallocs over ~%d node-rounds (%.1f per node-round)",
 		after.Mallocs-before.Mallocs, windowRounds, perRound)
-	// ~11.1 measured after pooling the kernel's per-frame rx jobs
-	// (previously ~15.3 with a 22 budget after the stamp-move and
-	// duty-timer method-value caches); 16 keeps headroom for platform
-	// variance without readmitting any of those closures.
+	// ~3.0 measured once the duty timers became fixed registers and
+	// CSP headers encode into an array (~11.1 after pooling the
+	// kernel's per-frame rx jobs, ~15.3 before that); 16 keeps headroom
+	// for platform variance without readmitting any of those closures.
 	const budget = 16.0
 	if perRound > budget {
 		t.Errorf("steady-state allocations = %.1f per node-round, budget %.0f", perRound, budget)

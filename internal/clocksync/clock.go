@@ -13,11 +13,6 @@ import (
 	"ntisim/internal/utcsu"
 )
 
-// Timer is a cancellable alarm armed against a clock.
-type Timer interface {
-	Cancel()
-}
-
 // Clock is the device the algorithm steers. *utcsu.UTCSU satisfies it
 // through the UTCSUClock adapter; package baseline provides a
 // counter-based alternative (the CSU/[KKMS95]-style device of
@@ -42,8 +37,6 @@ type Clock interface {
 	SetAlpha(minus, plus timefmt.Duration)
 	// SetDriftBoundPPB programs the automatic accuracy deterioration.
 	SetDriftBoundPPB(minus, plus int64)
-	// DutyAt arms a timer against the clock's own time base.
-	DutyAt(target timefmt.Stamp, fn func()) Timer
 	// GranuleSeconds reports the reading granularity G.
 	GranuleSeconds() float64
 	// QuantizeStamp coarsens a hardware time/accuracy stamp to the
@@ -56,11 +49,6 @@ type Clock interface {
 // UTCSUClock adapts *utcsu.UTCSU to the Clock interface.
 type UTCSUClock struct {
 	*utcsu.UTCSU
-}
-
-// DutyAt wraps the chip's duty timers.
-func (c UTCSUClock) DutyAt(target timefmt.Stamp, fn func()) Timer {
-	return c.UTCSU.DutyAt(target, fn)
 }
 
 // GranuleSeconds is the 2⁻²⁴ s register granularity.

@@ -154,6 +154,31 @@ func TestRateSyncClampsInsaneEstimates(t *testing.T) {
 	}
 }
 
+// TestRateSyncApplyAllocFree pins a rate epoch at zero allocations once
+// the peer maps and the rels scratch have grown: 15 peers a few hundred
+// ppb apart, one observation at each end of the 16-round baseline.
+func TestRateSyncApplyAllocFree(t *testing.T) {
+	r := newRateSync(Params{F: 2}.withDefaults())
+	st := func(s float64) timefmt.Stamp { return timefmt.Stamp(timefmt.DurationFromSeconds(s)) }
+	k := uint32(1)
+	epoch := func() {
+		for _, round := range []uint32{k, k + rateBaselineRounds} {
+			for q := uint16(1); q <= 15; q++ {
+				tSec := float64(round)
+				r.observe(q, round, st(tSec*(1+float64(q)*100e-9)), st(tSec))
+			}
+		}
+		if _, _, ok := r.apply(k + rateBaselineRounds); !ok {
+			t.Fatal("no correction at epoch boundary")
+		}
+		k += rateBaselineRounds + 1
+	}
+	epoch() // warm-up: map buckets and scratch
+	if a := testing.AllocsPerRun(50, epoch); a != 0 {
+		t.Errorf("rate epoch allocates %v times, want 0", a)
+	}
+}
+
 func TestGPSAttachmentInterval(t *testing.T) {
 	s := sim.New(3)
 	med := network.NewMedium(s, network.DefaultLAN())
@@ -206,11 +231,15 @@ func TestUTCSUClockInterface(t *testing.T) {
 	if c.GranuleSeconds() != timefmt.Granule {
 		t.Error("granule wrong")
 	}
+	if q := timefmt.Stamp(12345); c.QuantizeStamp(q) != q {
+		t.Error("UTCSU stamps quantized")
+	}
 	fired := false
-	c.DutyAt(timefmt.Stamp(timefmt.DurationFromSeconds(0.5)), func() { fired = true })
+	u.Duty(0).OnFire(func() { fired = true })
+	u.Duty(0).Set(timefmt.Stamp(timefmt.DurationFromSeconds(0.5)))
 	s.RunUntil(1)
 	if !fired {
-		t.Error("timer via interface did not fire")
+		t.Error("duty timer of the wrapped UTCSU did not fire")
 	}
 }
 

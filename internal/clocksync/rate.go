@@ -1,8 +1,9 @@
 package clocksync
 
 import (
-	"sort"
+	"slices"
 
+	"ntisim/internal/interval"
 	"ntisim/internal/timefmt"
 )
 
@@ -33,9 +34,10 @@ type rateSync struct {
 	p     Params
 	first map[uint16]rateObs // epoch-start stamps per peer
 	last  map[uint16]rateObs // most recent stamps per peer
-	// recentCorr tracks recent correction magnitudes for the dynamic
-	// drift bound.
-	recentCorr []int64
+	// recentCorr holds the last four correction magnitudes, newest
+	// last, for the dynamic drift bound.
+	recentCorr [4]int64
+	rels       []int64 // the epoch's relative rates, reused scratch
 	epochStart uint32
 	haveEpoch  bool
 }
@@ -83,7 +85,7 @@ func (r *rateSync) apply(round uint32) (corrPPB, rhoPPB int64, ok bool) {
 	if !r.haveEpoch || round < r.epochStart+rateBaselineRounds {
 		return 0, 0, false
 	}
-	rels := []int64{0} // own rate, relative to itself
+	rels := append(r.rels[:0], 0) // own rate, relative to itself
 	for node, f := range r.first {
 		l, okL := r.last[node]
 		if !okL || l.round-f.round < rateBaselineRounds/2 {
@@ -96,6 +98,7 @@ func (r *rateSync) apply(round uint32) (corrPPB, rhoPPB int64, ok bool) {
 		}
 		rels = append(rels, (int64(dTx)-int64(dRx))*1_000_000_000/int64(dRx))
 	}
+	r.rels = rels
 	// Restart the measurement window regardless of outcome (clearing in
 	// place keeps the buckets: steady-state epochs allocate nothing).
 	clear(r.first)
@@ -104,11 +107,8 @@ func (r *rateSync) apply(round uint32) (corrPPB, rhoPPB int64, ok bool) {
 	if len(rels) < 2 {
 		return 0, 0, false
 	}
-	f := r.p.F
-	if 2*f >= len(rels) {
-		f = (len(rels) - 1) / 2
-	}
-	sort.Slice(rels, func(i, j int) bool { return rels[i] < rels[j] })
+	f := interval.DegradeF(len(rels), r.p.F)
+	slices.Sort(rels)
 	lo, hi := rels[f], rels[len(rels)-1-f]
 	corrPPB = (lo + hi) / 2 / 2 // midpoint, applied with gain 1/2
 	// Safety clamp: a correction can never exceed the a priori bound.
@@ -118,10 +118,8 @@ func (r *rateSync) apply(round uint32) (corrPPB, rhoPPB int64, ok bool) {
 		corrPPB = -r.p.RhoPPB
 	}
 
-	r.recentCorr = append(r.recentCorr, abs64(corrPPB))
-	if len(r.recentCorr) > 4 {
-		r.recentCorr = r.recentCorr[1:]
-	}
+	copy(r.recentCorr[:], r.recentCorr[1:])
+	r.recentCorr[len(r.recentCorr)-1] = abs64(corrPPB)
 	var peak int64
 	for _, c := range r.recentCorr {
 		if c > peak {

@@ -9,6 +9,7 @@ import (
 	"ntisim/internal/telemetry"
 	"ntisim/internal/timefmt"
 	"ntisim/internal/trace"
+	"ntisim/internal/utcsu"
 )
 
 // Fixed tunables of the synchronizer. Every run uses these values; the
@@ -150,8 +151,8 @@ type Synchronizer struct {
 	fz      interval.Fuser
 	stats   Stats
 	running bool
-	bcastTm Timer
-	compTm  Timer
+	// UTCSU duty registers 0 and 1, bound to converge and broadcast.
+	compTm, bcastTm *utcsu.DutyTimer
 
 	// Per-round scratch, reused across converge calls so the steady
 	// state allocates nothing: the interval set handed to the
@@ -235,6 +236,9 @@ func New(node *kernel.Node, clk Clock, p Params) *Synchronizer {
 	if sy.p.RateSync {
 		sy.rate = newRateSync(sy.p)
 	}
+	sy.compTm, sy.bcastTm = node.U.Duty(0), node.U.Duty(1)
+	sy.compTm.OnFire(sy.converge)
+	sy.bcastTm.OnFire(sy.broadcast)
 	node.OnCSP(sy.onArrival)
 	return sy
 }
@@ -282,12 +286,8 @@ func (sy *Synchronizer) Start() {
 // Stop cancels the round timers.
 func (sy *Synchronizer) Stop() {
 	sy.running = false
-	if sy.bcastTm != nil {
-		sy.bcastTm.Cancel()
-	}
-	if sy.compTm != nil {
-		sy.compTm.Cancel()
-	}
+	sy.bcastTm.Cancel()
+	sy.compTm.Cancel()
 }
 
 func (sy *Synchronizer) roundStart(k uint32) timefmt.Stamp {
@@ -295,18 +295,17 @@ func (sy *Synchronizer) roundStart(k uint32) timefmt.Stamp {
 }
 
 func (sy *Synchronizer) armBroadcast() {
-	k := sy.round
-	at := sy.roundStart(k).Add(staggerSlot * timefmt.Duration(sy.node.ID))
-	sy.bcastTm = sy.clk.DutyAt(at, func() { sy.broadcast(k) })
+	sy.bcastTm.Set(sy.roundStart(sy.round).Add(staggerSlot * timefmt.Duration(sy.node.ID)))
 }
 
-// broadcast sends this round's CSP and arms the convergence timer. The
-// transmit time/accuracy stamp is inserted by the NTI hardware when the
-// COMCO fetches the packet.
-func (sy *Synchronizer) broadcast(k uint32) {
+// broadcast sends the CSP of round k = sy.round, arms the convergence
+// timer and advances the round. The transmit time/accuracy stamp is
+// inserted by the NTI hardware when the COMCO fetches the packet.
+func (sy *Synchronizer) broadcast() {
 	if !sy.running {
 		return
 	}
+	k := sy.round
 	p := csp.Packet{Kind: csp.KindCSP, Round: k, RatePPB: int32(sy.clk.RatePPB())}
 	if k <= sy.primaryUntil {
 		p.Flags |= csp.FlagPrimary
@@ -316,7 +315,7 @@ func (sy *Synchronizer) broadcast(k uint32) {
 	}
 	sy.node.SendCSP(p, network.Broadcast)
 	sy.stats.CSPsSent++
-	sy.compTm = sy.clk.DutyAt(sy.roundStart(k).Add(sy.p.RoundPeriod/4), func() { sy.converge(k) })
+	sy.compTm.Set(sy.roundStart(k).Add(sy.p.RoundPeriod / 4))
 	sy.round = k + 1
 	sy.armBroadcast()
 }
@@ -381,11 +380,13 @@ func sortU16(a []uint16) {
 	}
 }
 
-// converge runs step 3 of the generic algorithm at kP+Δ.
-func (sy *Synchronizer) converge(k uint32) {
+// converge runs step 3 of the generic algorithm at kP+Δ for round
+// k = sy.round−1: broadcast k advanced sy.round, and k+1's is later.
+func (sy *Synchronizer) converge() {
 	if !sy.running {
 		return
 	}
+	k := sy.round - 1
 	sy.stats.Rounds++
 	sy.tmRounds.Inc()
 	now := sy.clk.Now()

@@ -39,7 +39,8 @@ func TestTransmitInsertsHardwareStamp(t *testing.T) {
 	s.RunUntil(0.5)
 	// Software encodes a CSP with zero stamps into tx header 0.
 	p := csp.Packet{Kind: csp.KindCSP, Node: 1, Round: 3}
-	na.CPUWrite(nti.TxHeaderAddr(0), p.Encode())
+	img := p.Encode()
+	na.CPUWrite(nti.TxHeaderAddr(0), img[:])
 	ca.Transmit(0, nil, network.Broadcast)
 	s.RunUntil(1)
 	if !stored {
@@ -76,7 +77,8 @@ func TestTransmitRawBypassesTriggers(t *testing.T) {
 	s.RunUntil(0.5)
 	p := csp.Packet{Kind: csp.KindCSP, Node: 1}
 	p.SetTxStamp(timefmt.StampFromTime(fixFromSeconds(0.123)))
-	ca.TransmitRaw(p.Encode(), network.Broadcast)
+	img := p.Encode()
+	ca.TransmitRaw(img[:], network.Broadcast)
 	s.RunUntil(1)
 	if !stored {
 		t.Fatal("raw frame not delivered")
@@ -99,7 +101,8 @@ func TestReceiveSlotsRotate(t *testing.T) {
 	s.RunUntil(0.1)
 	for i := 0; i < 3; i++ {
 		p := csp.Packet{Kind: csp.KindCSP, Seq: uint16(i)}
-		na.CPUWrite(nti.TxHeaderAddr(i), p.Encode())
+		img := p.Encode()
+		na.CPUWrite(nti.TxHeaderAddr(i), img[:])
 		ca.Transmit(i, nil, network.Broadcast)
 	}
 	s.RunUntil(1)
@@ -142,7 +145,8 @@ func TestCorruptFlagPropagates(t *testing.T) {
 	sawCorrupt := false
 	c2.OnRxStored(func(_ uint64, _ uint32, _ int, corrupt bool) { sawCorrupt = corrupt })
 	p := csp.Packet{Kind: csp.KindCSP}
-	n1.CPUWrite(nti.TxHeaderAddr(0), p.Encode())
+	img := p.Encode()
+	n1.CPUWrite(nti.TxHeaderAddr(0), img[:])
 	c1.Transmit(0, nil, network.Broadcast)
 	s.RunUntil(1)
 	if !sawCorrupt {
@@ -156,7 +160,8 @@ func TestExtraPayloadCarried(t *testing.T) {
 	var gotLen int
 	cb.OnRxStored(func(_ uint64, _ uint32, length int, _ bool) { gotLen = length })
 	p := csp.Packet{Kind: csp.KindNet}
-	na.CPUWrite(nti.TxHeaderAddr(0), p.Encode())
+	img := p.Encode()
+	na.CPUWrite(nti.TxHeaderAddr(0), img[:])
 	ca.Transmit(0, make([]byte, 100), network.Broadcast)
 	s.RunUntil(1)
 	if gotLen != nti.HeaderSize+100 {
@@ -168,7 +173,8 @@ func TestStats(t *testing.T) {
 	s, _, na, ca, _, cb := rig(7)
 	cb.OnRxStored(func(uint64, uint32, int, bool) {})
 	p := csp.Packet{Kind: csp.KindCSP}
-	na.CPUWrite(nti.TxHeaderAddr(0), p.Encode())
+	img := p.Encode()
+	na.CPUWrite(nti.TxHeaderAddr(0), img[:])
 	ca.Transmit(0, nil, network.Broadcast)
 	s.RunUntil(1)
 	if tx, _ := ca.Stats(); tx != 1 {

@@ -135,9 +135,10 @@ var (
 	ErrChecksum = errors.New("csp: header checksum mismatch")
 )
 
-// Encode serializes p into a fresh HeaderSize-byte buffer.
-func (p *Packet) Encode() []byte {
-	b := make([]byte, HeaderSize)
+// Encode serializes p into a HeaderSize-byte array; the writers that
+// take it (NTI.CPUWrite, COMCO.TransmitRaw) copy it, so no heap buffer.
+func (p *Packet) Encode() (img [HeaderSize]byte) {
+	b := img[:]
 	b[OffKind] = byte(p.Kind)
 	b[OffKind+1] = version
 	binary.BigEndian.PutUint16(b[OffNode:], p.Node)
@@ -153,7 +154,7 @@ func (p *Packet) Encode() []byte {
 	binary.BigEndian.PutUint64(b[OffEcho:], uint64(p.EchoReqTx))
 	binary.BigEndian.PutUint64(b[OffEcho+8:], uint64(p.EchoReqRx))
 	binary.BigEndian.PutUint32(b[OffCheck:], headerCheck(b))
-	return b
+	return img
 }
 
 // Decode parses a header buffer. The stamp words inserted by hardware

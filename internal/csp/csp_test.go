@@ -31,7 +31,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if len(b) != HeaderSize {
 		t.Fatalf("encoded size %d", len(b))
 	}
-	q, err := Decode(b)
+	q, err := Decode(b[:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestDecodeBadVersion(t *testing.T) {
 	p := samplePacket()
 	b := p.Encode()
 	b[OffKind+1] = 99
-	if _, err := Decode(b); err != ErrVersion {
+	if _, err := Decode(b[:]); err != ErrVersion {
 		t.Errorf("err = %v", err)
 	}
 }
@@ -74,7 +74,7 @@ func TestDecodeChecksumCoversSoftwareFields(t *testing.T) {
 	p := samplePacket()
 	b := p.Encode()
 	b[OffRound] ^= 0x01
-	if _, err := Decode(b); err != ErrChecksum {
+	if _, err := Decode(b[:]); err != ErrChecksum {
 		t.Errorf("corrupted round not caught: %v", err)
 	}
 }
@@ -87,7 +87,7 @@ func TestHardwareFieldsOutsideChecksum(t *testing.T) {
 	b := p.Encode()
 	for _, off := range []int{OffTxTrig, OffTxStamp, OffTxMacro, OffTxAlpha, OffTxAlpha + 2, OffRxSave} {
 		b[off] ^= 0xA5
-		if _, err := Decode(b); err != nil {
+		if _, err := Decode(b[:]); err != nil {
 			t.Errorf("hardware write at 0x%02x broke decode: %v", off, err)
 		}
 	}
@@ -130,7 +130,8 @@ func TestQuickRoundTrip(t *testing.T) {
 		}
 		p.SetTxStamp(timefmt.Stamp(tx & (1<<55 - 1)))
 		pp := p
-		q, err := Decode(pp.Encode())
+		b := pp.Encode()
+		q, err := Decode(b[:])
 		return err == nil && q == p
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -148,7 +149,7 @@ func TestQuickChecksumDetection(t *testing.T) {
 		p := samplePacket()
 		b := p.Encode()
 		b[o] ^= x
-		_, err := Decode(b)
+		_, err := Decode(b[:])
 		// Corrupting the version byte yields ErrVersion; anything else
 		// must yield ErrChecksum.
 		return err == ErrChecksum || (o == OffKind+1 && err == ErrVersion)
@@ -163,7 +164,8 @@ func fix(s float64) fixpt.Time { return fixpt.FromSeconds(s) }
 func TestFlagsRoundTrip(t *testing.T) {
 	p := samplePacket()
 	p.Flags = FlagPrimary
-	q, err := Decode(p.Encode())
+	img := p.Encode()
+	q, err := Decode(img[:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +175,7 @@ func TestFlagsRoundTrip(t *testing.T) {
 	// Flags live in the checksummed region: corruption is caught.
 	b := p.Encode()
 	b[OffFlags] ^= FlagPrimary
-	if _, err := Decode(b); err != ErrChecksum {
+	if _, err := Decode(b[:]); err != ErrChecksum {
 		t.Errorf("flag corruption not caught: %v", err)
 	}
 }

@@ -23,14 +23,16 @@ func FuzzDecode(f *testing.F) {
 	for _, k := range []Kind{KindCSP, KindRTTResp} {
 		p := samplePacket()
 		p.Kind = k
-		f.Add(p.Encode())
+		img := p.Encode()
+		f.Add(img[:])
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := Decode(data)
 		if err != nil {
 			return
 		}
-		q, err := Decode(p.Encode())
+		img := p.Encode()
+		q, err := Decode(img[:])
 		if err != nil || q != p {
 			t.Fatalf("re-encoded header decodes to %+v, %v; want %+v", q, err, p)
 		}

@@ -8,20 +8,17 @@ import (
 // measure fuses one round's intervals into the Marzullo interval (the
 // accuracy edges every discipline maintains) and the fault-tolerant
 // midpoint offset measurement z = FTMidpoint − Now in seconds (the
-// scalar the filters consume). f is degraded gracefully like the
-// interval convergence functions. ok=false when the inputs admit no
+// scalar the filters consume). f is degraded by interval.DegradeF, like
+// the interval convergence functions. ok=false when the inputs admit no
 // fault-tolerant intersection.
-func measure(fz *interval.Fuser, s Sample) (mz interval.Interval, z float64, f int, ok bool) {
-	f = s.F
-	if 2*f >= len(s.Intervals) && len(s.Intervals) > 0 {
-		f = (len(s.Intervals) - 1) / 2
-	}
+func measure(fz *interval.Fuser, s Sample) (mz interval.Interval, z float64, ok bool) {
+	f := interval.DegradeF(len(s.Intervals), s.F)
 	mz, ok = fz.Marzullo(s.Intervals, f)
 	if !ok {
-		return interval.Interval{}, 0, f, false
+		return interval.Interval{}, 0, false
 	}
 	z = fz.FTMidpoint(s.Intervals, f).Sub(s.Now).Seconds()
-	return mz, z, f, true
+	return mz, z, true
 }
 
 // refAt turns a filtered offset estimate (seconds) back into a
@@ -70,7 +67,7 @@ func (d *Kalman) Name() string { return "kalman" }
 
 // Step implements Discipline.
 func (d *Kalman) Step(s Sample) (Action, bool) {
-	mz, z, _, ok := measure(&d.fz, s)
+	mz, z, ok := measure(&d.fz, s)
 	if !ok {
 		return Action{}, false
 	}

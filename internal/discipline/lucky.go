@@ -38,7 +38,7 @@ func (d *Lucky) Name() string { return "lucky" }
 
 // Step implements Discipline.
 func (d *Lucky) Step(s Sample) (Action, bool) {
-	mz, z, _, ok := measure(&d.fz, s)
+	mz, z, ok := measure(&d.fz, s)
 	if !ok {
 		return Action{}, false
 	}

@@ -50,7 +50,7 @@ func median(vals []float64) float64 {
 
 // Step implements Discipline.
 func (d *TheilSen) Step(s Sample) (Action, bool) {
-	mz, z, _, ok := measure(&d.fz, s)
+	mz, z, ok := measure(&d.fz, s)
 	if !ok {
 		return Action{}, false
 	}

@@ -92,7 +92,7 @@ func TestFuserMatchesReferenceOnAdversarialInputs(t *testing.T) {
 	var fz Fuser
 	for trial := 0; trial < 500; trial++ {
 		n := 3 + rng.Intn(8)
-		f := rng.Intn(n) // deliberately includes f too large (degradeF path)
+		f := rng.Intn(n) // deliberately includes f too large (DegradeF path)
 		ivs := make([]Interval, 0, n)
 		for i := 0; i < n; i++ {
 			switch rng.Intn(3) {

@@ -131,13 +131,13 @@ func (fz *Fuser) FTAverage(ivs []Interval, f int) timefmt.Stamp {
 	return base.Add(timefmt.Duration(acc / int64(len(kept))))
 }
 
-// degradeF is the graceful degradation every convergence function
-// shares: with fewer than 2f+1 inputs the full fault tolerance is not
-// attainable this round (e.g. peers went silent), so fall back to the
+// DegradeF is the graceful degradation every convergence function
+// shares: with n inputs, fewer than 2f+1 leave the full fault tolerance
+// unattainable this round (e.g. peers went silent), so fall back to the
 // largest tolerable f rather than refusing to resynchronize.
-func degradeF(ivs []Interval, f int) int {
-	if 2*f >= len(ivs) && len(ivs) > 0 {
-		f = (len(ivs) - 1) / 2
+func DegradeF(n, f int) int {
+	if 2*f >= n && n > 0 {
+		f = (n - 1) / 2
 	}
 	return f
 }
@@ -149,7 +149,7 @@ func degradeF(ivs []Interval, f int) int {
 // the input intervals. The returned interval always contains the
 // Marzullo interval (hence real time, if at most f inputs are faulty).
 func (fz *Fuser) OrthogonalAccuracy(ivs []Interval, f int) (Interval, bool) {
-	f = degradeF(ivs, f)
+	f = DegradeF(len(ivs), f)
 	mz, ok := fz.Marzullo(ivs, f)
 	if !ok {
 		return Interval{}, false
@@ -168,7 +168,7 @@ func (fz *Fuser) OrthogonalAccuracy(ivs []Interval, f int) (Interval, bool) {
 // chosen by the fault-tolerant average instead of the midpoint — the
 // ablation used by the convergence-function comparison (experiment E14).
 func (fz *Fuser) OrthogonalAccuracyFTA(ivs []Interval, f int) (Interval, bool) {
-	f = degradeF(ivs, f)
+	f = DegradeF(len(ivs), f)
 	mz, ok := fz.Marzullo(ivs, f)
 	if !ok {
 		return Interval{}, false
@@ -182,5 +182,5 @@ func (fz *Fuser) OrthogonalAccuracyFTA(ivs []Interval, f int) (Interval, bool) {
 // but its reference point is dominated by whichever inputs bound the
 // intersection, which couples precision to interval widths.
 func (fz *Fuser) MarzulloMidpoint(ivs []Interval, f int) (Interval, bool) {
-	return fz.Marzullo(ivs, degradeF(ivs, f))
+	return fz.Marzullo(ivs, DegradeF(len(ivs), f))
 }

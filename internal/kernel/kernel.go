@@ -234,14 +234,16 @@ func (n *Node) sendCSPOn(ch int, p csp.Packet, dst int) {
 	case ModeNTI:
 		slot := nc.txNext
 		nc.txNext = (nc.txNext + 1) % nti.TxHeadersPerCh
-		n.NTI.CPUWrite(nti.TxHeaderAddrCh(ch, slot), p.Encode())
+		img := p.Encode()
+		n.NTI.CPUWrite(nti.TxHeaderAddrCh(ch, slot), img[:])
 		fid = nc.comco.Transmit(slot, nil, dst)
 	default:
 		st := n.U.Now()
 		am, ap := n.U.Alpha()
 		p.SetTxStamp(st)
 		p.TxAlphaM, p.TxAlphaP = am, ap
-		fid = nc.comco.TransmitRaw(p.Encode(), dst)
+		img := p.Encode()
+		fid = nc.comco.TransmitRaw(img[:], dst)
 	}
 	if n.tr != nil {
 		n.tr.Emit(trace.KindCSPSend, n.Sim.Now(), int(n.ID), ch, fid, uint64(p.Round), 0)

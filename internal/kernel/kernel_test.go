@@ -157,8 +157,8 @@ func TestKIAndNIRouting(t *testing.T) {
 		for _, k := range []csp.Kind{csp.KindKernel, csp.KindNet} {
 			p := csp.Packet{Kind: k, Node: a.ID, Dest: uint16(b.Station())}
 			hdr := p.Encode()
-			a.COMCO.TransmitRaw(hdr, b.Station())
-			a.COMCO.TransmitRaw(append(hdr, make([]byte, 300)...), b.Station())
+			a.COMCO.TransmitRaw(hdr[:], b.Station())
+			a.COMCO.TransmitRaw(append(hdr[:], make([]byte, 300)...), b.Station())
 		}
 	})
 	s.After(0.5, func() { a.SendCSP(csp.Packet{Kind: csp.KindCSP}, b.Station()) })

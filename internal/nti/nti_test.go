@@ -207,7 +207,7 @@ func TestTimerInterruptVector(t *testing.T) {
 	n.OnInterrupt(func(v uint8) { vectors = append(vectors, v) })
 	n.WriteIO(IOVectorBase, 0x80)
 	n.EnableInts()
-	u.DutyAt(timefmt.Stamp(timefmt.DurationFromSeconds(1)), func() {})
+	u.Duty(0).Set(timefmt.Stamp(timefmt.DurationFromSeconds(1)))
 	s.RunUntil(2)
 	if len(vectors) != 1 || vectors[0] != 0x80|VecINTT {
 		t.Errorf("vectors = %v, want [0x82]", vectors)

@@ -89,8 +89,12 @@ func FuzzClockOps(f *testing.F) {
 				}
 				su.Trigger(arg&1 == 0)
 			case opDuty:
-				dt := u.DutyAt(u.Now().Add(timefmt.Duration(arg)), func() {})
-				if p%4 == 0 {
+				// Reprogram register p%NumDuty; every fourth op per
+				// register leaves it disarmed.
+				dt := u.Duty(int(p) % NumDuty)
+				dt.Cancel()
+				dt.Set(u.Now().Add(timefmt.Duration(arg)))
+				if p/NumDuty%4 == 0 {
 					dt.Cancel()
 				}
 			case opSnapshot:

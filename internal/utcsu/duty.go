@@ -1,16 +1,23 @@
 package utcsu
 
 import (
+	"fmt"
 	"math/bits"
 
 	"ntisim/internal/sim"
 	"ntisim/internal/timefmt"
 )
 
-// DutyTimer is one of the UTCSU's 48-bit programmable duty timers: when
-// local time reaches the programmed value an interrupt is raised (paper
-// §3.3). Duty timers pace the CSP exchange protocol and application
-// events.
+// NumDuty is the number of duty-timer registers: the two the clock
+// synchronization programs, for convergence and for the CSP broadcast.
+const NumDuty = 2
+
+// DutyTimer is one of the UTCSU's 48-bit programmable duty timers: a
+// compare register that raises INTT when local time reaches the
+// programmed value (paper §3.3). Duty timers pace the CSP exchange
+// protocol and application events. The handler is attached once, like
+// the ISR the CPU attaches to the timer interrupt; Set and Cancel then
+// program and disarm the register.
 //
 // Because the model's clock is piecewise affine in the tick index, the
 // firing moment is computed by inverting the current segment; rate
@@ -19,47 +26,48 @@ import (
 // underlying oscillator may have drifted between arming and firing),
 // re-arming itself if not.
 type DutyTimer struct {
-	u      *UTCSU
-	target timefmt.Stamp
-	fn     func()
-	// fireFn caches the dt.fire method value: arm runs on every rate
-	// adjustment and amortization step, and a fresh bound-method closure
-	// per arm was the second-largest allocation site of a campaign run.
-	fireFn func()
-	ev     *sim.Event
-	done   bool
+	u       *UTCSU
+	idx     int
+	target  timefmt.Stamp
+	pending bool
+	fn      func()
+	fireFn  func() // dt.fire, bound once in New
+	ev      *sim.Event
 }
 
-// DutyAt arms a duty timer to call fn when the local clock reaches
-// target. The callback runs in simulation context (it models the ISR the
-// CPU attaches to the timer interrupt). If target is already in the past
-// the timer fires at the next tick.
-func (u *UTCSU) DutyAt(target timefmt.Stamp, fn func()) *DutyTimer {
-	dt := &DutyTimer{u: u, target: target, fn: fn}
-	dt.fireFn = dt.fire
-	u.timers = append(u.timers, dt)
+// Duty returns duty-timer register i (0..NumDuty-1).
+func (u *UTCSU) Duty(i int) *DutyTimer { return &u.duty[i] }
+
+// OnFire attaches the handler the register calls, in simulation
+// context, after it raises INTT; until then it only raises INTT.
+func (dt *DutyTimer) OnFire(fn func()) { dt.fn = fn }
+
+// Set programs the register to fire when the local clock reaches
+// target, or at the next tick if target is past. Programming a pending
+// register panics: its owner must Cancel it first.
+func (dt *DutyTimer) Set(target timefmt.Stamp) {
+	if dt.pending {
+		panic(fmt.Sprintf("utcsu: duty timer %d set while pending", dt.idx))
+	}
+	dt.target = target
+	dt.pending = true
 	dt.arm()
-	return dt
 }
 
-// Cancel disarms the timer.
+// Cancel disarms the register; it is a no-op when none is pending.
 func (dt *DutyTimer) Cancel() {
-	if dt.done {
+	if !dt.pending {
 		return
 	}
-	dt.done = true
+	dt.pending = false
 	if dt.ev != nil {
 		dt.ev.Cancel()
 		dt.ev = nil
 	}
-	dt.u.removeTimer(dt)
 }
 
 // arm (re)schedules the underlying simulation event.
 func (dt *DutyTimer) arm() {
-	if dt.done {
-		return
-	}
 	if dt.ev != nil {
 		dt.ev.Cancel()
 	}
@@ -74,7 +82,7 @@ func (dt *DutyTimer) arm() {
 
 func (dt *DutyTimer) fire() {
 	dt.ev = nil
-	if dt.done {
+	if !dt.pending {
 		return
 	}
 	u := dt.u
@@ -89,8 +97,7 @@ func (dt *DutyTimer) fire() {
 		dt.ev = u.sim.At(at, dt.fireFn)
 		return
 	}
-	dt.done = true
-	u.removeTimer(dt)
+	dt.pending = false
 	u.intr.raise(u, INTT, "DUTY")
 	dt.fn()
 }
@@ -126,18 +133,12 @@ func (u *UTCSU) fireTickFor(target timefmt.Stamp) uint64 {
 	return start + ticks
 }
 
-// rearmTimers recomputes all pending timers after a clock segment change.
+// rearmTimers recomputes the pending registers, in index order, after a
+// clock segment change.
 func (u *UTCSU) rearmTimers() {
-	for _, dt := range u.timers {
-		dt.arm()
-	}
-}
-
-func (u *UTCSU) removeTimer(dt *DutyTimer) {
-	for i, t := range u.timers {
-		if t == dt {
-			u.timers = append(u.timers[:i], u.timers[i+1:]...)
-			return
+	for i := range u.duty {
+		if dt := &u.duty[i]; dt.pending {
+			dt.arm()
 		}
 	}
 }

@@ -28,6 +28,7 @@ type ltu struct {
 
 	amortDelta   int64 // signed extra augend while amortizing, else 0
 	amortEnd     *sim.Event
+	amortEndFn   func()           // l.endAmortization, bound once in init
 	amortPending timefmt.Duration // remaining offset (diagnostics)
 }
 
@@ -39,6 +40,7 @@ type clockSeg struct {
 
 func (l *ltu) init(u *UTCSU) {
 	l.u = u
+	l.amortEndFn = l.endAmortization
 	l.baseAugend = fixpt.AugendForRate(u.osc.NominalHz(), 1.0)
 	l.cur = clockSeg{startTick: 0, base: fixpt.Time{}, augend: l.baseAugend}
 	l.prev = l.cur
@@ -181,13 +183,15 @@ func (u *UTCSU) Amortize(delta timefmt.Duration, speedPPM int64) {
 	l.amortPending = delta
 	l.appendSeg(l.effectiveAugend())
 	endTick := l.cur.startTick + nTicks
-	l.amortEnd = u.sim.At(u.osc.TimeOfTick(endTick), func() {
-		l.amortEnd = nil
-		l.amortDelta = 0
-		l.amortPending = 0
-		l.appendSeg(l.effectiveAugend())
-		u.intr.raise(u, INTT, "AMORT")
-	})
+	l.amortEnd = u.sim.At(u.osc.TimeOfTick(endTick), l.amortEndFn)
+}
+
+// endAmortization is the amortization duty timer's handler: restore the
+// rate-adjusted augend and raise INTT.
+func (l *ltu) endAmortization() {
+	l.amortEnd = nil
+	l.cancelAmortization()
+	l.u.intr.raise(l.u, INTT, "AMORT")
 }
 
 // Amortizing reports whether a continuous amortization is in progress

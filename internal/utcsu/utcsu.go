@@ -11,7 +11,7 @@
 //     drift, saturating instead of wrapping;
 //   - SSU ×6, GPU ×3, APU ×9: time/accuracy-stamping units for network
 //     triggers, GPS 1pps inputs and application events;
-//   - several 48-bit duty timers raising interrupts when local time
+//   - NumDuty 48-bit duty timers raising interrupts when local time
 //     reaches a programmed value;
 //   - an interrupt unit mapping all sources onto the INTN/INTT/INTA pins;
 //   - SNU/BTU: snapshot and built-in-test support.
@@ -82,8 +82,8 @@ type UTCSU struct {
 	gpu [NumGPU]SampleUnit
 	apu [NumAPU]SampleUnit
 
-	timers []*DutyTimer
-	intr   interruptUnit
+	duty [NumDuty]DutyTimer
+	intr interruptUnit
 }
 
 // New builds a UTCSU paced by osc, with the clock and accuracies at
@@ -108,6 +108,10 @@ func New(s *sim.Simulator, osc *oscillator.Oscillator) *UTCSU {
 	}
 	for i := range u.apu {
 		u.apu[i].owner, u.apu[i].line = u, INTA
+	}
+	for i := range u.duty {
+		u.duty[i] = DutyTimer{u: u, idx: i, fn: func() {}}
+		u.duty[i].fireFn = u.duty[i].fire
 	}
 	return u
 }

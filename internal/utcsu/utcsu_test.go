@@ -2,6 +2,7 @@ package utcsu
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -341,7 +342,8 @@ func TestDutyTimerFires(t *testing.T) {
 	s, u := rig(t, 1, oscillator.Ideal(10e6))
 	s.RunUntil(0.5) // arm inside the clock segment, not at its start
 	fired := -1.0
-	u.DutyAt(timefmt.Stamp(timefmt.DurationFromSeconds(2)), func() { fired = s.Now() })
+	u.Duty(0).OnFire(func() { fired = s.Now() })
+	u.Duty(0).Set(timefmt.Stamp(timefmt.DurationFromSeconds(2)))
 	s.RunUntil(3)
 	if fired < 0 {
 		t.Fatal("duty timer never fired")
@@ -355,7 +357,8 @@ func TestDutyTimerPastTargetFiresImmediately(t *testing.T) {
 	s, u := rig(t, 1, oscillator.Ideal(10e6))
 	s.RunUntil(5)
 	fired := -1.0
-	u.DutyAt(timefmt.Stamp(timefmt.DurationFromSeconds(1)), func() { fired = s.Now() })
+	u.Duty(0).OnFire(func() { fired = s.Now() })
+	u.Duty(0).Set(timefmt.Stamp(timefmt.DurationFromSeconds(1)))
 	s.RunUntil(5.001)
 	if fired < 0 || fired > 5.0005 {
 		t.Errorf("past-target timer fired at %v", fired)
@@ -365,24 +368,76 @@ func TestDutyTimerPastTargetFiresImmediately(t *testing.T) {
 func TestDutyTimerCancel(t *testing.T) {
 	s, u := rig(t, 1, oscillator.Ideal(10e6))
 	fired := false
-	dt := u.DutyAt(timefmt.Stamp(timefmt.DurationFromSeconds(1)), func() { fired = true })
+	dt := u.Duty(1)
+	dt.OnFire(func() { fired = true })
+	dt.Set(timefmt.Stamp(timefmt.DurationFromSeconds(1)))
 	dt.Cancel()
-	if !dt.done {
+	if dt.pending {
 		t.Error("cancelled timer pending")
 	}
 	s.RunUntil(2)
 	if fired {
 		t.Error("cancelled timer fired")
 	}
-	if len(u.timers) != 0 {
-		t.Errorf("timer list not cleaned: %d", len(u.timers))
+}
+
+// TestDutyTimerAllocFree pins a Set plus fire cycle at zero
+// allocations: the register, its bound fire method and its handler all
+// exist from New on.
+func TestDutyTimerAllocFree(t *testing.T) {
+	s, u := rig(t, 1, oscillator.Ideal(10e6))
+	dt := u.Duty(0)
+	fired := 0
+	dt.OnFire(func() { fired++ })
+	cycle := func() {
+		dt.Set(u.Now().Add(timefmt.DurationFromSeconds(1e-3)))
+		s.RunUntil(s.Now() + 2e-3)
+	}
+	cycle() // warm-up: the event queue's backing arrays
+	if a := testing.AllocsPerRun(100, cycle); a != 0 {
+		t.Errorf("duty timer Set+fire allocates %v times, want 0", a)
+	}
+	if fired != 102 {
+		t.Errorf("fired %d times, want 102", fired)
+	}
+}
+
+func TestDutySetPendingPanics(t *testing.T) {
+	_, u := rig(t, 1, oscillator.Ideal(10e6))
+	u.Duty(1).Set(timefmt.Stamp(timefmt.DurationFromSeconds(1)))
+	defer func() {
+		r := recover()
+		if msg, _ := r.(string); !strings.Contains(msg, "duty timer 1 set while pending") {
+			t.Errorf("panic = %v, want one naming duty timer 1", r)
+		}
+	}()
+	u.Duty(1).Set(timefmt.Stamp(timefmt.DurationFromSeconds(2)))
+}
+
+// TestDutyStepPastBothFiresInIndexOrder steps the clock past both
+// registers' targets: both fire on the next tick, register 0 first,
+// whichever was programmed first.
+func TestDutyStepPastBothFiresInIndexOrder(t *testing.T) {
+	s, u := rig(t, 1, oscillator.Ideal(10e6))
+	var order []int
+	for i := 0; i < NumDuty; i++ {
+		u.Duty(i).OnFire(func() { order = append(order, i) })
+	}
+	u.Duty(1).Set(timefmt.Stamp(timefmt.DurationFromSeconds(0.5)))
+	u.Duty(0).Set(timefmt.Stamp(timefmt.DurationFromSeconds(0.6)))
+	s.RunUntil(0.1)
+	u.StepTo(timefmt.Stamp(timefmt.DurationFromSeconds(1)))
+	s.RunUntil(0.1 + 3e-7)
+	if len(order) != 2 || order[0] != 0 || order[1] != 1 {
+		t.Errorf("fired %v within two ticks of the step, want [0 1]", order)
 	}
 }
 
 func TestDutyTimerSurvivesRateChange(t *testing.T) {
 	s, u := rig(t, 1, oscillator.Ideal(10e6))
 	fired := -1.0
-	u.DutyAt(timefmt.Stamp(timefmt.DurationFromSeconds(2)), func() { fired = s.Now() })
+	u.Duty(0).OnFire(func() { fired = s.Now() })
+	u.Duty(0).Set(timefmt.Stamp(timefmt.DurationFromSeconds(2)))
 	s.RunUntil(1)
 	u.SetRatePPB(500_000) // clock now runs 0.05% fast
 	s.RunUntil(3)
@@ -401,7 +456,8 @@ func TestDutyTimerWithDriftingOscillator(t *testing.T) {
 	o := oscillator.New(s, oscillator.TCXO(10e6), "dut")
 	u := New(s, o)
 	fired := -1.0
-	u.DutyAt(timefmt.Stamp(timefmt.DurationFromSeconds(30)), func() { fired = s.Now() })
+	u.Duty(0).OnFire(func() { fired = s.Now() })
+	u.Duty(0).Set(timefmt.Stamp(timefmt.DurationFromSeconds(30)))
 	s.RunUntil(40)
 	if fired < 0 {
 		t.Fatal("timer never fired under drift")
