@@ -9,6 +9,10 @@
 //
 //	ntibench [-seed N] [-workers N] [E1 E4 ...]   run selected experiments (default all)
 //	ntibench -list                                list experiment ids
+//	ntibench -json [E1 E4 ...]                    results as JSON; each claim
+//	                                              has a name, kind and ok, and
+//	                                              got/bound/better when it is
+//	                                              one comparison
 //	ntibench -cpuprofile cpu.out -memprofile mem.out E4
 package main
 
@@ -19,33 +23,12 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"ntisim/internal/experiments"
 	"ntisim/internal/harness"
 	"ntisim/internal/prof"
 )
-
-var runners = []struct {
-	id  string
-	fn  func(uint64) experiments.Result
-	des string
-}{
-	{"E1", experiments.E1Epsilon, "two-node transmission/reception uncertainty ε"},
-	{"E2", experiments.E2TimestampClasses, "timestamping classes: task vs ISR vs NTI"},
-	{"E3", experiments.E3GranularitySweep, "precision impairment 4G+10u vs fosc"},
-	{"E4", experiments.E4SixteenNode, "16-node prototype precision/accuracy"},
-	{"E5", experiments.E5GPSValidation, "clock validation vs naive GPS trust"},
-	{"E6", experiments.E6RateSync, "rate synchronization ablation"},
-	{"E7", experiments.E7WANvsLAN, "NTP over WAN vs NTI on LAN"},
-	{"E8", experiments.E8AdderVsCounter, "adder-based vs counter-based clock"},
-	{"E9", experiments.E9TimestampPath, "packet timestamping data path"},
-	{"E10", experiments.E10BackToBack, "Receive Header Base latch vs guessing"},
-	{"E11", experiments.E11WANOfLANs, "WANs-of-LANs gateway topology"},
-	{"E12", experiments.E12ByzantineNode, "actively faulty node tolerance"},
-	{"E13", experiments.E13HardwareMeasuredPrecision, "hardware-measured precision"},
-	{"E14", experiments.E14ConvergenceShootout, "convergence-function ablation"},
-	{"E15", experiments.E15ReceiverCensus, "long-term GPS receiver census"},
-}
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -74,32 +57,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *list {
-		for _, r := range runners {
-			fmt.Fprintf(stdout, "%-4s %s\n", r.id, r.des)
+		for _, e := range experiments.Suite {
+			fmt.Fprintf(stdout, "%-4s %s\n", e.ID, e.Desc)
 		}
 		return 0
 	}
 
-	known := map[string]bool{}
-	for _, r := range runners {
-		known[r.id] = true
-	}
 	// A typo is a usage error, not a shorter suite.
-	want := map[string]bool{}
 	for _, a := range fs.Args() {
-		if !known[a] {
+		if !slices.ContainsFunc(experiments.Suite, func(e experiments.Experiment) bool { return e.ID == a }) {
 			fmt.Fprintf(stderr, "ntibench: unknown experiment %q (use -list)\n", a)
 			return 2
 		}
-		want[a] = true
 	}
-
-	var selected []int
-	for i, r := range runners {
-		if len(want) > 0 && !want[r.id] {
-			continue
+	var selected []experiments.Experiment
+	for _, e := range experiments.Suite {
+		if fs.NArg() == 0 || slices.Contains(fs.Args(), e.ID) {
+			selected = append(selected, e)
 		}
-		selected = append(selected, i)
 	}
 
 	stopProf, err := prof.Start(*cpuprofile, *memprofile)
@@ -111,7 +86,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// emitted order matches the suite order bit-for-bit.
 	results := make([]experiments.Result, len(selected))
 	harness.ForEach(*workers, len(selected), func(i int) {
-		results[i] = runners[selected[i]].fn(*seed)
+		results[i] = selected[i].Run(*seed)
 	})
 
 	if err := stopProf(); err != nil {

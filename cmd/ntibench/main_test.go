@@ -2,10 +2,14 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"ntisim/internal/experiments"
 	"ntisim/internal/golden"
 )
 
@@ -60,13 +64,107 @@ func TestListPrintsEveryExperiment(t *testing.T) {
 		t.Fatalf("exit %d: %s", code, stderr.String())
 	}
 	lines := strings.Split(strings.TrimSpace(stdout.String()), "\n")
-	if len(lines) != len(runners) || len(runners) != 15 {
-		t.Fatalf("-list printed %d lines for %d experiments, want 15:\n%s", len(lines), len(runners), stdout.String())
+	if len(lines) != len(experiments.Suite) || len(lines) != 15 {
+		t.Fatalf("-list printed %d lines for %d experiments, want 15:\n%s", len(lines), len(experiments.Suite), stdout.String())
 	}
 	for i, line := range lines {
-		if id := strings.Fields(line)[0]; id != runners[i].id {
-			t.Errorf("line %d lists %q, want %q", i, id, runners[i].id)
+		if id := strings.Fields(line)[0]; id != experiments.Suite[i].ID {
+			t.Errorf("line %d lists %q, want %q", i, id, experiments.Suite[i].ID)
 		}
+	}
+}
+
+// TestJSONTypedClaims: -json prints each claim as an object with a
+// known kind, and a single comparison carries got, bound and better.
+func TestJSONTypedClaims(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-json", "-seed", "1998", "E4", "E10"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr.String())
+	}
+	var results []struct {
+		ID     string
+		Claims []map[string]any
+	}
+	if err := json.Unmarshal(stdout.Bytes(), &results); err != nil {
+		t.Fatalf("decode: %v\n%s", err, stdout.String())
+	}
+	if len(results) != 2 || results[0].ID != "E4" || results[1].ID != "E10" {
+		t.Fatalf("got results %+v, want E4 and E10", results)
+	}
+	claims := map[string]map[string]any{}
+	for _, r := range results {
+		for _, c := range r.Claims {
+			name, _ := c["name"].(string)
+			switch experiments.Kind(fmt.Sprint(c["kind"])) {
+			case experiments.Invariant, experiments.Statistical, experiments.Shape:
+			default:
+				t.Errorf("%s %q: unknown kind %v", r.ID, name, c["kind"])
+			}
+			if _, ok := c["ok"].(bool); !ok {
+				t.Errorf("%s %q: no ok", r.ID, name)
+			}
+			_, hasGot := c["got"]
+			_, hasBound := c["bound"]
+			_, hasBetter := c["better"]
+			if hasGot != hasBetter || hasBound != hasBetter {
+				t.Errorf("%s %q: got/bound/better must come together: %v", r.ID, name, c)
+			}
+			claims[name] = c
+		}
+	}
+	for _, name := range []string{"accuracy intervals always contain real time", "latch never misattributes"} {
+		c := claims[name]
+		if c == nil || c["kind"] != string(experiments.Invariant) || c["got"] != 0.0 || c["ok"] != true {
+			t.Errorf("claim %q = %v, want an invariant that holds with got 0", name, c)
+		}
+	}
+}
+
+// TestExperimentsDocQuotesGolden: the first table under each "### E<n>"
+// heading of EXPERIMENTS.md quotes the seed-1998 golden, line by line
+// (rows may be left out; the separator rows are).
+func TestExperimentsDocQuotesGolden(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gold, err := os.ReadFile(filepath.Join("testdata", "seed1998.golden.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sections := map[string]string{} // "E4" -> its printed block
+	for _, sec := range strings.Split(string(gold), "== ")[1:] {
+		id, _, _ := strings.Cut(sec, ":")
+		sections[id] = sec
+	}
+	quoted := 0
+	for _, part := range strings.Split(string(doc), "\n### ")[1:] {
+		id := strings.Fields(part)[0]
+		if !strings.HasPrefix(id, "E") {
+			continue
+		}
+		sec, ok := sections[id]
+		if !ok {
+			t.Errorf("EXPERIMENTS.md has a %s section, the golden does not", id)
+			continue
+		}
+		_, block, fenced := strings.Cut(part, "\n```\n")
+		if !fenced {
+			continue // E9 describes its path in prose
+		}
+		block, _, _ = strings.Cut(block, "```")
+		for _, line := range strings.Split(block, "\n") {
+			if line = strings.TrimRight(line, " "); line == "" {
+				continue
+			}
+			quoted++
+			if !strings.Contains(sec, line) {
+				t.Errorf("EXPERIMENTS.md %s quotes %q, which the seed-1998 golden does not print", id, line)
+			}
+		}
+	}
+	if quoted == 0 {
+		t.Fatal("found no quoted table in EXPERIMENTS.md")
 	}
 }
 

@@ -19,8 +19,6 @@ func E11WANOfLANs(seed uint64) Result {
 		ID:         "E11",
 		Title:      "WANs-of-LANs: two segments chained by an NTI-equipped gateway",
 		PaperClaim: "footnote 2: the approach extends to WANs-of-LANs when gateways carry NTIs; §3.3: six SSUs for redundant channels/gateway nodes",
-		Claims:     map[string]bool{},
-		Numbers:    map[string]float64{},
 	}
 	cfg := cluster.Defaults(10, seed)
 	cfg.Segments = 2
@@ -54,9 +52,6 @@ func E11WANOfLANs(seed uint64) Result {
 	r.Table.AddRow("segment 0 (5 nodes)", metrics.Us(seg0.Mean()), metrics.Us(seg0.Max()))
 	r.Table.AddRow("segment 1 (5 nodes)", metrics.Us(seg1.Mean()), metrics.Us(seg1.Max()))
 	r.Table.AddRow("global (12 members, 2 hops)", metrics.Us(global.Mean()), metrics.Us(global.Max()))
-	r.Numbers["seg0"] = seg0.Max()
-	r.Numbers["seg1"] = seg1.Max()
-	r.Numbers["global"] = global.Max()
 
 	gw := c.Members[len(c.Members)-1]
 
@@ -66,8 +61,8 @@ func E11WANOfLANs(seed uint64) Result {
 		"gateway hardware triggers: channel0 tx=%d rx=%d, channel1 tx=%d rx=%d (both SSU pairs active)",
 		tx0, rx0, tx1, rx1))
 
-	r.Claims["segments individually in low-µs range"] = seg0.Max() < 5e-6 && seg1.Max() < 5e-6
-	r.Claims["global precision bounded across the gateway"] = global.Max() < 15e-6
-	r.Claims["gateway stamps on both channels"] = tx0 > 0 && rx0 > 0 && tx1 > 0 && rx1 > 0
+	r.check(Invariant, "gateway stamps on both channels", tx0 > 0 && rx0 > 0 && tx1 > 0 && rx1 > 0)
+	r.below(Statistical, "global precision bounded across the gateway", global.Max(), 15e-6)
+	r.check(Statistical, "segments individually in low-µs range", seg0.Max() < 5e-6 && seg1.Max() < 5e-6)
 	return r
 }

@@ -22,8 +22,6 @@ func E12ByzantineNode(seed uint64) Result {
 		ID:         "E12",
 		Title:      "actively faulty node: (P)/(A) among correct nodes with f-tolerant convergence",
 		PaperClaim: "§2: (P) and (A) must hold for all nodes non-faulty up to t, despite faulty input intervals",
-		Claims:     map[string]bool{},
-		Numbers:    map[string]float64{},
 	}
 	r.Table.Header = []string{"F", "correct-node worst prec [µs]", "containment violations"}
 
@@ -77,13 +75,9 @@ func E12ByzantineNode(seed uint64) Result {
 	pNone, vNone := run(0)
 	r.Table.AddRow("2 (tolerant)", metrics.Us(pTol), fmt.Sprint(vTol))
 	r.Table.AddRow("0 (trusting)", metrics.Us(pNone), fmt.Sprint(vNone))
-	r.Numbers["prec_tolerant"] = pTol
-	r.Numbers["prec_trusting"] = pNone
-	r.Numbers["violations_tolerant"] = float64(vTol)
-
-	r.Claims["correct nodes keep low-µs precision with f=2"] = pTol < 6e-6
-	r.Claims["containment holds for correct nodes with f=2"] = vTol == 0
-	r.Claims["f=0 is visibly poisoned by the traitor"] = pNone > 5*pTol
+	r.zero("containment holds for correct nodes with f=2", vTol)
+	r.below(Statistical, "correct nodes keep low-µs precision with f=2", pTol, 6e-6)
+	r.above(Shape, "f=0 is visibly poisoned by the traitor", pNone, 5*pTol)
 	return r
 }
 
@@ -101,8 +95,6 @@ func E13HardwareMeasuredPrecision(seed uint64) Result {
 		ID:         "E13",
 		Title:      "precision measured by the hardware itself (broadcast-triggered snapshots)",
 		PaperClaim: "§3.3: SNU snapshots exist to evaluate precision/accuracy experimentally; the 16-node prototype evaluation would use them",
-		Claims:     map[string]bool{},
-		Numbers:    map[string]float64{},
 	}
 	cfg := cluster.Defaults(8, seed)
 	c := cluster.New(cfg)
@@ -115,7 +107,6 @@ func E13HardwareMeasuredPrecision(seed uint64) Result {
 	}
 	samples := map[uint32][]probeSample{}
 	for i, m := range c.Members {
-		i := i
 		m.Node.OnCSP(func(ar kernel.Arrival) {
 			if ar.Pkt.Kind == csp.KindCSP && ar.Pkt.Dest == 0xBEE && ar.StampOK {
 				samples[ar.Pkt.Round] = append(samples[ar.Pkt.Round], probeSample{node: i, stamp: ar.RxStamp})
@@ -133,7 +124,6 @@ func E13HardwareMeasuredPrecision(seed uint64) Result {
 	prober := c.Members[0]
 	var truth metrics.Series
 	for k := 0; k < 40; k++ {
-		k := k
 		prober.Node.Sim.After(float64(k)*0.5+0.13, func() {
 			p := csp.Packet{Kind: csp.KindCSP, Round: uint32(1000 + k)}
 			p.Node = 0 // overwritten by SendCSP; Dest marks the probe
@@ -167,13 +157,10 @@ func E13HardwareMeasuredPrecision(seed uint64) Result {
 	r.Table.Header = []string{"estimator", "mean [µs]", "max [µs]", "probes"}
 	r.Table.AddRow("hardware (rx-stamp spread)", metrics.Us(hw.Mean()), metrics.Us(hw.Max()), fmt.Sprint(hw.N()))
 	r.Table.AddRow("ground truth (SNU vs sim)", metrics.Us(truth.Mean()), metrics.Us(truth.Max()), fmt.Sprint(truth.N()))
-	r.Numbers["hw_max"] = hw.Max()
-	r.Numbers["truth_max"] = truth.Max()
-
-	r.Claims["hardware estimator collected full rounds"] = hw.N() >= 20
 	// The hardware estimate must agree with truth within the per-node
 	// reception skew (DMA arbitration + synchronizer ≈ ±0.6 µs).
-	agree := hw.Max()-truth.Max() > -1.5e-6 && hw.Max()-truth.Max() < 1.5e-6
-	r.Claims["hardware estimate agrees with ground truth (±1.5 µs)"] = agree
+	diff := hw.Max() - truth.Max()
+	r.check(Statistical, "hardware estimate agrees with ground truth (±1.5 µs)", diff > -1.5e-6 && diff < 1.5e-6)
+	r.check(Invariant, "hardware estimator collected full rounds", hw.N() >= 20)
 	return r
 }

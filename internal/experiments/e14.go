@@ -24,8 +24,6 @@ func E14ConvergenceShootout(seed uint64) Result {
 		ID:         "E14",
 		Title:      "convergence-function ablation: OA-midpoint vs OA-average vs Marzullo",
 		PaperClaim: "§2: the convergence function determines performance and fault-tolerance; §5 analyses OA [Sch97b]",
-		Claims:     map[string]bool{},
-		Numbers:    map[string]float64{},
 	}
 	r.Table.Header = []string{"convergence fn", "worst prec [µs]", "mean prec [µs]", "failures"}
 
@@ -44,21 +42,18 @@ func E14ConvergenceShootout(seed uint64) Result {
 			c.Sync.Discipline = func() discipline.Discipline { return discipline.WrapConverge("", f.fn) }
 		}})
 	}
-	for _, c := range runCells(spec) {
-		fails := c.Sync.ConvergenceFailed
-		r.Table.AddRow(c.Label, metrics.Us(c.Precision.Max), metrics.Us(c.Precision.Mean), strconv.FormatUint(fails, 10))
-		r.Numbers["prec:"+c.Label] = c.Precision.Max
-		r.Numbers["fails:"+c.Label] = float64(fails)
+	var prec [3]float64
+	var fails [3]uint64
+	for i, c := range runCells(spec) {
+		prec[i], fails[i] = c.Precision.Max, c.Sync.ConvergenceFailed
+		r.Table.AddRow(c.Label, metrics.Us(prec[i]), metrics.Us(c.Precision.Mean), strconv.FormatUint(fails[i], 10))
 	}
 
-	r.Claims["all three keep µs-range precision on a healthy LAN"] =
-		r.Numbers["prec:OA (midpoint)"] < 6e-6 &&
-			r.Numbers["prec:OA (average)"] < 6e-6 &&
-			r.Numbers["prec:Marzullo midpoint"] < 30e-6
-	r.Claims["averaging at least matches midpoint here"] =
-		r.Numbers["prec:OA (average)"] < 1.5*r.Numbers["prec:OA (midpoint)"]
-	r.Claims["no convergence failures"] =
-		r.Numbers["fails:OA (midpoint)"] == 0 && r.Numbers["fails:OA (average)"] == 0
+	const mid, avg, marzullo = 0, 1, 2 // indices into fns
+	r.check(Statistical, "all three keep µs-range precision on a healthy LAN",
+		prec[mid] < 6e-6 && prec[avg] < 6e-6 && prec[marzullo] < 30e-6)
+	r.below(Shape, "averaging at least matches midpoint here", prec[avg], 1.5*prec[mid])
+	r.check(Invariant, "no convergence failures", fails[mid] == 0 && fails[avg] == 0)
 	r.Notes = append(r.Notes,
 		"with healthy, equal-width intervals all functions behave; the differences the paper's analysis targets are worst-case bounds and behaviour under faults (see E12)")
 	return r

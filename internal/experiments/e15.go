@@ -20,8 +20,6 @@ func E15ReceiverCensus(seed uint64) Result {
 		ID:         "E15",
 		Title:      "long-term GPS receiver census ([HS97], footnote 7)",
 		PaperClaim: "footnote 7: two-month evaluation of six receivers revealed a wide variety of failures",
-		Claims:     map[string]bool{},
-		Numbers:    map[string]float64{},
 	}
 	const horizon = 3600.0 // one simulated hour ≈ the study, compressed
 
@@ -52,7 +50,6 @@ func E15ReceiverCensus(seed uint64) Result {
 	// constant product would be exactly 1e-5.
 	acc := gps.ClaimedAccuracyS
 	for i, c := range receivers {
-		c := c
 		gps.New(s, c.cfg, c.name, i, func(p gps.Pulse) {
 			c.pulses++
 			// Judge against simulation truth: the pulse physically marks
@@ -85,18 +82,14 @@ func E15ReceiverCensus(seed uint64) Result {
 		}
 		r.Table.AddRow(c.name, fmt.Sprint(c.pulses), fmt.Sprint(c.missing),
 			fmt.Sprint(c.badLabel), fmt.Sprint(c.badPulse), fmt.Sprint(trustworthy))
-		r.Numbers["badpulse:"+c.name] = float64(c.badPulse)
-		r.Numbers["badlabel:"+c.name] = float64(c.badLabel)
-		r.Numbers["missing:"+c.name] = float64(c.missing)
 	}
 
-	r.Claims["healthy receivers stay clean for the whole campaign"] = healthyClean
-	r.Claims["a wide variety of failures observed (outage+offset+label+flap)"] =
-		r.Numbers["missing:rx2 outages"] > 100 &&
-			r.Numbers["badpulse:rx3 offset step"] > 100 &&
-			anyFailure
-	r.Claims["wrong-second receiver mislabels while pulsing fine"] =
-		r.Numbers["badpulse:rx4 wrong-second"] == 0 && r.Numbers["badlabel:rx4 wrong-second"] > 100
+	outages, offset, wrongSec := receivers[2], receivers[3], receivers[4]
+	r.check(Invariant, "a wide variety of failures observed (outage+offset+label+flap)",
+		outages.missing > 100 && offset.badPulse > 100 && anyFailure)
+	r.check(Invariant, "healthy receivers stay clean for the whole campaign", healthyClean)
+	r.check(Invariant, "wrong-second receiver mislabels while pulsing fine",
+		wrongSec.badPulse == 0 && wrongSec.badLabel > 100)
 	r.Notes = append(r.Notes,
 		"one simulated hour at 1 pulse/s stands in for the study's two months; the failure classes and their signatures are the point, not the duration")
 	return r

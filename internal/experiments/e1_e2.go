@@ -30,7 +30,6 @@ func epsilonRun(seed uint64, mode kernel.TimestampMode, load float64, nCSP int) 
 		gaps.Add(ar.RxStamp.Sub(tx).Seconds())
 	})
 	for i := 0; i < nCSP; i++ {
-		i := i
 		c.Members[0].Node.Sim.After(0.01+float64(i)*0.003, func() {
 			c.Members[0].Node.SendCSP(csp.Packet{Kind: csp.KindCSP, Round: uint32(i)}, network.Broadcast)
 		})
@@ -47,23 +46,17 @@ func E1Epsilon(seed uint64) Result {
 		ID:         "E1",
 		Title:      "two-node transmission/reception uncertainty ε (NTI hardware timestamping)",
 		PaperClaim: "§4: ε well below 1 µs on the two-node MVME-162 prototype",
-		Claims:     map[string]bool{},
-		Numbers:    map[string]float64{},
 	}
 	r.Table.Header = []string{"bg load", "CSPs", "gap min [µs]", "gap max [µs]", "eps [µs]"}
-	var eps0 float64
-	for _, load := range []float64{0, 0.3, 0.6} {
+	var eps [3]float64 // at 0, 30 and 60% load
+	for i, load := range []float64{0, 0.3, 0.6} {
 		g := epsilonRun(seed, kernel.ModeNTI, load, 1000)
-		eps := g.Range()
-		if load == 0 {
-			eps0 = eps
-		}
+		eps[i] = g.Range()
 		r.Table.AddRow(fmt.Sprintf("%.0f%%", load*100), fmt.Sprint(g.N()),
-			metrics.Us(g.Min()), metrics.Us(g.Max()), metrics.Us(eps))
-		r.Numbers[fmt.Sprintf("eps_load%.0f", load*100)] = eps
+			metrics.Us(g.Min()), metrics.Us(g.Max()), metrics.Us(eps[i]))
 	}
-	r.Claims["eps below 1 µs (idle)"] = eps0 < 1e-6
-	r.Claims["eps below 2 µs under 60% load"] = r.Numbers["eps_load60"] < 2e-6
+	r.below(Statistical, "eps below 1 µs (idle)", eps[0], 1e-6)
+	r.below(Statistical, "eps below 2 µs under 60% load", eps[2], 2e-6)
 	r.Notes = append(r.Notes,
 		"ε is the spread of (hw rx stamp − hw tx stamp); timestamps are taken at the COMCO's trigger accesses, after medium access, so background load barely moves it")
 	return r
@@ -77,8 +70,6 @@ func E2TimestampClasses(seed uint64) Result {
 		ID:         "E2",
 		Title:      "timestamping classes: task-level vs ISR-level vs NTI hardware",
 		PaperClaim: "§1: software-only ≈ ms range, brought down to µs with moderate hardware support; §3.1 steps 1–7",
-		Claims:     map[string]bool{},
-		Numbers:    map[string]float64{},
 	}
 	r.Table.Header = []string{"class", "eps [µs]", "worst precision [µs]"}
 	rows := []struct {
@@ -98,28 +89,24 @@ func E2TimestampClasses(seed uint64) Result {
 			Mutate: func(c *cluster.Config) { c.Kernel.Mode = rw.mode }})
 	}
 	cells := runCells(spec)
+	var eps, prec [3]float64 // task, ISR, NTI
 	for i, rw := range rows {
 		g := epsilonRun(seed+1, rw.mode, 0.2, 600)
-		eps := g.Range()
-		prec := cells[i].Precision.Max
-		r.Table.AddRow(rw.name, metrics.Us(eps), metrics.Us(prec))
-		r.Numbers["eps:"+rw.name] = eps
-		r.Numbers["prec:"+rw.name] = prec
+		eps[i], prec[i] = g.Range(), cells[i].Precision.Max
+		r.Table.AddRow(rw.name, metrics.Us(eps[i]), metrics.Us(prec[i]))
 	}
+	const task, isr, nti = 0, 1, 2
+	r.below(Statistical, "NTI precision in µs range", prec[nti], 10e-6)
 	// ε: both software classes pay the medium-access uncertainty on the
 	// transmit side (their stamp is taken in step 1/2, before access),
 	// so they cluster in the ms range; only the NTI escapes it.
-	r.Claims["software eps in ms range, NTI in sub-µs"] =
-		r.Numbers["eps:task (software-only)"] >= r.Numbers["eps:ISR (kernel-level)"] &&
-			r.Numbers["eps:ISR (kernel-level)"] > 100*r.Numbers["eps:NTI (hardware)"]
+	r.check(Shape, "software eps in ms range, NTI in sub-µs",
+		eps[task] >= eps[isr] && eps[isr] > 100*eps[nti])
 	// Precision separates all three classes: the convergence function
 	// can exploit the ISR class's tighter receive stamps.
-	r.Claims["task >> ISR >> NTI in precision"] =
-		r.Numbers["prec:task (software-only)"] > 3*r.Numbers["prec:ISR (kernel-level)"] &&
-			r.Numbers["prec:ISR (kernel-level)"] > 3*r.Numbers["prec:NTI (hardware)"]
-	r.Claims["NTI precision in µs range"] = r.Numbers["prec:NTI (hardware)"] < 10e-6
-	r.Claims["task precision ≥ 100x NTI"] =
-		r.Numbers["prec:task (software-only)"] > 100*r.Numbers["prec:NTI (hardware)"]
+	r.check(Shape, "task >> ISR >> NTI in precision",
+		prec[task] > 3*prec[isr] && prec[isr] > 3*prec[nti])
+	r.above(Statistical, "task precision ≥ 100x NTI", prec[task], 100*prec[nti])
 	r.Notes = append(r.Notes,
 		"software transmit stamps are taken before medium access (paper §3.1 step 1), so both software classes inherit the access uncertainty in ε; receive-side differences then drive the precision gap")
 	return r

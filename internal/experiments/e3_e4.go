@@ -19,8 +19,6 @@ func E3GranularitySweep(seed uint64) Result {
 		ID:         "E3",
 		Title:      "precision impairment 4G + 10u across oscillator frequencies",
 		PaperClaim: "§5: OA worst-case precision impaired by 4G+10u; u = 1/fosc; G = u < 70 ns (fosc > 14 MHz) needed for < 1 µs",
-		Claims:     map[string]bool{},
-		Numbers:    map[string]float64{},
 	}
 	r.Table.Header = []string{"fosc [MHz]", "u=1/f [ns]", "4G+10u [µs]", "measured prec [µs]"}
 	G := timefmt.Granule
@@ -31,26 +29,23 @@ func E3GranularitySweep(seed uint64) Result {
 	cells := runCells(harness.Spec{Name: "E3", Base: cluster.Defaults(4, seed),
 		Points:      harness.FoscAxis(foscs...).Points,
 		DelayProbes: delayProbes, WarmupS: 15, WindowS: 60, SampleEveryS: 0.9})
-	var prev float64
+	precs, bounds := make([]float64, len(foscs)), make([]float64, len(foscs))
 	monotone := true
 	for i, f := range foscs {
 		mhz, u := f/1e6, 1/f
-		bound := granularityImpairment(G, u)
-		prec := cells[i].Precision.Max
+		bounds[i] = granularityImpairment(G, u)
+		precs[i] = cells[i].Precision.Max
 		r.Table.AddRow(fmt.Sprintf("%.0f", mhz), fmt.Sprintf("%.0f", u*1e9),
-			metrics.Us(bound), metrics.Us(prec))
-		r.Numbers[fmt.Sprintf("prec_%0.0fMHz", mhz)] = prec
-		r.Numbers[fmt.Sprintf("bound_%0.0fMHz", mhz)] = bound
-		if prev != 0 && prec > prev*1.8 {
+			metrics.Us(bounds[i]), metrics.Us(precs[i]))
+		if i > 0 && precs[i-1] != 0 && precs[i] > precs[i-1]*1.8 {
 			monotone = false // allow noise, forbid clear regressions
 		}
-		prev = prec
 	}
-	r.Claims["impairment bound crosses 1 µs near 14 MHz"] =
-		r.Numbers["bound_8MHz"] > 1e-6 && r.Numbers["bound_14MHz"] <= 1.1e-6
-	r.Claims["precision improves toward high fosc"] =
-		r.Numbers["prec_20MHz"] < r.Numbers["prec_1MHz"] && monotone
-	r.Claims["20 MHz precision in low-µs range"] = r.Numbers["prec_20MHz"] < 4e-6
+	const at1, at8, at14, at20 = 0, 3, 4, 5 // indices into foscs
+	r.below(Statistical, "20 MHz precision in low-µs range", precs[at20], 4e-6)
+	r.check(Invariant, "impairment bound crosses 1 µs near 14 MHz",
+		bounds[at8] > 1e-6 && bounds[at14] <= 1.1e-6)
+	r.check(Shape, "precision improves toward high fosc", precs[at20] < precs[at1] && monotone)
 	r.Notes = append(r.Notes,
 		"G = 2^-24 s is fixed by the NTP time format; u = 1/fosc enters through the input-synchronizer sampling and the rate-step quantum",
 		"measured precision flattens below the bound because the COMCO's DMA/arbitration jitter (ε ≈ 0.6 µs) is frequency-independent")
@@ -65,8 +60,6 @@ func E4SixteenNode(seed uint64) Result {
 		ID:         "E4",
 		Title:      "16-node prototype: precision/accuracy over 300 rounds",
 		PaperClaim: "§1/§6: worst-case precision/accuracy in the 1 µs range; §4: 16-node prototype (4x MVME-162 with 4 NTIs each)",
-		Claims:     map[string]bool{},
-		Numbers:    map[string]float64{},
 	}
 	cfg := cluster.Defaults(16, seed)
 	cfg.Sync.RateSync = true
@@ -81,14 +74,10 @@ func E4SixteenNode(seed uint64) Result {
 	r.Table.Header = []string{"metric", "mean [µs]", "p99 [µs]", "max [µs]"}
 	r.Table.AddRow("precision max|Cp-Cq|", metrics.Us(prec.Mean), metrics.Us(prec.P99), metrics.Us(prec.Max))
 	r.Table.AddRow("accuracy  max|Cp-t|", metrics.Us(acc.Mean), metrics.Us(acc.P99), metrics.Us(acc.Max))
-	r.Numbers["precision_max"] = prec.Max
-	r.Numbers["accuracy_max"] = acc.Max
-	r.Numbers["containment_violations"] = float64(cell.ContainmentViolations)
-	r.Claims["worst precision in low-µs range"] = prec.Max < 5e-6
-	r.Claims["worst UTC accuracy in low-µs range"] = acc.Max < 20e-6
-	r.Claims["accuracy intervals always contain real time"] = cell.ContainmentViolations == 0
-	r.Numbers["csp_use_ratio"] = cell.CSPUse
+	r.zero("accuracy intervals always contain real time", cell.ContainmentViolations)
+	r.below(Statistical, "worst UTC accuracy in low-µs range", acc.Max, 20e-6)
+	r.below(Statistical, "worst precision in low-µs range", prec.Max, 5e-6)
 	r.Notes = append(r.Notes,
-		fmt.Sprintf("CSP utilization %.1f%% of the ideal n·(n−1) deliveries", 100*r.Numbers["csp_use_ratio"]))
+		fmt.Sprintf("CSP utilization %.1f%% of the ideal n·(n−1) deliveries", 100*cell.CSPUse))
 	return r
 }

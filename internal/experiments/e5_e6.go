@@ -19,8 +19,6 @@ func E5GPSValidation(seed uint64) Result {
 		ID:         "E5",
 		Title:      "clock validation vs naive trust under GPS receiver faults",
 		PaperClaim: "§2: faulty external interval only considered if consistent with the validation interval; §5/[HS97]: receivers do fail",
-		Claims:     map[string]bool{},
-		Numbers:    map[string]float64{},
 	}
 	r.Table.Header = []string{"policy", "fault", "worst acc [µs]", "worst prec [µs]", "rejected"}
 
@@ -39,25 +37,21 @@ func E5GPSValidation(seed uint64) Result {
 	cells := runCells(harness.Spec{Name: "E5", Base: cluster.Defaults(8, seed),
 		Points:      harness.FaultAxis(3, scenarios...).Points,
 		DelayProbes: delayProbes, WarmupS: 90, WindowS: 120, SampleEveryS: 1})
+	var acc [3]float64
+	var rej [3]uint64
 	for i, name := range names {
 		c := cells[i]
-		r.Table.AddRow("validated", name, metrics.Us(c.Accuracy.Max), metrics.Us(c.Precision.Max),
-			fmt.Sprint(c.Sync.ExternalRejected))
-		r.Numbers["validated_acc:"+name] = c.Accuracy.Max
-		r.Numbers["validated_rej:"+name] = float64(c.Sync.ExternalRejected)
+		acc[i], rej[i] = c.Accuracy.Max, c.Sync.ExternalRejected
+		r.Table.AddRow("validated", name, metrics.Us(acc[i]), metrics.Us(c.Precision.Max), fmt.Sprint(rej[i]))
 	}
 	accT, precT := cells[3].Accuracy.Max, cells[3].Precision.Max
 	r.Table.AddRow("naive trust", "wrong-second", metrics.Us(accT), metrics.Us(precT), "-")
-	r.Numbers["naive_acc"] = accT
 
-	r.Claims["validation keeps accuracy bounded under all faults"] =
-		r.Numbers["validated_acc:offset 20 ms"] < 100e-6 &&
-			r.Numbers["validated_acc:wrong-second"] < 100e-6 &&
-			r.Numbers["validated_acc:ramp 10 µs/s"] < 200e-6
-	r.Claims["faulty intervals actually rejected"] =
-		r.Numbers["validated_rej:offset 20 ms"] > 0 && r.Numbers["validated_rej:wrong-second"] > 0
-	r.Claims["naive trust is >100x worse on wrong-second"] =
-		accT > 100*r.Numbers["validated_acc:wrong-second"]
+	const offset, wrongSecond, ramp = 0, 1, 2 // indices into names
+	r.check(Invariant, "faulty intervals actually rejected", rej[offset] > 0 && rej[wrongSecond] > 0)
+	r.above(Shape, "naive trust is >100x worse on wrong-second", accT, 100*acc[wrongSecond])
+	r.check(Invariant, "validation keeps accuracy bounded under all faults",
+		acc[offset] < 100e-6 && acc[wrongSecond] < 100e-6 && acc[ramp] < 200e-6)
 	return r
 }
 
@@ -71,8 +65,6 @@ func E6RateSync(seed uint64) Result {
 		ID:         "E6",
 		Title:      "rate synchronization: accuracy-interval growth with TCXO-grade oscillators",
 		PaperClaim: "§2: rate synchronization reduces the maximum drift bound used for interval deterioration",
-		Claims:     map[string]bool{},
-		Numbers:    map[string]float64{},
 	}
 	r.Table.Header = []string{"rate sync", "deterioration [µs/s]", "worst prec [µs]", "worst rate cmd [ppb]"}
 	run := func(on bool) (detPerSec, prec float64, rateCmd int64) {
@@ -111,12 +103,8 @@ func E6RateSync(seed uint64) Result {
 	dOff, pOff, _ := run(false)
 	r.Table.AddRow("on", metrics.Us(dOn), metrics.Us(pOn), fmt.Sprint(rcOn))
 	r.Table.AddRow("off", metrics.Us(dOff), metrics.Us(pOff), "0 (free-running)")
-	r.Numbers["det_on"] = dOn
-	r.Numbers["det_off"] = dOff
-	r.Numbers["prec_on"] = pOn
-	r.Numbers["prec_off"] = pOff
-	r.Claims["rate sync cuts interval deterioration ≥ 3x"] = dOff > 3*dOn
-	r.Claims["precision not degraded"] = pOn < 2*pOff
+	r.below(Shape, "precision not degraded", pOn, 2*pOff)
+	r.above(Shape, "rate sync cuts interval deterioration ≥ 3x", dOff, 3*dOn)
 	r.Notes = append(r.Notes,
 		"deterioration is the ACU's automatic interval growth between resynchronizations: 2·ρ per second, with ρ dynamic under rate sync vs the 3000 ppb a priori bound")
 	return r

@@ -23,8 +23,6 @@ func E7WANvsLAN(seed uint64) Result {
 		ID:         "E7",
 		Title:      "class III (NTP over WAN) vs class II (NTI on LAN) accuracy",
 		PaperClaim: "§1: NTP reports ~10 ms maximum deviations under reasonable conditions; NTI targets 1 µs on LANs",
-		Claims:     map[string]bool{},
-		Numbers:    map[string]float64{},
 	}
 	r.Table.Header = []string{"system", "path", "worst |C-t| [ms]"}
 
@@ -59,17 +57,12 @@ func E7WANvsLAN(seed uint64) Result {
 		DelayProbes: delayProbes, WarmupS: 60, WindowS: 120, SampleEveryS: 1})[0].Accuracy.Max
 	r.Table.AddRow("NTI (hardware)", "10 Mb/s shared LAN", metrics.Ms(acc))
 
-	r.Numbers["ntp_sym"] = sym
-	r.Numbers["ntp_asym"] = asym
-	r.Numbers["ntp_sym_bias"] = symBias
-	r.Numbers["ntp_asym_bias"] = asymBias
-	r.Numbers["nti_lan"] = acc
-	r.Claims["NTP lands in the ms..10ms regime"] = sym > 100e-6 && sym < 100e-3
+	r.above(Shape, "NTI ≥ 100x better than NTP", sym, 100*acc)
+	r.check(Statistical, "NTP lands in the ms..10ms regime", sym > 100e-6 && sym < 100e-3)
 	// Asymmetric queueing biases NTP's offset estimator systematically
 	// (half the one-way delay difference) — visible in the signed mean,
 	// which a deterministic LAN with hardware stamping cannot exhibit.
-	r.Claims["asymmetry biases NTP by ≥ 0.4 ms"] = asymBias-symBias > 0.4e-3
-	r.Claims["NTI ≥ 100x better than NTP"] = sym > 100*acc
+	r.above(Statistical, "asymmetry biases NTP by ≥ 0.4 ms", asymBias-symBias, 0.4e-3)
 	return r
 }
 
@@ -83,8 +76,6 @@ func E8AdderVsCounter(seed uint64) Result {
 		ID:         "E8",
 		Title:      "adder-based UTCSU clock vs counter-based (CSU-class) clock",
 		PaperClaim: "§5: granularity effects ignored by [KKMS95]; 4G+10u with G=1µs forbids 1 µs precision; adder-based design surpasses counter-based",
-		Claims:     map[string]bool{},
-		Numbers:    map[string]float64{},
 	}
 	r.Table.Header = []string{"clock device", "G [µs]", "u [µs/s]", "4G+10u [µs]", "worst prec [µs]"}
 	cfg := cluster.Defaults(4, seed)
@@ -107,17 +98,13 @@ func E8AdderVsCounter(seed uint64) Result {
 	boundCounter := granularityImpairment(gC, uC)
 	r.Table.AddRow("adder (UTCSU)", metrics.Us(gA), metrics.Us(uA), metrics.Us(boundAdder), metrics.Us(pAdder))
 	r.Table.AddRow("counter (CSU-class)", metrics.Us(gC), metrics.Us(uC), metrics.Us(boundCounter), metrics.Us(pCounter))
-	r.Numbers["prec_adder"] = pAdder
-	r.Numbers["prec_counter"] = pCounter
-	r.Numbers["bound_adder"] = boundAdder
-	r.Numbers["bound_counter"] = boundCounter
-	r.Claims["adder clock strictly more precise (measured)"] = pAdder < pCounter
+	r.below(Statistical, "adder clock reaches low-µs precision", pAdder, 4e-6)
+	r.below(Shape, "adder clock strictly more precise (measured)", pAdder, pCounter)
 	// The paper's §5 point verbatim: the CSU-class worst-case impairment
 	// alone already exceeds 1 µs, so "a few µs worst case precision" is
 	// only legitimate when granularity effects are ignored.
-	r.Claims["counter impairment bound 4G+10u forbids sub-µs"] = boundCounter > 1e-6
-	r.Claims["adder impairment bound permits sub-µs"] = boundAdder < 1e-6
-	r.Claims["adder clock reaches low-µs precision"] = pAdder < 4e-6
+	r.below(Invariant, "adder impairment bound permits sub-µs", boundAdder, 1e-6)
+	r.above(Invariant, "counter impairment bound 4G+10u forbids sub-µs", boundCounter, 1e-6)
 	r.Notes = append(r.Notes,
 		"measured precision under the typical workload sits below the worst-case bound for both devices; the bound gap (50x) is the design argument")
 	return r

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -23,7 +24,35 @@ func TestGranularityImpairment(t *testing.T) {
 
 // Each experiment's Claims encode the paper's qualitative findings; a
 // failing claim means the reproduction lost the paper's shape. These are
-// the repository's top-level integration tests.
+// the repository's top-level integration tests: one check over the
+// Suite table at seed 101, entered once per experiment so that
+// `go test -run 'TestE4$'` selects one.
+
+// long lists the experiments -short skips, with the reason.
+var long = map[string]string{
+	"E2": "multi-run experiment", "E3": "sweep experiment", "E4": "16-node long run",
+	"E5": "multi-run experiment", "E6": "long run", "E7": "long WAN run",
+	"E8": "multi-run experiment", "E11": "multi-segment long run",
+	"E12": "multi-run long experiment", "E13": "probe campaign", "E14": "three long runs",
+}
+
+// checkSuite runs suite entry id at seed 101 and checks its result.
+func checkSuite(t *testing.T, id string) Result {
+	t.Helper()
+	i := slices.IndexFunc(Suite, func(e Experiment) bool { return e.ID == id })
+	if i < 0 {
+		t.Fatalf("%s is not in Suite", id)
+	}
+	if why, ok := long[id]; ok && testing.Short() {
+		t.Skip(why)
+	}
+	r := Suite[i].Run(101)
+	if r.ID != id {
+		t.Errorf("Suite entry %s returned result %s", id, r.ID)
+	}
+	checkResult(t, r)
+	return r
+}
 
 func checkResult(t *testing.T, r Result) {
 	t.Helper()
@@ -36,9 +65,19 @@ func checkResult(t *testing.T, r Result) {
 	if len(r.Claims) == 0 {
 		t.Error("experiment asserts nothing")
 	}
-	for name, ok := range r.Claims {
-		if !ok {
-			t.Errorf("claim failed: %s", name)
+	for i, c := range r.Claims {
+		if slices.ContainsFunc(r.Claims[:i], func(d Claim) bool { return d.Name == c.Name }) {
+			t.Errorf("claim %q appears twice", c.Name)
+		}
+		if c.Kind != Invariant && c.Kind != Statistical && c.Kind != Shape {
+			t.Errorf("claim %q has unknown kind %q", c.Name, c.Kind)
+		}
+		if !c.OK {
+			t.Errorf("claim failed: %s", c.Name)
+		}
+		if stated, ok := c.comparison(); ok && stated != c.OK {
+			t.Errorf("claim %q: OK %v, but %v against bound %v (better %s) says %v",
+				c.Name, c.OK, c.Got, c.Bound, c.Better, stated)
 		}
 	}
 	var sb strings.Builder
@@ -48,35 +87,37 @@ func checkResult(t *testing.T, r Result) {
 	}
 }
 
-func TestE1(t *testing.T) { checkResult(t, E1Epsilon(101)) }
-
-func TestE2(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-run experiment")
+// comparison evaluates a single-comparison claim's stated Got-vs-Bound
+// test; ok is false for a compound claim.
+func (c Claim) comparison() (holds, ok bool) {
+	switch c.Better {
+	case "lower":
+		return c.Got < c.Bound, true
+	case "higher":
+		return c.Got > c.Bound, true
+	case "":
+		return false, false
 	}
-	checkResult(t, E2TimestampClasses(101))
+	panic("unknown Better " + c.Better)
 }
 
-func TestE3(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweep experiment")
-	}
-	checkResult(t, E3GranularitySweep(101))
-}
-
-func TestE4(t *testing.T) {
-	if testing.Short() {
-		t.Skip("16-node long run")
-	}
-	checkResult(t, E4SixteenNode(101))
-}
+func TestE1(t *testing.T)  { checkSuite(t, "E1") }
+func TestE2(t *testing.T)  { checkSuite(t, "E2") }
+func TestE3(t *testing.T)  { checkSuite(t, "E3") }
+func TestE4(t *testing.T)  { checkSuite(t, "E4") }
+func TestE6(t *testing.T)  { checkSuite(t, "E6") }
+func TestE7(t *testing.T)  { checkSuite(t, "E7") }
+func TestE8(t *testing.T)  { checkSuite(t, "E8") }
+func TestE9(t *testing.T)  { checkSuite(t, "E9") }
+func TestE10(t *testing.T) { checkSuite(t, "E10") }
+func TestE11(t *testing.T) { checkSuite(t, "E11") }
+func TestE12(t *testing.T) { checkSuite(t, "E12") }
+func TestE13(t *testing.T) { checkSuite(t, "E13") }
+func TestE14(t *testing.T) { checkSuite(t, "E14") }
+func TestE15(t *testing.T) { checkSuite(t, "E15") }
 
 func TestE5(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-run experiment")
-	}
-	r := E5GPSValidation(101)
-	checkResult(t, r)
+	r := checkSuite(t, "E5")
 	// The rows follow EXPERIMENTS.md's order on every run.
 	for i, want := range []string{"offset 20 ms", "wrong-second", "ramp 10 µs/s"} {
 		if got := r.Table.Rows[i][1]; got != want {
@@ -85,36 +126,15 @@ func TestE5(t *testing.T) {
 	}
 }
 
-func TestE6(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long run")
-	}
-	checkResult(t, E6RateSync(101))
-}
-
-func TestE7(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long WAN run")
-	}
-	checkResult(t, E7WANvsLAN(101))
-}
-
-func TestE8(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-run experiment")
-	}
-	checkResult(t, E8AdderVsCounter(101))
-}
-
-func TestE9(t *testing.T)  { checkResult(t, E9TimestampPath(101)) }
-func TestE10(t *testing.T) { checkResult(t, E10BackToBack(101)) }
-
 func TestResultPassed(t *testing.T) {
-	r := Result{Claims: map[string]bool{"a": true, "b": true}}
+	var r Result
+	r.check(Shape, "a", true)
+	r.below(Statistical, "b", 1, 2)
+	r.zero("c", 0)
 	if !r.Passed() {
 		t.Error("all-true claims should pass")
 	}
-	r.Claims["c"] = false
+	r.above(Shape, "d", 1, 1) // 1 > 1 is false
 	if r.Passed() {
 		t.Error("a false claim should fail")
 	}
@@ -128,36 +148,4 @@ func TestSeedInsensitivityE1(t *testing.T) {
 			t.Errorf("E1 failed at seed %d", seed)
 		}
 	}
-}
-
-func TestE11(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-segment long run")
-	}
-	checkResult(t, E11WANOfLANs(101))
-}
-
-func TestE12(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-run long experiment")
-	}
-	checkResult(t, E12ByzantineNode(101))
-}
-
-func TestE13(t *testing.T) {
-	if testing.Short() {
-		t.Skip("probe campaign")
-	}
-	checkResult(t, E13HardwareMeasuredPrecision(101))
-}
-
-func TestE14(t *testing.T) {
-	if testing.Short() {
-		t.Skip("three long runs")
-	}
-	checkResult(t, E14ConvergenceShootout(101))
-}
-
-func TestE15(t *testing.T) {
-	checkResult(t, E15ReceiverCensus(101))
 }

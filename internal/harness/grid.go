@@ -21,21 +21,29 @@ type Axis struct {
 	Points []Point
 }
 
-// NodesAxis sweeps cluster size (defaults: the paper-era 2..32 range).
-func NodesAxis(ns ...int) Axis {
-	if len(ns) == 0 {
-		ns = []int{2, 4, 8, 16, 24, 32}
+// sweep builds a one-parameter axis: each value becomes a point
+// labelled label(v), recorded as {key: fmt.Sprint(v)} and applied by
+// set. No values selects defaults.
+func sweep[T any](vals, defaults []T, key string, label func(T) string, set func(*cluster.Config, T)) Axis {
+	if len(vals) == 0 {
+		vals = defaults
 	}
 	var ax Axis
-	for _, n := range ns {
-		n := n
+	for _, v := range vals {
 		ax.Points = append(ax.Points, Point{
-			Label:  fmt.Sprintf("n=%d", n),
-			Params: map[string]string{"nodes": fmt.Sprint(n)},
-			Mutate: func(c *cluster.Config) { c.Nodes = n },
+			Label:  label(v),
+			Params: map[string]string{key: fmt.Sprint(v)},
+			Mutate: func(c *cluster.Config) { set(c, v) },
 		})
 	}
 	return ax
+}
+
+// NodesAxis sweeps cluster size (defaults: the paper-era 2..32 range).
+func NodesAxis(ns ...int) Axis {
+	return sweep(ns, []int{2, 4, 8, 16, 24, 32}, "nodes",
+		func(n int) string { return fmt.Sprintf("n=%d", n) },
+		func(c *cluster.Config, n int) { c.Nodes = n })
 }
 
 // SegmentsAxis sweeps the WANs-of-LANs segment count of the sharded
@@ -43,73 +51,31 @@ func NodesAxis(ns ...int) Axis {
 // its own goroutine, so a campaign's cores go to the cell pool
 // (Spec.Workers).
 func SegmentsAxis(segs ...int) Axis {
-	if len(segs) == 0 {
-		segs = []int{1, 2, 4, 8}
-	}
-	var ax Axis
-	for _, s := range segs {
-		s := s
-		ax.Points = append(ax.Points, Point{
-			Label:  fmt.Sprintf("seg=%d", s),
-			Params: map[string]string{"segments": fmt.Sprint(s)},
-			Mutate: func(c *cluster.Config) { c.Segments = s },
-		})
-	}
-	return ax
+	return sweep(segs, []int{1, 2, 4, 8}, "segments",
+		func(s int) string { return fmt.Sprintf("seg=%d", s) },
+		func(c *cluster.Config, s int) { c.Segments = s })
 }
 
 // PeriodAxis sweeps the resynchronization round period in seconds (the
 // convergence compute delay Δ = P/4 scales with it).
 func PeriodAxis(ps ...float64) Axis {
-	if len(ps) == 0 {
-		ps = []float64{0.25, 0.5, 1, 2, 4}
-	}
-	var ax Axis
-	for _, p := range ps {
-		p := p
-		ax.Points = append(ax.Points, Point{
-			Label:  fmt.Sprintf("P=%.2gs", p),
-			Params: map[string]string{"period_s": fmt.Sprint(p)},
-			Mutate: func(c *cluster.Config) {
-				c.Sync.RoundPeriod = timefmt.DurationFromSeconds(p)
-			},
-		})
-	}
-	return ax
+	return sweep(ps, []float64{0.25, 0.5, 1, 2, 4}, "period_s",
+		func(p float64) string { return fmt.Sprintf("P=%.2gs", p) },
+		func(c *cluster.Config, p float64) { c.Sync.RoundPeriod = timefmt.DurationFromSeconds(p) })
 }
 
 // LoadAxis sweeps background medium utilization (0..0.9).
 func LoadAxis(ls ...float64) Axis {
-	if len(ls) == 0 {
-		ls = []float64{0, 0.15, 0.3, 0.45, 0.6}
-	}
-	var ax Axis
-	for _, l := range ls {
-		l := l
-		ax.Points = append(ax.Points, Point{
-			Label:  fmt.Sprintf("load=%.0f%%", l*100),
-			Params: map[string]string{"load": fmt.Sprint(l)},
-			Mutate: func(c *cluster.Config) { c.BackgroundLoad = l },
-		})
-	}
-	return ax
+	return sweep(ls, []float64{0, 0.15, 0.3, 0.45, 0.6}, "load",
+		func(l float64) string { return fmt.Sprintf("load=%.0f%%", l*100) },
+		func(c *cluster.Config, l float64) { c.BackgroundLoad = l })
 }
 
 // FoscAxis sweeps the UTCSU pacing frequency (the paper's 1..20 MHz).
 func FoscAxis(fs ...float64) Axis {
-	if len(fs) == 0 {
-		fs = []float64{1e6, 4e6, 10e6, 14e6, 20e6}
-	}
-	var ax Axis
-	for _, f := range fs {
-		f := f
-		ax.Points = append(ax.Points, Point{
-			Label:  fmt.Sprintf("f=%.0fMHz", f/1e6),
-			Params: map[string]string{"fosc_hz": fmt.Sprint(f)},
-			Mutate: func(c *cluster.Config) { c.OscHz = f },
-		})
-	}
-	return ax
+	return sweep(fs, []float64{1e6, 4e6, 10e6, 14e6, 20e6}, "fosc_hz",
+		func(f float64) string { return fmt.Sprintf("f=%.0fMHz", f/1e6) },
+		func(c *cluster.Config, f float64) { c.OscHz = f })
 }
 
 // FAxis sweeps the fault-tolerance degree on a fixed-size cluster.
@@ -122,7 +88,6 @@ func FAxis(nodes int, fs ...int) Axis {
 	}
 	var ax Axis
 	for _, fv := range fs {
-		fv := fv
 		ax.Points = append(ax.Points, Point{
 			Label:  fmt.Sprintf("F=%d", fv),
 			Params: map[string]string{"nodes": fmt.Sprint(nodes), "f": fmt.Sprint(fv)},
@@ -149,7 +114,6 @@ func DisciplineAxis(names ...string) Axis {
 		if !ok {
 			panic(fmt.Sprintf("harness: unknown discipline %q", n))
 		}
-		n := n
 		ax.Points = append(ax.Points, Point{
 			Label:  fmt.Sprintf("disc=%s", n),
 			Params: map[string]string{"discipline": n},
@@ -164,37 +128,17 @@ func DisciplineAxis(names ...string) Axis {
 // traitor derives from the cell seed — see internal/adversary). A 0
 // point is the honest baseline within the same sweep.
 func TraitorsAxis(fracs ...float64) Axis {
-	if len(fracs) == 0 {
-		fracs = []float64{0, 0.125, 0.25, 0.375}
-	}
-	var ax Axis
-	for _, fr := range fracs {
-		fr := fr
-		ax.Points = append(ax.Points, Point{
-			Label:  fmt.Sprintf("traitors=%g", fr),
-			Params: map[string]string{"traitors": fmt.Sprint(fr)},
-			Mutate: func(c *cluster.Config) { c.Adversary.TraitorFrac = fr },
-		})
-	}
-	return ax
+	return sweep(fracs, []float64{0, 0.125, 0.25, 0.375}, "traitors",
+		func(fr float64) string { return fmt.Sprintf("traitors=%g", fr) },
+		func(c *cluster.Config, fr float64) { c.Adversary.TraitorFrac = fr })
 }
 
 // ClientsAxis sweeps the simulated client population querying the
 // cluster for time (enables the internal/service load subsystem).
 func ClientsAxis(ns ...int) Axis {
-	if len(ns) == 0 {
-		ns = []int{100000, 1000000}
-	}
-	var ax Axis
-	for _, n := range ns {
-		n := n
-		ax.Points = append(ax.Points, Point{
-			Label:  fmt.Sprintf("clients=%d", n),
-			Params: map[string]string{"clients": fmt.Sprint(n)},
-			Mutate: func(c *cluster.Config) { c.Serving.Clients = n },
-		})
-	}
-	return ax
+	return sweep(ns, []int{100000, 1000000}, "clients",
+		func(n int) string { return fmt.Sprintf("clients=%d", n) },
+		func(c *cluster.Config, n int) { c.Serving.Clients = n })
 }
 
 // ArrivalAxis sweeps the client arrival process (default: every
@@ -209,7 +153,6 @@ func ArrivalAxis(names ...string) Axis {
 		if !service.ValidArrival(n) {
 			panic(fmt.Sprintf("harness: unknown arrival process %q", n))
 		}
-		n := n
 		ax.Points = append(ax.Points, Point{
 			Label:  fmt.Sprintf("arrival=%s", n),
 			Params: map[string]string{"arrival": n},
@@ -257,7 +200,6 @@ type FaultScenario struct {
 func FaultAxis(gpsNodes int, scenarios ...FaultScenario) Axis {
 	var ax Axis
 	for _, sc := range scenarios {
-		sc := sc
 		label := fmt.Sprintf("fault=%s", sc.Kind)
 		policy := "validated"
 		if sc.Trust {

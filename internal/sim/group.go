@@ -30,9 +30,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"ntisim/internal/telemetry"
 )
@@ -196,7 +197,7 @@ func (g *Group) flush() {
 	if len(m) > 1 {
 		// Stable sort on target time: ties keep concatenation order,
 		// i.e. (source shard, posting order).
-		sort.SliceStable(m, func(i, j int) bool { return m[i].at < m[j].at })
+		slices.SortStableFunc(m, func(a, b crossPost) int { return cmp.Compare(a.at, b.at) })
 	}
 	for i := range m {
 		g.shards[m[i].dst].At(m[i].at, m[i].fn)

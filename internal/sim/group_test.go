@@ -40,6 +40,39 @@ func TestGroupFlushTieBreakOrder(t *testing.T) {
 	}
 }
 
+// TestGroupFlushAllocFree: once the outboxes and the merge buffer have
+// grown, a window whose barrier sorts several cross-shard posts
+// allocates nothing.
+func TestGroupFlushAllocFree(t *testing.T) {
+	const L = 1e-3
+	sims := []*Simulator{New(1), New(2)}
+	g := NewGroup(L, sims)
+	delivered := 0
+	recv := func() { delivered++ }
+	for src := range sims {
+		dst := 1 - src
+		s := sims[src]
+		// Two posts per shard and window, the later one first, so every
+		// flush has four posts to reorder.
+		s.Every(L/2, L, func() {
+			g.Post(src, dst, s.Now()+2*L, recv)
+			g.Post(src, dst, s.Now()+1.5*L, recv)
+		})
+	}
+	horizon := 20 * L
+	g.RunUntil(horizon) // warm-up: outbox, merge buffer and event pool reach size
+	allocs := testing.AllocsPerRun(100, func() {
+		horizon += 10 * L
+		g.RunUntil(horizon)
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state windows with sorted flushes: %v allocs per 10 windows, want 0", allocs)
+	}
+	if delivered == 0 {
+		t.Fatal("no cross-shard post was delivered")
+	}
+}
+
 func TestGroupPostLookaheadViolationPanics(t *testing.T) {
 	sims := []*Simulator{New(1), New(2)}
 	g := NewGroup(1e-3, sims)
