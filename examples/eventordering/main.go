@@ -33,10 +33,7 @@ func main() {
 	cfg.GPS = map[int]gps.Config{0: gps.DefaultReceiver()}
 	cfg.Sync.RateSync = true
 	c := cluster.New(cfg)
-	b := c.MeasureDelay(0, 1, 16)
-	for _, m := range c.Members {
-		m.Sync.SetDelayBounds(b)
-	}
+	c.MeasureDelay(0, 1, 16)
 	c.Start(c.Now() + 1)
 	c.RunUntil(c.Now() + 40) // converge (incl. rate sync) first
 

@@ -15,12 +15,9 @@ import (
 func main() {
 	c := cluster.New(cluster.Defaults(4, 2024))
 
-	// Round-trip-calibrate the delay bounds first, then start the
-	// synchronizers half a second later.
+	// Round-trip-calibrate every node's delay bounds first, then start
+	// the synchronizers half a second later.
 	db := c.MeasureDelay(0, 1, 16)
-	for _, m := range c.Members {
-		m.Sync.SetDelayBounds(db)
-	}
 	c.Start(c.Now() + 0.5)
 
 	// 15 s of simulated warm-up (initial step + convergence), then a

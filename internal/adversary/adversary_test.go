@@ -13,13 +13,9 @@ import (
 
 func TestCastIsDeterministicAndExact(t *testing.T) {
 	spec := Spec{TraitorFrac: 0.25, Attack: AttackCollude}
-	a := NewLayer(spec, 99, 16, 1)
-	b := NewLayer(spec, 99, 16, 4) // shard count must not affect the cast
-	if a == nil || b == nil {
+	a := NewLayer(spec, 99, 16)
+	if a == nil {
 		t.Fatal("NewLayer returned nil for an enabled spec")
-	}
-	if !reflect.DeepEqual(a.Traitors(), b.Traitors()) {
-		t.Fatalf("cast differs across shard counts: %v vs %v", a.Traitors(), b.Traitors())
 	}
 	if got := len(a.Traitors()); got != 4 {
 		t.Fatalf("traitor count = %d, want 4 (0.25 of 16)", got)
@@ -30,14 +26,14 @@ func TestCastIsDeterministicAndExact(t *testing.T) {
 		}
 	}
 	// A different seed recasts; a repeat of the same seed does not.
-	c := NewLayer(spec, 99, 16, 1)
+	c := NewLayer(spec, 99, 16)
 	if !reflect.DeepEqual(a.Traitors(), c.Traitors()) {
 		t.Fatalf("same seed recast differently: %v vs %v", a.Traitors(), c.Traitors())
 	}
 }
 
 func TestMixedAttackCyclesRoles(t *testing.T) {
-	l := NewLayer(Spec{TraitorFrac: 0.5, Attack: AttackMixed}, 7, 12, 1)
+	l := NewLayer(Spec{TraitorFrac: 0.5, Attack: AttackMixed}, 7, 12)
 	counts := map[string]int{}
 	for _, id := range l.Traitors() {
 		counts[l.Role(id)]++
@@ -48,7 +44,7 @@ func TestMixedAttackCyclesRoles(t *testing.T) {
 }
 
 func TestDisabledAndNilLayerAreInert(t *testing.T) {
-	if l := NewLayer(Spec{}, 1, 8, 1); l != nil {
+	if l := NewLayer(Spec{}, 1, 8); l != nil {
 		t.Fatal("empty spec should yield a nil layer")
 	}
 	var l *Layer
@@ -82,7 +78,7 @@ func readStamp(t *testing.T, p []byte) timefmt.Stamp {
 
 func TestMutateColludeShiftsStampWithoutAliasing(t *testing.T) {
 	const magS = 500e-6
-	l := NewLayer(Spec{TraitorFrac: 0.25, Attack: AttackCollude, MagnitudeS: magS}, 42, 8, 1)
+	l := NewLayer(Spec{TraitorFrac: 0.25, Attack: AttackCollude, MagnitudeS: magS}, 42, 8)
 	src := l.Traitors()[0]
 	st := timefmt.Stamp(0).Add(timefmt.DurationFromSeconds(5))
 	orig := lieFrame(src, st)
@@ -114,7 +110,7 @@ func TestMutateColludeShiftsStampWithoutAliasing(t *testing.T) {
 }
 
 func TestMutateTwoFacedSignFollowsPairBit(t *testing.T) {
-	l := NewLayer(Spec{TraitorFrac: 0.25, Attack: AttackTwoFaced, MagnitudeS: 500e-6}, 42, 8, 1)
+	l := NewLayer(Spec{TraitorFrac: 0.25, Attack: AttackTwoFaced, MagnitudeS: 500e-6}, 42, 8)
 	src := l.Traitors()[0]
 	st := timefmt.Stamp(0).Add(timefmt.DurationFromSeconds(5))
 	sawPlus, sawMinus := false, false
@@ -144,7 +140,7 @@ func TestMutateTwoFacedSignFollowsPairBit(t *testing.T) {
 }
 
 func TestMutatePassesHonestAndNonCSPTraffic(t *testing.T) {
-	l := NewLayer(Spec{TraitorFrac: 0.25, Attack: AttackCollude, StartS: 10}, 42, 8, 1)
+	l := NewLayer(Spec{TraitorFrac: 0.25, Attack: AttackCollude, StartS: 10}, 42, 8)
 	src := l.Traitors()[0]
 	st := timefmt.Stamp(0).Add(timefmt.DurationFromSeconds(5))
 	honest := -1

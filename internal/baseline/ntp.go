@@ -98,6 +98,5 @@ func (c *NTPClient) ingest(sm ntpSample) {
 // OffsetSeconds returns the client clock's current error versus true
 // time (simulation ground truth, for the experiment harness).
 func (c *NTPClient) OffsetSeconds() float64 {
-	snap := c.u.Snapshot()
-	return snap.Clock.Seconds() - snap.TrueTime
+	return c.u.Snapshot().Offset()
 }

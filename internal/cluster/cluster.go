@@ -12,7 +12,6 @@ import (
 	"ntisim/internal/clocksync"
 	"ntisim/internal/gps"
 	"ntisim/internal/kernel"
-	"ntisim/internal/metrics"
 	"ntisim/internal/network"
 	"ntisim/internal/oscillator"
 	"ntisim/internal/service"
@@ -163,17 +162,6 @@ type Member struct {
 	Sync  *clocksync.Synchronizer
 }
 
-// OffsetAndBounds implements metrics.Snapshotter through an SNU
-// snapshot: the clock's offset from simulated true time and the
-// real-time edges of its accuracy interval relative to true time.
-func (m *Member) OffsetAndBounds() (offset, loEdge, hiEdge float64) {
-	snap := m.U.Snapshot()
-	offset = snap.Clock.Seconds() - snap.TrueTime
-	loEdge = offset - snap.AlphaMinus.Duration().Seconds()
-	hiEdge = offset + snap.AlphaPlus.Duration().Seconds()
-	return offset, loEdge, hiEdge
-}
-
 // Cluster is the assembled system.
 type Cluster struct {
 	// Group is the conservative composition of the per-segment
@@ -278,7 +266,7 @@ func New(cfg Config) *Cluster {
 		group.SetTelemetry(cfg.Telemetry)
 	}
 	c := &Cluster{Group: group, Media: media, cfg: cfg}
-	c.adv = adversary.NewLayer(cfg.Adversary, cfg.Seed, cfg.Nodes, segs)
+	c.adv = adversary.NewLayer(cfg.Adversary, cfg.Seed, cfg.Nodes)
 
 	mkNode := func(shard int, bus network.Bus, segment int) *Member {
 		id := len(c.Members)
@@ -294,7 +282,7 @@ func New(cfg Config) *Cluster {
 		// identity when nobody attacks): lies are applied at delivery on
 		// the receiver's shard, so the decomposition never changes what
 		// any node hears.
-		bus = c.adv.WrapBus(bus, id, shard, s)
+		bus = c.adv.WrapBus(bus, id, s)
 		node := kernel.NewNode(s, uint16(id), u, bus, cfg.Kernel)
 		m := &Member{Index: id, Segment: segment, Shard: shard, U: u, Node: node}
 		var clk clocksync.Clock = clocksync.UTCSUClock{UTCSU: u}
@@ -330,7 +318,7 @@ func New(cfg Config) *Cluster {
 			// The gateway's WAN-facing channel gets the same adversary
 			// tap as its LAN channel: traitors on the remote segment lie
 			// to the gateway too.
-			gw.Node.AttachSegment(c.adv.WrapBus(port, gw.Index, home, sims[home]))
+			gw.Node.AttachSegment(c.adv.WrapBus(port, gw.Index, sims[home]))
 		}
 	}
 
@@ -412,14 +400,51 @@ func (c *Cluster) Trace() *trace.Tracer {
 	return trace.MergeShards(ts)
 }
 
-// Snapshot samples all clocks simultaneously.
-func (c *Cluster) Snapshot() metrics.ClusterSample {
-	nodes := make([]metrics.Snapshotter, len(c.Members))
-	for i, m := range c.Members {
-		nodes[i] = m
-	}
-	return metrics.Sample(c.Now(), nodes)
+// Sample is one simultaneous observation of a set of members, read
+// through their SNU snapshots (paper §3.3).
+type Sample struct {
+	// Precision is max_{p,q} |C_p − C_q| (0 below two members).
+	Precision float64
+	// MaxAbsOffset is max_p |C_p − t|, the worst accuracy.
+	MaxAbsOffset float64
+	// MeanWidth is the mean accuracy-interval width α⁻+α⁺.
+	MeanWidth float64
+	// Violations counts the members whose accuracy interval misses real
+	// time (requirement (A) of paper §2).
+	Violations int
+	// Contained reports Violations == 0.
+	Contained bool
 }
+
+// Observe reads each member's snapshot once and reduces them to the
+// paper's figures of merit. It allocates nothing.
+func Observe(ms []*Member) Sample {
+	var s Sample
+	lo, hi := math.Inf(1), math.Inf(-1)
+	var width float64
+	for _, m := range ms {
+		snap := m.U.Snapshot()
+		off := snap.Offset()
+		am, ap := snap.AlphaMinus.Duration().Seconds(), snap.AlphaPlus.Duration().Seconds()
+		lo, hi = math.Min(lo, off), math.Max(hi, off)
+		s.MaxAbsOffset = math.Max(s.MaxAbsOffset, math.Abs(off))
+		if off-am > 0 || off+ap < 0 {
+			s.Violations++
+		}
+		width += am + ap
+	}
+	if len(ms) > 1 {
+		s.Precision = hi - lo
+	}
+	if len(ms) > 0 {
+		s.MeanWidth = width / float64(len(ms))
+	}
+	s.Contained = s.Violations == 0
+	return s
+}
+
+// Snapshot observes every member: Observe(c.Members).
+func (c *Cluster) Snapshot() Sample { return Observe(c.Members) }
 
 // TelemetrySnapshot merges the cluster's registries (the configured one
 // plus, for several segments, the per-shard registries) into one
@@ -442,27 +467,12 @@ func (c *Cluster) TelemetrySnapshot() (telemetry.Snapshot, bool) {
 	return telemetry.Capture(c.Now(), regs...), true
 }
 
-// SegmentPrecision computes max|Cp−Cq| over the members of one segment
-// (gateways excluded), from a fresh snapshot.
-func (c *Cluster) SegmentPrecision(segment int) float64 {
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, m := range c.Members {
-		if m.Segment == segment {
-			off, _, _ := m.OffsetAndBounds()
-			lo, hi = math.Min(lo, off), math.Max(hi, off)
-		}
-	}
-	if lo > hi {
-		return 0
-	}
-	return hi - lo
-}
-
-// MeasureDelay runs a round-trip campaign between members a and b and
-// returns the bounds (completing the simulation work synchronously).
-// Call before Start. A campaign that stalls on lost frames, or yields
-// no usable sample, returns the a-priori [Sync.DelayMin, Sync.DelayMax]
-// with the samples it did take.
+// MeasureDelay runs a round-trip campaign between members a and b,
+// loads the bounds into every member's synchronizer and returns them
+// (completing the simulation work synchronously). Call before Start. A
+// campaign that stalls on lost frames, or yields no usable sample,
+// loads the a-priori [Sync.DelayMin, Sync.DelayMax] with the samples it
+// did take.
 func (c *Cluster) MeasureDelay(a, b, probes int) clocksync.DelayBounds {
 	if c.Members[a].Shard != c.Members[b].Shard {
 		panic("cluster: MeasureDelay probes cannot cross shards (RTT unicast is segment-local)")
@@ -482,7 +492,10 @@ func (c *Cluster) MeasureDelay(a, b, probes int) clocksync.DelayBounds {
 	// displaced on member a.
 	c.Members[a].Sync.ReinstallHandler()
 	if !done || res.Samples == 0 {
-		return clocksync.DelayBounds{Min: c.cfg.Sync.DelayMin, Max: c.cfg.Sync.DelayMax, Samples: samples()}
+		res = clocksync.DelayBounds{Min: c.cfg.Sync.DelayMin, Max: c.cfg.Sync.DelayMax, Samples: samples()}
+	}
+	for _, m := range c.Members {
+		m.Sync.SetDelayBounds(res)
 	}
 	return res
 }

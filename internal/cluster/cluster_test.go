@@ -11,8 +11,8 @@ import (
 
 // runSampled advances c to until, sampling the cluster every `every`
 // seconds starting at from, and returns the samples.
-func runSampled(c *Cluster, from, until, every float64) []metrics.ClusterSample {
-	var out []metrics.ClusterSample
+func runSampled(c *Cluster, from, until, every float64) []Sample {
+	var out []Sample
 	for t := from; t <= until; t += every {
 		c.RunUntil(t)
 		out = append(out, c.Snapshot())
@@ -56,9 +56,9 @@ func TestPrecisionRequirementHolds(t *testing.T) {
 	c := New(Defaults(4, 2))
 	c.Start(1)
 	c.RunUntil(20)
-	for _, cs := range runSampled(c, 20, 50, 0.37) { // off-grid sampling
+	for i, cs := range runSampled(c, 20, 50, 0.37) { // off-grid sampling
 		if cs.Precision > 10e-6 {
-			t.Fatalf("precision %v at t=%v", cs.Precision, cs.TrueTime)
+			t.Fatalf("precision %v at sample %d", cs.Precision, i)
 		}
 	}
 }
@@ -138,30 +138,34 @@ func TestMeasureDelayLossyFallsBackToAPriori(t *testing.T) {
 	}
 }
 
+// TestMeasuredDelayImprovesSync: MeasureDelay loads the measured bounds
+// into every member, with no loop at the caller. The bounds are
+// tighter than the a priori 40..120 µs, which shrinks the delay
+// compensation's interval enlargement: the mean accuracy interval must
+// narrow, and precision must not get worse.
 func TestMeasuredDelayImprovesSync(t *testing.T) {
-	run := func(measure bool) float64 {
+	run := func(measure bool) (prec, width float64) {
 		cfg := Defaults(4, 6)
 		c := New(cfg)
 		if measure {
-			b := c.MeasureDelay(0, 1, 12)
-			for _, m := range c.Members {
-				m.Sync.SetDelayBounds(b)
-			}
+			c.MeasureDelay(0, 1, 12)
 		}
 		c.Start(c.Now() + 1)
 		begin := c.Now() + 15
-		var prec metrics.Series
+		var p, w metrics.Series
 		for _, cs := range runSampled(c, begin, begin+40, 1) {
-			prec.Add(cs.Precision)
+			p.Add(cs.Precision)
+			w.Add(cs.MeanWidth)
 		}
-		return prec.Max()
+		return p.Max(), w.Mean()
 	}
-	with := run(true)
-	without := run(false)
-	// Measured bounds are tighter than the default a priori 0..500 µs,
-	// which shrinks delay-compensation enlargement and thus precision.
-	if with > without {
-		t.Errorf("measured bounds made sync worse: %v vs %v", with, without)
+	pWith, wWith := run(true)
+	pWithout, wWithout := run(false)
+	if wWith >= wWithout {
+		t.Errorf("measured bounds did not narrow the intervals: mean width %v vs %v", wWith, wWithout)
+	}
+	if pWith > pWithout {
+		t.Errorf("measured bounds made sync worse: %v vs %v", pWith, pWithout)
 	}
 }
 
@@ -267,17 +271,8 @@ func TestNodeCrashTolerated(t *testing.T) {
 	var prec metrics.Series
 	for t := 25.0; t <= 60; t += 1 {
 		c.RunUntil(t)
-		cs := c.Snapshot()
 		// Only the surviving nodes matter for precision.
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for i, off := range cs.Offsets {
-			if i == 4 {
-				continue
-			}
-			lo = math.Min(lo, off)
-			hi = math.Max(hi, off)
-		}
-		prec.Add(hi - lo)
+		prec.Add(Observe(c.Members[:4]).Precision)
 	}
 	if prec.Max() > 10e-6 {
 		t.Errorf("crash of one node broke sync: %v", prec.Max())
@@ -394,9 +389,77 @@ func TestConfigClone(t *testing.T) {
 	}
 }
 
+// TestObserve steps the clocks of an ideal-oscillator cluster to known
+// offsets and sets known accuracy intervals, then checks every figure
+// Observe reduces them to, including violations on either side of true
+// time and the two- and one-member cases.
+func TestObserve(t *testing.T) {
+	cfg := Defaults(4, 25)
+	cfg.IdealOscillators = true
+	c := New(cfg)
+	c.RunUntil(2)
+	g := timefmt.Granule
+	// Offsets in granules, and α⁻/α⁺ in granules. The intervals
+	// [off−α⁻, off+α⁺] of member 2, [+38, +42], and of member 3,
+	// [−42, −38], miss true time on either side.
+	offs := []int64{100, -200, 40, -40}
+	alphas := [][2]int64{{150, 50}, {10, 300}, {2, 2}, {2, 2}}
+	for i, m := range c.Members {
+		m.U.StepTo(m.U.Now().Add(timefmt.Duration(offs[i])))
+		m.U.SetAlpha(timefmt.Duration(alphas[i][0]), timefmt.Duration(alphas[i][1]))
+	}
+	// Both registers load on the next oscillator tick.
+	c.RunUntil(c.Now() + 1e-6)
+	// Each member's own offset after the step: Now() reads up to a
+	// granule low, and the step loads a tick (0.1 µs) later.
+	var got [4]float64
+	for i, m := range c.Members {
+		got[i] = m.U.Snapshot().Offset()
+		if math.Abs(got[i]-float64(offs[i])*g) > 3*g {
+			t.Fatalf("member %d offset %v, want ≈%v", i, got[i], float64(offs[i])*g)
+		}
+	}
+	s := c.Snapshot()
+	if want := got[0] - got[1]; s.Precision != want {
+		t.Errorf("precision %v, want %v", s.Precision, want)
+	}
+	if want := math.Abs(got[1]); s.MaxAbsOffset != want {
+		t.Errorf("max |offset| %v, want %v", s.MaxAbsOffset, want)
+	}
+	if want := float64(150+50+10+300+2+2+2+2) * g / 4; s.MeanWidth != want {
+		t.Errorf("mean width %v, want %v", s.MeanWidth, want)
+	}
+	if s.Violations != 2 || s.Contained {
+		t.Errorf("violations %d contained %v, want 2 false", s.Violations, s.Contained)
+	}
+	if two := Observe(c.Members[:2]); two.Precision != got[0]-got[1] || two.Violations != 0 {
+		t.Errorf("two members: %+v", two)
+	}
+	if one := Observe(c.Members[:1]); one.Precision != 0 || !one.Contained || one.MaxAbsOffset != math.Abs(got[0]) {
+		t.Errorf("single member: %+v", one)
+	}
+}
+
+// TestSegmentPrecisionEmpty observes a segment that lists no members: it
+// has no pair to compare and no interval to miss.
 func TestSegmentPrecisionEmpty(t *testing.T) {
 	c := New(Defaults(2, 25))
-	if p := c.SegmentPrecision(7); p != 0 {
-		t.Errorf("empty segment precision %v", p)
+	if s := Observe(c.Members[:0]); s != (Sample{Contained: true}) {
+		t.Errorf("empty segment: %+v", s)
+	}
+	if s := Observe(nil); s != (Sample{Contained: true}) {
+		t.Errorf("no members: %+v", s)
+	}
+}
+
+// TestSnapshotAllocFree pins the per-sample observation at zero
+// allocations: every harness cell and ntiperf window samples through it.
+func TestSnapshotAllocFree(t *testing.T) {
+	c := New(Defaults(8, 3))
+	c.Start(1)
+	c.RunUntil(5)
+	c.Snapshot()
+	if a := testing.AllocsPerRun(100, func() { c.Snapshot() }); a != 0 {
+		t.Errorf("Cluster.Snapshot allocates %.1f/op, want 0", a)
 	}
 }

@@ -50,11 +50,10 @@ func (c *Cluster) attachServing() {
 			continue
 		}
 		qps := totalQPS * weights[m.Segment] / wsum / float64(perSeg[m.Segment])
-		mem := m
+		u := m.U
 		seed := sim.DeriveSeed(c.cfg.Seed, fmt.Sprintf("service/node/%d", m.Index))
 		g := service.New(m.Node.Sim, sc, m.Index, seed, qps, func() float64 {
-			off, _, _ := mem.OffsetAndBounds()
-			return math.Abs(off)
+			return math.Abs(u.Snapshot().Offset())
 		})
 		c.ServingGens = append(c.ServingGens, g)
 	}

@@ -78,8 +78,7 @@ func runShardedTrajectory(cfg Config) (precision []float64, offsets [][]float64)
 		precision = append(precision, snap.Precision)
 		var offs []float64
 		for _, m := range c.Members {
-			o, _, _ := m.OffsetAndBounds()
-			offs = append(offs, o)
+			offs = append(offs, m.U.Snapshot().Offset())
 		}
 		offsets = append(offsets, offs)
 	}
@@ -145,10 +144,7 @@ func TestShardedCouplesSegments(t *testing.T) {
 		t.Skip("long segmented run")
 	}
 	c := New(shardedBase(22))
-	b := c.MeasureDelay(0, 1, 12)
-	for _, m := range c.Members {
-		m.Sync.SetDelayBounds(b)
-	}
+	c.MeasureDelay(0, 1, 12)
 	c.Start(c.Now() + 1)
 	c.RunUntil(c.Now() + 40)
 	var global metrics.Series
@@ -159,21 +155,23 @@ func TestShardedCouplesSegments(t *testing.T) {
 		global.Add(snap.Precision)
 		// Interval containment must survive the relay rewrite: every
 		// member's accuracy interval keeps true time inside it.
-		for _, m := range c.Members {
-			if _, lo, hi := m.OffsetAndBounds(); lo > 0 || hi < 0 {
-				t.Fatalf("t=%v node %d: accuracy interval [%v, %v] lost true time",
-					x, m.Index, lo, hi)
-			}
+		if snap.Violations > 0 {
+			t.Fatalf("t=%v: %d accuracy intervals lost true time", x, snap.Violations)
 		}
 	}
 	if global.Max() > 15e-6 {
 		t.Errorf("cross-segment precision %v", global.Max())
 	}
-	if s0 := c.SegmentPrecision(0); s0 > 6e-6 {
-		t.Errorf("segment 0 precision %v", s0)
+	var segs [2][]*Member
+	for _, m := range c.Members {
+		if m.Segment >= 0 {
+			segs[m.Segment] = append(segs[m.Segment], m)
+		}
 	}
-	if s1 := c.SegmentPrecision(1); s1 > 6e-6 {
-		t.Errorf("segment 1 precision %v", s1)
+	for i, seg := range segs {
+		if p := Observe(seg).Precision; p > 6e-6 {
+			t.Errorf("segment %d precision %v", i, p)
+		}
 	}
 }
 

@@ -34,18 +34,24 @@ func E11WANOfLANs(seed uint64) Result {
 	c := cluster.New(cfg)
 	// Calibrate delay bounds within segment 0 and share them (symmetric
 	// segments).
-	applyMeasuredDelays(c)
+	c.MeasureDelay(0, 1, delayProbes)
 	c.Start(c.Now() + 1)
 	c.RunUntil(c.Now() + 30)
 
+	// Each segment's regular members (gateways excluded).
+	var segs [2][]*cluster.Member
+	for _, m := range c.Members {
+		if m.Segment >= 0 {
+			segs[m.Segment] = append(segs[m.Segment], m)
+		}
+	}
 	var global, seg0, seg1 metrics.Series
 	start := c.Now()
 	for t := start; t <= start+120; t += 1 {
 		c.RunUntil(t)
-		cs := c.Snapshot()
-		global.Add(cs.Precision)
-		seg0.Add(c.SegmentPrecision(0))
-		seg1.Add(c.SegmentPrecision(1))
+		global.Add(c.Snapshot().Precision)
+		seg0.Add(cluster.Observe(segs[0]).Precision)
+		seg1.Add(cluster.Observe(segs[1]).Precision)
 	}
 
 	r.Table.Header = []string{"scope", "mean prec [µs]", "worst prec [µs]"}

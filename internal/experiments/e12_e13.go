@@ -29,7 +29,7 @@ func E12ByzantineNode(seed uint64) Result {
 		cfg := cluster.Defaults(7, seed)
 		cfg.Sync.F = f
 		c := cluster.New(cfg)
-		applyMeasuredDelays(c)
+		c.MeasureDelay(0, 1, delayProbes)
 		c.Start(c.Now() + 1)
 		evil := c.Members[6]
 		rng := evil.Node.Sim.RNG("byzantine")
@@ -48,25 +48,9 @@ func E12ByzantineNode(seed uint64) Result {
 		for t := start; t <= start+60; t += 1 {
 			c.RunUntil(t)
 			// Precision and containment over the six correct nodes only.
-			lo, hi := 0.0, 0.0
-			first := true
-			for _, m := range c.Members[:6] {
-				off, le, he := m.OffsetAndBounds()
-				if le > 0 || he < 0 {
-					violations++
-				}
-				if first {
-					lo, hi, first = off, off, false
-					continue
-				}
-				if off < lo {
-					lo = off
-				}
-				if off > hi {
-					hi = off
-				}
-			}
-			ps.Add(hi - lo)
+			cs := cluster.Observe(c.Members[:6])
+			violations += cs.Violations
+			ps.Add(cs.Precision)
 		}
 		return ps.Max(), violations
 	}
@@ -98,7 +82,7 @@ func E13HardwareMeasuredPrecision(seed uint64) Result {
 	}
 	cfg := cluster.Defaults(8, seed)
 	c := cluster.New(cfg)
-	applyMeasuredDelays(c)
+	c.MeasureDelay(0, 1, delayProbes)
 
 	// Collect every member's hardware rx stamp per probe round.
 	type probeSample struct {

@@ -72,7 +72,7 @@ func E6RateSync(seed uint64) Result {
 		cfg.Sync.RateSync = on
 		cfg.Sync.RhoPPB = 3000 // honest a priori bound for the TCXOs
 		c := cluster.New(cfg)
-		applyMeasuredDelays(c)
+		c.MeasureDelay(0, 1, delayProbes)
 		c.Start(c.Now() + 1)
 		c.RunUntil(c.Now() + 120) // let the rate loop settle
 		var prec_ metrics.Series
@@ -84,11 +84,10 @@ func E6RateSync(seed uint64) Result {
 		for k := 0; k < 60; k++ {
 			t0 := base + float64(k)
 			c.RunUntil(t0 + 0.55)
-			w0 := meanWidth(c)
 			cs := c.Snapshot()
 			prec_.Add(cs.Precision)
 			c.RunUntil(t0 + 0.95)
-			det.Add((meanWidth(c) - w0) / 0.4)
+			det.Add((c.Snapshot().MeanWidth - cs.MeanWidth) / 0.4)
 		}
 		for _, m := range c.Members {
 			if rp := m.U.RatePPB(); rp > rateCmd {
@@ -108,14 +107,4 @@ func E6RateSync(seed uint64) Result {
 	r.Notes = append(r.Notes,
 		"deterioration is the ACU's automatic interval growth between resynchronizations: 2·ρ per second, with ρ dynamic under rate sync vs the 3000 ppb a priori bound")
 	return r
-}
-
-// meanWidth averages the current accuracy-interval width across nodes.
-func meanWidth(c *cluster.Cluster) float64 {
-	var w metrics.Series
-	for _, m := range c.Members {
-		am, ap := m.U.Alpha()
-		w.Add(am.Duration().Seconds() + ap.Duration().Seconds())
-	}
-	return w.Mean()
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"ntisim/internal/cluster"
 	"ntisim/internal/harness"
 )
 
@@ -31,12 +30,3 @@ func runCells(spec harness.Spec) []harness.Result {
 // delayProbes is the RTT probe count of every experiment's delay
 // calibration.
 const delayProbes = 16
-
-// applyMeasuredDelays runs a delay campaign and loads the bounds into
-// every member (what a harness cell does with Spec.DelayProbes).
-func applyMeasuredDelays(c *cluster.Cluster) {
-	b := c.MeasureDelay(0, 1, delayProbes)
-	for _, m := range c.Members {
-		m.Sync.SetDelayBounds(b)
-	}
-}

@@ -56,44 +56,14 @@ func (t Time) Seconds() float64 {
 // FromSecFrac builds a Time from explicit parts.
 func FromSecFrac(sec int64, frac uint64) Time { return Time{Sec: sec, Frac: frac} }
 
-// Add returns t + u.
-func (t Time) Add(u Time) Time {
-	frac, carry := bits.Add64(t.Frac, u.Frac, 0)
-	return Time{Sec: t.Sec + u.Sec + int64(carry), Frac: frac}
-}
-
 // Sub returns t - u.
 func (t Time) Sub(u Time) Time {
 	frac, borrow := bits.Sub64(t.Frac, u.Frac, 0)
 	return Time{Sec: t.Sec - u.Sec - int64(borrow), Frac: frac}
 }
 
-// Neg returns -t.
-func (t Time) Neg() Time { return Time{}.Sub(t) }
-
-// Cmp compares t and u: -1 if t<u, 0 if equal, +1 if t>u.
-func (t Time) Cmp(u Time) int {
-	switch {
-	case t.Sec < u.Sec:
-		return -1
-	case t.Sec > u.Sec:
-		return 1
-	case t.Frac < u.Frac:
-		return -1
-	case t.Frac > u.Frac:
-		return 1
-	}
-	return 0
-}
-
-// Less reports t < u.
-func (t Time) Less(u Time) bool { return t.Cmp(u) < 0 }
-
 // IsNegative reports whether t represents a value below zero.
 func (t Time) IsNegative() bool { return t.Sec < 0 }
-
-// IsZero reports whether t is exactly zero.
-func (t Time) IsZero() bool { return t.Sec == 0 && t.Frac == 0 }
 
 // AddScaled returns t + augend*n computed exactly, where augend is a
 // per-tick increment in 2^-64 s units and n is a tick count. This is the
@@ -103,13 +73,6 @@ func (t Time) AddScaled(augend uint64, n uint64) Time {
 	hi, lo := bits.Mul64(augend, n)
 	frac, carry := bits.Add64(t.Frac, lo, 0)
 	return Time{Sec: t.Sec + int64(hi) + int64(carry), Frac: frac}
-}
-
-// SubScaled returns t - augend*n computed exactly.
-func (t Time) SubScaled(augend uint64, n uint64) Time {
-	hi, lo := bits.Mul64(augend, n)
-	frac, borrow := bits.Sub64(t.Frac, lo, 0)
-	return Time{Sec: t.Sec - int64(hi) - int64(borrow), Frac: frac}
 }
 
 // TruncAugend rounds a raw per-tick increment in 2^-64 s units down to the

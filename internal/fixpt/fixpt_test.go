@@ -26,21 +26,24 @@ func TestFromSecondsNegative(t *testing.T) {
 	}
 }
 
+// TestAddSubInverse: Sub takes back exactly what AddScaled advanced,
+// in either order (3 s of 10 MHz ticks).
 func TestAddSubInverse(t *testing.T) {
 	a := FromSeconds(17.375)
-	b := FromSeconds(3.0625)
-	if got := a.Add(b).Sub(b); got != a {
+	augend := AugendForRate(10e6, 1.0)
+	const n = 30_000_000
+	b := Time{}.AddScaled(augend, n)
+	if got := a.AddScaled(augend, n).Sub(b); got != a {
 		t.Errorf("a+b-b = %+v, want %+v", got, a)
 	}
-	if got := a.Sub(b).Add(b); got != a {
+	if got := a.Sub(b).AddScaled(augend, n); got != a {
 		t.Errorf("a-b+b = %+v, want %+v", got, a)
 	}
 }
 
 func TestAddCarry(t *testing.T) {
 	a := Time{Sec: 0, Frac: ^uint64(0)} // just below 1 s
-	b := Time{Sec: 0, Frac: 1}
-	got := a.Add(b)
+	got := a.AddScaled(1, 1)
 	if got.Sec != 1 || got.Frac != 0 {
 		t.Errorf("carry add = %+v, want {1 0}", got)
 	}
@@ -55,24 +58,13 @@ func TestSubBorrow(t *testing.T) {
 	}
 }
 
-func TestNeg(t *testing.T) {
-	a := FromSeconds(2.5)
-	if got := a.Neg().Add(a); !got.IsZero() {
-		t.Errorf("-a + a = %+v, want zero", got)
-	}
-	if !a.Neg().IsNegative() {
-		t.Error("Neg(positive) should be negative")
-	}
-}
-
+// TestCmp: the sign of a−b orders two times, the comparison the duty
+// timers make with Sub and IsNegative.
 func TestCmp(t *testing.T) {
 	a := FromSeconds(1.5)
 	b := FromSeconds(1.75)
-	if a.Cmp(b) != -1 || b.Cmp(a) != 1 || a.Cmp(a) != 0 {
-		t.Error("Cmp ordering wrong")
-	}
-	if !a.Less(b) || b.Less(a) {
-		t.Error("Less wrong")
+	if !a.Sub(b).IsNegative() || b.Sub(a).IsNegative() || a.Sub(a).IsNegative() {
+		t.Error("Sub/IsNegative ordering wrong")
 	}
 }
 
@@ -81,14 +73,14 @@ func TestAddScaledMatchesLoop(t *testing.T) {
 	base := FromSeconds(5)
 	want := base
 	for i := 0; i < 1000; i++ {
-		want = want.Add(Time{Frac: augend})
+		want = want.AddScaled(augend, 1)
 	}
 	got := base.AddScaled(augend, 1000)
 	if got != want {
 		t.Errorf("AddScaled = %+v, loop = %+v", got, want)
 	}
-	if back := got.SubScaled(augend, 1000); back != base {
-		t.Errorf("SubScaled inverse = %+v, want %+v", back, base)
+	if back := got.Sub(Time{}.AddScaled(augend, 1000)); back != base {
+		t.Errorf("Sub inverse = %+v, want %+v", back, base)
 	}
 }
 
@@ -128,33 +120,33 @@ func TestRateAdjustmentGranularity(t *testing.T) {
 	}
 }
 
-// Property: Add is associative and commutative over random values.
+// Property: tick runs add commutatively and associatively: two clock
+// segments give the same value in either order, and one run of n+m
+// ticks equals a run of n then m.
 func TestQuickAddProperties(t *testing.T) {
-	comm := func(a, b int64, fa, fb uint64) bool {
-		x := Time{Sec: a % (1 << 40), Frac: fa}
-		y := Time{Sec: b % (1 << 40), Frac: fb}
-		return x.Add(y) == y.Add(x)
+	comm := func(s int32, f uint64, a, b uint32, n, m uint32) bool {
+		x := Time{Sec: int64(s), Frac: f}
+		return x.AddScaled(uint64(a), uint64(n)).AddScaled(uint64(b), uint64(m)) ==
+			x.AddScaled(uint64(b), uint64(m)).AddScaled(uint64(a), uint64(n))
 	}
 	if err := quick.Check(comm, nil); err != nil {
 		t.Error(err)
 	}
-	assoc := func(a, b, c int32, fa, fb, fc uint64) bool {
-		x := Time{Sec: int64(a), Frac: fa}
-		y := Time{Sec: int64(b), Frac: fb}
-		z := Time{Sec: int64(c), Frac: fc}
-		return x.Add(y).Add(z) == x.Add(y.Add(z))
+	assoc := func(s int32, f uint64, a uint64, n, m uint32) bool {
+		x := Time{Sec: int64(s), Frac: f}
+		return x.AddScaled(a, uint64(n)).AddScaled(a, uint64(m)) == x.AddScaled(a, uint64(n)+uint64(m))
 	}
 	if err := quick.Check(assoc, nil); err != nil {
 		t.Error(err)
 	}
 }
 
-// Property: Sub is the inverse of Add.
+// Property: Sub is the inverse of AddScaled.
 func TestQuickSubInverse(t *testing.T) {
-	f := func(a, b int32, fa, fb uint64) bool {
-		x := Time{Sec: int64(a), Frac: fa}
-		y := Time{Sec: int64(b), Frac: fb}
-		return x.Add(y).Sub(y) == x
+	f := func(s int32, fs uint64, a uint64, n uint32) bool {
+		x := Time{Sec: int64(s), Frac: fs}
+		y := Time{}.AddScaled(a, uint64(n))
+		return x.AddScaled(a, uint64(n)).Sub(y) == x && x.Sub(y).AddScaled(a, uint64(n)) == x
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -168,7 +160,7 @@ func TestQuickAddScaled(t *testing.T) {
 		x := FromSeconds(3)
 		want := x
 		for i := 0; i < int(n); i++ {
-			want = want.Add(Time{Frac: augend})
+			want = want.AddScaled(augend, 1)
 		}
 		return x.AddScaled(augend, uint64(n)) == want
 	}
@@ -177,20 +169,14 @@ func TestQuickAddScaled(t *testing.T) {
 	}
 }
 
-// Property: Cmp defines a total order consistent with Seconds().
+// Property: the sign of x−y orders Times as (Sec, Frac) pairs, the
+// comparison the duty timers make with Sub and IsNegative.
 func TestQuickCmpOrder(t *testing.T) {
 	f := func(a, b int32, fa, fb uint64) bool {
 		x := Time{Sec: int64(a), Frac: fa}
 		y := Time{Sec: int64(b), Frac: fb}
-		c := x.Cmp(y)
-		if x == y {
-			return c == 0
-		}
-		d := x.Sub(y)
-		if c < 0 {
-			return d.IsNegative()
-		}
-		return !d.IsNegative()
+		less := x.Sec < y.Sec || x.Sec == y.Sec && x.Frac < y.Frac
+		return x.Sub(y).IsNegative() == less
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -389,10 +389,7 @@ func runCell(sp *Spec, cell Cell) (res Result) {
 
 	c := cluster.New(cfg)
 	if sp.DelayProbes > 0 && len(c.Members) >= 2 {
-		b := c.MeasureDelay(0, 1, sp.DelayProbes)
-		for _, m := range c.Members {
-			m.Sync.SetDelayBounds(b)
-		}
+		c.MeasureDelay(0, 1, sp.DelayProbes)
 	}
 	c.Start(c.Now() + 1)
 	c.RunUntil(c.Now() + sp.WarmupS)
@@ -402,11 +399,21 @@ func runCell(sp *Spec, cell Cell) (res Result) {
 	// a backing array (the pre-sized Add path is alloc-pinned in
 	// metrics' TestSeriesGrowAllocFree).
 	samples := int(sp.WindowS/sp.SampleEveryS) + 2
-	var prec, acc, width, w metrics.Series
+	var prec, acc, width metrics.Series
 	prec.Grow(samples)
 	acc.Grow(samples)
 	width.Grow(samples)
-	w.Grow(len(c.Members))
+	// Byzantine failure criterion: containment over the honest subset
+	// only. A traitor losing containment on its own steered clock is
+	// not a tolerance failure.
+	var honest []*cluster.Member
+	if adversarial {
+		for _, m := range c.Members {
+			if !c.Traitor(m.Index) {
+				honest = append(honest, m)
+			}
+		}
+	}
 	begin := c.Now()
 	honestViolations := 0
 	serving := cfg.Serving.Clients > 0
@@ -418,31 +425,14 @@ func runCell(sp *Spec, cell Cell) (res Result) {
 		cs := c.Snapshot()
 		prec.Add(cs.Precision)
 		acc.Add(cs.MaxAbsOffset)
-		w.Reset()
-		for _, m := range c.Members {
-			am, ap := m.U.Alpha()
-			w.Add((am.Duration().Seconds() + ap.Duration().Seconds()) / 2)
-		}
-		width.Add(w.Mean())
+		width.Add(cs.MeanWidth / 2)
 		if !cs.Contained {
 			res.ContainmentViolations++
 			tmViol.Inc()
 		}
-		if adversarial {
-			// Byzantine failure criterion: containment over the honest
-			// subset only. cs.Contained covers every node, but a traitor
-			// losing containment on its own steered clock is not a
-			// tolerance failure.
-			for _, m := range c.Members {
-				if c.Traitor(m.Index) {
-					continue
-				}
-				if _, lo, hi := m.OffsetAndBounds(); lo > 0 || hi < 0 {
-					honestViolations++
-					tmHonest.Inc()
-					break
-				}
-			}
+		if adversarial && !cluster.Observe(honest).Contained {
+			honestViolations++
+			tmHonest.Inc()
 		}
 		res.Samples++
 		if sp.Telemetry {

@@ -1,7 +1,7 @@
-// Package metrics provides the measurement machinery of the evaluation
-// harness: precision/accuracy sampling via UTCSU snapshots (the SNU's
-// purpose, paper §3.3), ε estimation, and summary statistics formatted
-// like the experiment tables in EXPERIMENTS.md.
+// Package metrics provides the summary statistics of the evaluation
+// harness: sample series with their nearest-rank quantiles, and tables
+// formatted like the experiment tables in EXPERIMENTS.md. Cluster
+// observations themselves are cluster.Observe's.
 package metrics
 
 import (
@@ -43,13 +43,6 @@ func (s *Series) Grow(n int) {
 	vals := make([]float64, len(s.vals), len(s.vals)+n)
 	copy(vals, s.vals)
 	s.vals = vals
-}
-
-// Reset empties the series while keeping its capacity, so per-iteration
-// scratch series can be reused without reallocating.
-func (s *Series) Reset() {
-	s.vals = s.vals[:0]
-	s.sorted = false
 }
 
 // N returns the sample count.
@@ -169,50 +162,6 @@ func (s *Series) Stats() SeriesStats {
 		Max:    s.Max(),
 		Range:  s.Range(),
 	}
-}
-
-// ClusterSample is one simultaneous observation of every node's clock,
-// taken through the SNU snapshot path.
-type ClusterSample struct {
-	TrueTime float64
-	// Offsets[i] = C_i(t) − t in seconds.
-	Offsets []float64
-	// Precision is max_{p,q} |C_p − C_q|.
-	Precision float64
-	// MaxAbsOffset is max_p |C_p − t| (the worst accuracy).
-	MaxAbsOffset float64
-	// Contained reports whether every node's accuracy interval contained
-	// real time (requirement (A) of paper §2).
-	Contained bool
-}
-
-// Snapshotter is anything that can report (clock−true, alpha bounds) —
-// satisfied by an adapter over utcsu.Snapshot in package cluster.
-type Snapshotter interface {
-	// OffsetAndBounds returns the clock's offset from true time and the
-	// real-time edges of its accuracy interval, all in seconds relative
-	// to true time (edges negative/positive around zero mean containment).
-	OffsetAndBounds() (offset, loEdge, hiEdge float64)
-}
-
-// Sample collects a simultaneous cluster observation.
-func Sample(trueTime float64, nodes []Snapshotter) ClusterSample {
-	cs := ClusterSample{TrueTime: trueTime, Contained: true}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, n := range nodes {
-		off, le, he := n.OffsetAndBounds()
-		cs.Offsets = append(cs.Offsets, off)
-		lo = math.Min(lo, off)
-		hi = math.Max(hi, off)
-		cs.MaxAbsOffset = math.Max(cs.MaxAbsOffset, math.Abs(off))
-		if le > 0 || he < 0 {
-			cs.Contained = false
-		}
-	}
-	if len(nodes) > 1 {
-		cs.Precision = hi - lo
-	}
-	return cs
 }
 
 // Table renders experiment tables with aligned columns.

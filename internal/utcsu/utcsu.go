@@ -147,6 +147,10 @@ type Snapshot struct {
 	AlphaPlus  timefmt.Alpha
 }
 
+// Offset returns the clock's deviation from true time, C(t) − t, in
+// seconds.
+func (s Snapshot) Offset() float64 { return s.Clock.Seconds() - s.TrueTime }
+
 // Snapshot triggers the SNU.
 func (u *UTCSU) Snapshot() Snapshot {
 	n := u.tick()
