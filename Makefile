@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci fmt vet build deadcode golden-flag test race bench bench-smoke bench-module
+.PHONY: ci fmt vet build deadcode golden-flag test race bench bench-smoke bench-module lines
 
 # ci is the whole gate .github/workflows/ci.yml runs: gofmt, vet, build,
 # the full test suite under the race detector (the harness worker pool
@@ -74,3 +74,10 @@ bench-smoke:
 # `./...` at the root skips (digest goldens, BENCHMARK.json vs tables).
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# lines prints the tracked Go line counts outside bench/, non-test and
+# test, the figures a simplicity change reports before and after.
+lines:
+	@printf 'non-test %s\ntest     %s\n' \
+		"$$(git ls-files '*.go' | grep -v '^bench/' | grep -v '_test\.go$$' | xargs cat | wc -l)" \
+		"$$(git ls-files '*.go' | grep -v '^bench/' | grep '_test\.go$$' | xargs cat | wc -l)"

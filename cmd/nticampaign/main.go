@@ -154,11 +154,7 @@ var presets = map[string]preset{
 					if inner != nil {
 						inner(c)
 					}
-					f := (c.Nodes - 1) / 3
-					if f > 5 {
-						f = 5
-					}
-					c.Sync.F = f
+					c.Sync.F = cluster.DefaultF(c.Nodes)
 				}
 			}
 			return pts

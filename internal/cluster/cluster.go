@@ -116,7 +116,7 @@ func Defaults(n int, seed uint64) Config {
 			// Tolerate a proportional share of faulty nodes; discarding
 			// the extreme intervals also de-noises the midpoint under
 			// occasional CSP loss.
-			F: fDefault(n),
+			F: DefaultF(n),
 		},
 	}
 }
@@ -138,8 +138,9 @@ func (c Config) Clone() Config {
 	return out
 }
 
-// fDefault is the default fault-tolerance degree for n nodes.
-func fDefault(n int) int {
+// DefaultF is the default fault-tolerance degree for n nodes: (n−1)/3,
+// capped at 5.
+func DefaultF(n int) int {
 	f := (n - 1) / 3
 	if f > 5 {
 		f = 5

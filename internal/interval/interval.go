@@ -65,11 +65,6 @@ func (iv Interval) Contains(t timefmt.Stamp) bool {
 	return iv.Lo() <= t && t <= iv.Hi()
 }
 
-// ContainsInterval reports whether iv fully covers other.
-func (iv Interval) ContainsInterval(other Interval) bool {
-	return iv.Lo() <= other.Lo() && other.Hi() <= iv.Hi()
-}
-
 // Shift translates the whole interval by d (reference and edges alike).
 func (iv Interval) Shift(d timefmt.Duration) Interval {
 	iv.Ref = iv.Ref.Add(d)

@@ -14,6 +14,12 @@ func edges(lo, hi float64) Interval      { return FromEdges(st(lo), st(hi), st((
 func approx(a, b timefmt.Stamp) bool     { d := a.Sub(b); return d.Abs() <= 1 }
 func approxD(a, b timefmt.Duration) bool { return (a - b).Abs() <= 1 }
 
+// ContainsInterval reports whether iv fully covers other: the oracle of
+// the Marzullo and OA nesting properties.
+func (iv Interval) ContainsInterval(other Interval) bool {
+	return iv.Lo() <= other.Lo() && other.Hi() <= iv.Hi()
+}
+
 // points builds zero-width intervals at the given times: inputs whose
 // reference points are all that FTMidpoint and FTAverage read.
 func points(refs ...float64) []Interval {

@@ -12,7 +12,7 @@ import (
 // side of the bus behaves normally, onAcquired fires, the sent counter
 // advances — but no station receives anything.
 func TestPartitionDropsDeliveries(t *testing.T) {
-	s := sim.New(1)
+	s, reg := observedSim(1)
 	m := NewMedium(s, DefaultLAN())
 	var cs [3]collector
 	for i := range cs {
@@ -30,7 +30,7 @@ func TestPartitionDropsDeliveries(t *testing.T) {
 	if acquired != 4 {
 		t.Errorf("onAcquired fired %d times, want 4 (tx side must behave normally)", acquired)
 	}
-	if sent, _ := m.Stats(); sent != 4 {
+	if sent, _ := frameCounts(reg); sent != 4 {
 		t.Errorf("sent = %d, want 4 (partitioned frames still count as transmitted)", sent)
 	}
 	for i, c := range cs {

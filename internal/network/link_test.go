@@ -47,13 +47,13 @@ func TestBackgroundFramesReachNoStation(t *testing.T) {
 // TestBackgroundLoadDeliversNothing runs the full generator and pins
 // that sustained background traffic reaches no station.
 func TestBackgroundLoadDeliversNothing(t *testing.T) {
-	s := sim.New(1)
+	s, reg := observedSim(1)
 	m := NewMedium(s, DefaultLAN())
 	var c collector
 	m.Attach(&c)
 	m.StartBackgroundLoad(0.3, 400)
 	s.RunUntil(0.05)
-	sent, _ := m.Stats()
+	sent, _ := frameCounts(reg)
 	if sent == 0 {
 		t.Fatal("background generator sent nothing")
 	}

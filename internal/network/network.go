@@ -152,8 +152,6 @@ type Medium struct {
 	head        int // queue[:head] already consumed (ring reuse)
 	busy        bool
 	partitioned bool
-	sent        uint64
-	dropped     uint64
 	nextID      uint64
 	tr          *trace.Tracer
 
@@ -325,7 +323,6 @@ func (m *Medium) transmitCur() {
 		if m.tr != nil {
 			m.tr.Emit(trace.KindFrameLost, start, f.Src, 0, f.ID, uint64(len(f.Payload)), dur)
 		}
-		m.sent++
 		m.tmLost.Inc()
 		m.s.At(end, m.startNextFn)
 		return
@@ -350,7 +347,6 @@ func (m *Medium) transmitCur() {
 	case f.Dst >= 0 && f.Dst < len(m.stations) && f.Dst != f.Src:
 		m.scheduleDelivery(m.stations[f.Dst], f.Dst, f, end)
 	}
-	m.sent++
 	m.tmSent.Inc()
 	m.s.At(end, m.startNextFn)
 }
@@ -365,14 +361,10 @@ func (m *Medium) scheduleDelivery(st Station, id int, f Frame, end float64) {
 	d.f.DeliveredAt = end + m.cfg.PropDelayS
 	d.f.Corrupt = m.cfg.CRCErrorProb > 0 && m.rng.Bool(m.cfg.CRCErrorProb)
 	if d.f.Corrupt {
-		m.dropped++
 		m.tmCorrupt.Inc()
 	}
 	m.s.At(d.f.DeliveredAt, d.run)
 }
-
-// Stats returns frames transmitted and deliveries corrupted.
-func (m *Medium) Stats() (sent, corrupted uint64) { return m.sent, m.dropped }
 
 // StartBackgroundLoad injects competing traffic: frames of meanBytes mean
 // size (exponential, clamped to [64, 1500]) at a rate that loads the

@@ -6,7 +6,23 @@ import (
 	"testing"
 
 	"ntisim/internal/sim"
+	"ntisim/internal/telemetry"
 )
+
+// observedSim returns a simulator with a telemetry registry attached, so
+// that a medium built on it counts its frames there.
+func observedSim(seed uint64) (*sim.Simulator, *telemetry.Registry) {
+	s, reg := sim.New(seed), telemetry.New()
+	s.Observe(nil, reg)
+	return s, reg
+}
+
+// frameCounts returns the frames a medium transmitted (sent, or lost to
+// a partition) and the deliveries it corrupted, as counted in reg.
+func frameCounts(reg *telemetry.Registry) (sent, corrupted uint64) {
+	c := telemetry.Capture(0, reg).Counters
+	return c["net.frames_sent"] + c["net.frames_lost"], c["net.crc_corrupt"]
+}
 
 // collector records delivered frames.
 type collector struct {
@@ -130,7 +146,7 @@ func TestAccessUncertaintyUnderLoad(t *testing.T) {
 }
 
 func TestCRCErrors(t *testing.T) {
-	s := sim.New(3)
+	s, reg := observedSim(3)
 	cfg := DefaultLAN()
 	cfg.CRCErrorProb = 0.3
 	m := NewMedium(s, cfg)
@@ -153,18 +169,18 @@ func TestCRCErrors(t *testing.T) {
 	if ratio < 0.2 || ratio > 0.4 {
 		t.Errorf("corrupt ratio = %v, want ~0.3", ratio)
 	}
-	if _, corrupted := m.Stats(); corrupted == 0 {
+	if _, corrupted := frameCounts(reg); corrupted == 0 {
 		t.Error("stats did not count corruption")
 	}
 }
 
 func TestBackgroundLoadUtilization(t *testing.T) {
-	s := sim.New(4)
+	s, reg := observedSim(4)
 	m := NewMedium(s, DefaultLAN())
 	m.Attach(&collector{})
 	m.StartBackgroundLoad(0.3, 400)
 	s.RunUntil(10)
-	sent, _ := m.Stats()
+	sent, _ := frameCounts(reg)
 	// Expected frames: 10 s * 0.3 / frameDuration(400B).
 	want := 10 * 0.3 / m.FrameDuration(400)
 	if float64(sent) < want*0.6 || float64(sent) > want*1.6 {

@@ -50,8 +50,8 @@ func TestPoissonGeneratorMeanRate(t *testing.T) {
 	if math.Abs(got-want) > 0.05*want {
 		t.Errorf("queries = %.0f, want %.0f +- 5%%", got, want)
 	}
-	if g.sk.count != g.queries {
-		t.Errorf("sketch count %d != queries %d", g.sk.count, g.queries)
+	if g.sk.q.N != g.queries {
+		t.Errorf("sketch count %d != queries %d", g.sk.q.N, g.queries)
 	}
 	if p50 := g.sk.Quantile(0.5); p50 != 1e-6 {
 		t.Errorf("constant 1µs error sampled as p50 %g", p50)

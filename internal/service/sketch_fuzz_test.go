@@ -68,12 +68,12 @@ func decodeSketchInput(data []byte) (k int, perm []int, cuts uint8, samples []sk
 // float addition depends on merge order.
 func requireExactEqual(t *testing.T, what string, a, b *Sketch) {
 	t.Helper()
-	if !slices.Equal(a.bins, b.bins) || a.zero != b.zero || a.over != b.over || a.count != b.count {
+	if !slices.Equal(a.bins, b.bins) || a.q.Below != b.q.Below || a.q.Above != b.q.Above || a.q.N != b.q.N {
 		t.Fatalf("%s: counts differ: count %d/%d zero %d/%d over %d/%d", what,
-			a.count, b.count, a.zero, b.zero, a.over, b.over)
+			a.q.N, b.q.N, a.q.Below, b.q.Below, a.q.Above, b.q.Above)
 	}
-	if math.Float64bits(a.minSeen) != math.Float64bits(b.minSeen) || math.Float64bits(a.Max()) != math.Float64bits(b.Max()) {
-		t.Fatalf("%s: extremes differ: [%g, %g] vs [%g, %g]", what, a.minSeen, a.Max(), b.minSeen, b.Max())
+	if math.Float64bits(a.q.Min) != math.Float64bits(b.q.Min) || math.Float64bits(a.Max()) != math.Float64bits(b.Max()) {
+		t.Fatalf("%s: extremes differ: [%g, %g] vs [%g, %g]", what, a.q.Min, a.Max(), b.q.Min, b.Max())
 	}
 	for _, q := range []float64{0, 0.01, 0.25, 0.5, 0.9, 0.99, 0.999, 1} {
 		if x, y := a.Quantile(q), b.Quantile(q); math.Float64bits(x) != math.Float64bits(y) {

@@ -10,8 +10,8 @@ import (
 
 func TestSketchEmpty(t *testing.T) {
 	s := NewSketch()
-	if s.count != 0 || s.Mean() != 0 || s.minSeen != 0 || s.Max() != 0 || s.Quantile(0.5) != 0 {
-		t.Errorf("empty sketch not all-zero: count=%d mean=%g q50=%g", s.count, s.Mean(), s.Quantile(0.5))
+	if s.q.N != 0 || s.Mean() != 0 || s.q.Min != 0 || s.Max() != 0 || s.Quantile(0.5) != 0 {
+		t.Errorf("empty sketch not all-zero: count=%d mean=%g q50=%g", s.q.N, s.Mean(), s.Quantile(0.5))
 	}
 }
 
@@ -40,8 +40,8 @@ func TestSketchQuantileRelativeError(t *testing.T) {
 			t.Errorf("q=%g: sketch %g vs exact %g (rel err %.3f)", q, got, exact, rel)
 		}
 	}
-	if s.Max() != vals[len(vals)-1] || s.minSeen != vals[0] {
-		t.Errorf("min/max not exact: got [%g, %g] want [%g, %g]", s.minSeen, s.Max(), vals[0], vals[len(vals)-1])
+	if s.Max() != vals[len(vals)-1] || s.q.Min != vals[0] {
+		t.Errorf("min/max not exact: got [%g, %g] want [%g, %g]", s.q.Min, s.Max(), vals[0], vals[len(vals)-1])
 	}
 }
 
@@ -64,11 +64,11 @@ func TestSketchMergeEqualsUnion(t *testing.T) {
 	// only matches to rounding. (In the cluster, per-node sketches are
 	// always merged in member order, so the reported mean is still
 	// byte-deterministic.)
-	if a.count != union.count || a.minSeen != union.minSeen || a.Max() != union.Max() {
-		t.Fatalf("merge summary differs from union: count %d/%d", a.count, union.count)
+	if a.q.N != union.q.N || a.q.Min != union.q.Min || a.Max() != union.Max() {
+		t.Fatalf("merge summary differs from union: count %d/%d", a.q.N, union.q.N)
 	}
-	if d := math.Abs(a.sum - union.sum); d > 1e-12*union.sum {
-		t.Fatalf("merged sum %g vs union %g", a.sum, union.sum)
+	if d := math.Abs(a.q.Sum - union.q.Sum); d > 1e-12*union.q.Sum {
+		t.Fatalf("merged sum %g vs union %g", a.q.Sum, union.q.Sum)
 	}
 	for _, q := range []float64{0, 0.25, 0.5, 0.99, 1} {
 		if a.Quantile(q) != union.Quantile(q) {

@@ -104,7 +104,7 @@ func TestGroupRunUntilReachesHorizon(t *testing.T) {
 			t.Fatalf("shard %d clock = %v, want horizon", i, s.Now())
 		}
 	}
-	if n := r.Counter("group.windows").Value(); n != 4014 {
+	if n := telemetry.Capture(g.Now(), r).Counters["group.windows"]; n != 4014 {
 		t.Fatalf("group.windows = %d, want 4014", n)
 	}
 }

@@ -43,12 +43,13 @@ func (e *simEngine) every(start, period float64, fn func()) func() {
 func (e *simEngine) runUntil(h float64) { e.s.RunUntil(h) }
 func (e *simEngine) run()               { e.s.Run() }
 func (e *simEngine) counts() [5]float64 {
+	snap := telemetry.Capture(e.s.Now(), e.reg)
 	return [5]float64{
 		float64(e.s.EventCount()),
-		float64(e.reg.Counter("sim.events_scheduled").Value()),
-		float64(e.reg.Counter(telemetry.MetricEventsFired).Value()),
-		float64(e.reg.Counter("sim.events_cancelled").Value()),
-		e.reg.Gauge(telemetry.MetricQueueDepth).Hi(),
+		float64(snap.Counters["sim.events_scheduled"]),
+		float64(snap.Counters[telemetry.MetricEventsFired]),
+		float64(snap.Counters["sim.events_cancelled"]),
+		snap.Gauges[telemetry.MetricQueueDepth].Hi,
 	}
 }
 

@@ -67,7 +67,7 @@ func Capture(t float64, regs ...*Registry) Snapshot {
 	// the float sums add up in the same order on every run.
 	var m Histogram
 	for name := range s.Hists {
-		m = *newHistogram()
+		m = Histogram{}
 		for _, r := range regs {
 			if r != nil {
 				m.merge(r.hists[name])

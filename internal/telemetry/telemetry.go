@@ -49,14 +49,6 @@ func (c *Counter) Inc() {
 	c.v++
 }
 
-// Value returns the current count (0 on a nil receiver).
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.v
-}
-
 // Gauge is an instantaneous level with a high-water mark. Set tracks the
 // level; Add accumulates (useful for "busy seconds" style integrals, where
 // the running total is the level).
@@ -83,22 +75,6 @@ func (g *Gauge) Add(dv float64) {
 	if g.v > g.hi {
 		g.hi = g.v
 	}
-}
-
-// Value returns the current level (0 on a nil receiver).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
-}
-
-// Hi returns the high-water mark (0 on a nil receiver).
-func (g *Gauge) Hi() float64 {
-	if g == nil {
-		return 0
-	}
-	return g.hi
 }
 
 // Registry owns the named metrics for one goroutine domain. The zero of
@@ -181,7 +157,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 	}
 	h := r.hists[name]
 	if h == nil {
-		h = newHistogram()
+		h = &Histogram{}
 		r.hists[name] = h
 	}
 	return h
