@@ -58,8 +58,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	p := csp.Packet{Kind: csp.KindCSP, Node: 0, Round: 1}
 	img := p.Encode()
 	sender.Node.Sim.At(*at, func() {
-		sender.Node.NTI.CPUWrite(nti.TxHeaderAddr(0), img[:])
-		sender.Node.COMCO.Transmit(0, nil, network.Broadcast)
+		sender.Node.NTI.CPUWrite(nti.TxHeaderAddrCh(0, 0), img[:])
+		sender.Node.COMCO.Transmit(0, network.Broadcast)
 	})
 	c.RunUntil(*at + 1)
 
@@ -84,15 +84,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	dumpStampBlock(stdout, "  before", img[:])
 
 	var after [nti.HeaderSize]byte
-	sender.Node.NTI.CPURead(nti.TxHeaderAddr(0), after[:])
+	sender.Node.NTI.CPURead(nti.TxHeaderAddrCh(0, 0), after[:])
 	fmt.Fprintf(stdout, "\nafter transmission (memory unchanged; insertion happened on the wire path):\n")
 	dumpStampBlock(stdout, "  memory", after[:])
 
-	txTrig, _, _ := sender.Node.NTI.Stats()
-	_, rxTrig, _ := receiver.Node.NTI.Stats()
+	txTrig, _ := sender.Node.NTI.ChannelStats(0)
+	_, rxTrig := receiver.Node.NTI.ChannelStats(0)
 	fmt.Fprintf(stdout, "\nsender TRANSMIT triggers: %d   receiver RECEIVE triggers: %d\n", txTrig, rxTrig)
 
-	st, am, ap, base, seq := receiver.Node.NTI.ReadRxSample()
+	st, am, ap, base, seq := receiver.Node.NTI.ReadRxSampleCh(0)
 	fmt.Fprintf(stdout, "receiver SSU sample: stamp=%v alpha=-%v/+%v seq=%d latched header base=0x%05X\n",
 		st, am, ap, seq, base)
 

@@ -54,22 +54,20 @@ func main() {
 	trial := func(delta float64, done func(ok, resolvable bool)) {
 		// True separation delta.
 		var stampA, stampB timefmt.Stamp
-		var amA, apA, amB, apB timefmt.Alpha
+		var apA, amB timefmt.Alpha
 		s.After(0, func() {
 			stampA, _ = a.U.APU(0).Trigger(true)
-			_, amA, apA, _ = a.U.APU(0).Read()
+			_, _, apA, _ = a.U.APU(0).Read()
 		})
 		s.After(delta, func() {
 			stampB, _ = bNode.U.APU(0).Trigger(true)
-			_, amB, apB, _ = bNode.U.APU(0).Read()
+			_, amB, _, _ = bNode.U.APU(0).Read()
 			ok := stampB > stampA // B truly happened after A
 			// The interval-based answer: the ordering is *certain* when
 			// the stamped accuracy intervals do not overlap.
 			hiA := stampA.Add(apA.Duration())
 			loB := stampB.Add(-amB.Duration())
 			resolvable := loB > hiA
-			_ = amA
-			_ = apB
 			done(ok, resolvable)
 		})
 	}
@@ -79,7 +77,6 @@ func main() {
 		results[d] = res
 		for k := 0; k < 50; k++ {
 			at := c.Now() + 0.1 + rng.Float64()*0.3
-			d := d
 			s.At(at, func() {
 				trial(d, func(ok, resolvable bool) {
 					res.total++

@@ -300,21 +300,14 @@ func (l *Layer) mutate(payload []byte, dst int, now float64) (out []byte, src in
 		}
 		d = -d // aged in flight: the stamp claims an older transmission
 	}
-	st, okSt := timefmt.FromWords(
-		binary.BigEndian.Uint32(payload[csp.OffTxStamp:]),
-		binary.BigEndian.Uint32(payload[csp.OffTxMacro:]))
-	if !okSt {
+	// The medium shares one payload slice across a broadcast's
+	// deliveries, so the per-receiver lie edits a copy (the same stamp
+	// edit a relay applies in place), and the forged frame still
+	// decodes as genuine.
+	out, ok = csp.ShiftTxStamp(nil, payload, d)
+	if !ok {
 		return nil, 0, 0, false // stamp never inserted or corrupt
 	}
-	// The medium shares one payload slice across a broadcast's
-	// deliveries; the per-receiver lie must copy before editing. Only
-	// the checksum-exempt hardware stamp region changes (the same
-	// region cluster.relayRewrite edits), so the forged frame still
-	// decodes as genuine.
-	out = append([]byte(nil), payload...)
-	w1, w2 := st.Add(d).Words()
-	binary.BigEndian.PutUint32(out[csp.OffTxStamp:], w1)
-	binary.BigEndian.PutUint32(out[csp.OffTxMacro:], w2)
 	return out, src, d.Seconds(), true
 }
 

@@ -34,8 +34,12 @@ type DelayBounds struct {
 // and done is never called; the returned function reports the samples
 // taken so far, for a caller that gives up waiting.
 //
-// MeasureDelay temporarily owns a's CI handler; run it before creating
-// the node's Synchronizer (which installs its own handler).
+// MeasureDelay replaces a's CI handler for the campaign and does not
+// restore it: once done has been called (or the caller gives up), a
+// Synchronizer built on a before the campaign gets its handler back
+// through ReinstallHandler, as cluster.MeasureDelay does. Run it before
+// that Synchronizer starts, since its CSPs would reach the probe
+// handler instead.
 func MeasureDelay(a *kernel.Node, b *kernel.Node, rhoPPB int64, n int, done func(DelayBounds)) (samples func() int) {
 	if n <= 0 {
 		n = 16

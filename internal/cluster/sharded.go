@@ -62,26 +62,14 @@ const DefaultWANDelayS = 1e-3
 // [DelayMin, DelayMax] — is that of a locally transmitted CSP, and
 // interval containment survives the relay.
 //
-// The stamp words are safe to edit in flight: the CSP header checksum
-// deliberately skips the hardware-inserted stamp region
-// (csp.headerCheck mixes up to OffTxTrig and from OffEcho), and the
-// BTU checksum inside the macrostamp word is recomputed by
-// Stamp.Words.
+// The stamp edit is csp.ShiftTxStamp's; a frame it leaves alone (not a
+// CSP, or no valid stamp) keeps its accuracy fields too.
 func relayRewrite(rhoPPB int64) network.RewriteFunc {
 	return func(payload []byte, elapsedS float64) {
-		if len(payload) < csp.HeaderSize || csp.Kind(payload[csp.OffKind]) != csp.KindCSP {
+		d := timefmt.DurationFromSeconds(elapsedS)
+		if _, ok := csp.ShiftTxStamp(payload[:0], payload, d); !ok {
 			return
 		}
-		ts := binary.BigEndian.Uint32(payload[csp.OffTxStamp:])
-		ms := binary.BigEndian.Uint32(payload[csp.OffTxMacro:])
-		st, ok := timefmt.FromWords(ts, ms)
-		if !ok {
-			return // stamp never inserted (software modes pre-fill; NTI mode always has) or corrupt
-		}
-		d := timefmt.DurationFromSeconds(elapsedS)
-		w1, w2 := st.Add(d).Words()
-		binary.BigEndian.PutUint32(payload[csp.OffTxStamp:], w1)
-		binary.BigEndian.PutUint32(payload[csp.OffTxMacro:], w2)
 		widen := timefmt.AlphaFromDuration(interval.DriftDeterioration(d, rhoPPB) + 1)
 		am := timefmt.Alpha(binary.BigEndian.Uint16(payload[csp.OffTxAlpha:]))
 		ap := timefmt.Alpha(binary.BigEndian.Uint16(payload[csp.OffTxAlpha+2:]))

@@ -43,7 +43,7 @@ type COMCO struct {
 	channel int
 
 	rxNext     int
-	onRxStored func(fid uint64, headerBase uint32, length int, corrupt bool)
+	onRxStored func(fid uint64, headerBase uint32, corrupt bool)
 
 	txFrames uint64
 	rxFrames uint64
@@ -56,11 +56,10 @@ type COMCO struct {
 	trNode  int
 	trWords bool
 
-	// Pools for the per-word DMA transfers and the per-frame completion
-	// notification. Every received frame used to allocate one closure
-	// per header/data word (16+ per frame per receiver); pooled jobs
-	// with a prebuilt callback make the steady-state DMA timing model
-	// allocation-free without changing event times or counts.
+	// Pools for the per-word DMA transfers (16 per frame per receiver)
+	// and the per-frame completion notification: pooled jobs with a
+	// prebuilt callback keep the steady-state DMA timing model
+	// allocation-free.
 	freeJobs []*dmaJob
 	freeDone []*rxDone
 }
@@ -122,7 +121,6 @@ func (c *COMCO) allocJob() *dmaJob {
 type rxDone struct {
 	c       *COMCO
 	base    uint32
-	length  int
 	fid     uint64
 	corrupt bool
 	run     func()
@@ -130,14 +128,14 @@ type rxDone struct {
 
 func (d *rxDone) fire() {
 	c := d.c
-	base, length, corrupt, fid := d.base, d.length, d.corrupt, d.fid
+	base, corrupt, fid := d.base, d.corrupt, d.fid
 	c.freeDone = append(c.freeDone, d)
 	c.rxFrames++
 	if c.tr != nil {
 		c.tr.Emit(trace.KindRxDone, c.s.Now(), c.trNode, c.channel, fid, uint64(base), 0)
 	}
 	if c.onRxStored != nil {
-		c.onRxStored(fid, base, length, corrupt)
+		c.onRxStored(fid, base, corrupt)
 	}
 }
 
@@ -177,20 +175,19 @@ func (c *COMCO) Station() int { return c.station }
 // medium-assigned trace id; corrupt reports a CRC failure — the frame
 // was still DMA'd (and the RECEIVE trigger fired! paper footnote 4) but
 // must be discarded by software.
-func (c *COMCO) OnRxStored(fn func(fid uint64, headerBase uint32, length int, corrupt bool)) {
+func (c *COMCO) OnRxStored(fn func(fid uint64, headerBase uint32, corrupt bool)) {
 	c.onRxStored = fn
 }
 
 // Transmit queues the CSP image residing in transmit header slot
-// headerIdx (64 bytes, already written by the CPU) for transmission,
-// with extra payload bytes appended verbatim. The frame's header bytes
-// are produced by timed DMA reads through the NTI's decode logic, so the
-// TRANSMIT trigger fires and the stamp words are inserted on the fly.
+// headerIdx (64 bytes, already written by the CPU) for transmission;
+// the frame is that header and nothing else. Its bytes are produced by
+// timed DMA reads through the NTI's decode logic, so the TRANSMIT
+// trigger fires and the stamp words are inserted on the fly.
 // It returns the frame's medium-assigned trace id.
-func (c *COMCO) Transmit(headerIdx int, extra []byte, dst int) uint64 {
+func (c *COMCO) Transmit(headerIdx int, dst int) uint64 {
 	base := nti.TxHeaderAddrCh(c.channel, headerIdx)
-	payload := make([]byte, nti.HeaderSize+len(extra))
-	copy(payload[nti.HeaderSize:], extra)
+	payload := make([]byte, nti.HeaderSize)
 	f := network.Frame{Src: c.station, Dst: dst, Payload: payload}
 	var fid uint64
 	fid = c.med.Send(f, func(at float64) { c.fetchHeader(fid, base, payload, at) })
@@ -242,7 +239,8 @@ func (c *COMCO) fetchHeader(fid uint64, base uint32, payload []byte, acquiredAt 
 // FrameArrived implements network.Station: the controller DMAs the
 // received header into the next receive-header slot, word by word,
 // behind a bus-arbitration delay. The write of the RxTrigOffset word
-// raises RECEIVE in the NTI.
+// raises RECEIVE in the NTI. A frame is one 64-byte header; the model
+// stores nothing beyond it.
 func (c *COMCO) FrameArrived(f network.Frame) {
 	if len(f.Payload) < nti.HeaderSize {
 		return // runt or background frame: no CSP header to store
@@ -251,7 +249,7 @@ func (c *COMCO) FrameArrived(f network.Frame) {
 	c.rxNext = (c.rxNext + 1) % nti.RxHeadersPerCh
 	base := nti.RxHeaderAddrCh(c.channel, slot)
 	arb := c.rng.Uniform(arbMinS, arbMaxS)
-	words := nti.HeaderSize / 4
+	const words = nti.HeaderSize / 4
 	for w := 0; w < words; w++ {
 		j := c.allocJob()
 		j.tx = false
@@ -261,35 +259,8 @@ func (c *COMCO) FrameArrived(f network.Frame) {
 		j.trig = uint32(4*w) == csp.RxTrigOffset
 		c.s.After(arb+float64(w)*dmaWordTimeS, j.run)
 	}
-	// Payload beyond the header lands in the paired data-buffer slot
-	// (truncated to the slot size, like a real descriptor chain would
-	// continue — CSPs never need more).
-	extra := f.Payload[nti.HeaderSize:]
-	if len(extra) > nti.DataSlotSize {
-		extra = extra[:nti.DataSlotSize]
-	}
-	if len(extra) > 0 {
-		dataBase := nti.DataSlotAddr(c.channel, slot)
-		nw := (len(extra) + 3) / 4
-		for w := 0; w < nw; w++ {
-			j := c.allocJob()
-			j.tx = false
-			j.addr = dataBase + uint32(4*w)
-			j.fid = f.ID
-			j.trig = false
-			if rest := extra[4*w:]; len(rest) >= 4 {
-				j.val = binary.BigEndian.Uint32(rest)
-			} else {
-				var tail [4]byte // final partial word, zero-padded
-				copy(tail[:], rest)
-				j.val = binary.BigEndian.Uint32(tail[:])
-			}
-			c.s.After(arb+float64(words+w)*dmaWordTimeS, j.run)
-		}
-		words += nw
-	}
 	d := c.allocDone()
-	d.base, d.length, d.corrupt, d.fid = base, len(f.Payload), f.Corrupt, f.ID
+	d.base, d.corrupt, d.fid = base, f.Corrupt, f.ID
 	c.s.After(arb+float64(words)*dmaWordTimeS, d.run)
 }
 

@@ -32,7 +32,7 @@ func TestTransmitInsertsHardwareStamp(t *testing.T) {
 	_ = nb
 	var storedAt uint32
 	stored := false
-	cb.OnRxStored(func(_ uint64, base uint32, length int, corrupt bool) {
+	cb.OnRxStored(func(_ uint64, base uint32, corrupt bool) {
 		storedAt = base
 		stored = true
 	})
@@ -40,8 +40,8 @@ func TestTransmitInsertsHardwareStamp(t *testing.T) {
 	// Software encodes a CSP with zero stamps into tx header 0.
 	p := csp.Packet{Kind: csp.KindCSP, Node: 1, Round: 3}
 	img := p.Encode()
-	na.CPUWrite(nti.TxHeaderAddr(0), img[:])
-	ca.Transmit(0, nil, network.Broadcast)
+	na.CPUWrite(nti.TxHeaderAddrCh(0, 0), img[:])
+	ca.Transmit(0, network.Broadcast)
 	s.RunUntil(1)
 	if !stored {
 		t.Fatal("frame never stored at receiver")
@@ -62,10 +62,10 @@ func TestTransmitInsertsHardwareStamp(t *testing.T) {
 	if got.Round != 3 || got.Node != 1 {
 		t.Errorf("payload fields corrupted: %+v", got)
 	}
-	if tx, _, _ := na.Stats(); tx != 1 {
+	if tx, _ := na.ChannelStats(0); tx != 1 {
 		t.Errorf("tx triggers = %d", tx)
 	}
-	if _, rx, _ := nb.Stats(); rx != 1 {
+	if _, rx := nb.ChannelStats(0); rx != 1 {
 		t.Errorf("rx triggers = %d", rx)
 	}
 }
@@ -73,7 +73,7 @@ func TestTransmitInsertsHardwareStamp(t *testing.T) {
 func TestTransmitRawBypassesTriggers(t *testing.T) {
 	s, _, na, ca, nb, cb := rig(2)
 	stored := false
-	cb.OnRxStored(func(_ uint64, base uint32, length int, corrupt bool) { stored = true })
+	cb.OnRxStored(func(_ uint64, base uint32, corrupt bool) { stored = true })
 	s.RunUntil(0.5)
 	p := csp.Packet{Kind: csp.KindCSP, Node: 1}
 	p.SetTxStamp(timefmt.StampFromTime(fixFromSeconds(0.123)))
@@ -83,12 +83,12 @@ func TestTransmitRawBypassesTriggers(t *testing.T) {
 	if !stored {
 		t.Fatal("raw frame not delivered")
 	}
-	if tx, _, _ := na.Stats(); tx != 0 {
+	if tx, _ := na.ChannelStats(0); tx != 0 {
 		t.Error("raw transmit raised a TRANSMIT trigger")
 	}
 	// The receiver's RECEIVE trigger still fires — the NTI decodes by
 	// address, not by how the sender built the frame.
-	if _, rx, _ := nb.Stats(); rx != 1 {
+	if _, rx := nb.ChannelStats(0); rx != 1 {
 		t.Error("receive trigger missing for raw frame")
 	}
 }
@@ -97,13 +97,13 @@ func TestReceiveSlotsRotate(t *testing.T) {
 	s, _, na, ca, nb, cb := rig(3)
 	_ = nb
 	var bases []uint32
-	cb.OnRxStored(func(_ uint64, base uint32, length int, corrupt bool) { bases = append(bases, base) })
+	cb.OnRxStored(func(_ uint64, base uint32, corrupt bool) { bases = append(bases, base) })
 	s.RunUntil(0.1)
 	for i := 0; i < 3; i++ {
 		p := csp.Packet{Kind: csp.KindCSP, Seq: uint16(i)}
 		img := p.Encode()
-		na.CPUWrite(nti.TxHeaderAddr(i), img[:])
-		ca.Transmit(i, nil, network.Broadcast)
+		na.CPUWrite(nti.TxHeaderAddrCh(0, i), img[:])
+		ca.Transmit(i, network.Broadcast)
 	}
 	s.RunUntil(1)
 	if len(bases) != 3 {
@@ -120,7 +120,7 @@ func TestReceiveSlotsRotate(t *testing.T) {
 func TestShortFramesIgnored(t *testing.T) {
 	s, med, _, _, _, cb := rig(4)
 	stored := false
-	cb.OnRxStored(func(uint64, uint32, int, bool) { stored = true })
+	cb.OnRxStored(func(uint64, uint32, bool) { stored = true })
 	med.Send(network.Frame{Src: 0, Dst: network.Broadcast, Payload: make([]byte, 32)}, nil)
 	s.RunUntil(1)
 	if stored {
@@ -143,39 +143,24 @@ func TestCorruptFlagPropagates(t *testing.T) {
 	c2 := NewChannel(s, n2, med, "b", 0, 1)
 	_ = c1
 	sawCorrupt := false
-	c2.OnRxStored(func(_ uint64, _ uint32, _ int, corrupt bool) { sawCorrupt = corrupt })
+	c2.OnRxStored(func(_ uint64, _ uint32, corrupt bool) { sawCorrupt = corrupt })
 	p := csp.Packet{Kind: csp.KindCSP}
 	img := p.Encode()
-	n1.CPUWrite(nti.TxHeaderAddr(0), img[:])
-	c1.Transmit(0, nil, network.Broadcast)
+	n1.CPUWrite(nti.TxHeaderAddrCh(0, 0), img[:])
+	c1.Transmit(0, network.Broadcast)
 	s.RunUntil(1)
 	if !sawCorrupt {
 		t.Error("corrupt flag lost")
 	}
 }
 
-func TestExtraPayloadCarried(t *testing.T) {
-	s, _, na, ca, nb, cb := rig(6)
-	_ = nb
-	var gotLen int
-	cb.OnRxStored(func(_ uint64, _ uint32, length int, _ bool) { gotLen = length })
-	p := csp.Packet{Kind: csp.KindNet}
-	img := p.Encode()
-	na.CPUWrite(nti.TxHeaderAddr(0), img[:])
-	ca.Transmit(0, make([]byte, 100), network.Broadcast)
-	s.RunUntil(1)
-	if gotLen != nti.HeaderSize+100 {
-		t.Errorf("frame length %d", gotLen)
-	}
-}
-
 func TestStats(t *testing.T) {
 	s, _, na, ca, _, cb := rig(7)
-	cb.OnRxStored(func(uint64, uint32, int, bool) {})
+	cb.OnRxStored(func(uint64, uint32, bool) {})
 	p := csp.Packet{Kind: csp.KindCSP}
 	img := p.Encode()
-	na.CPUWrite(nti.TxHeaderAddr(0), img[:])
-	ca.Transmit(0, nil, network.Broadcast)
+	na.CPUWrite(nti.TxHeaderAddrCh(0, 0), img[:])
+	ca.Transmit(0, network.Broadcast)
 	s.RunUntil(1)
 	if tx, _ := ca.Stats(); tx != 1 {
 		t.Errorf("tx stats = %d", tx)

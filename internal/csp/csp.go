@@ -128,6 +128,32 @@ func (p *Packet) SetTxStamp(s timefmt.Stamp) {
 	p.TxStampWord, p.TxMacroWord = s.Words()
 }
 
+// ShiftTxStamp appends CSP header b to dst with its transmit stamp
+// moved by d, and reports whether it did. It appends nothing and
+// reports false when b is not a CSP header or its stamp fails the BTU
+// checksum (never inserted, or corrupt), so a caller that needs a copy
+// (dst nil) allocates only for a stamp it edits; dst = b[:0] edits b in
+// place. Only the stamp words change: the header checksum skips the
+// hardware stamp block, so an edited header still decodes, and Words
+// recomputes the macrostamp's BTU checksum. This is the one in-flight
+// edit of a CSP: a relay's transparent-clock correction and an
+// adversary's lie.
+func ShiftTxStamp(dst, b []byte, d timefmt.Duration) ([]byte, bool) {
+	if len(b) < HeaderSize || Kind(b[OffKind]) != KindCSP {
+		return dst, false
+	}
+	st, ok := timefmt.FromWords(binary.BigEndian.Uint32(b[OffTxStamp:]), binary.BigEndian.Uint32(b[OffTxMacro:]))
+	if !ok {
+		return dst, false
+	}
+	out := append(dst, b...)
+	hdr := out[len(dst):]
+	w1, w2 := st.Add(d).Words()
+	binary.BigEndian.PutUint32(hdr[OffTxStamp:], w1)
+	binary.BigEndian.PutUint32(hdr[OffTxMacro:], w2)
+	return out, true
+}
+
 // Errors returned by Decode.
 var (
 	ErrShort    = errors.New("csp: packet shorter than header")

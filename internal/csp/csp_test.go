@@ -179,3 +179,50 @@ func TestFlagsRoundTrip(t *testing.T) {
 		t.Errorf("flag corruption not caught: %v", err)
 	}
 }
+
+// TestShiftTxStamp: the shifted header decodes with only its stamp
+// moved, in place or into a copy; a non-CSP header or an invalid stamp
+// is left alone and nothing is appended.
+func TestShiftTxStamp(t *testing.T) {
+	p := samplePacket()
+	img := p.Encode()
+	d := timefmt.DurationFromSeconds(250e-6)
+	want := p
+	st, _ := p.TxStamp()
+	want.SetTxStamp(st.Add(d))
+
+	cp, ok := ShiftTxStamp(nil, img[:], d)
+	if !ok || len(cp) != HeaderSize {
+		t.Fatalf("copy: ok=%v len=%d", ok, len(cp))
+	}
+	if img != p.Encode() {
+		t.Error("copying shift edited its source")
+	}
+	in := img
+	if _, ok := ShiftTxStamp(in[:0], in[:], d); !ok {
+		t.Fatal("in-place shift refused a valid stamp")
+	}
+	for name, b := range map[string][]byte{"copy": cp, "in place": in[:]} {
+		got, err := Decode(b)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got != want {
+			t.Errorf("%s:\n got %+v\nwant %+v", name, got, want)
+		}
+	}
+
+	rtt := Packet{Kind: KindRTTReq}
+	rtt.SetTxStamp(st)
+	bad := p
+	bad.TxMacroWord ^= 0xFF00
+	for name, q := range map[string]Packet{"non-CSP": rtt, "invalid stamp": bad} {
+		b := q.Encode()
+		if out, ok := ShiftTxStamp(b[:0], b[:], d); ok || len(out) != 0 || b != q.Encode() {
+			t.Errorf("%s: shifted (ok=%v, %d bytes appended)", name, ok, len(out))
+		}
+	}
+	if out, ok := ShiftTxStamp(nil, img[:HeaderSize-1], d); ok || out != nil {
+		t.Error("short header shifted")
+	}
+}

@@ -105,11 +105,6 @@ type Node struct {
 
 	ciHandler func(Arrival)
 
-	// rxMeta holds the per-header sampled accuracies and validity, the
-	// kernel-private part of the stamp-move bookkeeping (conceptually in
-	// the NTI's System Structures section).
-	rxMeta map[uint32]rxMetaEntry
-
 	overruns     uint64
 	ciDelivered  uint64
 	rttResponder bool
@@ -127,7 +122,10 @@ type Node struct {
 	tr *trace.Tracer
 }
 
-type rxMetaEntry struct {
+// rxAlphaEntry is one receive header's row of the stamp-move driver
+// table: the accuracies sampled with the stamp saved in the header's
+// RxSave field, and whether that stamp is valid.
+type rxAlphaEntry struct {
 	alphaM, alphaP timefmt.Alpha
 	valid          bool
 }
@@ -141,6 +139,15 @@ type nodeChannel struct {
 	// when the Receive Header Base latch is disabled (footnote 4).
 	rxGuessSlot int
 	lastMoveSeq uint64
+	// rxAlpha is the channel's part of the stamp-move driver table, the
+	// System Structures table of paper §3.1: one row per receive
+	// header slot of the channel's partition (rxSlot).
+	rxAlpha [nti.RxHeadersPerCh]rxAlphaEntry
+}
+
+// rxSlot returns the slot of channel ch's receive header at base.
+func rxSlot(ch int, base uint32) int {
+	return int(base-nti.RxHeaderAddrCh(ch, 0)) / nti.HeaderSize
 }
 
 // NewNode wires a node together and installs its interrupt plumbing.
@@ -148,13 +155,12 @@ type nodeChannel struct {
 // emits csp-send, latch-read and csp-arrival records.
 func NewNode(s *sim.Simulator, id uint16, u *utcsu.UTCSU, med network.Bus, cfg Config) *Node {
 	n := &Node{
-		ID:     id,
-		Sim:    s,
-		CPU:    cpu.New(s, fmt.Sprintf("n%d", id)),
-		U:      u,
-		cfg:    cfg,
-		rxMeta: make(map[uint32]rxMetaEntry),
-		tr:     s.Tracer(),
+		ID:  id,
+		Sim: s,
+		CPU: cpu.New(s, fmt.Sprintf("n%d", id)),
+		U:   u,
+		cfg: cfg,
+		tr:  s.Tracer(),
 	}
 	n.NTI = nti.New(u)
 	n.stampMoveFn = n.stampMoveISR
@@ -178,7 +184,7 @@ func (n *Node) AttachSegment(med network.Bus) int {
 		comco: comco.NewChannel(n.Sim, n.NTI, med, fmt.Sprintf("n%d.%d", n.ID, ch), ch, int(n.ID)),
 	}
 	n.chans = append(n.chans, nc)
-	nc.comco.OnRxStored(func(fid uint64, base uint32, _ int, corrupt bool) {
+	nc.comco.OnRxStored(func(fid uint64, base uint32, corrupt bool) {
 		n.frameStored(ch, fid, base, corrupt)
 	})
 	if n.cfg.Mode == ModeNTI {
@@ -236,7 +242,7 @@ func (n *Node) sendCSPOn(ch int, p csp.Packet, dst int) {
 		nc.txNext = (nc.txNext + 1) % nti.TxHeadersPerCh
 		img := p.Encode()
 		n.NTI.CPUWrite(nti.TxHeaderAddrCh(ch, slot), img[:])
-		fid = nc.comco.Transmit(slot, nil, dst)
+		fid = nc.comco.Transmit(slot, dst)
 	default:
 		st := n.U.Now()
 		am, ap := n.U.Alpha()
@@ -292,7 +298,7 @@ func (n *Node) stampMoveISR() {
 		var buf [8]byte
 		binary.BigEndian.PutUint64(buf[:], uint64(stamp))
 		n.NTI.CPUWrite(base+csp.OffRxSave, buf[:])
-		n.rxMeta[base] = rxMetaEntry{alphaM: am, alphaP: ap, valid: true}
+		nc.rxAlpha[rxSlot(ch, base)] = rxAlphaEntry{alphaM: am, alphaP: ap, valid: true}
 		if n.tr != nil {
 			n.tr.Emit(trace.KindLatchRead, n.Sim.Now(), int(n.ID), ch, seq, uint64(base), stamp.Seconds())
 		}
@@ -304,12 +310,12 @@ func (n *Node) stampMoveISR() {
 // A valid entry is consumed so a reused slot cannot leak a stale stamp;
 // an invalid read leaves the slot alone (the mover may still be pending
 // and the caller may retry).
-func (n *Node) rxSaveRead(base uint32) (timefmt.Stamp, timefmt.Alpha, timefmt.Alpha, bool) {
-	meta := n.rxMeta[base]
+func (n *Node) rxSaveRead(ch int, base uint32) (timefmt.Stamp, timefmt.Alpha, timefmt.Alpha, bool) {
+	meta := &n.chans[ch].rxAlpha[rxSlot(ch, base)]
 	if !meta.valid {
 		return 0, 0, 0, false
 	}
-	delete(n.rxMeta, base)
+	meta.valid = false
 	var buf [8]byte
 	n.NTI.CPURead(base+csp.OffRxSave, buf[:])
 	st := timefmt.Stamp(binary.BigEndian.Uint64(buf[:]))
@@ -362,7 +368,7 @@ func (n *Node) putJob(j *rxJob) {
 // frameStored is the COMCO's reception-complete callback: it runs the
 // frame ISR on the CPU, then hands CSPs to the CI at task level.
 func (n *Node) frameStored(ch int, fid uint64, headerBase uint32, corrupt bool) {
-	slot := int(headerBase-nti.RxHeaderAddrCh(ch, 0)) / nti.HeaderSize
+	slot := rxSlot(ch, headerBase)
 	// The kernel's software ring pointer: the *next* trigger should
 	// belong to the slot after this one (the no-latch guess).
 	n.chans[ch].rxGuessSlot = (slot + 1) % nti.RxHeadersPerCh
@@ -418,7 +424,7 @@ func (n *Node) dispatch(j *rxJob) bool {
 	var hwAM, hwAP timefmt.Alpha
 	hwOK := false
 	if n.cfg.Mode == ModeNTI {
-		hwStamp, hwAM, hwAP, hwOK = n.rxSaveRead(j.headerBase)
+		hwStamp, hwAM, hwAP, hwOK = n.rxSaveRead(j.ch, j.headerBase)
 		if !hwOK && j.attempt < 2 {
 			j.attempt++
 			n.CPU.RunTask(j.taskFn)

@@ -225,7 +225,7 @@ func TestCorruptFramesDiscardedButStampConsumed(t *testing.T) {
 	s.RunUntil(1)
 	// The RECEIVE trigger fired although the packet was discarded
 	// (footnote 4's scenario).
-	if _, rx, _ := b.NTI.Stats(); rx != 1 {
+	if _, rx := b.NTI.ChannelStats(0); rx != 1 {
 		t.Errorf("rx triggers = %d", rx)
 	}
 	if b.CIDelivered() != 0 {

@@ -30,10 +30,11 @@ import (
 
 // Memory map of the COMCO-visible 256 KB region (Fig. 6). The same
 // physical SRAM appears again at CPUBase for plain accesses. The model
-// backs the region with 4 KB pages allocated on first write: a node
-// touches its header pages and a few data slots, never the 184 KB of
-// system structures, so untouched pages cost nothing. A page never
-// written reads as zeros, the SRAM's modelled power-on state.
+// backs the region with 4 KB pages allocated on first write: a frame is
+// one 64-byte header, so a node touches only its header pages, never
+// the 60 KB of data buffers or the 184 KB of system structures, and
+// untouched pages cost nothing. A page never written reads as zeros,
+// the SRAM's modelled power-on state.
 const (
 	MemSize = 256 * 1024
 
@@ -98,8 +99,6 @@ type NTI struct {
 	intEnabled bool  // I/O reg 0x04
 
 	onInterrupt func(vector uint8)
-
-	lostInts uint64
 }
 
 // channelState holds one network channel's CPLD state: the latched
@@ -133,9 +132,6 @@ const (
 	RxHeadersPerCh = NumRxHeaders / NumChannels
 )
 
-// TxHeaderAddr returns the base address of channel 0's transmit header i.
-func TxHeaderAddr(i int) uint32 { return TxHeaderAddrCh(0, i) }
-
 // TxHeaderAddrCh returns the base address of transmit header i of the
 // given channel's partition.
 func TxHeaderAddrCh(ch, i int) uint32 {
@@ -159,20 +155,6 @@ func channelOfTx(idx uint32) int { return int(idx) / TxHeadersPerCh % NumChannel
 
 // channelOfRx returns the channel owning a receive-header index.
 func channelOfRx(idx uint32) int { return int(idx) / RxHeadersPerCh % NumChannels }
-
-// Data-buffer slots: each receive header has a matching slot in the
-// Data Buffers section where the COMCO deposits payload beyond the
-// 64-byte header (ordinary packet data, Fig. 6).
-const DataSlotSize = DataSize / NumRxHeaders // 480 bytes
-
-// DataSlotAddr returns the data-buffer slot paired with receive header
-// i of a channel.
-func DataSlotAddr(ch, i int) uint32 {
-	if ch < 0 || ch >= NumChannels || i < 0 || i >= RxHeadersPerCh {
-		panic(fmt.Sprintf("nti: data slot %d/%d out of range", ch, i))
-	}
-	return DataBase + uint32(ch*RxHeadersPerCh+i)*DataSlotSize
-}
 
 // inTxHeaders reports whether addr lies in the transmit header section,
 // returning the offset within its header.
@@ -283,8 +265,9 @@ func (n *NTI) COMCORead32(addr uint32) uint32 {
 		c := &n.ch[ch]
 		switch off {
 		case csp.OffTxTrig:
-			stamp, _ := n.u.SSU(ssuTx(ch)).Trigger(true)
-			am, ap, _, _ := ssuAlphas(n.u, ssuTx(ch))
+			su := n.u.SSU(ssuTx(ch))
+			stamp, _ := su.Trigger(true)
+			_, am, ap, _ := su.Read()
 			c.txStampWord, c.txMacroWord = stamp.Words()
 			c.txAlphaWord = uint32(am)<<16 | uint32(ap)
 			c.txLatchValid = true
@@ -306,12 +289,6 @@ func (n *NTI) COMCORead32(addr uint32) uint32 {
 	return n.load32(addr)
 }
 
-// ssuAlphas reads the alpha registers sampled by the unit's last trigger.
-func ssuAlphas(u *utcsu.UTCSU, i int) (timefmt.Alpha, timefmt.Alpha, timefmt.Stamp, uint64) {
-	st, am, ap, seq := u.SSU(i).Read()
-	return am, ap, st, seq
-}
-
 // COMCOWrite32 performs a COMCO (DMA) write: writing the receive trigger
 // offset inside a receive header raises RECEIVE and latches the header
 // base address for the ISR.
@@ -325,14 +302,9 @@ func (n *NTI) COMCOWrite32(addr uint32, v uint32) {
 	}
 }
 
-// ReadRxSample returns channel 0's receive SSU sample registers together
-// with the latched Receive Header Base — what the reception ISR reads
-// first.
-func (n *NTI) ReadRxSample() (stamp timefmt.Stamp, alphaM, alphaP timefmt.Alpha, headerBase uint32, seq uint64) {
-	return n.ReadRxSampleCh(0)
-}
-
-// ReadRxSampleCh is ReadRxSample for an arbitrary channel.
+// ReadRxSampleCh returns a channel's receive SSU sample registers
+// together with the latched Receive Header Base — what the reception
+// ISR reads first.
 func (n *NTI) ReadRxSampleCh(ch int) (stamp timefmt.Stamp, alphaM, alphaP timefmt.Alpha, headerBase uint32, seq uint64) {
 	st, am, ap, sq := n.u.SSU(ssuRx(ch)).Read()
 	return st, am, ap, n.ch[ch].rxHeaderBase, sq
@@ -355,10 +327,9 @@ func (n *NTI) WriteIO(off uint32, v uint32) {
 // programmed base and the pin state. The NTI disables further interrupts
 // until software re-enables them via the I/O register (paper §3.4),
 // modelling the usual "write 0x04 just before RTE" discipline.
-func (n *NTI) forwardInterrupt(line utcsu.IntLine, source string) {
+func (n *NTI) forwardInterrupt(line utcsu.IntLine) {
 	if !n.intEnabled {
-		n.lostInts++
-		return
+		return // lost: the CPLD does not latch a masked interrupt
 	}
 	n.intEnabled = false
 	var pin uint8
@@ -382,11 +353,6 @@ func (n *NTI) OnInterrupt(fn func(vector uint8)) { n.onInterrupt = fn }
 // EnableInts is the ISR-exit write to the Dis/Enable Interrupt Logic
 // register.
 func (n *NTI) EnableInts() { n.WriteIO(IOIntEnable, 1) }
-
-// Stats reports channel 0's trigger counters and lost interrupts.
-func (n *NTI) Stats() (txTriggers, rxTriggers, lostInts uint64) {
-	return n.ch[0].txTriggers, n.ch[0].rxTriggers, n.lostInts
-}
 
 // ChannelStats reports one channel's trigger counters.
 func (n *NTI) ChannelStats(ch int) (txTriggers, rxTriggers uint64) {

@@ -28,10 +28,14 @@ func (h *Histogram) Observe(v float64) {
 }
 
 // histIndex maps v to its bin, -1 for underflow (including zero and
-// negatives) and >= histBins for overflow.
+// negatives) and >= histBins for overflow (including +Inf and NaN, for
+// which math.Frexp reports exponent 0).
 func histIndex(v float64) int {
 	if v <= 0 {
 		return -1
+	}
+	if math.IsInf(v, 1) || math.IsNaN(v) {
+		return histBins
 	}
 	f, e := math.Frexp(v) // v = f·2^e with f ∈ [0.5, 1)
 	if e <= histMinExp {

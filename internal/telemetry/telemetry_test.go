@@ -149,6 +149,22 @@ func TestHistogramEdges(t *testing.T) {
 	if (&Histogram{}).stats() != (HistValue{}) {
 		t.Fatalf("empty histogram stats non-zero")
 	}
+
+	// +Inf and NaN count above the bins, not below them.
+	inf := r.Histogram("inf")
+	inf.Observe(1)
+	for i := 0; i < 3; i++ {
+		inf.Observe(math.Inf(1))
+	}
+	if st := inf.stats(); !math.IsInf(st.P50, 1) || !math.IsInf(st.Max, 1) || st.Min != 1 {
+		t.Errorf("1 and three +Inf: p50 %g, min/max %g/%g, want +Inf, 1/+Inf", st.P50, st.Min, st.Max)
+	}
+	nan := r.Histogram("nan")
+	nan.Observe(1)
+	nan.Observe(math.NaN())
+	if nan.q.Below != 0 || nan.q.Above != 1 {
+		t.Errorf("NaN counted below=%d above=%d, want 0 and 1", nan.q.Below, nan.q.Above)
+	}
 }
 
 // TestCaptureMerge: counters and hists sum across registries; gauges from

@@ -6,23 +6,45 @@
 package trace
 
 import (
+	"math"
 	"sort"
 
 	"ntisim/internal/metrics"
 )
 
-// Hop names, in data-path order. Every hop is a transition between two
-// record kinds matched on the frame id (and receiver node where the
-// fan-out makes the hop per-receiver).
-var hopNames = []string{
-	"csp-send → tx-trigger",      // driver handoff until the COMCO reads the trigger word
-	"tx-trigger → frame-tx",      // FIFO prefill vs. serialization start (negative ≈ prefetch lead)
-	"frame-tx → frame-rx",        // serialization + propagation
-	"frame-rx → rx-trigger",      // bus arbitration before the header DMA
-	"rx-trigger → rx-done",       // remaining DMA words until the interrupt
-	"rx-done → csp-arrival",      // ISR + task-level kernel latency
-	"csp-arrival → round-update", // wait until the convergence instant kP+Δ
+// flightStages is the Fig. 3 data path of one CSP, in order: the
+// sender's stages (keyed by frame id), each receiver's (keyed by frame
+// id and receiver), then the receiver's round update (keyed by receiver
+// and the round its csp-arrival carried). Every adjacent pair is one hop
+// of FlightPath, named "a → b"; the frame-keyed stages are also the
+// Perfetto flow steps (isFlightPathKind).
+var flightStages = [...]Kind{
+	KindCSPSend,    // csp-send → tx-trigger: driver handoff until the COMCO reads the trigger word
+	KindTxTrigger,  // tx-trigger → frame-tx: FIFO prefill vs. serialization start (negative ≈ prefetch lead)
+	KindFrameTx,    // frame-tx → frame-rx: serialization + propagation
+	KindFrameRx,    // frame-rx → rx-trigger: bus arbitration before the header DMA
+	KindRxTrigger,  // rx-trigger → rx-done: remaining DMA words until the interrupt
+	KindRxDone,     // rx-done → csp-arrival: ISR + task-level kernel latency
+	KindCSPArrival, // csp-arrival → round-update: wait until the convergence instant kP+Δ
+	KindRoundUpdate,
 }
+
+const (
+	numStages  = len(flightStages)
+	rxStage    = 3             // flightStages[rxStage:] are per receiver
+	roundStage = numStages - 1 // keyed by (receiver, round), not by frame
+)
+
+// stageOf maps a kind to its index in flightStages, -1 if it has none.
+var stageOf = func() (ix [numKinds]int) {
+	for k := range ix {
+		ix[k] = -1
+	}
+	for i, k := range flightStages {
+		ix[k] = i
+	}
+	return ix
+}()
 
 // HopStats summarizes one hop's latency distribution in seconds.
 type HopStats struct {
@@ -44,23 +66,33 @@ func hopStats(name string, vals []float64) HopStats {
 	return h
 }
 
-// txTimes are the per-frame sender-side stages.
-type txTimes struct {
-	send, txTrig, frameTx          float64
-	hasSend, hasTxTrig, hasFrameTx bool
+// stageTimes holds the first record time of each stage of one chain.
+type stageTimes struct {
+	at    [numStages]float64
+	seen  uint16 // bit i: stage i recorded
+	round uint64 // the round csp-arrival carried
 }
 
-// rxTimes are the per-(frame, receiver) stages.
-type rxTimes struct {
-	frameRx, rxTrig, rxDone, arrival             float64
-	hasFrameRx, hasRxTrig, hasRxDone, hasArrival bool
-	round                                        uint64
+func (t *stageTimes) has(i int) bool { return t.seen&(1<<i) != 0 }
+
+// set records stage i at time v unless an earlier record did.
+func (t *stageTimes) set(i int, v float64) {
+	if !t.has(i) {
+		t.at[i], t.seen = v, t.seen|1<<i
+	}
 }
 
+// frameNode keys one chain: a frame's sender stages (node = sender) or
+// one receiver's stages of it.
 type frameNode struct {
 	frame uint64
 	node  int32
 }
+
+// sender is the node of a frame's sender chain. Its records name a
+// medium station (frame-tx) or a node id (csp-send), which can differ,
+// so that chain is keyed by the frame alone.
+const sender = math.MinInt32
 
 type nodeRound struct {
 	node  int32
@@ -72,106 +104,67 @@ type nodeRound struct {
 // fell out of the ring, lost frames, stale rounds) contribute only the
 // hops they completed.
 func FlightPath(recs []Record) []HopStats {
-	tx := map[uint64]*txTimes{}
-	rx := map[frameNode]*rxTimes{}
+	chains := map[frameNode]*stageTimes{}
 	update := map[nodeRound]float64{}
-	txAt := func(f uint64) *txTimes {
-		t := tx[f]
-		if t == nil {
-			t = &txTimes{}
-			tx[f] = t
-		}
-		return t
-	}
-	rxAt := func(f uint64, n int32) *rxTimes {
-		k := frameNode{f, n}
-		t := rx[k]
-		if t == nil {
-			t = &rxTimes{}
-			rx[k] = t
-		}
-		return t
-	}
 	for i := range recs {
 		r := &recs[i]
-		switch r.Kind {
-		case KindCSPSend:
-			t := txAt(r.A)
-			if !t.hasSend {
-				t.send, t.hasSend = r.T, true
-			}
-		case KindTxTrigger:
-			t := txAt(r.A)
-			if !t.hasTxTrig {
-				t.txTrig, t.hasTxTrig = r.T, true
-			}
-		case KindFrameTx:
-			t := txAt(r.A)
-			if !t.hasFrameTx {
-				t.frameTx, t.hasFrameTx = r.T, true
-			}
-		case KindFrameRx:
-			t := rxAt(r.A, r.Node)
-			if !t.hasFrameRx {
-				t.frameRx, t.hasFrameRx = r.T, true
-			}
-		case KindRxTrigger:
-			t := rxAt(r.A, r.Node)
-			if !t.hasRxTrig {
-				t.rxTrig, t.hasRxTrig = r.T, true
-			}
-		case KindRxDone:
-			t := rxAt(r.A, r.Node)
-			if !t.hasRxDone {
-				t.rxDone, t.hasRxDone = r.T, true
-			}
-		case KindCSPArrival:
-			t := rxAt(r.A, r.Node)
-			if !t.hasArrival {
-				t.arrival, t.hasArrival = r.T, true
-				t.round = r.B
-			}
-		case KindRoundUpdate:
+		st := stageOf[r.Kind]
+		if st < 0 {
+			continue
+		}
+		if st == roundStage {
 			k := nodeRound{r.Node, r.A}
 			if _, ok := update[k]; !ok {
 				update[k] = r.T
 			}
+			continue
 		}
+		k := frameNode{r.A, r.Node}
+		if st < rxStage {
+			k.node = sender
+		}
+		t := chains[k]
+		if t == nil {
+			t = &stageTimes{}
+			chains[k] = t
+		}
+		if r.Kind == KindCSPArrival && !t.has(st) {
+			t.round = r.B
+		}
+		t.set(st, r.T)
 	}
 
-	hops := make([][]float64, len(hopNames))
-	for _, t := range tx {
-		if t.hasSend && t.hasTxTrig {
-			hops[0] = append(hops[0], t.txTrig-t.send)
-		}
-		if t.hasTxTrig && t.hasFrameTx {
-			hops[1] = append(hops[1], t.frameTx-t.txTrig)
-		}
-	}
-	for k, t := range rx {
-		src := tx[k.frame]
-		if src != nil && src.hasFrameTx && t.hasFrameRx {
-			hops[2] = append(hops[2], t.frameRx-src.frameTx)
-		}
-		if t.hasFrameRx && t.hasRxTrig {
-			hops[3] = append(hops[3], t.rxTrig-t.frameRx)
-		}
-		if t.hasRxTrig && t.hasRxDone {
-			hops[4] = append(hops[4], t.rxDone-t.rxTrig)
-		}
-		if t.hasRxDone && t.hasArrival {
-			hops[5] = append(hops[5], t.arrival-t.rxDone)
-		}
-		if t.hasArrival {
-			if uT, ok := update[nodeRound{k.node, t.round}]; ok && uT >= t.arrival {
-				hops[6] = append(hops[6], uT-t.arrival)
+	hops := make([][]float64, numStages-1)
+	addHops := func(t *stageTimes, from, to int) {
+		for i := from; i < to; i++ {
+			if t.has(i) && t.has(i+1) {
+				hops[i] = append(hops[i], t.at[i+1]-t.at[i])
 			}
 		}
 	}
+	for k, t := range chains {
+		if k.node == sender {
+			addHops(t, 0, rxStage-1)
+			continue
+		}
+		// One receiver's whole chain: the sender's last stage, this
+		// receiver's stages, and its round update if that came after
+		// the arrival.
+		c := *t
+		if src := chains[frameNode{k.frame, sender}]; src != nil && src.has(rxStage-1) {
+			c.set(rxStage-1, src.at[rxStage-1])
+		}
+		if c.has(roundStage - 1) {
+			if uT, ok := update[nodeRound{k.node, c.round}]; ok && uT >= c.at[roundStage-1] {
+				c.set(roundStage, uT)
+			}
+		}
+		addHops(&c, rxStage-1, numStages-1)
+	}
 
-	out := make([]HopStats, len(hopNames))
-	for i, name := range hopNames {
-		out[i] = hopStats(name, hops[i])
+	out := make([]HopStats, len(hops))
+	for i := range hops {
+		out[i] = hopStats(flightStages[i].String()+" → "+flightStages[i+1].String(), hops[i])
 	}
 	return out
 }

@@ -95,15 +95,11 @@ func ReadJSONL(r io.Reader) ([]Record, error) {
 	return out, sc.Err()
 }
 
-// flightPathKinds are the kinds that participate in a CSP's flow chain
-// (A = frame id on all of them).
+// isFlightPathKind reports whether k is a step of a CSP's Perfetto flow
+// chain: a frame-keyed stage of flightStages (A = frame id), or
+// frame-lost, where a chain into a partitioned medium ends.
 func isFlightPathKind(k Kind) bool {
-	switch k {
-	case KindCSPSend, KindTxTrigger, KindFrameTx, KindFrameLost,
-		KindFrameRx, KindRxTrigger, KindRxDone, KindCSPArrival:
-		return true
-	}
-	return false
+	return k == KindFrameLost || stageOf[k] >= 0 && stageOf[k] < roundStage
 }
 
 // pf formats a Perfetto timestamp/duration (µs, fixed 3 decimals —

@@ -98,7 +98,7 @@ func (dt *DutyTimer) fire() {
 		return
 	}
 	dt.pending = false
-	u.intr.raise(u, INTT, "DUTY")
+	u.intr.raise(INTT)
 	dt.fn()
 }
 

@@ -8,12 +8,11 @@ package utcsu
 type interruptUnit struct {
 	enabled [numIntLines]bool
 	pending [numIntLines]bool
-	lastSrc [numIntLines]string
-	handler func(line IntLine, source string)
+	handler func(line IntLine)
 }
 
 // OnInterrupt installs the pin-change handler (the NTI's CPLD, or a test).
-func (u *UTCSU) OnInterrupt(fn func(line IntLine, source string)) {
+func (u *UTCSU) OnInterrupt(fn func(line IntLine)) {
 	u.intr.handler = fn
 }
 
@@ -25,18 +24,17 @@ func (u *UTCSU) EnableInt(line IntLine, on bool) {
 	if on && iu.pending[line] {
 		iu.pending[line] = false
 		if iu.handler != nil {
-			iu.handler(line, iu.lastSrc[line])
+			iu.handler(line)
 		}
 	}
 }
 
-func (iu *interruptUnit) raise(u *UTCSU, line IntLine, source string) {
-	iu.lastSrc[line] = source
+func (iu *interruptUnit) raise(line IntLine) {
 	if !iu.enabled[line] {
 		iu.pending[line] = true
 		return
 	}
 	if iu.handler != nil {
-		iu.handler(line, source)
+		iu.handler(line)
 	}
 }

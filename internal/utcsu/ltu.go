@@ -191,7 +191,7 @@ func (u *UTCSU) Amortize(delta timefmt.Duration, speedPPM int64) {
 func (l *ltu) endAmortization() {
 	l.amortEnd = nil
 	l.cancelAmortization()
-	l.u.intr.raise(l.u, INTT, "AMORT")
+	l.u.intr.raise(INTT)
 }
 
 // Amortizing reports whether a continuous amortization is in progress

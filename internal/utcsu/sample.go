@@ -41,7 +41,7 @@ func (su *SampleUnit) Trigger(rising bool) (timefmt.Stamp, bool) {
 	su.alphaMinus, su.alphaPlus = u.acu.at(n)
 	su.seq++
 	if su.intrOn {
-		u.intr.raise(u, su.line, "SAMPLE")
+		u.intr.raise(su.line)
 	}
 	return su.stamp, true
 }

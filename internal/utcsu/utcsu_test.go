@@ -101,8 +101,8 @@ func TestAmortizeForward(t *testing.T) {
 	s, u := rig(t, 1, oscillator.Ideal(10e6))
 	s.RunUntil(1)
 	intt := 0
-	u.OnInterrupt(func(l IntLine, src string) {
-		if l == INTT && src == "AMORT" {
+	u.OnInterrupt(func(l IntLine) {
+		if l == INTT {
 			intt++
 		}
 	})
@@ -313,7 +313,7 @@ func TestSampleUnitInterrupt(t *testing.T) {
 	s, u := rig(t, 1, oscillator.Ideal(10e6))
 	s.RunUntil(0.1)
 	var got []IntLine
-	u.OnInterrupt(func(l IntLine, src string) { got = append(got, l) })
+	u.OnInterrupt(func(l IntLine) { got = append(got, l) })
 	u.EnableInt(INTN, true)
 	u.SSU(0).EnableInterrupt(true)
 	u.SSU(0).Trigger(true)
