@@ -1,20 +1,20 @@
 GO ?= go
 
-.PHONY: ci fmt vet build deadcode golden-flag test race bench bench-smoke bench-module lines
+.PHONY: ci fmt vet build deadcode golden-flag test race fuzz-smoke bench bench-smoke bench-module lines
 
 # ci is the whole gate .github/workflows/ci.yml runs: gofmt, vet, build,
 # the full test suite under the race detector (the harness worker pool
-# is the main customer of -race), one pass of every microbenchmark, and
-# the ntiperf module's own vet and tests. The suite includes every
-# golden gate; all six golden tests go through internal/golden.Check,
-# which byte-diffs each artifact against its testdata/ file. Regenerate
-# them all with
+# is the main customer of -race), 15 s of FuzzClockOps, one pass of
+# every microbenchmark, and the ntiperf module's own vet and tests.
+# The suite includes every golden gate; all six golden tests go through
+# internal/golden.Check, which byte-diffs each artifact against its
+# testdata/ file. Regenerate them all with
 #   go test -v ./cmd/nticampaign ./cmd/ntibench ./cmd/ntireport ./cmd/ntitrace ./internal/cluster ./internal/report -update
 # and read the log: each rewritten golden names its changed fields, each
 # marked engine (events, seq, sim.*, group.*) or model, and says
 # "engine-only" when no model field changed; an unchanged one logs
 # "unchanged" and is not rewritten.
-ci: fmt vet build deadcode golden-flag race bench-smoke bench-module
+ci: fmt vet build deadcode golden-flag race fuzz-smoke bench-smoke bench-module
 
 # fmt fails when gofmt would change any tracked Go file; listing files
 # through git skips build outputs such as .bench_build/.
@@ -60,6 +60,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# fuzz-smoke runs the UTCSU clock fuzz target for 15 s past its
+# committed corpus: in reference mode it checks the register timeline
+# tick by tick against a plain adder model.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzClockOps$$' -fuzztime 15s ./internal/utcsu
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -557,7 +557,7 @@ func (sy *Synchronizer) acuRho(k uint32) int64 {
 // registers are loaded so the interval's real-time edges are preserved
 // around the *current* clock value, then the reference correction is
 // amortized (the ACU's amortization coupling walks the accuracies back
-// as the clock moves; see utcsu.acu).
+// as the clock moves; see utcsu.UTCSU.next).
 func (sy *Synchronizer) enforce(now timefmt.Stamp, out interval.Interval) {
 	cur := sy.clk.Now() // may differ from `now` by the compute time
 	drift := interval.DriftDeterioration(cur.Sub(now), sy.rhoNow)

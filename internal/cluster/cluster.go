@@ -310,7 +310,7 @@ func New(cfg Config) *Cluster {
 			gw := mkNode(home, media[home], -1)
 			var port *network.LinkPort
 			var relay *network.Relay
-			port = network.NewLinkPort(sims[home], cfg.Medium, func(f network.Frame) {
+			port = network.NewLinkPort(media[home], func(f network.Frame) {
 				group.Post(home, remote, sims[home].Now()+DefaultWANDelayS, func() { relay.Inject(f) })
 			}, rw)
 			relay = network.NewRelay(media[remote], func(f network.Frame) {

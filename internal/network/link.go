@@ -33,7 +33,6 @@ package network
 import (
 	"fmt"
 
-	"ntisim/internal/sim"
 	"ntisim/internal/telemetry"
 )
 
@@ -50,37 +49,37 @@ type RewriteFunc func(payload []byte, elapsedS float64)
 // by the cluster when a far-side frame crosses the shard boundary)
 // serializes downlink frames FIFO and delivers them to the station.
 type LinkPort struct {
-	s       *sim.Simulator
-	cfg     MediumConfig
+	home    *Medium // its simulator, link timing and frame ids
 	st      Station
 	forward func(f Frame)
 	rewrite RewriteFunc
 
 	txBusyUntil float64
 	rxBusyUntil float64
-	nextID      uint64
 
 	tmTx *telemetry.Counter
 	tmRx *telemetry.Counter
 }
 
-// NewLinkPort creates the home end of a link on the home shard's
-// simulator. The link runs at the bit rate, preamble and interframe
-// gap of cfg, with NewMedium's defaults; the other fields of cfg do not
-// apply to a dedicated line. forward receives each uplink frame
+// NewLinkPort creates the home end of a link beside the home segment's
+// medium, on its simulator. The link runs at the medium's bit rate,
+// preamble and interframe gap; the other fields of its config do not
+// apply to a dedicated line. The port numbers every frame it carries,
+// both ways, from the medium's trace ids, so frame ids stay unique
+// within the home shard. forward receives each uplink frame
 // (payload already a private copy, AcquiredAt set to the uplink
 // serialization start) at serialization end; the cluster posts it
 // across the shard boundary.
 // The port counts uplink frames forwarded and downlink frames delivered
 // on the simulator's registry.
-func NewLinkPort(s *sim.Simulator, cfg MediumConfig, forward func(f Frame), rewrite RewriteFunc) *LinkPort {
+func NewLinkPort(home *Medium, forward func(f Frame), rewrite RewriteFunc) *LinkPort {
 	if forward == nil {
 		panic("network: LinkPort needs a forward callback")
 	}
 	return &LinkPort{
-		s: s, cfg: cfg.withDefaults(), forward: forward, rewrite: rewrite,
-		tmTx: s.Telemetry().Counter("net.wan_tx"),
-		tmRx: s.Telemetry().Counter("net.wan_rx"),
+		home: home, forward: forward, rewrite: rewrite,
+		tmTx: home.s.Telemetry().Counter("net.wan_tx"),
+		tmRx: home.s.Telemetry().Counter("net.wan_rx"),
 	}
 }
 
@@ -96,10 +95,10 @@ func (p *LinkPort) Attach(st Station) int {
 
 // Bitrate returns the link bit rate (Bus interface; the COMCO paces
 // its DMA reads with it).
-func (p *LinkPort) Bitrate() float64 { return p.cfg.BitRateBps }
+func (p *LinkPort) Bitrate() float64 { return p.home.Bitrate() }
 
 // FrameDuration returns the serialization time of n payload bytes.
-func (p *LinkPort) FrameDuration(n int) float64 { return p.cfg.frameDuration(n) }
+func (p *LinkPort) FrameDuration(n int) float64 { return p.home.FrameDuration(n) }
 
 // Send queues an uplink frame (Bus interface). Acquisition is
 // deterministic: the line is dedicated, so the frame starts after the
@@ -108,20 +107,19 @@ func (p *LinkPort) FrameDuration(n int) float64 { return p.cfg.frameDuration(n) 
 // DMA reads — and the NTI's in-flight transmit timestamping — behave
 // identically on both bus kinds.
 func (p *LinkPort) Send(f Frame, onAcquired func(at float64)) uint64 {
-	p.nextID++
-	f.ID = p.nextID
-	f.RequestedAt = p.s.Now()
-	start := p.s.Now()
+	f.ID = p.home.newID()
+	f.RequestedAt = p.home.s.Now()
+	start := p.home.s.Now()
 	if p.txBusyUntil > start {
 		start = p.txBusyUntil
 	}
-	start += p.cfg.InterframeS
+	start += p.home.cfg.InterframeS
 	end := start + p.FrameDuration(len(f.Payload))
 	p.txBusyUntil = end
 	if onAcquired != nil {
-		p.s.At(start, func() { onAcquired(start) })
+		p.home.s.At(start, func() { onAcquired(start) })
 	}
-	p.s.At(end, func() {
+	p.home.s.At(end, func() {
 		f.AcquiredAt = start
 		// Copy after serialization completes: the COMCO's DMA reads have
 		// finished stamping the header by then, and the copy unshares
@@ -142,14 +140,15 @@ func (p *LinkPort) Inject(f Frame) {
 	if p.st == nil {
 		panic("network: LinkPort.Inject with no station attached")
 	}
-	start := p.s.Now()
+	f.ID = p.home.newID() // the remote medium's id means nothing here
+	start := p.home.s.Now()
 	if p.rxBusyUntil > start {
 		start = p.rxBusyUntil
 	}
-	start += p.cfg.InterframeS
+	start += p.home.cfg.InterframeS
 	end := start + p.FrameDuration(len(f.Payload))
 	p.rxBusyUntil = end
-	p.s.At(end, func() {
+	p.home.s.At(end, func() {
 		if p.rewrite != nil {
 			p.rewrite(f.Payload, start-f.AcquiredAt)
 		}

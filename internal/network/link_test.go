@@ -65,11 +65,12 @@ func TestBackgroundLoadDeliversNothing(t *testing.T) {
 // linkEnds wires a LinkPort and a Relay back-to-back through immediate
 // in-simulator posts with a fixed WAN delay, standing in for the
 // cluster's cross-shard plumbing (here both ends share one simulator,
-// which the components themselves don't care about).
+// which the components themselves don't care about). The port's home
+// medium is a second, idle one.
 func linkEnds(s *sim.Simulator, med *Medium, wanDelay float64, rewrite RewriteFunc) (*LinkPort, *Relay) {
 	var port *LinkPort
 	var relay *Relay
-	port = NewLinkPort(s, MediumConfig{}, func(f Frame) {
+	port = NewLinkPort(NewMedium(s, MediumConfig{}), func(f Frame) {
 		s.At(s.Now()+wanDelay, func() { relay.Inject(f) })
 	}, rewrite)
 	relay = NewRelay(med, func(f Frame) {

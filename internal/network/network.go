@@ -27,8 +27,9 @@ type Frame struct {
 	Payload []byte // link SDU (the CSP wire format or test data)
 	Corrupt bool   // set on delivery when the CRC check failed
 
-	// ID is the medium-assigned per-frame trace id (monotone from 1),
-	// the flow key that links every trace record of one frame's
+	// ID is the per-frame trace id, monotone from 1 per medium and
+	// shared with its link ports, so unique within a shard: with the
+	// shard, the flow key that links every trace record of one frame's
 	// flight path. Simulation metadata, not on the wire.
 	ID uint64
 
@@ -77,7 +78,7 @@ type Station interface {
 }
 
 // MediumConfig parameterizes a shared broadcast bus. A LinkPort takes
-// its bit rate, preamble and interframe gap from one too.
+// its bit rate, preamble and interframe gap from its home medium's.
 type MediumConfig struct {
 	BitRateBps   float64 // default 10 Mb/s
 	PreambleBits int     // bits on the wire before the payload; default 64
@@ -244,8 +245,7 @@ func (m *Medium) FrameDuration(n int) float64 { return m.cfg.frameDuration(n) }
 // starts pulling the frame from memory around then — package comco
 // builds on this hook).
 func (m *Medium) Send(f Frame, onAcquired func(at float64)) uint64 {
-	m.nextID++
-	f.ID = m.nextID
+	f.ID = m.newID()
 	f.RequestedAt = m.s.Now()
 	m.queue = append(m.queue, pendingTx{frame: f, onAcquired: onAcquired})
 	m.tmBacklog.Set(float64(len(m.queue) - m.head))
@@ -253,6 +253,12 @@ func (m *Medium) Send(f Frame, onAcquired func(at float64)) uint64 {
 		m.startNext()
 	}
 	return f.ID
+}
+
+// newID returns the next frame trace id of the medium's shard.
+func (m *Medium) newID() uint64 {
+	m.nextID++
+	return m.nextID
 }
 
 func (m *Medium) startNext() {

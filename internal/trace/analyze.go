@@ -85,8 +85,19 @@ func (t *stageTimes) set(i int, v float64) {
 // frameNode keys one chain: a frame's sender stages (node = sender) or
 // one receiver's stages of it.
 type frameNode struct {
-	frame uint64
+	frame uint64 // frameKey
 	node  int32
+}
+
+// frameKey is the flow key of a frame-keyed record: its frame id, which
+// is unique within a shard, tagged with the shard (so ids < 2⁴⁸ and
+// shards < 2¹⁵ keep it below the round flows' bit 63). An unsharded
+// record (Shard -1) keys by the frame id alone.
+func frameKey(r *Record) uint64 {
+	if r.Shard < 0 {
+		return r.A
+	}
+	return uint64(r.Shard+1)<<48 | r.A
 }
 
 // sender is the node of a frame's sender chain. Its records name a
@@ -119,7 +130,7 @@ func FlightPath(recs []Record) []HopStats {
 			}
 			continue
 		}
-		k := frameNode{r.A, r.Node}
+		k := frameNode{frameKey(r), r.Node}
 		if st < rxStage {
 			k.node = sender
 		}

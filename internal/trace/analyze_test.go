@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"testing"
 )
@@ -93,5 +95,53 @@ func TestRoundTimeline(t *testing.T) {
 	}
 	if !evs[1].Failed || evs[1].Round != 2 {
 		t.Errorf("failure mangled: %+v", evs[1])
+	}
+}
+
+// TestFlightPathKeysFramesByShard merges two shards whose media both
+// number their first frame 1: each shard's chain must stay its own, in
+// the hop statistics and in the Perfetto flows, while an unsharded
+// record keeps its bare frame id as key.
+func TestFlightPathKeysFramesByShard(t *testing.T) {
+	var shards []*Tracer
+	for sh, base := range []float64{0.5, 2.5} {
+		tr := New(Options{})
+		tr.SetShard(sh)
+		chain(tr, 1, base, uint64(3+sh))
+		shards = append(shards, tr)
+	}
+	recs := MergeShards(shards).Records()
+	wants := []float64{1e-6, 2e-6, 3e-6, 4e-6, 5e-6, 6e-6, 7e-6}
+	for i, h := range FlightPath(recs) {
+		if h.N != 2 || math.Abs(h.MaxS-wants[i]) > 1e-12 {
+			t.Errorf("hop %q: n=%d max=%g, want n=2 max=%g", h.Name, h.N, h.MaxS, wants[i])
+		}
+	}
+
+	var buf bytes.Buffer
+	if err := WritePerfetto(&buf, recs); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Ph  string `json:"ph"`
+			Cat string `json:"cat"`
+			ID  uint64 `json:"id"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	starts := map[uint64]bool{}
+	for _, ev := range doc.TraceEvents {
+		if ev.Cat == "flight" && ev.Ph == "s" {
+			starts[ev.ID] = true
+		}
+	}
+	if len(starts) != 2 {
+		t.Errorf("csp flows start with ids %v, want one per shard", starts)
+	}
+	if r := (Record{A: 7, Shard: -1}); frameKey(&r) != 7 {
+		t.Errorf("unsharded frame 7 keys as %d, want 7", frameKey(&r))
 	}
 }

@@ -126,7 +126,7 @@ func perfettoThreadName(node int32) string {
 // WritePerfetto writes Chrome/Perfetto trace-event JSON ("trace event
 // format", the JSON flavor chrome://tracing and ui.perfetto.dev both
 // load). Every record becomes a slice on its node's thread; records on
-// the flight path additionally carry flow steps with the frame id, so
+// the flight path additionally carry flow steps keyed by frameKey, so
 // the UI draws arrows along the send → latch → DMA → arrival chain,
 // and a CSP arrival opens a second flow toward its round update.
 func WritePerfetto(w io.Writer, recs []Record) error {
@@ -158,7 +158,7 @@ func WritePerfetto(w io.Writer, recs []Record) error {
 			perfettoTid(int32(n)), perfettoThreadName(int32(n)))
 	}
 
-	flowSeen := map[uint64]bool{}  // frame-id flows
+	flowSeen := map[uint64]bool{}  // frame flows, by frameKey
 	roundSeen := map[uint64]bool{} // (node,round) arrival→update flows
 	for i := range recs {
 		r := &recs[i]
@@ -174,9 +174,10 @@ func WritePerfetto(w io.Writer, recs []Record) error {
 			name, tid, pf(r.T), dur, r.Seq, r.A, r.B,
 			strconv.FormatFloat(r.V, 'g', -1, 64))
 		if isFlightPathKind(r.Kind) {
+			id := frameKey(r)
 			ph := "t"
-			if !flowSeen[r.A] {
-				ph, flowSeen[r.A] = "s", true
+			if !flowSeen[id] {
+				ph, flowSeen[id] = "s", true
 			} else if r.Kind == KindCSPArrival {
 				ph = "f"
 			}
@@ -185,7 +186,7 @@ func WritePerfetto(w io.Writer, recs []Record) error {
 				bp = `,"bp":"e"`
 			}
 			emit(`{"ph":%q,"id":%d,"name":"csp","cat":"flight","pid":1,"tid":%d,"ts":%s%s}`,
-				ph, r.A, tid, pf(r.T), bp)
+				ph, id, tid, pf(r.T), bp)
 		}
 		// Arrival → round-update flows, keyed by (receiver, round).
 		if r.Kind == KindCSPArrival || r.Kind == KindRoundUpdate {

@@ -20,15 +20,16 @@ const NumDuty = 2
 // program and disarm the register.
 //
 // Because the model's clock is piecewise affine in the tick index, the
-// firing moment is computed by inverting the current segment; rate
-// adjustments and amortization re-arm every pending timer, and the firing
-// handler double-checks the clock actually reached the target (the
-// underlying oscillator may have drifted between arming and firing),
-// re-arming itself if not.
+// firing moment is computed by inverting the current segment; every
+// clock write re-arms the pending timers not due at the current tick,
+// and the firing handler double-checks the clock actually reached the
+// target (the underlying oscillator may have drifted between arming and
+// firing), re-arming itself if not.
 type DutyTimer struct {
 	u       *UTCSU
 	idx     int
 	target  timefmt.Stamp
+	tick    uint64 // the tick the pending register's event is armed for
 	pending bool
 	fn      func()
 	fireFn  func() // dt.fire, bound once in New
@@ -73,6 +74,7 @@ func (dt *DutyTimer) arm() {
 	}
 	u := dt.u
 	n := u.fireTickFor(dt.target)
+	dt.tick = n
 	at := u.osc.TimeOfTick(n)
 	if now := u.sim.Now(); at < now {
 		at = now
@@ -90,6 +92,7 @@ func (dt *DutyTimer) fire() {
 		// Oscillator segments shifted after arming; try again strictly
 		// later so a pathological mapping can never loop in place.
 		n := u.fireTickFor(dt.target)
+		dt.tick = n
 		at := u.osc.TimeOfTick(n)
 		if min := u.sim.Now() + u.osc.NominalPeriod()/2; at < min {
 			at = min
@@ -102,42 +105,35 @@ func (dt *DutyTimer) fire() {
 	dt.fn()
 }
 
-// fireTickFor computes the first tick at which the clock reads >= target.
+// fireTickFor returns the first tick after the current one at which the
+// clock reads >= target. A write takes effect at the next tick n, so the
+// segment governing n governs every later tick until the next write,
+// which re-arms the timers.
 func (u *UTCSU) fireTickFor(target timefmt.Stamp) uint64 {
-	l := &u.ltu
-	now := u.tick()
-	if timefmt.StampFromTime(l.valueAt(now)) >= target {
-		return now + 1 // already past: fire on the next edge
-	}
-	seg := l.cur
-	start := seg.startTick
-	if now > start {
-		start = now
-	}
-	cur := l.valueAt(start)
-	diff := target.Time().Sub(cur)
+	n := u.tick() + 1
+	s := u.segAt(n)
+	diff := target.Time().Sub(s.clockAt(n))
 	if diff.IsNegative() {
-		return start + 1
+		return n // already reached: fire on the next edge
 	}
 	// ticks = ceil(diff / augend), computed as a 128-bit division:
 	// diff = Sec·2^64 + Frac units of 2⁻⁶⁴ s. Sec is far below the augend
 	// (≈9e11) for any realistic span, so the quotient fits 64 bits.
-	aug := seg.augend
-	ticks, rem := bits.Div64(uint64(diff.Sec), diff.Frac, aug)
+	ticks, rem := bits.Div64(uint64(diff.Sec), diff.Frac, s.augend)
 	if rem != 0 {
 		ticks++
 	}
-	if ticks == 0 {
-		ticks = 1
-	}
-	return start + ticks
+	return n + ticks
 }
 
 // rearmTimers recomputes the pending registers, in index order, after a
-// clock segment change.
+// clock write. A register due at the current tick keeps its event: the
+// write takes effect at the next tick, after the clock reached its
+// target.
 func (u *UTCSU) rearmTimers() {
+	now := u.tick()
 	for i := range u.duty {
-		if dt := &u.duty[i]; dt.pending {
+		if dt := &u.duty[i]; dt.pending && dt.tick > now {
 			dt.arm()
 		}
 	}

@@ -4,113 +4,132 @@ import (
 	"fmt"
 
 	"ntisim/internal/fixpt"
-	"ntisim/internal/sim"
 	"ntisim/internal/timefmt"
 )
 
-// ltu is the Local Time Unit: the adder-based clock (paper §3.3).
+// regs is one segment of the register timeline: the LTU clock and the
+// ACU's two accuracy accumulators (paper §3.3). All three are adders
+// stepped by the same oscillator tick, so within a segment the content
+// of each at tick n is exact integer arithmetic on its value at
+// startTick: the clock is clock + augend·(n−startTick) in 128 bits, an
+// accumulator is alpha + rate·(n−startTick), saturating and zero-masked.
 //
-// Instead of a counter, the hardware adds a programmable augend (a
-// multiple of 2⁻⁵¹ s) to a wide register on every oscillator tick. The
-// model represents the clock as piecewise-affine segments over the tick
-// index: within a segment the clock value at tick n is exactly
-// base + augend·(n−startTick), computed with 128-bit integer arithmetic.
-// A new segment starts at the next tick on rate adjustment, amortization
-// start/end and state loads, so every read is bit-identical to what the
-// register would hold. Like the register, the model keeps only the
-// present: the current segment and the one it replaced, which still
-// governs the current tick when the new one starts at the next.
-type ltu struct {
-	u          *UTCSU
-	prev, cur  clockSeg // prev == cur until the first new segment
-	baseAugend uint64   // rate-adjusted augend, without amortization
-	ratePPB    int64    // last commanded rate offset
-
-	amortDelta   int64 // signed extra augend while amortizing, else 0
-	amortEnd     *sim.Event
-	amortEndFn   func()           // l.endAmortization, bound once in init
-	amortPending timefmt.Duration // remaining offset (diagnostics)
-}
-
-type clockSeg struct {
+// Every register write (SetRatePPB, Amortize and its end or cancel,
+// StepTo, SetAlpha, SetDriftBoundPPB) takes effect at the next tick:
+// next evaluates every register at tick()+1, the write changes the
+// fields it writes, and place installs the one new segment. Like the
+// registers, the model keeps only the present: the segment in force and
+// the one it replaced, which still governs the current tick when the
+// new one starts at the next.
+type regs struct {
 	startTick uint64
-	base      fixpt.Time // clock value at startTick
-	augend    uint64     // effective per-tick increment (2⁻⁶⁴ s units)
+	clock     fixpt.Time // clock register at startTick
+	augend    uint64     // effective per-tick clock increment (2⁻⁶⁴ s units)
+
+	// The α⁻/α⁺ accumulators at startTick, in 2⁻⁶⁴ s units within
+	// [0, satUnits], and their signed per-tick increments.
+	alphaMinus, alphaPlus int64
+	rateMinus, ratePlus   int64
 }
 
-func (l *ltu) init(u *UTCSU) {
-	l.u = u
-	l.amortEndFn = l.endAmortization
-	l.baseAugend = fixpt.AugendForRate(u.osc.NominalHz(), 1.0)
-	l.cur = clockSeg{startTick: 0, base: fixpt.Time{}, augend: l.baseAugend}
-	l.prev = l.cur
+// clockAt returns the clock register at tick n ≥ s.startTick.
+func (s *regs) clockAt(n uint64) fixpt.Time { return s.clock.AddScaled(s.augend, n-s.startTick) }
+
+// alphaAt returns both accuracy accumulators at tick n ≥ s.startTick.
+func (s *regs) alphaAt(n uint64) (am, ap int64) {
+	dn := int64(n - s.startTick)
+	return accumulate(s.alphaMinus, s.rateMinus, dn), accumulate(s.alphaPlus, s.ratePlus, dn)
 }
 
-// segOf returns the segment governing tick n. Reads are at the current
+// segAt returns the segment governing tick n. Reads are at the current
 // tick or later; one older than the retained pair panics.
-func (l *ltu) segOf(n uint64) *clockSeg {
-	if n >= l.cur.startTick {
-		return &l.cur
+func (u *UTCSU) segAt(n uint64) *regs {
+	if n >= u.cur.startTick {
+		return &u.cur
 	}
-	if n >= l.prev.startTick {
-		return &l.prev
+	if n >= u.prev.startTick {
+		return &u.prev
 	}
-	panic(fmt.Sprintf("utcsu: LTU read at tick %d precedes the retained segments (from tick %d)", n, l.prev.startTick))
+	panic(fmt.Sprintf("utcsu: register read at tick %d precedes the retained segments (from tick %d)", n, u.prev.startTick))
 }
 
-// valueAt returns the exact register content at tick n.
-func (l *ltu) valueAt(n uint64) fixpt.Time {
-	s := l.segOf(n)
-	return s.base.AddScaled(s.augend, n-s.startTick)
+// valueAt returns the exact clock register content at tick n.
+func (u *UTCSU) valueAt(n uint64) fixpt.Time { return u.segAt(n).clockAt(n) }
+
+// read returns the clock and both accuracy registers at tick n, as the
+// timestamp registers latch them.
+func (u *UTCSU) read(n uint64) (timefmt.Stamp, timefmt.Alpha, timefmt.Alpha) {
+	s := u.segAt(n)
+	am, ap := s.alphaAt(n)
+	return timefmt.StampFromTime(s.clockAt(n)), unitsToAlpha(am), unitsToAlpha(ap)
+}
+
+// next returns every register at the next tick, where a write takes
+// effect, with the augend and accumulator rates the control registers
+// now program: the ACU rates fold in the amortization coupling. While
+// the clock is sped up by amortDelta per tick (moving towards the upper
+// edge), α⁺ shrinks and α⁻ grows by the same amount, keeping the
+// interval edges fixed in real time.
+func (u *UTCSU) next() regs {
+	n := u.tick() + 1
+	s := u.segAt(n)
+	am, ap := s.alphaAt(n)
+	return regs{
+		startTick: n, clock: s.clockAt(n), augend: u.effectiveAugend(),
+		alphaMinus: am, alphaPlus: ap,
+		rateMinus: int64(u.detMinus) + u.amortDelta,
+		ratePlus:  int64(u.detPlus) - u.amortDelta,
+	}
+}
+
+// place installs s as the segment in force from its start tick on.
+func (u *UTCSU) place(s regs) {
+	switch {
+	case u.cur.startTick == s.startTick:
+		u.cur = s
+	case u.cur.startTick > s.startTick:
+		// Every placement starts at tick()+1 and tick() never decreases.
+		panic(fmt.Sprintf("utcsu: register segment at tick %d placed before the current one at tick %d", s.startTick, u.cur.startTick))
+	default:
+		u.prev, u.cur = u.cur, s
+	}
+}
+
+// placeClock places a segment whose clock differs from the one in force
+// and re-arms the duty timers, whose firing ticks follow the clock.
+func (u *UTCSU) placeClock(s regs) {
+	u.place(s)
+	u.rearmTimers()
 }
 
 // effectiveAugend is baseAugend adjusted by any running amortization,
 // clamped to stay positive (the clock never runs backwards; paper §5:
 // STEP < 2·Gosc, nominal speed at most doubled).
-func (l *ltu) effectiveAugend() uint64 {
-	a := int64(l.baseAugend) + l.amortDelta
+func (u *UTCSU) effectiveAugend() uint64 {
+	a := int64(u.baseAugend) + u.amortDelta
 	if a < int64(fixpt.AugendUnit) {
 		a = int64(fixpt.AugendUnit)
 	}
-	if max := int64(2 * l.baseAugend); a > max {
+	if max := int64(2 * u.baseAugend); a > max {
 		a = max
 	}
 	return uint64(a)
-}
-
-// appendSeg installs a new effective augend from the next tick on.
-// Writes to clock control registers take effect at a tick boundary.
-func (l *ltu) appendSeg(augend uint64) {
-	n := l.u.tick() + 1
-	base := l.valueAt(n)
-	l.placeSeg(clockSeg{startTick: n, base: base, augend: augend})
-}
-
-func (l *ltu) placeSeg(s clockSeg) {
-	if l.cur.startTick == s.startTick {
-		l.cur = s
-	} else {
-		l.prev, l.cur = l.cur, s
-	}
-	l.u.acu.onClockSegChange()
-	l.u.rearmTimers()
 }
 
 // SetRatePPB adjusts the clock rate by ppb parts-per-billion relative to
 // the oscillator's nominal rate, by loading a new augend. The achievable
 // granularity is one augend unit, i.e. fosc·2⁻⁵¹ s/s (≈9 ns/s @ 20 MHz).
 func (u *UTCSU) SetRatePPB(ppb int64) {
-	l := &u.ltu
-	l.ratePPB = ppb
-	l.baseAugend = fixpt.AugendForRate(u.osc.NominalHz(), 1+float64(ppb)*1e-9)
-	if l.baseAugend < fixpt.AugendUnit {
-		l.baseAugend = fixpt.AugendUnit
+	u.ratePPB = ppb
+	u.baseAugend = fixpt.AugendForRate(u.osc.NominalHz(), 1+float64(ppb)*1e-9)
+	if u.baseAugend < fixpt.AugendUnit {
+		u.baseAugend = fixpt.AugendUnit
 	}
-	l.appendSeg(l.effectiveAugend())
+	u.placeClock(u.next())
 }
 
 // RatePPB returns the last commanded rate adjustment.
-func (u *UTCSU) RatePPB() int64 { return u.ltu.ratePPB }
+func (u *UTCSU) RatePPB() int64 { return u.ratePPB }
 
 // RateStepPPB returns the rate-adjustment granularity in ppb: the rate
 // change caused by one augend unit (2⁻⁵¹ s) at the pacing frequency.
@@ -122,10 +141,10 @@ func (u *UTCSU) RateStepPPB() float64 {
 // clock reads value. Used for initialization and clock steps; during
 // normal operation state changes go through Amortize.
 func (u *UTCSU) StepTo(value timefmt.Stamp) {
-	l := &u.ltu
-	l.cancelAmortization()
-	n := u.tick() + 1
-	l.placeSeg(clockSeg{startTick: n, base: value.Time(), augend: l.effectiveAugend()})
+	u.cancelAmortization()
+	s := u.next()
+	s.clock = value.Time()
+	u.placeClock(s)
 }
 
 // AmortConfig sets the speed of continuous amortization as a fraction of
@@ -143,8 +162,7 @@ const DefaultAmortPPM = 5000
 // The residual below one augend-quantum per tick (≈ speed/fosc seconds,
 // sub-nanosecond) is not applied; the next round absorbs it.
 func (u *UTCSU) Amortize(delta timefmt.Duration, speedPPM int64) {
-	l := &u.ltu
-	l.cancelAmortization()
+	u.cancelAmortization()
 	if delta == 0 {
 		return
 	}
@@ -158,8 +176,8 @@ func (u *UTCSU) Amortize(delta timefmt.Duration, speedPPM int64) {
 		aug = fixpt.AugendUnit
 	}
 	// Keep the clock monotonic when slowing down.
-	if int64(aug) >= int64(l.baseAugend) {
-		aug = l.baseAugend - fixpt.AugendUnit
+	if int64(aug) >= int64(u.baseAugend) {
+		aug = u.baseAugend - fixpt.AugendUnit
 		if aug == 0 {
 			return
 		}
@@ -176,42 +194,38 @@ func (u *UTCSU) Amortize(delta timefmt.Duration, speedPPM int64) {
 		return
 	}
 	if delta > 0 {
-		l.amortDelta = int64(aug)
+		u.amortDelta = int64(aug)
 	} else {
-		l.amortDelta = -int64(aug)
+		u.amortDelta = -int64(aug)
 	}
-	l.amortPending = delta
-	l.appendSeg(l.effectiveAugend())
-	endTick := l.cur.startTick + nTicks
-	l.amortEnd = u.sim.At(u.osc.TimeOfTick(endTick), l.amortEndFn)
+	u.amortPending = delta
+	u.placeClock(u.next())
+	endTick := u.cur.startTick + nTicks
+	u.amortEnd = u.sim.At(u.osc.TimeOfTick(endTick), u.amortEndFn)
 }
 
 // endAmortization is the amortization duty timer's handler: restore the
 // rate-adjusted augend and raise INTT.
-func (l *ltu) endAmortization() {
-	l.amortEnd = nil
-	l.cancelAmortization()
-	l.u.intr.raise(INTT)
+func (u *UTCSU) endAmortization() {
+	u.amortEnd = nil
+	u.cancelAmortization()
+	u.intr.raise(INTT)
 }
 
 // Amortizing reports whether a continuous amortization is in progress
 // and the offset it was programmed with.
 func (u *UTCSU) Amortizing() (bool, timefmt.Duration) {
-	return u.ltu.amortDelta != 0, u.ltu.amortPending
+	return u.amortDelta != 0, u.amortPending
 }
 
-// amortDeltaNow exposes the signed amortization augend to the ACU for
-// its zero-masking logic.
-func (l *ltu) amortDeltaNow() int64 { return l.amortDelta }
-
-func (l *ltu) cancelAmortization() {
-	if l.amortEnd != nil {
-		l.amortEnd.Cancel()
-		l.amortEnd = nil
+func (u *UTCSU) cancelAmortization() {
+	if u.amortEnd != nil {
+		u.amortEnd.Cancel()
+		u.amortEnd = nil
 	}
-	if l.amortDelta != 0 {
-		l.amortDelta = 0
-		l.amortPending = 0
-		l.appendSeg(l.effectiveAugend())
+	if u.amortDelta != 0 {
+		u.amortDelta = 0
+		u.amortPending = 0
+		u.placeClock(u.next())
 	}
 }

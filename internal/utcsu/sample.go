@@ -37,8 +37,7 @@ func (su *SampleUnit) Trigger(rising bool) (timefmt.Stamp, bool) {
 	u := su.owner
 	// Synchronizer: the sample is latched at the next oscillator edge(s).
 	n := u.osc.TickIndex(u.sim.Now()) + syncDelayTicks
-	su.stamp = timefmt.StampFromTime(u.ltu.valueAt(n))
-	su.alphaMinus, su.alphaPlus = u.acu.at(n)
+	su.stamp, su.alphaMinus, su.alphaPlus = u.read(n)
 	su.seq++
 	if su.intrOn {
 		u.intr.raise(su.line)

@@ -22,7 +22,8 @@
 // chip's memory-mapped register file, its 1PPS output pins, the
 // leap-second logic and the NTPA bus are not modelled.
 //
-// The model keeps the clock as piecewise-affine functions of the
+// The model keeps the LTU clock and both ACU accumulators on one
+// register timeline (see regs): a piecewise-affine function of the
 // oscillator tick index, so reading it is O(1) and its granularity
 // (2⁻²⁴ s) and rate-adjustment step (2⁻⁵¹ s per tick) are bit-exact.
 package utcsu
@@ -30,6 +31,7 @@ package utcsu
 import (
 	"fmt"
 
+	"ntisim/internal/fixpt"
 	"ntisim/internal/oscillator"
 	"ntisim/internal/sim"
 	"ntisim/internal/timefmt"
@@ -75,8 +77,20 @@ type UTCSU struct {
 	sim *sim.Simulator
 	osc *oscillator.Oscillator
 
-	ltu ltu
-	acu acu
+	// The register timeline: the segment in force and the one it
+	// replaced (see regs).
+	prev, cur regs
+
+	// LTU control registers.
+	baseAugend   uint64 // rate-adjusted augend, without amortization
+	ratePPB      int64  // last commanded rate offset
+	amortDelta   int64  // signed extra augend while amortizing, else 0
+	amortEnd     *sim.Event
+	amortEndFn   func()           // u.endAmortization, bound once in New
+	amortPending timefmt.Duration // remaining offset (diagnostics)
+
+	// ACU deterioration rates in 2⁻⁶⁴ s units per tick.
+	detMinus, detPlus uint64
 
 	ssu [NumSSU]SampleUnit
 	gpu [NumGPU]SampleUnit
@@ -97,9 +111,9 @@ func New(s *sim.Simulator, osc *oscillator.Oscillator) *UTCSU {
 	if f < 1e6 || f > 20e6 {
 		panic(fmt.Sprintf("utcsu: oscillator frequency %v Hz outside 1..20 MHz", f))
 	}
-	u := &UTCSU{sim: s, osc: osc}
-	u.ltu.init(u)
-	u.acu.init(u)
+	u := &UTCSU{sim: s, osc: osc, baseAugend: fixpt.AugendForRate(f, 1.0)}
+	u.amortEndFn = u.endAmortization
+	u.cur = regs{augend: u.baseAugend}
 	for i := range u.ssu {
 		u.ssu[i].owner, u.ssu[i].line = u, INTN
 	}
@@ -122,7 +136,7 @@ func (u *UTCSU) tick() uint64 { return u.osc.TickIndex(u.sim.Now()) }
 // Now returns the current clock reading quantized to the 2⁻²⁴ s register
 // granularity, exactly what software sees in the timestamp registers.
 func (u *UTCSU) Now() timefmt.Stamp {
-	return timefmt.StampFromTime(u.ltu.valueAt(u.tick()))
+	return timefmt.StampFromTime(u.valueAt(u.tick()))
 }
 
 // SSU, GPU and APU accessors.
@@ -153,14 +167,8 @@ func (s Snapshot) Offset() float64 { return s.Clock.Seconds() - s.TrueTime }
 
 // Snapshot triggers the SNU.
 func (u *UTCSU) Snapshot() Snapshot {
-	n := u.tick()
-	am, ap := u.acu.at(n)
-	return Snapshot{
-		TrueTime:   u.sim.Now(),
-		Clock:      timefmt.StampFromTime(u.ltu.valueAt(n)),
-		AlphaMinus: am,
-		AlphaPlus:  ap,
-	}
+	c, am, ap := u.read(u.tick())
+	return Snapshot{TrueTime: u.sim.Now(), Clock: c, AlphaMinus: am, AlphaPlus: ap}
 }
 
 // SelfTest is the BTU: it exercises the adder path against a recomputed
@@ -168,8 +176,8 @@ func (u *UTCSU) Snapshot() Snapshot {
 // mismatch (always nil in this model unless the state was corrupted).
 func (u *UTCSU) SelfTest() error {
 	n := u.tick()
-	v := u.ltu.valueAt(n)
-	w := u.ltu.valueAt(n) // re-read must be identical at the same tick
+	v := u.valueAt(n)
+	w := u.valueAt(n) // re-read must be identical at the same tick
 	if v != w {
 		return fmt.Errorf("utcsu: BTU adder mismatch: %v vs %v", v, w)
 	}

@@ -433,6 +433,53 @@ func TestDutyStepPastBothFiresInIndexOrder(t *testing.T) {
 	}
 }
 
+// TestDutyTimerFiresOnFirstTickAfterClockWrite programs a register
+// right after a rate write, inside one tick, for a target the clock
+// reads on the next tick: the write takes effect there, so the register
+// fires there, not one tick later.
+func TestDutyTimerFiresOnFirstTickAfterClockWrite(t *testing.T) {
+	s := sim.New(1)
+	osc := oscillator.New(s, oscillator.Ideal(10e6), "dut")
+	u := New(s, osc)
+	s.RunUntil(0.5 + 25e-9)
+	now := osc.TickIndex(s.Now())
+	u.SetRatePPB(100)
+	// One granule (≈60 ns) past the reading is within the next 100 ns tick.
+	var fired uint64
+	u.Duty(0).OnFire(func() { fired = osc.TickIndex(s.Now()) })
+	u.Duty(0).Set(u.Now().Add(1))
+	s.RunUntil(s.Now() + 1e-6)
+	if fired != now+1 {
+		t.Errorf("fired on tick %d, want %d (the first tick after the write at %d)", fired, now+1, now)
+	}
+}
+
+// TestDutyTimerDueAtAmortizationEnd programs a register for the tick on
+// which an amortization ends: the end's write takes effect at the next
+// tick, so it must not push the register, due now, one tick later.
+func TestDutyTimerDueAtAmortizationEnd(t *testing.T) {
+	s, u := rig(t, 1, oscillator.Ideal(10e6))
+	s.RunUntil(1e-5)
+	for d := timefmt.Duration(10); d < 1000; d++ {
+		u.Amortize(d, 0)
+		end := u.cur.startTick + uint64(d)<<40/uint64(u.amortDelta)
+		// The target is the granule the clock enters on the end tick.
+		target := timefmt.StampFromTime(u.cur.clockAt(end))
+		if timefmt.StampFromTime(u.cur.clockAt(end-1)) == target {
+			continue
+		}
+		var fired uint64
+		u.Duty(0).OnFire(func() { fired = u.tick() })
+		u.Duty(0).Set(target)
+		s.RunUntil(s.Now() + 0.01)
+		if fired != end {
+			t.Errorf("fired on tick %d, want the amortization's end tick %d", fired, end)
+		}
+		return
+	}
+	t.Fatal("no amortization's end tick enters a new granule")
+}
+
 func TestDutyTimerSurvivesRateChange(t *testing.T) {
 	s, u := rig(t, 1, oscillator.Ideal(10e6))
 	fired := -1.0
