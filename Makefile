@@ -4,7 +4,8 @@ GO ?= go
 
 # ci is the whole gate .github/workflows/ci.yml runs: gofmt, vet, build,
 # the full test suite under the race detector (the harness worker pool
-# is the main customer of -race), 15 s of FuzzClockOps, one pass of
+# is the main customer of -race), 15 s of FuzzClockOps and 10 s of
+# FuzzEventQueue, one pass of
 # every microbenchmark, and the ntiperf module's own vet and tests.
 # The suite includes every golden gate; all six golden tests go through
 # internal/golden.Check, which byte-diffs each artifact against its
@@ -61,11 +62,15 @@ test:
 race:
 	$(GO) test -race ./...
 
-# fuzz-smoke runs the UTCSU clock fuzz target for 15 s past its
-# committed corpus: in reference mode it checks the register timeline
-# tick by tick against a plain adder model.
+# fuzz-smoke runs two fuzz targets past their committed corpora: the
+# UTCSU clock for 15 s (in reference mode it checks the register
+# timeline tick by tick against a plain adder model) and the event
+# queue for 10 s (At, Chain, Cancel and tickers against a stable sort).
+# Go minimizes each new interesting input for up to 60 s by default,
+# which would spend the budget shrinking instead of fuzzing; 2 s caps it.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzClockOps$$' -fuzztime 15s ./internal/utcsu
+	$(GO) test -run '^$$' -fuzz '^FuzzClockOps$$' -fuzztime 15s -fuzzminimizetime 2s ./internal/utcsu
+	$(GO) test -run '^$$' -fuzz '^FuzzEventQueue$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/sim
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

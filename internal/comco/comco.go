@@ -216,7 +216,8 @@ func (c *COMCO) TransmitRaw(payload []byte, dst int) uint64 {
 func (c *COMCO) fetchHeader(fid uint64, base uint32, payload []byte, acquiredAt float64) {
 	arb := c.rng.Uniform(arbMinS, arbMaxS)
 	preamble := 64 / c.med.Bitrate() // preamble bits on the wire
-	for w := 0; w < nti.HeaderSize/4; w++ {
+	ts, fns := c.s.ChainBuffers(nti.HeaderSize / 4)
+	for w := range ts {
 		off := uint32(4 * w)
 		var t float64
 		if int(off) < txFIFOBytes {
@@ -232,8 +233,9 @@ func (c *COMCO) fetchHeader(fid uint64, base uint32, payload []byte, acquiredAt 
 		j.off = int(off)
 		j.fid = fid
 		j.trig = off == csp.OffTxTrig
-		c.s.At(t, j.run)
+		ts[w], fns[w] = t, j.run
 	}
+	c.s.Chain(ts, fns) // past the FIFO prefill the times may run out of order
 }
 
 // FrameArrived implements network.Station: the controller DMAs the
@@ -250,6 +252,8 @@ func (c *COMCO) FrameArrived(f network.Frame) {
 	base := nti.RxHeaderAddrCh(c.channel, slot)
 	arb := c.rng.Uniform(arbMinS, arbMaxS)
 	const words = nti.HeaderSize / 4
+	now := c.s.Now()
+	ts, fns := c.s.ChainBuffers(words + 1)
 	for w := 0; w < words; w++ {
 		j := c.allocJob()
 		j.tx = false
@@ -257,11 +261,12 @@ func (c *COMCO) FrameArrived(f network.Frame) {
 		j.val = binary.BigEndian.Uint32(f.Payload[4*w:])
 		j.fid = f.ID
 		j.trig = uint32(4*w) == csp.RxTrigOffset
-		c.s.After(arb+float64(w)*dmaWordTimeS, j.run)
+		ts[w], fns[w] = now+(arb+float64(w)*dmaWordTimeS), j.run
 	}
 	d := c.allocDone()
 	d.base, d.corrupt, d.fid = base, f.Corrupt, f.ID
-	c.s.After(arb+float64(words)*dmaWordTimeS, d.run)
+	ts[words], fns[words] = now+(arb+float64(words)*dmaWordTimeS), d.run
+	c.s.Chain(ts, fns)
 }
 
 // Stats reports frames transmitted and stored.

@@ -344,22 +344,29 @@ func (m *Medium) transmitCur() {
 	// full walk would, so the filter is invisible to the RNG streams.
 	switch {
 	case f.Dst == Broadcast:
+		ts, fns := m.s.ChainBuffers(len(m.stations))
+		n := 0
 		for id, st := range m.stations {
 			if id == f.Src {
 				continue
 			}
-			m.scheduleDelivery(st, id, f, end)
+			d := m.newDelivery(st, id, f, end)
+			ts[n], fns[n] = d.f.DeliveredAt, d.run
+			n++
 		}
+		m.s.Chain(ts[:n], fns[:n])
 	case f.Dst >= 0 && f.Dst < len(m.stations) && f.Dst != f.Src:
-		m.scheduleDelivery(m.stations[f.Dst], f.Dst, f, end)
+		d := m.newDelivery(m.stations[f.Dst], f.Dst, f, end)
+		m.s.At(d.f.DeliveredAt, d.run)
 	}
 	m.tmSent.Inc()
 	m.s.At(end, m.startNextFn)
 }
 
-// scheduleDelivery queues one station's reception of f (last bit at
-// end, plus propagation), drawing that delivery's CRC fate.
-func (m *Medium) scheduleDelivery(st Station, id int, f Frame, end float64) {
+// newDelivery prepares one station's reception of f (last bit at end,
+// plus propagation), drawing that delivery's CRC fate; the caller
+// schedules its run at f.DeliveredAt.
+func (m *Medium) newDelivery(st Station, id int, f Frame, end float64) *delivery {
 	d := m.allocDelivery()
 	d.st = st
 	d.id = id
@@ -369,7 +376,7 @@ func (m *Medium) scheduleDelivery(st Station, id int, f Frame, end float64) {
 	if d.f.Corrupt {
 		m.tmCorrupt.Inc()
 	}
-	m.s.At(d.f.DeliveredAt, d.run)
+	return d
 }
 
 // StartBackgroundLoad injects competing traffic: frames of meanBytes mean

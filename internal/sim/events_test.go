@@ -8,6 +8,7 @@ package sim
 import (
 	"sort"
 	"testing"
+	"unsafe"
 )
 
 // TestCancelFromWithinCallback covers the tombstone path when the
@@ -161,6 +162,36 @@ func TestZeroAllocTicker(t *testing.T) {
 	}
 	if n == 0 {
 		t.Fatal("ticker never fired")
+	}
+}
+
+// TestZeroAllocChain asserts that a steady-state Chain (out of order,
+// with a tie) and its firings allocate nothing, and that holding a
+// successor keeps an Event at 48 bytes.
+func TestZeroAllocChain(t *testing.T) {
+	if size := unsafe.Sizeof(Event{}); size > 48 {
+		t.Errorf("Event is %d bytes, want at most 48", size)
+	}
+	s := New(1)
+	fired := 0
+	cb := func() { fired++ }
+	offsets := []float64{3e-6, 1e-6, 2e-6, 2e-6, 0}
+	ts := make([]float64, len(offsets))
+	fns := []func(){cb, cb, cb, cb, cb}
+	chain := func() {
+		for i, d := range offsets {
+			ts[i] = s.Now() + d
+		}
+		s.Chain(ts, fns)
+		s.Run()
+	}
+	chain() // warm the pool, the sort buffer and the run
+	allocs := testing.AllocsPerRun(1000, chain)
+	if allocs != 0 {
+		t.Errorf("steady-state Chain+fire: %v allocs/op, want 0", allocs)
+	}
+	if want := len(offsets) * 1002; fired != want {
+		t.Errorf("fired %d events, want %d", fired, want)
 	}
 }
 

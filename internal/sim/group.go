@@ -263,8 +263,8 @@ func (g *Group) outboxesEmpty() bool {
 func (g *Group) skipIdle(end, horizon float64) float64 {
 	head := math.Inf(1)
 	for _, s := range g.shards {
-		if len(s.queue) > 0 {
-			head = min(head, s.queue[0].at())
+		if n, _, ok := s.head(); ok {
+			head = min(head, n.at())
 		}
 	}
 	var skipped uint64

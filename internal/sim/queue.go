@@ -22,6 +22,17 @@ import (
 // siftDown picks the least of its four children arithmetically, with
 // no data-dependent branch to mispredict.
 //
+// Events scheduled by Chain do not enter the heap. Each chained Event
+// holds its successor's node, and only the least pending node of every
+// chain is queued, in the chain run: a slice sorted by (at, seq). The
+// fire loop takes the lesser of the heap's root and the run's head, so
+// it still pops the total order (at, seq). A fired chain node is
+// replaced by its successor, inserted from the run's back. The chains
+// in flight are one frame's DMA bursts, which advance in lockstep
+// (words 400 ns apart behind arbitration offsets of at most 300 ns),
+// so a successor nearly always belongs last and its insertion costs
+// one comparison, where a heap would sink it to the bottom.
+//
 // Cancellation is lazy: Cancel only flips the event's state to
 // stateCancelled (an O(1) tombstone). Tombstoned nodes are skipped and
 // their events recycled when they surface at pop time; when tombstones
@@ -54,8 +65,8 @@ func less(a, b node) uint64 {
 	return borrow
 }
 
-// pushNode inserts a node, sifting it up with the hole technique (one
-// write per level instead of a three-assignment swap).
+// pushNode inserts a node into the heap, sifting it up with the hole
+// technique (one write per level instead of a three-assignment swap).
 func (s *Simulator) pushNode(n node) {
 	q := append(s.queue, node{})
 	i := len(q) - 1
@@ -69,15 +80,12 @@ func (s *Simulator) pushNode(n node) {
 	}
 	q[i] = n
 	s.queue = q
-	s.tmScheduled.Inc()
-	s.tmDepth.Set(float64(len(q)))
 }
 
-// popNode removes and returns the minimum node. The caller guarantees
-// the queue is non-empty.
-func (s *Simulator) popNode() node {
+// popRoot removes the heap's minimum node. The caller guarantees the
+// heap is non-empty.
+func (s *Simulator) popRoot() {
 	q := s.queue
-	top := q[0]
 	n := len(q) - 1
 	last := q[n]
 	q = q[:n]
@@ -85,7 +93,44 @@ func (s *Simulator) popNode() node {
 		siftDown(q, 0, last)
 	}
 	s.queue = q
-	return top
+}
+
+// chainRun is the sorted set of chain heads: q[head:] ascending by
+// (at, seq), q[:head] already fired.
+type chainRun struct {
+	q    []node
+	head int
+}
+
+func (r *chainRun) len() int { return len(r.q) - r.head }
+
+// min returns the least node; the run must be non-empty.
+func (r *chainRun) min() node { return r.q[r.head] }
+
+// pop removes the least node; the run must be non-empty.
+func (r *chainRun) pop() {
+	if r.head++; r.head == len(r.q) {
+		r.q, r.head = r.q[:0], 0
+	}
+}
+
+// insert adds n, scanning from the back. A full slice whose fired
+// prefix is at least half of it is compacted rather than grown, so the
+// backing array stays within a small multiple of the most heads ever
+// pending at once.
+func (r *chainRun) insert(n node) {
+	q := r.q
+	if len(q) == cap(q) && r.head >= len(q)/2 && r.head > 0 {
+		q = q[:copy(q, q[r.head:])]
+		r.head = 0
+	}
+	q = append(q, n)
+	j := len(q) - 1
+	for ; j > r.head && less(n, q[j-1]) == 1; j-- {
+		q[j] = q[j-1]
+	}
+	q[j] = n
+	r.q = q
 }
 
 // siftDown places v at position i of q, sinking the hole toward the

@@ -8,11 +8,11 @@
 // from a per-simulator free list and is recycled once an event has fired
 // or a cancelled event has drained from the queue (see queue.go for the
 // pending-event-set layout). A handle therefore identifies one
-// scheduling only — once the event has fired, Cancel and Pending on the
-// retained handle are no-ops at best and may observe a recycled
-// scheduling. Callers that cache handles across firings must clear them
-// when the callback runs (every retention site in this repository does;
-// Ticker manages its own handle the same way).
+// scheduling only — once the event has fired, Cancel on the retained
+// handle is a no-op at best and may cancel a recycled scheduling.
+// Callers that cache handles across firings must clear them when the
+// callback runs (every retention site in this repository does; Ticker
+// manages its own handle the same way).
 package sim
 
 import (
@@ -42,8 +42,12 @@ const compactFloor = 64
 type Event struct {
 	fn    func()
 	owner *Simulator
+	next  node   // chain successor, not yet queued (valid while chained)
 	idx   uint32 // position in owner.events, stable for the Event's lifetime
 	state uint8
+	// chained marks an Event scheduled by Chain whose successor waits in
+	// next; it fits the padding, so an Event stays 48 bytes.
+	chained bool
 }
 
 // Cancel prevents the event from firing. Cancelling an already-fired or
@@ -58,7 +62,7 @@ func (e *Event) Cancel() {
 	s := e.owner
 	s.tmCancelled.Inc()
 	s.tombstones++
-	if s.tombstones >= compactFloor && s.tombstones > len(s.queue)/2 {
+	if s.tombstones >= compactFloor && s.tombstones > s.pending()/2 {
 		s.compact()
 	}
 }
@@ -68,7 +72,8 @@ func (e *Event) Cancel() {
 type Simulator struct {
 	now       float64
 	seq       uint64
-	queue     []node
+	queue     []node   // heap of the events scheduled by At (and Ticker re-arms)
+	chains    chainRun // the least pending event of every Chain
 	root      *RNG
 	fired     uint64
 	lastFired float64 // firing time of the most recent event
@@ -78,6 +83,14 @@ type Simulator struct {
 	events     []*Event
 	free       []*Event
 	tombstones int
+
+	// chained counts the chain successors not yet queued; chainBuf is
+	// Chain's reused sort buffer, and chainTs and chainFns the buffers
+	// ChainBuffers lends.
+	chained  int
+	chainBuf []node
+	chainTs  []float64
+	chainFns []func()
 
 	// tr and reg are the shard's observability scope (see Observe):
 	// every component built on this simulator reports to them.
@@ -170,7 +183,68 @@ func (s *Simulator) At(t float64, fn func()) *Event {
 	e := s.alloc(fn)
 	s.pushNode(node{key: timeKey(t), seq: s.seq, idx: e.idx})
 	s.seq++
+	s.scheduled(1)
 	return e
+}
+
+// Chain schedules fns[i] at ts[i] for every i, exactly as len(ts) calls
+// of At in index order would: each event takes its own pooled Event and
+// the seq of its index, so all of them fire in the same (time, seq)
+// order. Only the least is queued, in the chain run (see queue.go);
+// each chained Event holds its successor, which is queued when it
+// fires. The times need not be sorted. Chain returns no handle, so a
+// chained event cannot be cancelled; it keeps neither slice.
+func (s *Simulator) Chain(ts []float64, fns []func()) {
+	if len(ts) != len(fns) {
+		panic(fmt.Sprintf("sim: Chain of %d times and %d callbacks", len(ts), len(fns)))
+	}
+	if len(ts) == 0 {
+		return
+	}
+	for _, t := range ts {
+		s.checkTime(t)
+	}
+	b := s.chainBuf[:0]
+	for i, t := range ts {
+		n := node{key: timeKey(t), seq: s.seq, idx: s.alloc(fns[i]).idx}
+		s.seq++
+		// Insertion sort by (at, seq): bursts come sorted or nearly so.
+		j := len(b)
+		b = append(b, n)
+		for ; j > 0 && less(n, b[j-1]) == 1; j-- {
+			b[j] = b[j-1]
+		}
+		b[j] = n
+	}
+	for i := 1; i < len(b); i++ {
+		e := s.events[b[i-1].idx]
+		e.next, e.chained = b[i], true
+	}
+	s.chainBuf = b
+	s.chained += len(b) - 1
+	s.chains.insert(b[0])
+	s.scheduled(len(b))
+}
+
+// ChainBuffers lends a time slice and a callback slice of length n
+// for building one Chain. The simulator owns and reuses them, so fill
+// them and pass them to Chain before anything asks for them again.
+func (s *Simulator) ChainBuffers(n int) ([]float64, []func()) {
+	if cap(s.chainTs) < n {
+		s.chainTs, s.chainFns = make([]float64, n), make([]func(), n)
+	}
+	return s.chainTs[:n], s.chainFns[:n]
+}
+
+// pending returns the number of scheduled nodes, tombstones included:
+// the heap, the chain run and the successors not yet queued. It is the
+// heap length the same schedulings made through At would give.
+func (s *Simulator) pending() int { return len(s.queue) + s.chains.len() + s.chained }
+
+// scheduled counts n new schedulings and records the queue depth.
+func (s *Simulator) scheduled(n int) {
+	s.tmScheduled.Add(uint64(n))
+	s.tmDepth.Set(float64(s.pending()))
 }
 
 // checkTime panics unless t ≥ now, which rejects NaN too.
@@ -196,6 +270,7 @@ func (s *Simulator) rearm(e *Event, t float64) {
 	e.state = statePending
 	s.pushNode(node{key: timeKey(t), seq: s.seq, idx: e.idx})
 	s.seq++
+	s.scheduled(1)
 }
 
 // Every schedules fn every period seconds starting at start, until the
@@ -256,12 +331,40 @@ func (s *Simulator) RunUntil(horizon float64) float64 {
 	return s.now
 }
 
+// head returns the least pending node, tombstones included, and
+// whether it heads the chain run rather than the heap; ok is false
+// when nothing is pending.
+func (s *Simulator) head() (n node, chain, ok bool) {
+	if len(s.queue) > 0 {
+		n, ok = s.queue[0], true
+	}
+	if s.chains.len() > 0 && (!ok || less(s.chains.min(), n) == 1) {
+		n, chain, ok = s.chains.min(), true, true
+	}
+	return n, chain, ok
+}
+
 // fireThrough pops and fires every event due at or before horizon,
-// recycling the tombstones it pops on the way.
+// recycling the tombstones it pops on the way. Each step takes the
+// lesser of the heap's root and the chain run's head; a fired chain
+// node's successor joins the run.
 func (s *Simulator) fireThrough(horizon float64) {
-	for len(s.queue) > 0 && s.queue[0].at() <= horizon {
-		n := s.popNode()
+	for {
+		n, chain, ok := s.head()
+		if !ok || n.at() > horizon {
+			return
+		}
 		e := s.events[n.idx]
+		if chain {
+			s.chains.pop()
+			if e.chained {
+				e.chained = false
+				s.chained--
+				s.chains.insert(e.next)
+			}
+		} else {
+			s.popRoot()
+		}
 		if e.state == stateCancelled {
 			s.tombstones--
 			s.release(e)

@@ -101,6 +101,31 @@ func TestSchedulePastPanics(t *testing.T) {
 	s.Run()
 }
 
+// TestChainPanics: a chain with a past (or NaN) time, or with more
+// times than callbacks, panics before it schedules anything.
+func TestChainPanics(t *testing.T) {
+	nop := func() {}
+	for name, ts := range map[string][]float64{
+		"past":     {6, 1},
+		"NaN":      {6, math.NaN()},
+		"mismatch": {6, 7, 8},
+	} {
+		s := New(1)
+		s.At(5, func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Chain did not panic", name)
+				}
+			}()
+			s.Chain(ts, []func(){nop, nop})
+		})
+		s.Run()
+		if s.EventCount() != 1 {
+			t.Errorf("%s: %d events fired, want only the caller", name, s.EventCount())
+		}
+	}
+}
+
 // TestSignedZeroAndNaN pins the two times the integer heap key must
 // not take as they are: −0 schedules at +0 and keeps seq order with
 // the +0 events, and NaN panics as a past time in At and in a ticker's
@@ -456,4 +481,41 @@ func BenchmarkEventQueue(b *testing.B) {
 		}
 		s.Run()
 	})
+}
+
+// BenchmarkChainFanout is lan-32's queue shape under Chain: about 150
+// standing far events and, per broadcast frame, 31 receivers that each
+// chain 17 events 400 ns apart (16 DMA words and rx-done) behind a
+// 100–400 ns uniform arbitration offset. One op is one fired event;
+// it must report 0 allocs/op.
+func BenchmarkChainFanout(b *testing.B) {
+	const receivers, burst = 31, 17
+	s := New(1)
+	r := s.RNG("bench")
+	nop := func() {}
+	for i := 0; i < 150; i++ {
+		s.At(1e6+r.Float64(), nop)
+	}
+	var ts [burst]float64
+	var fns [burst]func()
+	for i := range fns {
+		fns[i] = nop
+	}
+	n := 0
+	var frame func()
+	frame = func() {
+		for rx := 0; rx < receivers; rx++ {
+			start := s.Now() + r.Uniform(100e-9, 400e-9)
+			for w := range ts {
+				ts[w] = start + float64(w)*400e-9
+			}
+			s.Chain(ts[:], fns[:])
+		}
+		if n += receivers * burst; n < b.N {
+			s.After(10e-6, frame)
+		}
+	}
+	b.ReportAllocs()
+	s.After(0, frame)
+	s.RunUntil(1e5)
 }

@@ -110,24 +110,62 @@ type nodeRound struct {
 	round uint64
 }
 
+// roundJoin links CSP arrivals to round updates. The round number a
+// csp-arrival carries is not unique over a run: the delay-measurement
+// probes (clocksync.MeasureDelay) number their ping-pong CSPs 1, 2, …
+// before the first real round. An arrival therefore joins its node's
+// update of the round it carries only when that update follows it
+// within one round period. The trace does not record the period, so
+// it is estimated as the median gap between one node's updates of two
+// consecutive rounds; with no such pair the period is unbounded.
+type roundJoin struct {
+	update map[nodeRound]float64 // each (node, round)'s first update time
+	period float64
+}
+
+// newRoundJoin indexes the round updates of recs and estimates the
+// period.
+func newRoundJoin(recs []Record) roundJoin {
+	j := roundJoin{update: map[nodeRound]float64{}, period: math.Inf(1)}
+	for i := range recs {
+		if r := &recs[i]; r.Kind == KindRoundUpdate {
+			k := nodeRound{r.Node, r.A}
+			if _, ok := j.update[k]; !ok {
+				j.update[k] = r.T
+			}
+		}
+	}
+	var gaps []float64
+	for k, t := range j.update {
+		if next, ok := j.update[nodeRound{k.node, k.round + 1}]; ok && next > t {
+			gaps = append(gaps, next-t)
+		}
+	}
+	if len(gaps) > 0 {
+		sort.Float64s(gaps)
+		j.period = gaps[metrics.NearestRank(0.5, len(gaps))]
+	}
+	return j
+}
+
+// join returns the update time of node's round and whether an arrival
+// at time at that carries round joins that update.
+func (j roundJoin) join(node int32, round uint64, at float64) (float64, bool) {
+	uT, ok := j.update[nodeRound{node, round}]
+	return uT, ok && uT >= at && uT-at <= j.period
+}
+
 // FlightPath reconstructs the per-hop latency distributions of the
 // CSP data path from a record stream. Incomplete chains (frames that
 // fell out of the ring, lost frames, stale rounds) contribute only the
 // hops they completed.
 func FlightPath(recs []Record) []HopStats {
 	chains := map[frameNode]*stageTimes{}
-	update := map[nodeRound]float64{}
+	rounds := newRoundJoin(recs)
 	for i := range recs {
 		r := &recs[i]
 		st := stageOf[r.Kind]
-		if st < 0 {
-			continue
-		}
-		if st == roundStage {
-			k := nodeRound{r.Node, r.A}
-			if _, ok := update[k]; !ok {
-				update[k] = r.T
-			}
+		if st < 0 || st == roundStage {
 			continue
 		}
 		k := frameNode{frameKey(r), r.Node}
@@ -159,14 +197,13 @@ func FlightPath(recs []Record) []HopStats {
 			continue
 		}
 		// One receiver's whole chain: the sender's last stage, this
-		// receiver's stages, and its round update if that came after
-		// the arrival.
+		// receiver's stages, and the round update the arrival joins.
 		c := *t
 		if src := chains[frameNode{k.frame, sender}]; src != nil && src.has(rxStage-1) {
 			c.set(rxStage-1, src.at[rxStage-1])
 		}
 		if c.has(roundStage - 1) {
-			if uT, ok := update[nodeRound{k.node, c.round}]; ok && uT >= c.at[roundStage-1] {
+			if uT, ok := rounds.join(k.node, c.round, c.at[roundStage-1]); ok {
 				c.set(roundStage, uT)
 			}
 		}

@@ -145,3 +145,56 @@ func TestFlightPathKeysFramesByShard(t *testing.T) {
 		t.Errorf("unsharded frame 7 keys as %d, want 7", frameKey(&r))
 	}
 }
+
+// TestRoundJoinSkipsDelayProbes: the delay-measurement probes number
+// their ping-pong CSPs as rounds 1…12 within the first 12 ms, and the
+// real rounds 1…12 update at k+0.25 s on both nodes. A probe arrival
+// must join neither the round-update hop nor a Perfetto round flow;
+// only the real arrivals at node 1, 7 µs before its updates, do.
+func TestRoundJoinSkipsDelayProbes(t *testing.T) {
+	tr := New(Options{})
+	for k := uint64(1); k <= 12; k++ {
+		at := float64(k) * 1e-3
+		tr.Emit(KindCSPSend, at, 0, 0, 100+2*k, k, 0)
+		tr.Emit(KindCSPArrival, at+60e-6, 1, 0, 100+2*k, k, at)
+		tr.Emit(KindCSPSend, at+100e-6, 1, 0, 101+2*k, k, 0)
+		tr.Emit(KindCSPArrival, at+160e-6, 0, 0, 101+2*k, k, at)
+	}
+	for k := uint64(1); k <= 12; k++ {
+		chain(tr, k, float64(k)+0.25-21e-6, k)
+		tr.Emit(KindRoundUpdate, float64(k)+0.25, 0, 0, k, 2, 0)
+	}
+	recs := tr.Records()
+	hop := FlightPath(recs)[roundStage-1]
+	if hop.N != 12 || math.Abs(hop.MaxS-7e-6) > 1e-12 {
+		t.Errorf("hop %q: n=%d max=%g s, want n=12 max=7e-06 s", hop.Name, hop.N, hop.MaxS)
+	}
+
+	var buf bytes.Buffer
+	if err := WritePerfetto(&buf, recs); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Ph  string  `json:"ph"`
+			Cat string  `json:"cat"`
+			TS  float64 `json:"ts"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	phases := map[string]int{}
+	for _, ev := range doc.TraceEvents {
+		if ev.Cat != "round" {
+			continue
+		}
+		phases[ev.Ph]++
+		if ev.TS < 0.5e6 {
+			t.Errorf("round flow %q at %g µs: a delay probe joined a round", ev.Ph, ev.TS)
+		}
+	}
+	if phases["s"] != 24 || phases["f"] != 12 || len(phases) != 2 {
+		t.Errorf("round flow phases %v, want 12 starts at node 1's arrivals, 12 at node 0's updates and 12 finishes", phases)
+	}
+}

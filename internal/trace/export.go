@@ -128,7 +128,8 @@ func perfettoThreadName(node int32) string {
 // load). Every record becomes a slice on its node's thread; records on
 // the flight path additionally carry flow steps keyed by frameKey, so
 // the UI draws arrows along the send → latch → DMA → arrival chain,
-// and a CSP arrival opens a second flow toward its round update.
+// and a CSP arrival opens a second flow toward the round update it
+// joins (the same join FlightPath makes).
 func WritePerfetto(w io.Writer, recs []Record) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n"); err != nil {
@@ -160,6 +161,7 @@ func WritePerfetto(w io.Writer, recs []Record) error {
 
 	flowSeen := map[uint64]bool{}  // frame flows, by frameKey
 	roundSeen := map[uint64]bool{} // (node,round) arrival→update flows
+	rounds := newRoundJoin(recs)
 	for i := range recs {
 		r := &recs[i]
 		tid := perfettoTid(r.Node)
@@ -188,8 +190,17 @@ func WritePerfetto(w io.Writer, recs []Record) error {
 			emit(`{"ph":%q,"id":%d,"name":"csp","cat":"flight","pid":1,"tid":%d,"ts":%s%s}`,
 				ph, id, tid, pf(r.T), bp)
 		}
-		// Arrival → round-update flows, keyed by (receiver, round).
-		if r.Kind == KindCSPArrival || r.Kind == KindRoundUpdate {
+		// Arrival → round-update flows, keyed by (receiver, round). An
+		// arrival takes no part when its round's update is in the
+		// trace but it does not join it (a delay probe); one whose
+		// update is not in the trace still opens its flow.
+		inRound := r.Kind == KindRoundUpdate
+		if r.Kind == KindCSPArrival {
+			_, has := rounds.update[nodeRound{r.Node, r.B}]
+			_, joined := rounds.join(r.Node, r.B, r.T)
+			inRound = joined || !has
+		}
+		if inRound {
 			key := uint64(uint32(r.Node))<<32 | r.B&0xFFFFFFFF
 			if r.Kind == KindRoundUpdate {
 				key = uint64(uint32(r.Node))<<32 | r.A&0xFFFFFFFF
