@@ -62,15 +62,18 @@ test:
 race:
 	$(GO) test -race ./...
 
-# fuzz-smoke runs two fuzz targets past their committed corpora: the
+# fuzz-smoke runs three fuzz targets past their committed corpora: the
 # UTCSU clock for 15 s (in reference mode it checks the register
-# timeline tick by tick against a plain adder model) and the event
-# queue for 10 s (At, Chain, Cancel and tickers against a stable sort).
+# timeline tick by tick against a plain adder model), the event queue
+# for 10 s (At, Chain, Cancel and tickers against a stable sort) and
+# frame ownership for 5 s (senders poison a payload when its done hook
+# fires; every station checks the bytes it is handed).
 # Go minimizes each new interesting input for up to 60 s by default,
 # which would spend the budget shrinking instead of fuzzing; 2 s caps it.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzClockOps$$' -fuzztime 15s -fuzzminimizetime 2s ./internal/utcsu
 	$(GO) test -run '^$$' -fuzz '^FuzzEventQueue$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzFrameOwnership$$' -fuzztime 5s -fuzzminimizetime 2s ./internal/network
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -272,9 +272,10 @@ func (l *Layer) pairBit(src, dst int) bool {
 }
 
 // mutate applies the attack of frame f's sender as seen by receiver
-// dst: a copied payload with the embedded transmit stamp shifted by the
-// returned delta (seconds). ok is false when the frame passes honestly.
-func (l *Layer) mutate(payload []byte, dst int, now float64) (out []byte, src int, delta float64, ok bool) {
+// dst: the payload copied into scratch (reusing its capacity) with the
+// embedded transmit stamp shifted by the returned delta (seconds). ok
+// is false when the frame passes honestly.
+func (l *Layer) mutate(scratch, payload []byte, dst int, now float64) (out []byte, src int, delta float64, ok bool) {
 	if l == nil || len(l.traitors) == 0 || now < l.spec.StartS {
 		return nil, 0, 0, false
 	}
@@ -304,7 +305,7 @@ func (l *Layer) mutate(payload []byte, dst int, now float64) (out []byte, src in
 	// deliveries, so the per-receiver lie edits a copy (the same stamp
 	// edit a relay applies in place), and the forged frame still
 	// decodes as genuine.
-	out, ok = csp.ShiftTxStamp(nil, payload, d)
+	out, ok = csp.ShiftTxStamp(scratch[:0], payload, d)
 	if !ok {
 		return nil, 0, 0, false // stamp never inserted or corrupt
 	}
@@ -331,23 +332,27 @@ func (l *Layer) WrapBus(bus network.Bus, dst int, s *sim.Simulator) network.Bus 
 // adversary-free snapshot streams are byte-identical to before).
 const MetricLiesTold = "adv.lies_told"
 
-// wrappedBus delegates Send/Bitrate and interposes on Attach, so every
-// station the COMCO registers sees mutated deliveries.
+// wrappedBus delegates Lend/Bitrate and interposes on Attach, so every
+// station the COMCO registers sees mutated deliveries. scratch holds
+// the current lie: under the Station contract the receiving COMCO
+// copies the words during FrameArrived, so one buffer per receiver is
+// reused for every lie it is told.
 type wrappedBus struct {
-	inner network.Bus
-	l     *Layer
-	dst   int
-	s     *sim.Simulator
-	tr    *trace.Tracer
-	lies  *telemetry.Counter
+	inner   network.Bus
+	l       *Layer
+	dst     int
+	s       *sim.Simulator
+	tr      *trace.Tracer
+	lies    *telemetry.Counter
+	scratch []byte
 }
 
 func (b *wrappedBus) Attach(st network.Station) int {
 	return b.inner.Attach(&interceptor{b: b, st: st})
 }
 
-func (b *wrappedBus) Send(f network.Frame, onAcquired func(at float64)) uint64 {
-	return b.inner.Send(f, onAcquired)
+func (b *wrappedBus) Lend(f network.Frame, onAcquired func(at float64), done func()) uint64 {
+	return b.inner.Lend(f, onAcquired, done)
 }
 
 func (b *wrappedBus) Bitrate() float64 { return b.inner.Bitrate() }
@@ -360,7 +365,8 @@ type interceptor struct {
 
 func (ic *interceptor) FrameArrived(f network.Frame) {
 	b := ic.b
-	if out, src, delta, ok := b.l.mutate(f.Payload, b.dst, b.s.Now()); ok {
+	if out, src, delta, ok := b.l.mutate(b.scratch, f.Payload, b.dst, b.s.Now()); ok {
+		b.scratch = out
 		f.Payload = out
 		b.l.lies++
 		b.lies.Inc()

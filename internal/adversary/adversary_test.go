@@ -84,7 +84,7 @@ func TestMutateColludeShiftsStampWithoutAliasing(t *testing.T) {
 	orig := lieFrame(src, st)
 	snapshot := append([]byte(nil), orig...)
 
-	out, gotSrc, delta, ok := l.mutate(orig, 3, 1.0)
+	out, gotSrc, delta, ok := l.mutate(nil, orig, 3, 1.0)
 	if !ok {
 		t.Fatal("traitor frame passed honestly")
 	}
@@ -118,7 +118,7 @@ func TestMutateTwoFacedSignFollowsPairBit(t *testing.T) {
 		if dst == src {
 			continue
 		}
-		_, _, delta, ok := l.mutate(lieFrame(src, st), dst, 1.0)
+		_, _, delta, ok := l.mutate(nil, lieFrame(src, st), dst, 1.0)
 		if !ok {
 			t.Fatalf("two-faced traitor passed honestly to dst %d", dst)
 		}
@@ -127,7 +127,7 @@ func TestMutateTwoFacedSignFollowsPairBit(t *testing.T) {
 			t.Fatalf("dst %d: delta %g disagrees with pair bit %v", dst, delta, wantNeg)
 		}
 		// Determinism: the same pair always sees the same face.
-		_, _, again, _ := l.mutate(lieFrame(src, st), dst, 2.0)
+		_, _, again, _ := l.mutate(nil, lieFrame(src, st), dst, 2.0)
 		if again != delta {
 			t.Fatalf("dst %d saw two different faces: %g then %g", dst, delta, again)
 		}
@@ -150,18 +150,18 @@ func TestMutatePassesHonestAndNonCSPTraffic(t *testing.T) {
 			break
 		}
 	}
-	if _, _, _, ok := l.mutate(lieFrame(honest, st), 3, 20); ok {
+	if _, _, _, ok := l.mutate(nil, lieFrame(honest, st), 3, 20); ok {
 		t.Fatal("honest sender was mutated")
 	}
-	if _, _, _, ok := l.mutate(lieFrame(src, st), 3, 5); ok {
+	if _, _, _, ok := l.mutate(nil, lieFrame(src, st), 3, 5); ok {
 		t.Fatal("lie told before the attack onset StartS")
 	}
 	rtt := lieFrame(src, st)
 	rtt[csp.OffKind] = byte(csp.KindRTTReq)
-	if _, _, _, ok := l.mutate(rtt, 3, 20); ok {
+	if _, _, _, ok := l.mutate(nil, rtt, 3, 20); ok {
 		t.Fatal("non-CSP frame (RTT probe) was mutated — delay calibration must stay clean")
 	}
-	if _, _, _, ok := l.mutate(lieFrame(src, st)[:csp.HeaderSize-1], 3, 20); ok {
+	if _, _, _, ok := l.mutate(nil, lieFrame(src, st)[:csp.HeaderSize-1], 3, 20); ok {
 		t.Fatal("truncated frame was mutated")
 	}
 }

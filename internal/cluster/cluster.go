@@ -308,18 +308,13 @@ func New(cfg Config) *Cluster {
 		remote := home + 1
 		for g := 0; g < gpl; g++ {
 			gw := mkNode(home, media[home], -1)
-			var port *network.LinkPort
-			var relay *network.Relay
-			port = network.NewLinkPort(media[home], func(f network.Frame) {
-				group.Post(home, remote, sims[home].Now()+DefaultWANDelayS, func() { relay.Inject(f) })
-			}, rw)
-			relay = network.NewRelay(media[remote], func(f network.Frame) {
-				group.Post(remote, home, sims[remote].Now()+DefaultWANDelayS, func() { port.Inject(f) })
-			}, rw)
+			l := &wanLink{group: group, home: home, remote: remote, sims: sims}
+			l.port = network.NewLinkPort(media[home], l.up, rw)
+			l.relay = network.NewRelay(media[remote], l.down, rw)
 			// The gateway's WAN-facing channel gets the same adversary
 			// tap as its LAN channel: traitors on the remote segment lie
 			// to the gateway too.
-			gw.Node.AttachSegment(c.adv.WrapBus(port, gw.Index, sims[home]))
+			gw.Node.AttachSegment(c.adv.WrapBus(l.port, gw.Index, sims[home]))
 		}
 	}
 

@@ -69,3 +69,40 @@ func TestLiveHeapFlatInSimTime(t *testing.T) {
 		t.Errorf("live heap grew %d bytes from 60 to 360 sim-s, want <= %d", got, bound)
 	}
 }
+
+// TestFramePathAllocFree pins the steady-state frame path at zero
+// allocations. The flat LAN covers the COMCO's pooled transmit
+// buffers, the medium's deliveries and the DMA jobs; the two-segment
+// cluster adds the gateway's LinkPort, its Relay and the cross-shard
+// WAN hops. Each cluster warms up for 30 sim-s, AllocsPerRun runs its
+// own warm-up call of 100 sim-s, and the count covers the next
+// 100 sim-s exactly (one run, so no floored mean).
+//
+// The figure is not 0: pools grow lazily, so a new high of frames in
+// flight still allocates. In this window that is one kernel rxJob (the
+// job and its two bound methods, 3 objects) on each cluster, when one
+// node's receive backlog reaches a new high. Any allocation per frame,
+// per relayed frame or per uplink frame adds at least 100.
+func TestFramePathAllocFree(t *testing.T) {
+	wan := Defaults(8, 7)
+	wan.Segments = 2
+	wan.GatewaysPerLink = 1
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{{"Defaults(8)", Defaults(8, 7)}, {"two segments", wan}} {
+		c := New(tc.cfg)
+		c.Start(1)
+		until := 30.0
+		c.RunUntil(until)
+		got := testing.AllocsPerRun(1, func() {
+			until += 100
+			c.RunUntil(until)
+		})
+		t.Logf("%s: %v allocations from %v to %v sim-s", tc.name, got, until-100, until)
+		const residual = 3
+		if got > residual {
+			t.Errorf("%s: %v allocations in 100 warm sim-s, want <= %d (pool growth only)", tc.name, got, residual)
+		}
+	}
+}

@@ -19,7 +19,7 @@
 //     directly; its second attaches to a network.LinkPort whose far
 //     end (a network.Relay) sits on the remote segment's medium, with
 //     frames carried across the shard boundary as Group.Post events
-//     delayed by the WAN propagation delay.
+//     delayed by the WAN propagation delay (a wanLink's pooled hops).
 //
 // Relayed CSPs get a PTP-transparent-clock-style correction (see
 // relayRewrite): without it, the extra link+WAN flight time would
@@ -41,6 +41,7 @@ import (
 	"ntisim/internal/csp"
 	"ntisim/internal/interval"
 	"ntisim/internal/network"
+	"ntisim/internal/sim"
 	"ntisim/internal/timefmt"
 )
 
@@ -76,4 +77,59 @@ func relayRewrite(rhoPPB int64) network.RewriteFunc {
 		binary.BigEndian.PutUint16(payload[csp.OffTxAlpha:], uint16(am.AddSat(widen)))
 		binary.BigEndian.PutUint16(payload[csp.OffTxAlpha+2:], uint16(ap.AddSat(widen)))
 	}
+}
+
+// wanLink is one gateway's WAN line between its home segment and the
+// next. It carries each frame across the shard boundary as a
+// Group.Post of a pooled hop's prebuilt run, so a relayed frame costs
+// no closure. A hop is taken on the sending shard and put back on the
+// receiving one, which is safe because the shards run in turn on one
+// goroutine; the free list grows to the most frames ever in flight.
+type wanLink struct {
+	group        *sim.Group
+	home, remote int
+	sims         []*sim.Simulator
+	port         *network.LinkPort
+	relay        *network.Relay
+	free         []*wanHop
+}
+
+// wanHop is one frame in WAN flight with its payload's done hook (see
+// network.ForwardFunc).
+type wanHop struct {
+	l    *wanLink
+	up   bool // home to remote, toward the relay; else toward the port
+	f    network.Frame
+	done func()
+	run  func()
+}
+
+func (h *wanHop) arrive() {
+	l, up, f, done := h.l, h.up, h.f, h.done
+	h.f, h.done = network.Frame{}, nil
+	l.free = append(l.free, h)
+	if up {
+		l.relay.Inject(f, done)
+	} else {
+		l.port.Inject(f, done)
+	}
+}
+
+// up forwards a gateway's uplink frame to the relay on the remote
+// segment; down forwards a remote-LAN frame to the gateway's port.
+func (l *wanLink) up(f network.Frame, done func())   { l.post(l.home, l.remote, true, f, done) }
+func (l *wanLink) down(f network.Frame, done func()) { l.post(l.remote, l.home, false, f, done) }
+
+func (l *wanLink) post(src, dst int, up bool, f network.Frame, done func()) {
+	var h *wanHop
+	if n := len(l.free); n > 0 {
+		h = l.free[n-1]
+		l.free[n-1] = nil
+		l.free = l.free[:n-1]
+	} else {
+		h = &wanHop{l: l}
+		h.run = h.arrive
+	}
+	h.up, h.f, h.done = up, f, done
+	l.group.Post(src, dst, l.sims[src].Now()+DefaultWANDelayS, h.run)
 }

@@ -56,37 +56,77 @@ type COMCO struct {
 	trNode  int
 	trWords bool
 
-	// Pools for the per-word DMA transfers (16 per frame per receiver)
-	// and the per-frame completion notification: pooled jobs with a
-	// prebuilt callback keep the steady-state DMA timing model
-	// allocation-free.
+	// Pools for the in-flight transmits, the per-word DMA transfers (16
+	// per frame per receiver) and the per-frame completion notification:
+	// pooled jobs with a prebuilt callback keep the steady-state DMA
+	// timing model allocation-free.
+	freeTx   []*txFrame
 	freeJobs []*dmaJob
 	freeDone []*rxDone
 }
 
+// txFrame is one pooled in-flight transmit: the frame buffer the DMA
+// reads land in, lent to the bus, with its acquisition and done hooks
+// bound once. It goes back on the free list only when the bus has
+// handed the buffer back and all of its DMA reads have fired: at
+// 10 Mb/s the last read precedes frame end, at high bit rates it need
+// not.
+type txFrame struct {
+	c        *COMCO
+	buf      [nti.HeaderSize]byte
+	fid      uint64
+	base     uint32
+	refs     int // the bus's done hook plus the DMA reads not yet fired
+	acquired func(at float64)
+	done     func()
+}
+
+func (t *txFrame) fetch(at float64) { t.c.fetchHeader(t, at) }
+
+func (t *txFrame) unref() {
+	if t.refs--; t.refs == 0 {
+		t.c.freeTx = append(t.c.freeTx, t)
+	}
+}
+
+func (c *COMCO) allocTx() *txFrame {
+	if n := len(c.freeTx); n > 0 {
+		t := c.freeTx[n-1]
+		c.freeTx[n-1] = nil
+		c.freeTx = c.freeTx[:n-1]
+		// A delivery that precedes a DMA read (a frame shorter on the
+		// wire than the FIFO prefill) sees zeros, as in a fresh buffer.
+		clear(t.buf[:])
+		return t
+	}
+	t := &txFrame{c: c}
+	t.acquired, t.done = t.fetch, t.unref
+	return t
+}
+
 // dmaJob is one pooled timed 32-bit DMA transfer: a read through the
-// NTI's decode logic into a transmit frame (tx), or a write of a
-// received word into NTI memory (rx).
+// NTI's decode logic into a transmit frame (tx set), or a write of a
+// received word into NTI memory.
 type dmaJob struct {
 	c    *COMCO
 	addr uint32
-	val  uint32 // rx: word to deposit
-	buf  []byte // tx: frame payload the read lands in
+	val  uint32   // rx: word to deposit
+	tx   *txFrame // tx: the frame the read lands in
 	off  int
 	fid  uint64 // frame trace id (flow key)
-	tx   bool
-	trig bool // this word is the TRANSMIT/RECEIVE trigger access
+	trig bool   // this word is the TRANSMIT/RECEIVE trigger access
 	run  func()
 }
 
 func (j *dmaJob) fire() {
 	c := j.c
-	tx, addr, buf, off, val := j.tx, j.addr, j.buf, j.off, j.val
+	tx, addr, off, val := j.tx, j.addr, j.off, j.val
 	fid, trig := j.fid, j.trig
-	j.buf = nil
+	j.tx = nil
 	c.freeJobs = append(c.freeJobs, j) // release first: the access below may schedule more DMA
-	if tx {
-		binary.BigEndian.PutUint32(buf[off:], c.nti.COMCORead32(addr))
+	if tx != nil {
+		binary.BigEndian.PutUint32(tx.buf[off:], c.nti.COMCORead32(addr))
+		tx.unref()
 	} else {
 		c.nti.COMCOWrite32(addr, val)
 	}
@@ -96,7 +136,7 @@ func (j *dmaJob) fire() {
 		}
 		if trig {
 			k := trace.KindRxTrigger
-			if tx {
+			if tx != nil {
 				k = trace.KindTxTrigger
 			}
 			c.tr.Emit(k, c.s.Now(), c.trNode, c.channel, fid, uint64(addr), 0)
@@ -186,13 +226,12 @@ func (c *COMCO) OnRxStored(fn func(fid uint64, headerBase uint32, corrupt bool))
 // trigger fires and the stamp words are inserted on the fly.
 // It returns the frame's medium-assigned trace id.
 func (c *COMCO) Transmit(headerIdx int, dst int) uint64 {
-	base := nti.TxHeaderAddrCh(c.channel, headerIdx)
-	payload := make([]byte, nti.HeaderSize)
-	f := network.Frame{Src: c.station, Dst: dst, Payload: payload}
-	var fid uint64
-	fid = c.med.Send(f, func(at float64) { c.fetchHeader(fid, base, payload, at) })
+	t := c.allocTx()
+	t.base = nti.TxHeaderAddrCh(c.channel, headerIdx)
+	t.refs = 1 + nti.HeaderSize/4
+	t.fid = c.med.Lend(network.Frame{Src: c.station, Dst: dst, Payload: t.buf[:]}, t.acquired, t.done)
 	c.txFrames++
-	return fid
+	return t.fid
 }
 
 // TransmitRaw sends a pre-assembled frame without going through the
@@ -204,7 +243,7 @@ func (c *COMCO) Transmit(headerIdx int, dst int) uint64 {
 func (c *COMCO) TransmitRaw(payload []byte, dst int) uint64 {
 	buf := make([]byte, len(payload))
 	copy(buf, payload)
-	fid := c.med.Send(network.Frame{Src: c.station, Dst: dst, Payload: buf}, nil)
+	fid := c.med.Lend(network.Frame{Src: c.station, Dst: dst, Payload: buf}, nil, nil)
 	c.txFrames++
 	return fid
 }
@@ -213,7 +252,7 @@ func (c *COMCO) TransmitRaw(payload []byte, dst int) uint64 {
 // while serialization is under way. Word w is read either during the
 // initial FIFO prefill (back-to-back at DMA speed) or, once the FIFO is
 // primed, paced by the wire draining it.
-func (c *COMCO) fetchHeader(fid uint64, base uint32, payload []byte, acquiredAt float64) {
+func (c *COMCO) fetchHeader(tx *txFrame, acquiredAt float64) {
 	arb := c.rng.Uniform(arbMinS, arbMaxS)
 	preamble := 64 / c.med.Bitrate() // preamble bits on the wire
 	ts, fns := c.s.ChainBuffers(nti.HeaderSize / 4)
@@ -227,11 +266,10 @@ func (c *COMCO) fetchHeader(fid uint64, base uint32, payload []byte, acquiredAt 
 			t = acquiredAt + arb + preamble + drained
 		}
 		j := c.allocJob()
-		j.tx = true
-		j.addr = base + off
-		j.buf = payload
+		j.tx = tx
+		j.addr = tx.base + off
 		j.off = int(off)
-		j.fid = fid
+		j.fid = tx.fid
 		j.trig = off == csp.OffTxTrig
 		ts[w], fns[w] = t, j.run
 	}
@@ -256,7 +294,6 @@ func (c *COMCO) FrameArrived(f network.Frame) {
 	ts, fns := c.s.ChainBuffers(words + 1)
 	for w := 0; w < words; w++ {
 		j := c.allocJob()
-		j.tx = false
 		j.addr = base + uint32(4*w)
 		j.val = binary.BigEndian.Uint32(f.Payload[4*w:])
 		j.fid = f.ID

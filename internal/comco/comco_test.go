@@ -171,3 +171,36 @@ func TestStats(t *testing.T) {
 }
 
 func fixFromSeconds(v float64) fixpt.Time { return fixpt.FromSeconds(v) }
+
+// probe is a station that runs a check at its frame's arrival time,
+// after every delivery of that frame (and so after the bus's done hook).
+type probe struct {
+	s     *sim.Simulator
+	check func()
+}
+
+func (p *probe) FrameArrived(network.Frame) { p.s.At(p.s.Now(), p.check) }
+
+// TestTxBufferOutlivesFrameEnd pins the transmit buffer's release rule
+// at a bit rate where the frame ends before the FIFO prefill does: at
+// 1 Gb/s the medium hands the buffer back about 1 µs after acquisition,
+// while the prefill reads run for about 3 µs, so the buffer must stay
+// off the free list until its last DMA read has landed.
+func TestTxBufferOutlivesFrameEnd(t *testing.T) {
+	s := sim.New(1)
+	cfg := network.DefaultLAN()
+	cfg.BitRateBps = 1e9
+	med := network.NewMedium(s, cfg)
+	n := nti.New(utcsu.New(s, oscillator.New(s, oscillator.Ideal(10e6), "a")))
+	c := NewChannel(s, n, med, "a", 0, 0)
+	freeAtArrival := -1
+	med.Attach(&probe{s: s, check: func() { freeAtArrival = len(c.freeTx) }})
+	c.Transmit(0, network.Broadcast)
+	s.Run()
+	if freeAtArrival != 0 {
+		t.Fatalf("transmit buffer was free at frame arrival (%d free), before its DMA reads", freeAtArrival)
+	}
+	if len(c.freeTx) != 1 {
+		t.Fatalf("%d transmit buffers free after the run, want 1", len(c.freeTx))
+	}
+}

@@ -70,11 +70,11 @@ func TestBackgroundLoadDeliversNothing(t *testing.T) {
 func linkEnds(s *sim.Simulator, med *Medium, wanDelay float64, rewrite RewriteFunc) (*LinkPort, *Relay) {
 	var port *LinkPort
 	var relay *Relay
-	port = NewLinkPort(NewMedium(s, MediumConfig{}), func(f Frame) {
-		s.At(s.Now()+wanDelay, func() { relay.Inject(f) })
+	port = NewLinkPort(NewMedium(s, MediumConfig{}), func(f Frame, done func()) {
+		s.At(s.Now()+wanDelay, func() { relay.Inject(f, done) })
 	}, rewrite)
-	relay = NewRelay(med, func(f Frame) {
-		s.At(s.Now()+wanDelay, func() { port.Inject(f) })
+	relay = NewRelay(med, func(f Frame, done func()) {
+		s.At(s.Now()+wanDelay, func() { port.Inject(f, done) })
 	}, rewrite)
 	return port, relay
 }
@@ -93,7 +93,7 @@ func TestLinkUplinkReachesRemoteMedium(t *testing.T) {
 
 	payload := make([]byte, 100)
 	var acq float64
-	port.Send(Frame{Src: 0, Dst: Broadcast, Payload: payload}, func(at float64) { acq = at })
+	port.Lend(Frame{Src: 0, Dst: Broadcast, Payload: payload}, func(at float64) { acq = at }, nil)
 	s.Run()
 
 	if acq == 0 {
@@ -162,7 +162,7 @@ func TestLinkRewriteElapsed(t *testing.T) {
 	port.Attach(&gw)
 
 	var acq float64
-	port.Send(Frame{Src: 0, Dst: Broadcast, Payload: make([]byte, 64)}, func(at float64) { acq = at })
+	port.Lend(Frame{Src: 0, Dst: Broadcast, Payload: make([]byte, 64)}, func(at float64) { acq = at }, nil)
 	s.Run()
 
 	if len(elapsed) != 1 {
@@ -209,7 +209,7 @@ func TestLinkPayloadIsolation(t *testing.T) {
 
 	payload := make([]byte, 64)
 	payload[0] = 0xAA
-	port.Send(Frame{Src: 0, Dst: Broadcast, Payload: payload}, nil)
+	port.Lend(Frame{Src: 0, Dst: Broadcast, Payload: payload}, nil, nil)
 	s.Run()
 	payload[0] = 0x55 // sender mutates its buffer after the fact
 	if remote.frames[0].Payload[0] != 0xAA {
@@ -226,8 +226,8 @@ func TestLinkFIFOSerialization(t *testing.T) {
 
 	var starts []float64
 	for i := 0; i < 3; i++ {
-		port.Send(Frame{Src: 0, Dst: Broadcast, Payload: make([]byte, 1000)},
-			func(at float64) { starts = append(starts, at) })
+		port.Lend(Frame{Src: 0, Dst: Broadcast, Payload: make([]byte, 1000)},
+			func(at float64) { starts = append(starts, at) }, nil)
 	}
 	s.Run()
 	if len(starts) != 3 {

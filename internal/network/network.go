@@ -10,6 +10,16 @@
 // WANPath models a class (III) long-haul path with heavy-tailed queueing
 // delays at intermediate gateways, used by the NTP-style baseline of
 // experiment E7.
+//
+// Payload ownership follows one rule on every bus and every WAN hop: a
+// payload is lent, not given. Whoever hands a frame on (a sender to
+// Bus.Lend, a link end to its forward callback, the cluster to
+// LinkPort.Inject or Relay.Inject) may pass a done hook, and the
+// receiving side calls it, inside an event that fires anyway, once it
+// will read the payload no more. A Station sees f.Payload only for the
+// duration of FrameArrived and copies whatever it keeps. Pooled senders
+// reuse a buffer from its done hook on, so the steady-state frame path
+// allocates nothing.
 package network
 
 import (
@@ -61,9 +71,19 @@ const BackgroundSrc = -2
 // queue frames with an acquisition callback, and know the bit rate for
 // DMA pacing. Medium (shared broadcast bus) and LinkPort (dedicated
 // point-to-point WAN port, see link.go) both implement it.
+//
+// Lend queues f and returns its trace id. onAcquired, if non-nil,
+// fires when serialization begins. done, if non-nil, fires once the
+// bus will read f.Payload no more: right after the last delivery's
+// FrameArrived, or at frame end when the frame reaches nobody (a
+// partitioned medium, no receiver) or, on a LinkPort, once the uplink
+// copy is made. Until then the sender must leave the payload alone,
+// except to fill it in (the COMCO's DMA reads land in it during
+// serialization). Pooled senders pass method values built once, so
+// neither hook allocates.
 type Bus interface {
 	Attach(st Station) int
-	Send(f Frame, onAcquired func(at float64)) uint64
+	Lend(f Frame, onAcquired func(at float64), done func()) uint64
 	Bitrate() float64
 }
 
@@ -74,6 +94,10 @@ type Station interface {
 	// f.Corrupt set: the physical interface still saw the bits (and the
 	// NTI's decode logic may already have triggered a timestamp — paper
 	// footnote 4), the controller discards them afterwards.
+	//
+	// f.Payload is valid only during the call: the sender reuses it once
+	// the bus's done hook has fired, so a station that keeps bytes
+	// copies them.
 	FrameArrived(f Frame)
 }
 
@@ -108,24 +132,28 @@ func DefaultLAN() MediumConfig {
 type pendingTx struct {
 	frame      Frame
 	onAcquired func(at float64)
+	done       func()
 }
 
 // delivery is one pooled in-flight reception: the frame copy bound for
 // one station plus a callback closed over the delivery itself, created
 // once when the object enters the pool. Reusing deliveries keeps the
-// per-station fan-out of a broadcast allocation-free.
+// per-station fan-out of a broadcast allocation-free. The frame's last
+// delivery carries the sender's done hook.
 type delivery struct {
-	m   *Medium
-	st  Station
-	id  int // receiving station id (trace metadata)
-	f   Frame
-	run func()
+	m    *Medium
+	st   Station
+	id   int // receiving station id (trace metadata)
+	f    Frame
+	done func()
+	run  func()
 }
 
 func (d *delivery) deliver() {
-	m, st, f, id := d.m, d.st, d.f, d.id
+	m, st, f, id, done := d.m, d.st, d.f, d.id, d.done
 	d.st = nil
 	d.f = Frame{}
+	d.done = nil
 	m.freeDeliv = append(m.freeDeliv, d)
 	if m.tr != nil {
 		corrupt := uint64(0)
@@ -135,6 +163,9 @@ func (d *delivery) deliver() {
 		m.tr.Emit(trace.KindFrameRx, m.s.Now(), id, 0, f.ID, corrupt, 0)
 	}
 	st.FrameArrived(f)
+	if done != nil {
+		done()
+	}
 }
 
 // SetPartitioned severs the medium: while partitioned, frames are still
@@ -158,12 +189,14 @@ type Medium struct {
 
 	// cur is the transmission currently waiting out arbitration; the
 	// prebuilt method values let the hot path schedule without
-	// allocating a closure per frame.
-	cur         pendingTx
-	transmitFn  func()
-	startNextFn func()
-	freeDeliv   []*delivery
-	bgPayload   []byte
+	// allocating a closure per frame. endDone is the done hook of a
+	// serializing frame that reaches nobody, run by its end event.
+	cur        pendingTx
+	endDone    func()
+	transmitFn func()
+	frameEndFn func()
+	freeDeliv  []*delivery
+	bgPayload  []byte
 
 	// Telemetry handles from the simulator's registry; nil-receiver
 	// no-ops when off.
@@ -201,7 +234,7 @@ func NewMedium(s *sim.Simulator, cfg MediumConfig) *Medium {
 		tmBusy:      r.Gauge("net.bus_busy_s"),
 	}
 	m.transmitFn = m.transmitCur
-	m.startNextFn = m.startNext
+	m.frameEndFn = m.frameEnd
 	return m
 }
 
@@ -241,13 +274,19 @@ func (m *Medium) FrameDuration(n int) float64 { return m.cfg.frameDuration(n) }
 
 // Send queues a frame for transmission and returns the frame's
 // medium-assigned trace id (monotone from 1 per medium). onAcquired, if
-// non-nil, fires at the moment serialization begins (the sender's COMCO
-// starts pulling the frame from memory around then — package comco
-// builds on this hook).
+// non-nil, fires at the moment serialization begins. It is Lend with no
+// done hook, for a sender that never reuses the payload.
 func (m *Medium) Send(f Frame, onAcquired func(at float64)) uint64 {
+	return m.Lend(f, onAcquired, nil)
+}
+
+// Lend queues a frame whose payload the sender gets back through done
+// (Bus interface): the sender's COMCO starts pulling the frame from
+// memory around onAcquired, and reuses its buffer once done has fired.
+func (m *Medium) Lend(f Frame, onAcquired func(at float64), done func()) uint64 {
 	f.ID = m.newID()
 	f.RequestedAt = m.s.Now()
-	m.queue = append(m.queue, pendingTx{frame: f, onAcquired: onAcquired})
+	m.queue = append(m.queue, pendingTx{frame: f, onAcquired: onAcquired, done: done})
 	m.tmBacklog.Set(float64(len(m.queue) - m.head))
 	if !m.busy {
 		m.startNext()
@@ -259,6 +298,16 @@ func (m *Medium) Send(f Frame, onAcquired func(at float64)) uint64 {
 func (m *Medium) newID() uint64 {
 	m.nextID++
 	return m.nextID
+}
+
+// frameEnd releases the bus at the end of a frame: it hands a frame
+// that reached nobody back to its sender, then starts the next one.
+func (m *Medium) frameEnd() {
+	if done := m.endDone; done != nil {
+		m.endDone = nil
+		done()
+	}
+	m.startNext()
 }
 
 func (m *Medium) startNext() {
@@ -293,13 +342,23 @@ func (m *Medium) startNext() {
 	m.s.After(delay, m.transmitFn)
 }
 
+// pop takes the last entry of a free list, or returns nil when it is
+// empty.
+func pop[T any](free *[]*T) *T {
+	n := len(*free)
+	if n == 0 {
+		return nil
+	}
+	x := (*free)[n-1]
+	(*free)[n-1] = nil
+	*free = (*free)[:n-1]
+	return x
+}
+
 // allocDelivery takes a delivery from the pool, binding its callback
 // once on first allocation.
 func (m *Medium) allocDelivery() *delivery {
-	if n := len(m.freeDeliv); n > 0 {
-		d := m.freeDeliv[n-1]
-		m.freeDeliv[n-1] = nil
-		m.freeDeliv = m.freeDeliv[:n-1]
+	if d := pop(&m.freeDeliv); d != nil {
 		return d
 	}
 	d := &delivery{m: m}
@@ -330,7 +389,8 @@ func (m *Medium) transmitCur() {
 			m.tr.Emit(trace.KindFrameLost, start, f.Src, 0, f.ID, uint64(len(f.Payload)), dur)
 		}
 		m.tmLost.Inc()
-		m.s.At(end, m.startNextFn)
+		m.endDone = tx.done
+		m.s.At(end, m.frameEndFn)
 		return
 	}
 	if m.tr != nil {
@@ -342,6 +402,10 @@ func (m *Medium) transmitCur() {
 	// BackgroundDst) skips delivery work entirely. CRC randomness is
 	// drawn once per actual delivery, in attach-id order, exactly as the
 	// full walk would, so the filter is invisible to the RNG streams.
+	// The deliveries share one time and fire in the order made, so the
+	// last one made hands the payload back; with none, the end event
+	// does.
+	var last *delivery
 	switch {
 	case f.Dst == Broadcast:
 		ts, fns := m.s.ChainBuffers(len(m.stations))
@@ -350,17 +414,22 @@ func (m *Medium) transmitCur() {
 			if id == f.Src {
 				continue
 			}
-			d := m.newDelivery(st, id, f, end)
-			ts[n], fns[n] = d.f.DeliveredAt, d.run
+			last = m.newDelivery(st, id, f, end)
+			ts[n], fns[n] = last.f.DeliveredAt, last.run
 			n++
 		}
 		m.s.Chain(ts[:n], fns[:n])
 	case f.Dst >= 0 && f.Dst < len(m.stations) && f.Dst != f.Src:
-		d := m.newDelivery(m.stations[f.Dst], f.Dst, f, end)
-		m.s.At(d.f.DeliveredAt, d.run)
+		last = m.newDelivery(m.stations[f.Dst], f.Dst, f, end)
+		m.s.At(last.f.DeliveredAt, last.run)
+	}
+	if last != nil {
+		last.done = tx.done
+	} else {
+		m.endDone = tx.done
 	}
 	m.tmSent.Inc()
-	m.s.At(end, m.startNextFn)
+	m.s.At(end, m.frameEndFn)
 }
 
 // newDelivery prepares one station's reception of f (last bit at end,

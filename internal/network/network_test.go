@@ -24,12 +24,16 @@ func frameCounts(reg *telemetry.Registry) (sent, corrupted uint64) {
 	return c["net.frames_sent"] + c["net.frames_lost"], c["net.crc_corrupt"]
 }
 
-// collector records delivered frames.
+// collector records delivered frames. A payload is valid only during
+// FrameArrived (the Station contract), so it keeps a copy.
 type collector struct {
 	frames []Frame
 }
 
-func (c *collector) FrameArrived(f Frame) { c.frames = append(c.frames, f) }
+func (c *collector) FrameArrived(f Frame) {
+	f.Payload = append([]byte(nil), f.Payload...)
+	c.frames = append(c.frames, f)
+}
 
 func TestBroadcastDelivery(t *testing.T) {
 	s := sim.New(1)
