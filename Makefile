@@ -4,9 +4,8 @@ GO ?= go
 
 # ci is the whole gate .github/workflows/ci.yml runs: gofmt, vet, build,
 # the full test suite under the race detector (the harness worker pool
-# is the main customer of -race), 15 s of FuzzClockOps and 10 s of
-# FuzzEventQueue, one pass of
-# every microbenchmark, and the ntiperf module's own vet and tests.
+# is the main customer of -race), the four fuzz-smoke targets, one pass
+# of every microbenchmark, and the ntiperf module's own vet and tests.
 # The suite includes every golden gate; all six golden tests go through
 # internal/golden.Check, which byte-diffs each artifact against its
 # testdata/ file. Regenerate them all with
@@ -62,18 +61,21 @@ test:
 race:
 	$(GO) test -race ./...
 
-# fuzz-smoke runs three fuzz targets past their committed corpora: the
+# fuzz-smoke runs four fuzz targets past their committed corpora: the
 # UTCSU clock for 15 s (in reference mode it checks the register
 # timeline tick by tick against a plain adder model), the event queue
-# for 10 s (At, Chain, Cancel and tickers against a stable sort) and
-# frame ownership for 5 s (senders poison a payload when its done hook
-# fires; every station checks the bytes it is handed).
+# for 10 s (At, Chain, Cancel and tickers against a stable sort), frame
+# ownership for 5 s (senders poison a payload when its done hook fires;
+# every station checks the bytes it is handed) and the COMCO's DMA
+# bursts for 5 s (one burst per frame against the per-word reference
+# controller, word times and triggers included).
 # Go minimizes each new interesting input for up to 60 s by default,
 # which would spend the budget shrinking instead of fuzzing; 2 s caps it.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzClockOps$$' -fuzztime 15s -fuzzminimizetime 2s ./internal/utcsu
 	$(GO) test -run '^$$' -fuzz '^FuzzEventQueue$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameOwnership$$' -fuzztime 5s -fuzzminimizetime 2s ./internal/network
+	$(GO) test -run '^$$' -fuzz '^FuzzDMABurst$$' -fuzztime 5s -fuzzminimizetime 2s ./internal/comco
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

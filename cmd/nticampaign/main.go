@@ -41,6 +41,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"sort"
 	"strconv"
@@ -147,16 +148,7 @@ var presets = map[string]preset{
 			// NodesAxis does not rescale Sync.F; the tolerance question
 			// is exactly how F-vs-clique-size plays out at each scale, so
 			// recompute the proportional default per cell.
-			for i := range pts {
-				pt := &pts[i]
-				inner := pt.Mutate
-				pt.Mutate = func(c *cluster.Config) {
-					if inner != nil {
-						inner(c)
-					}
-					c.Sync.F = cluster.DefaultF(c.Nodes)
-				}
-			}
+			wrapPoints(pts, nil, func(c *cluster.Config) { c.Sync.F = cluster.DefaultF(c.Nodes) })
 			return pts
 		},
 		spec: func(s *harness.Spec) {
@@ -453,20 +445,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		// Force the discipline after every point mutation so it wins
 		// even over a preset's own discipline axis.
-		for i := range spec.Points {
-			pt := &spec.Points[i]
-			inner := pt.Mutate
-			pt.Mutate = func(c *cluster.Config) {
-				if inner != nil {
-					inner(c)
-				}
-				c.Sync.Discipline = f
-			}
-			if pt.Params == nil {
-				pt.Params = map[string]string{}
-			}
-			pt.Params["discipline"] = *discName
-		}
+		wrapPoints(spec.Points, map[string]string{"discipline": *discName}, func(c *cluster.Config) { c.Sync.Discipline = f })
 	}
 	if *arrival != "" && !service.ValidArrival(*arrival) {
 		return usage("unknown arrival process %q (choices: %s)", *arrival, arrivalChoices())
@@ -478,30 +457,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// Force the population after every point mutation, like
 		// -discipline; a bare -arrival keeps the preset's population (or
 		// stays inert on presets without one).
-		for i := range spec.Points {
-			pt := &spec.Points[i]
-			inner := pt.Mutate
-			pt.Mutate = func(c *cluster.Config) {
-				if inner != nil {
-					inner(c)
-				}
-				if *clients > 0 {
-					c.Serving.Clients = *clients
-				}
-				if *arrival != "" {
-					c.Serving.Arrival = *arrival
-				}
-			}
-			if pt.Params == nil {
-				pt.Params = map[string]string{}
-			}
+		params := map[string]string{}
+		if *clients > 0 {
+			params["clients"] = fmt.Sprint(*clients)
+		}
+		if *arrival != "" {
+			params["arrival"] = *arrival
+		}
+		wrapPoints(spec.Points, params, func(c *cluster.Config) {
 			if *clients > 0 {
-				pt.Params["clients"] = fmt.Sprint(*clients)
+				c.Serving.Clients = *clients
 			}
 			if *arrival != "" {
-				pt.Params["arrival"] = *arrival
+				c.Serving.Arrival = *arrival
 			}
-		}
+		})
 	}
 	if !*quiet {
 		spec.Progress = stderr
@@ -612,4 +582,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail("%d of %d cells failed", len(failed), len(camp.Results))
 	}
 	return 0
+}
+
+// wrapPoints runs fn after each point's own mutation, so it wins over
+// the preset's axes, and merges params into each point's Params.
+func wrapPoints(pts []harness.Point, params map[string]string, fn func(*cluster.Config)) {
+	for i := range pts {
+		pt := &pts[i]
+		inner := pt.Mutate
+		pt.Mutate = func(c *cluster.Config) {
+			if inner != nil {
+				inner(c)
+			}
+			fn(c)
+		}
+		if len(params) > 0 {
+			if pt.Params == nil {
+				pt.Params = map[string]string{}
+			}
+			maps.Copy(pt.Params, params)
+		}
+	}
 }

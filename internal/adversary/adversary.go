@@ -171,6 +171,8 @@ type Layer struct {
 	// lies counts delivered lies. The segments run in turn on one
 	// goroutine, so one counter serves every shard.
 	lies uint64
+	// pairs holds each (src, dst) coin pairBit has derived.
+	pairs map[[2]int]bool
 }
 
 // NewLayer casts the traitors for a cluster of `nodes` regular nodes
@@ -184,6 +186,7 @@ func NewLayer(spec Spec, seed uint64, nodes int) *Layer {
 		seed:  seed,
 		roles: make([]string, nodes),
 		mag:   timefmt.DurationFromSeconds(spec.MagnitudeS),
+		pairs: map[[2]int]bool{},
 	}
 	if spec.MagnitudeS == 0 {
 		l.mag = timefmt.DurationFromSeconds(500e-6)
@@ -266,9 +269,15 @@ func (l *Layer) LiesTold() uint64 {
 
 // pairBit is the deterministic per-(src, dst) coin: which face a
 // two-faced traitor shows, or whether a delay attacker targets the
-// path. Pure in (seed, src, dst).
+// path. Pure in (seed, src, dst), so each pair's coin is derived once.
 func (l *Layer) pairBit(src, dst int) bool {
-	return sim.DeriveSeed(l.seed, fmt.Sprintf("adversary/pair/%d/%d", src, dst))&1 == 1
+	k := [2]int{src, dst}
+	bit, ok := l.pairs[k]
+	if !ok {
+		bit = sim.DeriveSeed(l.seed, fmt.Sprintf("adversary/pair/%d/%d", src, dst))&1 == 1
+		l.pairs[k] = bit
+	}
+	return bit
 }
 
 // mutate applies the attack of frame f's sender as seen by receiver

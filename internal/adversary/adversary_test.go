@@ -139,6 +139,27 @@ func TestMutateTwoFacedSignFollowsPairBit(t *testing.T) {
 	}
 }
 
+// TestMutateAllocFree pins a warmed mutate at zero allocations for the
+// attacks that toss a per-pair coin: each coin is derived once.
+func TestMutateAllocFree(t *testing.T) {
+	for _, attack := range []string{AttackTwoFaced, AttackDelayAsym} {
+		l := NewLayer(Spec{TraitorFrac: 0.25, Attack: attack, MagnitudeS: 500e-6}, 42, 8)
+		frame := lieFrame(l.Traitors()[0], timefmt.Stamp(0).Add(timefmt.DurationFromSeconds(5)))
+		var scratch []byte
+		for dst := 0; dst < 8; dst++ {
+			lie := func() {
+				if out, _, _, ok := l.mutate(scratch, frame, dst, 1.0); ok {
+					scratch = out
+				}
+			}
+			lie()
+			if got := testing.AllocsPerRun(100, lie); got != 0 {
+				t.Errorf("%s, dst %d: %v allocations per warmed mutate, want 0", attack, dst, got)
+			}
+		}
+	}
+}
+
 func TestMutatePassesHonestAndNonCSPTraffic(t *testing.T) {
 	l := NewLayer(Spec{TraitorFrac: 0.25, Attack: AttackCollude, StartS: 10}, 42, 8)
 	src := l.Traitors()[0]

@@ -71,8 +71,8 @@ func TestLiveHeapFlatInSimTime(t *testing.T) {
 }
 
 // TestFramePathAllocFree pins the steady-state frame path at zero
-// allocations. The flat LAN covers the COMCO's pooled transmit
-// buffers, the medium's deliveries and the DMA jobs; the two-segment
+// allocations. The flat LAN covers the COMCO's pooled DMA bursts
+// and the medium's deliveries; the two-segment
 // cluster adds the gateway's LinkPort, its Relay and the cross-shard
 // WAN hops. Each cluster warms up for 30 sim-s, AllocsPerRun runs its
 // own warm-up call of 100 sim-s, and the count covers the next

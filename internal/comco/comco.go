@@ -12,6 +12,16 @@
 // frame end, behind a bus-arbitration delay (the write of offset 0x1C
 // raises RECEIVE). Both paths carry small bounded jitter — the "ongoing
 // data transmission and the bus arbitration" terms the paper identifies.
+//
+// Each frame's header moves as one pooled burst per direction: a
+// 64-byte buffer with its 16 timed word transfers, scheduled as one
+// sim.Chain. The transmit reads fill the buffer that is lent to the bus
+// as the frame; a received header is copied into the buffer at arrival
+// and the writes store from that copy. A burst returns to the pool when
+// the last of its 17 references drops: the bus's done hook and the 16
+// reads, or the 16 writes and rx-done. The package tests keep the
+// earlier one-object-per-word controller as a reference that
+// FuzzDMABurst holds the burst to.
 package comco
 
 import (
@@ -56,78 +66,58 @@ type COMCO struct {
 	trNode  int
 	trWords bool
 
-	// Pools for the in-flight transmits, the per-word DMA transfers (16
-	// per frame per receiver) and the per-frame completion notification:
-	// pooled jobs with a prebuilt callback keep the steady-state DMA
-	// timing model allocation-free.
-	freeTx   []*txFrame
-	freeJobs []*dmaJob
-	freeDone []*rxDone
+	// free holds the idle bursts: one pooled object per frame in flight
+	// keeps the steady-state DMA timing model allocation-free.
+	free []*burst
 }
 
-// txFrame is one pooled in-flight transmit: the frame buffer the DMA
-// reads land in, lent to the bus, with its acquisition and done hooks
-// bound once. It goes back on the free list only when the bus has
-// handed the buffer back and all of its DMA reads have fired: at
-// 10 Mb/s the last read precedes frame end, at high bit rates it need
-// not.
-type txFrame struct {
-	c        *COMCO
-	buf      [nti.HeaderSize]byte
-	fid      uint64
-	base     uint32
-	refs     int // the bus's done hook plus the DMA reads not yet fired
-	acquired func(at float64)
-	done     func()
+// words is the number of 32-bit DMA transfers in one frame: a frame is
+// one 64-byte header.
+const words = nti.HeaderSize / 4
+
+// burst is one pooled DMA transfer of one frame's header, in either
+// direction (see the package doc). It goes back on the free list when
+// the last of its 17 references drops: at 10 Mb/s a transmit's last
+// read precedes frame end, at high bit rates it need not.
+type burst struct {
+	c       *COMCO
+	buf     [nti.HeaderSize]byte
+	fid     uint64 // frame trace id (flow key)
+	base    uint32 // header base address
+	tx      bool
+	corrupt bool // rx: the frame failed its CRC
+	refs    int
+
+	word     [words]func()
+	acquired func(at float64) // tx: serialization began
+	lent     func()           // tx: the bus hands buf back
+	done     func()           // rx: end of reception
 }
 
-func (t *txFrame) fetch(at float64) { t.c.fetchHeader(t, at) }
+func (b *burst) fetch(at float64) { b.c.fetchHeader(b, at) }
 
-func (t *txFrame) unref() {
-	if t.refs--; t.refs == 0 {
-		t.c.freeTx = append(t.c.freeTx, t)
+func (b *burst) unref() {
+	if b.refs--; b.refs == 0 {
+		b.c.free = append(b.c.free, b)
 	}
 }
 
-func (c *COMCO) allocTx() *txFrame {
-	if n := len(c.freeTx); n > 0 {
-		t := c.freeTx[n-1]
-		c.freeTx[n-1] = nil
-		c.freeTx = c.freeTx[:n-1]
-		// A delivery that precedes a DMA read (a frame shorter on the
-		// wire than the FIFO prefill) sees zeros, as in a fresh buffer.
-		clear(t.buf[:])
-		return t
-	}
-	t := &txFrame{c: c}
-	t.acquired, t.done = t.fetch, t.unref
-	return t
-}
-
-// dmaJob is one pooled timed 32-bit DMA transfer: a read through the
-// NTI's decode logic into a transmit frame (tx set), or a write of a
-// received word into NTI memory.
-type dmaJob struct {
-	c    *COMCO
-	addr uint32
-	val  uint32   // rx: word to deposit
-	tx   *txFrame // tx: the frame the read lands in
-	off  int
-	fid  uint64 // frame trace id (flow key)
-	trig bool   // this word is the TRANSMIT/RECEIVE trigger access
-	run  func()
-}
-
-func (j *dmaJob) fire() {
-	c := j.c
-	tx, addr, off, val := j.tx, j.addr, j.off, j.val
-	fid, trig := j.fid, j.trig
-	j.tx = nil
-	c.freeJobs = append(c.freeJobs, j) // release first: the access below may schedule more DMA
-	if tx != nil {
-		binary.BigEndian.PutUint32(tx.buf[off:], c.nti.COMCORead32(addr))
-		tx.unref()
+// access is the timed transfer of word w: a read into buf on transmit,
+// a write of buf's word on receive. As every burst callback does, it
+// reads the fields first, then releases, then makes the call that may
+// schedule more DMA; a read lands in buf before its release.
+func (b *burst) access(w int) {
+	c := b.c
+	off := uint32(4 * w)
+	addr, fid, tx := b.base+off, b.fid, b.tx
+	trig := off == csp.RxTrigOffset
+	if tx {
+		trig = off == csp.OffTxTrig
+		binary.BigEndian.PutUint32(b.buf[off:], c.nti.COMCORead32(addr))
+		b.unref()
 	} else {
+		val := binary.BigEndian.Uint32(b.buf[off:])
+		b.unref()
 		c.nti.COMCOWrite32(addr, val)
 	}
 	if c.tr != nil {
@@ -136,7 +126,7 @@ func (j *dmaJob) fire() {
 		}
 		if trig {
 			k := trace.KindRxTrigger
-			if tx != nil {
+			if tx {
 				k = trace.KindTxTrigger
 			}
 			c.tr.Emit(k, c.s.Now(), c.trNode, c.channel, fid, uint64(addr), 0)
@@ -144,32 +134,12 @@ func (j *dmaJob) fire() {
 	}
 }
 
-func (c *COMCO) allocJob() *dmaJob {
-	if n := len(c.freeJobs); n > 0 {
-		j := c.freeJobs[n-1]
-		c.freeJobs[n-1] = nil
-		c.freeJobs = c.freeJobs[:n-1]
-		return j
-	}
-	j := &dmaJob{c: c}
-	j.run = j.fire
-	return j
-}
-
-// rxDone is the pooled end-of-reception notification (the moment the
-// real chip would raise its interrupt).
-type rxDone struct {
-	c       *COMCO
-	base    uint32
-	fid     uint64
-	corrupt bool
-	run     func()
-}
-
-func (d *rxDone) fire() {
-	c := d.c
-	base, corrupt, fid := d.base, d.corrupt, d.fid
-	c.freeDone = append(c.freeDone, d)
+// rxComplete is the end-of-reception notification (the moment the real
+// chip would raise its interrupt).
+func (b *burst) rxComplete() {
+	c := b.c
+	base, corrupt, fid := b.base, b.corrupt, b.fid
+	b.unref()
 	c.rxFrames++
 	if c.tr != nil {
 		c.tr.Emit(trace.KindRxDone, c.s.Now(), c.trNode, c.channel, fid, uint64(base), 0)
@@ -179,16 +149,23 @@ func (d *rxDone) fire() {
 	}
 }
 
-func (c *COMCO) allocDone() *rxDone {
-	if n := len(c.freeDone); n > 0 {
-		d := c.freeDone[n-1]
-		c.freeDone[n-1] = nil
-		c.freeDone = c.freeDone[:n-1]
-		return d
+// alloc takes an idle burst holding its 17 references, growing the pool
+// (and binding the new burst's callbacks) when none is free.
+func (c *COMCO) alloc(tx bool, base uint32) *burst {
+	if len(c.free) == 0 {
+		b := &burst{c: c}
+		for w := range b.word {
+			b.word[w] = func() { b.access(w) }
+		}
+		b.acquired, b.lent, b.done = b.fetch, b.unref, b.rxComplete
+		c.free = append(c.free, b)
 	}
-	d := &rxDone{c: c}
-	d.run = d.fire
-	return d
+	n := len(c.free) - 1
+	b := c.free[n]
+	c.free[n] = nil
+	c.free = c.free[:n]
+	b.tx, b.base, b.refs = tx, base, words+1
+	return b
 }
 
 // NewChannel creates a controller on an NTI channel, attaching it to the
@@ -226,12 +203,13 @@ func (c *COMCO) OnRxStored(fn func(fid uint64, headerBase uint32, corrupt bool))
 // trigger fires and the stamp words are inserted on the fly.
 // It returns the frame's medium-assigned trace id.
 func (c *COMCO) Transmit(headerIdx int, dst int) uint64 {
-	t := c.allocTx()
-	t.base = nti.TxHeaderAddrCh(c.channel, headerIdx)
-	t.refs = 1 + nti.HeaderSize/4
-	t.fid = c.med.Lend(network.Frame{Src: c.station, Dst: dst, Payload: t.buf[:]}, t.acquired, t.done)
+	b := c.alloc(true, nti.TxHeaderAddrCh(c.channel, headerIdx))
+	// A delivery that precedes a DMA read (a frame shorter on the wire
+	// than the FIFO prefill) sees zeros, as in a fresh buffer.
+	clear(b.buf[:])
+	b.fid = c.med.Lend(network.Frame{Src: c.station, Dst: dst, Payload: b.buf[:]}, b.acquired, b.lent)
 	c.txFrames++
-	return t.fid
+	return b.fid
 }
 
 // TransmitRaw sends a pre-assembled frame without going through the
@@ -252,26 +230,20 @@ func (c *COMCO) TransmitRaw(payload []byte, dst int) uint64 {
 // while serialization is under way. Word w is read either during the
 // initial FIFO prefill (back-to-back at DMA speed) or, once the FIFO is
 // primed, paced by the wire draining it.
-func (c *COMCO) fetchHeader(tx *txFrame, acquiredAt float64) {
+func (c *COMCO) fetchHeader(b *burst, acquiredAt float64) {
 	arb := c.rng.Uniform(arbMinS, arbMaxS)
 	preamble := 64 / c.med.Bitrate() // preamble bits on the wire
-	ts, fns := c.s.ChainBuffers(nti.HeaderSize / 4)
+	ts, fns := c.s.ChainBuffers(words)
 	for w := range ts {
-		off := uint32(4 * w)
+		off := 4 * w
 		var t float64
-		if int(off) < txFIFOBytes {
+		if off < txFIFOBytes {
 			t = acquiredAt + arb + float64(w)*dmaWordTimeS
 		} else {
-			drained := float64(int(off)-txFIFOBytes) * 8 / c.med.Bitrate()
+			drained := float64(off-txFIFOBytes) * 8 / c.med.Bitrate()
 			t = acquiredAt + arb + preamble + drained
 		}
-		j := c.allocJob()
-		j.tx = tx
-		j.addr = tx.base + off
-		j.off = int(off)
-		j.fid = tx.fid
-		j.trig = off == csp.OffTxTrig
-		ts[w], fns[w] = t, j.run
+		ts[w], fns[w] = t, b.word[w]
 	}
 	c.s.Chain(ts, fns) // past the FIFO prefill the times may run out of order
 }
@@ -287,22 +259,16 @@ func (c *COMCO) FrameArrived(f network.Frame) {
 	}
 	slot := c.rxNext
 	c.rxNext = (c.rxNext + 1) % nti.RxHeadersPerCh
-	base := nti.RxHeaderAddrCh(c.channel, slot)
+	b := c.alloc(false, nti.RxHeaderAddrCh(c.channel, slot))
+	copy(b.buf[:], f.Payload)
+	b.fid, b.corrupt = f.ID, f.Corrupt
 	arb := c.rng.Uniform(arbMinS, arbMaxS)
-	const words = nti.HeaderSize / 4
 	now := c.s.Now()
 	ts, fns := c.s.ChainBuffers(words + 1)
 	for w := 0; w < words; w++ {
-		j := c.allocJob()
-		j.addr = base + uint32(4*w)
-		j.val = binary.BigEndian.Uint32(f.Payload[4*w:])
-		j.fid = f.ID
-		j.trig = uint32(4*w) == csp.RxTrigOffset
-		ts[w], fns[w] = now+(arb+float64(w)*dmaWordTimeS), j.run
+		ts[w], fns[w] = now+(arb+float64(w)*dmaWordTimeS), b.word[w]
 	}
-	d := c.allocDone()
-	d.base, d.corrupt, d.fid = base, f.Corrupt, f.ID
-	ts[words], fns[words] = now+(arb+float64(words)*dmaWordTimeS), d.run
+	ts[words], fns[words] = now+(arb+float64(words)*dmaWordTimeS), b.done
 	c.s.Chain(ts, fns)
 }
 

@@ -194,13 +194,13 @@ func TestTxBufferOutlivesFrameEnd(t *testing.T) {
 	n := nti.New(utcsu.New(s, oscillator.New(s, oscillator.Ideal(10e6), "a")))
 	c := NewChannel(s, n, med, "a", 0, 0)
 	freeAtArrival := -1
-	med.Attach(&probe{s: s, check: func() { freeAtArrival = len(c.freeTx) }})
+	med.Attach(&probe{s: s, check: func() { freeAtArrival = len(c.free) }})
 	c.Transmit(0, network.Broadcast)
 	s.Run()
 	if freeAtArrival != 0 {
 		t.Fatalf("transmit buffer was free at frame arrival (%d free), before its DMA reads", freeAtArrival)
 	}
-	if len(c.freeTx) != 1 {
-		t.Fatalf("%d transmit buffers free after the run, want 1", len(c.freeTx))
+	if len(c.free) != 1 {
+		t.Fatalf("%d transmit buffers free after the run, want 1", len(c.free))
 	}
 }

@@ -48,16 +48,17 @@ func Capture(t float64, regs ...*Registry) Snapshot {
 		if r == nil {
 			continue
 		}
-		for _, name := range sortedKeys(r.counters) {
-			s.Counters[name] += r.counters[name].v
+		// Sums and stores to distinct keys do not depend on the order
+		// within a registry; registry order decides a shared gauge key.
+		for name, c := range r.counters {
+			s.Counters[name] += c.v
 		}
-		for _, name := range sortedKeys(r.gauges) {
-			g := r.gauges[name]
-			s.Gauges[r.gaugeKey(name)] = GaugeValue{V: g.v, Hi: g.hi}
+		for _, g := range r.gauges {
+			s.Gauges[g.key] = GaugeValue{V: g.v, Hi: g.hi}
 		}
-		for _, name := range sortedKeys(r.fns) {
-			v := r.fns[name]()
-			s.Gauges[r.gaugeKey(name)] = GaugeValue{V: v, Hi: v}
+		for _, f := range r.fns {
+			v := f.fn()
+			s.Gauges[f.key] = GaugeValue{V: v, Hi: v}
 		}
 		for name := range r.hists {
 			s.Hists[name] = HistValue{}

@@ -52,7 +52,10 @@ func (c *Counter) Inc() {
 // Gauge is an instantaneous level with a high-water mark. Set tracks the
 // level; Add accumulates (useful for "busy seconds" style integrals, where
 // the running total is the level).
-type Gauge struct{ v, hi float64 }
+type Gauge struct {
+	v, hi float64
+	key   string // snapshot key (Registry.key)
+}
 
 // Set records the current level and updates the high-water mark. No-op on
 // a nil receiver.
@@ -84,8 +87,14 @@ type Registry struct {
 	shard    int
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
-	fns      map[string]func() float64
+	fns      map[string]gaugeFunc
 	hists    map[string]*Histogram
+}
+
+// gaugeFunc is a registered GaugeFunc callback with its snapshot key.
+type gaugeFunc struct {
+	fn  func() float64
+	key string
 }
 
 // New returns an empty registry with no shard tag.
@@ -94,7 +103,7 @@ func New() *Registry {
 		shard:    -1,
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
-		fns:      make(map[string]func() float64),
+		fns:      make(map[string]gaugeFunc),
 		hists:    make(map[string]*Histogram),
 	}
 }
@@ -102,12 +111,19 @@ func New() *Registry {
 // SetShard tags the registry with a shard index. Capture suffixes gauge
 // keys from a tagged registry with "@<shard>" so per-shard levels stay
 // distinguishable after the merge; counters and histograms merge by plain
-// name regardless.
+// name regardless. A gauge's key is formatted when it is registered, so
+// SetShard re-keys the gauges registered before it.
 func (r *Registry) SetShard(shard int) {
 	if r == nil {
 		return
 	}
 	r.shard = shard
+	for name, g := range r.gauges {
+		g.key = r.key(name)
+	}
+	for name, f := range r.fns {
+		r.fns[name] = gaugeFunc{f.fn, r.key(name)}
+	}
 }
 
 // Counter returns the named counter, creating it on first use. Returns nil
@@ -132,7 +148,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	}
 	g := r.gauges[name]
 	if g == nil {
-		g = &Gauge{}
+		g = &Gauge{key: r.key(name)}
 		r.gauges[name] = g
 	}
 	return g
@@ -146,7 +162,7 @@ func (r *Registry) GaugeFunc(name string, fn func() float64) {
 	if r == nil || fn == nil {
 		return
 	}
-	r.fns[name] = fn
+	r.fns[name] = gaugeFunc{fn, r.key(name)}
 }
 
 // Histogram returns the named histogram, creating it on first use. Returns
@@ -163,9 +179,9 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// gaugeKey maps a gauge name to its merged-snapshot key, suffixing the
-// shard tag when present.
-func (r *Registry) gaugeKey(name string) string {
+// key maps a gauge name to its merged-snapshot key, suffixing the shard
+// tag when present.
+func (r *Registry) key(name string) string {
 	if r.shard < 0 {
 		return name
 	}

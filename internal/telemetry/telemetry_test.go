@@ -202,27 +202,38 @@ func TestCaptureMerge(t *testing.T) {
 	if s2 := Capture(0, c); s2.Gauges["depth"].V != 1 {
 		t.Fatalf("untagged gauge key missing: %+v", s2.Gauges)
 	}
+	// Gauges registered before SetShard take the tag too.
+	c.GaugeFunc("pool", func() float64 { return 3 })
+	c.SetShard(4)
+	if s3 := Capture(0, c); s3.Gauges["depth@4"].V != 1 || s3.Gauges["pool@4"].V != 3 || len(s3.Gauges) != 2 {
+		t.Fatalf("gauges registered before SetShard: %+v", s3.Gauges)
+	}
 }
 
 // TestSnapshotJSONDeterministic: marshaling sorts map keys, so two
-// captures of identical state yield identical bytes.
+// captures of identical state yield identical bytes, whatever order the
+// metrics were registered in.
 func TestSnapshotJSONDeterministic(t *testing.T) {
-	mk := func() []byte {
-		r := New()
-		for _, n := range []string{"z", "a", "m", "q"} {
-			r.Counter(n).Add(7)
-			r.Gauge("g." + n).Set(1)
+	mk := func(names []string) []byte {
+		r, sh := New(), New()
+		sh.SetShard(2)
+		for _, n := range names {
+			for _, reg := range []*Registry{r, sh} {
+				reg.Counter(n).Add(7)
+				reg.Gauge("g." + n).Set(float64(n[0]))
+				reg.GaugeFunc("f."+n, func() float64 { return float64(n[0]) / 2 })
+			}
 		}
 		for i := 0; i < 5; i++ {
 			r.Histogram("h").Observe(1e-3)
 		}
-		b, err := json.Marshal(Capture(3, r))
+		b, err := json.Marshal(Capture(3, r, sh))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return b
 	}
-	x, y := mk(), mk()
+	x, y := mk([]string{"z", "a", "m", "q"}), mk([]string{"q", "m", "a", "z"})
 	if string(x) != string(y) {
 		t.Fatalf("non-deterministic snapshot JSON:\n%s\n%s", x, y)
 	}
