@@ -4,7 +4,7 @@ GO ?= go
 
 # ci is the whole gate .github/workflows/ci.yml runs: gofmt, vet, build,
 # the full test suite under the race detector (the harness worker pool
-# is the main customer of -race), the four fuzz-smoke targets, one pass
+# is the main customer of -race), the six fuzz-smoke targets, one pass
 # of every microbenchmark, and the ntiperf module's own vet and tests.
 # The suite includes every golden gate; all six golden tests go through
 # internal/golden.Check, which byte-diffs each artifact against its
@@ -61,14 +61,17 @@ test:
 race:
 	$(GO) test -race ./...
 
-# fuzz-smoke runs four fuzz targets past their committed corpora: the
+# fuzz-smoke runs six fuzz targets past their committed corpora: the
 # UTCSU clock for 15 s (in reference mode it checks the register
 # timeline tick by tick against a plain adder model), the event queue
 # for 10 s (At, Chain, Cancel and tickers against a stable sort), frame
 # ownership for 5 s (senders poison a payload when its done hook fires;
-# every station checks the bytes it is handed) and the COMCO's DMA
-# bursts for 5 s (one burst per frame against the per-word reference
-# controller, word times and triggers included).
+# every station checks the bytes it is handed), the COMCO's DMA bursts
+# for 5 s (one burst per frame against the per-word reference
+# controller, word times and triggers included), the convergence
+# functions for 5 s (the Fuser against a brute-force depth oracle) and
+# the synchronizer's round table for 5 s (peer slots against the
+# per-round maps they replaced).
 # Go minimizes each new interesting input for up to 60 s by default,
 # which would spend the budget shrinking instead of fuzzing; 2 s caps it.
 fuzz-smoke:
@@ -76,6 +79,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzEventQueue$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameOwnership$$' -fuzztime 5s -fuzzminimizetime 2s ./internal/network
 	$(GO) test -run '^$$' -fuzz '^FuzzDMABurst$$' -fuzztime 5s -fuzzminimizetime 2s ./internal/comco
+	$(GO) test -run '^$$' -fuzz '^FuzzFuser$$' -fuzztime 5s -fuzzminimizetime 2s ./internal/interval
+	$(GO) test -run '^$$' -fuzz '^FuzzRoundTable$$' -fuzztime 5s -fuzzminimizetime 2s ./internal/clocksync
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -12,8 +12,8 @@ import (
 
 // TestSteadyStateAllocationsPerRound pins the per-round heap footprint
 // of a running synchronizer: after warm-up the converge hot path reuses
-// the Fuser scratch, the interval/id slices, and the pooled per-round
-// peer maps, and the COMCO reuses its transmit buffers, so a
+// the Fuser scratch, the interval slices and the peer table's round
+// buckets, and the COMCO reuses its transmit buffers, so a
 // steady-state round allocates nothing.
 // The budget below covers the whole stack — kernel events, CSP frames,
 // medium, synchronizer — per (node × round); regressions that

@@ -155,7 +155,7 @@ func TestRateSyncClampsInsaneEstimates(t *testing.T) {
 }
 
 // TestRateSyncApplyAllocFree pins a rate epoch at zero allocations once
-// the peer maps and the rels scratch have grown: 15 peers a few hundred
+// the peer slots and the rels scratch have grown: 15 peers a few hundred
 // ppb apart, one observation at each end of the 16-round baseline.
 func TestRateSyncApplyAllocFree(t *testing.T) {
 	r := newRateSync(Params{F: 2}.withDefaults())
@@ -173,7 +173,7 @@ func TestRateSyncApplyAllocFree(t *testing.T) {
 		}
 		k += rateBaselineRounds + 1
 	}
-	epoch() // warm-up: map buckets and scratch
+	epoch() // warm-up: peer slots and scratch
 	if a := testing.AllocsPerRun(50, epoch); a != 0 {
 		t.Errorf("rate epoch allocates %v times, want 0", a)
 	}

@@ -1,6 +1,7 @@
 package clocksync
 
 import (
+	"cmp"
 	"slices"
 
 	"ntisim/internal/interval"
@@ -31,9 +32,9 @@ import (
 // would feed back corrections that the measurement window has not yet
 // seen — a delayed integrator that oscillates and diverges.
 type rateSync struct {
-	p     Params
-	first map[uint16]rateObs // epoch-start stamps per peer
-	last  map[uint16]rateObs // most recent stamps per peer
+	p Params
+	// peers holds the epoch's stamps per peer, sorted by node id.
+	peers []ratePeer
 	// recentCorr holds the last four correction magnitudes, newest
 	// last, for the dynamic drift bound.
 	recentCorr [4]int64
@@ -47,21 +48,22 @@ type rateObs struct {
 	tx, rx timefmt.Stamp
 }
 
-func newRateSync(p Params) *rateSync {
-	return &rateSync{
-		p:     p,
-		first: make(map[uint16]rateObs),
-		last:  make(map[uint16]rateObs),
-	}
+// ratePeer is one peer's slot in an epoch: the stamps of its first CSP
+// and, once a second one came, of its most recent.
+type ratePeer struct {
+	node        uint16
+	first, last rateObs
+	haveLast    bool
 }
+
+func newRateSync(p Params) *rateSync { return &rateSync{p: p} }
 
 // restart invalidates the current measurement epoch. Called when
 // something else (a discipline's rate command) changes the local rate
 // mid-epoch: stamps collected before the change no longer describe one
 // rate, so an estimate spanning them would be corrupt.
 func (r *rateSync) restart() {
-	clear(r.first)
-	clear(r.last)
+	r.peers = r.peers[:0]
 	r.haveEpoch = false
 }
 
@@ -72,11 +74,14 @@ func (r *rateSync) observe(node uint16, round uint32, tx, rx timefmt.Stamp) {
 		r.epochStart = round
 	}
 	o := rateObs{round: round, tx: tx, rx: rx}
-	if _, seen := r.first[node]; !seen {
-		r.first[node] = o
+	i, seen := slices.BinarySearchFunc(r.peers, node, func(q ratePeer, n uint16) int { return cmp.Compare(q.node, n) })
+	if seen {
+		r.peers[i].last, r.peers[i].haveLast = o, true
 		return
 	}
-	r.last[node] = o
+	r.peers = append(r.peers, ratePeer{})
+	copy(r.peers[i+1:], r.peers[i:])
+	r.peers[i] = ratePeer{node: node, first: o}
 }
 
 // apply computes the epoch's rate correction (ppb) and the dynamic
@@ -86,24 +91,21 @@ func (r *rateSync) apply(round uint32) (corrPPB, rhoPPB int64, ok bool) {
 		return 0, 0, false
 	}
 	rels := append(r.rels[:0], 0) // own rate, relative to itself
-	for node, f := range r.first {
-		l, okL := r.last[node]
-		if !okL || l.round-f.round < rateBaselineRounds/2 {
+	for _, q := range r.peers {
+		if !q.haveLast || q.last.round-q.first.round < rateBaselineRounds/2 {
 			continue
 		}
-		dTx := l.tx.Sub(f.tx)
-		dRx := l.rx.Sub(f.rx)
+		dTx := q.last.tx.Sub(q.first.tx)
+		dRx := q.last.rx.Sub(q.first.rx)
 		if dRx <= 0 {
 			continue
 		}
 		rels = append(rels, (int64(dTx)-int64(dRx))*1_000_000_000/int64(dRx))
 	}
 	r.rels = rels
-	// Restart the measurement window regardless of outcome (clearing in
-	// place keeps the buckets: steady-state epochs allocate nothing).
-	clear(r.first)
-	clear(r.last)
-	r.haveEpoch = false
+	// Restart the measurement window regardless of outcome (the peer
+	// slots keep their capacity: steady-state epochs allocate nothing).
+	r.restart()
 	if len(rels) < 2 {
 		return 0, 0, false
 	}

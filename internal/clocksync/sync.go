@@ -137,8 +137,9 @@ type Synchronizer struct {
 	disc   discipline.Discipline
 	discID int
 
-	round     uint32
-	collected map[uint32]map[uint16]peerEntry
+	round uint32
+	// peers holds the CSPs of the rounds not yet converged (peers.go).
+	peers     peerTable
 	rate      *rateSync
 	externals []ExternalFunc
 	// Multi-source trust state (Params.SourceF > 0): per-source
@@ -156,12 +157,9 @@ type Synchronizer struct {
 
 	// Per-round scratch, reused across converge calls so the steady
 	// state allocates nothing: the interval set handed to the
-	// discipline, the primary subset, the sorted peer-id order, and a
-	// free list of drained per-round collection maps.
+	// discipline and the primary subset.
 	scratchIvs   []interval.Interval
 	scratchPrims []interval.Interval
-	scratchIDs   []uint16
-	freeEntries  []map[uint16]peerEntry
 	// primaryUntil: the node advertises FlagPrimary while its round
 	// counter is below this (it recently validated an external source).
 	primaryUntil uint32
@@ -191,12 +189,6 @@ type Synchronizer struct {
 	tmCorrOffst *telemetry.Histogram
 }
 
-type peerEntry struct {
-	iv      interval.Interval // real-time bounds at rx instant, local axis
-	rx      timefmt.Stamp     // local clock at rx instant
-	primary bool              // sender is anchored to a validated UTC source
-}
-
 // New builds a synchronizer for a node steering clk (normally the
 // node's own UTCSU wrapped in UTCSUClock) and registers itself as the
 // node's CI handler. It observes through the node's simulator: the
@@ -211,7 +203,6 @@ func New(node *kernel.Node, clk Clock, p Params) *Synchronizer {
 		node:        node,
 		clk:         clk,
 		p:           p.withDefaults(),
-		collected:   make(map[uint32]map[uint16]peerEntry),
 		tr:          node.Sim.Tracer(),
 		tmRounds:    r.Counter("sync.rounds"),
 		tmFailed:    r.Counter(telemetry.MetricConvergenceFailed),
@@ -343,40 +334,9 @@ func (sy *Synchronizer) onArrival(ar kernel.Arrival) {
 	}
 	iv := interval.New(tx, ar.Pkt.TxAlphaM.Duration()+g, ar.Pkt.TxAlphaP.Duration())
 	iv = iv.DelayCompensate(sy.p.DelayMin, sy.p.DelayMax)
-	m := sy.collected[ar.Pkt.Round]
-	if m == nil {
-		if n := len(sy.freeEntries); n > 0 {
-			m = sy.freeEntries[n-1]
-			sy.freeEntries = sy.freeEntries[:n-1]
-		} else {
-			m = make(map[uint16]peerEntry)
-		}
-		sy.collected[ar.Pkt.Round] = m
-	}
-	m[ar.Pkt.Node] = peerEntry{iv: iv, rx: rx, primary: ar.Pkt.Flags&csp.FlagPrimary != 0}
+	sy.peers.put(ar.Pkt.Round, ar.Pkt.Node, peerEntry{iv: iv, rx: rx, primary: ar.Pkt.Flags&csp.FlagPrimary != 0})
 	if sy.rate != nil {
 		sy.rate.observe(ar.Pkt.Node, ar.Pkt.Round, tx, rx)
-	}
-}
-
-// recycle clears a drained per-round collection map and parks it for
-// reuse (bounded, so transient round pile-ups don't pin memory).
-func (sy *Synchronizer) recycle(m map[uint16]peerEntry) {
-	if m == nil || len(sy.freeEntries) >= 4 {
-		return
-	}
-	clear(m)
-	sy.freeEntries = append(sy.freeEntries, m)
-}
-
-// sortU16 is an in-place insertion sort: the per-round peer sets are
-// small and this keeps the hot path free of sort.Slice's closure
-// allocation.
-func sortU16(a []uint16) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
 	}
 }
 
@@ -392,44 +352,9 @@ func (sy *Synchronizer) converge() {
 	now := sy.clk.Now()
 	am, ap := sy.clk.Alpha()
 
-	entries := sy.collected[k]
-	delete(sy.collected, k)
-	// Drop stale rounds that never converged (missed compute windows).
-	for r, m := range sy.collected {
-		if r+2 < sy.round {
-			delete(sy.collected, r)
-			sy.recycle(m)
-		}
-	}
-
-	ivs := sy.scratchIvs[:0]
-	prims := sy.scratchPrims[:0]
-	// Own interval: the local interval clock as of now.
-	ivs = append(ivs, interval.New(now, am.Duration(), ap.Duration()))
-	// Peers in ascending node-id order: the interval convergence
-	// functions are order-insensitive, but windowed disciplines must
-	// see a deterministic sequence regardless of map iteration order.
-	ids := sy.scratchIDs[:0]
-	for id := range entries {
-		ids = append(ids, id)
-	}
-	sortU16(ids)
-	sy.scratchIDs = ids
-	for _, id := range ids {
-		e := entries[id]
-		dt := now.Sub(e.rx)
-		if dt < 0 {
-			continue // clock stepped across the reception; discard
-		}
-		iv := e.iv.DriftCompensate(dt, sy.rhoNow)
-		ivs = append(ivs, iv)
-		if e.primary {
-			prims = append(prims, iv)
-			sy.primarySeenRound = k
-		}
-		sy.stats.CSPsUsed++
-	}
-	sy.recycle(entries)
+	// Own interval first: the local interval clock as of now.
+	ivs := append(sy.scratchIvs[:0], interval.New(now, am.Duration(), ap.Duration()))
+	ivs, prims := sy.gather(k, now, ivs, sy.scratchPrims[:0])
 	sy.scratchIvs = ivs
 	sy.scratchPrims = prims
 
@@ -540,6 +465,28 @@ func (sy *Synchronizer) converge() {
 			}
 		}
 	}
+}
+
+// gather takes round k's peers from the table and appends their
+// intervals, drift-compensated to now, to ivs, and the primaries among
+// them to prims. Peers come in ascending node-id order: the interval
+// convergence functions are order-insensitive, but windowed disciplines
+// must see a deterministic sequence.
+func (sy *Synchronizer) gather(k uint32, now timefmt.Stamp, ivs, prims []interval.Interval) ([]interval.Interval, []interval.Interval) {
+	for _, p := range sy.peers.take(k, sy.round) {
+		dt := now.Sub(p.rx)
+		if dt < 0 {
+			continue // clock stepped across the reception; discard
+		}
+		iv := p.iv.DriftCompensate(dt, sy.rhoNow)
+		ivs = append(ivs, iv)
+		if p.primary {
+			prims = append(prims, iv)
+			sy.primarySeenRound = k
+		}
+		sy.stats.CSPsUsed++
+	}
+	return ivs, prims
 }
 
 // acuRho selects the deterioration bound the ACU may use at round k:

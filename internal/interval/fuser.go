@@ -4,48 +4,25 @@
 // allocating after warm-up. It is the package's only implementation of
 // the convergence functions; the method expressions
 // (*Fuser).OrthogonalAccuracy, (*Fuser).OrthogonalAccuracyFTA and
-// (*Fuser).MarzulloMidpoint are what internal/discipline runs.
+// (*Fuser).MarzulloMidpoint are what internal/discipline runs. Every
+// sort here is slices.Sort on plain stamps: Marzullo sorts the lower
+// and the upper edges apart and merges the two lists.
 
 package interval
 
 import (
-	"sort"
+	"slices"
 
 	"ntisim/internal/timefmt"
 )
-
-// fuserEdge is one end of an input interval in the Marzullo sweep.
-type fuserEdge struct {
-	at    timefmt.Stamp
-	delta int8 // +1 = interval opens, -1 = closes
-}
-
-// edgeSlice sorts edges by position, opens before closes at the same
-// point: closed intervals touch.
-type edgeSlice []fuserEdge
-
-func (e edgeSlice) Len() int      { return len(e) }
-func (e edgeSlice) Swap(i, j int) { e[i], e[j] = e[j], e[i] }
-func (e edgeSlice) Less(i, j int) bool {
-	if e[i].at != e[j].at {
-		return e[i].at < e[j].at
-	}
-	return e[i].delta > e[j].delta
-}
-
-// stampSlice sorts reference points ascending.
-type stampSlice []timefmt.Stamp
-
-func (s stampSlice) Len() int           { return len(s) }
-func (s stampSlice) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
-func (s stampSlice) Less(i, j int) bool { return s[i] < s[j] }
 
 // Fuser computes the convergence functions with reusable scratch
 // buffers: after warm-up no call allocates. A Fuser is single-goroutine
 // state (one per synchronizer/discipline instance).
 type Fuser struct {
-	edges edgeSlice
-	refs  stampSlice
+	// los and his are Marzullo's lower and upper edges; refs the
+	// reference points FTMidpoint and FTAverage sort.
+	los, his, refs []timefmt.Stamp
 }
 
 // Marzullo computes the fault-tolerant intersection of the given
@@ -59,28 +36,40 @@ func (fz *Fuser) Marzullo(ivs []Interval, f int) (Interval, bool) {
 	if need <= 0 || n == 0 {
 		return Interval{}, false
 	}
-	edges := fz.edges[:0]
+	los, his := fz.los[:0], fz.his[:0]
 	for _, iv := range ivs {
-		edges = append(edges, fuserEdge{iv.Lo(), +1}, fuserEdge{iv.Hi(), -1})
+		los = append(los, iv.Lo())
+		his = append(his, iv.Hi())
 	}
-	fz.edges = edges
-	sort.Sort(&fz.edges)
+	fz.los, fz.his = los, his
+	slices.Sort(los)
+	slices.Sort(his)
+	// Sweep the edges in position order by merging the two sorted
+	// lists; at equal positions an open comes before a close, so
+	// closed intervals touch. The sweep ends at the last close: an open
+	// after it could only find lo with no close left to set hi.
 	var lo, hi timefmt.Stamp
 	foundLo, foundHi := false, false
 	depth := 0
-	for _, e := range fz.edges {
-		depth += int(e.delta)
-		if e.delta > 0 && depth >= need && !foundLo {
-			lo, foundLo = e.at, true
+	for i, j := 0, 0; j < n; {
+		if i < n && los[i] <= his[j] {
+			depth++
+			if depth >= need && !foundLo {
+				lo, foundLo = los[i], true
+			}
+			i++
+			continue
 		}
+		depth--
 		// Keep advancing hi to the LAST close that drops below need:
 		// Byzantine inputs can split the depth-(n−f) coverage into
 		// disjoint regions, and true time is only guaranteed to lie in
 		// one of them — the hull over all of them is what the contract
 		// (and the containment theorem) requires, not the leftmost.
-		if e.delta < 0 && depth == need-1 && foundLo {
-			hi, foundHi = e.at, true
+		if depth == need-1 && foundLo {
+			hi, foundHi = his[j], true
 		}
+		j++
 	}
 	if !foundLo || !foundHi || hi < lo {
 		return Interval{}, false
@@ -91,7 +80,7 @@ func (fz *Fuser) Marzullo(ivs []Interval, f int) (Interval, bool) {
 
 // sortedRefs fills the scratch reference-point buffer from ivs and
 // sorts it, panicking unless n > 2f.
-func (fz *Fuser) sortedRefs(ivs []Interval, f int, name string) stampSlice {
+func (fz *Fuser) sortedRefs(ivs []Interval, f int, name string) []timefmt.Stamp {
 	if 2*f >= len(ivs) {
 		panic("interval: " + name + " needs n > 2f")
 	}
@@ -100,8 +89,8 @@ func (fz *Fuser) sortedRefs(ivs []Interval, f int, name string) stampSlice {
 		refs = append(refs, iv.Ref)
 	}
 	fz.refs = refs
-	sort.Sort(&fz.refs)
-	return fz.refs
+	slices.Sort(refs)
+	return refs
 }
 
 // FTMidpoint computes the fault-tolerant midpoint of the intervals'

@@ -105,23 +105,35 @@ func FromWords(timestamp, macrostamp uint32) (s Stamp, ok bool) {
 }
 
 // Checksum computes the 8-bit checksum the BTU maintains over the 56-bit
-// time value: a CRC-8 (polynomial x^8+x^2+x+1), which detects any burst
-// error up to 8 bits and hence any single-byte corruption of the words.
+// time value: a CRC-8 (polynomial x^8+x^2+x+1, initial value 0xFF, the
+// seven bytes most significant first), which detects any burst error up
+// to 8 bits and hence any single-byte corruption of the words. It runs
+// on every stamp write and every CSP receive, so it looks up crc8Table
+// once per byte instead of shifting bit by bit.
 func Checksum(s Stamp) uint8 {
 	v := uint64(s)
 	var crc uint8 = 0xFF
 	for i := 6; i >= 0; i-- {
-		crc ^= uint8(v >> (8 * i))
-		for b := 0; b < 8; b++ {
+		crc = crc8Table[crc^uint8(v>>(8*i))]
+	}
+	return crc
+}
+
+// crc8Table[b] is b shifted through the CRC-8 register eight times.
+var crc8Table = func() (t [256]uint8) {
+	for b := range t {
+		crc := uint8(b)
+		for range 8 {
 			if crc&0x80 != 0 {
 				crc = crc<<1 ^ 0x07
 			} else {
 				crc <<= 1
 			}
 		}
+		t[b] = crc
 	}
-	return crc
-}
+	return t
+}()
 
 // WrapPeriodSeconds is the wrap interval of the 32-bit Timestamp word
 // (8 bits of seconds): 256 s.

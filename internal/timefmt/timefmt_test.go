@@ -148,3 +148,46 @@ func TestQuickAlphaAddSat(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// refChecksum is the bit-serial CRC-8 that Checksum's table replaces:
+// polynomial x^8+x^2+x+1, initial value 0xFF, 56 shifts.
+func refChecksum(s Stamp) uint8 {
+	v := uint64(s)
+	var crc uint8 = 0xFF
+	for i := 6; i >= 0; i-- {
+		crc ^= uint8(v >> (8 * i))
+		for b := 0; b < 8; b++ {
+			if crc&0x80 != 0 {
+				crc = crc<<1 ^ 0x07
+			} else {
+				crc <<= 1
+			}
+		}
+	}
+	return crc
+}
+
+// TestChecksumMatchesBitSerial puts every byte value at each of the
+// seven checksummed byte positions, over a zero and an all-ones
+// background, and compares the table CRC with the bit-serial one.
+func TestChecksumMatchesBitSerial(t *testing.T) {
+	for _, bg := range []uint64{0, 1<<56 - 1} {
+		for pos := 0; pos < 7; pos++ {
+			for b := uint64(0); b < 256; b++ {
+				s := Stamp(bg&^(0xFF<<(8*pos)) | b<<(8*pos))
+				if got, want := Checksum(s), refChecksum(s); got != want {
+					t.Fatalf("Checksum(%#x) = %#02x, bit-serial %#02x", uint64(s), got, want)
+				}
+			}
+		}
+	}
+}
+
+// Property: the table CRC equals the bit-serial one on any stamp,
+// negative ones and bits above the 56 checksummed ones included.
+func TestQuickChecksumMatchesBitSerial(t *testing.T) {
+	f := func(raw int64) bool { return Checksum(Stamp(raw)) == refChecksum(Stamp(raw)) }
+	if err := quick.Check(f, &quick.Config{MaxCount: 10000}); err != nil {
+		t.Error(err)
+	}
+}
